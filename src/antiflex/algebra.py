@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import (LinAlgError, Matrix, MultiMap, Vector, vec_is_zero,
-                     vec_sub, zero_vector)
+from .linalg import (LinAlgError, Matrix, MultiMap, Vector, basis_vector,
+                     vec_is_zero, vec_sub, zero_vector)
 from .reports import CheckReport
 
 __all__ = [
@@ -74,12 +74,9 @@ class Algebra:
                        self.multiply(a, self.multiply(b, c)))
 
     def basis_associator(self, i: int, j: int, k: int) -> Vector:
-        return vec_sub(self.multiply(self.basis_product(i, j), self._basis(k)),
-                       self.multiply(self._basis(i), self.basis_product(j, k)))
-
-    def _basis(self, i: int) -> Vector:
-        from .linalg import basis_vector
-        return basis_vector(i, self.dim)
+        return vec_sub(
+            self.multiply(self.basis_product(i, j), basis_vector(k, self.dim)),
+            self.multiply(basis_vector(i, self.dim), self.basis_product(j, k)))
 
     def left_matrix(self, i: int) -> Matrix:
         """Matrix of x -> e_i . x."""
@@ -210,27 +207,12 @@ def semidirect_product(alg: Algebra, mod) -> Algebra:
     check = mod.validate()
     if not check.ok:
         raise ValueError(f"invalid bimodule: {check.describe()}")
-    return _semidirect_unchecked(alg, mod)
-
-
-def _semidirect_unchecked(alg: Algebra, mod) -> Algebra:
-    d, md = alg.dim, mod.mdim
-    dim = d + md
-
-    def fn(idx):
-        i, j = idx
-        out = [0] * dim
-        if i < d and j < d:
-            out[:d] = alg.basis_product(i, j)
-        elif i < d and j >= d:
-            out[d:] = mod.left[i].col(j - d)
-        elif i >= d and j < d:
-            out[d:] = mod.right[j].col(i - d)
-        return out
+    from .glie import structure_element
 
     labels = (tuple(f"a.{x}" for x in alg.labels)
-              + tuple(f"m{i + 1}" for i in range(md)))
-    return Algebra(MultiMap.from_function(2, dim, fn), labels)
+              + tuple(f"m{i + 1}" for i in range(mod.mdim)))
+    return Algebra(structure_element(alg.mul, mod.left, mod.right, mod.mdim),
+                   labels)
 
 
 def deformed_product(alg: Algebra, op: Matrix) -> Algebra:
@@ -246,8 +228,8 @@ def deformed_product(alg: Algebra, op: Matrix) -> Algebra:
         i, j = idx
         ni = op.col(i)
         nj = op.col(j)
-        t1 = alg.multiply(ni, alg._basis(j))
-        t2 = alg.multiply(alg._basis(i), nj)
+        t1 = alg.multiply(ni, basis_vector(j, alg.dim))
+        t2 = alg.multiply(basis_vector(i, alg.dim), nj)
         t3 = op.apply(alg.basis_product(i, j))
         return [t1[k] + t2[k] - t3[k] for k in range(alg.dim)]
 
@@ -284,7 +266,7 @@ class LieAlgebra:
             # [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
             for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
                 inner = self.bracket.value((p, q))
-                term = self.bracket.evaluate(inner, _basis(r, d))
+                term = self.bracket.evaluate(inner, basis_vector(r, d))
                 s = tuple(a + b for a, b in zip(s, term))
             if not vec_is_zero(s):
                 report.fail("jacobi", (i, j, k), s)
@@ -293,11 +275,6 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim})"
-
-
-def _basis(i: int, n: int) -> Vector:
-    from .linalg import basis_vector
-    return basis_vector(i, n)
 
 
 def commutator_lie(alg: Algebra) -> LieAlgebra:

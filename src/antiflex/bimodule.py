@@ -16,7 +16,8 @@ import itertools
 from typing import Sequence
 
 from .algebra import Algebra, LieAlgebra, classify, commutator_lie
-from .linalg import LinAlgError, Matrix, Vector
+from .linalg import (LinAlgError, Matrix, Vector, basis_vector,
+                     linear_combination)
 from .reports import CheckReport
 
 __all__ = [
@@ -39,14 +40,8 @@ class Bimodule:
 
     def __init__(self, base: Algebra, left: Sequence[Matrix], right: Sequence[Matrix],
                  check: bool = True):
-        if len(left) != base.dim or len(right) != base.dim:
-            raise LinAlgError("need one action matrix per algebra basis element")
-        mdim = left[0].rows if left else 0
-        for m in itertools.chain(left, right):
-            if m.rows != mdim or m.cols != mdim:
-                raise LinAlgError("action matrices must be square of equal size")
         self.base = base
-        self.mdim = mdim
+        self.mdim = _action_dim(base.dim, left, right)
         self.left = tuple(left)
         self.right = tuple(right)
         if check:
@@ -56,18 +51,10 @@ class Bimodule:
 
     def left_of(self, a: Vector) -> Matrix:
         """Action matrix of an arbitrary algebra element (linear extension)."""
-        acc = Matrix.zeros(self.mdim, self.mdim)
-        for i, c in enumerate(a):
-            if c:
-                acc = acc + self.left[i].scale(c)
-        return acc
+        return linear_combination(a, self.left)
 
     def right_of(self, a: Vector) -> Matrix:
-        acc = Matrix.zeros(self.mdim, self.mdim)
-        for i, c in enumerate(a):
-            if c:
-                acc = acc + self.right[i].scale(c)
-        return acc
+        return linear_combination(a, self.right)
 
     def validate(self) -> CheckReport:
         return is_bimodule(self.base, self.left, self.right)
@@ -80,29 +67,28 @@ class Bimodule:
         return f"Bimodule(base dim={self.base.dim}, mdim={self.mdim})"
 
 
-def is_bimodule(alg: Algebra, left: Sequence[Matrix], right: Sequence[Matrix]) -> CheckReport:
-    """Both bimodule equations on all basis pairs, with residual witnesses."""
-    report = CheckReport("bimodule")
-    d = alg.dim
+def _action_dim(d: int, left: Sequence[Matrix], right: Sequence[Matrix]) -> int:
+    """The common size of the square action matrices, one per basis element."""
     if len(left) != d or len(right) != d:
         raise LinAlgError("need one action matrix per algebra basis element")
     mdim = left[0].rows if d else 0
     for m in itertools.chain(left, right):
         if m.rows != mdim or m.cols != mdim:
             raise LinAlgError("action matrices must be square of equal size")
+    return mdim
 
-    def of(mats, v):
-        acc = Matrix.zeros(mdim, mdim)
-        for i, c in enumerate(v):
-            if c:
-                acc = acc + mats[i].scale(c)
-        return acc
+
+def is_bimodule(alg: Algebra, left: Sequence[Matrix], right: Sequence[Matrix]) -> CheckReport:
+    """Both bimodule equations on all basis pairs, with residual witnesses."""
+    report = CheckReport("bimodule")
+    d = alg.dim
+    _action_dim(d, left, right)
 
     for i, j in itertools.product(range(d), repeat=2):
         prod_ij = alg.basis_product(i, j)
         prod_ji = alg.basis_product(j, i)
-        lhs = of(left, prod_ij) - left[i] @ left[j]
-        rhs = right[i] @ right[j] - of(right, prod_ji)
+        lhs = linear_combination(prod_ij, left) - left[i] @ left[j]
+        rhs = right[i] @ right[j] - linear_combination(prod_ji, right)
         res = lhs - rhs
         if not res.is_zero():
             report.fail("l(ab)-l(a)l(b) = r(a)r(b)-r(ba)", (i, j), res)
@@ -164,11 +150,7 @@ class LieRepresentation:
                 raise ValueError(f"not a representation: {report.describe()}")
 
     def of(self, x: Vector) -> Matrix:
-        acc = Matrix.zeros(self.mdim, self.mdim)
-        for i, c in enumerate(x):
-            if c:
-                acc = acc + self.rho[i].scale(c)
-        return acc
+        return linear_combination(x, self.rho)
 
     def validate(self) -> CheckReport:
         report = CheckReport("lie_representation")
@@ -212,7 +194,7 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
         lcols = []
         rcols = []
         for j in range(d):
-            ej = alg._basis(j)
+            ej = basis_vector(j, d)
             lcols.append(tuple(
                 x - y for x, y in zip(alg.multiply(ti, ej),
                                       op.apply(mod.right[j].col(i)))))

@@ -153,6 +153,8 @@ def _named_operators(doc: WorkspaceDocument, names: Optional[str], count: int,
 
 def _cmd_check(args, doc: WorkspaceDocument) -> Report:
     what = args.what
+    if args.power_cap < 0:
+        raise CommandError(f"--power-cap must be nonnegative, got {args.power_cap}")
     report = Report(f"check {what}")
     alg = doc.algebra.algebra
 
@@ -193,8 +195,7 @@ def _cmd_check(args, doc: WorkspaceDocument) -> Report:
             for i in range(2, args.power_cap + 1):
                 report.verdict(f"powers_{i}",
                                nijenhuis_structure_powers(alg, mod, alg_op,
-                                                          mod_op, i,
-                                                          cap=args.power_cap))
+                                                          mod_op, i))
 
     elif what == "on":
         mod = _bimodule_object(doc)

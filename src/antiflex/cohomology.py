@@ -27,9 +27,9 @@ from .bimodule import Bimodule, induced_bimodule_on_base, lie_representation
 from .glie import (Cochain, CochainSpace, embed_blocks, graded_bracket,
                    restrict_blocks, rb_differential, structure_element,
                    HARD_ARITY_CAP)
-from .linalg import (LinAlgError, Matrix, Vector, basis_vector, vec_add,
-                     vec_is_zero, vec_sub)
-from .operators import is_rota_baxter, star_algebra
+from .linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
+                     linear_combination, vec_add, vec_is_zero, vec_sub)
+from .operators import is_rota_baxter
 from .reports import CheckReport
 
 __all__ = [
@@ -69,19 +69,15 @@ class RBComplex:
         self.mdim = mod.mdim
         # induced algebra on M and its actions on A, assembled on M + A
         # (module block first) as the degree-1 structure element
-        self.star = star_algebra(alg, mod, op, _checked=True)
         induced = induced_bimodule_on_base(alg, mod, op)
         self.induced = induced
+        self.star = induced.base
         self.pi_swapped = structure_element(self.star.mul, induced.left,
                                             induced.right, alg.dim)
-        self.total = self.mdim + self.adim
         self._matrices = {}
 
     def cochain(self, degree: int, data) -> Cochain:
         return Cochain(degree, self.mdim, self.adim, data)
-
-    def zero_cochain(self, degree: int) -> Cochain:
-        return Cochain.zero(degree, self.mdim, self.adim)
 
     def dim_cochains(self, degree: int) -> int:
         return self.mdim ** degree * self.adim
@@ -90,12 +86,7 @@ class RBComplex:
         """d_H f = (-1)^n [star + l_T + r_T, f] on the swapped space."""
         if f.mdim != self.mdim or f.adim != self.adim:
             raise LinAlgError("cochain does not match this complex")
-        cap = HARD_ARITY_CAP if cap is None else cap
-        embedded = embed_blocks(f, 0, self.mdim, self.total)
-        br = graded_bracket(self.pi_swapped, embedded, cap)
-        out, report = restrict_blocks(br, 0, self.mdim, self.mdim, self.adim)
-        if not report.ok:
-            raise ComplexError(f"differential left the cochain space: {report.describe()}")
+        out = _bracket_on_blocks(self.pi_swapped, f, cap)
         return out if f.degree % 2 == 0 else out.scale(-1)
 
     def derived_differential(self, f: Cochain, cap: Optional[int] = None) -> Cochain:
@@ -151,6 +142,18 @@ class RBComplex:
             rows.append((n, c, z, b, z - b))
             prev_matrix = dmat
         return ComplexReport(rows)
+
+
+def _bracket_on_blocks(pi: MultiMap, f: Cochain, cap: Optional[int]) -> Cochain:
+    """[pi, f] with f embedded from the first block of pi's two-block sum
+    space into the second; ComplexError if the bracket leaves that block."""
+    k = f.mdim
+    br = graded_bracket(pi, embed_blocks(f, 0, k, pi.dim),
+                        HARD_ARITY_CAP if cap is None else cap)
+    out, report = restrict_blocks(br, 0, k, k, f.adim)
+    if not report.ok:
+        raise ComplexError(f"differential left the cochain space: {report.describe()}")
+    return out
 
 
 @dataclass
@@ -247,23 +250,13 @@ def one_cocycle_check(alg: Algebra, mod: Bimodule, op: Matrix, f: Cochain,
         term = vec_add(alg.multiply(tu, fv), alg.multiply(fu, tv))
         inner_m = vec_add(mod.right_of(fv).col(u), mod.left_of(fu).col(v))
         star_uv = vec_add(mod.left_of(tu).col(v), mod.right_of(tv).col(u))
-        fs = _evaluate_cochain_1(f, star_uv)
+        fs = f.evaluate(star_uv)
         total = vec_sub(vec_sub(term, op.apply(inner_m)), fs)
         if not vec_is_zero(total):
             direct = False
             break
     vanishing = cx.differential(f).is_zero()
     return direct, vanishing
-
-
-def _evaluate_cochain_1(f: Cochain, m: Vector) -> Vector:
-    out = [Fraction(0)] * f.adim
-    for j, c in enumerate(m):
-        if c:
-            val = f.value((j,))
-            for k in range(f.adim):
-                out[k] += c * val[k]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +268,9 @@ def skew_symmetrize(f: Cochain) -> Cochain:
 
     Input and output are cochains with algebra-indexed inputs (here the
     mdim field is the input dimension)."""
-    n = f.degree
-    if n == 0:
-        return f
-    data = []
-    for idx in itertools.product(range(f.mdim), repeat=n):
-        acc = [Fraction(0)] * f.adim
-        for perm in itertools.permutations(range(n)):
-            sign = _perm_sign(perm)
-            val = f.value(tuple(idx[p] for p in perm))
-            for k in range(f.adim):
-                acc[k] += sign * val[k]
-        data.extend(acc)
-    return Cochain(n, f.mdim, f.adim, data)
+    perms = list(itertools.permutations(range(f.degree)))
+    return linear_combination([_perm_sign(p) for p in perms],
+                              [f.permute_inputs(p) for p in perms])
 
 
 def _perm_sign(perm) -> int:
@@ -300,13 +283,14 @@ def _perm_sign(perm) -> int:
 
 
 def is_alternating(f: Cochain) -> bool:
+    """Whether f changes sign under every swap of two adjacent inputs."""
     n = f.degree
-    for idx in itertools.product(range(f.mdim), repeat=n):
-        for a in range(n - 1):
-            swapped = list(idx)
-            swapped[a], swapped[a + 1] = swapped[a + 1], swapped[a]
-            if not vec_is_zero(vec_add(f.value(idx), f.value(tuple(swapped)))):
-                return False
+    negated = -f
+    for a in range(n - 1):
+        swap = list(range(n))
+        swap[a], swap[a + 1] = a + 1, a
+        if f.permute_inputs(swap) != negated:
+            return False
     return True
 
 
@@ -353,13 +337,7 @@ def hochschild_module_differential(alg: Algebra, mod: Bimodule, f: Cochain,
     alternation beyond)."""
     if f.mdim != alg.dim or f.adim != mod.mdim:
         raise LinAlgError("cochain shape does not match Hom(A^n, M)")
-    space = CochainSpace(alg, mod)
-    cap = HARD_ARITY_CAP if cap is None else cap
-    embedded = embed_blocks(f, 0, alg.dim, space.total)
-    br = graded_bracket(space.pi, embedded, cap)
-    out, report = restrict_blocks(br, 0, alg.dim, alg.dim, mod.mdim)
-    if not report.ok:
-        raise ComplexError(f"differential left the cochain space: {report.describe()}")
+    out = _bracket_on_blocks(CochainSpace(alg, mod).pi, f, cap)
     n = f.degree
     if n >= 1 and (n - 1) % 2:
         out = out.scale(-1)

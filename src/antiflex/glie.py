@@ -200,86 +200,33 @@ def mc_check_algebra_bimodule(alg: Algebra, left: Sequence[Matrix],
 # cochains Hom(M^(x)n, A) and the derived bracket
 # ---------------------------------------------------------------------------
 
-class Cochain:
-    """An element of Hom(M^(x)n, A): degree n, coefficients indexed by
-    (j_1, ..., j_n, k) with j over the module basis and k over the algebra."""
+class Cochain(MultiMap):
+    """An element of Hom(M^(x)n, A): a MultiMap of arity n = degree from
+    the module (in_dim = mdim) to the algebra (out_dim = adim), non-square
+    in general, with coefficients indexed by (j_1, ..., j_n, k).  Only the
+    constructor and the cochain names are its own."""
 
-    __slots__ = ("degree", "mdim", "adim", "data")
+    __slots__ = ()
 
     def __init__(self, degree: int, mdim: int, adim: int, data: Sequence):
-        if degree < 0:
-            raise LinAlgError("negative cochain degree")
-        data = tuple(Fraction(x) for x in data)
-        if len(data) != (mdim ** degree) * adim:
-            raise LinAlgError(
-                f"cochain data length {len(data)} != {mdim}^{degree} * {adim}")
-        self.degree = degree
-        self.mdim = mdim
-        self.adim = adim
-        self.data = data
+        self._setup(degree, mdim, adim, data)
+
+    @classmethod
+    def _make(cls, arity: int, in_dim: int, out_dim: int,
+              data: Sequence) -> "Cochain":
+        return cls(arity, in_dim, out_dim, data)
+
+    degree = property(lambda self: self.arity)
+    mdim = property(lambda self: self.in_dim)
+    adim = property(lambda self: self.out_dim)
 
     @staticmethod
     def zero(degree: int, mdim: int, adim: int) -> "Cochain":
         return Cochain(degree, mdim, adim, [0] * (mdim ** degree * adim))
 
     @staticmethod
-    def from_matrix(op: Matrix) -> "Cochain":
-        """Degree-1 cochain from an adim x mdim operator matrix."""
-        data = []
-        for j in range(op.cols):
-            data.extend(op.col(j))
-        return Cochain(1, op.cols, op.rows, data)
-
-    @staticmethod
     def from_constant(v: Vector, mdim: int) -> "Cochain":
         return Cochain(0, mdim, len(v), v)
-
-    def to_matrix(self) -> Matrix:
-        if self.degree != 1:
-            raise LinAlgError("only degree-1 cochains convert to matrices")
-        return Matrix.from_cols([self.value((j,)) for j in range(self.mdim)],
-                                rows=self.adim)
-
-    def value(self, jdx: Sequence[int]) -> Vector:
-        if len(jdx) != self.degree:
-            raise LinAlgError(f"expected {self.degree} indices")
-        off = 0
-        for j in jdx:
-            if not 0 <= j < self.mdim:
-                raise IndexError(jdx)
-            off = off * self.mdim + j
-        off *= self.adim
-        return self.data[off:off + self.adim]
-
-    def _same_shape(self, other: "Cochain"):
-        if (self.degree, self.mdim, self.adim) != (other.degree, other.mdim, other.adim):
-            raise LinAlgError("cochain shape mismatch")
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._same_shape(other)
-        return Cochain(self.degree, self.mdim, self.adim,
-                       [a + b for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        self._same_shape(other)
-        return Cochain(self.degree, self.mdim, self.adim,
-                       [a - b for a, b in zip(self.data, other.data)])
-
-    def scale(self, c) -> "Cochain":
-        c = Fraction(c)
-        return Cochain(self.degree, self.mdim, self.adim,
-                       [c * a for a in self.data])
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain)
-                and (self.degree, self.mdim, self.adim) == (other.degree, other.mdim, other.adim)
-                and self.data == other.data)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.data)
-
-    def __repr__(self):
-        return f"Cochain(degree={self.degree}, mdim={self.mdim}, adim={self.adim})"
 
 
 def embed_blocks(c: Cochain, in_offset: int, out_offset: int, total: int) -> MultiMap:
@@ -288,10 +235,6 @@ def embed_blocks(c: Cochain, in_offset: int, out_offset: int, total: int) -> Mul
     in_offset, width c.mdim), with values placed in the output block."""
     if in_offset + c.mdim > total or out_offset + c.adim > total:
         raise LinAlgError("blocks do not fit in the sum space")
-    if c.degree == 0:
-        out = [Fraction(0)] * total
-        out[out_offset:out_offset + c.adim] = c.data
-        return MultiMap.constant(tuple(out))
     lo, hi = in_offset, in_offset + c.mdim
 
     def fn(idx):

@@ -27,6 +27,7 @@ __all__ = [
     "vec_sub",
     "vec_scale",
     "vec_is_zero",
+    "linear_combination",
     "Matrix",
     "MultiMap",
     "LinAlgError",
@@ -101,10 +102,74 @@ def vec_is_zero(u: Vector) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the linear structure shared by matrices and multilinear maps
+# ---------------------------------------------------------------------------
+
+class _Dense:
+    """A shape plus a flat tuple of Fractions in `data`.  Subclasses say
+    what the shape is and how to build a value of it; the linear structure
+    acts entrywise on `data` and lives here once."""
+
+    __slots__ = ()
+
+    def _shape(self) -> tuple:
+        raise NotImplementedError
+
+    def _like(self, data: Sequence[Scalar]) -> "_Dense":
+        """A value of the same class and shape holding `data`."""
+        raise NotImplementedError
+
+    def _same_shape(self, other: "_Dense"):
+        if self._shape() != other._shape():
+            raise LinAlgError(f"{type(self).__name__} shape mismatch: "
+                              f"{self._shape()} vs {other._shape()}")
+
+    def __add__(self, other):
+        self._same_shape(other)
+        return self._like([a + b for a, b in zip(self.data, other.data)])
+
+    def __sub__(self, other):
+        self._same_shape(other)
+        return self._like([a - b for a, b in zip(self.data, other.data)])
+
+    def __neg__(self):
+        return self._like([-a for a in self.data])
+
+    def scale(self, c: Scalar):
+        c = Fraction(c)
+        return self._like([c * a for a in self.data])
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, _Dense) and self._shape() == other._shape()
+                and self.data == other.data)
+
+    def __hash__(self):
+        return hash((self._shape(), self.data))
+
+    def is_zero(self) -> bool:
+        return all(a == 0 for a in self.data)
+
+
+def linear_combination(coeffs: Sequence[Scalar], terms: Sequence[_Dense]):
+    """sum_i coeffs[i] * terms[i] over values of one shape, with no
+    intermediate values built; with one action matrix per basis element,
+    this is the action of the element whose coefficient vector is coeffs."""
+    if not terms or len(coeffs) != len(terms):
+        raise LinAlgError(f"{len(coeffs)} coefficients for {len(terms)} terms")
+    first = terms[0]
+    acc = [Fraction(0)] * len(first.data)
+    for c, term in zip(coeffs, terms):
+        if c:
+            first._same_shape(term)
+            acc = [a + c * x for a, x in zip(acc, term.data)]
+    return first._like(acc)
+
+
+# ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
 
-class Matrix:
+class Matrix(_Dense):
     """Dense rows x cols matrix of Fractions, row-major, immutable."""
 
     __slots__ = ("rows", "cols", "data")
@@ -166,34 +231,13 @@ class Matrix:
     def col(self, j: int) -> Vector:
         return tuple(self.data[i * self.cols + j] for i in range(self.rows))
 
-    def to_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
     # -- algebra ----------------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+    def _shape(self) -> tuple:
+        return (self.rows, self.cols)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.data, other.data)])
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self.data])
-
-    def scale(self, c: Scalar) -> "Matrix":
-        c = Fraction(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.data])
+    def _like(self, data: Sequence[Scalar]) -> "Matrix":
+        return Matrix(self.rows, self.cols, data)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -218,9 +262,6 @@ class Matrix:
                       [self.data[i * self.cols + j]
                        for j in range(self.cols) for i in range(self.rows)])
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.data)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -233,11 +274,6 @@ class Matrix:
         for _ in range(k):
             acc = acc @ self
         return acc
-
-    def _same_shape(self, other: "Matrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise LinAlgError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
     # -- elimination -------------------------------------------------------------
 
@@ -334,29 +370,64 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# dense coefficient tensors of multilinear maps V^(x)n -> V
+# dense coefficient tensors of multilinear maps V_in^(x)n -> V_out
 # ---------------------------------------------------------------------------
 
-class MultiMap:
-    """Multilinear map V^(x)arity -> V on a dim-d space, stored densely.
+class MultiMap(_Dense):
+    """Multilinear map V_in^(x)arity -> V_out, stored densely.
 
     Entries are indexed by (i_1, ..., i_arity, k): the e_k-coefficient of the
-    image of the basis tuple (e_{i_1}, ..., e_{i_arity}).  Arity 0 is allowed
-    and is just a vector (a constant).
+    image of the basis tuple (e_{i_1}, ..., e_{i_arity}), with i over the
+    in_dim input basis and k over the out_dim output basis.  Arity 0 is
+    allowed and is just a vector (a constant).  The constructor builds
+    square maps (in_dim = out_dim = dim); a non-square map is a cochain
+    (glie.Cochain), a subclass that shares everything below.
     """
 
-    __slots__ = ("arity", "dim", "data")
+    __slots__ = ("arity", "in_dim", "out_dim", "data")
 
     def __init__(self, arity: int, dim: int, data: Sequence[Scalar]):
-        if arity < 0 or dim < 0:
+        self._setup(arity, dim, dim, data)
+
+    def _setup(self, arity: int, in_dim: int, out_dim: int,
+               data: Sequence[Scalar]):
+        """Validate and fill the slots.  Subclass constructors call this,
+        not MultiMap.__init__, so a construction runs exactly one class's
+        __init__ (perfbench/spans.py counts constructions there)."""
+        if arity < 0 or in_dim < 0 or out_dim < 0:
             raise LinAlgError("negative arity or dimension")
         data = tuple(Fraction(x) for x in data)
-        if len(data) != dim ** (arity + 1):
+        if len(data) != in_dim ** arity * out_dim:
             raise LinAlgError(
-                f"tensor data length {len(data)} != {dim}^{arity + 1}")
+                f"tensor data length {len(data)} != {in_dim}^{arity} * {out_dim}")
         self.arity = arity
-        self.dim = dim
+        self.in_dim = in_dim
+        self.out_dim = out_dim
         self.data = data
+
+    @classmethod
+    def _make(cls, arity: int, in_dim: int, out_dim: int,
+              data: Sequence[Scalar]) -> "MultiMap":
+        """A value of this class with the given shape; a subclass whose
+        constructor takes other arguments overrides this one hook."""
+        if in_dim != out_dim:
+            raise LinAlgError(
+                f"a {cls.__name__} is square, not {in_dim} -> {out_dim}")
+        return cls(arity, in_dim, data)
+
+    @property
+    def dim(self) -> int:
+        """The one dimension of a square map."""
+        if self.in_dim != self.out_dim:
+            raise LinAlgError(
+                f"map {self.in_dim} -> {self.out_dim} is not square")
+        return self.in_dim
+
+    def _shape(self) -> tuple:
+        return (self.arity, self.in_dim, self.out_dim)
+
+    def _like(self, data: Sequence[Scalar]) -> "MultiMap":
+        return self._make(self.arity, self.in_dim, self.out_dim, data)
 
     @staticmethod
     def zero(arity: int, dim: int) -> "MultiMap":
@@ -373,11 +444,11 @@ class MultiMap:
             data.extend(img)
         return MultiMap(arity, dim, data)
 
-    @staticmethod
-    def from_matrix(m: Matrix) -> "MultiMap":
-        if not m.is_square():
-            raise LinAlgError("only square matrices embed as arity-1 maps")
-        return MultiMap.from_function(1, m.rows, lambda idx: m.col(idx[0]))
+    @classmethod
+    def from_matrix(cls, m: Matrix) -> "MultiMap":
+        """The arity-1 map acting as the rows x cols matrix m."""
+        return cls._make(1, m.cols, m.rows,
+                         [x for j in range(m.cols) for x in m.col(j)])
 
     @staticmethod
     def constant(v: Vector) -> "MultiMap":
@@ -386,30 +457,28 @@ class MultiMap:
     def _offset(self, idx) -> int:
         off = 0
         for i in idx:
-            if not 0 <= i < self.dim:
+            if not 0 <= i < self.in_dim:
                 raise IndexError(idx)
-            off = off * self.dim + i
-        return off * self.dim
+            off = off * self.in_dim + i
+        return off * self.out_dim
 
     def value(self, idx: Sequence[int]) -> Vector:
         """Image of a basis tuple, as a coefficient vector."""
         if len(idx) != self.arity:
             raise LinAlgError(f"expected {self.arity} indices, got {len(idx)}")
         off = self._offset(idx)
-        return self.data[off:off + self.dim]
-
-    def coeff(self, idx: Sequence[int], k: int) -> Fraction:
-        return self.value(idx)[k]
+        return self.data[off:off + self.out_dim]
 
     def evaluate(self, *args: Vector) -> Vector:
         """Multilinear extension to arbitrary coefficient vectors."""
         if len(args) != self.arity:
             raise LinAlgError(f"expected {self.arity} arguments, got {len(args)}")
         for a in args:
-            if len(a) != self.dim:
+            if len(a) != self.in_dim:
                 raise LinAlgError("argument has wrong dimension")
-        out = [Fraction(0)] * self.dim
-        for idx in itertools.product(range(self.dim), repeat=self.arity):
+        out_dim = self.out_dim
+        out = [Fraction(0)] * out_dim
+        for idx in itertools.product(range(self.in_dim), repeat=self.arity):
             c = Fraction(1)
             for a, i in zip(args, idx):
                 c *= a[i]
@@ -418,7 +487,7 @@ class MultiMap:
             if c == 0:
                 continue
             val = self.value(idx)
-            for k in range(self.dim):
+            for k in range(out_dim):
                 if val[k]:
                     out[k] += c * val[k]
         return tuple(out)
@@ -426,43 +495,8 @@ class MultiMap:
     def as_matrix(self) -> Matrix:
         if self.arity != 1:
             raise LinAlgError("only arity-1 maps convert to matrices")
-        return Matrix.from_cols([self.value((j,)) for j in range(self.dim)],
-                                rows=self.dim)
-
-    # -- linear structure --------------------------------------------------------
-
-    def _same_shape(self, other: "MultiMap"):
-        if self.arity != other.arity or self.dim != other.dim:
-            raise LinAlgError(
-                f"tensor shape mismatch: arity {self.arity}/dim {self.dim}"
-                f" vs arity {other.arity}/dim {other.dim}")
-
-    def __add__(self, other: "MultiMap") -> "MultiMap":
-        self._same_shape(other)
-        return MultiMap(self.arity, self.dim,
-                        [a + b for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other: "MultiMap") -> "MultiMap":
-        self._same_shape(other)
-        return MultiMap(self.arity, self.dim,
-                        [a - b for a, b in zip(self.data, other.data)])
-
-    def __neg__(self) -> "MultiMap":
-        return MultiMap(self.arity, self.dim, [-a for a in self.data])
-
-    def scale(self, c: Scalar) -> "MultiMap":
-        c = Fraction(c)
-        return MultiMap(self.arity, self.dim, [c * a for a in self.data])
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MultiMap) and self.arity == other.arity
-                and self.dim == other.dim and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.arity, self.dim, self.data))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.data)
+        return Matrix.from_cols([self.value((j,)) for j in range(self.in_dim)],
+                                rows=self.out_dim)
 
     def permute_inputs(self, perm: Sequence[int]) -> "MultiMap":
         """Pull back along a permutation: result(x_1..x_n) = self(x_{perm[0]+1}, ...).
@@ -472,10 +506,12 @@ class MultiMap:
         """
         if sorted(perm) != list(range(self.arity)):
             raise LinAlgError(f"not a permutation of {self.arity} inputs: {perm}")
-        def fn(idx):
-            return self.value(tuple(idx[p] for p in perm))
-        return MultiMap.from_function(self.arity, self.dim, fn)
+        data = []
+        for idx in itertools.product(range(self.in_dim), repeat=self.arity):
+            data.extend(self.value(tuple(idx[p] for p in perm)))
+        return self._like(data)
 
     def __repr__(self):
         nz = sum(1 for a in self.data if a != 0)
-        return f"MultiMap(arity={self.arity}, dim={self.dim}, nonzeros={nz})"
+        return (f"{type(self).__name__}(arity={self.arity}, "
+                f"in_dim={self.in_dim}, out_dim={self.out_dim}, nonzeros={nz})")

@@ -15,7 +15,7 @@ from typing import Tuple
 from .algebra import Algebra, deformed_product
 from .bimodule import Bimodule, tilde_bimodule
 from .deformation import is_nijenhuis_structure
-from .linalg import LinAlgError, Matrix, MultiMap, vec_add
+from .linalg import LinAlgError, Matrix
 from .operators import is_nijenhuis, is_rota_baxter, star_algebra
 from .reports import CheckReport
 
@@ -81,14 +81,7 @@ def lemma_tilde_star_check(alg: Algebra, mod: Bimodule, op: Matrix,
     if not check.ok:
         raise ValueError(f"not an ON-structure: {check.describe()}")
     twisted = tilde_bimodule(mod, alg_op, mod_op)
-    md = mod.mdim
-
-    def tilde_fn(idx):
-        i, j = idx
-        return vec_add(twisted.left_of(op.col(i)).col(j),
-                       twisted.right_of(op.col(j)).col(i))
-
-    star_tilde = MultiMap.from_function(2, md, tilde_fn)
+    star_tilde = star_algebra(alg, twisted, op, _checked=True).mul
     star_s = star_deformed(alg, mod, op, mod_op, _checked=True).mul
     star_nt = star_algebra(alg, mod, alg_op @ op, _checked=True).mul
     equal = star_tilde == star_s

@@ -14,6 +14,7 @@ from typing import Tuple
 from .algebra import (Algebra, LieAlgebra, classify, deformed_product,
                       direct_sum, semidirect_product)
 from .bimodule import Bimodule, LieRepresentation
+from .glie import compose_bar
 from .linalg import (LinAlgError, Matrix, MultiMap, Vector, basis_vector,
                      vec_add, vec_is_zero, vec_sub, zero_vector)
 from .reports import CheckReport
@@ -86,36 +87,14 @@ def is_nijenhuis(alg: Algebra, op: Matrix) -> CheckReport:
     for i, j in itertools.product(range(d), repeat=2):
         na, nb = op.col(i), op.col(j)
         lhs = alg.multiply(na, nb)
-        inner = vec_sub(vec_add(alg.multiply(na, alg._basis(j)),
-                                alg.multiply(alg._basis(i), nb)),
+        inner = vec_sub(vec_add(alg.multiply(na, basis_vector(j, d)),
+                                alg.multiply(basis_vector(i, d), nb)),
                         op.apply(alg.basis_product(i, j)))
         res = vec_sub(lhs, op.apply(inner))
         if not vec_is_zero(res):
             report.fail("N(a)N(b) = N(Na.b + a.Nb - N(ab))", (i, j), res)
             return report
     return report
-
-
-def _anti_flexible_mixed_defect(p: MultiMap, q: MultiMap) -> MultiMap:
-    """D(p,q)(a,b,c) = p(q(a,b),c) - p(a,q(b,c)) - p(q(c,b),a) + p(c,q(b,a)).
-
-    Bilinear polarization of the anti-flexible defect: the defect of a
-    product mu is D(mu, mu).
-    """
-    if p.arity != 2 or q.arity != 2 or p.dim != q.dim:
-        raise LinAlgError("mixed defect needs two products on the same space")
-    d = p.dim
-
-    def fn(idx):
-        i, j, k = idx
-        ei, ek = basis_vector(i, d), basis_vector(k, d)
-        t1 = p.evaluate(q.value((i, j)), ek)
-        t2 = p.evaluate(ei, q.value((j, k)))
-        t3 = p.evaluate(q.value((k, j)), ei)
-        t4 = p.evaluate(ek, q.value((j, i)))
-        return [t1[s] - t2[s] - t3[s] + t4[s] for s in range(d)]
-
-    return MultiMap.from_function(3, d, fn)
 
 
 def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int,
@@ -147,10 +126,12 @@ def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int,
     out["power_nijenhuis"] = bool(is_nijenhuis(alg_k, nl))
     out["tower_composition"] = deformed_product(alg_k, nl).mul == alg_kl.mul
 
+    # the anti-flexible defect of a product p is compose_bar(p, p), so the
+    # defect of a p_k + b p_l has these three coefficients in (a, b)
     pk, pl = alg_k.mul, alg_l.mul
-    coeff_sq_k = _anti_flexible_mixed_defect(pk, pk)
-    coeff_sq_l = _anti_flexible_mixed_defect(pl, pl)
-    coeff_mixed = _anti_flexible_mixed_defect(pk, pl) + _anti_flexible_mixed_defect(pl, pk)
+    coeff_sq_k = compose_bar(pk, pk)
+    coeff_sq_l = compose_bar(pl, pl)
+    coeff_mixed = compose_bar(pk, pl) + compose_bar(pl, pk)
     out["linear_combinations"] = (coeff_sq_k.is_zero() and coeff_sq_l.is_zero()
                                   and coeff_mixed.is_zero())
 

@@ -98,19 +98,25 @@ def _grid(coeffs: Sequence, cells: int, progress: bool):
         yield entries
 
 
+def _check_limit(limit: Optional[int]) -> None:
+    if limit is not None and limit < 0:
+        raise ValueError(f"search limit must be nonnegative, got {limit}")
+
+
 def search_algebras(dim: int, coeffs: Sequence, predicates: Sequence[str],
                     limit: Optional[int] = None,
                     progress: bool = False) -> list:
     """Enumerate structure-constant tensors on a dim-dimensional space and
     keep the algebras passing every named predicate, in sweep order."""
+    _check_limit(limit)
     checks = [algebra_predicate(p) for p in predicates]
     hits = []
     for entries in _grid(coeffs, dim ** 3, progress):
+        if len(hits) == limit:
+            break
         alg = Algebra(MultiMap(2, dim, entries))
         if all(check(alg) for check in checks):
             hits.append(alg)
-            if limit is not None and len(hits) >= limit:
-                break
     return hits
 
 
@@ -136,12 +142,13 @@ def search_operators(alg: Algebra, mod: Optional[Bimodule], coeffs: Sequence,
         rows = cols = mod.mdim
     else:
         raise ValueError(f"unknown operator search shape {shape!r}")
+    _check_limit(limit)
     checks = [operator_predicate(p, alg, mod) for p in predicates]
     hits = []
     for entries in _grid(coeffs, rows * cols, progress):
+        if len(hits) == limit:
+            break
         op = Matrix(rows, cols, entries)
         if all(check(op) for check in checks):
             hits.append(op)
-            if limit is not None and len(hits) >= limit:
-                break
     return hits

@@ -189,3 +189,26 @@ def test_console_script_runs(a2_fixture):
         [sys.executable, "-m", "antiflex", "--fixture", a2_fixture,
          "check", "algebra"], capture_output=True, text=True)
     assert result.returncode == 0
+
+
+def test_search_limit_zero_and_negative(capsys):
+    argv = ["--json", "search", "--kind", "algebra", "--dim", "1",
+            "--predicates", "anti-flexible"]
+    assert main(argv + ["--limit", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["count"] == 0
+    assert main(argv + ["--limit", "-3"]) == 2
+    assert "limit" in capsys.readouterr().err
+
+
+def test_nij_structure_power_cap_is_bounded(a2_fixture, capsys):
+    argv = ["--fixture", a2_fixture, "check", "nij-structure", "--ops", "N,S"]
+    assert main(argv + ["--power-cap", "4"]) == 2
+    assert "power" in capsys.readouterr().err
+    assert main(argv + ["--power-cap", "-1"]) == 2
+    assert "--power-cap" in capsys.readouterr().err
+
+
+def test_on_negative_power_cap_is_exit_2(a2_fixture, capsys):
+    assert main(["--fixture", a2_fixture, "check", "on", "--ops", "T,N,S",
+                 "--power-cap", "-2"]) == 2
+    assert "--power-cap" in capsys.readouterr().err

@@ -19,7 +19,8 @@ from antiflex.glie import (Cochain, CochainSpace, DegreeCapError,
                            graded_bracket, mc_check_algebra_bimodule,
                            rb_differential, rb_mc_equivalence, reversal,
                            twisted_mc_check)
-from antiflex.linalg import Matrix, MultiMap, basis_vector, vec_add, vec_sub
+from antiflex.linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
+                             vec_add, vec_sub)
 from tests.conftest import random_matrix
 
 rng = random.Random(1005)
@@ -305,3 +306,67 @@ def test_twisted_mc_requires_rb_base(a1, m_a1):
     space = CochainSpace(a1, m_a1)
     with pytest.raises(ValueError):
         twisted_mc_check(space, Matrix.identity(1), Matrix.zeros(1, 1))
+
+
+# -- cochains are multilinear maps ---------------------------------------------
+
+def test_cochain_is_a_non_square_multimap():
+    c = Cochain(2, 3, 2, range(18))
+    assert isinstance(c, MultiMap)
+    assert (c.degree, c.mdim, c.adim) == (c.arity, c.in_dim, c.out_dim) == (2, 3, 2)
+    for result in (c + c, c - c, -c, c.scale(3), c.permute_inputs((1, 0))):
+        assert type(result) is Cochain and result.mdim == 3 and result.adim == 2
+    assert Cochain.zero(2, 3, 2) == c - c
+    with pytest.raises(LinAlgError):
+        c.dim
+
+
+def test_cochain_shape_mismatch_raises():
+    c = Cochain.zero(1, 2, 3)
+    for other in (Cochain.zero(2, 2, 3), Cochain.zero(1, 3, 3),
+                  Cochain.zero(1, 2, 2)):
+        with pytest.raises(LinAlgError):
+            c + other
+        with pytest.raises(LinAlgError):
+            c - other
+
+
+def test_cochain_hash_and_equality_follow_data_and_shape():
+    data = [Fraction(rng.randint(-2, 2)) for _ in range(6)]
+    a = Cochain(1, 2, 3, data)
+    b = Cochain(1, 2, 3, list(data))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # the same six entries under the other shapes are different cochains
+    assert a != Cochain(1, 3, 2, data)
+    assert a != Cochain(0, 5, 6, data)
+    assert a != Cochain(1, 2, 3, [x + 1 for x in data])
+
+
+def test_cochain_evaluate_is_the_weighted_sum_of_values():
+    for degree, mdim, adim in ((1, 3, 2), (2, 2, 3), (2, 3, 1), (0, 2, 2)):
+        f = Cochain(degree, mdim, adim, [Fraction(rng.randint(-2, 2))
+                                         for _ in range(mdim ** degree * adim)])
+        args = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in range(mdim)) for _ in range(degree)]
+        expected = [Fraction(0)] * adim
+        for idx in itertools.product(range(mdim), repeat=degree):
+            weight = Fraction(1)
+            for arg, i in zip(args, idx):
+                weight *= arg[i]
+            expected = [e + weight * v for e, v in zip(expected, f.value(idx))]
+        assert f.evaluate(*args) == tuple(expected)
+
+
+def test_non_square_operator_matrix_roundtrip(a2, m_a2):
+    for rows, cols in ((2, 3), (3, 2), (1, 2)):
+        op = random_matrix(rng, rows, cols)
+        c = Cochain.from_matrix(op)
+        assert type(c) is Cochain
+        assert (c.degree, c.mdim, c.adim) == (1, cols, rows)
+        assert c.as_matrix() == op
+        for j in range(cols):
+            assert c.value((j,)) == op.col(j)
+    space = CochainSpace(a2, m_a2)
+    op = random_matrix(rng, 2, 2)
+    assert space.operator_cochain(op).as_matrix() == op

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from antiflex.linalg import (LinAlgError, Matrix, MultiMap, parse_rational,
-                             render_rational, vec_is_zero)
+from antiflex.linalg import (LinAlgError, Matrix, MultiMap, linear_combination,
+                             parse_rational, render_rational, vec_is_zero)
 
 rng = random.Random(1001)
 
@@ -114,3 +114,59 @@ def test_multimap_arity_zero_is_a_vector():
     c = MultiMap.constant((Fraction(1), Fraction(-2)))
     assert c.arity == 0
     assert c.value(()) == (1, -2)
+
+
+def test_multimap_shape_mismatch_raises():
+    square = MultiMap.zero(2, 2)
+    for other in (MultiMap.zero(1, 2), MultiMap.zero(2, 3)):
+        with pytest.raises(LinAlgError):
+            square + other
+        with pytest.raises(LinAlgError):
+            square - other
+
+
+def test_matrix_and_multimap_share_the_linear_structure():
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    mm = MultiMap.from_matrix(m)
+    assert (m + m) == m.scale(2) and (mm + mm) == mm.scale(2)
+    assert (m - m).is_zero() and (mm - mm).is_zero()
+    assert -m == m.scale(-1) and -mm == mm.scale(-1)
+    assert isinstance(-mm, MultiMap) and isinstance(m + m, Matrix)
+    # same entries, different layouts: never equal across the two types
+    assert m != mm and mm.as_matrix() == m
+    assert len({m, m.scale(1), mm, mm.scale(1)}) == 2
+
+
+def test_square_from_matrix_as_matrix_roundtrip():
+    m = Matrix.from_rows([[1, "1/2"], [0, -3]])
+    mm = MultiMap.from_matrix(m)
+    assert mm.dim == 2 and mm.as_matrix() == m
+    assert mm.evaluate((Fraction(1), Fraction(0))) == m.col(0)
+    with pytest.raises(LinAlgError):
+        MultiMap.from_matrix(Matrix.zeros(2, 3))
+
+
+def test_linear_combination_matches_repeated_scale_and_add(
+        m_a1, m_a2, m_a0_2, m_a2_plus_a1, m_zero_on_a2):
+    for mod in (m_a1, m_a2, m_a0_2, m_a2_plus_a1, m_zero_on_a2):
+        d = mod.base.dim
+        for _ in range(10):
+            v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                      for _ in range(d))
+            for mats in (mod.left, mod.right):
+                acc = Matrix.zeros(mod.mdim, mod.mdim)
+                for i, c in enumerate(v):
+                    if c:
+                        acc = acc + mats[i].scale(c)
+                assert linear_combination(v, mats) == acc
+            assert mod.left_of(v) == linear_combination(v, mod.left)
+            assert mod.right_of(v) == linear_combination(v, mod.right)
+
+
+def test_linear_combination_rejects_bad_input():
+    with pytest.raises(LinAlgError):
+        linear_combination((1,), (Matrix.identity(2), Matrix.identity(2)))
+    with pytest.raises(LinAlgError):
+        linear_combination((1, 1), (Matrix.identity(2), Matrix.identity(3)))
+    with pytest.raises(LinAlgError):
+        linear_combination((), ())

@@ -72,3 +72,23 @@ def test_predicate_validation(a2):
 def test_candidate_ceiling():
     with pytest.raises(SearchSpaceError):
         search_algebras(2, tuple(range(-20, 21)), ("anti-flexible",))
+
+
+def test_limit_zero_returns_no_hits(a2, m_a2):
+    assert search_algebras(1, (0, 1), ("anti-flexible",), limit=0) == []
+    assert search_operators(a2, m_a2, (-1, 0, 1), ("rota-baxter",),
+                            limit=0) == []
+
+
+def test_limit_is_exact_and_a_prefix_of_the_full_sweep(a2, m_a2):
+    full = search_operators(a2, m_a2, (-1, 0, 1), ("rota-baxter",))
+    assert len(full) > 2
+    assert search_operators(a2, m_a2, (-1, 0, 1), ("rota-baxter",),
+                            limit=2) == full[:2]
+
+
+def test_negative_limit_is_rejected(a2, m_a2):
+    with pytest.raises(ValueError):
+        search_algebras(1, (0, 1), ("anti-flexible",), limit=-3)
+    with pytest.raises(ValueError):
+        search_operators(a2, m_a2, (-1, 0, 1), ("rota-baxter",), limit=-1)
