@@ -1,13 +1,29 @@
 """The cochain complex of a Rota-Baxter operator and its cohomology.
 
-The differential d_H is realized structurally: the operator induces an
+The differential d_H is defined structurally: the operator induces an
 algebra (M, star) together with actions (l_T, r_T) of M on A, and d_H is
 (-1)^n times the bracket of the degree-1 element star + l_T + r_T with the
-cochain, computed on the swapped sum space M + A.  The degree-0 case is
+cochain, computed on the swapped sum space M + A (`RBComplex.differential`).
+The degree-0 case is
 
     d_H(a)(m) = T(m).a - T(r(a)m) - a.T(m) + T(l(a)m),
 
 and d_T f = (-1)^n d_H f relates it to the derived-bracket differential.
+
+`RBComplex.differential_matrix` writes the same d_H pointwise from the
+structure constants of star, l_T and r_T, the Hochschild-type differential
+of (M, star) acting on A with the anti-flexible reversal term added.  For
+c in A and f of degree n >= 1, with x = (x_1, ..., x_{n+1}) in M:
+
+    d c(x) = l_T(x)c - r_T(x)c,
+    Q(x)   = r_T(x_{n+1}) f(x_1..x_n) + (-1)^{n-1} l_T(x_1) f(x_2..x_{n+1})
+             + (-1)^n sum_{s=0}^{n-1} (-1)^s f(x_1..x_s, x_{s+1} star x_{s+2}, ..),
+    d f(x) = (-1)^n [Q(x) + [n >= 2] (-1)^{n(n+1)/2} Q(x_{n+1}, ..., x_1)].
+
+The bracket route stays the definition and the oracle: the tests compare
+the two column by column, and the bracket route still checks that nothing
+leaves the cochain block (pi(A, A) = 0 and f vanishes off M^n, so the
+pointwise route has no such components to check).
 
 The differential squares to zero exactly at degree 1 for every Rota-Baxter
 operator; away from degree 1 that property can fail on noncommutative
@@ -17,6 +33,7 @@ explicitly (and refuse to report sham quotients).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,9 +41,9 @@ from typing import Optional, Tuple
 
 from .algebra import Algebra
 from .bimodule import Bimodule, induced_bimodule_on_base, lie_representation
-from .glie import (Cochain, CochainSpace, embed_blocks, graded_bracket,
-                   restrict_blocks, rb_differential, structure_element,
-                   HARD_ARITY_CAP)
+from .glie import (Cochain, CochainSpace, DegreeCapError, embed_blocks,
+                   graded_bracket, restrict_blocks, rb_differential,
+                   structure_element, HARD_ARITY_CAP)
 from .linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
                      linear_combination, vec_add, vec_is_zero, vec_sub)
 from .operators import is_rota_baxter
@@ -64,17 +81,24 @@ class RBComplex:
         self.alg = alg
         self.mod = mod
         self.op = op
-        self.space = CochainSpace(alg, mod)
         self.adim = alg.dim
         self.mdim = mod.mdim
-        # induced algebra on M and its actions on A, assembled on M + A
-        # (module block first) as the degree-1 structure element
-        induced = induced_bimodule_on_base(alg, mod, op)
+        # induced algebra on M and its actions l_T, r_T on A
+        induced = induced_bimodule_on_base(alg, mod, op, _checked=True)
         self.induced = induced
         self.star = induced.base
-        self.pi_swapped = structure_element(self.star.mul, induced.left,
-                                            induced.right, alg.dim)
         self._matrices = {}
+
+    @functools.cached_property
+    def space(self) -> CochainSpace:
+        return CochainSpace(self.alg, self.mod)
+
+    @functools.cached_property
+    def pi_swapped(self) -> MultiMap:
+        """star + l_T + r_T as the degree-1 structure element on M + A
+        (module block first)."""
+        return structure_element(self.star.mul, self.induced.left,
+                                 self.induced.right, self.adim)
 
     def cochain(self, degree: int, data) -> Cochain:
         return Cochain(degree, self.mdim, self.adim, data)
@@ -95,53 +119,109 @@ class RBComplex:
 
     def differential_matrix(self, degree: int) -> Matrix:
         """Flattened d_H: C^degree -> C^{degree+1} in the cochain coordinate
-        order (j_1, ..., j_n, k)."""
+        order (j_1, ..., j_n, k), written pointwise from the structure
+        constants (see the module docstring); equal to `differential` on
+        every basis cochain."""
+        _check_degree(degree)
         if degree in self._matrices:
             return self._matrices[degree]
-        src = self.dim_cochains(degree)
-        dst = self.dim_cochains(degree + 1)
-        cols = []
-        for pos in range(src):
-            delta = [0] * src
-            delta[pos] = 1
-            img = self.differential(self.cochain(degree, delta))
-            cols.append(img.data)
-        out = Matrix.from_cols(cols, rows=dst)
-        self._matrices[degree] = out
+        m, a, n = self.mdim, self.adim, degree
+        src, dst = self.dim_cochains(n), self.dim_cochains(n + 1)
+        # each action as sparse columns: action[k] lists (kk, w) with
+        # w != 0 the e_kk-coefficient of the image of e_k
+        left = [_sparse_cols(x) for x in self.induced.left]
+        right = [_sparse_cols(x) for x in self.induced.right]
+        identity = [[(k, 1)] for k in range(a)]
+        # the star products by output coordinate: u star v = sum_t c e_t
+        products = [[] for _ in range(m)]
+        for u, v in itertools.product(range(m), repeat=2):
+            for t, c in enumerate(self.star.mul.value((u, v))):
+                if c:
+                    products[t].append((u, v, c))
+        sign = -1 if n % 2 else 1
+        outer = sign if n else -1
+        rev = (-1 if (n * (n + 1) // 2) % 2 else 1) if n >= 2 else 0
+        data = [0] * (dst * src)
+        for col, ys in enumerate(itertools.product(range(m), repeat=n)):
+            # outer * Q(x) for f = e_k at ys, as terms (x, action, c): the
+            # e_k-column of c * action lands at x
+            terms = []
+            for z in range(m):
+                terms.append((ys + (z,), right[z], outer))
+                terms.append(((z,) + ys, left[z], -sign * outer))
+            for s in range(n):
+                coeff = outer * sign * (-1 if s % 2 else 1)
+                for u, v, c in products[ys[s]]:
+                    terms.append((ys[:s] + (u, v) + ys[s + 1:], identity,
+                                  coeff * c))
+            if rev:
+                terms += [(xs[::-1], action, rev * c) for xs, action, c in terms]
+            terms = [(_offset(xs, m) * a, action, c) for xs, action, c in terms]
+            for k in range(a):
+                column = col * a + k
+                for row, action, c in terms:
+                    for kk, w in action[k]:
+                        data[(row + kk) * src + column] += c * w
+        out = Matrix(dst, src, data)
+        self._matrices[n] = out
         return out
 
     def dims(self, max_degree: int = DEFAULT_MAX_DEGREE) -> "ComplexReport":
         """Exact cocycle/coboundary/cohomology dimensions up to max_degree.
 
-        Asserts the complex property: the image of each differential must lie
-        in the kernel of the next, checked by exact solving against a kernel
-        basis; a violation raises ComplexError rather than reporting bogus
-        quotient dimensions.
+        Asserts the complex property: each differential must send every
+        column of the previous one to zero; a violation raises ComplexError
+        rather than reporting bogus quotient dimensions.
         """
+        _check_degree(max_degree)
         rows = []
-        prev_matrix = None
+        prev_rank = 0
+        prev_cols = []
         for n in range(max_degree + 1):
             dmat = self.differential_matrix(n)
+            cols = _sparse_cols(dmat)
+            for j, img in enumerate(prev_cols):
+                acc = {}
+                for i, x in img:
+                    for r, y in cols[i]:
+                        acc[r] = acc.get(r, 0) + x * y
+                if any(acc.values()):
+                    raise ComplexError(
+                        f"image of d_{n - 1} not contained in kernel of d_{n}"
+                        f" (generator {j})")
             c = self.dim_cochains(n)
-            z = c - dmat.rank()
-            if prev_matrix is None:
-                b = 0
-            else:
-                b = prev_matrix.rank()
-                kernel = dmat.kernel_basis()
-                kmat = (Matrix.from_cols(kernel, rows=c) if kernel
-                        else Matrix.zeros(c, 0))
-                for j in range(prev_matrix.cols):
-                    img = prev_matrix.col(j)
-                    if vec_is_zero(img):
-                        continue
-                    if kmat.solve(img) is None:
-                        raise ComplexError(
-                            f"image of d_{n - 1} not contained in kernel of d_{n}"
-                            f" (generator {j})")
-            rows.append((n, c, z, b, z - b))
-            prev_matrix = dmat
+            rank = dmat.rank()
+            rows.append((n, c, c - rank, prev_rank, c - rank - prev_rank))
+            prev_rank, prev_cols = rank, cols
         return ComplexReport(rows)
+
+
+def _check_degree(degree: int) -> None:
+    """Refuse a negative degree, and a degree whose cochains would exceed
+    the arity ceiling of the bracket route, before any assembly."""
+    if degree < 0:
+        raise ValueError(f"negative degree {degree}")
+    if degree + 1 > HARD_ARITY_CAP:
+        raise DegreeCapError(
+            f"degree {degree}: result arity {degree + 1} exceeds cap"
+            f" {HARD_ARITY_CAP}")
+
+
+def _offset(idx, m: int) -> int:
+    off = 0
+    for i in idx:
+        off = off * m + i
+    return off
+
+
+def _sparse_cols(mat: Matrix) -> list:
+    """The nonzero entries of each column, as [(row, value), ...]."""
+    cols = [[] for _ in range(mat.cols)]
+    for pos, x in enumerate(mat.data):
+        if x:
+            r, j = divmod(pos, mat.cols)
+            cols[j].append((r, x))
+    return cols
 
 
 def _bracket_on_blocks(pi: MultiMap, f: Cochain, cap: Optional[int]) -> Cochain:

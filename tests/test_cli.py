@@ -90,6 +90,13 @@ def test_cohomology_command(a2_fixture, capsys):
     assert dims[0] == {"degree": 0, "c": 2, "z": 2, "b": 0, "h": 2}
 
 
+@pytest.mark.parametrize("degree", ["-1", "7"])
+def test_cohomology_refuses_degree_out_of_range(a2_fixture, degree, capsys):
+    assert main(["--fixture", a2_fixture, "cohomology", "--op", "T",
+                 "--max-degree", degree]) == 2
+    assert "degree" in capsys.readouterr().err
+
+
 def test_glie_bracket_self(a2_fixture, capsys):
     assert main(["--fixture", a2_fixture, "--json", "glie", "bracket",
                  "--op", "T"]) == 0
@@ -183,11 +190,19 @@ def test_fixture_roundtrip_byte_identical(a2_fixture):
 
 
 def test_console_script_runs(a2_fixture):
+    import os
     import subprocess
     import sys
+
+    import antiflex
+    # run the package this test imported, however pytest found it
+    root = os.path.dirname(os.path.dirname(antiflex.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "antiflex", "--fixture", a2_fixture,
-         "check", "algebra"], capture_output=True, text=True)
+         "check", "algebra"], capture_output=True, text=True, env=env)
     assert result.returncode == 0
 
 

@@ -13,7 +13,8 @@ from antiflex.cohomology import (ComplexError, RBComplex, ce_differential,
                                  hochschild_to_ce_morphism_check,
                                  is_alternating, one_cocycle_check,
                                  skew_symmetrize)
-from antiflex.glie import Cochain
+from antiflex.glie import (HARD_ARITY_CAP, Cochain, DegreeCapError,
+                          embed_blocks, graded_bracket, restrict_blocks)
 from antiflex.linalg import Matrix, basis_vector
 
 rng = random.Random(1006)
@@ -76,6 +77,58 @@ def test_dims_regression_anchors(cohomology_corpus):
         max_degree = anchors[-1][0]
         report = cx.dims(max_degree)
         assert report.degrees == anchors, name
+
+
+def _bracket_route_columns(cx, degree):
+    """Columns of d_degree by the defining route: [star + l_T + r_T, f] on
+    the swapped sum space for each basis cochain f, restricted back to the
+    cochain block, with the closure verdict of that restriction."""
+    k, total = cx.mdim, cx.mdim + cx.adim
+    size = cx.dim_cochains(degree)
+    sign = -1 if degree % 2 else 1
+    for pos in range(size):
+        f = cx.cochain(degree, [1 if i == pos else 0 for i in range(size)])
+        br = graded_bracket(cx.pi_swapped, embed_blocks(f, 0, k, total),
+                            HARD_ARITY_CAP)
+        col, report = restrict_blocks(br, 0, k, k, cx.adim)
+        yield pos, col.scale(sign).data, report
+
+
+def test_pointwise_matrix_equals_bracket_route(cohomology_corpus,
+                                               noncommutative_rb, defect_rb):
+    cases = [(name, alg, mod, op, 3 if max(alg.dim, mod.mdim) <= 2 else 2)
+             for name, alg, mod, op, _ in cohomology_corpus]
+    cases += [("noncommutative_rb", *noncommutative_rb, 2),
+              ("defect_rb", *defect_rb, 2)]
+    for name, alg, mod, op, top in cases:
+        cx = RBComplex(alg, mod, op)
+        for degree in range(top + 1):
+            dmat = cx.differential_matrix(degree)
+            assert (dmat.rows, dmat.cols) == (cx.dim_cochains(degree + 1),
+                                              cx.dim_cochains(degree))
+            for pos, col, report in _bracket_route_columns(cx, degree):
+                assert report.ok, (name, degree, pos, report.describe())
+                assert dmat.col(pos) == col, (name, degree, pos)
+
+
+def test_dims_a2a1_degree_three(a2_plus_a1, m_a2_plus_a1):
+    # d_3 (243 x 81) was compared once with the bracket route column by
+    # column before this row was pinned; that comparison takes about 30 s
+    op = Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 0]])
+    report = RBComplex(a2_plus_a1, m_a2_plus_a1, op).dims(3)
+    assert report.degrees[3] == (3, 81, 47, 7, 40)
+
+
+def test_degree_bounds_refused_before_assembly(a1, m_a1):
+    cx = RBComplex(a1, m_a1, Matrix.zeros(1, 1))
+    for call in (cx.dims, cx.differential_matrix):
+        with pytest.raises(ValueError, match="negative degree"):
+            call(-1)
+        with pytest.raises(DegreeCapError):
+            call(HARD_ARITY_CAP)
+    assert cx._matrices == {}
+    # the ceiling sits where the bracket route put it: degree 6 still runs
+    assert cx.dims(HARD_ARITY_CAP - 1).degrees[-1] == (6, 1, 1, 0, 1)
 
 
 def test_dims_rank_nullity_consistency(cohomology_corpus):
