@@ -172,8 +172,7 @@ def lie_representation(alg: Algebra, mod: Bimodule) -> LieRepresentation:
     return LieRepresentation(lie, rho)
 
 
-def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix,
-                             _checked: bool = False) -> Bimodule:
+def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodule:
     """Bimodule of the induced algebra (M, star) acting back on A.
 
     For a Rota-Baxter operator op: M -> A the actions are
@@ -182,10 +181,9 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix,
     """
     from .operators import is_rota_baxter, star_algebra
 
-    if not _checked:
-        check = is_rota_baxter(alg, mod, op)
-        if not check.ok:
-            raise ValueError(f"operator is not Rota-Baxter: {check.describe()}")
+    check = is_rota_baxter(alg, mod, op)
+    if not check.ok:
+        raise ValueError(f"operator is not Rota-Baxter: {check.describe()}")
     star = star_algebra(alg, mod, op, _checked=True)
     d, md = alg.dim, mod.mdim
 

@@ -28,6 +28,7 @@ __all__ = [
     "vec_scale",
     "vec_is_zero",
     "linear_combination",
+    "flat_offset",
     "Matrix",
     "MultiMap",
     "LinAlgError",
@@ -163,6 +164,17 @@ def linear_combination(coeffs: Sequence[Scalar], terms: Sequence[_Dense]):
             first._same_shape(term)
             acc = [a + c * x for a, x in zip(acc, term.data)]
     return first._like(acc)
+
+
+def flat_offset(idx: Sequence[int], in_dim: int, out_dim: int) -> int:
+    """Start of the image of the basis tuple idx in the row-major data of a
+    multilinear map on range(in_dim) with images of length out_dim."""
+    off = 0
+    for i in idx:
+        if not 0 <= i < in_dim:
+            raise IndexError(idx)
+        off = off * in_dim + i
+    return off * out_dim
 
 
 # ---------------------------------------------------------------------------
@@ -454,19 +466,11 @@ class MultiMap(_Dense):
     def constant(v: Vector) -> "MultiMap":
         return MultiMap(0, len(v), v)
 
-    def _offset(self, idx) -> int:
-        off = 0
-        for i in idx:
-            if not 0 <= i < self.in_dim:
-                raise IndexError(idx)
-            off = off * self.in_dim + i
-        return off * self.out_dim
-
     def value(self, idx: Sequence[int]) -> Vector:
         """Image of a basis tuple, as a coefficient vector."""
         if len(idx) != self.arity:
             raise LinAlgError(f"expected {self.arity} indices, got {len(idx)}")
-        off = self._offset(idx)
+        off = flat_offset(idx, self.in_dim, self.out_dim)
         return self.data[off:off + self.out_dim]
 
     def evaluate(self, *args: Vector) -> Vector:

@@ -79,14 +79,15 @@ def test_dims_regression_anchors(cohomology_corpus):
         assert report.degrees == anchors, name
 
 
-def _bracket_route_columns(cx, degree):
+def _bracket_route_columns(cx, degree, positions=None):
     """Columns of d_degree by the defining route: [star + l_T + r_T, f] on
-    the swapped sum space for each basis cochain f, restricted back to the
-    cochain block, with the closure verdict of that restriction."""
+    the swapped sum space for each basis cochain f (all of them, or those
+    at `positions`), restricted back to the cochain block, with the closure
+    verdict of that restriction."""
     k, total = cx.mdim, cx.mdim + cx.adim
     size = cx.dim_cochains(degree)
     sign = -1 if degree % 2 else 1
-    for pos in range(size):
+    for pos in range(size) if positions is None else positions:
         f = cx.cochain(degree, [1 if i == pos else 0 for i in range(size)])
         br = graded_bracket(cx.pi_swapped, embed_blocks(f, 0, k, total),
                             HARD_ARITY_CAP)
@@ -98,7 +99,11 @@ def test_pointwise_matrix_equals_bracket_route(cohomology_corpus,
                                                noncommutative_rb, defect_rb):
     cases = [(name, alg, mod, op, 3 if max(alg.dim, mod.mdim) <= 2 else 2)
              for name, alg, mod, op, _ in cohomology_corpus]
-    cases += [("noncommutative_rb", *noncommutative_rb, 2),
+    # the reversal sign (-1)^{n(n+1)/2} agrees with (-1)^{n+1} at n = 2, 3
+    # and differs at n = 4, 5, where on noncommutative_rb the reversal term
+    # moves all but one column; a d_5 column costs about 1.5 s by brackets,
+    # so only every eighth is compared
+    cases += [("noncommutative_rb", *noncommutative_rb, 5),
               ("defect_rb", *defect_rb, 2)]
     for name, alg, mod, op, top in cases:
         cx = RBComplex(alg, mod, op)
@@ -106,7 +111,9 @@ def test_pointwise_matrix_equals_bracket_route(cohomology_corpus,
             dmat = cx.differential_matrix(degree)
             assert (dmat.rows, dmat.cols) == (cx.dim_cochains(degree + 1),
                                               cx.dim_cochains(degree))
-            for pos, col, report in _bracket_route_columns(cx, degree):
+            positions = range(0, dmat.cols, 8) if degree == 5 else None
+            for pos, col, report in _bracket_route_columns(cx, degree,
+                                                           positions):
                 assert report.ok, (name, degree, pos, report.describe())
                 assert dmat.col(pos) == col, (name, degree, pos)
 
