@@ -136,13 +136,10 @@ def classify(alg: Algebra) -> ClassifyFlags:
 
 def anti_flexible_report(alg: Algebra) -> CheckReport:
     """Anti-flexible law with a witness: (a,b,c) - (c,b,a) on basis triples."""
-    report = CheckReport("anti_flexible")
-    for i, j, k in itertools.product(range(alg.dim), repeat=3):
-        res = vec_sub(alg.basis_associator(i, j, k), alg.basis_associator(k, j, i))
-        if not vec_is_zero(res):
-            report.fail("(a,b,c) = (c,b,a)", (i, j, k), res)
-            return report
-    return report
+    return CheckReport("anti_flexible").sweep(
+        "(a,b,c) = (c,b,a)", itertools.product(range(alg.dim), repeat=3),
+        lambda i, j, k: vec_sub(alg.basis_associator(i, j, k),
+                                alg.basis_associator(k, j, i)))
 
 
 def tensor_with_associative(alg: Algebra, other: Algebra) -> Algebra:
@@ -204,9 +201,7 @@ def semidirect_product(alg: Algebra, mod) -> Algebra:
     """
     if mod.base is not alg and mod.base != alg:
         raise ValueError("bimodule is over a different algebra")
-    check = mod.validate()
-    if not check.ok:
-        raise ValueError(f"invalid bimodule: {check.describe()}")
+    mod.validate().require("invalid bimodule")
     from .glie import structure_element
 
     labels = (tuple(f"a.{x}" for x in alg.labels)
@@ -241,37 +236,33 @@ class LieAlgebra:
 
     __slots__ = ("dim", "bracket")
 
-    def __init__(self, bracket: MultiMap, check: bool = True):
+    def __init__(self, bracket: MultiMap):
         if bracket.arity != 2:
             raise LinAlgError("Lie bracket must be an arity-2 tensor")
         self.bracket = bracket
         self.dim = bracket.dim
-        if check:
-            report = self.validate()
-            if not report.ok:
-                raise ValueError(f"not a Lie algebra: {report.describe()}")
+        self.validate().require("not a Lie algebra")
 
     def validate(self) -> CheckReport:
-        report = CheckReport("lie_algebra")
         d = self.dim
-        for i in range(d):
-            for j in range(d):
-                res = vec_sub(self.bracket.value((i, j)),
-                              tuple(-x for x in self.bracket.value((j, i))))
-                if not vec_is_zero(res):
-                    report.fail("antisymmetry", (i, j), res)
-                    return report
-        for i, j, k in itertools.product(range(d), repeat=3):
+
+        def antisymmetry(i, j):
+            return vec_sub(self.bracket.value((i, j)),
+                           tuple(-x for x in self.bracket.value((j, i))))
+
+        def jacobi(i, j, k):
             s = zero_vector(d)
             # [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
             for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
                 inner = self.bracket.value((p, q))
                 term = self.bracket.evaluate(inner, basis_vector(r, d))
                 s = tuple(a + b for a, b in zip(s, term))
-            if not vec_is_zero(s):
-                report.fail("jacobi", (i, j, k), s)
-                return report
-        return report
+            return s
+
+        return (CheckReport("lie_algebra")
+                .sweep("antisymmetry", itertools.product(range(d), repeat=2),
+                       antisymmetry)
+                .sweep("jacobi", itertools.product(range(d), repeat=3), jacobi))
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim})"

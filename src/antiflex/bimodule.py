@@ -45,9 +45,7 @@ class Bimodule:
         self.left = tuple(left)
         self.right = tuple(right)
         if check:
-            report = self.validate()
-            if not report.ok:
-                raise ValueError(f"not a bimodule: {report.describe()}")
+            self.validate().require("not a bimodule")
 
     def left_of(self, a: Vector) -> Matrix:
         """Action matrix of an arbitrary algebra element (linear extension)."""
@@ -80,27 +78,24 @@ def _action_dim(d: int, left: Sequence[Matrix], right: Sequence[Matrix]) -> int:
 
 def is_bimodule(alg: Algebra, left: Sequence[Matrix], right: Sequence[Matrix]) -> CheckReport:
     """Both bimodule equations on all basis pairs, with residual witnesses."""
-    report = CheckReport("bimodule")
     d = alg.dim
     _action_dim(d, left, right)
 
-    for i, j in itertools.product(range(d), repeat=2):
-        prod_ij = alg.basis_product(i, j)
-        prod_ji = alg.basis_product(j, i)
-        lhs = linear_combination(prod_ij, left) - left[i] @ left[j]
-        rhs = right[i] @ right[j] - linear_combination(prod_ji, right)
-        res = lhs - rhs
-        if not res.is_zero():
-            report.fail("l(ab)-l(a)l(b) = r(a)r(b)-r(ba)", (i, j), res)
-            return report
-    for i, j in itertools.product(range(d), repeat=2):
+    def product_law(i, j):
+        lhs = linear_combination(alg.basis_product(i, j), left) - left[i] @ left[j]
+        rhs = right[i] @ right[j] - linear_combination(alg.basis_product(j, i), right)
+        return lhs - rhs
+
+    def commutation_law(i, j):
         lhs = left[i] @ right[j] - right[j] @ left[i]
         rhs = left[j] @ right[i] - right[i] @ left[j]
-        res = lhs - rhs
-        if not res.is_zero():
-            report.fail("l(a)r(b)-r(b)l(a) = l(b)r(a)-r(a)l(b)", (i, j), res)
-            return report
-    return report
+        return lhs - rhs
+
+    return (CheckReport("bimodule")
+            .sweep("l(ab)-l(a)l(b) = r(a)r(b)-r(ba)",
+                   itertools.product(range(d), repeat=2), product_law)
+            .sweep("l(a)r(b)-r(b)l(a) = l(b)r(a)-r(a)l(b)",
+                   itertools.product(range(d), repeat=2), commutation_law))
 
 
 def regular_bimodule(alg: Algebra) -> Bimodule:
@@ -138,31 +133,26 @@ class LieRepresentation:
 
     __slots__ = ("lie", "mdim", "rho")
 
-    def __init__(self, lie: LieAlgebra, rho: Sequence[Matrix], check: bool = True):
+    def __init__(self, lie: LieAlgebra, rho: Sequence[Matrix]):
         if len(rho) != lie.dim:
             raise LinAlgError("need one matrix per Lie algebra basis element")
         self.lie = lie
         self.rho = tuple(rho)
         self.mdim = rho[0].rows if rho else 0
-        if check:
-            report = self.validate()
-            if not report.ok:
-                raise ValueError(f"not a representation: {report.describe()}")
+        self.validate().require("not a representation")
 
     def of(self, x: Vector) -> Matrix:
         return linear_combination(x, self.rho)
 
     def validate(self) -> CheckReport:
-        report = CheckReport("lie_representation")
-        d = self.lie.dim
-        for i, j in itertools.product(range(d), repeat=2):
+        def residual(i, j):
             lhs = self.of(self.lie.bracket.value((i, j)))
             rhs = self.rho[i] @ self.rho[j] - self.rho[j] @ self.rho[i]
-            res = lhs - rhs
-            if not res.is_zero():
-                report.fail("rho([a,b]) = [rho(a),rho(b)]", (i, j), res)
-                return report
-        return report
+            return lhs - rhs
+
+        return CheckReport("lie_representation").sweep(
+            "rho([a,b]) = [rho(a),rho(b)]",
+            itertools.product(range(self.lie.dim), repeat=2), residual)
 
 
 def lie_representation(alg: Algebra, mod: Bimodule) -> LieRepresentation:
@@ -179,12 +169,10 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
         l(m)(a) = op(m).a - op(r(a)m),   r(m)(a) = a.op(m) - op(l(a)m),
     and the base algebra of the result is the star-product algebra on M.
     """
-    from .operators import is_rota_baxter, star_algebra
+    from .operators import _star_product, is_rota_baxter
 
-    check = is_rota_baxter(alg, mod, op)
-    if not check.ok:
-        raise ValueError(f"operator is not Rota-Baxter: {check.describe()}")
-    star = star_algebra(alg, mod, op, _checked=True)
+    is_rota_baxter(alg, mod, op).require("operator is not Rota-Baxter")
+    star = _star_product(mod, op)
     d, md = alg.dim, mod.mdim
 
     left = []
@@ -203,7 +191,8 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
                                       op.apply(mod.left[j].col(i)))))
         left.append(Matrix.from_cols(lcols, rows=d))
         right.append(Matrix.from_cols(rcols, rows=d))
-    return Bimodule(star, left, right)
+    # a bimodule for every Rota-Baxter operator (proved in the paper)
+    return Bimodule(star, left, right, check=False)
 
 
 def tilde_bimodule(mod: Bimodule, alg_op: Matrix, mod_op: Matrix) -> Bimodule:
@@ -215,9 +204,7 @@ def tilde_bimodule(mod: Bimodule, alg_op: Matrix, mod_op: Matrix) -> Bimodule:
     from .deformation import is_nijenhuis_structure
 
     alg = mod.base
-    check = is_nijenhuis_structure(alg, mod, alg_op, mod_op)
-    if not check.ok:
-        raise ValueError(f"not a Nijenhuis structure: {check.describe()}")
+    is_nijenhuis_structure(alg, mod, alg_op, mod_op).require("not a Nijenhuis structure")
     left = []
     right = []
     for i in range(alg.dim):

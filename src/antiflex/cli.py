@@ -21,10 +21,10 @@ from .deformation import (InfinitesimalDeformation, is_closed_2cochain,
                           is_nijenhuis_structure, is_valid_deformation,
                           nijenhuis_structure_powers, trivial_deformation_from,
                           trivial_deformation_ledger)
-from .document import (DeformationSection, DocumentError, WorkspaceDocument,
-                       load_document, render_document)
+from .document import (DeformationSection, WorkspaceDocument, load_document,
+                       render_document)
 from .glie import ClosureError, CochainSpace, DegreeCapError, derived_bracket
-from .linalg import LinAlgError, Matrix, render_rational
+from .linalg import Matrix, render_rational
 from .onstruct import is_on_structure, pairwise_power_compatibility
 from .operators import (is_nijenhuis, is_rb_morphism, is_rota_baxter,
                         rb_graph_is_subalgebra, rb_morphism_graph_check)
@@ -119,15 +119,13 @@ def _need_bimodule(doc: WorkspaceDocument, which: str = "bimodule"):
     return section
 
 
-def _bimodule_object(doc: WorkspaceDocument, validate: bool = True,
-                     which: str = "bimodule"):
+def _bimodule_object(doc: WorkspaceDocument, which: str = "bimodule"):
     section = _need_bimodule(doc, which)
     alg = doc.algebra.algebra if which == "bimodule" else doc.algebra2.algebra
-    if validate:
-        check = is_bimodule(alg, section.left, section.right)
-        if not check.ok:
-            raise CommandError(f"{which} section fails the bimodule axioms: "
-                               f"{check.describe()}")
+    check = is_bimodule(alg, section.left, section.right)
+    if not check.ok:
+        raise CommandError(f"{which} section fails the bimodule axioms: "
+                           f"{check.describe()}")
     return Bimodule(alg, section.left, section.right, check=False)
 
 
@@ -449,10 +447,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = run_command(args)
-    except (CommandError, DocumentError, LinAlgError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CommandError, OSError, ValueError) as exc:
+        # DocumentError and LinAlgError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     data = report.finish()

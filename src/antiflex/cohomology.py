@@ -42,8 +42,8 @@ from typing import Optional, Tuple
 
 from .algebra import Algebra
 from .bimodule import Bimodule, induced_bimodule_on_base, lie_representation
-from .glie import (Cochain, CochainSpace, DegreeCapError, embed_blocks,
-                   graded_bracket, restrict_blocks, rb_differential,
+from .glie import (Cochain, CochainSpace, DegreeCapError, derived_bracket,
+                   embed_blocks, graded_bracket, restrict_blocks,
                    structure_element, HARD_ARITY_CAP)
 from .linalg import (LinAlgError, Matrix, MultiMap, basis_vector, flat_offset,
                      linear_combination, vec_add, vec_is_zero, vec_sub)
@@ -116,7 +116,8 @@ class RBComplex:
 
     def derived_differential(self, f: Cochain, cap: Optional[int] = None) -> Cochain:
         """d_T f = [[T, f]], the derived-bracket route on A + M."""
-        return rb_differential(self.space, self.op, f, cap, _checked=True)
+        return derived_bracket(self.space, self.space.operator_cochain(self.op),
+                               f, cap)
 
     def differential_matrix(self, degree: int) -> Matrix:
         """Flattened d_H: C^degree -> C^{degree+1} in the cochain coordinate

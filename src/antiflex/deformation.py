@@ -23,7 +23,7 @@ from .glie import (HARD_ARITY_CAP, compose_bar, graded_bracket,
                    structure_element)
 from .linalg import (LinAlgError, Matrix, MultiMap, basis_vector, vec_add,
                      vec_is_zero, vec_sub)
-from .operators import is_nijenhuis
+from .operators import _is_algebra_morphism, is_nijenhuis
 from .reports import CheckReport
 
 __all__ = [
@@ -183,17 +183,16 @@ def _eq_4_7(mod: Bimodule, alg_op: Matrix, mod_op: Matrix, use_left: bool) -> Ch
     """l(N(a))S = S(l(N(a)) + l(a)S - S l(a)) per basis element (or with r)."""
     law = ("l(Na)S = S(l(Na) + l(a)S - S l(a))" if use_left
            else "r(Na)S = S(r(Na) + r(a)S - S r(a))")
-    report = CheckReport(law)
     actions = mod.left if use_left else mod.right
     act_of = mod.left_of if use_left else mod.right_of
-    for i in range(mod.base.dim):
+
+    def residual(i):
         acted = act_of(alg_op.col(i))
-        res = acted @ mod_op - mod_op @ (acted + actions[i] @ mod_op
-                                         - mod_op @ actions[i])
-        if not res.is_zero():
-            report.fail(law, (i,), res)
-            return report
-    return report
+        return acted @ mod_op - mod_op @ (acted + actions[i] @ mod_op
+                                          - mod_op @ actions[i])
+
+    return CheckReport(law).sweep(law, ((i,) for i in range(mod.base.dim)),
+                                  residual)
 
 
 def _variant_s_squared(mod: Bimodule, alg_op: Matrix, mod_op: Matrix,
@@ -233,9 +232,7 @@ def is_nijenhuis_structure(alg: Algebra, mod: Bimodule,
     right_check = _eq_4_7(mod, alg_op, mod_op, use_left=False)
     secondary_ok = n_check.ok and left_check.ok and right_check.ok
 
-    report.ok = primary.ok
-    if not primary.ok:
-        report.violations.extend(primary.violations)
+    report.merge(primary)
     report.notes["primary_semidirect"] = primary.ok
     report.notes["secondary_componentwise"] = secondary_ok
     report.notes["variant_s_squared_left"] = _variant_s_squared(
@@ -253,9 +250,7 @@ def trivial_deformation_from(alg: Algebra, mod: Bimodule, alg_op: Matrix,
         phi(a) = l(N(a)) + l(a) S - S l(a)
         psi(a) = r(N(a)) + r(a) S - S r(a)
     """
-    check = is_nijenhuis_structure(alg, mod, alg_op, mod_op)
-    if not check.ok:
-        raise ValueError(f"not a Nijenhuis structure: {check.describe()}")
+    is_nijenhuis_structure(alg, mod, alg_op, mod_op).require("not a Nijenhuis structure")
     omega = deformed_product(alg, alg_op).mul
     phi = [mod.left_of(alg_op.col(i)) + mod.left[i] @ mod_op
            - mod_op @ mod.left[i] for i in range(alg.dim)]
@@ -270,14 +265,8 @@ def trivial_deformation_ledger(alg: Algebra, mod: Bimodule, alg_op: Matrix,
     """The six exact identities a trivial generator satisfies, itemized."""
     out = {}
     out["omega_formula"] = defo.omega == deformed_product(alg, alg_op).mul
-    ok = True
-    for i, j in itertools.product(range(alg.dim), repeat=2):
-        lhs = alg_op.apply(defo.omega.value((i, j)))
-        rhs = alg.multiply(alg_op.col(i), alg_op.col(j))
-        if not vec_is_zero(vec_sub(lhs, rhs)):
-            ok = False
-            break
-    out["omega_nijenhuis_compat"] = ok
+    out["omega_nijenhuis_compat"] = _is_algebra_morphism(
+        Algebra(defo.omega), alg, alg_op)
     out["phi_formula"] = all(
         defo.phi[i] == mod.left_of(alg_op.col(i)) + mod.left[i] @ mod_op
         - mod_op @ mod.left[i] for i in range(alg.dim))
@@ -298,9 +287,7 @@ def nijenhuis_structure_powers(alg: Algebra, mod: Bimodule, alg_op: Matrix,
     """Whether (N^i, S^i) is again a Nijenhuis structure."""
     if power < 1 or power > cap:
         raise ValueError(f"power must lie in [1, {cap}]")
-    check = is_nijenhuis_structure(alg, mod, alg_op, mod_op)
-    if not check.ok:
-        raise ValueError(f"not a Nijenhuis structure: {check.describe()}")
+    is_nijenhuis_structure(alg, mod, alg_op, mod_op).require("not a Nijenhuis structure")
     return bool(is_nijenhuis_structure(alg, mod, alg_op.power(power),
                                        mod_op.power(power)))
 

@@ -265,14 +265,10 @@ def restrict_blocks(mm: MultiMap, in_offset: int, in_dim: int,
                           if not out_offset <= k < out_offset + out_dim)
             if not vec_is_zero(stray):
                 report.fail("component outside the output block", jdx, stray)
-    if report.ok:
-        for idx in itertools.product(range(total), repeat=n):
-            if all(lo <= i < hi for i in idx):
-                continue
-            val = mm.value(idx)
-            if not vec_is_zero(val):
-                report.fail("nonzero value outside the input block", idx, val)
-                break
+    report.sweep("nonzero value outside the input block",
+                 (idx for idx in itertools.product(range(total), repeat=n)
+                  if not all(lo <= i < hi for i in idx)),
+                 lambda *idx: mm.value(idx))
     return Cochain(n, in_dim, out_dim, data), report
 
 
@@ -338,14 +334,11 @@ def rb_mc_equivalence(space: CochainSpace, op: Matrix,
 
 
 def rb_differential(space: CochainSpace, op: Matrix, p: Cochain,
-                    cap: Optional[int] = None, _checked: bool = False) -> Cochain:
+                    cap: Optional[int] = None) -> Cochain:
     """d_T = [[T, .]] for a Rota-Baxter operator T."""
     from .operators import is_rota_baxter
 
-    if not _checked:
-        check = is_rota_baxter(space.alg, space.mod, op)
-        if not check.ok:
-            raise ValueError(f"operator is not Rota-Baxter: {check.describe()}")
+    is_rota_baxter(space.alg, space.mod, op).require("operator is not Rota-Baxter")
     return derived_bracket(space, space.operator_cochain(op), p, cap)
 
 
@@ -358,11 +351,9 @@ def twisted_mc_check(space: CochainSpace, op: Matrix, other: Matrix,
     """
     from .operators import is_rota_baxter
 
-    check = is_rota_baxter(space.alg, space.mod, op)
-    if not check.ok:
-        raise ValueError(f"operator is not Rota-Baxter: {check.describe()}")
+    is_rota_baxter(space.alg, space.mod, op).require("operator is not Rota-Baxter")
     sum_rb = bool(is_rota_baxter(space.alg, space.mod, op + other))
     tp = space.operator_cochain(other)
-    twisted = rb_differential(space, op, tp, cap, _checked=True) \
+    twisted = derived_bracket(space, space.operator_cochain(op), tp, cap) \
         + derived_bracket(space, tp, tp, cap).scale(Fraction(1, 2))
     return sum_rb, twisted.is_zero()

@@ -16,7 +16,7 @@ from .algebra import Algebra, deformed_product
 from .bimodule import Bimodule, tilde_bimodule
 from .deformation import is_nijenhuis_structure
 from .linalg import LinAlgError, Matrix
-from .operators import is_nijenhuis, is_rota_baxter, star_algebra
+from .operators import _star_product, is_nijenhuis, is_rota_baxter, star_algebra
 from .reports import CheckReport
 
 __all__ = [
@@ -31,11 +31,10 @@ __all__ = [
 ]
 
 
-def star_deformed(alg: Algebra, mod: Bimodule, op: Matrix, mod_op: Matrix,
-                  _checked: bool = False) -> Algebra:
+def star_deformed(alg: Algebra, mod: Bimodule, op: Matrix, mod_op: Matrix) -> Algebra:
     """The S-deformed induced product on M:
     m star^S n = S(m) star n + m star S(n) - S(m star n)."""
-    star = star_algebra(alg, mod, op, _checked=_checked)
+    star = star_algebra(alg, mod, op)
     if mod_op.rows != mod.mdim or not mod_op.is_square():
         raise LinAlgError("deforming operator must be square on the module")
     return deformed_product(star, mod_op)
@@ -50,8 +49,8 @@ def is_on_structure(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
     rb = is_rota_baxter(alg, mod, op)
     ns = is_nijenhuis_structure(alg, mod, alg_op, mod_op)
     compose_res = alg_op @ op - op @ mod_op
-    star_nt = star_algebra(alg, mod, alg_op @ op, _checked=True)
-    star_s = star_deformed(alg, mod, op, mod_op, _checked=True)
+    star_nt = _star_product(mod, alg_op @ op)
+    star_s = deformed_product(_star_product(mod, op), mod_op)
     tensors_equal = star_nt.mul == star_s.mul
 
     report.notes["rota_baxter"] = rb.ok
@@ -77,13 +76,11 @@ def lemma_tilde_star_check(alg: Algebra, mod: Bimodule, op: Matrix,
     Both identities hold for every ON-structure; the averaging identity holds
     whenever the twisted bimodule exists.
     """
-    check = is_on_structure(alg, mod, op, alg_op, mod_op)
-    if not check.ok:
-        raise ValueError(f"not an ON-structure: {check.describe()}")
+    is_on_structure(alg, mod, op, alg_op, mod_op).require("not an ON-structure")
     twisted = tilde_bimodule(mod, alg_op, mod_op)
-    star_tilde = star_algebra(alg, twisted, op, _checked=True).mul
-    star_s = star_deformed(alg, mod, op, mod_op, _checked=True).mul
-    star_nt = star_algebra(alg, mod, alg_op @ op, _checked=True).mul
+    star_tilde = _star_product(twisted, op).mul
+    star_s = deformed_product(_star_product(mod, op), mod_op).mul
+    star_nt = _star_product(mod, alg_op @ op).mul
     equal = star_tilde == star_s
     averaging = (star_tilde + star_s) == star_nt.scale(2)
     return equal, averaging
@@ -92,9 +89,7 @@ def lemma_tilde_star_check(alg: Algebra, mod: Bimodule, op: Matrix,
 def are_compatible_rb(alg: Algebra, mod: Bimodule, op1: Matrix, op2: Matrix) -> bool:
     """Whether the sum of two Rota-Baxter operators is again Rota-Baxter."""
     for name, t in (("first", op1), ("second", op2)):
-        check = is_rota_baxter(alg, mod, t)
-        if not check.ok:
-            raise ValueError(f"{name} operator is not Rota-Baxter: {check.describe()}")
+        is_rota_baxter(alg, mod, t).require(f"{name} operator is not Rota-Baxter")
     return bool(is_rota_baxter(alg, mod, op1 + op2))
 
 
@@ -106,9 +101,7 @@ def nijenhuis_from_compatible(alg: Algebra, mod: Bimodule, op1: Matrix,
     whenever the compatibility hypothesis does).
     """
     for name, t in (("first", op1), ("second", op2)):
-        check = is_rota_baxter(alg, mod, t)
-        if not check.ok:
-            raise ValueError(f"{name} operator is not Rota-Baxter: {check.describe()}")
+        is_rota_baxter(alg, mod, t).require(f"{name} operator is not Rota-Baxter")
     inv = op2.inverse()
     if inv is None:
         raise ValueError("second operator is not invertible")
@@ -124,9 +117,7 @@ def deformed_rb_suite(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
       composed_rb    N T is Rota-Baxter on the original pair
       compatible     T and N T are compatible
     """
-    check = is_on_structure(alg, mod, op, alg_op, mod_op)
-    if not check.ok:
-        raise ValueError(f"not an ON-structure: {check.describe()}")
+    is_on_structure(alg, mod, op, alg_op, mod_op).require("not an ON-structure")
     twisted = tilde_bimodule(mod, alg_op, mod_op)
     deformed = deformed_product(alg, alg_op)
     rebased = Bimodule(deformed, twisted.left, twisted.right, check=False)
@@ -161,9 +152,7 @@ def pairwise_power_compatibility(alg: Algebra, mod: Bimodule, op: Matrix,
     """
     if k_max < 1 or k_max > 4:
         raise ValueError("power sweep bound must lie in [1, 4]")
-    check = is_on_structure(alg, mod, op, alg_op, mod_op)
-    if not check.ok:
-        raise ValueError(f"not an ON-structure: {check.describe()}")
+    is_on_structure(alg, mod, op, alg_op, mod_op).require("not an ON-structure")
     family = [alg_op.power(k) @ op for k in range(k_max + 1)]
     verdicts = {}
     for i, j in itertools.combinations(range(k_max + 1), 2):

@@ -44,17 +44,15 @@ def _check_operator_shape(op: Matrix, src_dim: int, dst_dim: int, what: str):
 def is_rota_baxter(alg: Algebra, mod: Bimodule, op: Matrix) -> CheckReport:
     """T(m).T(n) = T(l(T(m))n + r(T(n))m) on all basis pairs of the module."""
     _check_operator_shape(op, mod.mdim, alg.dim, "Rota-Baxter candidate")
-    report = CheckReport("rota_baxter")
-    md = mod.mdim
-    for i, j in itertools.product(range(md), repeat=2):
+
+    def residual(i, j):
         tm, tn = op.col(i), op.col(j)
-        lhs = alg.multiply(tm, tn)
         inner = vec_add(mod.left_of(tm).col(j), mod.right_of(tn).col(i))
-        res = vec_sub(lhs, op.apply(inner))
-        if not vec_is_zero(res):
-            report.fail("T(m).T(n) = T(l(Tm)n + r(Tn)m)", (i, j), res)
-            return report
-    return report
+        return vec_sub(alg.multiply(tm, tn), op.apply(inner))
+
+    return CheckReport("rota_baxter").sweep(
+        "T(m).T(n) = T(l(Tm)n + r(Tn)m)",
+        itertools.product(range(mod.mdim), repeat=2), residual)
 
 
 def rb_graph_is_subalgebra(alg: Algebra, mod: Bimodule, op: Matrix) -> bool:
@@ -82,19 +80,18 @@ def is_nijenhuis(alg: Algebra, op: Matrix) -> CheckReport:
     """Vanishing Nijenhuis torsion: N(a).N(b) = N(Na.b + a.Nb - N(a.b))."""
     if not op.is_square() or op.rows != alg.dim:
         raise LinAlgError("Nijenhuis candidate must be square of the algebra dimension")
-    report = CheckReport("nijenhuis")
     d = alg.dim
-    for i, j in itertools.product(range(d), repeat=2):
+
+    def residual(i, j):
         na, nb = op.col(i), op.col(j)
-        lhs = alg.multiply(na, nb)
         inner = vec_sub(vec_add(alg.multiply(na, basis_vector(j, d)),
                                 alg.multiply(basis_vector(i, d), nb)),
                         op.apply(alg.basis_product(i, j)))
-        res = vec_sub(lhs, op.apply(inner))
-        if not vec_is_zero(res):
-            report.fail("N(a)N(b) = N(Na.b + a.Nb - N(ab))", (i, j), res)
-            return report
-    return report
+        return vec_sub(alg.multiply(na, nb), op.apply(inner))
+
+    return CheckReport("nijenhuis").sweep(
+        "N(a)N(b) = N(Na.b + a.Nb - N(ab))",
+        itertools.product(range(d), repeat=2), residual)
 
 
 def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int,
@@ -111,9 +108,7 @@ def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int,
     """
     if k < 0 or l < 0 or k > cap or l > cap:
         raise ValueError(f"powers must lie in [0, {cap}]")
-    check = is_nijenhuis(alg, op)
-    if not check.ok:
-        raise ValueError(f"operator is not Nijenhuis: {check.describe()}")
+    is_nijenhuis(alg, op).require("operator is not Nijenhuis")
 
     nk = op.power(k)
     nl = op.power(l)
@@ -134,15 +129,7 @@ def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int,
     coeff_mixed = compose_bar(pk, pl) + compose_bar(pl, pk)
     out["linear_combinations"] = (coeff_sq_k.is_zero() and coeff_sq_l.is_zero()
                                   and coeff_mixed.is_zero())
-
-    ok = True
-    for i, j in itertools.product(range(alg.dim), repeat=2):
-        lhs = nl.apply(alg_kl.basis_product(i, j))
-        rhs = alg_k.multiply(nl.col(i), nl.col(j))
-        if not vec_is_zero(vec_sub(lhs, rhs)):
-            ok = False
-            break
-    out["power_homomorphism"] = ok
+    out["power_homomorphism"] = _is_algebra_morphism(alg_kl, alg_k, nl)
     return out
 
 
@@ -172,55 +159,50 @@ class PreAntiFlexible:
 
     __slots__ = ("dim", "prec", "succ")
 
-    def __init__(self, prec: MultiMap, succ: MultiMap, check: bool = True):
+    def __init__(self, prec: MultiMap, succ: MultiMap):
         if prec.arity != 2 or succ.arity != 2 or prec.dim != succ.dim:
             raise LinAlgError("both products must be arity-2 tensors on the same space")
         self.prec = prec
         self.succ = succ
         self.dim = prec.dim
-        if check:
-            report = self.validate()
-            if not report.ok:
-                raise ValueError(f"not pre-anti-flexible: {report.describe()}")
+        self.validate().require("not pre-anti-flexible")
 
     def total(self) -> MultiMap:
         """The sum product a*b = a<b + a>b."""
         return self.prec + self.succ
 
     def validate(self) -> CheckReport:
-        report = CheckReport("pre_anti_flexible")
         d = self.dim
         star = self.total()
         prec, succ = self.prec, self.succ
-        for i, j, k in itertools.product(range(d), repeat=3):
+
+        def anti_flexible_law(i, j, k):
             ei, ek = basis_vector(i, d), basis_vector(k, d)
             lhs = vec_sub(prec.evaluate(succ.value((i, j)), ek),
                           succ.evaluate(ei, prec.value((j, k))))
             rhs = vec_sub(prec.evaluate(succ.value((k, j)), ei),
                           succ.evaluate(ek, prec.value((j, i))))
-            if not vec_is_zero(vec_sub(lhs, rhs)):
-                report.fail("(a>b)<c - a>(b<c) = (c>b)<a - c>(b<a)", (i, j, k),
-                            vec_sub(lhs, rhs))
-                return report
-        for i, j, k in itertools.product(range(d), repeat=3):
+            return vec_sub(lhs, rhs)
+
+        def splitting_law(i, j, k):
             ei, ek = basis_vector(i, d), basis_vector(k, d)
             lhs = vec_sub(succ.evaluate(star.value((i, j)), ek),
                           succ.evaluate(ei, succ.value((j, k))))
             rhs = vec_sub(prec.evaluate(prec.value((i, j)), ek),
                           prec.evaluate(ei, star.value((j, k))))
-            if not vec_is_zero(vec_sub(lhs, rhs)):
-                report.fail("(a*b)>c - a>(b>c) = (a<b)<c - a<(b*c)", (i, j, k),
-                            vec_sub(lhs, rhs))
-                return report
-        return report
+            return vec_sub(lhs, rhs)
+
+        return (CheckReport("pre_anti_flexible")
+                .sweep("(a>b)<c - a>(b<c) = (c>b)<a - c>(b<a)",
+                       itertools.product(range(d), repeat=3), anti_flexible_law)
+                .sweep("(a*b)>c - a>(b>c) = (a<b)<c - a<(b*c)",
+                       itertools.product(range(d), repeat=3), splitting_law))
 
 
 def induced_pre_anti_flexible(alg: Algebra, mod: Bimodule, op: Matrix) -> PreAntiFlexible:
     """The splitting on M induced by a Rota-Baxter operator:
     m > n = l(T(m))n and m < n = r(T(n))m."""
-    check = is_rota_baxter(alg, mod, op)
-    if not check.ok:
-        raise ValueError(f"operator is not Rota-Baxter: {check.describe()}")
+    is_rota_baxter(alg, mod, op).require("operator is not Rota-Baxter")
     md = mod.mdim
 
     def succ_fn(idx):
@@ -235,13 +217,15 @@ def induced_pre_anti_flexible(alg: Algebra, mod: Bimodule, op: Matrix) -> PreAnt
                            MultiMap.from_function(2, md, succ_fn))
 
 
-def star_algebra(alg: Algebra, mod: Bimodule, op: Matrix,
-                 _checked: bool = False) -> Algebra:
+def star_algebra(alg: Algebra, mod: Bimodule, op: Matrix) -> Algebra:
     """The induced algebra on M: m star n = r(T(n))m + l(T(m))n."""
-    if not _checked:
-        check = is_rota_baxter(alg, mod, op)
-        if not check.ok:
-            raise ValueError(f"operator is not Rota-Baxter: {check.describe()}")
+    is_rota_baxter(alg, mod, op).require("operator is not Rota-Baxter")
+    return _star_product(mod, op)
+
+
+def _star_product(mod: Bimodule, op: Matrix) -> Algebra:
+    """`star_algebra` without the Rota-Baxter check, for callers that have
+    checked the operator already or form the product of any operator."""
     md = mod.mdim
 
     def fn(idx):
@@ -275,9 +259,7 @@ def is_rb_morphism(alg: Algebra, mod: Bimodule, op: Matrix,
     _check_operator_shape(phi, alg.dim, alg2.dim, "algebra map")
     _check_operator_shape(psi, mod.mdim, mod2.mdim, "module map")
     for name, a, m, t in (("source", alg, mod, op), ("target", alg2, mod2, op2)):
-        check = is_rota_baxter(a, m, t)
-        if not check.ok:
-            raise ValueError(f"{name} operator is not Rota-Baxter: {check.describe()}")
+        is_rota_baxter(a, m, t).require(f"{name} operator is not Rota-Baxter")
 
     report = CheckReport("rb_morphism")
     if not _is_algebra_morphism(alg, alg2, phi):
@@ -343,32 +325,23 @@ def rb_morphism_preserves_pre_structure(alg: Algebra, mod: Bimodule, op: Matrix,
                                         alg2: Algebra, mod2: Bimodule, op2: Matrix,
                                         phi: Matrix, psi: Matrix) -> bool:
     """Whether psi intertwines the induced pre-anti-flexible products."""
-    check = is_rb_morphism(alg, mod, op, alg2, mod2, op2, phi, psi)
-    if not check.ok:
-        raise ValueError(f"not a Rota-Baxter morphism: {check.describe()}")
+    is_rb_morphism(alg, mod, op, alg2, mod2, op2, phi, psi).require(
+        "not a Rota-Baxter morphism")
     src = induced_pre_anti_flexible(alg, mod, op)
     dst = induced_pre_anti_flexible(alg2, mod2, op2)
-    for i, j in itertools.product(range(mod.mdim), repeat=2):
-        pi, pj = psi.col(i), psi.col(j)
-        if not vec_is_zero(vec_sub(psi.apply(src.prec.value((i, j))),
-                                   dst.prec.evaluate(pi, pj))):
-            return False
-        if not vec_is_zero(vec_sub(psi.apply(src.succ.value((i, j))),
-                                   dst.succ.evaluate(pi, pj))):
-            return False
-    return True
+    return (_is_algebra_morphism(Algebra(src.prec), Algebra(dst.prec), psi)
+            and _is_algebra_morphism(Algebra(src.succ), Algebra(dst.succ), psi))
 
 
 def is_lie_rota_baxter(lie: LieAlgebra, rep: LieRepresentation, op: Matrix) -> CheckReport:
     """[T(m), T(n)] = T(rho(Tm)n - rho(Tn)m) on all basis pairs."""
     _check_operator_shape(op, rep.mdim, lie.dim, "Lie Rota-Baxter candidate")
-    report = CheckReport("lie_rota_baxter")
-    for i, j in itertools.product(range(rep.mdim), repeat=2):
+
+    def residual(i, j):
         tm, tn = op.col(i), op.col(j)
-        lhs = lie.bracket.evaluate(tm, tn)
         inner = vec_sub(rep.of(tm).col(j), rep.of(tn).col(i))
-        res = vec_sub(lhs, op.apply(inner))
-        if not vec_is_zero(res):
-            report.fail("[Tm,Tn] = T(rho(Tm)n - rho(Tn)m)", (i, j), res)
-            return report
-    return report
+        return vec_sub(lie.bracket.evaluate(tm, tn), op.apply(inner))
+
+    return CheckReport("lie_rota_baxter").sweep(
+        "[Tm,Tn] = T(rho(Tm)n - rho(Tn)m)",
+        itertools.product(range(rep.mdim), repeat=2), residual)

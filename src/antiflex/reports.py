@@ -2,14 +2,19 @@
 
 Predicates in this package return a CheckReport rather than a bare bool so
 that callers (and the CLI) can see the first violating basis tuple and the
-residual witnessing the failure.  Iteration over basis tuples is always in
-lexicographic order, so "first violation" is deterministic.
+residual witnessing the failure.  `CheckReport.sweep` walks a law's basis
+tuples in lexicographic order, so "first violation" is deterministic.
+
+Policy: predicates return reports; public constructions `require` their
+preconditions once (ValueError "<what>: <describe()>"); internal callers
+never re-check, and build from input already checked or proved valid with
+an unchecked builder such as `operators._star_product`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,26 @@ class CheckReport:
     def fail(self, law: str, where: tuple, residual) -> None:
         self.ok = False
         self.violations.append(Violation(law, where, residual))
+
+    def sweep(self, law: str, tuples: Iterable[tuple],
+              residual: Callable[..., Any]) -> "CheckReport":
+        """Fail at the first tuple, in the order given, whose residual is not
+        zero (a zero tuple, or `.is_zero()`); a failed report skips the sweep."""
+        if not self.ok:
+            return self
+        for where in tuples:
+            res = residual(*where)
+            if not (all(x == 0 for x in res) if isinstance(res, tuple)
+                    else res.is_zero()):
+                self.fail(law, where, res)
+                break
+        return self
+
+    def require(self, what: str) -> "CheckReport":
+        """Raise ValueError("<what>: <describe()>") unless the report is ok."""
+        if not self.ok:
+            raise ValueError(f"{what}: {self.describe()}")
+        return self
 
     def merge(self, other: "CheckReport") -> None:
         if not other.ok:

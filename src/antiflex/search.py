@@ -83,7 +83,7 @@ def operator_predicate(name: str, alg: Algebra,
 
 
 def _grid(coeffs: Sequence, cells: int, progress: bool):
-    values = sorted(Rat(c) for c in coeffs)
+    values = sorted(set(Rat(c) for c in coeffs))
     total = len(values) ** cells
     if total > CANDIDATE_CEILING:
         raise SearchSpaceError(

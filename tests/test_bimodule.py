@@ -78,10 +78,15 @@ def test_lie_representation(a2, m_a2, af_nonassoc):
     assert rep2.validate().ok
 
 
-def test_induced_bimodule_on_base(a2, m_a2, t_inv, t_nil, a0_2, m_a0_2):
+def test_induced_bimodule_on_base(a2, m_a2, t_inv, t_nil, a0_2, m_a0_2,
+                                  noncommutative_rb, defect_rb):
     for op in (t_inv, t_nil, Matrix.zeros(2, 2)):
         induced = induced_bimodule_on_base(a2, m_a2, op)
         assert induced.validate().ok
+    # built without re-checking the bimodule equations, which the paper
+    # proves for every Rota-Baxter operator; noncommutative data included
+    for alg, mod, op in (noncommutative_rb, defect_rb):
+        assert induced_bimodule_on_base(alg, mod, op).validate().ok
     zero_case = induced_bimodule_on_base(a0_2, m_a0_2,
                                          Matrix.from_rows([[1, 2], [3, 4]]))
     for m in zero_case.left + zero_case.right:

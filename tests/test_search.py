@@ -92,3 +92,13 @@ def test_negative_limit_is_rejected(a2, m_a2):
         search_algebras(1, (0, 1), ("anti-flexible",), limit=-3)
     with pytest.raises(ValueError):
         search_operators(a2, m_a2, (-1, 0, 1), ("rota-baxter",), limit=-1)
+
+
+def test_repeated_coefficients_are_enumerated_once(a2, m_a2):
+    assert search_algebras(1, (0, 0), []) == search_algebras(1, (0,), [])
+    assert len(search_algebras(1, (0, 0), [])) == 1
+    assert (search_operators(a2, m_a2, (1, -1, 0, 1, 0), ("rota-baxter",))
+            == search_operators(a2, m_a2, (-1, 0, 1), ("rota-baxter",)))
+    # 60 listed values but 2 distinct ones: 2^8 candidates, not 60^8
+    assert (search_algebras(2, (0, 1) * 30, ("anti-flexible",), limit=3)
+            == search_algebras(2, (0, 1), ("anti-flexible",), limit=3))
