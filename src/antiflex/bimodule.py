@@ -168,6 +168,8 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
     For a Rota-Baxter operator op: M -> A the actions are
         l(m)(a) = op(m).a - op(r(a)m),   r(m)(a) = a.op(m) - op(l(a)m),
     and the base algebra of the result is the star-product algebra on M.
+    `mod` is trusted to be a bimodule, as its constructor checks unless
+    told not to.
     """
     from .operators import _star_product, is_rota_baxter
 
@@ -191,8 +193,9 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
                                       op.apply(mod.left[j].col(i)))))
         left.append(Matrix.from_cols(lcols, rows=d))
         right.append(Matrix.from_cols(rcols, rows=d))
-    # a bimodule for every Rota-Baxter operator (proved in the paper)
-    return Bimodule(star, left, right, check=False)
+    # a bimodule for every Rota-Baxter operator on a bimodule of an
+    # anti-flexible algebra (proved in the paper); otherwise validate it
+    return Bimodule(star, left, right, check=not classify(alg).anti_flexible)
 
 
 def tilde_bimodule(mod: Bimodule, alg_op: Matrix, mod_op: Matrix) -> Bimodule:

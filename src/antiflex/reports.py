@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
+from .linalg import vec_is_zero
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -49,8 +51,7 @@ class CheckReport:
             return self
         for where in tuples:
             res = residual(*where)
-            if not (all(x == 0 for x in res) if isinstance(res, tuple)
-                    else res.is_zero()):
+            if not (vec_is_zero(res) if isinstance(res, tuple) else res.is_zero()):
                 self.fail(law, where, res)
                 break
         return self

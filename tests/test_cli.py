@@ -156,6 +156,21 @@ def test_cohomology_reports_complex_failure(tmp_path, defect_rb, capsys):
     assert "complex_error" in data["payload"]
 
 
+def test_cohomology_refuses_non_anti_flexible_base(tmp_path, capsys):
+    from antiflex.algebra import Algebra
+    alg = Algebra.from_products(2, {(0, 1): {1: 1}})
+    zero = Matrix.zeros(1, 1)
+    doc = WorkspaceDocument(
+        "Q", AlgebraSection(2, alg.labels, alg), None,
+        BimoduleSection(1, [zero, zero], [zero, zero]), None,
+        {"T": Matrix.from_rows([[1], [0]])}, None)
+    path = tmp_path / "not_anti_flexible.json"
+    path.write_text(render_document(doc), encoding="utf-8")
+    assert main(["--fixture", str(path), "cohomology", "--op", "T",
+                 "--max-degree", "1"]) == 2
+    assert "error: not a bimodule: " in capsys.readouterr().err
+
+
 def test_deform_verify_rejects_invalid_generator(tmp_path, a2, m_a2):
     from antiflex.document import DeformationSection
     from antiflex.linalg import MultiMap

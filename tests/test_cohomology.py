@@ -262,3 +262,20 @@ def test_ce_differential_squares_to_zero_on_alternating(noncommutative_rb):
                     [Fraction(rng.randint(-2, 2)) for _ in range(size)])
         assert ce_differential(rep.lie, rep, ce_differential(rep.lie, rep, g)) \
             .is_zero()
+
+
+def test_complex_refuses_induced_actions_on_non_anti_flexible_base():
+    """The induced actions on A form a bimodule only for an anti-flexible A.
+
+    Here e.f = f is the only product, so (e, e, e) = 0 but the first
+    bimodule law on the induced actions leaves -L_e^2 - R_e^2 != 0."""
+    from antiflex.algebra import Algebra, classify
+    from antiflex.bimodule import zero_bimodule
+    from antiflex.operators import is_rota_baxter
+    alg = Algebra.from_products(2, {(0, 1): {1: 1}})
+    mod = zero_bimodule(alg, 1)
+    op = Matrix.from_rows([[1], [0]])
+    assert not classify(alg).anti_flexible
+    assert is_rota_baxter(alg, mod, op).ok
+    with pytest.raises(ValueError, match="^not a bimodule: bimodule: FAIL"):
+        RBComplex(alg, mod, op)
