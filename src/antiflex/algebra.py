@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .linalg import (LinAlgError, Matrix, MultiMap, Vector, basis_vector,
-                     vec_is_zero, vec_sub, zero_vector)
+                     vec_add, vec_is_zero, vec_sub, zero_vector)
 from .reports import CheckReport
 
 __all__ = [
@@ -247,8 +247,7 @@ class LieAlgebra:
         d = self.dim
 
         def antisymmetry(i, j):
-            return vec_sub(self.bracket.value((i, j)),
-                           tuple(-x for x in self.bracket.value((j, i))))
+            return vec_add(self.bracket.value((i, j)), self.bracket.value((j, i)))
 
         def jacobi(i, j, k):
             s = zero_vector(d)
@@ -256,7 +255,7 @@ class LieAlgebra:
             for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
                 inner = self.bracket.value((p, q))
                 term = self.bracket.evaluate(inner, basis_vector(r, d))
-                s = tuple(a + b for a, b in zip(s, term))
+                s = vec_add(s, term)
             return s
 
         return (CheckReport("lie_algebra")

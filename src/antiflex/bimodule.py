@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .algebra import Algebra, LieAlgebra, classify, commutator_lie
 from .linalg import (LinAlgError, Matrix, Vector, basis_vector,
-                     linear_combination)
+                     linear_combination, vec_sub)
 from .reports import CheckReport
 
 __all__ = [
@@ -168,8 +168,7 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
     For a Rota-Baxter operator op: M -> A the actions are
         l(m)(a) = op(m).a - op(r(a)m),   r(m)(a) = a.op(m) - op(l(a)m),
     and the base algebra of the result is the star-product algebra on M.
-    `mod` is trusted to be a bimodule, as its constructor checks unless
-    told not to.
+    `mod` is trusted: its constructor validates it unless told not to.
     """
     from .operators import _star_product, is_rota_baxter
 
@@ -185,16 +184,11 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
         rcols = []
         for j in range(d):
             ej = basis_vector(j, d)
-            lcols.append(tuple(
-                x - y for x, y in zip(alg.multiply(ti, ej),
-                                      op.apply(mod.right[j].col(i)))))
-            rcols.append(tuple(
-                x - y for x, y in zip(alg.multiply(ej, ti),
-                                      op.apply(mod.left[j].col(i)))))
+            lcols.append(vec_sub(alg.multiply(ti, ej), op.apply(mod.right[j].col(i))))
+            rcols.append(vec_sub(alg.multiply(ej, ti), op.apply(mod.left[j].col(i))))
         left.append(Matrix.from_cols(lcols, rows=d))
         right.append(Matrix.from_cols(rcols, rows=d))
-    # a bimodule for every Rota-Baxter operator on a bimodule of an
-    # anti-flexible algebra (proved in the paper); otherwise validate it
+    # a bimodule when the base is anti-flexible (the paper); else validate
     return Bimodule(star, left, right, check=not classify(alg).anti_flexible)
 
 
