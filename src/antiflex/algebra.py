@@ -4,16 +4,26 @@ An algebra is a dim-d space with a bilinear product stored as an arity-2
 coefficient tensor (e_i . e_j = sum_k c_{ij}^k e_k).  All identity checks
 run over basis tuples only; every law in scope is multilinear, so basis
 verification is complete.
+
+Basis associators and deformed products are contracted from the nonzero
+structure constants, (e_i e_j) e_k - e_i (e_j e_k) = sum_s c_ij^s c_sk^t -
+c_jk^s c_is^t, rather than evaluated on basis vectors.  The law checks
+(`classify`, `anti_flexible_report`) contract the constants scaled to
+integers by `linalg.integer_scaled`: the associator is homogeneous of degree
+2 in c, so with c = C / D it is exactly D**-2 times the int associator of C.
+A law holds on c exactly when it holds on C, the first failing triple is the
+same, and the witness is rebuilt exactly as Fraction(int_residual, D**2).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .linalg import (LinAlgError, Matrix, MultiMap, Vector, basis_vector,
-                     vec_add, vec_is_zero, vec_sub, zero_vector)
+                     integer_scaled, vec_add, vec_sub, zero_vector)
 from .reports import CheckReport
 
 __all__ = [
@@ -74,9 +84,11 @@ class Algebra:
                        self.multiply(a, self.multiply(b, c)))
 
     def basis_associator(self, i: int, j: int, k: int) -> Vector:
-        return vec_sub(
-            self.multiply(self.basis_product(i, j), basis_vector(k, self.dim)),
-            self.multiply(basis_vector(i, self.dim), self.basis_product(j, k)))
+        d = self.dim
+        if not all(0 <= x < d for x in (i, j, k)):
+            raise IndexError((i, j, k))
+        prod = _nonzero_products(self.mul.data, d)
+        return tuple(_associator(prod, d, i, j, k, [Fraction(0)] * d))
 
     def left_matrix(self, i: int) -> Matrix:
         """Matrix of x -> e_i . x."""
@@ -102,6 +114,81 @@ class Algebra:
         return f"Algebra(dim={self.dim})"
 
 
+# ---------------------------------------------------------------------------
+# contractions of structure constants
+# ---------------------------------------------------------------------------
+# Sparse vectors are lists of (index, coefficient) with nonzero coefficients.
+# Each helper adds its term into the dense list `acc` and returns it, so one
+# helper serves Fraction data and int-scaled data alike.
+
+def _nonzero_products(c: Sequence, d: int) -> list:
+    """For each pair index i*d + j, the sparse product e_i.e_j, from the
+    flat row-major structure constants c of a dim-d algebra."""
+    return [[(k, x) for k, x in enumerate(c[p * d:(p + 1) * d]) if x]
+            for p in range(d * d)]
+
+
+def _nonzero_cols(data: Sequence, rows: int, cols: int) -> list:
+    """The columns of a row-major rows x cols matrix, as sparse vectors."""
+    return [[(i, data[i * cols + j]) for i in range(rows) if data[i * cols + j]]
+            for j in range(cols)]
+
+
+def _associator(prod: list, d: int, i: int, j: int, k: int, acc: list) -> list:
+    """acc + (e_i e_j) e_k - e_i (e_j e_k), from the sparse products prod."""
+    for s, a in prod[i * d + j]:
+        for t, b in prod[s * d + k]:
+            acc[t] += a * b
+    for s, a in prod[j * d + k]:
+        for t, b in prod[i * d + s]:
+            acc[t] -= a * b
+    return acc
+
+
+def _multiply(prod: list, d: int, u: list, v: list, acc: list) -> list:
+    """acc + u.v for sparse vectors u and v."""
+    for a, x in u:
+        for b, y in v:
+            xy = x * y
+            for k, z in prod[a * d + b]:
+                acc[k] += xy * z
+    return acc
+
+
+def _subtract_image(cols: list, v, acc: list) -> list:
+    """acc - N(v) for the operator N with sparse columns cols and v given
+    as (index, coefficient) pairs, zero coefficients allowed."""
+    for s, z in v:
+        if z:
+            for k, x in cols[s]:
+                acc[k] -= x * z
+    return acc
+
+
+def _deformed(prod: list, ncols: list, d: int, i: int, j: int,
+              acc: list) -> list:
+    """acc + N(e_i).e_j + e_i.N(e_j) - N(e_i.e_j) for the operator N with
+    sparse columns ncols."""
+    for a, x in ncols[i]:
+        for k, z in prod[a * d + j]:
+            acc[k] += x * z
+    for b, y in ncols[j]:
+        for k, z in prod[i * d + b]:
+            acc[k] += y * z
+    return _subtract_image(ncols, prod[i * d + j], acc)
+
+
+def _scaled_associators(alg: "Algebra") -> tuple:
+    """(assoc, scale): every basis associator of the integer-scaled
+    constants as an int list, at flat index (i*d + j)*d + k; each is scale
+    times the exact one."""
+    d = alg.dim
+    (c,), den = integer_scaled(alg.mul.data)
+    prod = _nonzero_products(c, d)
+    return ([_associator(prod, d, i, j, k, [0] * d)
+             for i, j, k in itertools.product(range(d), repeat=3)], den * den)
+
+
 @dataclass(frozen=True)
 class ClassifyFlags:
     anti_flexible: bool
@@ -112,34 +199,41 @@ class ClassifyFlags:
 def classify(alg: Algebra) -> ClassifyFlags:
     """Check the associative, flexible and anti-flexible laws on all basis triples.
 
-    Shares one associator sweep; associativity forces the other two flags,
-    which holds automatically since a zero associator satisfies both laws.
+    Shares one sweep of the integer-scaled associators; associativity forces
+    the other two flags, which holds automatically since a zero associator
+    satisfies both laws.  The sweep stops once the flexible and anti-flexible
+    flags are false: a failed flexible law has already met a nonzero
+    associator, so associativity is false too.
     """
     d = alg.dim
     anti_flexible = True
     flexible = True
     associative = True
-    assoc = {}
-    for i, j, k in itertools.product(range(d), repeat=3):
-        assoc[(i, j, k)] = alg.basis_associator(i, j, k)
-    for i, j, k in itertools.product(range(d), repeat=3):
-        t = assoc[(i, j, k)]
-        if associative and not vec_is_zero(t):
+    assoc, _ = _scaled_associators(alg)
+    for (i, j, k), t in zip(itertools.product(range(d), repeat=3), assoc):
+        if any(t):
             associative = False
-        if anti_flexible and not vec_is_zero(vec_sub(t, assoc[(k, j, i)])):
+            flexible = flexible and i != k
+        if anti_flexible and t != assoc[(k * d + j) * d + i]:
             anti_flexible = False
-        if flexible and i == k and not vec_is_zero(t):
-            flexible = False
+        if not (anti_flexible or flexible):
+            break
     return ClassifyFlags(anti_flexible=anti_flexible, flexible=flexible,
                          associative=associative)
 
 
 def anti_flexible_report(alg: Algebra) -> CheckReport:
     """Anti-flexible law with a witness: (a,b,c) - (c,b,a) on basis triples."""
+    d = alg.dim
+    assoc, scale = _scaled_associators(alg)
+
+    def residual(i, j, k):
+        return tuple(a - b for a, b in zip(assoc[(i * d + j) * d + k],
+                                           assoc[(k * d + j) * d + i]))
+
     return CheckReport("anti_flexible").sweep(
-        "(a,b,c) = (c,b,a)", itertools.product(range(alg.dim), repeat=3),
-        lambda i, j, k: vec_sub(alg.basis_associator(i, j, k),
-                                alg.basis_associator(k, j, i)))
+        "(a,b,c) = (c,b,a)", itertools.product(range(d), repeat=3), residual,
+        witness=lambda res: tuple(Fraction(x, scale) for x in res))
 
 
 def tensor_with_associative(alg: Algebra, other: Algebra) -> Algebra:
@@ -199,9 +293,20 @@ def semidirect_product(alg: Algebra, mod) -> Algebra:
 
     mod must be a valid bimodule over alg; the basis order is A first, then M.
     """
+    _check_base(alg, mod)
+    mod.validate().require("invalid bimodule")
+    return _semidirect_product(alg, mod)
+
+
+def _check_base(alg: Algebra, mod) -> None:
     if mod.base is not alg and mod.base != alg:
         raise ValueError("bimodule is over a different algebra")
-    mod.validate().require("invalid bimodule")
+
+
+def _semidirect_product(alg: Algebra, mod) -> Algebra:
+    """`semidirect_product` without validating `mod`, for callers whose
+    bimodule was validated when it was built."""
+    _check_base(alg, mod)
     from .glie import structure_element
 
     labels = (tuple(f"a.{x}" for x in alg.labels)
@@ -218,17 +323,13 @@ def deformed_product(alg: Algebra, op: Matrix) -> Algebra:
     """
     if not op.is_square() or op.rows != alg.dim:
         raise LinAlgError("deforming operator must be square of the algebra dimension")
-
-    def fn(idx):
-        i, j = idx
-        ni = op.col(i)
-        nj = op.col(j)
-        t1 = alg.multiply(ni, basis_vector(j, alg.dim))
-        t2 = alg.multiply(basis_vector(i, alg.dim), nj)
-        t3 = op.apply(alg.basis_product(i, j))
-        return [t1[k] + t2[k] - t3[k] for k in range(alg.dim)]
-
-    return Algebra(MultiMap.from_function(2, alg.dim, fn), alg.labels)
+    d = alg.dim
+    prod = _nonzero_products(alg.mul.data, d)
+    ncols = _nonzero_cols(op.data, d, d)
+    data = []
+    for i, j in itertools.product(range(d), repeat=2):
+        data.extend(_deformed(prod, ncols, d, i, j, [Fraction(0)] * d))
+    return Algebra(MultiMap(2, d, data), alg.labels)
 
 
 class LieAlgebra:

@@ -7,17 +7,24 @@ element of the base algebra, subject to the two coupled equations
     l(a.b) - l(a)l(b) = r(a)r(b) - r(b.a)
     l(a)r(b) - r(b)l(a) = l(b)r(a) - r(a)l(b)
 
-checked on all basis pairs.
+checked on all basis pairs.  `is_bimodule` checks them on the structure
+constants and action entries written over one common denominator D
+(`linalg.integer_scaled`).  Each term of both equations is quadratic in
+that data (c times an action, or an action times an action), so on the
+scaled integers every residual is exactly D**2 times the true one: the same
+pairs fail, and the witness matrix is rebuilt as Fraction(entry, D**2).
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Algebra, LieAlgebra, classify, commutator_lie
+from .algebra import (Algebra, LieAlgebra, _nonzero_products, classify,
+                      commutator_lie)
 from .linalg import (LinAlgError, Matrix, Vector, basis_vector,
-                     linear_combination, vec_sub)
+                     integer_scaled, linear_combination, vec_sub)
 from .reports import CheckReport
 
 __all__ = [
@@ -79,23 +86,59 @@ def _action_dim(d: int, left: Sequence[Matrix], right: Sequence[Matrix]) -> int:
 def is_bimodule(alg: Algebra, left: Sequence[Matrix], right: Sequence[Matrix]) -> CheckReport:
     """Both bimodule equations on all basis pairs, with residual witnesses."""
     d = alg.dim
-    _action_dim(d, left, right)
+    md = _action_dim(d, left, right)
+    size = md * md
+    (c, lflat, rflat), den = _scaled_actions(alg, left, right)
+    ls = [lflat[a * size:(a + 1) * size] for a in range(d)]
+    rs = [rflat[a * size:(a + 1) * size] for a in range(d)]
+    prod = _nonzero_products(c, d)
+    scale = den * den
+
+    def act(v, acts):
+        """The action of the sparse vector v, sum_k v_k acts[k]."""
+        acc = [0] * size
+        for k, x in v:
+            acc = [u + x * w for u, w in zip(acc, acts[k])]
+        return acc
 
     def product_law(i, j):
-        lhs = linear_combination(alg.basis_product(i, j), left) - left[i] @ left[j]
-        rhs = right[i] @ right[j] - linear_combination(alg.basis_product(j, i), right)
-        return lhs - rhs
+        # l(ab) - l(a)l(b) - r(a)r(b) + r(ba)
+        return tuple(p - q - u + v for p, q, u, v in zip(
+            act(prod[i * d + j], ls), _matmul(ls[i], ls[j], md),
+            _matmul(rs[i], rs[j], md), act(prod[j * d + i], rs)))
 
     def commutation_law(i, j):
-        lhs = left[i] @ right[j] - right[j] @ left[i]
-        rhs = left[j] @ right[i] - right[i] @ left[j]
-        return lhs - rhs
+        # l(a)r(b) - r(b)l(a) - l(b)r(a) + r(a)l(b)
+        return tuple(p - q - u + v for p, q, u, v in zip(
+            _matmul(ls[i], rs[j], md), _matmul(rs[j], ls[i], md),
+            _matmul(ls[j], rs[i], md), _matmul(rs[i], ls[j], md)))
+
+    def witness(res):
+        return Matrix(md, md, [Fraction(x, scale) for x in res])
 
     return (CheckReport("bimodule")
             .sweep("l(ab)-l(a)l(b) = r(a)r(b)-r(ba)",
-                   itertools.product(range(d), repeat=2), product_law)
+                   itertools.product(range(d), repeat=2), product_law, witness)
             .sweep("l(a)r(b)-r(b)l(a) = l(b)r(a)-r(a)l(b)",
-                   itertools.product(range(d), repeat=2), commutation_law))
+                   itertools.product(range(d), repeat=2), commutation_law,
+                   witness))
+
+
+def _scaled_actions(alg: Algebra, left: Sequence[Matrix],
+                    right: Sequence[Matrix]) -> tuple:
+    """((c, l, r), den): the structure constants of alg and the entries of
+    the left and right action matrices, one flat row-major list each, as
+    integers over one common denominator den."""
+    return integer_scaled(
+        alg.mul.data, *(itertools.chain.from_iterable(m.data for m in acts)
+                        for acts in (left, right)))
+
+
+def _matmul(a: list, b: list, n: int) -> list:
+    """The product of two n x n matrices given as flat row-major lists."""
+    cols = [b[j::n] for j in range(n)]
+    return [sum(x * y for x, y in zip(a[i * n:(i + 1) * n], col))
+            for i in range(n) for col in cols]
 
 
 def regular_bimodule(alg: Algebra) -> Bimodule:

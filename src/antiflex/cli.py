@@ -17,15 +17,15 @@ from typing import Optional
 from .algebra import classify
 from .bimodule import Bimodule, is_bimodule
 from .cohomology import ComplexError, RBComplex
-from .deformation import (InfinitesimalDeformation, is_closed_2cochain,
+from .deformation import (InfinitesimalDeformation, _check_power,
+                          _structure_power, is_closed_2cochain,
                           is_nijenhuis_structure, is_valid_deformation,
-                          nijenhuis_structure_powers, trivial_deformation_from,
-                          trivial_deformation_ledger)
+                          trivial_deformation_from, trivial_deformation_ledger)
 from .document import (DeformationSection, WorkspaceDocument, load_document,
                        render_document)
 from .glie import ClosureError, CochainSpace, DegreeCapError, derived_bracket
 from .linalg import Matrix, render_rational
-from .onstruct import is_on_structure, pairwise_power_compatibility
+from .onstruct import _check_sweep_bound, _power_sweep, is_on_structure
 from .operators import (is_nijenhuis, is_rb_morphism, is_rota_baxter,
                         rb_graph_is_subalgebra, rb_morphism_graph_check)
 from .search import SearchSpaceError, search_algebras, search_operators
@@ -190,10 +190,11 @@ def _cmd_check(args, doc: WorkspaceDocument) -> Report:
         check = is_nijenhuis_structure(alg, mod, alg_op, mod_op)
         report.from_check("nijenhuis_structure", check)
         if check.ok and args.power_cap:
+            # the pair is verified above
+            _check_power(args.power_cap)
             for i in range(2, args.power_cap + 1):
                 report.verdict(f"powers_{i}",
-                               nijenhuis_structure_powers(alg, mod, alg_op,
-                                                          mod_op, i))
+                               _structure_power(alg, mod, alg_op, mod_op, i))
 
     elif what == "on":
         mod = _bimodule_object(doc)
@@ -201,8 +202,9 @@ def _cmd_check(args, doc: WorkspaceDocument) -> Report:
         check = is_on_structure(alg, mod, op, alg_op, mod_op)
         report.from_check("on_structure", check)
         if check.ok and args.power_cap:
-            sweep = pairwise_power_compatibility(alg, mod, op, alg_op, mod_op,
-                                                 k_max=args.power_cap)
+            # the triple is verified above
+            _check_sweep_bound(args.power_cap)
+            sweep = _power_sweep(alg, mod, op, alg_op, mod_op, args.power_cap)
             report.payload["power_sweep"] = {
                 f"{i},{j}": verdict for (i, j), verdict in sweep.items()}
 

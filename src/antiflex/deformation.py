@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Algebra, deformed_product, semidirect_product
+from .algebra import Algebra, _semidirect_product, deformed_product
 from .bimodule import Bimodule
 from .glie import (HARD_ARITY_CAP, compose_bar, graded_bracket,
                    structure_element)
@@ -223,7 +223,7 @@ def is_nijenhuis_structure(alg: Algebra, mod: Bimodule,
     """
     if alg_op.rows != alg.dim or mod_op.rows != mod.mdim:
         raise LinAlgError("operator shapes do not match the pair")
-    semi = semidirect_product(alg, mod)
+    semi = _semidirect_product(alg, mod)
     primary = is_nijenhuis(semi, block_operator(alg_op, mod_op))
 
     report = CheckReport("nijenhuis_structure")
@@ -285,9 +285,20 @@ def trivial_deformation_ledger(alg: Algebra, mod: Bimodule, alg_op: Matrix,
 def nijenhuis_structure_powers(alg: Algebra, mod: Bimodule, alg_op: Matrix,
                                mod_op: Matrix, power: int, cap: int = 3) -> bool:
     """Whether (N^i, S^i) is again a Nijenhuis structure."""
+    _check_power(power, cap)
+    is_nijenhuis_structure(alg, mod, alg_op, mod_op).require("not a Nijenhuis structure")
+    return _structure_power(alg, mod, alg_op, mod_op, power)
+
+
+def _check_power(power: int, cap: int = 3) -> None:
     if power < 1 or power > cap:
         raise ValueError(f"power must lie in [1, {cap}]")
-    is_nijenhuis_structure(alg, mod, alg_op, mod_op).require("not a Nijenhuis structure")
+
+
+def _structure_power(alg: Algebra, mod: Bimodule, alg_op: Matrix,
+                     mod_op: Matrix, power: int) -> bool:
+    """`nijenhuis_structure_powers` without checking (N, S) or the power,
+    for a caller that has checked both."""
     return bool(is_nijenhuis_structure(alg, mod, alg_op.power(power),
                                        mod_op.power(power)))
 

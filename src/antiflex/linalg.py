@@ -4,11 +4,16 @@ rank / kernel / solve over Fraction entries.
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.  No floats anywhere: ranks and kernels are
 exact, which the cohomology dimensions downstream depend on.
+
+`integer_scaled` writes a group of exact values over one common denominator,
+so that a homogeneous law can be checked in int arithmetic (see its
+docstring); the law checks of `algebra`, `operators` and `bimodule` do so.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -29,6 +34,7 @@ __all__ = [
     "vec_is_zero",
     "linear_combination",
     "flat_offset",
+    "integer_scaled",
     "Matrix",
     "MultiMap",
     "LinAlgError",
@@ -175,6 +181,26 @@ def flat_offset(idx: Sequence[int], in_dim: int, out_dim: int) -> int:
             raise IndexError(idx)
         off = off * in_dim + i
     return off * out_dim
+
+
+def integer_scaled(*parts: Iterable[Scalar]) -> tuple:
+    """(ints, den): every value of the group `parts` over one denominator.
+
+    den is the least common multiple of the denominators of all the values
+    (1 for no values), and ints holds one list per part with
+    part[i] == ints[part][i] / den.  A law that is homogeneous of degree k
+    in the group's values takes den**k times its exact value on the ints,
+    so it vanishes on the ints exactly when it vanishes on the values, and
+    a nonzero integer residual r is recovered exactly as Fraction(r, den**k).
+    Int products and sums skip the normalising gcd of every Fraction
+    operation, which is what makes the scaled check fast.
+    """
+    parts = [tuple(p) for p in parts]
+    den = math.lcm(*(x.denominator for p in parts for x in p))
+    if den == 1:
+        return [[x.numerator for x in p] for p in parts], den
+    return [[x.numerator * (den // x.denominator) for x in p]
+            for p in parts], den
 
 
 # ---------------------------------------------------------------------------

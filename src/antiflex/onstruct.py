@@ -150,15 +150,27 @@ def pairwise_power_compatibility(alg: Algebra, mod: Bimodule, op: Matrix,
     Rota-Baxter and whether their sum is.  Only the (0, 1) pair is a proved
     property; the rest is exploration data.
     """
+    _check_sweep_bound(k_max)
+    is_on_structure(alg, mod, op, alg_op, mod_op).require("not an ON-structure")
+    return _power_sweep(alg, mod, op, alg_op, mod_op, k_max)
+
+
+def _check_sweep_bound(k_max: int) -> None:
     if k_max < 1 or k_max > 4:
         raise ValueError("power sweep bound must lie in [1, 4]")
-    is_on_structure(alg, mod, op, alg_op, mod_op).require("not an ON-structure")
+
+
+def _power_sweep(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
+                 mod_op: Matrix, k_max: int) -> dict:
+    """`pairwise_power_compatibility` without checking the triple or the
+    bound, for a caller that has checked both."""
     family = [alg_op.power(k) @ op for k in range(k_max + 1)]
+    rb = [bool(is_rota_baxter(alg, mod, t)) for t in family]
     verdicts = {}
     for i, j in itertools.combinations(range(k_max + 1), 2):
         verdicts[(i, j)] = {
-            "rb_first": bool(is_rota_baxter(alg, mod, family[i])),
-            "rb_second": bool(is_rota_baxter(alg, mod, family[j])),
+            "rb_first": rb[i],
+            "rb_second": rb[j],
             "sum_rb": bool(is_rota_baxter(alg, mod, family[i] + family[j])),
         }
     return verdicts

@@ -4,6 +4,14 @@ products, operator morphisms, and the Lie-algebra Rota-Baxter check.
 
 Operators are plain Matrix values; a map M -> A is a (dim A) x (dim M)
 matrix acting on coefficient columns.
+
+`is_rota_baxter` and `is_nijenhuis` contract the nonzero entries of
+integer-scaled data (`linalg.integer_scaled`) instead of evaluating dense
+products.  The algebra constants, with the actions for Rota-Baxter, share
+one scale D1 and the operator has its own, D2.  Both residuals are linear in
+those constants and quadratic in the operator, so on the scaled data they
+are exactly D1*D2**2 times the true ones: the same basis pairs fail, and the
+witness is rebuilt as Fraction(int_residual, D1*D2**2).
 """
 
 from __future__ import annotations
@@ -11,12 +19,16 @@ from __future__ import annotations
 import itertools
 from typing import Tuple
 
-from .algebra import (Algebra, LieAlgebra, classify, deformed_product,
-                      direct_sum, semidirect_product)
-from .bimodule import Bimodule, LieRepresentation
+from fractions import Fraction
+
+from .algebra import (Algebra, LieAlgebra, _deformed, _multiply,
+                      _nonzero_cols, _nonzero_products, _semidirect_product,
+                      _subtract_image, classify, deformed_product, direct_sum)
+from .bimodule import Bimodule, LieRepresentation, _scaled_actions
 from .glie import compose_bar
 from .linalg import (LinAlgError, Matrix, MultiMap, Vector, basis_vector,
-                     vec_add, vec_is_zero, vec_sub, zero_vector)
+                     integer_scaled, vec_add, vec_is_zero, vec_sub,
+                     zero_vector)
 from .reports import CheckReport
 
 __all__ = [
@@ -44,15 +56,31 @@ def _check_operator_shape(op: Matrix, src_dim: int, dst_dim: int, what: str):
 def is_rota_baxter(alg: Algebra, mod: Bimodule, op: Matrix) -> CheckReport:
     """T(m).T(n) = T(l(T(m))n + r(T(n))m) on all basis pairs of the module."""
     _check_operator_shape(op, mod.mdim, alg.dim, "Rota-Baxter candidate")
+    d, md = alg.dim, mod.mdim
+    (c, left, right), den1 = _scaled_actions(alg, mod.left, mod.right)
+    (t,), den2 = integer_scaled(op.data)
+    prod = _nonzero_products(c, d)
+    tcols = _nonzero_cols(t, d, md)
+    size = md * md
+    scale = den1 * den2 * den2
 
     def residual(i, j):
-        tm, tn = op.col(i), op.col(j)
-        inner = vec_add(mod.left_of(tm).col(j), mod.right_of(tn).col(i))
-        return vec_sub(alg.multiply(tm, tn), op.apply(inner))
+        out = _multiply(prod, d, tcols[i], tcols[j], [0] * d)
+        inner = [0] * md
+        # l(T e_i) e_j + r(T e_j) e_i: column j of l(e_a) is the slice
+        # left[a*size + j : (a+1)*size : md], and likewise for r
+        for a, x in tcols[i]:
+            for p, y in enumerate(left[a * size + j:(a + 1) * size:md]):
+                inner[p] += x * y
+        for a, x in tcols[j]:
+            for p, y in enumerate(right[a * size + i:(a + 1) * size:md]):
+                inner[p] += x * y
+        return tuple(_subtract_image(tcols, enumerate(inner), out))
 
     return CheckReport("rota_baxter").sweep(
         "T(m).T(n) = T(l(Tm)n + r(Tn)m)",
-        itertools.product(range(mod.mdim), repeat=2), residual)
+        itertools.product(range(md), repeat=2), residual,
+        witness=lambda res: tuple(Fraction(x, scale) for x in res))
 
 
 def rb_graph_is_subalgebra(alg: Algebra, mod: Bimodule, op: Matrix) -> bool:
@@ -62,7 +90,7 @@ def rb_graph_is_subalgebra(alg: Algebra, mod: Bimodule, op: Matrix) -> bool:
     vectors inside the semidirect algebra and tests graph membership.
     """
     _check_operator_shape(op, mod.mdim, alg.dim, "Rota-Baxter candidate")
-    semi = semidirect_product(alg, mod)
+    semi = _semidirect_product(alg, mod)
     d, md = alg.dim, mod.mdim
 
     def embed(i: int) -> Vector:
@@ -81,17 +109,21 @@ def is_nijenhuis(alg: Algebra, op: Matrix) -> CheckReport:
     if not op.is_square() or op.rows != alg.dim:
         raise LinAlgError("Nijenhuis candidate must be square of the algebra dimension")
     d = alg.dim
+    (c,), den1 = integer_scaled(alg.mul.data)
+    (n,), den2 = integer_scaled(op.data)
+    prod = _nonzero_products(c, d)
+    ncols = _nonzero_cols(n, d, d)
+    scale = den1 * den2 * den2
 
     def residual(i, j):
-        na, nb = op.col(i), op.col(j)
-        inner = vec_sub(vec_add(alg.multiply(na, basis_vector(j, d)),
-                                alg.multiply(basis_vector(i, d), nb)),
-                        op.apply(alg.basis_product(i, j)))
-        return vec_sub(alg.multiply(na, nb), op.apply(inner))
+        out = _multiply(prod, d, ncols[i], ncols[j], [0] * d)
+        inner = _deformed(prod, ncols, d, i, j, [0] * d)
+        return tuple(_subtract_image(ncols, enumerate(inner), out))
 
     return CheckReport("nijenhuis").sweep(
         "N(a)N(b) = N(Na.b + a.Nb - N(ab))",
-        itertools.product(range(d), repeat=2), residual)
+        itertools.product(range(d), repeat=2), residual,
+        witness=lambda res: tuple(Fraction(x, scale) for x in res))
 
 
 def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int,
@@ -149,7 +181,7 @@ def nt_operator(alg: Algebra, mod: Bimodule, op: Matrix) -> Matrix:
 def nt_nijenhuis_equivalence(alg: Algebra, mod: Bimodule, op: Matrix) -> Tuple[bool, bool]:
     """(is Rota-Baxter, induced block operator is Nijenhuis on the semidirect)."""
     rb = bool(is_rota_baxter(alg, mod, op))
-    semi = semidirect_product(alg, mod)
+    semi = _semidirect_product(alg, mod)
     nij = bool(is_nijenhuis(semi, nt_operator(alg, mod, op)))
     return rb, nij
 
@@ -293,8 +325,8 @@ def rb_morphism_graph_check(alg: Algebra, mod: Bimodule, op: Matrix,
     """
     _check_operator_shape(phi, alg.dim, alg2.dim, "algebra map")
     _check_operator_shape(psi, mod.mdim, mod2.mdim, "module map")
-    semi1 = semidirect_product(alg, mod)
-    semi2 = semidirect_product(alg2, mod2)
+    semi1 = _semidirect_product(alg, mod)
+    semi2 = _semidirect_product(alg2, mod2)
     both = direct_sum(semi1, semi2)
     d1, n1 = alg.dim, alg.dim + mod.mdim
     d2 = alg2.dim

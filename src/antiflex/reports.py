@@ -44,15 +44,18 @@ class CheckReport:
         self.violations.append(Violation(law, where, residual))
 
     def sweep(self, law: str, tuples: Iterable[tuple],
-              residual: Callable[..., Any]) -> "CheckReport":
+              residual: Callable[..., Any],
+              witness: Optional[Callable[[Any], Any]] = None) -> "CheckReport":
         """Fail at the first tuple, in the order given, whose residual is not
-        zero (a zero tuple, or `.is_zero()`); a failed report skips the sweep."""
+        zero (a zero tuple, or `.is_zero()`); a failed report skips the sweep.
+        The violation records the residual, or `witness(residual)` when given:
+        a law checked on integer-scaled data recovers its exact residual so."""
         if not self.ok:
             return self
         for where in tuples:
             res = residual(*where)
             if not (vec_is_zero(res) if isinstance(res, tuple) else res.is_zero()):
-                self.fail(law, where, res)
+                self.fail(law, where, res if witness is None else witness(res))
                 break
         return self
 

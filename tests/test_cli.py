@@ -242,3 +242,51 @@ def test_on_negative_power_cap_is_exit_2(a2_fixture, capsys):
     assert main(["--fixture", a2_fixture, "check", "on", "--ops", "T,N,S",
                  "--power-cap", "-2"]) == 2
     assert "--power-cap" in capsys.readouterr().err
+
+
+def test_nij_structure_powers_verify_the_pair_once(a2_fixture, capsys,
+                                                   monkeypatch):
+    import antiflex.cli
+    import antiflex.deformation
+
+    checked = []
+    real = antiflex.deformation.is_nijenhuis_structure
+
+    def counting(alg, mod, alg_op, mod_op):
+        checked.append((alg_op, mod_op))
+        return real(alg, mod, alg_op, mod_op)
+
+    monkeypatch.setattr(antiflex.deformation, "is_nijenhuis_structure", counting)
+    monkeypatch.setattr(antiflex.cli, "is_nijenhuis_structure", counting)
+    assert main(["--json", "--fixture", a2_fixture, "check", "nij-structure",
+                 "--ops", "N,S", "--power-cap", "3"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts["powers_2"]["ok"] and verdicts["powers_3"]["ok"]
+    # the pair itself, then (N^2, S^2) and (N^3, S^3), each once
+    n, s = checked[0]
+    assert checked == [(n, s), (n.power(2), s.power(2)),
+                       (n.power(3), s.power(3))]
+
+
+def test_on_power_sweep_verifies_the_triple_once(a2_fixture, capsys,
+                                                 monkeypatch):
+    import antiflex.cli
+    import antiflex.onstruct
+
+    checked = []
+    real = antiflex.onstruct.is_on_structure
+
+    def counting(*args):
+        checked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(antiflex.onstruct, "is_on_structure", counting)
+    monkeypatch.setattr(antiflex.cli, "is_on_structure", counting)
+    argv = ["--fixture", a2_fixture, "check", "on", "--ops", "T,N,S"]
+    assert main(["--json"] + argv + ["--power-cap", "2"]) == 0
+    sweep = json.loads(capsys.readouterr().out)["payload"]["power_sweep"]
+    assert sorted(sweep) == ["0,1", "0,2", "1,2"]
+    assert len(checked) == 1
+    # the bound of the sweep is still enforced
+    assert main(argv + ["--power-cap", "5"]) == 2
+    assert "power sweep bound" in capsys.readouterr().err

@@ -172,3 +172,31 @@ def test_equivalent_deformations_are_cohomologous(a2, m_a2, e21):
     assert deformation_difference_is_exact(a2, m_a2, first, zero)
     assert deformation_difference_is_exact(a2, m_a2, second, zero)
     assert deformation_difference_is_exact(a2, m_a2, first, second)
+
+
+def test_internal_semidirect_products_do_not_revalidate(a2, m_a2, e21, t_inv,
+                                                        monkeypatch):
+    from antiflex.algebra import semidirect_product
+    from antiflex.bimodule import Bimodule
+    from antiflex.operators import (nt_nijenhuis_equivalence,
+                                    rb_graph_is_subalgebra,
+                                    rb_morphism_graph_check)
+
+    validated = []
+    real = Bimodule.validate
+
+    def counting(self):
+        validated.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Bimodule, "validate", counting)
+    ident = Matrix.identity(2)
+    assert is_nijenhuis_structure(a2, m_a2, e21, e21).ok
+    assert rb_graph_is_subalgebra(a2, m_a2, t_inv)
+    assert nt_nijenhuis_equivalence(a2, m_a2, t_inv) == (True, True)
+    assert rb_morphism_graph_check(a2, m_a2, t_inv, a2, m_a2, t_inv,
+                                   ident, ident)
+    assert validated == []
+    # the public construction still checks its input
+    semidirect_product(a2, m_a2)
+    assert validated == [m_a2]

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from antiflex.linalg import (LinAlgError, Matrix, MultiMap, linear_combination,
-                             parse_rational, render_rational, vec_is_zero)
+from antiflex.linalg import (LinAlgError, Matrix, MultiMap, integer_scaled,
+                             linear_combination, parse_rational,
+                             render_rational, vec_is_zero)
 
 rng = random.Random(1001)
 
@@ -170,3 +171,19 @@ def test_linear_combination_rejects_bad_input():
         linear_combination((1, 1), (Matrix.identity(2), Matrix.identity(3)))
     with pytest.raises(LinAlgError):
         linear_combination((), ())
+
+
+def test_integer_scaled_writes_a_group_over_its_least_common_denominator():
+    parts = ([Fraction(1, 2), Fraction(-2, 3), 0], (Fraction(5, 4),), [3])
+    ints, den = integer_scaled(*parts)
+    assert den == 12
+    assert ints == [[6, -8, 0], [15], [36]]
+    for part, scaled in zip(parts, ints):
+        assert [Fraction(x, den) for x in scaled] == list(part)
+        assert all(type(x) is int for x in scaled)
+    assert integer_scaled([Fraction(4), -7]) == ([[4, -7]], 1)
+    assert integer_scaled() == ([], 1)
+    assert integer_scaled([], []) == ([[], []], 1)
+    # iterators are read once
+    ints, den = integer_scaled(iter([Fraction(1, 3)]), (x for x in [1]))
+    assert (ints, den) == ([[1], [3]], 3)

@@ -164,3 +164,23 @@ def test_pairwise_power_sweep(a2, m_a2, t_inv, on_triple):
     # the rest of the hierarchy is recorded, not asserted; it may or may not
     # hold beyond the proved (0, 1) pair
     assert set(sweep) == {(i, j) for i in range(4) for j in range(4) if i < j}
+
+
+def test_pairwise_power_sweep_checks_each_operator_once(a2, m_a2, on_triple,
+                                                        monkeypatch):
+    import antiflex.onstruct
+
+    checked = []
+    real = antiflex.onstruct.is_rota_baxter
+
+    def counting(alg, mod, op):
+        checked.append(op)
+        return real(alg, mod, op)
+
+    monkeypatch.setattr(antiflex.onstruct, "is_rota_baxter", counting)
+    base, alg_op, mod_op = on_triple
+    sweep = pairwise_power_compatibility(a2, m_a2, base, alg_op, mod_op, 3)
+    family = [alg_op.power(k) @ base for k in range(4)]
+    sums = [family[i] + family[j] for i, j in sorted(sweep)]
+    # one check in is_on_structure, one per family member, one per pair sum
+    assert checked == [base] + family + sums

@@ -2,6 +2,7 @@
 and the one way a failed precondition is reported."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -56,6 +57,22 @@ def test_sweep_with_matrix_residuals():
         "diag", [(0,), (1,), (2,)], lambda i: unit if i == 1 else zero)
     assert report.first().where == (1,) and report.first().residual == unit
     assert CheckReport("demo").sweep("zero", [(0,), (1,)], lambda i: zero).ok
+
+
+def test_sweep_records_the_witness_of_a_scaled_residual():
+    seen = []
+
+    def witness(res):
+        seen.append(res)
+        return tuple(Fraction(x, 6) for x in res)
+
+    report = CheckReport("demo").sweep(
+        "6x = 0", [(0,), (3,), (4,)], lambda x: (6 * x, 0), witness)
+    assert report.first().where == (3,)
+    assert report.first().residual == (Fraction(3), Fraction(0))
+    assert seen == [(18, 0)]  # only the failing residual is converted
+    assert CheckReport("demo").sweep("zero", [(0,)], lambda x: (x,), witness).ok
+    assert len(seen) == 1
 
 
 def test_require_returns_self_when_ok():
