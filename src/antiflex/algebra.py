@@ -5,14 +5,13 @@ coefficient tensor (e_i . e_j = sum_k c_{ij}^k e_k).  All identity checks
 run over basis tuples only; every law in scope is multilinear, so basis
 verification is complete.
 
-Basis associators and deformed products are contracted from the nonzero
-structure constants, (e_i e_j) e_k - e_i (e_j e_k) = sum_s c_ij^s c_sk^t -
-c_jk^s c_is^t, rather than evaluated on basis vectors.  The law checks
-(`classify`, `anti_flexible_report`) contract the constants scaled to
-integers by `linalg.integer_scaled`: the associator is homogeneous of degree
-2 in c, so with c = C / D it is exactly D**-2 times the int associator of C.
-A law holds on c exactly when it holds on C, the first failing triple is the
-same, and the witness is rebuilt exactly as Fraction(int_residual, D**2).
+An algebra keeps one integer view (`Algebra.int_view`), built on first use
+or by the construction that made it from ints: its nonzero products as ints
+C over a common denominator D, c = C / D.  Associators, deformed products
+and the law checks contract it: (e_i e_j) e_k - e_i (e_j e_k) is sum_s
+c_ij^s c_sk^t - c_jk^s c_is^t, homogeneous of degree 2 in c, so exactly
+D**-2 times the int associator.  A law holds on c exactly when it holds on
+C, at the same first triple, and the witness is Fraction(int_residual, D**2).
 """
 
 from __future__ import annotations
@@ -22,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import (LinAlgError, Matrix, MultiMap, Vector, basis_vector,
-                     integer_scaled, vec_add, vec_sub, zero_vector)
+from .linalg import (LinAlgError, Matrix, MultiMap, Vector, _fractions,
+                     basis_vector, integer_scaled, vec_add, vec_sub,
+                     zero_vector)
 from .reports import CheckReport
 
 __all__ = [
@@ -46,7 +46,7 @@ def _default_labels(dim: int, prefix: str = "e") -> tuple:
 class Algebra:
     """A based algebra (A, .) with product given by structure constants."""
 
-    __slots__ = ("dim", "labels", "mul")
+    __slots__ = ("dim", "labels", "mul", "_view")
 
     def __init__(self, mul: MultiMap, labels: Optional[Sequence[str]] = None):
         if mul.arity != 2:
@@ -58,6 +58,15 @@ class Algebra:
             raise LinAlgError("label count != dimension")
         if len(set(self.labels)) != self.dim:
             raise LinAlgError("duplicate basis labels")
+        self._view = None
+
+    def int_view(self) -> tuple:
+        """(prod, den): at pair index i*d + j, e_i.e_j's nonzero entries as
+        (k, int) pairs over the common denominator den."""
+        if self._view is None:
+            (c,), den = integer_scaled(self.mul.data)
+            self._view = (_nonzero_products(c, self.dim), den)
+        return self._view
 
     @staticmethod
     def zero(dim: int, labels: Optional[Sequence[str]] = None) -> "Algebra":
@@ -66,8 +75,7 @@ class Algebra:
     @staticmethod
     def from_products(dim: int, products: dict, labels: Optional[Sequence[str]] = None) -> "Algebra":
         """Build from a sparse {(i, j): {k: coeff}} table, absent entries zero."""
-        data = MultiMap.zero(2, dim).data
-        flat = list(data)
+        flat = [0] * dim ** 3
         for (i, j), img in products.items():
             for k, c in img.items():
                 flat[(i * dim + j) * dim + k] = c
@@ -87,8 +95,9 @@ class Algebra:
         d = self.dim
         if not all(0 <= x < d for x in (i, j, k)):
             raise IndexError((i, j, k))
-        prod = _nonzero_products(self.mul.data, d)
-        return tuple(_associator(prod, d, i, j, k, [Fraction(0)] * d))
+        prod, den = self.int_view()
+        return tuple(Fraction(x, den * den)
+                     for x in _associator(prod, d, i, j, k, [0] * d))
 
     def left_matrix(self, i: int) -> Matrix:
         """Matrix of x -> e_i . x."""
@@ -118,20 +127,21 @@ class Algebra:
 # contractions of structure constants
 # ---------------------------------------------------------------------------
 # Sparse vectors are lists of (index, coefficient) with nonzero coefficients.
-# Each helper adds its term into the dense list `acc` and returns it, so one
-# helper serves Fraction data and int-scaled data alike.
+# Each helper adds its term into the dense int list `acc` and returns it.
 
 def _nonzero_products(c: Sequence, d: int) -> list:
     """For each pair index i*d + j, the sparse product e_i.e_j, from the
     flat row-major structure constants c of a dim-d algebra."""
-    return [[(k, x) for k, x in enumerate(c[p * d:(p + 1) * d]) if x]
+    return [tuple((k, x) for k, x in enumerate(c[p * d:(p + 1) * d]) if x)
             for p in range(d * d)]
 
 
-def _nonzero_cols(data: Sequence, rows: int, cols: int) -> list:
-    """The columns of a row-major rows x cols matrix, as sparse vectors."""
-    return [[(i, data[i * cols + j]) for i in range(rows) if data[i * cols + j]]
-            for j in range(cols)]
+def _algebra_of_ints(c: list, den: int, labels: Sequence[str]) -> "Algebra":
+    """The algebra of flat constants c / den, with its view made from c."""
+    d = len(labels)
+    alg = Algebra(MultiMap(2, d, _fractions(c, den)), labels)
+    alg._view = (_nonzero_products(c, d), den)
+    return alg
 
 
 def _associator(prod: list, d: int, i: int, j: int, k: int, acc: list) -> list:
@@ -183,8 +193,7 @@ def _scaled_associators(alg: "Algebra") -> tuple:
     constants as an int list, at flat index (i*d + j)*d + k; each is scale
     times the exact one."""
     d = alg.dim
-    (c,), den = integer_scaled(alg.mul.data)
-    prod = _nonzero_products(c, d)
+    prod, den = alg.int_view()
     return ([_associator(prod, d, i, j, k, [0] * d)
              for i, j, k in itertools.product(range(d), repeat=3)], den * den)
 
@@ -245,47 +254,25 @@ def tensor_with_associative(alg: Algebra, other: Algebra) -> Algebra:
     if not classify(other).associative:
         raise ValueError("tensor factor must be associative")
     d1, d2 = alg.dim, other.dim
-    dim = d1 * d2
-
-    def fn(idx):
-        (ip, jq) = idx
-        i, p = divmod(ip, d2)
-        j, q = divmod(jq, d2)
-        va = alg.basis_product(i, j)
-        vb = other.basis_product(p, q)
-        out = [0] * dim
-        for k in range(d1):
-            if va[k] == 0:
-                continue
-            for r in range(d2):
-                if vb[r] == 0:
-                    continue
-                out[k * d2 + r] = va[k] * vb[r]
-        return out
-
+    products = {}
+    for i, j, p, q in itertools.product(range(d1), range(d1), range(d2), range(d2)):
+        va, vb = alg.basis_product(i, j), other.basis_product(p, q)
+        products[(i * d2 + p, j * d2 + q)] = {
+            k * d2 + r: a * b for k, a in enumerate(va) for r, b in enumerate(vb)}
     labels = tuple(f"{la}*{lb}" for la in alg.labels for lb in other.labels)
-    return Algebra(MultiMap.from_function(2, dim, fn), labels)
+    return Algebra.from_products(d1 * d2, products, labels)
 
 
 def direct_sum(alg: Algebra, other: Algebra) -> Algebra:
     """Componentwise product on A + B (block-diagonal structure constants)."""
-    d1, d2 = alg.dim, other.dim
-    dim = d1 + d2
-
-    def fn(idx):
-        i, j = idx
-        out = [0] * dim
-        if i < d1 and j < d1:
-            v = alg.basis_product(i, j)
-            out[:d1] = v
-        elif i >= d1 and j >= d1:
-            v = other.basis_product(i - d1, j - d1)
-            out[d1:] = v
-        return out
-
+    products = {}
+    for off, part in ((0, alg), (alg.dim, other)):
+        for i, j in itertools.product(range(part.dim), repeat=2):
+            products[(off + i, off + j)] = {
+                off + k: x for k, x in enumerate(part.basis_product(i, j))}
     labels = (tuple(f"a.{x}" for x in alg.labels)
               + tuple(f"b.{x}" for x in other.labels))
-    return Algebra(MultiMap.from_function(2, dim, fn), labels)
+    return Algebra.from_products(alg.dim + other.dim, products, labels)
 
 
 def semidirect_product(alg: Algebra, mod) -> Algebra:
@@ -324,12 +311,13 @@ def deformed_product(alg: Algebra, op: Matrix) -> Algebra:
     if not op.is_square() or op.rows != alg.dim:
         raise LinAlgError("deforming operator must be square of the algebra dimension")
     d = alg.dim
-    prod = _nonzero_products(alg.mul.data, d)
-    ncols = _nonzero_cols(op.data, d, d)
+    prod, den1 = alg.int_view()
+    ncols, den2 = op.int_view()
     data = []
     for i, j in itertools.product(range(d), repeat=2):
-        data.extend(_deformed(prod, ncols, d, i, j, [Fraction(0)] * d))
-    return Algebra(MultiMap(2, d, data), alg.labels)
+        data.extend(_deformed(prod, ncols, d, i, j, [0] * d))
+    # linear in the constants and in N, so over den1 * den2
+    return _algebra_of_ints(data, den1 * den2, alg.labels)
 
 
 class LieAlgebra:
@@ -354,9 +342,8 @@ class LieAlgebra:
             s = zero_vector(d)
             # [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
             for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket.value((p, q))
-                term = self.bracket.evaluate(inner, basis_vector(r, d))
-                s = vec_add(s, term)
+                s = vec_add(s, self.bracket.evaluate(self.bracket.value((p, q)),
+                                                     basis_vector(r, d)))
             return s
 
         return (CheckReport("lie_algebra")

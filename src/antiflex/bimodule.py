@@ -7,12 +7,14 @@ element of the base algebra, subject to the two coupled equations
     l(a.b) - l(a)l(b) = r(a)r(b) - r(b.a)
     l(a)r(b) - r(b)l(a) = l(b)r(a) - r(a)l(b)
 
-checked on all basis pairs.  `is_bimodule` checks them on the structure
-constants and action entries written over one common denominator D
-(`linalg.integer_scaled`).  Each term of both equations is quadratic in
-that data (c times an action, or an action times an action), so on the
-scaled integers every residual is exactly D**2 times the true one: the same
-pairs fail, and the witness matrix is rebuilt as Fraction(entry, D**2).
+checked on all basis pairs.  A bimodule keeps one integer view, built on
+first use (`Bimodule.int_view`): the base constants and both action families
+as sparse ints over one common denominator D.  Each term of both laws is
+quadratic in that data, so every int residual is exactly D**2 times the true
+one: the same pairs fail, and the witness is Fraction(entry, D**2).
+`induced_bimodule_on_base` contracts the views of the bimodule and of T
+(scale D_T): star, l_T and r_T are linear in each, so all three are ints
+over D * D_T, which become the view of the induced bimodule.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (Algebra, LieAlgebra, _nonzero_products, classify,
+from .algebra import (Algebra, LieAlgebra, _subtract_image, classify,
                       commutator_lie)
-from .linalg import (LinAlgError, Matrix, Vector, basis_vector,
-                     integer_scaled, linear_combination, vec_sub)
+from .linalg import (LinAlgError, Matrix, Vector, _nonzero_cols,
+                     integer_scaled, linear_combination)
 from .reports import CheckReport
 
 __all__ = [
@@ -43,7 +45,7 @@ __all__ = [
 class Bimodule:
     """Action data (l, r) of an algebra on an mdim-dimensional space."""
 
-    __slots__ = ("base", "mdim", "left", "right")
+    __slots__ = ("base", "mdim", "left", "right", "_view")
 
     def __init__(self, base: Algebra, left: Sequence[Matrix], right: Sequence[Matrix],
                  check: bool = True):
@@ -51,8 +53,24 @@ class Bimodule:
         self.mdim = _action_dim(base.dim, left, right)
         self.left = tuple(left)
         self.right = tuple(right)
+        self._view = None
         if check:
             self.validate().require("not a bimodule")
+
+    def int_view(self) -> tuple:
+        """(prod, left, right, den): the base's products (shared with its
+        view) and each action's columns, over one common denominator."""
+        if self._view is None:
+            d, md = self.base.dim, self.mdim
+            prod, base_den = self.base.int_view()
+            # the part 1/base_den makes den a multiple of base_den
+            (_, *acts), den = integer_scaled(
+                [Fraction(1, base_den)], *(m.data for m in self.left + self.right))
+            if den != base_den:
+                prod = [tuple((k, x * (den // base_den)) for k, x in p) for p in prod]
+            cols = [_nonzero_cols(a, md, md) for a in acts]
+            self._view = (prod, cols[:d], cols[d:], den)
+        return self._view
 
     def left_of(self, a: Vector) -> Matrix:
         """Action matrix of an arbitrary algebra element (linear extension)."""
@@ -62,7 +80,31 @@ class Bimodule:
         return linear_combination(a, self.right)
 
     def validate(self) -> CheckReport:
-        return is_bimodule(self.base, self.left, self.right)
+        """Both bimodule equations on all basis pairs, with residual witnesses."""
+        prod, left, right, den = self.int_view()
+        d, md = self.base.dim, self.mdim
+        eye = [[(j, 1)] for j in range(md)]
+
+        def product_law(i, j):
+            # l(ab) - l(a)l(b) - r(a)r(b) + r(ba)
+            return _combination(md, [(x, left[k], eye) for k, x in prod[i * d + j]]
+                                + [(x, right[k], eye) for k, x in prod[j * d + i]]
+                                + [(-1, left[i], left[j]), (-1, right[i], right[j])])
+
+        def commutation_law(i, j):
+            # l(a)r(b) - r(b)l(a) - l(b)r(a) + r(a)l(b)
+            return _combination(md, [(1, left[i], right[j]), (-1, right[j], left[i]),
+                                     (-1, left[j], right[i]), (1, right[i], left[j])])
+
+        def witness(res):
+            return Matrix(md, md, [Fraction(x, den * den) for x in res])
+
+        return (CheckReport("bimodule")
+                .sweep("l(ab)-l(a)l(b) = r(a)r(b)-r(ba)",
+                       itertools.product(range(d), repeat=2), product_law, witness)
+                .sweep("l(a)r(b)-r(b)l(a) = l(b)r(a)-r(a)l(b)",
+                       itertools.product(range(d), repeat=2), commutation_law,
+                       witness))
 
     def __eq__(self, other):
         return (isinstance(other, Bimodule) and self.base == other.base
@@ -85,60 +127,25 @@ def _action_dim(d: int, left: Sequence[Matrix], right: Sequence[Matrix]) -> int:
 
 def is_bimodule(alg: Algebra, left: Sequence[Matrix], right: Sequence[Matrix]) -> CheckReport:
     """Both bimodule equations on all basis pairs, with residual witnesses."""
-    d = alg.dim
-    md = _action_dim(d, left, right)
-    size = md * md
-    (c, lflat, rflat), den = _scaled_actions(alg, left, right)
-    ls = [lflat[a * size:(a + 1) * size] for a in range(d)]
-    rs = [rflat[a * size:(a + 1) * size] for a in range(d)]
-    prod = _nonzero_products(c, d)
-    scale = den * den
-
-    def act(v, acts):
-        """The action of the sparse vector v, sum_k v_k acts[k]."""
-        acc = [0] * size
-        for k, x in v:
-            acc = [u + x * w for u, w in zip(acc, acts[k])]
-        return acc
-
-    def product_law(i, j):
-        # l(ab) - l(a)l(b) - r(a)r(b) + r(ba)
-        return tuple(p - q - u + v for p, q, u, v in zip(
-            act(prod[i * d + j], ls), _matmul(ls[i], ls[j], md),
-            _matmul(rs[i], rs[j], md), act(prod[j * d + i], rs)))
-
-    def commutation_law(i, j):
-        # l(a)r(b) - r(b)l(a) - l(b)r(a) + r(a)l(b)
-        return tuple(p - q - u + v for p, q, u, v in zip(
-            _matmul(ls[i], rs[j], md), _matmul(rs[j], ls[i], md),
-            _matmul(ls[j], rs[i], md), _matmul(rs[i], ls[j], md)))
-
-    def witness(res):
-        return Matrix(md, md, [Fraction(x, scale) for x in res])
-
-    return (CheckReport("bimodule")
-            .sweep("l(ab)-l(a)l(b) = r(a)r(b)-r(ba)",
-                   itertools.product(range(d), repeat=2), product_law, witness)
-            .sweep("l(a)r(b)-r(b)l(a) = l(b)r(a)-r(a)l(b)",
-                   itertools.product(range(d), repeat=2), commutation_law,
-                   witness))
+    return Bimodule(alg, left, right, check=False).validate()
 
 
-def _scaled_actions(alg: Algebra, left: Sequence[Matrix],
-                    right: Sequence[Matrix]) -> tuple:
-    """((c, l, r), den): the structure constants of alg and the entries of
-    the left and right action matrices, one flat row-major list each, as
-    integers over one common denominator den."""
-    return integer_scaled(
-        alg.mul.data, *(itertools.chain.from_iterable(m.data for m in acts)
-                        for acts in (left, right)))
+def _rebased(alg: Algebra, mod: Bimodule) -> Bimodule:
+    """mod, or its actions over alg when its base is another algebra."""
+    same = mod.base is alg or mod.base == alg
+    return mod if same else Bimodule(alg, mod.left, mod.right, check=False)
 
 
-def _matmul(a: list, b: list, n: int) -> list:
-    """The product of two n x n matrices given as flat row-major lists."""
-    cols = [b[j::n] for j in range(n)]
-    return [sum(x * y for x, y in zip(a[i * n:(i + 1) * n], col))
-            for i in range(n) for col in cols]
+def _combination(md: int, terms: list) -> tuple:
+    """sum c a b over the terms (c, a, b), row-major, for md x md matrices
+    a and b given as sparse int columns."""
+    acc = [0] * (md * md)
+    for c, a, b in terms:
+        for j, col in enumerate(b):
+            for k, y in col:
+                for i, x in a[k]:
+                    acc[i * md + j] += c * x * y
+    return tuple(acc)
 
 
 def regular_bimodule(alg: Algebra) -> Bimodule:
@@ -162,13 +169,14 @@ def dual_bimodule_candidate(alg: Algebra, mod: Bimodule):
     Returns (bimodule_or_None, report).  The convention is not assumed
     correct: the report carries the verdict and any violated equation.
     """
-    left = [mod.right[i].transpose() for i in range(alg.dim)]
-    right = [mod.left[i].transpose() for i in range(alg.dim)]
-    report = is_bimodule(alg, left, right)
+    dual = Bimodule(alg, [mod.right[i].transpose() for i in range(alg.dim)],
+                    [mod.left[i].transpose() for i in range(alg.dim)],
+                    check=False)
+    report = dual.validate()
     if not report.ok:
         report.notes["candidate"] = "transpose-swap dual convention fails for this algebra"
         return None, report
-    return Bimodule(alg, left, right, check=False), report
+    return dual, report
 
 
 class LieRepresentation:
@@ -216,23 +224,33 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
     from .operators import _star_product, is_rota_baxter
 
     is_rota_baxter(alg, mod, op).require("operator is not Rota-Baxter")
+    mod = _rebased(alg, mod)
     star = _star_product(mod, op)
-    d, md = alg.dim, mod.mdim
+    (prod, left, right, den), (tcols, tden) = mod.int_view(), op.int_view()
+    d, scale = alg.dim, den * tden
 
-    left = []
-    right = []
-    for i in range(md):
-        ti = op.col(i)
-        lcols = []
-        rcols = []
+    def action(i, on_left, acts):
+        # column j: T(m_i).e_j - T(r(e_j)m_i), or e_j.T(m_i) - T(l(e_j)m_i)
+        cols = []
         for j in range(d):
-            ej = basis_vector(j, d)
-            lcols.append(vec_sub(alg.multiply(ti, ej), op.apply(mod.right[j].col(i))))
-            rcols.append(vec_sub(alg.multiply(ej, ti), op.apply(mod.left[j].col(i))))
-        left.append(Matrix.from_cols(lcols, rows=d))
-        right.append(Matrix.from_cols(rcols, rows=d))
+            acc = [0] * d
+            for a, x in tcols[i]:
+                for k, z in prod[a * d + j if on_left else j * d + a]:
+                    acc[k] += x * z
+            acc = _subtract_image(tcols, acts[j][i], acc)
+            cols.append(tuple((k, x) for k, x in enumerate(acc) if x))
+        return cols
+
+    lcols = [action(i, True, right) for i in range(mod.mdim)]
+    rcols = [action(i, False, left) for i in range(mod.mdim)]
+    out = Bimodule(star, [Matrix._from_int_cols(d, c, scale) for c in lcols],
+                   [Matrix._from_int_cols(d, c, scale) for c in rcols],
+                   check=False)
+    out._view = (star.int_view()[0], lcols, rcols, scale)
     # a bimodule when the base is anti-flexible (the paper); else validate
-    return Bimodule(star, left, right, check=not classify(alg).anti_flexible)
+    if not classify(alg).anti_flexible:
+        out.validate().require("not a bimodule")
+    return out
 
 
 def tilde_bimodule(mod: Bimodule, alg_op: Matrix, mod_op: Matrix) -> Bimodule:

@@ -9,6 +9,7 @@ operator, bad shapes).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -122,11 +123,12 @@ def _need_bimodule(doc: WorkspaceDocument, which: str = "bimodule"):
 def _bimodule_object(doc: WorkspaceDocument, which: str = "bimodule"):
     section = _need_bimodule(doc, which)
     alg = doc.algebra.algebra if which == "bimodule" else doc.algebra2.algebra
-    check = is_bimodule(alg, section.left, section.right)
+    mod = Bimodule(alg, section.left, section.right, check=False)
+    check = mod.validate()
     if not check.ok:
         raise CommandError(f"{which} section fails the bimodule axioms: "
                            f"{check.describe()}")
-    return Bimodule(alg, section.left, section.right, check=False)
+    return mod
 
 
 def _named_operator(doc: WorkspaceDocument, name: str) -> Matrix:
@@ -377,6 +379,7 @@ def _algebra_products_json(alg) -> str:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+@functools.cache  # once per process: the parser keeps no per-input state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="antiflex",
@@ -431,17 +434,12 @@ def run_command(args) -> Report:
         return _cmd_search(args, doc)
     if doc is None:
         raise CommandError("this command requires --fixture PATH")
-    if args.command == "check":
-        return _cmd_check(args, doc)
-    if args.command == "mc-check":
-        return _cmd_mc_check(args, doc)
-    if args.command == "cohomology":
-        return _cmd_cohomology(args, doc)
-    if args.command == "deform":
-        return _cmd_deform(args, doc)
-    if args.command == "glie":
-        return _cmd_glie(args, doc)
-    raise CommandError(f"unknown command {args.command!r}")
+    commands = {"check": _cmd_check, "mc-check": _cmd_mc_check,
+                "cohomology": _cmd_cohomology, "deform": _cmd_deform,
+                "glie": _cmd_glie}
+    if args.command not in commands:
+        raise CommandError(f"unknown command {args.command!r}")
+    return commands[args.command](args, doc)
 
 
 def main(argv=None) -> int:

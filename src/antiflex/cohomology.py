@@ -129,22 +129,20 @@ class RBComplex:
             return self._matrices[degree]
         m, a, n = self.mdim, self.adim, degree
         src, dst = self.dim_cochains(n), self.dim_cochains(n + 1)
-        # each action as sparse columns: action[k] lists (kk, w) with
-        # w != 0 the e_kk-coefficient of the image of e_k
-        left = [_sparse_cols(x) for x in self.induced.left]
-        right = [_sparse_cols(x) for x in self.induced.right]
+        # star, l_T and r_T as ints over one scale, in which d_n is linear;
+        # action[k] lists (kk, w), w != 0 the e_kk-coefficient of action(e_k)
+        prod, left, right, scale = self.induced.int_view()
         identity = [[(k, 1)] for k in range(a)]
         # the star products by output coordinate: u star v = sum_t c e_t
         products = [[] for _ in range(m)]
         for u, v in itertools.product(range(m), repeat=2):
-            for t, c in enumerate(self.star.mul.value((u, v))):
-                if c:
-                    products[t].append((u, v, c))
+            for t, c in prod[u * m + v]:
+                products[t].append((u, v, c))
         sign = -1 if n % 2 else 1
         outer = sign if n else -1
         rev = (-1 if (n * (n + 1) // 2) % 2 else 1) if n >= 2 else 0
-        data = [0] * (dst * src)
-        for col, ys in enumerate(itertools.product(range(m), repeat=n)):
+        cols = []
+        for ys in itertools.product(range(m), repeat=n):
             # outer * Q(x) for f = e_k at ys, as terms (x, action, c): the
             # e_k-column of c * action lands at x
             terms = []
@@ -161,11 +159,12 @@ class RBComplex:
             terms = [(flat_offset(xs, m, a), action, c)
                      for xs, action, c in terms]
             for k in range(a):
-                column = col * a + k
+                column = {}
                 for row, action, c in terms:
                     for kk, w in action[k]:
-                        data[(row + kk) * src + column] += c * w
-        out = Matrix(dst, src, data)
+                        column[row + kk] = column.get(row + kk, 0) + c * w
+                cols.append(sorted((r, x) for r, x in column.items() if x))
+        out = Matrix._from_int_cols(dst, cols, scale)
         self._matrices[n] = out
         return out
 
@@ -182,7 +181,7 @@ class RBComplex:
         prev_cols = []
         for n in range(max_degree + 1):
             dmat = self.differential_matrix(n)
-            cols = _sparse_cols(dmat)
+            cols, _ = dmat.int_view()
             for j, img in enumerate(prev_cols):
                 acc = {}
                 for i, x in img:
@@ -208,16 +207,6 @@ def _check_degree(degree: int) -> None:
         raise DegreeCapError(
             f"degree {degree}: result arity {degree + 1} exceeds cap"
             f" {HARD_ARITY_CAP}")
-
-
-def _sparse_cols(mat: Matrix) -> list:
-    """The nonzero entries of each column, as [(row, value), ...]."""
-    cols = [[] for _ in range(mat.cols)]
-    for pos, x in enumerate(mat.data):
-        if x:
-            r, j = divmod(pos, mat.cols)
-            cols[j].append((r, x))
-    return cols
 
 
 def _bracket_on_blocks(pi: MultiMap, f: Cochain, cap: Optional[int]) -> Cochain:

@@ -129,13 +129,9 @@ def block_operator(alg_op: Matrix, mod_op: Matrix) -> Matrix:
     if not alg_op.is_square() or not mod_op.is_square():
         raise LinAlgError("block factors must be square")
     d, md = alg_op.rows, mod_op.rows
-    n = d + md
-    cols = []
-    for j in range(d):
-        cols.append(tuple(alg_op.col(j)) + (Fraction(0),) * md)
-    for j in range(md):
-        cols.append((Fraction(0),) * d + tuple(mod_op.col(j)))
-    return Matrix.from_cols(cols, rows=n)
+    cols = ([alg_op.col(j) + (Fraction(0),) * md for j in range(d)]
+            + [(Fraction(0),) * d + mod_op.col(j) for j in range(md)])
+    return Matrix.from_cols(cols, rows=d + md)
 
 
 def are_equivalent_deformations(alg: Algebra, mod: Bimodule,

@@ -160,7 +160,7 @@ def _render_sparse_bilinear(mul: MultiMap, basis: Sequence[str]) -> dict:
 def _parse_algebra(obj, path: str) -> AlgebraSection:
     _require_keys(obj, path, ["dim", "basis", "products"])
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise DocumentError(f"{path}.dim", "expected a nonnegative integer")
     basis = obj["basis"]
     if (not isinstance(basis, list) or len(basis) != dim
@@ -175,7 +175,7 @@ def _parse_algebra(obj, path: str) -> AlgebraSection:
 def _parse_bimodule(obj, path: str, dim: int) -> BimoduleSection:
     _require_keys(obj, path, ["mdim", "l", "r"])
     mdim = obj["mdim"]
-    if not isinstance(mdim, int) or mdim < 0:
+    if not isinstance(mdim, int) or isinstance(mdim, bool) or mdim < 0:
         raise DocumentError(f"{path}.mdim", "expected a nonnegative integer")
     actions = {}
     for key in ("l", "r"):

@@ -7,7 +7,8 @@ exact, which the cohomology dimensions downstream depend on.
 
 `integer_scaled` writes a group of exact values over one common denominator,
 so that a homogeneous law can be checked in int arithmetic (see its
-docstring); the law checks of `algebra`, `operators` and `bimodule` do so.
+docstring).  `Matrix`, `Algebra` and `Bimodule` each keep one such view of
+their entries, built on first use (`Matrix.int_view`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
+_ZERO = Fraction(0)
 Scalar = Union[int, Fraction]
 
 __all__ = [
@@ -203,6 +205,17 @@ def integer_scaled(*parts: Iterable[Scalar]) -> tuple:
             for p in parts], den
 
 
+def _nonzero_cols(data: Sequence, rows: int, cols: int) -> list:
+    """The columns of a row-major rows x cols matrix, as sparse vectors."""
+    return [tuple((i, data[i * cols + j]) for i in range(rows) if data[i * cols + j])
+            for j in range(cols)]
+
+
+def _fractions(ints: Sequence[int], den: int) -> list:
+    """The Fractions ints[i] / den, every zero the one shared _ZERO."""
+    return [Fraction(x, den) if x else _ZERO for x in ints]
+
+
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -210,18 +223,38 @@ def integer_scaled(*parts: Iterable[Scalar]) -> tuple:
 class Matrix(_Dense):
     """Dense rows x cols matrix of Fractions, row-major, immutable."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_view")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Scalar]):
         if rows < 0 or cols < 0:
             raise LinAlgError("negative matrix dimension")
-        data = tuple(Fraction(x) for x in data)
+        data = tuple(x if type(x) is Fraction else Fraction(x) for x in data)
         if len(data) != rows * cols:
             raise LinAlgError(
                 f"matrix data length {len(data)} != {rows}x{cols}")
         self.rows = rows
         self.cols = cols
         self.data = data
+        self._view = None
+
+    def int_view(self) -> tuple:
+        """(cols, den): each column's nonzero entries as (row, int) pairs
+        over the common denominator den, built once, on first use."""
+        if self._view is None:
+            (ints,), den = integer_scaled(self.data)
+            self._view = (_nonzero_cols(ints, self.rows, self.cols), den)
+        return self._view
+
+    @staticmethod
+    def _from_int_cols(rows: int, cols: list, den: int) -> "Matrix":
+        """The matrix of sparse int columns over den, which are its view."""
+        data = [0] * (rows * len(cols))
+        for j, col in enumerate(cols):
+            for i, x in col:
+                data[i * len(cols) + j] = x
+        out = Matrix(rows, len(cols), _fractions(data, den))
+        out._view = (cols, den)
+        return out
 
     # -- construction helpers ------------------------------------------------
 
@@ -434,7 +467,7 @@ class MultiMap(_Dense):
         __init__ (perfbench/spans.py counts constructions there)."""
         if arity < 0 or in_dim < 0 or out_dim < 0:
             raise LinAlgError("negative arity or dimension")
-        data = tuple(Fraction(x) for x in data)
+        data = tuple(x if type(x) is Fraction else Fraction(x) for x in data)
         if len(data) != in_dim ** arity * out_dim:
             raise LinAlgError(
                 f"tensor data length {len(data)} != {in_dim}^{arity} * {out_dim}")

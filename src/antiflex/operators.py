@@ -5,13 +5,13 @@ products, operator morphisms, and the Lie-algebra Rota-Baxter check.
 Operators are plain Matrix values; a map M -> A is a (dim A) x (dim M)
 matrix acting on coefficient columns.
 
-`is_rota_baxter` and `is_nijenhuis` contract the nonzero entries of
-integer-scaled data (`linalg.integer_scaled`) instead of evaluating dense
-products.  The algebra constants, with the actions for Rota-Baxter, share
-one scale D1 and the operator has its own, D2.  Both residuals are linear in
-those constants and quadratic in the operator, so on the scaled data they
+`is_rota_baxter` and `is_nijenhuis` contract the integer views of the
+bimodule (constants and actions over one scale D1) or algebra, and of the
+operator (scale D2); each object builds its view once.  Both residuals are
+linear in the constants and quadratic in the operator, so on the views they
 are exactly D1*D2**2 times the true ones: the same basis pairs fail, and the
-witness is rebuilt as Fraction(int_residual, D1*D2**2).
+witness is rebuilt as Fraction(int_residual, D1*D2**2).  The induced
+products star, > and < are linear in both, so ints over D1*D2.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ from typing import Tuple
 
 from fractions import Fraction
 
-from .algebra import (Algebra, LieAlgebra, _deformed, _multiply,
-                      _nonzero_cols, _nonzero_products, _semidirect_product,
-                      _subtract_image, classify, deformed_product, direct_sum)
-from .bimodule import Bimodule, LieRepresentation, _scaled_actions
+from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _deformed,
+                      _multiply, _semidirect_product, _subtract_image,
+                      classify, deformed_product, direct_sum)
+from .bimodule import Bimodule, LieRepresentation, _rebased
 from .glie import compose_bar
-from .linalg import (LinAlgError, Matrix, MultiMap, Vector, basis_vector,
-                     integer_scaled, vec_add, vec_is_zero, vec_sub,
-                     zero_vector)
+from .linalg import (LinAlgError, Matrix, MultiMap, Vector, _fractions,
+                     basis_vector, vec_is_zero, vec_sub, zero_vector)
 from .reports import CheckReport
 
 __all__ = [
@@ -57,30 +56,25 @@ def is_rota_baxter(alg: Algebra, mod: Bimodule, op: Matrix) -> CheckReport:
     """T(m).T(n) = T(l(T(m))n + r(T(n))m) on all basis pairs of the module."""
     _check_operator_shape(op, mod.mdim, alg.dim, "Rota-Baxter candidate")
     d, md = alg.dim, mod.mdim
-    (c, left, right), den1 = _scaled_actions(alg, mod.left, mod.right)
-    (t,), den2 = integer_scaled(op.data)
-    prod = _nonzero_products(c, d)
-    tcols = _nonzero_cols(t, d, md)
-    size = md * md
-    scale = den1 * den2 * den2
+    prod, left, right, den1 = _rebased(alg, mod).int_view()
+    tcols, den2 = op.int_view()
 
     def residual(i, j):
         out = _multiply(prod, d, tcols[i], tcols[j], [0] * d)
+        # l(T e_i) e_j + r(T e_j) e_i
         inner = [0] * md
-        # l(T e_i) e_j + r(T e_j) e_i: column j of l(e_a) is the slice
-        # left[a*size + j : (a+1)*size : md], and likewise for r
         for a, x in tcols[i]:
-            for p, y in enumerate(left[a * size + j:(a + 1) * size:md]):
+            for p, y in left[a][j]:
                 inner[p] += x * y
         for a, x in tcols[j]:
-            for p, y in enumerate(right[a * size + i:(a + 1) * size:md]):
+            for p, y in right[a][i]:
                 inner[p] += x * y
         return tuple(_subtract_image(tcols, enumerate(inner), out))
 
     return CheckReport("rota_baxter").sweep(
         "T(m).T(n) = T(l(Tm)n + r(Tn)m)",
         itertools.product(range(md), repeat=2), residual,
-        witness=lambda res: tuple(Fraction(x, scale) for x in res))
+        witness=lambda res: tuple(Fraction(x, den1 * den2 * den2) for x in res))
 
 
 def rb_graph_is_subalgebra(alg: Algebra, mod: Bimodule, op: Matrix) -> bool:
@@ -109,11 +103,8 @@ def is_nijenhuis(alg: Algebra, op: Matrix) -> CheckReport:
     if not op.is_square() or op.rows != alg.dim:
         raise LinAlgError("Nijenhuis candidate must be square of the algebra dimension")
     d = alg.dim
-    (c,), den1 = integer_scaled(alg.mul.data)
-    (n,), den2 = integer_scaled(op.data)
-    prod = _nonzero_products(c, d)
-    ncols = _nonzero_cols(n, d, d)
-    scale = den1 * den2 * den2
+    prod, den1 = alg.int_view()
+    ncols, den2 = op.int_view()
 
     def residual(i, j):
         out = _multiply(prod, d, ncols[i], ncols[j], [0] * d)
@@ -123,7 +114,7 @@ def is_nijenhuis(alg: Algebra, op: Matrix) -> CheckReport:
     return CheckReport("nijenhuis").sweep(
         "N(a)N(b) = N(Na.b + a.Nb - N(ab))",
         itertools.product(range(d), repeat=2), residual,
-        witness=lambda res: tuple(Fraction(x, scale) for x in res))
+        witness=lambda res: tuple(Fraction(x, den1 * den2 * den2) for x in res))
 
 
 def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int,
@@ -168,14 +159,9 @@ def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int,
 def nt_operator(alg: Algebra, mod: Bimodule, op: Matrix) -> Matrix:
     """The block operator [[0, T], [0, 0]] on A + M (A indices first)."""
     d, md = alg.dim, mod.mdim
-    n = d + md
-    cols = []
-    for j in range(n):
-        if j < d:
-            cols.append(zero_vector(n))
-        else:
-            cols.append(tuple(op.col(j - d)) + zero_vector(md))
-    return Matrix.from_cols(cols, rows=n)
+    cols = ([zero_vector(d + md)] * d
+            + [tuple(op.col(j)) + zero_vector(md) for j in range(md)])
+    return Matrix.from_cols(cols, rows=d + md)
 
 
 def nt_nijenhuis_equivalence(alg: Algebra, mod: Bimodule, op: Matrix) -> Tuple[bool, bool]:
@@ -235,18 +221,9 @@ def induced_pre_anti_flexible(alg: Algebra, mod: Bimodule, op: Matrix) -> PreAnt
     """The splitting on M induced by a Rota-Baxter operator:
     m > n = l(T(m))n and m < n = r(T(n))m."""
     is_rota_baxter(alg, mod, op).require("operator is not Rota-Baxter")
-    md = mod.mdim
-
-    def succ_fn(idx):
-        i, j = idx
-        return mod.left_of(op.col(i)).col(j)
-
-    def prec_fn(idx):
-        i, j = idx
-        return mod.right_of(op.col(j)).col(i)
-
-    return PreAntiFlexible(MultiMap.from_function(2, md, prec_fn),
-                           MultiMap.from_function(2, md, succ_fn))
+    prec, succ, den = _splitting(mod, op)
+    return PreAntiFlexible(MultiMap(2, mod.mdim, _fractions(prec, den)),
+                           MultiMap(2, mod.mdim, _fractions(succ, den)))
 
 
 def star_algebra(alg: Algebra, mod: Bimodule, op: Matrix) -> Algebra:
@@ -258,15 +235,26 @@ def star_algebra(alg: Algebra, mod: Bimodule, op: Matrix) -> Algebra:
 def _star_product(mod: Bimodule, op: Matrix) -> Algebra:
     """`star_algebra` without the Rota-Baxter check, for callers that have
     checked the operator already or form the product of any operator."""
+    prec, succ, den = _splitting(mod, op)
+    return _algebra_of_ints([p + s for p, s in zip(prec, succ)], den,
+                            tuple(f"m{i + 1}" for i in range(mod.mdim)))
+
+
+def _splitting(mod: Bimodule, op: Matrix) -> tuple:
+    """(prec, succ, den): m < n = r(T(n))m and m > n = l(T(m))n on basis
+    pairs, as flat row-major int lists over den."""
+    _, left, right, den1 = mod.int_view()
+    tcols, den2 = op.int_view()
     md = mod.mdim
-
-    def fn(idx):
-        i, j = idx
-        return vec_add(mod.right_of(op.col(j)).col(i),
-                       mod.left_of(op.col(i)).col(j))
-
-    labels = tuple(f"m{i + 1}" for i in range(md))
-    return Algebra(MultiMap.from_function(2, md, fn), labels)
+    prec, succ = [], []
+    for i, j in itertools.product(range(md), repeat=2):
+        for out, t, acts, col in ((prec, j, right, i), (succ, i, left, j)):
+            acc = [0] * md
+            for a, x in tcols[t]:
+                for p, y in acts[a][col]:
+                    acc[p] += x * y
+            out.extend(acc)
+    return prec, succ, den1 * den2
 
 
 def _is_algebra_morphism(src: Algebra, dst: Algebra, phi: Matrix) -> bool:

@@ -34,10 +34,6 @@ class SearchSpaceError(ValueError):
     """The requested sweep exceeds the candidate ceiling."""
 
 
-def _named(flags, name: str) -> bool:
-    return getattr(flags, name)
-
-
 ALGEBRA_PREDICATES = ("anti-flexible", "flexible", "associative", "commutative")
 OPERATOR_PREDICATES = ("rota-baxter", "nijenhuis", "nonzero", "scalar", "invertible")
 
@@ -51,7 +47,7 @@ def algebra_predicate(name: str) -> Callable[[Algebra], bool]:
         if base == "commutative":
             value = alg.is_commutative()
         else:
-            value = _named(classify(alg), base.replace("-", "_"))
+            value = getattr(classify(alg), base.replace("-", "_"))
         return not value if name.startswith("not-") else value
 
     return check
@@ -130,18 +126,12 @@ def search_operators(alg: Algebra, mod: Optional[Bimodule], coeffs: Sequence,
     candidates (dim x mdim), "algebra-endo" for Nijenhuis candidates
     (dim x dim), or "module-endo" (mdim x mdim).
     """
-    if shape == "module-to-algebra":
-        if mod is None:
-            raise ValueError("module-to-algebra search needs a bimodule")
-        rows, cols = alg.dim, mod.mdim
-    elif shape == "algebra-endo":
-        rows = cols = alg.dim
-    elif shape == "module-endo":
-        if mod is None:
-            raise ValueError("module-endo search needs a bimodule")
-        rows = cols = mod.mdim
-    else:
+    if shape not in ("module-to-algebra", "algebra-endo", "module-endo"):
         raise ValueError(f"unknown operator search shape {shape!r}")
+    if shape != "algebra-endo" and mod is None:
+        raise ValueError(f"{shape} search needs a bimodule")
+    rows = mod.mdim if shape == "module-endo" else alg.dim
+    cols = alg.dim if shape == "algebra-endo" else mod.mdim
     _check_limit(limit)
     checks = [operator_predicate(p, alg, mod) for p in predicates]
     hits = []

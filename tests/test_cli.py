@@ -290,3 +290,60 @@ def test_on_power_sweep_verifies_the_triple_once(a2_fixture, capsys,
     # the bound of the sweep is still enforced
     assert main(argv + ["--power-cap", "5"]) == 2
     assert "power sweep bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [("algebra", "dim"),
+                                          ("bimodule", "mdim")])
+def test_boolean_dimension_is_exit_2(tmp_path, capsys, section, key):
+    raw = {"field": "Q", "algebra": {"dim": 1, "basis": ["e"], "products": {}},
+           "bimodule": {"mdim": 1, "l": [[[0]]], "r": [[[0]]]}}
+    raw[section][key] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["--fixture", str(path), "check", "algebra"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: $.{section}.{key}: "
+                            "expected a nonnegative integer\n")
+
+
+def test_one_parser_serves_every_call(a2_fixture, tmp_path, capsys,
+                                      monkeypatch):
+    """`main` reuses one parser per process; a run of different commands,
+    argument errors among them, prints and exits exactly as the same run
+    with a fresh parser per call does."""
+    import antiflex.cli as cli
+
+    # a fixed clock, so that elapsed_ms is the same in both runs
+    monkeypatch.setattr(cli, "time", type("Clock", (), {
+        "perf_counter": staticmethod(lambda: 0.0)}))
+    runs = [["--fixture", a2_fixture, "check", "algebra"],
+            ["--fixture", a2_fixture, "--json", "check", "rb", "--op", "T"],
+            ["--fixture", a2_fixture, "check", "nijenhuis", "--op", "BadN"],
+            ["--fixture", a2_fixture, "cohomology", "--op", "T"],
+            ["--fixture", a2_fixture, "check", "bogus"],
+            ["--fixture", a2_fixture, "--json", "mc-check"],
+            ["search", "--kind", "algebra", "--dim", "1"],
+            ["--fixture", a2_fixture, "glie", "bracket", "--op", "T"],
+            ["--fixture", a2_fixture, "check", "rb"],
+            ["check"],
+            ["--fixture", a2_fixture, "check", "algebra"]]
+
+    def outcomes():
+        got = []
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    cli._build_parser.cache_clear()
+    shared = outcomes()
+    assert cli._build_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert outcomes() == shared
+    assert [code for code, _, _ in shared] == [
+        0, 0, 1, 0, ("exit", 2), 0, 0, 0, 2, ("exit", 2), 0]

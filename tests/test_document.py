@@ -141,3 +141,25 @@ def test_full_document_roundtrip(a2, m_a2, t_inv):
     assert back.bimodule.left == m_a2.left
     assert back.operators["T"] == t_inv
     assert render_document(back) == text
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("section, key", [("algebra", "dim"),
+                                          ("algebra2", "dim"),
+                                          ("bimodule", "mdim"),
+                                          ("bimodule2", "mdim")])
+def test_boolean_dimensions_are_rejected(section, key, flag):
+    """JSON true/false are not dimensions, though Python's bool is an int:
+    each one fails at its own path instead of parsing as 1 or 0."""
+    algebra = {"dim": 1, "basis": ["e"], "products": {}}
+    bimodule = {"mdim": 1, "l": [[[0]]], "r": [[[0]]]}
+    raw = {"field": "Q", "algebra": dict(algebra), "algebra2": dict(algebra),
+           "bimodule": dict(bimodule), "bimodule2": dict(bimodule)}
+    parse_document(json.dumps(raw))
+    raw[section][key] = flag
+    if key == "dim":
+        raw[section]["basis"] = ["e"] if flag else []
+    with pytest.raises(DocumentError) as info:
+        parse_document(json.dumps(raw))
+    assert info.value.path == f"$.{section}.{key}"
+    assert str(info.value) == f"$.{section}.{key}: expected a nonnegative integer"
