@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 
-def _default_labels(dim: int, prefix: str = "e") -> tuple:
-    return tuple(f"{prefix}{i + 1}" for i in range(dim))
+def _default_labels(dim: int) -> tuple:
+    return tuple(f"e{i + 1}" for i in range(dim))
 
 
 class Algebra:

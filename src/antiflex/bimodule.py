@@ -254,7 +254,8 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
 
 
 def tilde_bimodule(mod: Bimodule, alg_op: Matrix, mod_op: Matrix) -> Bimodule:
-    """Actions twisted by a Nijenhuis structure (N on A, S on M):
+    """Actions twisted by a Nijenhuis structure (N on A, S on M), built by
+    `_twisted_actions` with sign -1:
 
         l~(a) = l(N(a)) - l(a) S + S l(a),
         r~(a) = r(N(a)) - r(a) S + S r(a).
@@ -263,10 +264,17 @@ def tilde_bimodule(mod: Bimodule, alg_op: Matrix, mod_op: Matrix) -> Bimodule:
 
     alg = mod.base
     is_nijenhuis_structure(alg, mod, alg_op, mod_op).require("not a Nijenhuis structure")
-    left = []
-    right = []
-    for i in range(alg.dim):
-        na = alg_op.col(i)
-        left.append(mod.left_of(na) - mod.left[i] @ mod_op + mod_op @ mod.left[i])
-        right.append(mod.right_of(na) - mod.right[i] @ mod_op + mod_op @ mod.right[i])
-    return Bimodule(alg, left, right)
+    return Bimodule(alg, *_twisted_actions(mod, alg_op, mod_op, -1))
+
+
+def _twisted_actions(mod: Bimodule, alg_op: Matrix, mod_op: Matrix,
+                     sign: int) -> tuple:
+    """(left, right) with act(N(e_i)) + sign (act(e_i) S - S act(e_i)) for
+    act = l and act = r: sign -1 gives l~ and r~ (`tilde_bimodule`), sign +1
+    phi and psi (`deformation.trivial_deformation_from`)."""
+    def twisted(acts):
+        return tuple(linear_combination(alg_op.col(i), acts)
+                     + (acts[i] @ mod_op - mod_op @ acts[i]).scale(sign)
+                     for i in range(mod.base.dim))
+
+    return twisted(mod.left), twisted(mod.right)

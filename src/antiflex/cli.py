@@ -22,8 +22,9 @@ from .deformation import (InfinitesimalDeformation, _check_power,
                           _structure_power, is_closed_2cochain,
                           is_nijenhuis_structure, is_valid_deformation,
                           trivial_deformation_from, trivial_deformation_ledger)
-from .document import (DeformationSection, WorkspaceDocument, load_document,
-                       render_document)
+from .document import (DeformationSection, WorkspaceDocument,
+                       _document_object, _render_sparse_bilinear,
+                       load_document)
 from .glie import ClosureError, CochainSpace, DegreeCapError, derived_bracket
 from .linalg import Matrix, render_rational
 from .onstruct import _check_sweep_bound, _power_sweep, is_on_structure
@@ -52,8 +53,8 @@ class Report:
     def verdict(self, name: str, ok: bool, asserted: bool = True):
         self.verdicts[name] = {"ok": bool(ok), "asserted": bool(asserted)}
 
-    def from_check(self, name: str, check, asserted: bool = True):
-        self.verdict(name, check.ok, asserted)
+    def from_check(self, name: str, check):
+        self.verdict(name, check.ok)
         for violation in check.violations:
             self.witnesses.append({
                 "law": violation.law,
@@ -284,7 +285,7 @@ def _cmd_deform(args, doc: WorkspaceDocument) -> Report:
                                 doc.bimodule, doc.bimodule2, doc.operators,
                                 DeformationSection(defo.omega, defo.phi,
                                                    defo.psi))
-        report.payload["document"] = json.loads(render_document(out))
+        report.payload["document"] = _document_object(out)
     elif args.what == "verify":
         if doc.deformation is None:
             raise CommandError("document has no deformation section")
@@ -347,7 +348,7 @@ def _cmd_search(args, doc: Optional[WorkspaceDocument]) -> Report:
                                    limit=args.limit, progress=True)
             report.payload["found"] = [
                 {"dim": alg.dim,
-                 "products": json.loads(_algebra_products_json(alg))}
+                 "products": _render_sparse_bilinear(alg.mul, alg.labels)}
                 for alg in hits]
         elif args.kind == "operator":
             if doc is None:
@@ -368,11 +369,6 @@ def _cmd_search(args, doc: Optional[WorkspaceDocument]) -> Report:
         raise CommandError(str(exc)) from None
     report.payload["count"] = len(report.payload["found"])
     return report
-
-
-def _algebra_products_json(alg) -> str:
-    from .document import _render_sparse_bilinear
-    return json.dumps(_render_sparse_bilinear(alg.mul, alg.labels))
 
 
 # ---------------------------------------------------------------------------

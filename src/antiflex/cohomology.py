@@ -107,17 +107,16 @@ class RBComplex:
     def dim_cochains(self, degree: int) -> int:
         return self.mdim ** degree * self.adim
 
-    def differential(self, f: Cochain, cap: Optional[int] = None) -> Cochain:
+    def differential(self, f: Cochain) -> Cochain:
         """d_H f = (-1)^n [star + l_T + r_T, f] on the swapped space."""
         if f.mdim != self.mdim or f.adim != self.adim:
             raise LinAlgError("cochain does not match this complex")
-        out = _bracket_on_blocks(self.pi_swapped, f, cap)
+        out = _bracket_on_blocks(self.pi_swapped, f)
         return out if f.degree % 2 == 0 else out.scale(-1)
 
-    def derived_differential(self, f: Cochain, cap: Optional[int] = None) -> Cochain:
+    def derived_differential(self, f: Cochain) -> Cochain:
         """d_T f = [[T, f]], the derived-bracket route on A + M."""
-        return derived_bracket(self.space, self.space.operator_cochain(self.op),
-                               f, cap)
+        return derived_bracket(self.space, self.space.operator_cochain(self.op), f)
 
     def differential_matrix(self, degree: int) -> Matrix:
         """Flattened d_H: C^degree -> C^{degree+1} in the cochain coordinate
@@ -209,12 +208,11 @@ def _check_degree(degree: int) -> None:
             f" {HARD_ARITY_CAP}")
 
 
-def _bracket_on_blocks(pi: MultiMap, f: Cochain, cap: Optional[int]) -> Cochain:
+def _bracket_on_blocks(pi: MultiMap, f: Cochain) -> Cochain:
     """[pi, f] with f embedded from the first block of pi's two-block sum
     space into the second; ComplexError if the bracket leaves that block."""
     k = f.mdim
-    br = graded_bracket(pi, embed_blocks(f, 0, k, pi.dim),
-                        HARD_ARITY_CAP if cap is None else cap)
+    br = graded_bracket(pi, embed_blocks(f, 0, k, pi.dim), HARD_ARITY_CAP)
     out, report = restrict_blocks(br, 0, k, k, f.adim)
     if not report.ok:
         raise ComplexError(f"differential left the cochain space: {report.describe()}")
@@ -395,14 +393,14 @@ def ce_differential(lie, rep, g: Cochain) -> Cochain:
     return Cochain(n + 1, d, g.adim, data)
 
 
-def hochschild_module_differential(alg: Algebra, mod: Bimodule, f: Cochain,
-                                   cap: Optional[int] = None) -> Cochain:
+def hochschild_module_differential(alg: Algebra, mod: Bimodule,
+                                   f: Cochain) -> Cochain:
     """Differential of module-valued cochains Hom(A^(x)n, M), realized as the
     bracket with mu + l + r on A + M (sign +1 at degrees 0 and 1, classical
     alternation beyond)."""
     if f.mdim != alg.dim or f.adim != mod.mdim:
         raise LinAlgError("cochain shape does not match Hom(A^n, M)")
-    out = _bracket_on_blocks(CochainSpace(alg, mod).pi, f, cap)
+    out = _bracket_on_blocks(CochainSpace(alg, mod).pi, f)
     n = f.degree
     if n >= 1 and (n - 1) % 2:
         out = out.scale(-1)

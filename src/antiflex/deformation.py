@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Algebra, _semidirect_product, deformed_product
-from .bimodule import Bimodule
+from .bimodule import Bimodule, _action_dim, _twisted_actions
 from .glie import (HARD_ARITY_CAP, compose_bar, graded_bracket,
                    structure_element)
 from .linalg import (LinAlgError, Matrix, MultiMap, basis_vector, vec_add,
@@ -49,18 +49,11 @@ class InfinitesimalDeformation:
     def __init__(self, omega: MultiMap, phi: Sequence[Matrix], psi: Sequence[Matrix]):
         if omega.arity != 2:
             raise LinAlgError("omega must be an arity-2 tensor on the algebra")
-        adim = omega.dim
-        if len(phi) != adim or len(psi) != adim:
-            raise LinAlgError("need one phi and psi matrix per algebra basis element")
-        mdim = phi[0].rows if adim else 0
-        for m in itertools.chain(phi, psi):
-            if m.rows != mdim or m.cols != mdim:
-                raise LinAlgError("phi/psi matrices must be square of equal size")
+        self.mdim = _action_dim(omega.dim, phi, psi)
         self.omega = omega
         self.phi = tuple(phi)
         self.psi = tuple(psi)
-        self.adim = adim
-        self.mdim = mdim
+        self.adim = omega.dim
 
     @staticmethod
     def zero(adim: int, mdim: int) -> "InfinitesimalDeformation":
@@ -175,17 +168,16 @@ def is_trivial_deformation(alg: Algebra, mod: Bimodule,
     return are_equivalent_deformations(alg, mod, defo, zero, alg_op, mod_op)
 
 
-def _eq_4_7(mod: Bimodule, alg_op: Matrix, mod_op: Matrix, use_left: bool) -> CheckReport:
-    """l(N(a))S = S(l(N(a)) + l(a)S - S l(a)) per basis element (or with r)."""
+def _eq_4_7(mod: Bimodule, alg_op: Matrix, mod_op: Matrix,
+            phi: Sequence[Matrix], use_left: bool) -> CheckReport:
+    """l(N(a))S = S phi(a) per basis element (or with r and psi), for phi
+    as `bimodule._twisted_actions` builds it with sign +1."""
     law = ("l(Na)S = S(l(Na) + l(a)S - S l(a))" if use_left
            else "r(Na)S = S(r(Na) + r(a)S - S r(a))")
-    actions = mod.left if use_left else mod.right
     act_of = mod.left_of if use_left else mod.right_of
 
     def residual(i):
-        acted = act_of(alg_op.col(i))
-        return acted @ mod_op - mod_op @ (acted + actions[i] @ mod_op
-                                          - mod_op @ actions[i])
+        return act_of(alg_op.col(i)) @ mod_op - mod_op @ phi[i]
 
     return CheckReport(law).sweep(law, ((i,) for i in range(mod.base.dim)),
                                   residual)
@@ -224,8 +216,9 @@ def is_nijenhuis_structure(alg: Algebra, mod: Bimodule,
 
     report = CheckReport("nijenhuis_structure")
     n_check = is_nijenhuis(alg, alg_op)
-    left_check = _eq_4_7(mod, alg_op, mod_op, use_left=True)
-    right_check = _eq_4_7(mod, alg_op, mod_op, use_left=False)
+    phi, psi = _twisted_actions(mod, alg_op, mod_op, 1)
+    left_check = _eq_4_7(mod, alg_op, mod_op, phi, use_left=True)
+    right_check = _eq_4_7(mod, alg_op, mod_op, psi, use_left=False)
     secondary_ok = n_check.ok and left_check.ok and right_check.ok
 
     report.merge(primary)
@@ -247,48 +240,38 @@ def trivial_deformation_from(alg: Algebra, mod: Bimodule, alg_op: Matrix,
         psi(a) = r(N(a)) + r(a) S - S r(a)
     """
     is_nijenhuis_structure(alg, mod, alg_op, mod_op).require("not a Nijenhuis structure")
-    omega = deformed_product(alg, alg_op).mul
-    phi = [mod.left_of(alg_op.col(i)) + mod.left[i] @ mod_op
-           - mod_op @ mod.left[i] for i in range(alg.dim)]
-    psi = [mod.right_of(alg_op.col(i)) + mod.right[i] @ mod_op
-           - mod_op @ mod.right[i] for i in range(alg.dim)]
-    return InfinitesimalDeformation(omega, phi, psi)
+    return InfinitesimalDeformation(deformed_product(alg, alg_op).mul,
+                                    *_twisted_actions(mod, alg_op, mod_op, 1))
 
 
 def trivial_deformation_ledger(alg: Algebra, mod: Bimodule, alg_op: Matrix,
                                mod_op: Matrix,
                                defo: InfinitesimalDeformation) -> dict:
-    """The six exact identities a trivial generator satisfies, itemized."""
+    """The six exact identities a trivial generator satisfies, itemized: phi
+    and psi against `bimodule._twisted_actions`, (4.7) through `_eq_4_7`."""
+    phi, psi = _twisted_actions(mod, alg_op, mod_op, 1)
     out = {}
     out["omega_formula"] = defo.omega == deformed_product(alg, alg_op).mul
     out["omega_nijenhuis_compat"] = _is_algebra_morphism(
         Algebra(defo.omega), alg, alg_op)
-    out["phi_formula"] = all(
-        defo.phi[i] == mod.left_of(alg_op.col(i)) + mod.left[i] @ mod_op
-        - mod_op @ mod.left[i] for i in range(alg.dim))
-    out["phi_s_compat"] = all(
-        (mod.left_of(alg_op.col(i)) @ mod_op - mod_op @ defo.phi[i]).is_zero()
-        for i in range(alg.dim))
-    out["psi_formula"] = all(
-        defo.psi[i] == mod.right_of(alg_op.col(i)) + mod.right[i] @ mod_op
-        - mod_op @ mod.right[i] for i in range(alg.dim))
-    out["psi_s_compat"] = all(
-        (mod.right_of(alg_op.col(i)) @ mod_op - mod_op @ defo.psi[i]).is_zero()
-        for i in range(alg.dim))
+    out["phi_formula"] = all(defo.phi[i] == phi[i] for i in range(alg.dim))
+    out["phi_s_compat"] = _eq_4_7(mod, alg_op, mod_op, defo.phi, True).ok
+    out["psi_formula"] = all(defo.psi[i] == psi[i] for i in range(alg.dim))
+    out["psi_s_compat"] = _eq_4_7(mod, alg_op, mod_op, defo.psi, False).ok
     return out
 
 
 def nijenhuis_structure_powers(alg: Algebra, mod: Bimodule, alg_op: Matrix,
-                               mod_op: Matrix, power: int, cap: int = 3) -> bool:
+                               mod_op: Matrix, power: int) -> bool:
     """Whether (N^i, S^i) is again a Nijenhuis structure."""
-    _check_power(power, cap)
+    _check_power(power)
     is_nijenhuis_structure(alg, mod, alg_op, mod_op).require("not a Nijenhuis structure")
     return _structure_power(alg, mod, alg_op, mod_op, power)
 
 
-def _check_power(power: int, cap: int = 3) -> None:
-    if power < 1 or power > cap:
-        raise ValueError(f"power must lie in [1, {cap}]")
+def _check_power(power: int) -> None:
+    if power < 1 or power > 3:
+        raise ValueError("power must lie in [1, 3]")
 
 
 def _structure_power(alg: Algebra, mod: Bimodule, alg_op: Matrix,

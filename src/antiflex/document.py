@@ -59,6 +59,8 @@ def _parse_rat(value, path: str):
 
 def _parse_matrix(value, path: str, rows: Optional[int] = None,
                   cols: Optional[int] = None) -> Matrix:
+    if value == [] and rows == 0:  # a 0 x cols matrix renders as []
+        return Matrix(0, cols, [])
     if not isinstance(value, list) or not value or not all(
             isinstance(r, list) for r in value):
         raise DocumentError(path, "expected a non-empty list of rows")
@@ -177,29 +179,30 @@ def _parse_bimodule(obj, path: str, dim: int) -> BimoduleSection:
     mdim = obj["mdim"]
     if not isinstance(mdim, int) or isinstance(mdim, bool) or mdim < 0:
         raise DocumentError(f"{path}.mdim", "expected a nonnegative integer")
-    actions = {}
-    for key in ("l", "r"):
+    left, right = _parse_square_lists(obj, path, ("l", "r"), dim, mdim,
+                                      " (one per basis element)")
+    return BimoduleSection(mdim, left, right)
+
+
+def _parse_square_lists(obj: dict, path: str, keys: Sequence[str], dim: int,
+                        size: int, note: str) -> list:
+    """For each key, obj[key] as a tuple of dim size x size matrices."""
+    out = []
+    for key in keys:
         mats = obj[key]
         if not isinstance(mats, list) or len(mats) != dim:
-            raise DocumentError(f"{path}.{key}",
-                                f"expected {dim} matrices (one per basis element)")
-        actions[key] = tuple(_parse_matrix(m, f"{path}.{key}[{i}]", mdim, mdim)
-                             for i, m in enumerate(mats))
-    return BimoduleSection(mdim, actions["l"], actions["r"])
+            raise DocumentError(f"{path}.{key}", f"expected {dim} matrices{note}")
+        out.append(tuple(_parse_matrix(m, f"{path}.{key}[{i}]", size, size)
+                         for i, m in enumerate(mats)))
+    return out
 
 
 def _parse_deformation(obj, path: str, basis: Sequence[str], dim: int,
                        mdim: int) -> DeformationSection:
     _require_keys(obj, path, ["omega", "phi", "psi"])
     omega = _parse_sparse_bilinear(obj["omega"], f"{path}.omega", basis)
-    mats = {}
-    for key in ("phi", "psi"):
-        lst = obj[key]
-        if not isinstance(lst, list) or len(lst) != dim:
-            raise DocumentError(f"{path}.{key}", f"expected {dim} matrices")
-        mats[key] = tuple(_parse_matrix(m, f"{path}.{key}[{i}]", mdim, mdim)
-                          for i, m in enumerate(lst))
-    return DeformationSection(omega, mats["phi"], mats["psi"])
+    phi, psi = _parse_square_lists(obj, path, ("phi", "psi"), dim, mdim, "")
+    return DeformationSection(omega, phi, psi)
 
 
 def parse_document(text: str) -> WorkspaceDocument:
@@ -252,22 +255,17 @@ def _render_algebra(section: AlgebraSection) -> dict:
     }
 
 
-def render_document(doc: WorkspaceDocument) -> str:
+def _document_object(doc: WorkspaceDocument) -> dict:
+    """The JSON object `render_document` writes."""
     out = {"field": doc.field, "algebra": _render_algebra(doc.algebra)}
     if doc.algebra2 is not None:
         out["algebra2"] = _render_algebra(doc.algebra2)
-    if doc.bimodule is not None:
-        out["bimodule"] = {
-            "mdim": doc.bimodule.mdim,
-            "l": [_render_matrix(m) for m in doc.bimodule.left],
-            "r": [_render_matrix(m) for m in doc.bimodule.right],
-        }
-    if doc.bimodule2 is not None:
-        out["bimodule2"] = {
-            "mdim": doc.bimodule2.mdim,
-            "l": [_render_matrix(m) for m in doc.bimodule2.left],
-            "r": [_render_matrix(m) for m in doc.bimodule2.right],
-        }
+    for key in ("bimodule", "bimodule2"):
+        section = getattr(doc, key)
+        if section is not None:
+            out[key] = {"mdim": section.mdim,
+                        "l": [_render_matrix(m) for m in section.left],
+                        "r": [_render_matrix(m) for m in section.right]}
     if doc.operators:
         out["operators"] = {name: _render_matrix(m)
                             for name, m in sorted(doc.operators.items())}
@@ -278,7 +276,11 @@ def render_document(doc: WorkspaceDocument) -> str:
             "phi": [_render_matrix(m) for m in doc.deformation.phi],
             "psi": [_render_matrix(m) for m in doc.deformation.psi],
         }
-    return json.dumps(out, indent=2, sort_keys=False) + "\n"
+    return out
+
+
+def render_document(doc: WorkspaceDocument) -> str:
+    return json.dumps(_document_object(doc), indent=2, sort_keys=False) + "\n"
 
 
 def load_document(path: str) -> WorkspaceDocument:

@@ -27,12 +27,10 @@ __all__ = [
     "parse_rational",
     "render_rational",
     "Vector",
-    "vec",
     "zero_vector",
     "basis_vector",
     "vec_add",
     "vec_sub",
-    "vec_scale",
     "vec_is_zero",
     "linear_combination",
     "flat_offset",
@@ -77,10 +75,6 @@ def render_rational(q: Fraction) -> Union[int, str]:
 Vector = tuple  # tuple of Fraction
 
 
-def vec(entries: Iterable[Scalar]) -> Vector:
-    return tuple(Fraction(e) for e in entries)
-
-
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
 
@@ -99,11 +93,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise LinAlgError(f"vector length mismatch: {len(u)} vs {len(v)}")
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, u: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
 
 
 def vec_is_zero(u: Vector) -> bool:

@@ -13,7 +13,7 @@ import itertools
 from typing import Tuple
 
 from .algebra import Algebra, deformed_product
-from .bimodule import Bimodule, tilde_bimodule
+from .bimodule import Bimodule, _twisted_actions
 from .deformation import is_nijenhuis_structure
 from .linalg import LinAlgError, Matrix
 from .operators import _star_product, is_nijenhuis, is_rota_baxter, star_algebra
@@ -77,7 +77,7 @@ def lemma_tilde_star_check(alg: Algebra, mod: Bimodule, op: Matrix,
     whenever the twisted bimodule exists.
     """
     is_on_structure(alg, mod, op, alg_op, mod_op).require("not an ON-structure")
-    twisted = tilde_bimodule(mod, alg_op, mod_op)
+    twisted = Bimodule(alg, *_twisted_actions(mod, alg_op, mod_op, -1))
     star_tilde = _star_product(twisted, op).mul
     star_s = deformed_product(_star_product(mod, op), mod_op).mul
     star_nt = _star_product(mod, alg_op @ op).mul
@@ -118,7 +118,7 @@ def deformed_rb_suite(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
       compatible     T and N T are compatible
     """
     is_on_structure(alg, mod, op, alg_op, mod_op).require("not an ON-structure")
-    twisted = tilde_bimodule(mod, alg_op, mod_op)
+    twisted = Bimodule(alg, *_twisted_actions(mod, alg_op, mod_op, -1))
     deformed = deformed_product(alg, alg_op)
     rebased = Bimodule(deformed, twisted.left, twisted.right, check=False)
     out = {}

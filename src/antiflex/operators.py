@@ -117,8 +117,7 @@ def is_nijenhuis(alg: Algebra, op: Matrix) -> CheckReport:
         witness=lambda res: tuple(Fraction(x, den1 * den2 * den2) for x in res))
 
 
-def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int,
-                          cap: int = 3) -> dict:
+def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int) -> dict:
     """Five exact checks on the powers of a Nijenhuis operator.
 
     Returns a dict of named booleans:
@@ -129,8 +128,8 @@ def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int,
                                anti-flexible, verified coefficientwise in (a, b)
       power_homomorphism       N^l : (A, ._{N^{k+l}}) -> (A, ._{N^k})
     """
-    if k < 0 or l < 0 or k > cap or l > cap:
-        raise ValueError(f"powers must lie in [0, {cap}]")
+    if k < 0 or l < 0 or k > 3 or l > 3:
+        raise ValueError("powers must lie in [0, 3]")
     is_nijenhuis(alg, op).require("operator is not Nijenhuis")
 
     nk = op.power(k)

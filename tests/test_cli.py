@@ -204,6 +204,19 @@ def test_fixture_roundtrip_byte_identical(a2_fixture):
     assert render_document(parse_document(text)) == text
 
 
+def test_check_bimodule_on_a_zero_dimensional_module(tmp_path, a2, capsys):
+    from antiflex.bimodule import zero_bimodule
+    mod = zero_bimodule(a2, 0)
+    doc = WorkspaceDocument(
+        "Q", AlgebraSection(2, a2.labels, a2), None,
+        BimoduleSection(0, mod.left, mod.right), None, {}, None)
+    path = tmp_path / "mdim0.json"
+    path.write_text(render_document(doc), encoding="utf-8")
+    assert main(["--json", "--fixture", str(path), "check", "bimodule"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts == {"bimodule_axioms": {"ok": True, "asserted": True}}
+
+
 def test_console_script_runs(a2_fixture):
     import os
     import subprocess

@@ -163,3 +163,55 @@ def test_boolean_dimensions_are_rejected(section, key, flag):
         parse_document(json.dumps(raw))
     assert info.value.path == f"$.{section}.{key}"
     assert str(info.value) == f"$.{section}.{key}: expected a nonnegative integer"
+
+
+def _mdim_zero_document(a2, deformed: bool):
+    from antiflex.bimodule import zero_bimodule
+    from antiflex.deformation import InfinitesimalDeformation
+    from antiflex.document import (AlgebraSection, BimoduleSection,
+                                   DeformationSection, WorkspaceDocument)
+    mod = zero_bimodule(a2, 0)
+    defo = InfinitesimalDeformation.zero(a2.dim, 0)
+    section = BimoduleSection(0, mod.left, mod.right)
+    return WorkspaceDocument(
+        "Q", AlgebraSection(2, a2.labels, a2), AlgebraSection(2, a2.labels, a2),
+        section, section, {},
+        DeformationSection(defo.omega, defo.phi, defo.psi) if deformed else None)
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+def test_mdim_zero_document_roundtrips(a2, deformed):
+    text = render_document(_mdim_zero_document(a2, deformed))
+    raw = json.loads(text)
+    # each 0 x 0 action (and phi, psi) is written as []
+    assert raw["bimodule"] == {"mdim": 0, "l": [[], []], "r": [[], []]}
+    assert raw["bimodule2"] == raw["bimodule"]
+    assert ("deformation" in raw) == deformed
+    back = parse_document(text)
+    assert back.bimodule.left[0].rows == back.bimodule.left[0].cols == 0
+    assert render_document(back) == text
+
+
+@pytest.mark.parametrize("mdim", [1, 2])
+def test_empty_action_refused_unless_mdim_is_zero(mdim):
+    zero = [[0] * mdim for _ in range(mdim)]
+    text = json.dumps({
+        "field": "Q",
+        "algebra": {"dim": 1, "basis": ["e"], "products": {}},
+        "bimodule": {"mdim": mdim, "l": [[]], "r": [zero]},
+    })
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert str(err.value) == "$.bimodule.l[0]: expected a non-empty list of rows"
+
+
+def test_empty_operator_still_refused():
+    text = json.dumps({
+        "field": "Q",
+        "algebra": {"dim": 0, "basis": [], "products": {}},
+        "bimodule": {"mdim": 0, "l": [], "r": []},
+        "operators": {"T": []},
+    })
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert str(err.value) == "$.operators.T: expected a non-empty list of rows"

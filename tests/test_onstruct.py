@@ -184,3 +184,24 @@ def test_pairwise_power_sweep_checks_each_operator_once(a2, m_a2, on_triple,
     sums = [family[i] + family[j] for i, j in sorted(sweep)]
     # one check in is_on_structure, one per family member, one per pair sum
     assert checked == [base] + family + sums
+
+
+@pytest.mark.parametrize("check", [lemma_tilde_star_check, deformed_rb_suite])
+def test_twisted_checks_verify_the_nijenhuis_structure_once(a2, m_a2, on_triple,
+                                                            check, monkeypatch):
+    import antiflex.deformation
+    import antiflex.onstruct
+
+    checked = []
+    real = antiflex.deformation.is_nijenhuis_structure
+
+    def counting(alg, mod, alg_op, mod_op):
+        checked.append((alg_op, mod_op))
+        return real(alg, mod, alg_op, mod_op)
+
+    monkeypatch.setattr(antiflex.deformation, "is_nijenhuis_structure", counting)
+    monkeypatch.setattr(antiflex.onstruct, "is_nijenhuis_structure", counting)
+    base, alg_op, mod_op = on_triple
+    check(a2, m_a2, base, alg_op, mod_op)
+    # once, inside is_on_structure; the twisted actions are built unchecked
+    assert checked == [(alg_op, mod_op)]
