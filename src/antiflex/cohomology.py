@@ -26,6 +26,14 @@ differs from (-1)^(n+1) at n = 4), and the bracket route still checks
 that nothing leaves the cochain block (pi(A, A) = 0 and f vanishes off
 M^n, so the pointwise route has no such components to check).
 
+The pointwise route builds each d_n once as sparse int columns, over the
+one scale of the induced structure's integer view.  `RBComplex.dims`
+works on those columns alone: the complex check multiplies them sparsely
+and each rank is `linalg.int_cols_rank` of them, exact because a common
+scale changes no rank.  `differential_matrix` is their dense `Matrix`
+view; `dims` never builds it, and the tests keep it, with its dense
+elimination, as the oracle of both the columns and the ranks.
+
 The differential squares to zero exactly at degree 1 for every Rota-Baxter
 operator; away from degree 1 that property can fail on noncommutative
 anti-flexible data, so dimension reports verify the complex property
@@ -46,7 +54,8 @@ from .glie import (Cochain, CochainSpace, DegreeCapError, derived_bracket,
                    embed_blocks, graded_bracket, restrict_blocks,
                    structure_element, HARD_ARITY_CAP)
 from .linalg import (LinAlgError, Matrix, MultiMap, basis_vector, flat_offset,
-                     linear_combination, vec_add, vec_is_zero, vec_sub)
+                     int_cols_rank, linear_combination, vec_add, vec_is_zero,
+                     vec_sub)
 # not called here: RBComplex gets the check through induced_bimodule_on_base,
 # but the name stays importable from this module
 from .operators import is_rota_baxter  # noqa: F401
@@ -88,6 +97,7 @@ class RBComplex:
         induced = induced_bimodule_on_base(alg, mod, op)
         self.induced = induced
         self.star = induced.base
+        # degree -> the sparse int columns of d_degree (`_int_columns`)
         self._matrices = {}
 
     @functools.cached_property
@@ -122,15 +132,23 @@ class RBComplex:
         """Flattened d_H: C^degree -> C^{degree+1} in the cochain coordinate
         order (j_1, ..., j_n, k), written pointwise from the structure
         constants (see the module docstring); equal to `differential` on
-        every basis cochain."""
+        every basis cochain.  The dense view of the columns `dims` ranks,
+        built anew on each call."""
+        cols = self._int_columns(degree)
+        return Matrix._from_int_cols(self.dim_cochains(degree + 1), cols,
+                                     self.induced.int_view()[3])
+
+    def _int_columns(self, degree: int) -> list:
+        """The columns of d_degree as sorted (row, int) pairs: the matrix
+        times the scale of the induced view.  Built once per degree and
+        kept in `_matrices`."""
         _check_degree(degree)
         if degree in self._matrices:
             return self._matrices[degree]
         m, a, n = self.mdim, self.adim, degree
-        src, dst = self.dim_cochains(n), self.dim_cochains(n + 1)
         # star, l_T and r_T as ints over one scale, in which d_n is linear;
         # action[k] lists (kk, w), w != 0 the e_kk-coefficient of action(e_k)
-        prod, left, right, scale = self.induced.int_view()
+        prod, left, right, _ = self.induced.int_view()
         identity = [[(k, 1)] for k in range(a)]
         # the star products by output coordinate: u star v = sum_t c e_t
         products = [[] for _ in range(m)]
@@ -163,24 +181,24 @@ class RBComplex:
                     for kk, w in action[k]:
                         column[row + kk] = column.get(row + kk, 0) + c * w
                 cols.append(sorted((r, x) for r, x in column.items() if x))
-        out = Matrix._from_int_cols(dst, cols, scale)
-        self._matrices[n] = out
-        return out
+        self._matrices[n] = cols
+        return cols
 
     def dims(self, max_degree: int = DEFAULT_MAX_DEGREE) -> "ComplexReport":
         """Exact cocycle/coboundary/cohomology dimensions up to max_degree.
 
         Asserts the complex property: each differential must send every
         column of the previous one to zero; a violation raises ComplexError
-        rather than reporting bogus quotient dimensions.
+        rather than reporting bogus quotient dimensions.  Both the check and
+        the ranks work on the sparse int columns of each d_n (ranks do not
+        change under the common scale), so no dense d_n is built.
         """
         _check_degree(max_degree)
         rows = []
         prev_rank = 0
         prev_cols = []
         for n in range(max_degree + 1):
-            dmat = self.differential_matrix(n)
-            cols, _ = dmat.int_view()
+            cols = self._int_columns(n)
             for j, img in enumerate(prev_cols):
                 acc = {}
                 for i, x in img:
@@ -191,7 +209,7 @@ class RBComplex:
                         f"image of d_{n - 1} not contained in kernel of d_{n}"
                         f" (generator {j})")
             c = self.dim_cochains(n)
-            rank = dmat.rank()
+            rank = int_cols_rank(cols)
             rows.append((n, c, c - rank, prev_rank, c - rank - prev_rank))
             prev_rank, prev_cols = rank, cols
         return ComplexReport(rows)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .algebra import Algebra
-from .bimodule import Bimodule
+from .bimodule import Bimodule, _action_dim
 from .linalg import LinAlgError, Matrix, MultiMap, Vector, vec_is_zero
 from .reports import CheckReport
 
@@ -166,8 +166,11 @@ def structure_element(product: MultiMap, left: Sequence[Matrix],
     map sending (a1, m1), (a2, m2) to (a1.a2, l(a1)m2 + r(a2)m1).
     """
     d = product.dim
-    if len(left) != d or len(right) != d:
-        raise LinAlgError("need one action matrix per algebra basis element")
+    # with no basis element there is no matrix to read mdim from
+    size = _action_dim(d, left, right)
+    if d and size != mdim:
+        raise LinAlgError(
+            f"action matrices are {size}x{size}, module dimension is {mdim}")
     total = d + mdim
 
     def fn(idx):

@@ -9,6 +9,11 @@ exact, which the cohomology dimensions downstream depend on.
 so that a homogeneous law can be checked in int arithmetic (see its
 docstring).  `Matrix`, `Algebra` and `Bimodule` each keep one such view of
 their entries, built on first use (`Matrix.int_view`).
+
+Rank is scale-invariant, so `int_cols_rank` ranks such a view directly, by
+fraction-free elimination on its sparse integer columns; `Matrix.rank` is
+that rank of the matrix's own view.  Kernels, solutions and inverses come
+from the dense Gauss-Jordan `Matrix._echelon`.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "linear_combination",
     "flat_offset",
     "integer_scaled",
+    "int_cols_rank",
     "Matrix",
     "MultiMap",
     "LinAlgError",
@@ -192,6 +198,51 @@ def integer_scaled(*parts: Iterable[Scalar]) -> tuple:
         return [[x.numerator for x in p] for p in parts], den
     return [[x.numerator * (den // x.denominator) for x in p]
             for p in parts], den
+
+
+def int_cols_rank(cols: Iterable[Sequence[tuple]]) -> int:
+    """Rank of the matrix whose columns are sparse int vectors, each a
+    sequence of (row, x) pairs with x != 0 and distinct rows.
+
+    Fraction-free column elimination under a static Markowitz-style order:
+    rows are ranked by how many columns they meet (fewest first, ties by
+    row), and columns are taken shortest first.  Each column is reduced
+    against the pivot columns kept so far, each keyed by its lowest-ranked
+    row, by v <- a v - b p with a/b the ratio of the two entries at that
+    row in lowest terms, and is then divided by the gcd of its entries; a
+    column left nonzero becomes a pivot at its lowest-ranked row.  The
+    order depends only on the input, so the run is deterministic, and
+    every intermediate value is an int.  No column is modified.
+    """
+    cols = list(cols)
+    count = {}
+    for col in cols:
+        for i, _ in col:
+            count[i] = count.get(i, 0) + 1
+    label = {i: k for k, i in enumerate(sorted(count,
+                                              key=lambda i: (count[i], i)))}
+    pivots = {}
+    for col in sorted(cols, key=len):
+        v = {label[i]: x for i, x in col}
+        while v:
+            r = min(v)
+            p = pivots.get(r)
+            if p is None:
+                pivots[r] = v
+                break
+            g = math.gcd(p[r], v[r])
+            a, b = p[r] // g, v[r] // g
+            # v is this loop's own dict, never a pivot: update it in place
+            w = {i: a * x for i, x in v.items()} if a != 1 else v
+            for i, y in p.items():
+                z = w.get(i, 0) - b * y
+                if z:
+                    w[i] = z
+                else:
+                    del w[i]
+            g = math.gcd(*w.values())
+            v = {i: x // g for i, x in w.items()} if g > 1 else w
+    return len(pivots)
 
 
 def _nonzero_cols(data: Sequence, rows: int, cols: int) -> list:
@@ -371,8 +422,11 @@ class Matrix(_Dense):
         return m, pivots
 
     def rank(self) -> int:
-        _, pivots = self._echelon()
-        return len(pivots)
+        """The rank, by `int_cols_rank` on this matrix's integer view (a
+        common denominator does not change the rank); the pivot count of
+        `_echelon` is the same number, and the tests keep it as the
+        oracle."""
+        return int_cols_rank(self.int_view()[0])
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel {v : self @ v = 0}, as a list of vectors.

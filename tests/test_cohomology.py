@@ -15,9 +15,12 @@ from antiflex.cohomology import (ComplexError, RBComplex, ce_differential,
                                  skew_symmetrize)
 from antiflex.glie import (HARD_ARITY_CAP, Cochain, DegreeCapError,
                           embed_blocks, graded_bracket, restrict_blocks)
-from antiflex.linalg import Matrix, basis_vector
+from antiflex.linalg import Matrix, basis_vector, int_cols_rank
+from tests.test_int_views import transport
 
 rng = random.Random(1006)
+
+T_BLK = Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 0]])
 
 
 def random_cochain(cx, degree, lo=-3, hi=3):
@@ -124,6 +127,92 @@ def test_dims_a2a1_degree_three(a2_plus_a1, m_a2_plus_a1):
     op = Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 0]])
     report = RBComplex(a2_plus_a1, m_a2_plus_a1, op).dims(3)
     assert report.degrees[3] == (3, 81, 47, 7, 40)
+
+
+def test_dims_a2a1_degrees_four_and_five(a2_plus_a1, m_a2_plus_a1):
+    # before these rows were pinned, d_4 (729 x 243) was compared once with
+    # the bracket route on all 243 columns, and d_5 (2187 x 729) on every
+    # 27th column (27 columns); the two runs shared two cores and took
+    # about 2.1 s and 18 s a column, 8.5 and 8 min in all
+    report = RBComplex(a2_plus_a1, m_a2_plus_a1, T_BLK).dims(5)
+    assert report.degrees[4:] == [(4, 243, 163, 34, 129),
+                                  (5, 729, 509, 80, 429)]
+
+
+def _unimodular(rng, n):
+    """A seeded integer matrix of determinant +-1: a signed permutation
+    followed by n column additions with multiplier +-1."""
+    perm = rng.sample(range(n), n)
+    cols = [[rng.choice((-1, 1)) if i == perm[j] else 0 for i in range(n)]
+            for j in range(n)]
+    for _ in range(n if n > 1 else 0):
+        src, dst = rng.sample(range(n), 2)
+        mult = rng.choice((-1, 1))
+        cols[dst] = [x + mult * y for x, y in zip(cols[dst], cols[src])]
+    return Matrix.from_cols(cols, rows=n)
+
+
+def _dense_basis_copy(rng, alg, mod, op):
+    """The triple in seeded dense unimodular bases of A and M."""
+    return transport(alg, mod, op, _unimodular(rng, alg.dim),
+                     _unimodular(rng, mod.mdim))
+
+
+def test_dims_a2a1_degree_six_is_basis_invariant(a2_plus_a1, m_a2_plus_a1):
+    """Degree 6 is not pinned (no bracket comparison backs it), but its
+    rows must not depend on the basis."""
+    # the copies of seeds 8000-8011 give d_6 with 11,018 to 148,092
+    # nonzeros (the given basis: 11,018) and rank it in 0.06 to 19 s; this
+    # one has three times the given nonzeros and takes about 0.2 s
+    given = RBComplex(a2_plus_a1, m_a2_plus_a1, T_BLK)
+    moved = RBComplex(*_dense_basis_copy(random.Random(8001), a2_plus_a1,
+                                         m_a2_plus_a1, T_BLK))
+    rows = given.dims(6).degrees
+    assert moved.dims(6).degrees == rows
+    assert sum(map(len, moved._int_columns(6))) \
+        > 2 * sum(map(len, given._int_columns(6)))
+
+
+def test_sparse_ranks_equal_dense_ranks(cohomology_corpus, noncommutative_rb):
+    """Every d_n up to degree 4, in the given bases and in seeded dense
+    unimodular bases: the rank `dims` takes from the sparse int columns is
+    the pivot count of dense elimination on `differential_matrix`."""
+    rng = random.Random(8004)
+    triples = [(name, alg, mod, op)
+               for name, alg, mod, op, _ in cohomology_corpus]
+    triples.append(("noncommutative_rb", *noncommutative_rb))
+    for name, alg, mod, op in triples:
+        for basis, triple in (("given", (alg, mod, op)),
+                              ("dense", _dense_basis_copy(rng, alg, mod, op))):
+            cx = RBComplex(*triple)
+            for n in range(5):
+                dmat = cx.differential_matrix(n)
+                assert int_cols_rank(cx._int_columns(n)) \
+                    == len(dmat._echelon()[1]), (name, basis, n)
+
+
+def test_dims_builds_no_dense_differential(cohomology_corpus, defect_rb,
+                                           monkeypatch):
+    """`dims` ranks and checks the sparse columns: no dense d_n is built,
+    on a complex or on one that fails the complex check."""
+    calls = []
+    from_int_cols = Matrix._from_int_cols
+    differential_matrix = RBComplex.differential_matrix
+    complexes = [(RBComplex(alg, mod, op), anchors)
+                 for _, alg, mod, op, anchors in cohomology_corpus]
+    defect = RBComplex(*defect_rb)
+    monkeypatch.setattr(Matrix, "_from_int_cols", staticmethod(
+        lambda *args: calls.append("_from_int_cols") or from_int_cols(*args)))
+    monkeypatch.setattr(RBComplex, "differential_matrix", lambda self, n: (
+        calls.append("differential_matrix") or differential_matrix(self, n)))
+    for cx, anchors in complexes:
+        assert cx.dims(3).degrees[:len(anchors)] == anchors
+    with pytest.raises(ComplexError):
+        defect.dims(2)
+    assert calls == []
+    # the dense view of cached columns still goes through both
+    complexes[0][0].differential_matrix(3)
+    assert calls == ["differential_matrix", "_from_int_cols"]
 
 
 def test_degree_bounds_refused_before_assembly(a1, m_a1):

@@ -18,7 +18,7 @@ from antiflex.glie import (Cochain, CochainSpace, DegreeCapError,
                            HARD_ARITY_CAP, compose_bar, derived_bracket,
                            graded_bracket, mc_check_algebra_bimodule,
                            rb_differential, rb_mc_equivalence, reversal,
-                           twisted_mc_check)
+                           structure_element, twisted_mc_check)
 from antiflex.linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
                              vec_add, vec_sub)
 from tests.conftest import random_matrix
@@ -127,6 +127,19 @@ def test_jacobi_on_structure_element_instances(a2, m_a2, noncommutative_rb):
                 p = space.embed(random_cochain(space, degs[0]))
                 q = space.embed(random_cochain(space, degs[1]))
                 assert jacobi_sum(space.pi, p, q).is_zero(), degs
+
+
+def test_structure_element_refuses_mis_shaped_actions(a2, m_a2):
+    """Action matrices must be mdim x mdim: 2x3 actions with mdim 2 would
+    lose their third column, and 3x3 ones do not match mdim 2."""
+    wide = [Matrix.zeros(2, 3), Matrix.zeros(2, 3)]
+    square3 = [Matrix.identity(3), Matrix.identity(3)]
+    for left, right in [(wide, wide), (m_a2.left, wide), (square3, square3),
+                        (m_a2.left, m_a2.left[:1])]:
+        with pytest.raises(LinAlgError):
+            structure_element(a2.mul, left, right, 2)
+    assert structure_element(a2.mul, m_a2.left, m_a2.right, 2) \
+        == CochainSpace(a2, m_a2).pi
 
 
 def test_jacobi_fails_on_generic_degree_one_triples():

@@ -252,20 +252,17 @@ def test_actions_over_another_base_use_the_given_algebra(a2, m_a2, t_inv):
 def _random_invertible(rng, n):
     while True:
         m = _random_matrix(rng, n, n)
-        inv = m.inverse()
-        if inv is not None:
-            return m, inv
+        if m.inverse() is not None:
+            return m
 
 
-def _transported(rng, alg, mod, op):
-    """An isomorphic copy of a triple in random bases of A (columns of p)
-    and M (columns of q), with the constants and actions scaled by one
-    fraction and T by another.  The Rota-Baxter identity and the bimodule
+def transport(alg, mod, op, p, q, lam=1, mu=1):
+    """An isomorphic copy of a triple in the bases of A and M given by the
+    columns of the invertible p and q, with the constants and actions
+    scaled by lam and T by mu.  The Rota-Baxter identity and the bimodule
     laws are homogeneous, so the copy is again a Rota-Baxter triple."""
-    d, md = alg.dim, mod.mdim
-    p, pinv = _random_invertible(rng, d)
-    q, qinv = _random_invertible(rng, md)
-    lam, mu = rng.choice(VALUES[4:]), rng.choice(VALUES[4:])
+    d = alg.dim
+    pinv, qinv = p.inverse(), q.inverse()
     constants = []
     for i in range(d):
         for j in range(d):
@@ -275,6 +272,15 @@ def _transported(rng, alg, mod, op):
     right = [(qinv @ mod.right_of(p.col(i)) @ q).scale(lam) for i in range(d)]
     return (moved, Bimodule(moved, left, right, check=False),
             (pinv @ op @ q).scale(mu))
+
+
+def _transported(rng, alg, mod, op):
+    """The triple in seeded random bases, with the constants and actions
+    scaled by one fraction and T by another (see `transport`)."""
+    p = _random_invertible(rng, alg.dim)
+    q = _random_invertible(rng, mod.mdim)
+    lam, mu = rng.choice(VALUES[4:]), rng.choice(VALUES[4:])
+    return transport(alg, mod, op, p, q, lam, mu)
 
 
 def test_random_rb_triples_equal_the_dense_routes(cohomology_corpus,

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from antiflex.linalg import (LinAlgError, Matrix, MultiMap, integer_scaled,
-                             linear_combination, parse_rational,
-                             render_rational, vec_is_zero)
+from antiflex.linalg import (LinAlgError, Matrix, MultiMap, int_cols_rank,
+                             integer_scaled, linear_combination,
+                             parse_rational, render_rational, vec_is_zero)
+from tests.test_scaled_laws import run_in_child
 
 rng = random.Random(1001)
 
@@ -63,6 +64,56 @@ def test_rank_nullity_and_exact_kernel_on_randoms():
         assert m.rank() + len(kernel) == cols
         for v in kernel:
             assert vec_is_zero(m.apply(v))
+
+
+def _random_sparse_int_columns(rng, rows, cols):
+    """Seeded sparse int columns as (row, x) pairs: mixed signs, entries up
+    to 10**6, some columns empty and some integer combinations of earlier
+    columns."""
+    out = []
+    for _ in range(cols):
+        kind = rng.random()
+        if kind < 0.15 or not rows:
+            col = {}
+        elif kind < 0.45 and out:
+            col = {}
+            for earlier in rng.sample(out, min(len(out), rng.randint(1, 3))):
+                c = rng.choice((-3, -2, -1, 1, 2, 3))
+                for i, x in earlier:
+                    col[i] = col.get(i, 0) + c * x
+        else:
+            col = {i: rng.choice((-1, 1)) * rng.choice(
+                       (1, 2, 7, 999_983, 10 ** 6, rng.randint(1, 10 ** 6)))
+                   for i in rng.sample(range(rows), rng.randint(1, min(rows, 4)))}
+        out.append(sorted((i, x) for i, x in col.items() if x))
+    return out
+
+
+def test_sparse_rank_equals_dense_pivot_count_on_random_sparse_ints():
+    """`int_cols_rank` against the pivot count of dense `_echelon` on
+    seeded sparse int matrices, their transposes and fractional scalings,
+    and on every empty shape; its input is left as it was."""
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (1, 6), (6, 1)]
+    shapes += [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(60)]
+    seen = set()
+    for rows, cols in shapes:
+        columns = _random_sparse_int_columns(rng, rows, cols)
+        before = [list(col) for col in columns]
+        m = Matrix._from_int_cols(rows, columns, 1)
+        dense = len(m._echelon()[1])
+        assert int_cols_rank(columns) == dense, (rows, cols)
+        assert columns == before
+        assert m.rank() == m.transpose().rank() == dense
+        assert m.scale(Fraction(3, 7)).rank() == dense
+        seen.add((dense == min(rows, cols), dense == 0))
+    assert seen >= {(True, True), (True, False), (False, False)}
+    assert int_cols_rank([]) == int_cols_rank([[], []]) == 0
+
+
+def test_property_sparse_rank_equals_dense_rank():
+    """The `hypothesis` property of `sparse_rank_property.py`, run in a
+    child interpreter (see `test_scaled_laws.run_in_child`)."""
+    run_in_child("sparse_rank_property.py")
 
 
 def test_solve_consistency_on_randoms():

@@ -335,11 +335,12 @@ def test_random_reports_equal_the_dense_routes():
                           "nijenhuis"}
 
 
-def test_property_reports_equal_the_dense_routes():
-    """The `hypothesis` property of `scaled_laws_property.py`, run in a child
-    interpreter.  Importing hypothesis adds about 14,000 objects that every
-    later full garbage collection of this process walks, and perfbench's own
-    tests time whole collections against a fixed budget."""
+def run_in_child(filename: str) -> None:
+    """Run the one-test file `filename` of this directory in a child
+    interpreter and require that its test passed.  The `hypothesis`
+    properties run this way: importing hypothesis adds about 14,000 objects
+    that every later full garbage collection of this process walks, and
+    perfbench's own tests time whole collections against a fixed budget."""
     import antiflex
 
     tests = os.path.dirname(os.path.abspath(__file__))
@@ -349,7 +350,13 @@ def test_property_reports_equal_the_dense_routes():
                     env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         os.path.join(tests, "scaled_laws_property.py")],
+         os.path.join(tests, filename)],
         cwd=os.path.dirname(tests), env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "1 passed" in result.stdout
+
+
+def test_property_reports_equal_the_dense_routes():
+    """The `hypothesis` property of `scaled_laws_property.py`, run in a child
+    interpreter (see `run_in_child`)."""
+    run_in_child("scaled_laws_property.py")
