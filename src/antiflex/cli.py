@@ -9,6 +9,7 @@ operator, bad shapes).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -16,15 +17,12 @@ import time
 from typing import Optional
 
 from .algebra import classify
-from .bimodule import Bimodule, is_bimodule
 from .cohomology import ComplexError, RBComplex
-from .deformation import (InfinitesimalDeformation, _check_power,
-                          _structure_power, is_closed_2cochain,
-                          is_nijenhuis_structure, is_valid_deformation,
-                          trivial_deformation_from, trivial_deformation_ledger)
-from .document import (DeformationSection, WorkspaceDocument,
-                       _document_object, _render_sparse_bilinear,
-                       load_document)
+from .deformation import (_check_power, _structure_power, _trivial_deformation,
+                          is_closed_2cochain, is_nijenhuis_structure,
+                          is_valid_deformation, trivial_deformation_ledger)
+from .document import (WorkspaceDocument, _document_object,
+                       _render_sparse_bilinear, load_document)
 from .glie import ClosureError, CochainSpace, DegreeCapError, derived_bracket
 from .linalg import Matrix, render_rational
 from .onstruct import _check_sweep_bound, _power_sweep, is_on_structure
@@ -115,16 +113,14 @@ def _render_report_text(data: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _need_bimodule(doc: WorkspaceDocument, which: str = "bimodule"):
-    section = getattr(doc, which)
-    if section is None:
+    mod = getattr(doc, which)
+    if mod is None:
         raise CommandError(f"document has no {which} section")
-    return section
+    return mod
 
 
 def _bimodule_object(doc: WorkspaceDocument, which: str = "bimodule"):
-    section = _need_bimodule(doc, which)
-    alg = doc.algebra.algebra if which == "bimodule" else doc.algebra2.algebra
-    mod = Bimodule(alg, section.left, section.right, check=False)
+    mod = _need_bimodule(doc, which)
     check = mod.validate()
     if not check.ok:
         raise CommandError(f"{which} section fails the bimodule axioms: "
@@ -157,7 +153,7 @@ def _cmd_check(args, doc: WorkspaceDocument) -> Report:
     if args.power_cap < 0:
         raise CommandError(f"--power-cap must be nonnegative, got {args.power_cap}")
     report = Report(f"check {what}")
-    alg = doc.algebra.algebra
+    alg = doc.algebra
 
     if what == "algebra":
         flags = classify(alg)
@@ -167,9 +163,7 @@ def _cmd_check(args, doc: WorkspaceDocument) -> Report:
         report.verdict("commutative", alg.is_commutative(), asserted=False)
 
     elif what == "bimodule":
-        section = _need_bimodule(doc)
-        report.from_check("bimodule_axioms",
-                          is_bimodule(alg, section.left, section.right))
+        report.from_check("bimodule_axioms", _need_bimodule(doc).validate())
 
     elif what == "rb":
         mod = _bimodule_object(doc)
@@ -217,7 +211,7 @@ def _cmd_check(args, doc: WorkspaceDocument) -> Report:
         mod = _bimodule_object(doc)
         mod2 = _bimodule_object(doc, which="bimodule2")
         phi, psi, op, op2 = _named_operators(doc, args.ops, 4, "check morphism")
-        alg2 = doc.algebra2.algebra
+        alg2 = doc.algebra2
         check = is_rb_morphism(alg, mod, op, alg2, mod2, op2, phi, psi)
         report.from_check("rb_morphism", check)
         report.verdict("graph_route_agrees",
@@ -230,12 +224,10 @@ def _cmd_check(args, doc: WorkspaceDocument) -> Report:
 
 def _cmd_mc_check(args, doc: WorkspaceDocument) -> Report:
     report = Report("mc-check")
-    alg = doc.algebra.algebra
-    section = _need_bimodule(doc)
-    mc = mc_check_algebra_bimodule(alg, section.left, section.right)
-    flags = classify(alg)
-    axioms = flags.anti_flexible and bool(
-        is_bimodule(alg, section.left, section.right))
+    alg = doc.algebra
+    mod = _need_bimodule(doc)
+    mc = mc_check_algebra_bimodule(alg, mod.left, mod.right)
+    axioms = classify(alg).anti_flexible and bool(mod.validate())
     report.verdict("maurer_cartan", mc)
     report.verdict("axioms", axioms, asserted=False)
     report.verdict("agreement", mc == axioms)
@@ -244,7 +236,7 @@ def _cmd_mc_check(args, doc: WorkspaceDocument) -> Report:
 
 def _cmd_cohomology(args, doc: WorkspaceDocument) -> Report:
     report = Report("cohomology")
-    alg = doc.algebra.algebra
+    alg = doc.algebra
     mod = _bimodule_object(doc)
     if not args.op:
         raise CommandError("cohomology requires --op NAME")
@@ -267,7 +259,7 @@ def _cmd_cohomology(args, doc: WorkspaceDocument) -> Report:
 
 def _cmd_deform(args, doc: WorkspaceDocument) -> Report:
     report = Report(f"deform {args.what}")
-    alg = doc.algebra.algebra
+    alg = doc.algebra
     mod = _bimodule_object(doc)
     if args.what == "generate":
         alg_op, mod_op = _named_operators(doc, args.ops, 2, "deform generate")
@@ -275,23 +267,18 @@ def _cmd_deform(args, doc: WorkspaceDocument) -> Report:
         report.from_check("nijenhuis_structure", check)
         if not check.ok:
             return report
-        defo = trivial_deformation_from(alg, mod, alg_op, mod_op)
+        defo = _trivial_deformation(alg, mod, alg_op, mod_op)  # checked above
         for name, ok in trivial_deformation_ledger(alg, mod, alg_op, mod_op,
                                                    defo).items():
             report.verdict(name, ok)
         report.verdict("valid_deformation",
                        is_valid_deformation(alg, mod, defo))
-        out = WorkspaceDocument(doc.field, doc.algebra, doc.algebra2,
-                                doc.bimodule, doc.bimodule2, doc.operators,
-                                DeformationSection(defo.omega, defo.phi,
-                                                   defo.psi))
-        report.payload["document"] = _document_object(out)
+        report.payload["document"] = _document_object(
+            dataclasses.replace(doc, deformation=defo))
     elif args.what == "verify":
-        if doc.deformation is None:
+        defo = doc.deformation
+        if defo is None:
             raise CommandError("document has no deformation section")
-        defo = InfinitesimalDeformation(doc.deformation.omega,
-                                        doc.deformation.phi,
-                                        doc.deformation.psi)
         report.verdict("closed", is_closed_2cochain(alg, mod, defo),
                        asserted=False)
         report.verdict("valid", is_valid_deformation(alg, mod, defo))
@@ -304,7 +291,7 @@ def _cmd_glie(args, doc: WorkspaceDocument) -> Report:
     if args.what != "bracket":
         raise CommandError(f"unknown glie action {args.what!r}")
     report = Report("glie bracket")
-    alg = doc.algebra.algebra
+    alg = doc.algebra
     mod = _bimodule_object(doc)
     space = CochainSpace(alg, mod)
     if args.ops:
@@ -353,7 +340,7 @@ def _cmd_search(args, doc: Optional[WorkspaceDocument]) -> Report:
         elif args.kind == "operator":
             if doc is None:
                 raise CommandError("operator search requires --fixture")
-            alg = doc.algebra.algebra
+            alg = doc.algebra
             mod = (_bimodule_object(doc)
                    if args.shape in ("module-to-algebra", "module-endo")
                    else None)

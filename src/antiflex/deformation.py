@@ -240,6 +240,12 @@ def trivial_deformation_from(alg: Algebra, mod: Bimodule, alg_op: Matrix,
         psi(a) = r(N(a)) + r(a) S - S r(a)
     """
     is_nijenhuis_structure(alg, mod, alg_op, mod_op).require("not a Nijenhuis structure")
+    return _trivial_deformation(alg, mod, alg_op, mod_op)
+
+
+def _trivial_deformation(alg: Algebra, mod: Bimodule, alg_op: Matrix,
+                         mod_op: Matrix) -> InfinitesimalDeformation:
+    """`trivial_deformation_from` on a pair already checked."""
     return InfinitesimalDeformation(deformed_product(alg, alg_op).mul,
                                     *_twisted_actions(mod, alg_op, mod_op, 1))
 

@@ -1,28 +1,30 @@
 """Workspace documents: the JSON format the CLI ingests and emits.
 
 A document carries one algebra (and optionally a second), optional bimodule
-action data, named operator matrices, and an optional deformation generator.
-Rationals are bare integers or "p/q" strings.  Parsing is strict: unknown
-keys, inconsistent dimensions, duplicate labels and malformed rationals are
-all errors naming the offending path.  Rendering is canonical, so documents
-written by render round-trip byte-identically.
+action data, named operator matrices, and an optional deformation generator;
+it parses into the package's own `Algebra`, `Bimodule` (its axioms unchecked)
+and `InfinitesimalDeformation`.  Rationals are bare integers or "p/q"
+strings.  Parsing is strict: unknown keys, inconsistent dimensions, duplicate
+or comma-bearing labels and malformed rationals are all errors naming the
+offending path.  Rendering is canonical, so documents written by render
+round-trip byte-identically.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import Algebra
+from .bimodule import Bimodule
+from .deformation import InfinitesimalDeformation
 from .linalg import (LinAlgError, Matrix, MultiMap, parse_rational,
                      render_rational)
 
 __all__ = [
     "DocumentError",
     "WorkspaceDocument",
-    "AlgebraSection",
-    "BimoduleSection",
-    "DeformationSection",
     "parse_document",
     "render_document",
     "load_document",
@@ -79,45 +81,16 @@ def _parse_matrix(value, path: str, rows: Optional[int] = None,
     return m
 
 
-class AlgebraSection:
-    """Parsed algebra data: dimension, labels, and the product tensor."""
-
-    def __init__(self, dim: int, basis: tuple, algebra: Algebra):
-        self.dim = dim
-        self.basis = basis
-        self.algebra = algebra
-
-
-class BimoduleSection:
-    """Raw action data; bimodule axioms are checked by commands, not here."""
-
-    def __init__(self, mdim: int, left: tuple, right: tuple):
-        self.mdim = mdim
-        self.left = left
-        self.right = right
-
-
-class DeformationSection:
-    def __init__(self, omega: MultiMap, phi: tuple, psi: tuple):
-        self.omega = omega
-        self.phi = phi
-        self.psi = psi
-
-
+@dataclass
 class WorkspaceDocument:
-    def __init__(self, field: str, algebra: AlgebraSection,
-                 algebra2: Optional[AlgebraSection],
-                 bimodule: Optional[BimoduleSection],
-                 bimodule2: Optional[BimoduleSection],
-                 operators: dict,
-                 deformation: Optional[DeformationSection]):
-        self.field = field
-        self.algebra = algebra
-        self.algebra2 = algebra2
-        self.bimodule = bimodule
-        self.bimodule2 = bimodule2
-        self.operators = operators
-        self.deformation = deformation
+    """A parsed document.  The field is always Q, so it is not stored."""
+
+    algebra: Algebra
+    algebra2: Optional[Algebra]
+    bimodule: Optional[Bimodule]  # actions unchecked, as written
+    bimodule2: Optional[Bimodule]
+    operators: dict
+    deformation: Optional[InfinitesimalDeformation]
 
 
 def _parse_sparse_bilinear(obj, path: str, basis: Sequence[str]) -> MultiMap:
@@ -159,7 +132,7 @@ def _render_sparse_bilinear(mul: MultiMap, basis: Sequence[str]) -> dict:
     return out
 
 
-def _parse_algebra(obj, path: str) -> AlgebraSection:
+def _parse_algebra(obj, path: str) -> Algebra:
     _require_keys(obj, path, ["dim", "basis", "products"])
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
@@ -170,18 +143,21 @@ def _parse_algebra(obj, path: str) -> AlgebraSection:
         raise DocumentError(f"{path}.basis", f"expected {dim} string labels")
     if len(set(basis)) != dim:
         raise DocumentError(f"{path}.basis", "duplicate basis label")
+    if any("," in b for b in basis):
+        # a product key joins two labels with a comma
+        raise DocumentError(f"{path}.basis", "basis labels may not contain ','")
     mul = _parse_sparse_bilinear(obj["products"], f"{path}.products", basis)
-    return AlgebraSection(dim, tuple(basis), Algebra(mul, basis))
+    return Algebra(mul, basis)
 
 
-def _parse_bimodule(obj, path: str, dim: int) -> BimoduleSection:
+def _parse_bimodule(obj, path: str, base: Algebra) -> Bimodule:
     _require_keys(obj, path, ["mdim", "l", "r"])
     mdim = obj["mdim"]
     if not isinstance(mdim, int) or isinstance(mdim, bool) or mdim < 0:
         raise DocumentError(f"{path}.mdim", "expected a nonnegative integer")
-    left, right = _parse_square_lists(obj, path, ("l", "r"), dim, mdim,
+    left, right = _parse_square_lists(obj, path, ("l", "r"), base.dim, mdim,
                                       " (one per basis element)")
-    return BimoduleSection(mdim, left, right)
+    return Bimodule(base, left, right, check=False)
 
 
 def _parse_square_lists(obj: dict, path: str, keys: Sequence[str], dim: int,
@@ -197,18 +173,20 @@ def _parse_square_lists(obj: dict, path: str, keys: Sequence[str], dim: int,
     return out
 
 
-def _parse_deformation(obj, path: str, basis: Sequence[str], dim: int,
-                       mdim: int) -> DeformationSection:
+def _parse_deformation(obj, path: str, mod: Bimodule) -> InfinitesimalDeformation:
     _require_keys(obj, path, ["omega", "phi", "psi"])
-    omega = _parse_sparse_bilinear(obj["omega"], f"{path}.omega", basis)
-    phi, psi = _parse_square_lists(obj, path, ("phi", "psi"), dim, mdim, "")
-    return DeformationSection(omega, phi, psi)
+    omega = _parse_sparse_bilinear(obj["omega"], f"{path}.omega", mod.base.labels)
+    phi, psi = _parse_square_lists(obj, path, ("phi", "psi"), mod.base.dim,
+                                   mod.mdim, "")
+    return InfinitesimalDeformation(omega, phi, psi)
 
 
 def parse_document(text: str) -> WorkspaceDocument:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, as is an integer literal over
+        # Python's digit limit; RecursionError is nesting too deep to decode
         raise DocumentError("$", f"invalid JSON: {exc}") from None
     _require_keys(raw, "$", ["field", "algebra"],
                   ["algebra2", "bimodule", "bimodule2", "operators", "deformation"])
@@ -217,12 +195,12 @@ def parse_document(text: str) -> WorkspaceDocument:
     algebra = _parse_algebra(raw["algebra"], "$.algebra")
     algebra2 = (_parse_algebra(raw["algebra2"], "$.algebra2")
                 if "algebra2" in raw else None)
-    bimodule = (_parse_bimodule(raw["bimodule"], "$.bimodule", algebra.dim)
+    bimodule = (_parse_bimodule(raw["bimodule"], "$.bimodule", algebra)
                 if "bimodule" in raw else None)
     if "bimodule2" in raw:
         if algebra2 is None:
             raise DocumentError("$.bimodule2", "bimodule2 requires algebra2")
-        bimodule2 = _parse_bimodule(raw["bimodule2"], "$.bimodule2", algebra2.dim)
+        bimodule2 = _parse_bimodule(raw["bimodule2"], "$.bimodule2", algebra2)
     else:
         bimodule2 = None
     operators = {}
@@ -237,9 +215,8 @@ def parse_document(text: str) -> WorkspaceDocument:
         if bimodule is None:
             raise DocumentError("$.deformation", "deformation requires a bimodule")
         deformation = _parse_deformation(raw["deformation"], "$.deformation",
-                                         algebra.basis, algebra.dim,
-                                         bimodule.mdim)
-    return WorkspaceDocument("Q", algebra, algebra2, bimodule, bimodule2,
+                                         bimodule)
+    return WorkspaceDocument(algebra, algebra2, bimodule, bimodule2,
                              operators, deformation)
 
 
@@ -247,32 +224,32 @@ def _render_matrix(m: Matrix) -> list:
     return [[render_rational(x) for x in m.row(i)] for i in range(m.rows)]
 
 
-def _render_algebra(section: AlgebraSection) -> dict:
+def _render_algebra(alg: Algebra) -> dict:
     return {
-        "dim": section.dim,
-        "basis": list(section.basis),
-        "products": _render_sparse_bilinear(section.algebra.mul, section.basis),
+        "dim": alg.dim,
+        "basis": list(alg.labels),
+        "products": _render_sparse_bilinear(alg.mul, alg.labels),
     }
 
 
 def _document_object(doc: WorkspaceDocument) -> dict:
     """The JSON object `render_document` writes."""
-    out = {"field": doc.field, "algebra": _render_algebra(doc.algebra)}
+    out = {"field": "Q", "algebra": _render_algebra(doc.algebra)}
     if doc.algebra2 is not None:
         out["algebra2"] = _render_algebra(doc.algebra2)
     for key in ("bimodule", "bimodule2"):
-        section = getattr(doc, key)
-        if section is not None:
-            out[key] = {"mdim": section.mdim,
-                        "l": [_render_matrix(m) for m in section.left],
-                        "r": [_render_matrix(m) for m in section.right]}
+        mod = getattr(doc, key)
+        if mod is not None:
+            out[key] = {"mdim": mod.mdim,
+                        "l": [_render_matrix(m) for m in mod.left],
+                        "r": [_render_matrix(m) for m in mod.right]}
     if doc.operators:
         out["operators"] = {name: _render_matrix(m)
                             for name, m in sorted(doc.operators.items())}
     if doc.deformation is not None:
         out["deformation"] = {
             "omega": _render_sparse_bilinear(doc.deformation.omega,
-                                             doc.algebra.basis),
+                                             doc.algebra.labels),
             "phi": [_render_matrix(m) for m in doc.deformation.phi],
             "psi": [_render_matrix(m) for m in doc.deformation.psi],
         }

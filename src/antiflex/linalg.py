@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
 _ZERO = Fraction(0)
+_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
 Scalar = Union[int, Fraction]
 
 __all__ = [
@@ -60,8 +62,15 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        text = value.strip()
+        # only "p" or "p/q": Fraction(str) also takes "1.5", "1_000" and
+        # exponents, whose cost grows faster than the exponent; a refusal
+        # words its reason as Fraction(str) does for malformed text
+        if not _RATIONAL.fullmatch(text):
+            raise LinAlgError(f"unparseable rational {value!r}: "
+                              f"Invalid literal for Fraction: {text!r}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise LinAlgError(f"unparseable rational {value!r}: {exc}") from None
     raise LinAlgError(f"not a rational: {value!r}")

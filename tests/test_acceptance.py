@@ -328,18 +328,15 @@ def test_criterion_12_on_structures(a2, m_a2, t_inv, t_nil, a0_2, m_a0_2,
 
 def test_criterion_13_cli_contract(tmp_path, a2, m_a2, t_inv, na2):
     from antiflex.cli import main
-    from antiflex.document import AlgebraSection, BimoduleSection, WorkspaceDocument
+    from antiflex.document import WorkspaceDocument
 
-    doc = WorkspaceDocument("Q", AlgebraSection(2, a2.labels, a2), None,
-                            BimoduleSection(2, m_a2.left, m_a2.right), None,
-                            {"T": t_inv}, None)
+    doc = WorkspaceDocument(a2, None, m_a2, None, {"T": t_inv}, None)
     good = tmp_path / "good.json"
     good.write_text(render_document(doc), encoding="utf-8")
     text = good.read_text(encoding="utf-8")
     roundtrip_ok = render_document(parse_document(text)) == text
 
-    bad_doc = WorkspaceDocument("Q", AlgebraSection(2, na2.labels, na2), None,
-                                None, None, {}, None)
+    bad_doc = WorkspaceDocument(na2, None, None, None, {}, None)
     failing = tmp_path / "failing.json"
     failing.write_text(render_document(bad_doc), encoding="utf-8")
     malformed = tmp_path / "malformed.json"

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from antiflex.cli import main
-from antiflex.document import (AlgebraSection, BimoduleSection,
-                               WorkspaceDocument, parse_document,
+from antiflex.bimodule import Bimodule
+from antiflex.document import (WorkspaceDocument, parse_document,
                                render_document)
 from antiflex.linalg import Matrix
 
@@ -14,8 +14,7 @@ from antiflex.linalg import Matrix
 @pytest.fixture()
 def a2_fixture(tmp_path, a2, m_a2, t_inv, t_nil, e21):
     doc = WorkspaceDocument(
-        "Q", AlgebraSection(2, a2.labels, a2), None,
-        BimoduleSection(2, m_a2.left, m_a2.right), None,
+        a2, None, m_a2, None,
         {"T": t_inv,
          "T1": t_nil,
          "N": Matrix.from_rows([[0, 0], ["1/2", 0]]),
@@ -29,8 +28,7 @@ def a2_fixture(tmp_path, a2, m_a2, t_inv, t_nil, e21):
 
 @pytest.fixture()
 def na2_fixture(tmp_path, na2):
-    doc = WorkspaceDocument(
-        "Q", AlgebraSection(2, na2.labels, na2), None, None, None, {}, None)
+    doc = WorkspaceDocument(na2, None, None, None, {}, None)
     path = tmp_path / "na2.json"
     path.write_text(render_document(doc), encoding="utf-8")
     return str(path)
@@ -53,6 +51,39 @@ def test_malformed_fixture_is_exit_2(tmp_path, capsys):
                     '"products": {"e,e": {"e": "1/0"}}}}', encoding="utf-8")
     assert main(["--fixture", str(path), "check", "algebra"]) == 2
     assert "$.algebra.products" in capsys.readouterr().err
+
+
+def test_oversized_integer_is_exit_2(tmp_path, capsys):
+    """An integer literal past Python's 4,300-digit limit is a document
+    error at "$", not an error without a path."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"field": "Q", "algebra": {"dim": 1, "basis": ["e"], '
+                    '"products": {"e,e": {"e": ' + "7" * 5000 + '}}}}',
+                    encoding="utf-8")
+    assert main(["--fixture", str(path), "check", "algebra"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: $: invalid JSON: ")
+
+
+def test_deform_generate_checks_the_structure_once(a2_fixture, capsys,
+                                                   monkeypatch):
+    """The report's check of (N, S) is the only one; the generator is
+    built unchecked after it passes."""
+    import antiflex.cli as cli
+    import antiflex.deformation as deformation
+    original = deformation.is_nijenhuis_structure
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "is_nijenhuis_structure", counted)
+    monkeypatch.setattr(deformation, "is_nijenhuis_structure", counted)
+    assert main(["--fixture", a2_fixture, "deform", "generate",
+                 "--ops", "N,S"]) == 0
+    assert len(calls) == 1
 
 
 def test_missing_fixture_is_exit_2(capsys):
@@ -144,9 +175,7 @@ def test_search_operator_command(a2_fixture, capsys):
 
 def test_cohomology_reports_complex_failure(tmp_path, defect_rb, capsys):
     alg, mod, op = defect_rb
-    doc = WorkspaceDocument(
-        "Q", AlgebraSection(2, alg.labels, alg), None,
-        BimoduleSection(2, mod.left, mod.right), None, {"T": op}, None)
+    doc = WorkspaceDocument(alg, None, mod, None, {"T": op}, None)
     path = tmp_path / "defect.json"
     path.write_text(render_document(doc), encoding="utf-8")
     assert main(["--fixture", str(path), "--json", "cohomology", "--op", "T",
@@ -161,8 +190,7 @@ def test_cohomology_refuses_non_anti_flexible_base(tmp_path, capsys):
     alg = Algebra.from_products(2, {(0, 1): {1: 1}})
     zero = Matrix.zeros(1, 1)
     doc = WorkspaceDocument(
-        "Q", AlgebraSection(2, alg.labels, alg), None,
-        BimoduleSection(1, [zero, zero], [zero, zero]), None,
+        alg, None, Bimodule(alg, [zero, zero], [zero, zero], check=False), None,
         {"T": Matrix.from_rows([[1], [0]])}, None)
     path = tmp_path / "not_anti_flexible.json"
     path.write_text(render_document(doc), encoding="utf-8")
@@ -172,25 +200,23 @@ def test_cohomology_refuses_non_anti_flexible_base(tmp_path, capsys):
 
 
 def test_deform_verify_rejects_invalid_generator(tmp_path, a2, m_a2):
-    from antiflex.document import DeformationSection
+    from antiflex.deformation import InfinitesimalDeformation
     from antiflex.linalg import MultiMap
     bad_omega = MultiMap(2, 2, [1] + [0] * 7)
     doc = WorkspaceDocument(
-        "Q", AlgebraSection(2, a2.labels, a2), None,
-        BimoduleSection(2, m_a2.left, m_a2.right), None, {},
-        DeformationSection(bad_omega, (Matrix.zeros(2, 2),) * 2,
-                           (Matrix.zeros(2, 2),) * 2))
+        a2, None, m_a2, None, {},
+        InfinitesimalDeformation(bad_omega, (Matrix.zeros(2, 2),) * 2,
+                                 (Matrix.zeros(2, 2),) * 2))
     path = tmp_path / "bad_deform.json"
     path.write_text(render_document(doc), encoding="utf-8")
     assert main(["--fixture", str(path), "deform", "verify"]) == 1
 
 
 def test_check_morphism_command(tmp_path, a2, m_a2, t_inv):
+    from antiflex.algebra import Algebra
+    a2f = Algebra(a2.mul, ("f1", "f2"))
     doc = WorkspaceDocument(
-        "Q", AlgebraSection(2, a2.labels, a2),
-        AlgebraSection(2, ("f1", "f2"), a2),
-        BimoduleSection(2, m_a2.left, m_a2.right),
-        BimoduleSection(2, m_a2.left, m_a2.right),
+        a2, a2f, m_a2, Bimodule(a2f, m_a2.left, m_a2.right, check=False),
         {"T": t_inv, "phi": Matrix.identity(2), "psi": Matrix.identity(2)},
         None)
     path = tmp_path / "pair.json"
@@ -207,9 +233,7 @@ def test_fixture_roundtrip_byte_identical(a2_fixture):
 def test_check_bimodule_on_a_zero_dimensional_module(tmp_path, a2, capsys):
     from antiflex.bimodule import zero_bimodule
     mod = zero_bimodule(a2, 0)
-    doc = WorkspaceDocument(
-        "Q", AlgebraSection(2, a2.labels, a2), None,
-        BimoduleSection(0, mod.left, mod.right), None, {}, None)
+    doc = WorkspaceDocument(a2, None, mod, None, {}, None)
     path = tmp_path / "mdim0.json"
     path.write_text(render_document(doc), encoding="utf-8")
     assert main(["--json", "--fixture", str(path), "check", "bimodule"]) == 0

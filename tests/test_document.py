@@ -5,6 +5,7 @@ import json
 import pytest
 
 from antiflex.document import (DocumentError, parse_document, render_document)
+from tests.test_scaled_laws import run_in_child
 
 
 MINIMAL = """
@@ -17,7 +18,7 @@ MINIMAL = """
 
 def test_minimal_document():
     doc = parse_document(MINIMAL)
-    alg = doc.algebra.algebra
+    alg = doc.algebra
     assert alg.dim == 1
     assert alg.basis_product(0, 0) == (1,)
 
@@ -36,7 +37,7 @@ def test_rationals_parse_and_render():
         "operators": {"T": [["5/10"]]},
     })
     doc = parse_document(text)
-    assert doc.algebra.algebra.basis_product(0, 0)[0] == -1.5
+    assert doc.algebra.basis_product(0, 0)[0] == -1.5
     assert doc.operators["T"][0, 0] == 0.5
     rendered = json.loads(render_document(doc))
     assert rendered["operators"]["T"] == [["1/2"]]
@@ -123,21 +124,17 @@ def test_zero_dimensional_algebra_document():
     text = json.dumps({"field": "Q",
                        "algebra": {"dim": 0, "basis": [], "products": {}}})
     doc = parse_document(text)
-    assert doc.algebra.algebra.dim == 0
+    assert doc.algebra.dim == 0
     assert render_document(parse_document(render_document(doc))) \
         == render_document(doc)
 
 
 def test_full_document_roundtrip(a2, m_a2, t_inv):
-    from antiflex.document import (AlgebraSection, BimoduleSection,
-                                   WorkspaceDocument)
-    doc = WorkspaceDocument(
-        "Q", AlgebraSection(2, a2.labels, a2), None,
-        BimoduleSection(2, m_a2.left, m_a2.right), None,
-        {"T": t_inv}, None)
+    from antiflex.document import WorkspaceDocument
+    doc = WorkspaceDocument(a2, None, m_a2, None, {"T": t_inv}, None)
     text = render_document(doc)
     back = parse_document(text)
-    assert back.algebra.algebra.mul == a2.mul
+    assert back.algebra.mul == a2.mul
     assert back.bimodule.left == m_a2.left
     assert back.operators["T"] == t_inv
     assert render_document(back) == text
@@ -168,15 +165,10 @@ def test_boolean_dimensions_are_rejected(section, key, flag):
 def _mdim_zero_document(a2, deformed: bool):
     from antiflex.bimodule import zero_bimodule
     from antiflex.deformation import InfinitesimalDeformation
-    from antiflex.document import (AlgebraSection, BimoduleSection,
-                                   DeformationSection, WorkspaceDocument)
+    from antiflex.document import WorkspaceDocument
     mod = zero_bimodule(a2, 0)
     defo = InfinitesimalDeformation.zero(a2.dim, 0)
-    section = BimoduleSection(0, mod.left, mod.right)
-    return WorkspaceDocument(
-        "Q", AlgebraSection(2, a2.labels, a2), AlgebraSection(2, a2.labels, a2),
-        section, section, {},
-        DeformationSection(defo.omega, defo.phi, defo.psi) if deformed else None)
+    return WorkspaceDocument(a2, a2, mod, mod, {}, defo if deformed else None)
 
 
 @pytest.mark.parametrize("deformed", [False, True])
@@ -215,3 +207,47 @@ def test_empty_operator_still_refused():
     with pytest.raises(DocumentError) as err:
         parse_document(text)
     assert str(err.value) == "$.operators.T: expected a non-empty list of rows"
+
+
+@pytest.mark.parametrize("section", ["algebra", "algebra2"])
+def test_labels_with_a_comma_are_refused(section):
+    """A product key joins two labels with a comma, so "a,b" could not be
+    read back once it carries a product."""
+    algebra = {"dim": 1, "basis": ["e"], "products": {}}
+    raw = {"field": "Q", "algebra": dict(algebra), "algebra2": dict(algebra)}
+    raw[section] = {"dim": 2, "basis": ["a,b", "c"], "products": {}}
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(raw))
+    assert str(err.value) == f"$.{section}.basis: basis labels may not contain ','"
+
+
+@pytest.mark.parametrize("text", [
+    '{"field": "Q", "algebra": {"dim": ' + "1" * 5000 + '}}',
+    "[" * 100000 + "]" * 100000,
+])
+def test_undecodable_json_is_a_document_error(text):
+    """Integer literals over Python's digit limit and nesting too deep to
+    decode fail at "$" like any other invalid JSON."""
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert err.value.path == "$"
+    assert str(err.value).startswith("$: invalid JSON: ")
+
+
+def test_bimodule_over_a_zero_dimensional_algebra_has_mdim_zero():
+    """The module size is read from the action matrices, and there are none
+    over a 0-dimensional algebra: a written mdim of 3 re-renders as 0."""
+    text = json.dumps({"field": "Q",
+                       "algebra": {"dim": 0, "basis": [], "products": {}},
+                       "bimodule": {"mdim": 3, "l": [], "r": []}})
+    doc = parse_document(text)
+    assert doc.bimodule.mdim == 0
+    rendered = render_document(doc)
+    assert json.loads(rendered)["bimodule"] == {"mdim": 0, "l": [], "r": []}
+    assert render_document(parse_document(rendered)) == rendered
+
+
+def test_property_documents_roundtrip_and_mutants_fail_cleanly():
+    """The `hypothesis` property of `document_property.py`, run in a child
+    interpreter (see `test_scaled_laws.run_in_child`)."""
+    run_in_child("document_property.py")

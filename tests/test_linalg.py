@@ -25,7 +25,7 @@ def test_parse_render_roundtrip_canonical():
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ["1/0", "x", None, 1.5, True]:
+    for bad in ["1/0", "x", None, 1.5, True, "1e3", "1.5", "1_000"]:
         with pytest.raises(LinAlgError):
             parse_rational(bad)
 
