@@ -21,7 +21,7 @@ from .cohomology import ComplexError, RBComplex
 from .deformation import (_check_power, _structure_power, _trivial_deformation,
                           is_closed_2cochain, is_nijenhuis_structure,
                           is_valid_deformation, trivial_deformation_ledger)
-from .document import (WorkspaceDocument, _document_object,
+from .document import (WorkspaceDocument, _document_object, _render_matrix,
                        _render_sparse_bilinear, load_document)
 from .glie import ClosureError, CochainSpace, DegreeCapError, derived_bracket
 from .linalg import Matrix, render_rational
@@ -80,8 +80,7 @@ def _render_residual(residual) -> object:
     if residual is None:
         return None
     if isinstance(residual, Matrix):
-        return [[render_rational(x) for x in residual.row(i)]
-                for i in range(residual.rows)]
+        return _render_matrix(residual)
     if isinstance(residual, tuple):
         return [render_rational(x) for x in residual]
     if hasattr(residual, "data") and hasattr(residual, "arity"):
@@ -134,96 +133,96 @@ def _named_operator(doc: WorkspaceDocument, name: str) -> Matrix:
     return doc.operators[name]
 
 
-def _named_operators(doc: WorkspaceDocument, names: Optional[str], count: int,
-                     what: str) -> list:
-    if not names:
-        raise CommandError(f"{what} requires --ops with {count} names")
-    parts = [p.strip() for p in names.split(",")]
+def _op(report: Report, args, doc: WorkspaceDocument) -> Matrix:
+    """The operator named by --op."""
+    if not args.op:
+        raise CommandError(f"{report.command} requires --op NAME")
+    return _named_operator(doc, args.op)
+
+
+def _ops(report: Report, args, doc: WorkspaceDocument, count: int) -> list:
+    """The `count` operators named by --ops."""
+    if not args.ops:
+        raise CommandError(f"{report.command} requires --ops with {count} names")
+    parts = [p.strip() for p in args.ops.split(",")]
     if len(parts) != count:
-        raise CommandError(f"{what} requires exactly {count} operator names")
+        raise CommandError(
+            f"{report.command} requires exactly {count} operator names")
     return [_named_operator(doc, p) for p in parts]
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each fills the report run_command made for it
 # ---------------------------------------------------------------------------
 
-def _cmd_check(args, doc: WorkspaceDocument) -> Report:
-    what = args.what
-    if args.power_cap < 0:
-        raise CommandError(f"--power-cap must be nonnegative, got {args.power_cap}")
-    report = Report(f"check {what}")
+def _check_algebra(report: Report, args, doc: WorkspaceDocument) -> None:
     alg = doc.algebra
-
-    if what == "algebra":
-        flags = classify(alg)
-        report.verdict("anti_flexible", flags.anti_flexible)
-        report.verdict("flexible", flags.flexible, asserted=False)
-        report.verdict("associative", flags.associative, asserted=False)
-        report.verdict("commutative", alg.is_commutative(), asserted=False)
-
-    elif what == "bimodule":
-        report.from_check("bimodule_axioms", _need_bimodule(doc).validate())
-
-    elif what == "rb":
-        mod = _bimodule_object(doc)
-        if not args.op:
-            raise CommandError("check rb requires --op NAME")
-        op = _named_operator(doc, args.op)
-        check = is_rota_baxter(alg, mod, op)
-        report.from_check("rota_baxter", check)
-        report.verdict("graph_subalgebra_agrees",
-                       rb_graph_is_subalgebra(alg, mod, op) == check.ok)
-
-    elif what == "nijenhuis":
-        if not args.op:
-            raise CommandError("check nijenhuis requires --op NAME")
-        op = _named_operator(doc, args.op)
-        report.from_check("nijenhuis", is_nijenhuis(alg, op))
-
-    elif what == "nij-structure":
-        mod = _bimodule_object(doc)
-        alg_op, mod_op = _named_operators(doc, args.ops, 2, "check nij-structure")
-        check = is_nijenhuis_structure(alg, mod, alg_op, mod_op)
-        report.from_check("nijenhuis_structure", check)
-        if check.ok and args.power_cap:
-            # the pair is verified above
-            _check_power(args.power_cap)
-            for i in range(2, args.power_cap + 1):
-                report.verdict(f"powers_{i}",
-                               _structure_power(alg, mod, alg_op, mod_op, i))
-
-    elif what == "on":
-        mod = _bimodule_object(doc)
-        op, alg_op, mod_op = _named_operators(doc, args.ops, 3, "check on")
-        check = is_on_structure(alg, mod, op, alg_op, mod_op)
-        report.from_check("on_structure", check)
-        if check.ok and args.power_cap:
-            # the triple is verified above
-            _check_sweep_bound(args.power_cap)
-            sweep = _power_sweep(alg, mod, op, alg_op, mod_op, args.power_cap)
-            report.payload["power_sweep"] = {
-                f"{i},{j}": verdict for (i, j), verdict in sweep.items()}
-
-    elif what == "morphism":
-        if doc.algebra2 is None:
-            raise CommandError("check morphism requires an algebra2 section")
-        mod = _bimodule_object(doc)
-        mod2 = _bimodule_object(doc, which="bimodule2")
-        phi, psi, op, op2 = _named_operators(doc, args.ops, 4, "check morphism")
-        alg2 = doc.algebra2
-        check = is_rb_morphism(alg, mod, op, alg2, mod2, op2, phi, psi)
-        report.from_check("rb_morphism", check)
-        report.verdict("graph_route_agrees",
-                       rb_morphism_graph_check(alg, mod, op, alg2, mod2, op2,
-                                               phi, psi) == check.ok)
-    else:
-        raise CommandError(f"unknown check target {what!r}")
-    return report
+    flags = classify(alg)
+    report.verdict("anti_flexible", flags.anti_flexible)
+    report.verdict("flexible", flags.flexible, asserted=False)
+    report.verdict("associative", flags.associative, asserted=False)
+    report.verdict("commutative", alg.is_commutative(), asserted=False)
 
 
-def _cmd_mc_check(args, doc: WorkspaceDocument) -> Report:
-    report = Report("mc-check")
+def _check_bimodule(report: Report, args, doc: WorkspaceDocument) -> None:
+    report.from_check("bimodule_axioms", _need_bimodule(doc).validate())
+
+
+def _check_rb(report: Report, args, doc: WorkspaceDocument) -> None:
+    alg, mod = doc.algebra, _bimodule_object(doc)
+    op = _op(report, args, doc)
+    check = is_rota_baxter(alg, mod, op)
+    report.from_check("rota_baxter", check)
+    report.verdict("graph_subalgebra_agrees",
+                   rb_graph_is_subalgebra(alg, mod, op) == check.ok)
+
+
+def _check_nijenhuis(report: Report, args, doc: WorkspaceDocument) -> None:
+    report.from_check("nijenhuis", is_nijenhuis(doc.algebra,
+                                                _op(report, args, doc)))
+
+
+def _check_nij_structure(report: Report, args, doc: WorkspaceDocument) -> None:
+    if args.power_cap:
+        _check_power(args.power_cap)
+    alg, mod = doc.algebra, _bimodule_object(doc)
+    alg_op, mod_op = _ops(report, args, doc, 2)
+    check = is_nijenhuis_structure(alg, mod, alg_op, mod_op)
+    report.from_check("nijenhuis_structure", check)
+    if check.ok:  # the pair is verified above
+        for i in range(2, args.power_cap + 1):
+            report.verdict(f"powers_{i}",
+                           _structure_power(alg, mod, alg_op, mod_op, i))
+
+
+def _check_on(report: Report, args, doc: WorkspaceDocument) -> None:
+    if args.power_cap:
+        _check_sweep_bound(args.power_cap)
+    alg, mod = doc.algebra, _bimodule_object(doc)
+    op, alg_op, mod_op = _ops(report, args, doc, 3)
+    check = is_on_structure(alg, mod, op, alg_op, mod_op)
+    report.from_check("on_structure", check)
+    if check.ok and args.power_cap:  # the triple is verified above
+        sweep = _power_sweep(alg, mod, op, alg_op, mod_op, args.power_cap)
+        report.payload["power_sweep"] = {
+            f"{i},{j}": verdict for (i, j), verdict in sweep.items()}
+
+
+def _check_morphism(report: Report, args, doc: WorkspaceDocument) -> None:
+    if doc.algebra2 is None:
+        raise CommandError("check morphism requires an algebra2 section")
+    alg, alg2 = doc.algebra, doc.algebra2
+    mod = _bimodule_object(doc)
+    mod2 = _bimodule_object(doc, which="bimodule2")
+    phi, psi, op, op2 = _ops(report, args, doc, 4)
+    check = is_rb_morphism(alg, mod, op, alg2, mod2, op2, phi, psi)
+    report.from_check("rb_morphism", check)
+    report.verdict("graph_route_agrees",
+                   rb_morphism_graph_check(alg, mod, op, alg2, mod2, op2,
+                                           phi, psi) == check.ok)
+
+
+def _mc_check(report: Report, args, doc: WorkspaceDocument) -> None:
     alg = doc.algebra
     mod = _need_bimodule(doc)
     mc = mc_check_algebra_bimodule(alg, mod.left, mod.right)
@@ -231,71 +230,56 @@ def _cmd_mc_check(args, doc: WorkspaceDocument) -> Report:
     report.verdict("maurer_cartan", mc)
     report.verdict("axioms", axioms, asserted=False)
     report.verdict("agreement", mc == axioms)
-    return report
 
 
-def _cmd_cohomology(args, doc: WorkspaceDocument) -> Report:
-    report = Report("cohomology")
-    alg = doc.algebra
-    mod = _bimodule_object(doc)
-    if not args.op:
-        raise CommandError("cohomology requires --op NAME")
-    op = _named_operator(doc, args.op)
+def _cohomology(report: Report, args, doc: WorkspaceDocument) -> None:
+    alg, mod = doc.algebra, _bimodule_object(doc)
+    op = _op(report, args, doc)
     check = is_rota_baxter(alg, mod, op)
     report.from_check("rota_baxter", check)
     if not check.ok:
-        return report
-    cx = RBComplex(alg, mod, op)
+        return
     try:
-        dims = cx.dims(args.max_degree)
+        dims = RBComplex(alg, mod, op).dims(args.max_degree)
     except ComplexError as exc:
         report.verdict("complex_property", False)
         report.payload["complex_error"] = str(exc)
-        return report
+        return
     report.verdict("complex_property", True)
     report.payload["dimensions"] = dims.to_json()
-    return report
 
 
-def _cmd_deform(args, doc: WorkspaceDocument) -> Report:
-    report = Report(f"deform {args.what}")
-    alg = doc.algebra
+def _deform_generate(report: Report, args, doc: WorkspaceDocument) -> None:
+    alg, mod = doc.algebra, _bimodule_object(doc)
+    alg_op, mod_op = _ops(report, args, doc, 2)
+    check = is_nijenhuis_structure(alg, mod, alg_op, mod_op)
+    report.from_check("nijenhuis_structure", check)
+    if not check.ok:
+        return
+    defo = _trivial_deformation(alg, mod, alg_op, mod_op)  # checked above
+    for name, ok in trivial_deformation_ledger(alg, mod, alg_op, mod_op,
+                                               defo).items():
+        report.verdict(name, ok)
+    report.verdict("valid_deformation", is_valid_deformation(alg, mod, defo))
+    report.payload["document"] = _document_object(
+        dataclasses.replace(doc, deformation=defo))
+
+
+def _deform_verify(report: Report, args, doc: WorkspaceDocument) -> None:
+    alg, mod = doc.algebra, _bimodule_object(doc)
+    defo = doc.deformation
+    if defo is None:
+        raise CommandError("document has no deformation section")
+    report.verdict("closed", is_closed_2cochain(alg, mod, defo),
+                   asserted=False)
+    report.verdict("valid", is_valid_deformation(alg, mod, defo))
+
+
+def _glie_bracket(report: Report, args, doc: WorkspaceDocument) -> None:
     mod = _bimodule_object(doc)
-    if args.what == "generate":
-        alg_op, mod_op = _named_operators(doc, args.ops, 2, "deform generate")
-        check = is_nijenhuis_structure(alg, mod, alg_op, mod_op)
-        report.from_check("nijenhuis_structure", check)
-        if not check.ok:
-            return report
-        defo = _trivial_deformation(alg, mod, alg_op, mod_op)  # checked above
-        for name, ok in trivial_deformation_ledger(alg, mod, alg_op, mod_op,
-                                                   defo).items():
-            report.verdict(name, ok)
-        report.verdict("valid_deformation",
-                       is_valid_deformation(alg, mod, defo))
-        report.payload["document"] = _document_object(
-            dataclasses.replace(doc, deformation=defo))
-    elif args.what == "verify":
-        defo = doc.deformation
-        if defo is None:
-            raise CommandError("document has no deformation section")
-        report.verdict("closed", is_closed_2cochain(alg, mod, defo),
-                       asserted=False)
-        report.verdict("valid", is_valid_deformation(alg, mod, defo))
-    else:
-        raise CommandError(f"unknown deform action {args.what!r}")
-    return report
-
-
-def _cmd_glie(args, doc: WorkspaceDocument) -> Report:
-    if args.what != "bracket":
-        raise CommandError(f"unknown glie action {args.what!r}")
-    report = Report("glie bracket")
-    alg = doc.algebra
-    mod = _bimodule_object(doc)
-    space = CochainSpace(alg, mod)
+    space = CochainSpace(doc.algebra, mod)
     if args.ops:
-        first, second = _named_operators(doc, args.ops, 2, "glie bracket")
+        first, second = _ops(report, args, doc, 2)
     elif args.op:
         first = second = _named_operator(doc, args.op)
     else:
@@ -306,18 +290,16 @@ def _cmd_glie(args, doc: WorkspaceDocument) -> Report:
     except (ClosureError, DegreeCapError) as exc:
         report.verdict("closure", False)
         report.payload["error"] = str(exc)
-        return report
+        return
     report.verdict("closure", True)
     report.payload["degree"] = out.degree
     report.payload["is_zero"] = out.is_zero()
     report.payload["values"] = {
         f"{i},{j}": [render_rational(x) for x in out.value((i, j))]
         for i in range(mod.mdim) for j in range(mod.mdim)}
-    return report
 
 
-def _cmd_search(args, doc: Optional[WorkspaceDocument]) -> Report:
-    report = Report("search")
+def _search(report: Report, args, doc: Optional[WorkspaceDocument]) -> None:
     coeffs = [c.strip() for c in (args.coeffs or "-1,0,1").split(",")]
     try:
         coeffs = [int(c) for c in coeffs]
@@ -337,25 +319,42 @@ def _cmd_search(args, doc: Optional[WorkspaceDocument]) -> Report:
                 {"dim": alg.dim,
                  "products": _render_sparse_bilinear(alg.mul, alg.labels)}
                 for alg in hits]
-        elif args.kind == "operator":
+        else:
             if doc is None:
                 raise CommandError("operator search requires --fixture")
-            alg = doc.algebra
             mod = (_bimodule_object(doc)
                    if args.shape in ("module-to-algebra", "module-endo")
                    else None)
-            hits = search_operators(alg, mod, coeffs, predicates,
+            hits = search_operators(doc.algebra, mod, coeffs, predicates,
                                     shape=args.shape, limit=args.limit,
                                     progress=True)
-            report.payload["found"] = [
-                [[render_rational(x) for x in op.row(i)]
-                 for i in range(op.rows)] for op in hits]
-        else:
-            raise CommandError(f"unknown search kind {args.kind!r}")
+            report.payload["found"] = [_render_matrix(op) for op in hits]
     except (SearchSpaceError, ValueError) as exc:
         raise CommandError(str(exc)) from None
     report.payload["count"] = len(report.payload["found"])
-    return report
+
+
+# (command, target) -> handler; a command without targets has target None.
+# The argparse choices of each command's targets are read from here.
+COMMANDS = {
+    ("check", "algebra"): _check_algebra,
+    ("check", "bimodule"): _check_bimodule,
+    ("check", "rb"): _check_rb,
+    ("check", "nijenhuis"): _check_nijenhuis,
+    ("check", "nij-structure"): _check_nij_structure,
+    ("check", "on"): _check_on,
+    ("check", "morphism"): _check_morphism,
+    ("mc-check", None): _mc_check,
+    ("cohomology", None): _cohomology,
+    ("deform", "generate"): _deform_generate,
+    ("deform", "verify"): _deform_verify,
+    ("glie", "bracket"): _glie_bracket,
+    ("search", None): _search,
+}
+
+
+def _targets(command: str) -> list:
+    return [target for name, target in COMMANDS if name == command]
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run a named predicate")
-    check.add_argument("what", choices=["algebra", "bimodule", "rb",
-                                        "nijenhuis", "nij-structure", "on",
-                                        "morphism"])
+    check.add_argument("what", choices=_targets("check"))
     check.add_argument("--op")
     check.add_argument("--ops")
     check.add_argument("--power-cap", type=int, default=0)
@@ -388,11 +385,11 @@ def _build_parser() -> argparse.ArgumentParser:
     coh.add_argument("--max-degree", type=int, default=3)
 
     deform = sub.add_parser("deform", help="deformation generators")
-    deform.add_argument("what", choices=["generate", "verify"])
+    deform.add_argument("what", choices=_targets("deform"))
     deform.add_argument("--ops")
 
     glie = sub.add_parser("glie", help="graded bracket evaluation")
-    glie.add_argument("what", choices=["bracket"])
+    glie.add_argument("what", choices=_targets("glie"))
     glie.add_argument("--op")
     glie.add_argument("--ops")
 
@@ -410,19 +407,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(args) -> Report:
-    doc = None
-    if args.fixture:
-        doc = load_document(args.fixture)
-    if args.command == "search":
-        return _cmd_search(args, doc)
-    if doc is None:
+    doc = load_document(args.fixture) if args.fixture else None
+    target = getattr(args, "what", None)
+    handler = COMMANDS[args.command, target]
+    if doc is None and handler is not _search:
         raise CommandError("this command requires --fixture PATH")
-    commands = {"check": _cmd_check, "mc-check": _cmd_mc_check,
-                "cohomology": _cmd_cohomology, "deform": _cmd_deform,
-                "glie": _cmd_glie}
-    if args.command not in commands:
-        raise CommandError(f"unknown command {args.command!r}")
-    return commands[args.command](args, doc)
+    if getattr(args, "power_cap", 0) < 0:
+        raise CommandError(f"--power-cap must be nonnegative, got {args.power_cap}")
+    report = Report(args.command if target is None
+                    else f"{args.command} {target}")
+    handler(report, args, doc)
+    return report
 
 
 def main(argv=None) -> int:

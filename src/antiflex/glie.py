@@ -74,44 +74,31 @@ def _check_cap(arity: int, cap: Optional[int]) -> None:
         raise DegreeCapError(f"result arity {arity} exceeds cap {cap}")
 
 
-def _insert(f: MultiMap, g: MultiMap, slot: int) -> MultiMap:
-    """Graft g into the (0-based) slot of f; result arity f.arity + g.arity - 1."""
+def _insertion_sum(f: MultiMap, g: MultiMap, signs) -> MultiMap:
+    """The sum over the (0-based) slots of f of signs(slot) = +-1 times g
+    grafted into that slot, built in one pass; arity f.arity + g.arity - 1."""
     d = f.dim
     fa, ga = f.arity, g.arity
-    out_arity = fa + ga - 1
+    negated = [signs(slot) == -1 for slot in range(fa)]
 
     def fn(idx):
-        pre = idx[:slot]
-        mid = idx[slot:slot + ga]
-        post = idx[slot + ga:]
-        gval = g.value(mid)
         acc = [Fraction(0)] * d
-        for s in range(d):
-            c = gval[s]
-            if c == 0:
-                continue
-            fval = f.value(pre + (s,) + post)
-            for k in range(d):
-                if fval[k]:
-                    acc[k] += c * fval[k]
+        for slot, negate in enumerate(negated):
+            pre, post = idx[:slot], idx[slot + ga:]
+            gval = g.value(idx[slot:slot + ga])
+            for s in range(d):
+                c = gval[s]
+                if c == 0:
+                    continue
+                if negate:
+                    c = -c
+                fval = f.value(pre + (s,) + post)
+                for k in range(d):
+                    if fval[k]:
+                        acc[k] += c * fval[k]
         return acc
 
-    return MultiMap.from_function(out_arity, d, fn)
-
-
-def _insertion_sum(f: MultiMap, g: MultiMap, signs) -> MultiMap:
-    d = f.dim
-    acc = MultiMap.zero(f.arity + g.arity - 1, d)
-    for slot in range(f.arity):
-        term = _insert(f, g, slot)
-        s = signs(slot)
-        if s == 1:
-            acc = acc + term
-        elif s == -1:
-            acc = acc - term
-        else:
-            acc = acc + term.scale(s)
-    return acc
+    return MultiMap.from_function(fa + ga - 1, d, fn)
 
 
 def reversal(f: MultiMap) -> MultiMap:

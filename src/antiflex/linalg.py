@@ -374,7 +374,7 @@ class Matrix(_Dense):
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise LinAlgError(f"matrix {self.rows}x{self.cols} applied to length-{len(v)} vector")
-        return tuple(sum((self.row(i)[k] * v[k] for k in range(self.cols)), Fraction(0))
+        return tuple(sum((a * b for a, b in zip(self.row(i), v)), Fraction(0))
                      for i in range(self.rows))
 
     def transpose(self) -> "Matrix":

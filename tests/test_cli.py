@@ -1,6 +1,7 @@
 """CLI contract: commands, exit statuses, machine/human parity."""
 
 import json
+import os
 
 import pytest
 
@@ -22,6 +23,20 @@ def a2_fixture(tmp_path, a2, m_a2, t_inv, t_nil, e21):
          "BadN": Matrix.from_rows([[0, 1], [0, 0]])},
         None)
     path = tmp_path / "a2.json"
+    path.write_text(render_document(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def pair_fixture(tmp_path, a2, m_a2, t_inv):
+    """Two copies of A2 and its regular bimodule, for `check morphism`."""
+    from antiflex.algebra import Algebra
+    a2f = Algebra(a2.mul, ("f1", "f2"))
+    doc = WorkspaceDocument(
+        a2, a2f, m_a2, Bimodule(a2f, m_a2.left, m_a2.right, check=False),
+        {"T": t_inv, "phi": Matrix.identity(2), "psi": Matrix.identity(2)},
+        None)
+    path = tmp_path / "pair.json"
     path.write_text(render_document(doc), encoding="utf-8")
     return str(path)
 
@@ -64,6 +79,25 @@ def test_oversized_integer_is_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: $: invalid JSON: ")
+
+
+def test_over_bound_dim_is_exit_2_at_once(tmp_path, capsys):
+    """A short document asking for a million-dimensional algebra is refused
+    at its dim before any product table is allocated."""
+    import time
+    raw = {"field": "Q",
+           "algebra": {"dim": 10 ** 6, "basis": ["e1", "e2"],
+                       "products": {"e1,e1": {"e2": 1}}},
+           "operators": {"T": [[1, 0], [0, 1]]}}
+    path = tmp_path / "huge_dim.json"
+    path.write_text(json.dumps(raw, indent=1), encoding="utf-8")
+    assert path.stat().st_size < 400
+    start = time.perf_counter()
+    assert main(["--fixture", str(path), "check", "algebra"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: $.algebra.dim: dim 1000000 ")
 
 
 def test_deform_generate_checks_the_structure_once(a2_fixture, capsys,
@@ -212,16 +246,8 @@ def test_deform_verify_rejects_invalid_generator(tmp_path, a2, m_a2):
     assert main(["--fixture", str(path), "deform", "verify"]) == 1
 
 
-def test_check_morphism_command(tmp_path, a2, m_a2, t_inv):
-    from antiflex.algebra import Algebra
-    a2f = Algebra(a2.mul, ("f1", "f2"))
-    doc = WorkspaceDocument(
-        a2, a2f, m_a2, Bimodule(a2f, m_a2.left, m_a2.right, check=False),
-        {"T": t_inv, "phi": Matrix.identity(2), "psi": Matrix.identity(2)},
-        None)
-    path = tmp_path / "pair.json"
-    path.write_text(render_document(doc), encoding="utf-8")
-    assert main(["--fixture", str(path), "check", "morphism",
+def test_check_morphism_command(pair_fixture):
+    assert main(["--fixture", pair_fixture, "check", "morphism",
                  "--ops", "phi,psi,T,T"]) == 0
 
 
@@ -268,11 +294,16 @@ def test_search_limit_zero_and_negative(capsys):
 
 
 def test_nij_structure_power_cap_is_bounded(a2_fixture, capsys):
-    argv = ["--fixture", a2_fixture, "check", "nij-structure", "--ops", "N,S"]
-    assert main(argv + ["--power-cap", "4"]) == 2
-    assert "power" in capsys.readouterr().err
-    assert main(argv + ["--power-cap", "-1"]) == 2
-    assert "--power-cap" in capsys.readouterr().err
+    """A cap out of range is refused before the pair is checked, so a
+    failing pair (BadN, S) does not hide it."""
+    for ops, cap in (("N,S", "4"), ("BadN,S", "9")):
+        argv = ["--fixture", a2_fixture, "check", "nij-structure", "--ops", ops]
+        assert main(argv + ["--power-cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: power must lie in [1, 3]\n"
+        assert main(argv + ["--power-cap", "-1"]) == 2
+        assert "--power-cap" in capsys.readouterr().err
 
 
 def test_on_negative_power_cap_is_exit_2(a2_fixture, capsys):
@@ -324,9 +355,12 @@ def test_on_power_sweep_verifies_the_triple_once(a2_fixture, capsys,
     sweep = json.loads(capsys.readouterr().out)["payload"]["power_sweep"]
     assert sorted(sweep) == ["0,1", "0,2", "1,2"]
     assert len(checked) == 1
-    # the bound of the sweep is still enforced
-    assert main(argv + ["--power-cap", "5"]) == 2
-    assert "power sweep bound" in capsys.readouterr().err
+    # the bound of the sweep is still enforced, before any triple is
+    # checked, so the failing (T, BadN, S) does not hide it
+    for ops in ("T,N,S", "T,BadN,S"):
+        assert main(argv[:-1] + [ops, "--power-cap", "5"]) == 2
+        assert "power sweep bound" in capsys.readouterr().err
+    assert len(checked) == 1
 
 
 @pytest.mark.parametrize("section, key", [("algebra", "dim"),
@@ -384,3 +418,71 @@ def test_one_parser_serves_every_call(a2_fixture, tmp_path, capsys,
     assert outcomes() == shared
     assert [code for code, _, _ in shared] == [
         0, 0, 1, 0, ("exit", 2), 0, 0, 0, 2, ("exit", 2), 0]
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
+
+
+def cli_outcomes(argvs, paths, capsys, monkeypatch):
+    """[status, stdout, stderr] of `main` on each argv, with the clock fixed
+    so that `elapsed_ms` reads 0.0.  A "{name}" argument stands for the path
+    of document `name`, and those paths read back as "{name}" in the
+    output.  An argparse refusal reads as status ["exit", code]."""
+    import antiflex.cli as cli
+
+    monkeypatch.setattr(cli, "time", type("Clock", (), {
+        "perf_counter": staticmethod(lambda: 0.0)}))
+    got = []
+    for argv in argvs:
+        try:
+            status = main([paths.get(arg[1:-1], arg) if arg.startswith("{")
+                           else arg for arg in argv])
+        except SystemExit as exc:
+            status = ["exit", exc.code]
+        captured = capsys.readouterr()
+        out, err = captured.out, captured.err
+        for name, path in paths.items():
+            out = out.replace(path, "{%s}" % name)
+            err = err.replace(path, "{%s}" % name)
+        got.append([status, out, err])
+    return got
+
+
+@pytest.fixture()
+def deformed_fixture(tmp_path, a2, m_a2, e21):
+    """The A2 document carrying the trivial deformation of (N, S)."""
+    from antiflex.deformation import trivial_deformation_from
+    n = Matrix.from_rows([[0, 0], ["1/2", 0]])
+    doc = WorkspaceDocument(a2, None, m_a2, None, {"N": n, "S": e21},
+                            trivial_deformation_from(a2, m_a2, n, e21))
+    path = tmp_path / "deformed.json"
+    path.write_text(render_document(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_output_matches_the_golden_record(a2_fixture, pair_fixture,
+                                              deformed_fixture, capsys,
+                                              monkeypatch):
+    """Every command and target on the A2, morphism-pair and deformed
+    documents, in text and JSON, and the argument errors of this module,
+    print and exit byte for byte as recorded in data/cli_golden.json; each
+    entry of the command table passes or fails there at least once."""
+    import antiflex.cli as cli
+    with open(GOLDEN, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    argvs = [entry["argv"] for entry in golden]
+    paths = {"a2": a2_fixture, "pair": pair_fixture,
+             "deformed": deformed_fixture}
+    got = cli_outcomes(argvs, paths, capsys, monkeypatch)
+    ran = set()
+    for entry in golden:
+        words = [a for a in entry["argv"] if a != "--json"]
+        if words[0] == "--fixture":
+            words = words[2:]
+        if entry["status"] in (0, 1):
+            ran.add((words[0], words[1] if words[1:2]
+                     and not words[1].startswith("-") else None))
+    assert set(cli.COMMANDS) <= ran
+    for entry, (status, out, err) in zip(golden, got):
+        assert (status, out, err) == (entry["status"], entry["stdout"],
+                                      entry["stderr"]), entry["argv"]

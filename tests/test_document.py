@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from antiflex.document import (DocumentError, parse_document, render_document)
+from antiflex.document import (MAX_DIM, DocumentError, parse_document,
+                               render_document)
 from tests.test_scaled_laws import run_in_child
 
 
@@ -245,6 +246,30 @@ def test_bimodule_over_a_zero_dimensional_algebra_has_mdim_zero():
     rendered = render_document(doc)
     assert json.loads(rendered)["bimodule"] == {"mdim": 0, "l": [], "r": []}
     assert render_document(parse_document(rendered)) == rendered
+
+
+def _algebra(dim):
+    return {"dim": dim, "basis": [f"e{i}" for i in range(dim)],
+            "products": {}}
+
+
+def test_algebra_at_the_dim_bound_parses():
+    doc = parse_document(json.dumps({"field": "Q",
+                                     "algebra": _algebra(MAX_DIM)}))
+    assert doc.algebra.dim == MAX_DIM
+
+
+@pytest.mark.parametrize("section", ["algebra", "algebra2"])
+def test_algebra_over_the_dim_bound_is_refused(section):
+    """The dim ** 3 product slots are refused before they are allocated."""
+    dim = MAX_DIM + 1
+    raw = {"field": "Q", "algebra": _algebra(1), "algebra2": _algebra(1)}
+    raw[section] = _algebra(dim)
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(raw))
+    assert str(err.value) == (
+        f"$.{section}.dim: dim {dim} asks for {dim ** 3} product slots; "
+        f"the bound is dim <= {MAX_DIM} ({MAX_DIM ** 3} slots)")
 
 
 def test_property_documents_roundtrip_and_mutants_fail_cleanly():
