@@ -294,12 +294,15 @@ def _semidirect_product(alg: Algebra, mod) -> Algebra:
     """`semidirect_product` without validating `mod`, for callers whose
     bimodule was validated when it was built."""
     _check_base(alg, mod)
-    from .glie import structure_element
+    from .glie import _structure_element
 
     labels = (tuple(f"a.{x}" for x in alg.labels)
               + tuple(f"m{i + 1}" for i in range(mod.mdim)))
-    return Algebra(structure_element(alg.mul, mod.left, mod.right, mod.mdim),
-                   labels)
+    pi = _structure_element(mod, mod.mdim)
+    c = [0] * pi.dim ** 3
+    for off, x in pi.flat():
+        c[off] = x
+    return _algebra_of_ints(c, pi.den, labels)
 
 
 def deformed_product(alg: Algebra, op: Matrix) -> Algebra:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (Algebra, LieAlgebra, _subtract_image, classify,
-                      commutator_lie)
+                      commutator_lie, deformed_product)
 from .linalg import (LinAlgError, Matrix, Vector, _nonzero_cols,
                      integer_scaled, linear_combination)
 from .reports import CheckReport
@@ -258,13 +258,20 @@ def tilde_bimodule(mod: Bimodule, alg_op: Matrix, mod_op: Matrix) -> Bimodule:
     `_twisted_actions` with sign -1:
 
         l~(a) = l(N(a)) - l(a) S + S l(a),
-        r~(a) = r(N(a)) - r(a) S + S r(a).
+        r~(a) = r(N(a)) - r(a) S + S r(a),
+
+    as a bimodule over the deformed algebra A_N = (A, ._N), validated there.
+    (l~, r~) is the transpose-swap dual of the sign +1 twist of the dual
+    bimodule (r^T, l^T) by (N, S^T), so it is a bimodule over A_N when
+    (N, S^T) is a Nijenhuis structure on that dual; a Nijenhuis structure
+    (N, S) alone does not make it one.
     """
     from .deformation import is_nijenhuis_structure
 
     alg = mod.base
     is_nijenhuis_structure(alg, mod, alg_op, mod_op).require("not a Nijenhuis structure")
-    return Bimodule(alg, *_twisted_actions(mod, alg_op, mod_op, -1))
+    return Bimodule(deformed_product(alg, alg_op),
+                    *_twisted_actions(mod, alg_op, mod_op, -1))
 
 
 def _twisted_actions(mod: Bimodule, alg_op: Matrix, mod_op: Matrix,

@@ -50,10 +50,10 @@ from typing import Optional, Tuple
 
 from .algebra import Algebra
 from .bimodule import Bimodule, induced_bimodule_on_base, lie_representation
-from .glie import (Cochain, CochainSpace, DegreeCapError, derived_bracket,
-                   embed_blocks, graded_bracket, restrict_blocks,
-                   structure_element, HARD_ARITY_CAP)
-from .linalg import (LinAlgError, Matrix, MultiMap, basis_vector, flat_offset,
+from .glie import (Cochain, CochainSpace, DegreeCapError, SparseMap,
+                   _structure_element, derived_bracket, embed_blocks,
+                   graded_bracket, restrict_blocks, HARD_ARITY_CAP)
+from .linalg import (LinAlgError, Matrix, basis_vector, flat_offset,
                      int_cols_rank, linear_combination, vec_add, vec_is_zero,
                      vec_sub)
 # not called here: RBComplex gets the check through induced_bimodule_on_base,
@@ -105,11 +105,10 @@ class RBComplex:
         return CochainSpace(self.alg, self.mod)
 
     @functools.cached_property
-    def pi_swapped(self) -> MultiMap:
+    def pi_swapped(self) -> SparseMap:
         """star + l_T + r_T as the degree-1 structure element on M + A
-        (module block first)."""
-        return structure_element(self.star.mul, self.induced.left,
-                                 self.induced.right, self.adim)
+        (module block first), read from the induced bimodule's view."""
+        return _structure_element(self.induced, self.adim)
 
     def cochain(self, degree: int, data) -> Cochain:
         return Cochain(degree, self.mdim, self.adim, data)
@@ -226,7 +225,7 @@ def _check_degree(degree: int) -> None:
             f" {HARD_ARITY_CAP}")
 
 
-def _bracket_on_blocks(pi: MultiMap, f: Cochain) -> Cochain:
+def _bracket_on_blocks(pi: SparseMap, f: Cochain) -> Cochain:
     """[pi, f] with f embedded from the first block of pi's two-block sum
     space into the second; ComplexError if the bracket leaves that block."""
     k = f.mdim

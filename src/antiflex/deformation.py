@@ -13,16 +13,15 @@ delta ob delta = 0.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Algebra, _semidirect_product, deformed_product
-from .bimodule import Bimodule, _action_dim, _twisted_actions
-from .glie import (HARD_ARITY_CAP, compose_bar, graded_bracket,
+from .bimodule import Bimodule, _action_dim, _rebased, _twisted_actions
+from .glie import (HARD_ARITY_CAP, SparseMap, _insertion_sum,
+                   _structure_element, compose_bar, graded_bracket,
                    structure_element)
-from .linalg import (LinAlgError, Matrix, MultiMap, basis_vector, vec_add,
-                     vec_is_zero, vec_sub)
+from .linalg import LinAlgError, Matrix, MultiMap, int_cols_rank
 from .operators import _is_algebra_morphism, is_nijenhuis
 from .reports import CheckReport
 
@@ -66,7 +65,7 @@ class InfinitesimalDeformation:
         """The generator equal to the ambient structure itself."""
         return InfinitesimalDeformation(alg.mul, mod.left, mod.right)
 
-    def element(self) -> MultiMap:
+    def element(self) -> SparseMap:
         """omega + phi + psi as a degree-1 map on A + M."""
         return structure_element(self.omega, self.phi, self.psi, self.mdim)
 
@@ -93,8 +92,7 @@ class InfinitesimalDeformation:
 def _context(alg: Algebra, mod: Bimodule, defo: InfinitesimalDeformation):
     if defo.adim != alg.dim or defo.mdim != mod.mdim:
         raise LinAlgError("deformation does not match the ambient pair")
-    pi = structure_element(alg.mul, mod.left, mod.right, mod.mdim)
-    return pi, defo.element()
+    return _structure_element(_rebased(alg, mod), mod.mdim), defo.element()
 
 
 def is_valid_deformation(alg: Algebra, mod: Bimodule,
@@ -140,24 +138,17 @@ def are_equivalent_deformations(alg: Algebra, mod: Bimodule,
     """
     pi, delta = _context(alg, mod, defo)
     _, delta2 = _context(alg, mod, other)
-    lam = block_operator(alg_op, mod_op)
-    lam_map = MultiMap.from_matrix(lam)
-    total = alg.dim + mod.mdim
+    lam = SparseMap.from_matrix(block_operator(alg_op, mod_op))
 
-    diff = delta - delta2
-    if diff != graded_bracket(pi, lam_map, HARD_ARITY_CAP):
+    def on_both(f):  # f(lam x, lam y): lam grafted into each slot in turn
+        return _insertion_sum(_insertion_sum(f, lam, (1, 0)), lam, (0, 1))
+
+    if delta - delta2 != graded_bracket(pi, lam, HARD_ARITY_CAP):
         return False
-    for i, j in itertools.product(range(total), repeat=2):
-        li, lj = lam.col(i), lam.col(j)
-        if not vec_is_zero(delta2.evaluate(li, lj)):
-            return False
-        lhs = lam.apply(delta.value((i, j)))
-        rhs = vec_add(vec_add(delta2.evaluate(basis_vector(i, total), lj),
-                              delta2.evaluate(li, basis_vector(j, total))),
-                      pi.evaluate(li, lj))
-        if not vec_is_zero(vec_sub(lhs, rhs)):
-            return False
-    return True
+    if not on_both(delta2).is_zero():
+        return False
+    return _insertion_sum(lam, delta, (1,)) \
+        == _insertion_sum(delta2, lam, (1, 1)) + on_both(pi)
 
 
 def is_trivial_deformation(alg: Algebra, mod: Bimodule,
@@ -292,18 +283,15 @@ def deformation_difference_is_exact(alg: Algebra, mod: Bimodule,
                                     defo: InfinitesimalDeformation,
                                     other: InfinitesimalDeformation) -> bool:
     """Whether delta - delta' lies in the image of d = [pi, .] on degree-0
-    maps of the sum space, by exact linear solving."""
+    maps of the sum space: the image of d is spanned by d of the matrix
+    units, and delta - delta' lies in it exactly when adding it as one more
+    column leaves the rank unchanged (each column may carry its own scale,
+    which changes no rank)."""
     pi, delta = _context(alg, mod, defo)
     _, delta2 = _context(alg, mod, other)
     total = alg.dim + mod.mdim
-    cols = []
-    for q in range(total):
-        for p in range(total):
-            unit = Matrix.from_cols(
-                [basis_vector(p, total) if j == q else (Fraction(0),) * total
-                 for j in range(total)], rows=total)
-            cols.append(graded_bracket(pi, MultiMap.from_matrix(unit),
-                                       HARD_ARITY_CAP).data)
-    dmat = Matrix.from_cols(cols, rows=total ** 3)
-    target = (delta - delta2).data
-    return dmat.solve(tuple(target)) is not None
+    image = [graded_bracket(pi, SparseMap(1, total, {(q, p): 1}),
+                            HARD_ARITY_CAP).flat()
+             for q in range(total) for p in range(total)]
+    return int_cols_rank(image + [(delta - delta2).flat()]) \
+        == int_cols_rank(image)

@@ -21,17 +21,31 @@ At bidegree (1,1) this reproduces the four-term pattern
 so [mu, mu] = 0 says exactly that the associator of mu is symmetric in its
 outer arguments.  Reversal acts by an automorphism of the insertion algebra,
 which is what the derived-bracket computations downstream rely on.
+
+Representation.  Every bracket works on `SparseMap`s: the nonzero entries
+(i_1, ..., i_p, k) -> int of a multilinear map on one space, over one
+denominator, in lowest terms.  The insertion sum loops over the nonzeros
+of f and, for each slot, over the entries of g whose output index is that
+slot's input, so a composition costs O(nnz(f) nnz(g) arity) int products
+whatever the dimension of the space; reversal, sums, `scale` and `is_zero`
+act on the index map.  Structure elements are read from the integer views
+of `Algebra` and `Bimodule`, cochains are embedded into and restricted
+from the sum space as index maps, and dense `MultiMap` arguments are
+converted on entry.  A dim-64 algebra with zero product and a
+one-dimensional module is checked without touching its 65^4 slots.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .algebra import Algebra
-from .bimodule import Bimodule, _action_dim
-from .linalg import LinAlgError, Matrix, MultiMap, Vector, vec_is_zero
+from .bimodule import Bimodule
+from .linalg import (LinAlgError, Matrix, MultiMap, Vector, _Dense, _fractions,
+                     flat_offset, integer_scaled)
 from .reports import CheckReport
 
 __all__ = [
@@ -39,6 +53,7 @@ __all__ = [
     "HARD_ARITY_CAP",
     "DegreeCapError",
     "ClosureError",
+    "SparseMap",
     "compose_bar",
     "graded_bracket",
     "reversal",
@@ -74,45 +89,176 @@ def _check_cap(arity: int, cap: Optional[int]) -> None:
         raise DegreeCapError(f"result arity {arity} exceeds cap {cap}")
 
 
-def _insertion_sum(f: MultiMap, g: MultiMap, signs) -> MultiMap:
-    """The sum over the (0-based) slots of f of signs(slot) = +-1 times g
-    grafted into that slot, built in one pass; arity f.arity + g.arity - 1."""
-    d = f.dim
-    fa, ga = f.arity, g.arity
-    negated = [signs(slot) == -1 for slot in range(fa)]
+# ---------------------------------------------------------------------------
+# sparse multilinear maps
+# ---------------------------------------------------------------------------
 
-    def fn(idx):
-        acc = [Fraction(0)] * d
-        for slot, negate in enumerate(negated):
-            pre, post = idx[:slot], idx[slot + ga:]
-            gval = g.value(idx[slot:slot + ga])
-            for s in range(d):
-                c = gval[s]
-                if c == 0:
-                    continue
-                if negate:
-                    c = -c
-                fval = f.value(pre + (s,) + post)
-                for k in range(d):
-                    if fval[k]:
-                        acc[k] += c * fval[k]
-        return acc
+class SparseMap:
+    """A multilinear map V^(x)arity -> V on one dim-dimensional space, kept
+    as its nonzero entries: `data` maps (i_1, ..., i_arity, k) to a nonzero
+    int, and the e_k-coefficient of the image of (e_{i_1}, ..., e_{i_arity})
+    is data[(i_1, ..., i_arity, k)] / den.  The pair is kept in lowest terms
+    (den > 0, no common factor of den and every entry; den 1 for the zero
+    map), so equal maps have equal data and den.  A map equals a dense
+    `MultiMap` of the same shape and entries."""
 
-    return MultiMap.from_function(fa + ga - 1, d, fn)
+    __slots__ = ("arity", "dim", "data", "den")
+
+    def __init__(self, arity: int, dim: int, data: dict, den: int = 1):
+        if arity < 0 or dim < 0 or den <= 0:
+            raise LinAlgError("negative arity or dimension, or a denominator <= 0")
+        data = {key: x for key, x in data.items() if x}
+        g = math.gcd(den, *data.values())
+        if g > 1:
+            data = {key: x // g for key, x in data.items()}
+            den //= g
+        self.arity = arity
+        self.dim = dim
+        self.data = data
+        self.den = den
+
+    @staticmethod
+    def of(m) -> "SparseMap":
+        """The sparse form of a square dense `MultiMap` (a SparseMap is
+        returned as it is)."""
+        if isinstance(m, SparseMap):
+            return m
+        d = m.dim
+        (ints,), den = integer_scaled(m.data)
+        keys = itertools.product(range(d), repeat=m.arity + 1)
+        return SparseMap(m.arity, d, {key: x for key, x in zip(keys, ints) if x},
+                         den)
+
+    @staticmethod
+    def from_matrix(m: Matrix) -> "SparseMap":
+        """The arity-1 map acting as the square matrix m."""
+        if not m.is_square():
+            raise LinAlgError(f"a SparseMap is square, not {m.cols} -> {m.rows}")
+        cols, den = m.int_view()
+        return SparseMap(1, m.cols, {(j, i): x for j, col in enumerate(cols)
+                                     for i, x in col}, den)
+
+    def _shape(self) -> tuple:
+        return (self.arity, self.dim, self.dim)
+
+    def value(self, idx: Sequence[int]) -> Vector:
+        """Image of a basis tuple, as a coefficient vector."""
+        if len(idx) != self.arity:
+            raise LinAlgError(f"expected {self.arity} indices, got {len(idx)}")
+        if not all(0 <= i < self.dim for i in idx):
+            raise IndexError(idx)
+        get, idx, den = self.data.get, tuple(idx), self.den
+        return tuple(Fraction(get(idx + (k,), 0), den) for k in range(self.dim))
+
+    def flat(self) -> list:
+        """The nonzero entries as (offset, int) pairs, at the offsets of the
+        row-major `MultiMap` layout."""
+        d = self.dim
+        return [(flat_offset(key[:-1], d, d) + key[-1], x)
+                for key, x in self.data.items()]
+
+    def dense(self) -> MultiMap:
+        """The same map as a dense `MultiMap`."""
+        data = [0] * self.dim ** (self.arity + 1)
+        for off, x in self.flat():
+            data[off] = x
+        return MultiMap(self.arity, self.dim, _fractions(data, self.den))
+
+    def as_matrix(self) -> Matrix:
+        if self.arity != 1:
+            raise LinAlgError("only arity-1 maps convert to matrices")
+        cols = [[] for _ in range(self.dim)]
+        for (j, i), x in sorted(self.data.items()):
+            cols[j].append((i, x))
+        return Matrix._from_int_cols(self.dim, cols, self.den)
+
+    # -- linear structure on the index map -----------------------------------
+
+    def _combine(self, other: "SparseMap", sign: int) -> "SparseMap":
+        if self._shape() != other._shape():
+            raise LinAlgError(f"SparseMap shape mismatch: "
+                              f"{self._shape()} vs {other._shape()}")
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        acc = {key: a * x for key, x in self.data.items()}
+        for key, y in other.data.items():
+            acc[key] = acc.get(key, 0) + b * y
+        return SparseMap(self.arity, self.dim, acc, den)
+
+    def __add__(self, other: "SparseMap") -> "SparseMap":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "SparseMap") -> "SparseMap":
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "SparseMap":
+        return self.scale(-1)
+
+    def scale(self, c) -> "SparseMap":
+        c = Fraction(c)
+        return SparseMap(self.arity, self.dim,
+                         {key: c.numerator * x for key, x in self.data.items()},
+                         self.den * c.denominator)
+
+    def is_zero(self) -> bool:
+        return not self.data
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Dense):
+            if other._shape() != self._shape():
+                return False
+            other = SparseMap.of(other)
+        elif not isinstance(other, SparseMap):
+            return NotImplemented
+        return (self._shape() == other._shape() and self.den == other.den
+                and self.data == other.data)
+
+    # equal to dense maps, whose hash reads their slots: no hash of its own
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"SparseMap(arity={self.arity}, dim={self.dim}, "
+                f"nonzeros={len(self.data)})")
 
 
-def reversal(f: MultiMap) -> MultiMap:
+def _insertion_sum(f: SparseMap, g: SparseMap, signs: Sequence[int]) -> SparseMap:
+    """The sum over the (0-based) slots of f of signs[slot] (+1, -1, or 0
+    to skip the slot) times g grafted into that slot; arity
+    f.arity + g.arity - 1.  An entry f[pre, t, post, k] meets every entry
+    g[idx, t] whose output is t and adds their product at (pre, idx, post,
+    k), so the cost is O(nnz(f) nnz(g) arity)."""
+    by_out = {}
+    for key, y in g.data.items():
+        by_out.setdefault(key[-1], []).append((key[:-1], y))
+    acc = {}
+    get = acc.get
+    for key, x in f.data.items():
+        for slot, sign in enumerate(signs):
+            hits = by_out.get(key[slot]) if sign else None
+            if hits is None:
+                continue
+            pre, post, c = key[:slot], key[slot + 1:], sign * x
+            for idx, y in hits:
+                out = pre + idx + post
+                acc[out] = get(out, 0) + c * y
+    return SparseMap(f.arity + g.arity - 1, f.dim, acc, f.den * g.den)
+
+
+def reversal(f) -> SparseMap:
     """Signed pullback along the full reversal of the arguments."""
+    f = SparseMap.of(f)
     p = f.arity
     if p <= 1:
         return f
     sign = -1 if (p * (p - 1) // 2) % 2 else 1
-    rev = f.permute_inputs(tuple(range(p - 1, -1, -1)))
-    return rev.scale(sign) if sign == -1 else rev
+    return SparseMap(p, f.dim, {key[p - 1::-1] + key[p:]: sign * x
+                                for key, x in f.data.items()}, f.den)
 
 
-def compose_bar(f: MultiMap, g: MultiMap, cap: Optional[int] = None) -> MultiMap:
-    """The bracket composition (see module docstring for the convention)."""
+def compose_bar(f, g, cap: Optional[int] = None) -> SparseMap:
+    """The bracket composition (see module docstring for the convention);
+    dense arguments are converted to `SparseMap`s."""
+    f, g = SparseMap.of(f), SparseMap.of(g)
     if f.dim != g.dim:
         raise LinAlgError("maps live on different spaces")
     out_arity = f.arity + g.arity - 1
@@ -120,17 +266,19 @@ def compose_bar(f: MultiMap, g: MultiMap, cap: Optional[int] = None) -> MultiMap
         raise LinAlgError("cannot compose two constants")
     _check_cap(max(out_arity, f.arity, g.arity), cap)
     if f.arity == 0:
-        return MultiMap.zero(out_arity, f.dim)
+        return SparseMap(out_arity, f.dim, {})
     if g.arity == 0:
-        return _insertion_sum(f, g, lambda slot: -1 if slot % 2 == 0 else 1)
+        return _insertion_sum(f, g, [-1 if slot % 2 == 0 else 1
+                                     for slot in range(f.arity)])
     n = g.arity - 1
-    plain = _insertion_sum(f, g, lambda slot: -1 if (slot * n) % 2 else 1)
+    plain = _insertion_sum(f, g, [-1 if (slot * n) % 2 else 1
+                                  for slot in range(f.arity)])
     if f.arity == 1 or g.arity == 1:
         return plain
     return plain + reversal(plain)
 
 
-def graded_bracket(f: MultiMap, g: MultiMap, cap: Optional[int] = None) -> MultiMap:
+def graded_bracket(f, g, cap: Optional[int] = None) -> SparseMap:
     """[f, g] = f ob g - (-1)^{mn} g ob f with m, n the degrees (arity - 1)."""
     m, n = f.arity - 1, g.arity - 1
     left = compose_bar(f, g, cap)
@@ -144,34 +292,50 @@ def graded_bracket(f: MultiMap, g: MultiMap, cap: Optional[int] = None) -> Multi
 # two-block spaces and the degree-1 structure element
 # ---------------------------------------------------------------------------
 
+def _product_entries(prod: list, d: int) -> dict:
+    """{(i, j, k): x} from the sparse products of an integer view, e_i.e_j
+    at pair index i*d + j."""
+    return {(p // d, p % d, k): x for p, img in enumerate(prod) for k, x in img}
+
+
+def _product_map(alg: Algebra) -> SparseMap:
+    """The product of alg as an arity-2 map, from its integer view."""
+    prod, den = alg.int_view()
+    return SparseMap(2, alg.dim, _product_entries(prod, alg.dim), den)
+
+
+def _structure_element(mod: Bimodule, mdim: int) -> SparseMap:
+    """mu + l + r on A + M (algebra block first), read from the integer
+    view of mod; mdim is passed because a bimodule over a zero-dimensional
+    algebra has no matrix to read it from."""
+    prod, left, right, den = mod.int_view()
+    d = mod.base.dim
+    data = _product_entries(prod, d)
+    for i in range(d):
+        # (e_i, m_j) -> l(e_i) m_j and (m_j, e_i) -> r(e_i) m_j
+        for j, col in enumerate(left[i]):
+            for k, x in col:
+                data[(i, d + j, d + k)] = x
+        for j, col in enumerate(right[i]):
+            for k, x in col:
+                data[(d + j, i, d + k)] = x
+    return SparseMap(2, d + mdim, data, den)
+
+
 def structure_element(product: MultiMap, left: Sequence[Matrix],
-                      right: Sequence[Matrix], mdim: int) -> MultiMap:
+                      right: Sequence[Matrix], mdim: int) -> SparseMap:
     """The degree-1 element mu + l + r on the sum space (algebra block first).
 
     product is the arity-2 tensor of the algebra (dim d); left/right give one
     mdim x mdim matrix per algebra basis element.  The result is the bilinear
     map sending (a1, m1), (a2, m2) to (a1.a2, l(a1)m2 + r(a2)m1).
     """
-    d = product.dim
+    mod = Bimodule(Algebra(product), left, right, check=False)
     # with no basis element there is no matrix to read mdim from
-    size = _action_dim(d, left, right)
-    if d and size != mdim:
-        raise LinAlgError(
-            f"action matrices are {size}x{size}, module dimension is {mdim}")
-    total = d + mdim
-
-    def fn(idx):
-        i, j = idx
-        out = [Fraction(0)] * total
-        if i < d and j < d:
-            out[:d] = product.value((i, j))
-        elif i < d and j >= d:
-            out[d:] = left[i].col(j - d)
-        elif i >= d and j < d:
-            out[d:] = right[j].col(i - d)
-        return out
-
-    return MultiMap.from_function(2, total, fn)
+    if product.dim and mod.mdim != mdim:
+        raise LinAlgError(f"action matrices are {mod.mdim}x{mod.mdim}, "
+                          f"module dimension is {mdim}")
+    return _structure_element(mod, mdim)
 
 
 def mc_check_algebra_bimodule(alg: Algebra, left: Sequence[Matrix],
@@ -181,8 +345,8 @@ def mc_check_algebra_bimodule(alg: Algebra, left: Sequence[Matrix],
     Agrees with (anti-flexible AND bimodule axioms); both directions are
     exercised by the test suite.
     """
-    mdim = left[0].rows if left else 0
-    pi = structure_element(alg.mul, left, right, mdim)
+    mod = Bimodule(alg, left, right, check=False)
+    pi = _structure_element(mod, mod.mdim)
     return compose_bar(pi, pi, cap=HARD_ARITY_CAP).is_zero()
 
 
@@ -219,47 +383,55 @@ class Cochain(MultiMap):
         return Cochain(0, mdim, len(v), v)
 
 
-def embed_blocks(c: Cochain, in_offset: int, out_offset: int, total: int) -> MultiMap:
+def embed_blocks(c: Cochain, in_offset: int, out_offset: int,
+                 total: int) -> SparseMap:
     """Embed a cochain into multilinear maps on a two-block sum space:
     nonzero only when every input index lies in the input block (at
     in_offset, width c.mdim), with values placed in the output block."""
     if in_offset + c.mdim > total or out_offset + c.adim > total:
         raise LinAlgError("blocks do not fit in the sum space")
-    lo, hi = in_offset, in_offset + c.mdim
-
-    def fn(idx):
-        if any(not lo <= i < hi for i in idx):
-            return [0] * total
-        val = c.value(tuple(i - lo for i in idx))
-        out = [Fraction(0)] * total
-        out[out_offset:out_offset + c.adim] = val
-        return out
-
-    return MultiMap.from_function(c.degree, total, fn)
+    (ints,), den = integer_scaled(c.data)
+    keys = itertools.product(
+        *[range(in_offset, in_offset + c.mdim)] * c.degree,
+        range(out_offset, out_offset + c.adim))
+    return SparseMap(c.degree, total, {key: x for key, x in zip(keys, ints) if x},
+                     den)
 
 
-def restrict_blocks(mm: MultiMap, in_offset: int, in_dim: int,
-                    out_offset: int, out_dim: int) -> Tuple[Cochain, CheckReport]:
+def restrict_blocks(mm, in_offset: int, in_dim: int, out_offset: int,
+                    out_dim: int) -> Tuple[Cochain, CheckReport]:
     """Inverse of embed_blocks; the report flags components outside the
-    embedded cochain subspace (closure violations)."""
+    embedded cochain subspace (closure violations): first an input tuple
+    of the block with a value outside the output block, else an input
+    tuple outside the block with a nonzero value, each the least such
+    tuple."""
+    mm = SparseMap.of(mm)
     report = CheckReport("cochain_restriction")
     n = mm.arity
-    total = mm.dim
     lo, hi = in_offset, in_offset + in_dim
-    data = []
-    for jdx in itertools.product(range(in_dim), repeat=n):
-        val = mm.value(tuple(lo + j for j in jdx))
-        data.extend(val[out_offset:out_offset + out_dim])
-        if report.ok:
-            stray = tuple(val[k] for k in range(total)
-                          if not out_offset <= k < out_offset + out_dim)
-            if not vec_is_zero(stray):
-                report.fail("component outside the output block", jdx, stray)
-    report.sweep("nonzero value outside the input block",
-                 (idx for idx in itertools.product(range(total), repeat=n)
-                  if not all(lo <= i < hi for i in idx)),
-                 lambda *idx: mm.value(idx))
-    return Cochain(n, in_dim, out_dim, data), report
+    ints = [0] * (in_dim ** n * out_dim)
+    stray_out, stray_in = [], []
+    for key, x in mm.data.items():
+        idx, k = key[:-1], key[-1] - out_offset
+        if not all(lo <= i < hi for i in idx):
+            stray_in.append(idx)
+        elif not 0 <= k < out_dim:
+            stray_out.append(idx)
+        else:
+            off = 0
+            for i in idx:
+                off = off * in_dim + i - lo
+            ints[off * out_dim + k] = x
+    if stray_out:
+        idx = min(stray_out)
+        val = mm.value(idx)
+        report.fail("component outside the output block",
+                    tuple(i - lo for i in idx),
+                    val[:out_offset] + val[out_offset + out_dim:])
+    elif stray_in:
+        idx = min(stray_in)
+        report.fail("nonzero value outside the input block", idx, mm.value(idx))
+    return Cochain(n, in_dim, out_dim, _fractions(ints, mm.den)), report
 
 
 class CochainSpace:
@@ -274,14 +446,14 @@ class CochainSpace:
         self.adim = alg.dim
         self.mdim = mod.mdim
         self.total = self.adim + self.mdim
-        self.pi = structure_element(alg.mul, mod.left, mod.right, mod.mdim)
+        self.pi = _structure_element(mod, mod.mdim)
 
-    def embed(self, c: Cochain) -> MultiMap:
+    def embed(self, c: Cochain) -> SparseMap:
         if c.mdim != self.mdim or c.adim != self.adim:
             raise LinAlgError("cochain does not match this space")
         return embed_blocks(c, self.adim, 0, self.total)
 
-    def restrict(self, mm: MultiMap) -> Tuple[Cochain, CheckReport]:
+    def restrict(self, mm: SparseMap) -> Tuple[Cochain, CheckReport]:
         return restrict_blocks(mm, self.adim, self.mdim, 0, self.adim)
 
     def operator_cochain(self, op: Matrix) -> Cochain:
@@ -305,7 +477,7 @@ def derived_bracket(space: CochainSpace, p: Cochain, q: Cochain,
     inner = graded_bracket(space.pi, space.embed(p), cap)
     outer = graded_bracket(inner, space.embed(q), cap)
     if m % 2 == 0:
-        outer = outer.scale(-1)
+        outer = -outer
     cochain, report = space.restrict(outer)
     if not report.ok:
         raise ClosureError(report.describe())

@@ -153,8 +153,10 @@ class _Dense:
         return self._like([c * a for a in self.data])
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, _Dense) and self._shape() == other._shape()
-                and self.data == other.data)
+        # a foreign type (such as glie.SparseMap) decides equality itself
+        if not isinstance(other, _Dense):
+            return NotImplemented
+        return self._shape() == other._shape() and self.data == other.data
 
     def __hash__(self):
         return hash((self._shape(), self.data))

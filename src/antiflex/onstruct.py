@@ -77,7 +77,8 @@ def lemma_tilde_star_check(alg: Algebra, mod: Bimodule, op: Matrix,
     whenever the twisted bimodule exists.
     """
     is_on_structure(alg, mod, op, alg_op, mod_op).require("not an ON-structure")
-    twisted = Bimodule(alg, *_twisted_actions(mod, alg_op, mod_op, -1))
+    twisted = Bimodule(deformed_product(alg, alg_op),
+                       *_twisted_actions(mod, alg_op, mod_op, -1))
     star_tilde = _star_product(twisted, op).mul
     star_s = deformed_product(_star_product(mod, op), mod_op).mul
     star_nt = _star_product(mod, alg_op @ op).mul
@@ -118,11 +119,10 @@ def deformed_rb_suite(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
       compatible     T and N T are compatible
     """
     is_on_structure(alg, mod, op, alg_op, mod_op).require("not an ON-structure")
-    twisted = Bimodule(alg, *_twisted_actions(mod, alg_op, mod_op, -1))
     deformed = deformed_product(alg, alg_op)
-    rebased = Bimodule(deformed, twisted.left, twisted.right, check=False)
+    twisted = Bimodule(deformed, *_twisted_actions(mod, alg_op, mod_op, -1))
     out = {}
-    out["deformed_rb"] = bool(is_rota_baxter(deformed, rebased, op))
+    out["deformed_rb"] = bool(is_rota_baxter(deformed, twisted, op))
     composed = alg_op @ op
     out["composed_rb"] = bool(is_rota_baxter(alg, mod, composed))
     out["compatible"] = bool(is_rota_baxter(alg, mod, op + composed))

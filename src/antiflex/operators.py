@@ -25,7 +25,7 @@ from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _deformed,
                       _multiply, _semidirect_product, _subtract_image,
                       classify, deformed_product, direct_sum)
 from .bimodule import Bimodule, LieRepresentation, _rebased
-from .glie import compose_bar
+from .glie import _product_map, compose_bar
 from .linalg import (LinAlgError, Matrix, MultiMap, Vector, _fractions,
                      basis_vector, vec_is_zero, vec_sub, zero_vector)
 from .reports import CheckReport
@@ -145,7 +145,7 @@ def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int) -> dict:
 
     # the anti-flexible defect of a product p is compose_bar(p, p), so the
     # defect of a p_k + b p_l has these three coefficients in (a, b)
-    pk, pl = alg_k.mul, alg_l.mul
+    pk, pl = _product_map(alg_k), _product_map(alg_l)
     coeff_sq_k = compose_bar(pk, pk)
     coeff_sq_l = compose_bar(pl, pl)
     coeff_mixed = compose_bar(pk, pl) + compose_bar(pl, pk)

@@ -1,5 +1,6 @@
 """Bimodule axioms and derived module structures."""
 
+import itertools
 import random
 
 import pytest
@@ -116,3 +117,98 @@ def test_shape_errors(a2):
     with pytest.raises(Exception):
         is_bimodule(a2, [Matrix.zeros(2, 2), Matrix.zeros(3, 3)],
                     [Matrix.zeros(2, 2), Matrix.zeros(2, 2)])
+
+
+# -- the twisted bimodule lives over A_N ---------------------------------------
+
+def _nijenhuis_probe_slice(seed, count):
+    """(alg, mod, N) with S = N a Nijenhuis structure: `count` seeded
+    anti-flexible dim-2 algebras over {-1, 0, 1} with their regular
+    bimodules, each with every Nijenhuis endomorphism over {-1, 0, 1}."""
+    from antiflex.deformation import is_nijenhuis_structure
+    from antiflex.search import search_algebras, search_operators
+
+    algs = search_algebras(2, (-1, 0, 1), ("anti-flexible",))
+    for alg in random.Random(seed).sample(algs, count):
+        mod = regular_bimodule(alg)
+        for n in search_operators(alg, None, (-1, 0, 1), ("nijenhuis",),
+                                  shape="algebra-endo"):
+            if is_nijenhuis_structure(alg, mod, n, n).ok:
+                yield alg, mod, n
+
+
+def _module_actions(alg, big):
+    """(phi, psi) read off a product on A + M (A first) in which A.M and
+    M.A lie in M: phi(e_i) m_j = e_i m_j and psi(e_i) m_j = m_j e_i."""
+    d = alg.dim
+    md = big.dim - d
+
+    def acts(side):
+        return tuple(Matrix.from_cols(
+            [big.basis_product(*side(i, d + j))[d:] for j in range(md)],
+            rows=md) for i in range(d))
+
+    return acts(lambda i, m: (i, m)), acts(lambda i, m: (m, i))
+
+
+def test_deformed_semidirect_product_is_the_plus_twist_over_a_n():
+    """The product of semidirect(A, M) deformed by N + S restricts to A_N
+    on A, vanishes on M x M, and acts on M by a bimodule (phi, psi) over
+    A_N equal to the sign +1 twist; read off the deformed product, not
+    built by `_twisted_actions`."""
+    from antiflex.algebra import deformed_product, semidirect_product
+    from antiflex.bimodule import _twisted_actions
+    from antiflex.deformation import block_operator
+
+    count = 0
+    for alg, mod, n in _nijenhuis_probe_slice(1201, 4):
+        d, md = alg.dim, mod.mdim
+        big = deformed_product(semidirect_product(alg, mod),
+                               block_operator(n, n))
+        a_n = deformed_product(alg, n)
+        for i, j in itertools.product(range(d + md), repeat=2):
+            val = big.basis_product(i, j)
+            if i < d and j < d:
+                assert val == a_n.basis_product(i, j) + (0,) * md
+            else:
+                assert all(x == 0 for x in val[:d])
+                if i >= d and j >= d:
+                    assert all(x == 0 for x in val)
+        phi, psi = _module_actions(alg, big)
+        assert Bimodule(a_n, phi, psi, check=False).validate().ok
+        assert (phi, psi) == _twisted_actions(mod, n, n, 1)
+        count += 1
+    assert count >= 40, count
+
+
+def test_tilde_bimodule_exists_over_a_n_when_the_dual_carries_the_structure():
+    """(l~, r~) is the transpose-swap dual of the sign +1 twist of the dual
+    bimodule by (N, S^T): whenever (N, S^T) is a Nijenhuis structure on
+    that dual, `tilde_bimodule` returns a bimodule over A_N.  Not
+    necessary, and not implied by (N, S) alone: both other outcomes
+    occur, as does a twist that is a bimodule over A_N but not over A."""
+    from antiflex.algebra import _semidirect_product, deformed_product
+    from antiflex.deformation import block_operator, is_nijenhuis_structure
+
+    seen = {"sufficient": 0, "without_dual": 0, "refused": 0, "not_over_a": 0}
+    for alg, mod, n in _nijenhuis_probe_slice(1202, 4):
+        dual, _ = dual_bimodule_candidate(alg, mod)
+        s_t = n.transpose()
+        dual_structure = is_nijenhuis_structure(alg, dual, n, s_t).ok
+        # the dual's sign +1 twist, read off its deformed semidirect product
+        phi_d, psi_d = _module_actions(alg, deformed_product(
+            _semidirect_product(alg, dual), block_operator(n, s_t)))
+        try:
+            tilde = tilde_bimodule(mod, n, n)
+        except ValueError as exc:
+            assert not dual_structure
+            assert str(exc).startswith("not a bimodule: bimodule: FAIL - ")
+            seen["refused"] += 1
+            continue
+        assert tilde.base == deformed_product(alg, n)
+        assert tilde.left == tuple(m.transpose() for m in psi_d)
+        assert tilde.right == tuple(m.transpose() for m in phi_d)
+        seen["sufficient" if dual_structure else "without_dual"] += 1
+        if not is_bimodule(alg, tilde.left, tilde.right).ok:
+            seen["not_over_a"] += 1
+    assert all(seen.values()), seen

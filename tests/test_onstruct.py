@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from antiflex.algebra import deformed_product
-from antiflex.linalg import Matrix
+from antiflex.linalg import Matrix, MultiMap
 from antiflex.onstruct import (are_compatible_rb, deformed_rb_suite,
                                is_on_structure, lemma_tilde_star_check,
                                nijenhuis_from_compatible, on_from_compatible,
@@ -205,3 +205,21 @@ def test_twisted_checks_verify_the_nijenhuis_structure_once(a2, m_a2, on_triple,
     check(a2, m_a2, base, alg_op, mod_op)
     # once, inside is_on_structure; the twisted actions are built unchecked
     assert checked == [(alg_op, mod_op)]
+
+
+def test_twisted_checks_return_where_the_twist_fails_over_a():
+    """Every structure constant -1 and N = S = -Id with T = 0: the twisted
+    pair is a bimodule over A_N but not over A, and both checks return."""
+    from antiflex.algebra import Algebra
+    from antiflex.bimodule import is_bimodule, regular_bimodule, tilde_bimodule
+
+    alg = Algebra(MultiMap(2, 2, [-1] * 8))
+    mod = regular_bimodule(alg)
+    n = Matrix.identity(2).scale(-1)
+    tilde = tilde_bimodule(mod, n, n)
+    assert not is_bimodule(alg, tilde.left, tilde.right).ok
+    assert tilde.base == deformed_product(alg, n)
+    zero = Matrix.zeros(2, 2)
+    assert lemma_tilde_star_check(alg, mod, zero, n, n) == (True, True)
+    assert deformed_rb_suite(alg, mod, zero, n, n) == {
+        "deformed_rb": True, "composed_rb": True, "compatible": True}
