@@ -56,8 +56,8 @@ from .glie import (Cochain, CochainSpace, DegreeCapError, SparseMap,
 from .linalg import (LinAlgError, Matrix, basis_vector, flat_offset,
                      int_cols_rank, linear_combination, vec_add, vec_is_zero,
                      vec_sub)
-# not called here: RBComplex gets the check through induced_bimodule_on_base,
-# but the name stays importable from this module
+# not called here (RBComplex gets the check through induced_bimodule_on_base),
+# but perfbench/test_perfbench.py reads the name from this module
 from .operators import is_rota_baxter  # noqa: F401
 from .reports import CheckReport
 

@@ -175,19 +175,15 @@ def _eq_4_7(mod: Bimodule, alg_op: Matrix, mod_op: Matrix,
 
 
 def _variant_s_squared(mod: Bimodule, alg_op: Matrix, mod_op: Matrix,
-                       use_left: bool) -> bool:
-    """The alternative compatibility displayed with S^2 terms:
-    l(Na)S = S l(Na) + l(a)S^2 - S l(a) S (reading the stray x as a)."""
-    actions = mod.left if use_left else mod.right
+                       phi: Sequence[Matrix], use_left: bool) -> bool:
+    """The alternative compatibility displayed with S^2 terms, reading the
+    stray x as a: l(Na)S = S l(Na) + l(a)S^2 - S l(a) S (or with r and psi).
+    As phi(a)S = l(Na)S + l(a)S^2 - S l(a) S for the (4.7) twist phi, its
+    residual is exactly 2 l(Na)S - S l(Na) - phi(a)S, formed here."""
     act_of = mod.left_of if use_left else mod.right_of
-    s2 = mod_op @ mod_op
-    for i in range(mod.base.dim):
-        acted = act_of(alg_op.col(i))
-        res = acted @ mod_op - (mod_op @ acted + actions[i] @ s2
-                                - mod_op @ actions[i] @ mod_op)
-        if not res.is_zero():
-            return False
-    return True
+    acted = (act_of(alg_op.col(i)) for i in range(mod.base.dim))
+    return all(((a.scale(2) - p) @ mod_op - mod_op @ a).is_zero()
+               for a, p in zip(acted, phi))
 
 
 def is_nijenhuis_structure(alg: Algebra, mod: Bimodule,
@@ -216,9 +212,9 @@ def is_nijenhuis_structure(alg: Algebra, mod: Bimodule,
     report.notes["primary_semidirect"] = primary.ok
     report.notes["secondary_componentwise"] = secondary_ok
     report.notes["variant_s_squared_left"] = _variant_s_squared(
-        mod, alg_op, mod_op, use_left=True)
+        mod, alg_op, mod_op, phi, use_left=True)
     report.notes["variant_s_squared_right"] = _variant_s_squared(
-        mod, alg_op, mod_op, use_left=False)
+        mod, alg_op, mod_op, psi, use_left=False)
     return report
 
 
@@ -244,16 +240,16 @@ def _trivial_deformation(alg: Algebra, mod: Bimodule, alg_op: Matrix,
 def trivial_deformation_ledger(alg: Algebra, mod: Bimodule, alg_op: Matrix,
                                mod_op: Matrix,
                                defo: InfinitesimalDeformation) -> dict:
-    """The six exact identities a trivial generator satisfies, itemized: phi
-    and psi against `bimodule._twisted_actions`, (4.7) through `_eq_4_7`."""
-    phi, psi = _twisted_actions(mod, alg_op, mod_op, 1)
+    """The six exact identities a trivial generator satisfies, itemized:
+    omega, phi and psi against `_trivial_deformation`, (4.7) by `_eq_4_7`."""
+    trivial = _trivial_deformation(alg, mod, alg_op, mod_op)
     out = {}
-    out["omega_formula"] = defo.omega == deformed_product(alg, alg_op).mul
+    out["omega_formula"] = defo.omega == trivial.omega
     out["omega_nijenhuis_compat"] = _is_algebra_morphism(
         Algebra(defo.omega), alg, alg_op)
-    out["phi_formula"] = all(defo.phi[i] == phi[i] for i in range(alg.dim))
+    out["phi_formula"] = defo.phi == trivial.phi
     out["phi_s_compat"] = _eq_4_7(mod, alg_op, mod_op, defo.phi, True).ok
-    out["psi_formula"] = all(defo.psi[i] == psi[i] for i in range(alg.dim))
+    out["psi_formula"] = defo.psi == trivial.psi
     out["psi_s_compat"] = _eq_4_7(mod, alg_op, mod_op, defo.psi, False).ok
     return out
 
@@ -274,9 +270,12 @@ def _check_power(power: int) -> None:
 def _structure_power(alg: Algebra, mod: Bimodule, alg_op: Matrix,
                      mod_op: Matrix, power: int) -> bool:
     """`nijenhuis_structure_powers` without checking (N, S) or the power,
-    for a caller that has checked both."""
-    return bool(is_nijenhuis_structure(alg, mod, alg_op.power(power),
-                                       mod_op.power(power)))
+    for a caller that has checked both: the primary route of
+    `is_nijenhuis_structure` on (N^p, S^p), which alone decides its verdict;
+    the secondary route and the notes are not formed."""
+    return is_nijenhuis(_semidirect_product(alg, mod),
+                        block_operator(alg_op.power(power),
+                                       mod_op.power(power))).ok
 
 
 def deformation_difference_is_exact(alg: Algebra, mod: Bimodule,

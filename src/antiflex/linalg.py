@@ -587,7 +587,9 @@ class MultiMap(_Dense):
         return self.data[off:off + self.out_dim]
 
     def evaluate(self, *args: Vector) -> Vector:
-        """Multilinear extension to arbitrary coefficient vectors."""
+        """Multilinear extension to arbitrary coefficient vectors: the sum
+        over the basis tuples in the product of the arguments' supports
+        (their nonzero entries), so zero coefficients cost nothing."""
         if len(args) != self.arity:
             raise LinAlgError(f"expected {self.arity} arguments, got {len(args)}")
         for a in args:
@@ -595,14 +597,11 @@ class MultiMap(_Dense):
                 raise LinAlgError("argument has wrong dimension")
         out_dim = self.out_dim
         out = [Fraction(0)] * out_dim
-        for idx in itertools.product(range(self.in_dim), repeat=self.arity):
+        supports = [[i for i, x in enumerate(a) if x] for a in args]
+        for idx in itertools.product(*supports):
             c = Fraction(1)
             for a, i in zip(args, idx):
                 c *= a[i]
-                if c == 0:
-                    break
-            if c == 0:
-                continue
             val = self.value(idx)
             for k in range(out_dim):
                 if val[k]:

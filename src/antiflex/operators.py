@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _deformed,
                       _multiply, _semidirect_product, _subtract_image,
-                      classify, deformed_product, direct_sum)
+                      classify, deformed_product)
 from .bimodule import Bimodule, LieRepresentation, _rebased
 from .glie import _product_map, compose_bar
 from .linalg import (LinAlgError, Matrix, MultiMap, Vector, _fractions,
@@ -308,28 +308,24 @@ def rb_morphism_graph_check(alg: Algebra, mod: Bimodule, op: Matrix,
 
     Checks that the graph of (phi, psi) is closed under the componentwise
     product of the two semidirect algebras, and that (phi, psi) carries the
-    graph of the source operator into the graph of the target one.
+    graph of the source operator into the graph of the target one.  The
+    product (x, Fx)(y, Fy) = (xy, Fx Fy) of two graph vectors is formed one
+    component in each semidirect algebra.
     """
     _check_operator_shape(phi, alg.dim, alg2.dim, "algebra map")
     _check_operator_shape(psi, mod.mdim, mod2.mdim, "module map")
     semi1 = _semidirect_product(alg, mod)
     semi2 = _semidirect_product(alg2, mod2)
-    both = direct_sum(semi1, semi2)
     d1, n1 = alg.dim, alg.dim + mod.mdim
-    d2 = alg2.dim
 
     def pair_map(x: Vector) -> Vector:
         a, m = x[:d1], x[d1:]
         return tuple(phi.apply(a)) + tuple(psi.apply(m))
 
-    def embed(x: Vector) -> Vector:
-        return tuple(x) + pair_map(x)
-
+    images = [pair_map(basis_vector(i, n1)) for i in range(n1)]
     for i, j in itertools.product(range(n1), repeat=2):
-        u = embed(basis_vector(i, n1))
-        v = embed(basis_vector(j, n1))
-        w = both.multiply(u, v)
-        first, second = w[:n1], w[n1:]
+        first = semi1.basis_product(i, j)
+        second = semi2.multiply(images[i], images[j])
         if not vec_is_zero(vec_sub(second, pair_map(first))):
             return False
     for i in range(mod.mdim):

@@ -104,6 +104,8 @@ def search_algebras(dim: int, coeffs: Sequence, predicates: Sequence[str],
                     progress: bool = False) -> list:
     """Enumerate structure-constant tensors on a dim-dimensional space and
     keep the algebras passing every named predicate, in sweep order."""
+    if dim < 0:
+        raise ValueError(f"search dimension must be nonnegative, got {dim}")
     _check_limit(limit)
     checks = [algebra_predicate(p) for p in predicates]
     hits = []

@@ -42,6 +42,23 @@ def pair_fixture(tmp_path, a2, m_a2, t_inv):
 
 
 @pytest.fixture()
+def s2_fixture(tmp_path):
+    """A Nijenhuis structure (N, S) on a non-associative anti-flexible
+    algebra with its regular bimodule, on which the S^2-variant notes read
+    false on both sides."""
+    from antiflex.algebra import Algebra
+    from antiflex.bimodule import regular_bimodule
+    alg = Algebra.from_products(2, {(0, 0): {0: -1}, (0, 1): {0: -1},
+                                    (1, 0): {0: 1}, (1, 1): {0: -1, 1: -1}})
+    n = Matrix.from_rows([[-1, 1], [-1, 0]])
+    doc = WorkspaceDocument(alg, None, regular_bimodule(alg), None,
+                            {"N": n, "S": n}, None)
+    path = tmp_path / "s2.json"
+    path.write_text(render_document(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
 def na2_fixture(tmp_path, na2):
     doc = WorkspaceDocument(na2, None, None, None, {}, None)
     path = tmp_path / "na2.json"
@@ -293,6 +310,14 @@ def test_search_limit_zero_and_negative(capsys):
     assert "limit" in capsys.readouterr().err
 
 
+def test_search_negative_dim_is_refused(capsys):
+    assert main(["search", "--kind", "algebra", "--dim", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: search dimension must be nonnegative, got -1\n"
+
+
 def test_nij_structure_power_cap_is_bounded(a2_fixture, capsys):
     """A cap out of range is refused before the pair is checked, so a
     failing pair (BadN, S) does not hide it."""
@@ -316,24 +341,35 @@ def test_nij_structure_powers_verify_the_pair_once(a2_fixture, capsys,
                                                    monkeypatch):
     import antiflex.cli
     import antiflex.deformation
+    from tests.slow_routes import structure_power_oracle
 
-    checked = []
+    checked, decided = [], []
     real = antiflex.deformation.is_nijenhuis_structure
+    real_power = antiflex.deformation._structure_power
 
     def counting(alg, mod, alg_op, mod_op):
         checked.append((alg_op, mod_op))
         return real(alg, mod, alg_op, mod_op)
 
+    def counting_power(alg, mod, alg_op, mod_op, power):
+        verdict = real_power(alg, mod, alg_op, mod_op, power)
+        decided.append((power, verdict,
+                        structure_power_oracle(alg, mod, alg_op, mod_op,
+                                               power)))
+        return verdict
+
     monkeypatch.setattr(antiflex.deformation, "is_nijenhuis_structure", counting)
     monkeypatch.setattr(antiflex.cli, "is_nijenhuis_structure", counting)
+    monkeypatch.setattr(antiflex.cli, "_structure_power", counting_power)
     assert main(["--json", "--fixture", a2_fixture, "check", "nij-structure",
                  "--ops", "N,S", "--power-cap", "3"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert verdicts["powers_2"]["ok"] and verdicts["powers_3"]["ok"]
-    # the pair itself, then (N^2, S^2) and (N^3, S^3), each once
-    n, s = checked[0]
-    assert checked == [(n, s), (n.power(2), s.power(2)),
-                       (n.power(3), s.power(3))]
+    # the pair itself, once
+    assert len(checked) == 1
+    # (N^2, S^2) and (N^3, S^3), each decided once, as the oracle decides
+    assert [power for power, _, _ in decided] == [2, 3]
+    assert all(verdict is oracle for _, verdict, oracle in decided)
 
 
 def test_on_power_sweep_verifies_the_triple_once(a2_fixture, capsys,
@@ -461,10 +497,11 @@ def deformed_fixture(tmp_path, a2, m_a2, e21):
 
 
 def test_cli_output_matches_the_golden_record(a2_fixture, pair_fixture,
-                                              deformed_fixture, capsys,
-                                              monkeypatch):
+                                              deformed_fixture, s2_fixture,
+                                              capsys, monkeypatch):
     """Every command and target on the A2, morphism-pair and deformed
-    documents, in text and JSON, and the argument errors of this module,
+    documents, `check nij-structure` and `deform generate` on the S^2
+    document, in text and JSON, and the argument errors of this module,
     print and exit byte for byte as recorded in data/cli_golden.json; each
     entry of the command table passes or fails there at least once."""
     import antiflex.cli as cli
@@ -472,7 +509,7 @@ def test_cli_output_matches_the_golden_record(a2_fixture, pair_fixture,
         golden = json.load(handle)
     argvs = [entry["argv"] for entry in golden]
     paths = {"a2": a2_fixture, "pair": pair_fixture,
-             "deformed": deformed_fixture}
+             "deformed": deformed_fixture, "s2": s2_fixture}
     got = cli_outcomes(argvs, paths, capsys, monkeypatch)
     ran = set()
     for entry in golden:

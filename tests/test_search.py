@@ -94,6 +94,16 @@ def test_negative_limit_is_rejected(a2, m_a2):
         search_operators(a2, m_a2, (-1, 0, 1), ("rota-baxter",), limit=-1)
 
 
+def test_negative_dimension_is_refused_up_front(monkeypatch):
+    import antiflex.search as search
+    scanned = []
+    monkeypatch.setattr(search, "_grid", lambda *args: scanned.append(args))
+    with pytest.raises(ValueError, match="dimension must be nonnegative, "
+                                         "got -1"):
+        search_algebras(-1, (0, 1), ("anti-flexible",))
+    assert scanned == []
+
+
 def test_repeated_coefficients_are_enumerated_once(a2, m_a2):
     assert search_algebras(1, (0, 0), []) == search_algebras(1, (0,), [])
     assert len(search_algebras(1, (0, 0), [])) == 1
