@@ -298,7 +298,7 @@ def _semidirect_product(alg: Algebra, mod) -> Algebra:
 
     labels = (tuple(f"a.{x}" for x in alg.labels)
               + tuple(f"m{i + 1}" for i in range(mod.mdim)))
-    pi = _structure_element(mod, mod.mdim)
+    pi = _structure_element(mod)
     c = [0] * pi.dim ** 3
     for off, x in pi.flat():
         c[off] = x

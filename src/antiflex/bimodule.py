@@ -7,11 +7,16 @@ element of the base algebra, subject to the two coupled equations
     l(a.b) - l(a)l(b) = r(a)r(b) - r(b.a)
     l(a)r(b) - r(b)l(a) = l(b)r(a) - r(a)l(b)
 
-checked on all basis pairs.  A bimodule keeps one integer view, built on
-first use (`Bimodule.int_view`): the base constants and both action families
-as sparse ints over one common denominator D.  Each term of both laws is
-quadratic in that data, so every int residual is exactly D**2 times the true
-one: the same pairs fail, and the witness is Fraction(entry, D**2).
+checked on all basis pairs.  The action of any element a is
+`linear_combination(a, left)` (or of `right`); the twists by a Nijenhuis
+structure (N, S) read the actions of the N(e_i), each formed once by
+`_image_actions`.
+
+A bimodule keeps one integer view, built on first use (`Bimodule.int_view`):
+the base constants and both action families as sparse ints over one common
+denominator D.  Each term of both laws is quadratic in that data, so every
+int residual is exactly D**2 times the true one: the same pairs fail, and
+the witness is Fraction(entry, D**2).
 `induced_bimodule_on_base` contracts the views of the bimodule and of T
 (scale D_T): star, l_T and r_T are linear in each, so all three are ints
 over D * D_T, which become the view of the induced bimodule.
@@ -21,11 +26,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .algebra import (Algebra, LieAlgebra, _subtract_image, classify,
                       commutator_lie, deformed_product)
-from .linalg import (LinAlgError, Matrix, Vector, _nonzero_cols,
+from .linalg import (LinAlgError, Matrix, _nonzero_cols,
                      integer_scaled, linear_combination)
 from .reports import CheckReport
 
@@ -43,14 +48,15 @@ __all__ = [
 
 
 class Bimodule:
-    """Action data (l, r) of an algebra on an mdim-dimensional space."""
+    """Action data (l, r) of an algebra on an mdim-dimensional space; mdim is
+    read from the matrices, or is the one given (default 0) if there are none."""
 
     __slots__ = ("base", "mdim", "left", "right", "_view")
 
     def __init__(self, base: Algebra, left: Sequence[Matrix], right: Sequence[Matrix],
-                 check: bool = True):
+                 check: bool = True, mdim: Optional[int] = None):
         self.base = base
-        self.mdim = _action_dim(base.dim, left, right)
+        self.mdim = _action_dim(base.dim, left, right, mdim)
         self.left = tuple(left)
         self.right = tuple(right)
         self._view = None
@@ -71,13 +77,6 @@ class Bimodule:
             cols = [_nonzero_cols(a, md, md) for a in acts]
             self._view = (prod, cols[:d], cols[d:], den)
         return self._view
-
-    def left_of(self, a: Vector) -> Matrix:
-        """Action matrix of an arbitrary algebra element (linear extension)."""
-        return linear_combination(a, self.left)
-
-    def right_of(self, a: Vector) -> Matrix:
-        return linear_combination(a, self.right)
 
     def validate(self) -> CheckReport:
         """Both bimodule equations on all basis pairs, with residual witnesses."""
@@ -108,21 +107,29 @@ class Bimodule:
 
     def __eq__(self, other):
         return (isinstance(other, Bimodule) and self.base == other.base
-                and self.left == other.left and self.right == other.right)
+                and self.mdim == other.mdim and self.left == other.left
+                and self.right == other.right)
 
     def __repr__(self):
         return f"Bimodule(base dim={self.base.dim}, mdim={self.mdim})"
 
 
-def _action_dim(d: int, left: Sequence[Matrix], right: Sequence[Matrix]) -> int:
-    """The common size of the square action matrices, one per basis element."""
+def _action_dim(d: int, left: Sequence[Matrix], right: Sequence[Matrix],
+                mdim: Optional[int] = None) -> int:
+    """The common size of the square action matrices, one per basis element,
+    which must equal mdim when given; with none, mdim (default 0)."""
     if len(left) != d or len(right) != d:
         raise LinAlgError("need one action matrix per algebra basis element")
-    mdim = left[0].rows if d else 0
+    size = left[0].rows if d else mdim or 0
+    if size < 0:
+        raise LinAlgError(f"module dimension must be nonnegative, got {mdim}")
+    if mdim not in (None, size):
+        raise LinAlgError(f"action matrices are {size}x{size}, "
+                          f"module dimension is {mdim}")
     for m in itertools.chain(left, right):
-        if m.rows != mdim or m.cols != mdim:
+        if m.rows != size or m.cols != size:
             raise LinAlgError("action matrices must be square of equal size")
-    return mdim
+    return size
 
 
 def is_bimodule(alg: Algebra, left: Sequence[Matrix], right: Sequence[Matrix]) -> CheckReport:
@@ -160,7 +167,7 @@ def regular_bimodule(alg: Algebra) -> Bimodule:
 def zero_bimodule(alg: Algebra, mdim: int) -> Bimodule:
     """Zero actions on a space of any dimension; always a bimodule."""
     z = Matrix.zeros(mdim, mdim)
-    return Bimodule(alg, [z] * alg.dim, [z] * alg.dim)
+    return Bimodule(alg, [z] * alg.dim, [z] * alg.dim, mdim=mdim)
 
 
 def dual_bimodule_candidate(alg: Algebra, mod: Bimodule):
@@ -171,7 +178,7 @@ def dual_bimodule_candidate(alg: Algebra, mod: Bimodule):
     """
     dual = Bimodule(alg, [mod.right[i].transpose() for i in range(alg.dim)],
                     [mod.left[i].transpose() for i in range(alg.dim)],
-                    check=False)
+                    check=False, mdim=mod.mdim)
     report = dual.validate()
     if not report.ok:
         report.notes["candidate"] = "transpose-swap dual convention fails for this algebra"
@@ -192,12 +199,9 @@ class LieRepresentation:
         self.mdim = rho[0].rows if rho else 0
         self.validate().require("not a representation")
 
-    def of(self, x: Vector) -> Matrix:
-        return linear_combination(x, self.rho)
-
     def validate(self) -> CheckReport:
         def residual(i, j):
-            lhs = self.of(self.lie.bracket.value((i, j)))
+            lhs = linear_combination(self.lie.bracket.value((i, j)), self.rho)
             rhs = self.rho[i] @ self.rho[j] - self.rho[j] @ self.rho[i]
             return lhs - rhs
 
@@ -245,7 +249,7 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
     rcols = [action(i, False, left) for i in range(mod.mdim)]
     out = Bimodule(star, [Matrix._from_int_cols(d, c, scale) for c in lcols],
                    [Matrix._from_int_cols(d, c, scale) for c in rcols],
-                   check=False)
+                   check=False, mdim=d)
     out._view = (star.int_view()[0], lcols, rcols, scale)
     # a bimodule when the base is anti-flexible (the paper); else validate
     if not classify(alg).anti_flexible:
@@ -268,20 +272,29 @@ def tilde_bimodule(mod: Bimodule, alg_op: Matrix, mod_op: Matrix) -> Bimodule:
     """
     from .deformation import is_nijenhuis_structure
 
-    alg = mod.base
-    is_nijenhuis_structure(alg, mod, alg_op, mod_op).require("not a Nijenhuis structure")
-    return Bimodule(deformed_product(alg, alg_op),
-                    *_twisted_actions(mod, alg_op, mod_op, -1))
+    is_nijenhuis_structure(mod.base, mod, alg_op, mod_op).require("not a Nijenhuis structure")
+    return _tilde_bimodule(mod, alg_op, mod_op)
 
 
-def _twisted_actions(mod: Bimodule, alg_op: Matrix, mod_op: Matrix,
+def _tilde_bimodule(mod: Bimodule, alg_op: Matrix, mod_op: Matrix) -> Bimodule:
+    """`tilde_bimodule` for a caller that has checked (N, S)."""
+    return Bimodule(deformed_product(mod.base, alg_op),
+                    *_twisted_actions(mod, _image_actions(mod, alg_op),
+                                      mod_op, -1), mdim=mod.mdim)
+
+
+def _image_actions(mod: Bimodule, alg_op: Matrix) -> tuple:
+    """(l(N(e_i)) for each i, r(N(e_i)) for each i), formed once."""
+    return tuple(tuple(linear_combination(alg_op.col(i), acts)
+                       for i in range(mod.base.dim))
+                 for acts in (mod.left, mod.right))
+
+
+def _twisted_actions(mod: Bimodule, acted: tuple, mod_op: Matrix,
                      sign: int) -> tuple:
     """(left, right) with act(N(e_i)) + sign (act(e_i) S - S act(e_i)) for
-    act = l and act = r: sign -1 gives l~ and r~ (`tilde_bimodule`), sign +1
-    phi and psi (`deformation.trivial_deformation_from`)."""
-    def twisted(acts):
-        return tuple(linear_combination(alg_op.col(i), acts)
-                     + (acts[i] @ mod_op - mod_op @ acts[i]).scale(sign)
-                     for i in range(mod.base.dim))
-
-    return twisted(mod.left), twisted(mod.right)
+    act = l and r, acted = `_image_actions(mod, N)`: sign -1 gives l~ and r~
+    (`tilde_bimodule`), sign +1 phi and psi (`trivial_deformation_from`)."""
+    return tuple(tuple(a_n + (a @ mod_op - mod_op @ a).scale(sign)
+                       for a, a_n in zip(acts, acts_n))
+                 for acts, acts_n in zip((mod.left, mod.right), acted))

@@ -108,7 +108,7 @@ class RBComplex:
     def pi_swapped(self) -> SparseMap:
         """star + l_T + r_T as the degree-1 structure element on M + A
         (module block first), read from the induced bimodule's view."""
-        return _structure_element(self.induced, self.adim)
+        return _structure_element(self.induced)
 
     def cochain(self, degree: int, data) -> Cochain:
         return Cochain(degree, self.mdim, self.adim, data)
@@ -328,8 +328,10 @@ def one_cocycle_check(alg: Algebra, mod: Bimodule, op: Matrix, f: Cochain,
         fu, fv = f.value((u,)), f.value((v,))
         tu, tv = op.col(u), op.col(v)
         term = vec_add(alg.multiply(tu, fv), alg.multiply(fu, tv))
-        inner_m = vec_add(mod.right_of(fv).col(u), mod.left_of(fu).col(v))
-        star_uv = vec_add(mod.left_of(tu).col(v), mod.right_of(tv).col(u))
+        inner_m = vec_add(linear_combination(fv, mod.right).col(u),
+                          linear_combination(fu, mod.left).col(v))
+        star_uv = vec_add(linear_combination(tu, mod.left).col(v),
+                          linear_combination(tv, mod.right).col(u))
         fs = f.evaluate(star_uv)
         total = vec_sub(vec_sub(term, op.apply(inner_m)), fs)
         if not vec_is_zero(total):

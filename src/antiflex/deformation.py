@@ -9,6 +9,9 @@ delta = omega + phi + psi on A + M.  The generator is valid when
 (pi + t delta) squares to zero under the bracket composition identically
 in t, which splits into the coefficient conditions [pi, delta] = 0 and
 delta ob delta = 0.
+
+A Nijenhuis-structure check forms l(N(e_i)) and r(N(e_i)) once; the twists
+phi and psi, the (4.7) compatibilities and the S^2 notes all read them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Algebra, _semidirect_product, deformed_product
-from .bimodule import Bimodule, _action_dim, _rebased, _twisted_actions
+from .bimodule import (Bimodule, _action_dim, _image_actions, _rebased,
+                       _twisted_actions)
 from .glie import (HARD_ARITY_CAP, SparseMap, _insertion_sum,
                    _structure_element, compose_bar, graded_bracket,
                    structure_element)
@@ -65,10 +69,6 @@ class InfinitesimalDeformation:
         """The generator equal to the ambient structure itself."""
         return InfinitesimalDeformation(alg.mul, mod.left, mod.right)
 
-    def element(self) -> SparseMap:
-        """omega + phi + psi as a degree-1 map on A + M."""
-        return structure_element(self.omega, self.phi, self.psi, self.mdim)
-
     def _same_shape(self, other: "InfinitesimalDeformation"):
         if self.adim != other.adim or self.mdim != other.mdim:
             raise LinAlgError("deformation shape mismatch")
@@ -90,9 +90,12 @@ class InfinitesimalDeformation:
 
 
 def _context(alg: Algebra, mod: Bimodule, defo: InfinitesimalDeformation):
-    if defo.adim != alg.dim or defo.mdim != mod.mdim:
+    """(pi, delta = omega + phi + psi) on A + M; over a zero-dimensional
+    algebra defo has no matrix to read its mdim from, and acts on mod's."""
+    if defo.adim != alg.dim or (alg.dim and defo.mdim != mod.mdim):
         raise LinAlgError("deformation does not match the ambient pair")
-    return _structure_element(_rebased(alg, mod), mod.mdim), defo.element()
+    return (_structure_element(_rebased(alg, mod)),
+            structure_element(defo.omega, defo.phi, defo.psi, mod.mdim))
 
 
 def is_valid_deformation(alg: Algebra, mod: Bimodule,
@@ -159,29 +162,18 @@ def is_trivial_deformation(alg: Algebra, mod: Bimodule,
     return are_equivalent_deformations(alg, mod, defo, zero, alg_op, mod_op)
 
 
-def _eq_4_7(mod: Bimodule, alg_op: Matrix, mod_op: Matrix,
-            phi: Sequence[Matrix], use_left: bool) -> CheckReport:
-    """l(N(a))S = S phi(a) per basis element (or with r and psi), for phi
-    as `bimodule._twisted_actions` builds it with sign +1."""
-    law = ("l(Na)S = S(l(Na) + l(a)S - S l(a))" if use_left
-           else "r(Na)S = S(r(Na) + r(a)S - S r(a))")
-    act_of = mod.left_of if use_left else mod.right_of
-
-    def residual(i):
-        return act_of(alg_op.col(i)) @ mod_op - mod_op @ phi[i]
-
-    return CheckReport(law).sweep(law, ((i,) for i in range(mod.base.dim)),
-                                  residual)
+def _eq_4_7(acted: Sequence[Matrix], mod_op: Matrix, phi: Sequence[Matrix]) -> bool:
+    """(4.7), l(N(a))S = S phi(a), on every basis element, for acted the
+    l(N(e_i)) and phi the sign +1 twist (or with r and psi)."""
+    return all((a @ mod_op - mod_op @ p).is_zero() for a, p in zip(acted, phi))
 
 
-def _variant_s_squared(mod: Bimodule, alg_op: Matrix, mod_op: Matrix,
-                       phi: Sequence[Matrix], use_left: bool) -> bool:
+def _variant_s_squared(acted: Sequence[Matrix], mod_op: Matrix,
+                       phi: Sequence[Matrix]) -> bool:
     """The alternative compatibility displayed with S^2 terms, reading the
     stray x as a: l(Na)S = S l(Na) + l(a)S^2 - S l(a) S (or with r and psi).
     As phi(a)S = l(Na)S + l(a)S^2 - S l(a) S for the (4.7) twist phi, its
     residual is exactly 2 l(Na)S - S l(Na) - phi(a)S, formed here."""
-    act_of = mod.left_of if use_left else mod.right_of
-    acted = (act_of(alg_op.col(i)) for i in range(mod.base.dim))
     return all(((a.scale(2) - p) @ mod_op - mod_op @ a).is_zero()
                for a, p in zip(acted, phi))
 
@@ -198,23 +190,19 @@ def is_nijenhuis_structure(alg: Algebra, mod: Bimodule,
     """
     if alg_op.rows != alg.dim or mod_op.rows != mod.mdim:
         raise LinAlgError("operator shapes do not match the pair")
-    semi = _semidirect_product(alg, mod)
-    primary = is_nijenhuis(semi, block_operator(alg_op, mod_op))
+    primary = is_nijenhuis(_semidirect_product(alg, mod),
+                           block_operator(alg_op, mod_op))
+    acted = _image_actions(mod, alg_op)  # read by phi/psi, (4.7) and S^2
+    sides = list(zip(acted, _twisted_actions(mod, acted, mod_op, 1)))
 
     report = CheckReport("nijenhuis_structure")
-    n_check = is_nijenhuis(alg, alg_op)
-    phi, psi = _twisted_actions(mod, alg_op, mod_op, 1)
-    left_check = _eq_4_7(mod, alg_op, mod_op, phi, use_left=True)
-    right_check = _eq_4_7(mod, alg_op, mod_op, psi, use_left=False)
-    secondary_ok = n_check.ok and left_check.ok and right_check.ok
-
     report.merge(primary)
     report.notes["primary_semidirect"] = primary.ok
-    report.notes["secondary_componentwise"] = secondary_ok
-    report.notes["variant_s_squared_left"] = _variant_s_squared(
-        mod, alg_op, mod_op, phi, use_left=True)
-    report.notes["variant_s_squared_right"] = _variant_s_squared(
-        mod, alg_op, mod_op, psi, use_left=False)
+    report.notes["secondary_componentwise"] = (
+        is_nijenhuis(alg, alg_op).ok
+        and all(_eq_4_7(a, mod_op, t) for a, t in sides))
+    for side, (a, t) in zip(("left", "right"), sides):
+        report.notes[f"variant_s_squared_{side}"] = _variant_s_squared(a, mod_op, t)
     return report
 
 
@@ -233,24 +221,27 @@ def trivial_deformation_from(alg: Algebra, mod: Bimodule, alg_op: Matrix,
 def _trivial_deformation(alg: Algebra, mod: Bimodule, alg_op: Matrix,
                          mod_op: Matrix) -> InfinitesimalDeformation:
     """`trivial_deformation_from` on a pair already checked."""
-    return InfinitesimalDeformation(deformed_product(alg, alg_op).mul,
-                                    *_twisted_actions(mod, alg_op, mod_op, 1))
+    return InfinitesimalDeformation(
+        deformed_product(alg, alg_op).mul,
+        *_twisted_actions(mod, _image_actions(mod, alg_op), mod_op, 1))
 
 
 def trivial_deformation_ledger(alg: Algebra, mod: Bimodule, alg_op: Matrix,
                                mod_op: Matrix,
                                defo: InfinitesimalDeformation) -> dict:
     """The six exact identities a trivial generator satisfies, itemized:
-    omega, phi and psi against `_trivial_deformation`, (4.7) by `_eq_4_7`."""
-    trivial = _trivial_deformation(alg, mod, alg_op, mod_op)
+    omega, phi and psi against their formulas in `trivial_deformation_from`,
+    (4.7) by `_eq_4_7`."""
+    acted = _image_actions(mod, alg_op)
+    phi, psi = _twisted_actions(mod, acted, mod_op, 1)
     out = {}
-    out["omega_formula"] = defo.omega == trivial.omega
+    out["omega_formula"] = defo.omega == deformed_product(alg, alg_op).mul
     out["omega_nijenhuis_compat"] = _is_algebra_morphism(
         Algebra(defo.omega), alg, alg_op)
-    out["phi_formula"] = defo.phi == trivial.phi
-    out["phi_s_compat"] = _eq_4_7(mod, alg_op, mod_op, defo.phi, True).ok
-    out["psi_formula"] = defo.psi == trivial.psi
-    out["psi_s_compat"] = _eq_4_7(mod, alg_op, mod_op, defo.psi, False).ok
+    out["phi_formula"] = defo.phi == phi
+    out["phi_s_compat"] = _eq_4_7(acted[0], mod_op, defo.phi)
+    out["psi_formula"] = defo.psi == psi
+    out["psi_s_compat"] = _eq_4_7(acted[1], mod_op, defo.psi)
     return out
 
 

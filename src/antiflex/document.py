@@ -169,7 +169,7 @@ def _parse_bimodule(obj, path: str, base: Algebra) -> Bimodule:
         raise DocumentError(f"{path}.mdim", "expected a nonnegative integer")
     left, right = _parse_square_lists(obj, path, ("l", "r"), base.dim, mdim,
                                       " (one per basis element)")
-    return Bimodule(base, left, right, check=False)
+    return Bimodule(base, left, right, check=False, mdim=mdim)
 
 
 def _parse_square_lists(obj: dict, path: str, keys: Sequence[str], dim: int,

@@ -304,10 +304,9 @@ def _product_map(alg: Algebra) -> SparseMap:
     return SparseMap(2, alg.dim, _product_entries(prod, alg.dim), den)
 
 
-def _structure_element(mod: Bimodule, mdim: int) -> SparseMap:
+def _structure_element(mod: Bimodule) -> SparseMap:
     """mu + l + r on A + M (algebra block first), read from the integer
-    view of mod; mdim is passed because a bimodule over a zero-dimensional
-    algebra has no matrix to read it from."""
+    view of mod."""
     prod, left, right, den = mod.int_view()
     d = mod.base.dim
     data = _product_entries(prod, d)
@@ -319,7 +318,7 @@ def _structure_element(mod: Bimodule, mdim: int) -> SparseMap:
         for j, col in enumerate(right[i]):
             for k, x in col:
                 data[(d + j, i, d + k)] = x
-    return SparseMap(2, d + mdim, data, den)
+    return SparseMap(2, d + mod.mdim, data, den)
 
 
 def structure_element(product: MultiMap, left: Sequence[Matrix],
@@ -330,12 +329,8 @@ def structure_element(product: MultiMap, left: Sequence[Matrix],
     mdim x mdim matrix per algebra basis element.  The result is the bilinear
     map sending (a1, m1), (a2, m2) to (a1.a2, l(a1)m2 + r(a2)m1).
     """
-    mod = Bimodule(Algebra(product), left, right, check=False)
-    # with no basis element there is no matrix to read mdim from
-    if product.dim and mod.mdim != mdim:
-        raise LinAlgError(f"action matrices are {mod.mdim}x{mod.mdim}, "
-                          f"module dimension is {mdim}")
-    return _structure_element(mod, mdim)
+    return _structure_element(Bimodule(Algebra(product), left, right,
+                                       check=False, mdim=mdim))
 
 
 def mc_check_algebra_bimodule(alg: Algebra, left: Sequence[Matrix],
@@ -346,7 +341,7 @@ def mc_check_algebra_bimodule(alg: Algebra, left: Sequence[Matrix],
     exercised by the test suite.
     """
     mod = Bimodule(alg, left, right, check=False)
-    pi = _structure_element(mod, mod.mdim)
+    pi = _structure_element(mod)
     return compose_bar(pi, pi, cap=HARD_ARITY_CAP).is_zero()
 
 
@@ -446,7 +441,7 @@ class CochainSpace:
         self.adim = alg.dim
         self.mdim = mod.mdim
         self.total = self.adim + self.mdim
-        self.pi = _structure_element(mod, mod.mdim)
+        self.pi = _structure_element(mod)
 
     def embed(self, c: Cochain) -> SparseMap:
         if c.mdim != self.mdim or c.adim != self.adim:

@@ -13,7 +13,7 @@ import itertools
 from typing import Tuple
 
 from .algebra import Algebra, deformed_product
-from .bimodule import Bimodule, _twisted_actions
+from .bimodule import Bimodule, _tilde_bimodule
 from .deformation import is_nijenhuis_structure
 from .linalg import LinAlgError, Matrix
 from .operators import _star_product, is_nijenhuis, is_rota_baxter, star_algebra
@@ -77,14 +77,10 @@ def lemma_tilde_star_check(alg: Algebra, mod: Bimodule, op: Matrix,
     whenever the twisted bimodule exists.
     """
     is_on_structure(alg, mod, op, alg_op, mod_op).require("not an ON-structure")
-    twisted = Bimodule(deformed_product(alg, alg_op),
-                       *_twisted_actions(mod, alg_op, mod_op, -1))
-    star_tilde = _star_product(twisted, op).mul
+    star_tilde = _star_product(_tilde_bimodule(mod, alg_op, mod_op), op).mul
     star_s = deformed_product(_star_product(mod, op), mod_op).mul
     star_nt = _star_product(mod, alg_op @ op).mul
-    equal = star_tilde == star_s
-    averaging = (star_tilde + star_s) == star_nt.scale(2)
-    return equal, averaging
+    return star_tilde == star_s, star_tilde + star_s == star_nt.scale(2)
 
 
 def are_compatible_rb(alg: Algebra, mod: Bimodule, op1: Matrix, op2: Matrix) -> bool:
@@ -119,10 +115,9 @@ def deformed_rb_suite(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
       compatible     T and N T are compatible
     """
     is_on_structure(alg, mod, op, alg_op, mod_op).require("not an ON-structure")
-    deformed = deformed_product(alg, alg_op)
-    twisted = Bimodule(deformed, *_twisted_actions(mod, alg_op, mod_op, -1))
+    twisted = _tilde_bimodule(mod, alg_op, mod_op)
     out = {}
-    out["deformed_rb"] = bool(is_rota_baxter(deformed, twisted, op))
+    out["deformed_rb"] = bool(is_rota_baxter(twisted.base, twisted, op))
     composed = alg_op @ op
     out["composed_rb"] = bool(is_rota_baxter(alg, mod, composed))
     out["compatible"] = bool(is_rota_baxter(alg, mod, op + composed))

@@ -27,7 +27,8 @@ from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _deformed,
 from .bimodule import Bimodule, LieRepresentation, _rebased
 from .glie import _product_map, compose_bar
 from .linalg import (LinAlgError, Matrix, MultiMap, Vector, _fractions,
-                     basis_vector, vec_is_zero, vec_sub, zero_vector)
+                     basis_vector, linear_combination, vec_is_zero, vec_sub,
+                     zero_vector)
 from .reports import CheckReport
 
 __all__ = [
@@ -290,11 +291,11 @@ def is_rb_morphism(alg: Algebra, mod: Bimodule, op: Matrix,
         return report
     for i in range(alg.dim):
         pa = phi.col(i)
-        left_res = mod2.left_of(pa) @ psi - psi @ mod.left[i]
+        left_res = linear_combination(pa, mod2.left) @ psi - psi @ mod.left[i]
         if not left_res.is_zero():
             report.fail("l(phi(a)) psi = psi l(a)", (i,), left_res)
             return report
-        right_res = mod2.right_of(pa) @ psi - psi @ mod.right[i]
+        right_res = linear_combination(pa, mod2.right) @ psi - psi @ mod.right[i]
         if not right_res.is_zero():
             report.fail("r(phi(a)) psi = psi r(a)", (i,), right_res)
             return report
@@ -354,7 +355,8 @@ def is_lie_rota_baxter(lie: LieAlgebra, rep: LieRepresentation, op: Matrix) -> C
 
     def residual(i, j):
         tm, tn = op.col(i), op.col(j)
-        inner = vec_sub(rep.of(tm).col(j), rep.of(tn).col(i))
+        inner = vec_sub(linear_combination(tm, rep.rho).col(j),
+                        linear_combination(tn, rep.rho).col(i))
         return vec_sub(lie.bracket.evaluate(tm, tn), op.apply(inner))
 
     return CheckReport("lie_rota_baxter").sweep(

@@ -65,7 +65,7 @@ def _documents(draw, alphabet):
         return {"dim": dim, "basis": basis, "products": draw(_bilinear(basis))}
 
     def bimodule(alg):
-        # over a 0-dim algebra any mdim is written, and none is read back
+        # over a 0-dim algebra there is no matrix, and mdim is read as written
         mdim = draw(st.integers(0, 2))
         return {"mdim": mdim, "l": draw(_matrices(alg["dim"], mdim)),
                 "r": draw(_matrices(alg["dim"], mdim))}
@@ -122,6 +122,9 @@ def _check_roundtrip(raw):
         return
     once = render_document(parse_document(text))
     assert render_document(parse_document(once)) == once
+    for key in ("bimodule", "bimodule2"):
+        if key in raw:
+            assert json.loads(once)[key]["mdim"] == raw[key]["mdim"]
 
 
 def _check_mutant(raw, data):

@@ -11,10 +11,23 @@ Each function here is the form the package used before the direct one:
 - `variant_s_squared_displayed`: the S^2-variant note of
   `deformation.is_nijenhuis_structure` in its displayed form, with S^2,
   l(a)S^2 and S l(a) S built from scratch;
+- `twisted_actions_each`: act(N(e_i)) + sign (act(e_i) S - S act(e_i)),
+  forming the action of N(e_i) anew for each twist;
+- `eq_4_7_each`: the (4.7) compatibility l(N(a))S = S phi(a), forming
+  l(N(a)) anew;
+- `nijenhuis_structure_each`: the dual-route report of
+  `deformation.is_nijenhuis_structure` from the three forms above, each
+  forming the actions of the N(e_i) on its own;
+- `tilde_bimodule_each`: the sign -1 twist over A_N from
+  `twisted_actions_each`, built and validated without checking (N, S);
 - `structure_power_oracle`: the verdict of the whole dual-route report on
   (N^p, S^p);
 - `ledger_rederived`: `deformation.trivial_deformation_ledger` with omega,
   phi and psi derived again from their formulas.
+
+None of them calls the package's twist, (4.7) or S^2 helpers: the actions
+of elements are `linear_combination` of the action matrices, and products
+are `Matrix @`.
 """
 
 import itertools
@@ -22,10 +35,13 @@ from fractions import Fraction
 
 from antiflex.algebra import (Algebra, _semidirect_product, deformed_product,
                               direct_sum)
-from antiflex.bimodule import _twisted_actions
-from antiflex.deformation import _eq_4_7, is_nijenhuis_structure
-from antiflex.linalg import LinAlgError, basis_vector, vec_is_zero, vec_sub
-from antiflex.operators import _check_operator_shape, _is_algebra_morphism
+from antiflex.bimodule import Bimodule
+from antiflex.deformation import block_operator
+from antiflex.linalg import (LinAlgError, basis_vector, linear_combination,
+                             vec_is_zero, vec_sub)
+from antiflex.operators import (_check_operator_shape, _is_algebra_morphism,
+                                is_nijenhuis)
+from antiflex.reports import CheckReport
 
 
 def evaluate_all_tuples(mm, *args):
@@ -85,10 +101,9 @@ def variant_s_squared_displayed(mod, alg_op, mod_op, use_left):
     """l(Na)S = S l(Na) + l(a)S^2 - S l(a) S on every basis element a (or
     with r)."""
     actions = mod.left if use_left else mod.right
-    act_of = mod.left_of if use_left else mod.right_of
     s2 = mod_op @ mod_op
     for i in range(mod.base.dim):
-        acted = act_of(alg_op.col(i))
+        acted = linear_combination(alg_op.col(i), actions)
         res = acted @ mod_op - (mod_op @ acted + actions[i] @ s2
                                 - mod_op @ actions[i] @ mod_op)
         if not res.is_zero():
@@ -96,19 +111,61 @@ def variant_s_squared_displayed(mod, alg_op, mod_op, use_left):
     return True
 
 
+def twisted_actions_each(mod, alg_op, mod_op, sign):
+    def twisted(acts):
+        return tuple(linear_combination(alg_op.col(i), acts)
+                     + (acts[i] @ mod_op - mod_op @ acts[i]).scale(sign)
+                     for i in range(mod.base.dim))
+
+    return twisted(mod.left), twisted(mod.right)
+
+
+def eq_4_7_each(mod, alg_op, mod_op, phi, use_left):
+    actions = mod.left if use_left else mod.right
+    for i in range(mod.base.dim):
+        acted = linear_combination(alg_op.col(i), actions)
+        if not (acted @ mod_op - mod_op @ phi[i]).is_zero():
+            return False
+    return True
+
+
+def nijenhuis_structure_each(alg, mod, alg_op, mod_op):
+    if alg_op.rows != alg.dim or mod_op.rows != mod.mdim:
+        raise LinAlgError("operator shapes do not match the pair")
+    primary = is_nijenhuis(_semidirect_product(alg, mod),
+                           block_operator(alg_op, mod_op))
+    phi, psi = twisted_actions_each(mod, alg_op, mod_op, 1)
+    report = CheckReport("nijenhuis_structure")
+    report.merge(primary)
+    report.notes["primary_semidirect"] = primary.ok
+    report.notes["secondary_componentwise"] = (
+        is_nijenhuis(alg, alg_op).ok
+        and eq_4_7_each(mod, alg_op, mod_op, phi, True)
+        and eq_4_7_each(mod, alg_op, mod_op, psi, False))
+    for side, use_left in (("left", True), ("right", False)):
+        report.notes[f"variant_s_squared_{side}"] = \
+            variant_s_squared_displayed(mod, alg_op, mod_op, use_left)
+    return report
+
+
+def tilde_bimodule_each(mod, alg_op, mod_op):
+    return Bimodule(deformed_product(mod.base, alg_op),
+                    *twisted_actions_each(mod, alg_op, mod_op, -1))
+
+
 def structure_power_oracle(alg, mod, alg_op, mod_op, power):
-    return bool(is_nijenhuis_structure(alg, mod, alg_op.power(power),
-                                       mod_op.power(power)))
+    return bool(nijenhuis_structure_each(alg, mod, alg_op.power(power),
+                                         mod_op.power(power)))
 
 
 def ledger_rederived(alg, mod, alg_op, mod_op, defo):
-    phi, psi = _twisted_actions(mod, alg_op, mod_op, 1)
+    phi, psi = twisted_actions_each(mod, alg_op, mod_op, 1)
     out = {}
     out["omega_formula"] = defo.omega == deformed_product(alg, alg_op).mul
     out["omega_nijenhuis_compat"] = _is_algebra_morphism(
         Algebra(defo.omega), alg, alg_op)
     out["phi_formula"] = all(defo.phi[i] == phi[i] for i in range(alg.dim))
-    out["phi_s_compat"] = _eq_4_7(mod, alg_op, mod_op, defo.phi, True).ok
+    out["phi_s_compat"] = eq_4_7_each(mod, alg_op, mod_op, defo.phi, True)
     out["psi_formula"] = all(defo.psi[i] == psi[i] for i in range(alg.dim))
-    out["psi_s_compat"] = _eq_4_7(mod, alg_op, mod_op, defo.psi, False).ok
+    out["psi_s_compat"] = eq_4_7_each(mod, alg_op, mod_op, defo.psi, False)
     return out

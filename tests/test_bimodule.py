@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from antiflex.algebra import classify
+from antiflex.algebra import Algebra, classify
 from antiflex.bimodule import (Bimodule, dual_bimodule_candidate,
                                induced_bimodule_on_base, is_bimodule,
                                lie_representation, regular_bimodule,
                                tilde_bimodule, zero_bimodule)
-from antiflex.linalg import Matrix
+from antiflex.linalg import LinAlgError, Matrix
 from antiflex.operators import is_rota_baxter
 
 rng = random.Random(1003)
@@ -119,6 +119,26 @@ def test_shape_errors(a2):
                     [Matrix.zeros(2, 2), Matrix.zeros(2, 2)])
 
 
+def test_module_dimension_is_kept_over_a_zero_dimensional_algebra(a2):
+    """With no basis element there is no action matrix to read mdim from:
+    the one given is kept.  Over a larger algebra it must match the
+    matrices, and a negative one is refused."""
+    empty = Algebra.zero(0)
+    assert zero_bimodule(empty, 3).mdim == 3
+    assert Bimodule(empty, [], [], mdim=3).mdim == 3
+    assert Bimodule(empty, [], []).mdim == 0
+    assert zero_bimodule(empty, 3) != zero_bimodule(empty, 2)
+    assert zero_bimodule(empty, 3) == Bimodule(empty, [], [], mdim=3)
+    assert dual_bimodule_candidate(empty, zero_bimodule(empty, 3))[0].mdim == 3
+    z = Matrix.zeros(2, 2)
+    assert Bimodule(a2, [z, z], [z, z], mdim=2).mdim == 2
+    with pytest.raises(LinAlgError, match="^action matrices are 2x2, "
+                                          "module dimension is 3$"):
+        Bimodule(a2, [z, z], [z, z], mdim=3)
+    with pytest.raises(LinAlgError, match="must be nonnegative, got -1$"):
+        Bimodule(empty, [], [], mdim=-1)
+
+
 # -- the twisted bimodule lives over A_N ---------------------------------------
 
 def _nijenhuis_probe_slice(seed, count):
@@ -157,7 +177,7 @@ def test_deformed_semidirect_product_is_the_plus_twist_over_a_n():
     A_N equal to the sign +1 twist; read off the deformed product, not
     built by `_twisted_actions`."""
     from antiflex.algebra import deformed_product, semidirect_product
-    from antiflex.bimodule import _twisted_actions
+    from antiflex.bimodule import _image_actions, _twisted_actions
     from antiflex.deformation import block_operator
 
     count = 0
@@ -176,7 +196,8 @@ def test_deformed_semidirect_product_is_the_plus_twist_over_a_n():
                     assert all(x == 0 for x in val)
         phi, psi = _module_actions(alg, big)
         assert Bimodule(a_n, phi, psi, check=False).validate().ok
-        assert (phi, psi) == _twisted_actions(mod, n, n, 1)
+        assert (phi, psi) == _twisted_actions(mod, _image_actions(mod, n),
+                                              n, 1)
         count += 1
     assert count >= 40, count
 

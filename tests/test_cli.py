@@ -59,6 +59,24 @@ def s2_fixture(tmp_path):
 
 
 @pytest.fixture()
+def s2_split_fixture(tmp_path):
+    """A Nijenhuis structure (N, S), N != S, on a non-associative
+    anti-flexible algebra with its regular bimodule, from the seeded sample
+    of `test_slow_routes.swept_structures`: its left S^2-variant note reads
+    false and its right one true."""
+    from antiflex.algebra import Algebra
+    from antiflex.bimodule import regular_bimodule
+    alg = Algebra.from_products(2, {(0, 0): {0: -1}, (0, 1): {0: 1},
+                                    (1, 1): {1: 1}})
+    doc = WorkspaceDocument(alg, None, regular_bimodule(alg), None,
+                            {"N": Matrix.from_rows([[0, 0], [-1, 0]]),
+                             "S": Matrix.from_rows([[0, 0], [0, 1]])}, None)
+    path = tmp_path / "s2split.json"
+    path.write_text(render_document(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
 def na2_fixture(tmp_path, na2):
     doc = WorkspaceDocument(na2, None, None, None, {}, None)
     path = tmp_path / "na2.json"
@@ -498,10 +516,11 @@ def deformed_fixture(tmp_path, a2, m_a2, e21):
 
 def test_cli_output_matches_the_golden_record(a2_fixture, pair_fixture,
                                               deformed_fixture, s2_fixture,
-                                              capsys, monkeypatch):
+                                              s2_split_fixture, capsys,
+                                              monkeypatch):
     """Every command and target on the A2, morphism-pair and deformed
-    documents, `check nij-structure` and `deform generate` on the S^2
-    document, in text and JSON, and the argument errors of this module,
+    documents, `check nij-structure` and `deform generate` on the two S^2
+    documents, in text and JSON, and the argument errors of this module,
     print and exit byte for byte as recorded in data/cli_golden.json; each
     entry of the command table passes or fails there at least once."""
     import antiflex.cli as cli
@@ -509,7 +528,8 @@ def test_cli_output_matches_the_golden_record(a2_fixture, pair_fixture,
         golden = json.load(handle)
     argvs = [entry["argv"] for entry in golden]
     paths = {"a2": a2_fixture, "pair": pair_fixture,
-             "deformed": deformed_fixture, "s2": s2_fixture}
+             "deformed": deformed_fixture, "s2": s2_fixture,
+             "s2split": s2_split_fixture}
     got = cli_outcomes(argvs, paths, capsys, monkeypatch)
     ran = set()
     for entry in golden:

@@ -15,7 +15,8 @@ from antiflex.cohomology import (ComplexError, RBComplex, ce_differential,
                                  skew_symmetrize)
 from antiflex.glie import (HARD_ARITY_CAP, Cochain, DegreeCapError,
                           embed_blocks, graded_bracket, restrict_blocks)
-from antiflex.linalg import Matrix, basis_vector, int_cols_rank
+from antiflex.linalg import (Matrix, basis_vector, int_cols_rank,
+                             linear_combination)
 from tests.test_int_views import transport
 
 rng = random.Random(1006)
@@ -39,9 +40,9 @@ def test_degree_zero_differential_matches_display(a2, m_a2, t_inv, t_nil):
                 tm = op.col(m_idx)
                 # T(m).a - T(r(a)m) - a.T(m) + T(l(a)m)
                 t1 = a2.multiply(tm, a)
-                t2 = op.apply(m_a2.right_of(a).col(m_idx))
+                t2 = op.apply(linear_combination(a, m_a2.right).col(m_idx))
                 t3 = a2.multiply(a, tm)
-                t4 = op.apply(m_a2.left_of(a).col(m_idx))
+                t4 = op.apply(linear_combination(a, m_a2.left).col(m_idx))
                 expected = tuple(t1[k] - t2[k] - t3[k] + t4[k]
                                  for k in range(2))
                 assert img.value((m_idx,)) == expected
@@ -53,6 +54,17 @@ def test_degree_zero_vanishes_for_degenerate_fixtures(a0_1, a1, m_a1):
     assert cx.differential_matrix(0).is_zero()
     cx1 = RBComplex(a1, m_a1, Matrix.zeros(1, 1))
     assert cx1.differential_matrix(0).is_zero()
+
+
+def test_complex_on_a_zero_dimensional_module(a2):
+    """M = 0: the induced algebra on M has no basis element, and its
+    actions still act on the whole of A; only C^0 = A is nonzero."""
+    from antiflex.bimodule import zero_bimodule
+    cx = RBComplex(a2, zero_bimodule(a2, 0), Matrix.zeros(2, 0))
+    assert cx.star.dim == 0 and cx.induced.mdim == 2
+    assert cx.pi_swapped.dim == 2
+    assert cx.dims(3).degrees == [(0, 2, 2, 0, 2), (1, 0, 0, 0, 0),
+                                  (2, 0, 0, 0, 0), (3, 0, 0, 0, 0)]
 
 
 def test_sign_relation_across_degrees(cohomology_corpus):
@@ -278,6 +290,26 @@ def test_one_cocycle_agrees_with_differential(a2, m_a2, t_inv, t_nil,
             f = random_cochain(cx, 1)
             direct, vanish = one_cocycle_check(alg, mod, op, f, cx)
             assert direct == vanish
+
+
+def test_one_cocycle_check_on_coboundaries(a2, m_a2, t_inv, noncommutative_rb):
+    """On d_0 of each basis element the displayed condition agrees with
+    d_1 f = 0.  On the noncommutative pairs l != r.  The last pair is no
+    complex: d_1 d_0(e_2) != 0, while d_0(e_1) is a cocycle by both routes,
+    which reading r(T(v))u as l(T(v))u would break."""
+    from antiflex.algebra import Algebra
+    from antiflex.bimodule import regular_bimodule
+    alg = Algebra.from_products(2, {(0, 0): {0: -1}, (0, 1): {0: -1},
+                                    (1, 0): {1: -1}, (1, 1): {0: -1}})
+    cases = [(a2, m_a2, t_inv), noncommutative_rb,
+             (alg, regular_bimodule(alg), Matrix.from_rows([[0, -1], [0, 0]]))]
+    got = []
+    for alg, mod, op in cases:
+        cx = RBComplex(alg, mod, op)
+        got += [one_cocycle_check(alg, mod, op, cx.differential(
+            Cochain.from_constant(basis_vector(i, alg.dim), mod.mdim)), cx)
+            for i in range(alg.dim)]
+    assert got == [(True, True)] * 5 + [(False, False)]
 
 
 def test_skew_symmetrize_degree_one_is_identity():

@@ -25,6 +25,25 @@ def test_zero_deformation_is_valid(a2, m_a2):
     assert is_closed_2cochain(a2, m_a2, zero)
 
 
+def test_pair_over_a_zero_dimensional_algebra_keeps_its_module():
+    """With no basis element neither the bimodule nor a generator has a
+    matrix to read the module size from: the bimodule keeps the mdim it is
+    given, and a generator acts on it, as does a Nijenhuis structure."""
+    from antiflex.algebra import Algebra
+    from antiflex.bimodule import tilde_bimodule, zero_bimodule
+    empty = Algebra.zero(0)
+    mod = zero_bimodule(empty, 2)
+    zero = InfinitesimalDeformation.zero(0, 2)
+    assert is_valid_deformation(empty, mod, zero)
+    assert is_closed_2cochain(empty, mod, zero)
+    n, s = Matrix.zeros(0, 0), Matrix.from_rows([[1, 2], [0, 1]])
+    report = is_nijenhuis_structure(empty, mod, n, s)
+    assert report.ok and all(report.notes.values())
+    assert trivial_deformation_from(empty, mod, n, s) == zero
+    assert tilde_bimodule(mod, n, s).mdim == 2
+    assert is_trivial_deformation(empty, mod, zero, n, s)
+
+
 def test_redeforming_by_the_structure_itself(a2, m_a2):
     defo = InfinitesimalDeformation.of_structure(a2, m_a2)
     assert is_valid_deformation(a2, m_a2, defo)

@@ -235,17 +235,17 @@ def test_undecodable_json_is_a_document_error(text):
     assert str(err.value).startswith("$: invalid JSON: ")
 
 
-def test_bimodule_over_a_zero_dimensional_algebra_has_mdim_zero():
-    """The module size is read from the action matrices, and there are none
-    over a 0-dimensional algebra: a written mdim of 3 re-renders as 0."""
-    text = json.dumps({"field": "Q",
-                       "algebra": {"dim": 0, "basis": [], "products": {}},
-                       "bimodule": {"mdim": 3, "l": [], "r": []}})
+def test_bimodule_over_a_zero_dimensional_algebra_keeps_its_mdim():
+    """There is no action matrix over a 0-dimensional algebra to read the
+    module size from: the mdim written is the mdim read, and the document
+    renders back byte for byte."""
+    raw = {"field": "Q",
+           "algebra": {"dim": 0, "basis": [], "products": {}},
+           "bimodule": {"mdim": 3, "l": [], "r": []}}
+    text = json.dumps(raw, indent=2) + "\n"
     doc = parse_document(text)
-    assert doc.bimodule.mdim == 0
-    rendered = render_document(doc)
-    assert json.loads(rendered)["bimodule"] == {"mdim": 0, "l": [], "r": []}
-    assert render_document(parse_document(rendered)) == rendered
+    assert doc.bimodule.mdim == 3
+    assert render_document(doc) == text
 
 
 def _algebra(dim):

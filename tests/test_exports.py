@@ -1,5 +1,5 @@
 """Every name a module lists in `__all__` resolves, so `import *` works,
-and every name a module imports is used."""
+and every name a package or test module imports is used."""
 
 import ast
 import importlib
@@ -73,13 +73,18 @@ def unused_imports(source):
 
 
 SOURCES = sorted(pathlib.Path(antiflex.__file__).parent.glob("*.py"))
+TEST_SOURCES = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def test_the_source_files_are_found():
     assert {"__init__.py", "linalg.py", "cli.py"} <= {p.name for p in SOURCES}
+    assert {"conftest.py", "slow_routes.py", "test_exports.py"} \
+        <= {p.name for p in TEST_SOURCES}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TEST_SOURCES,
+                         ids=lambda p: (p.name if p.parent.name == "antiflex"
+                                        else f"tests/{p.name}"))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

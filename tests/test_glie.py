@@ -20,7 +20,7 @@ from antiflex.glie import (Cochain, CochainSpace, DegreeCapError,
                            rb_differential, rb_mc_equivalence, reversal,
                            structure_element, twisted_mc_check)
 from antiflex.linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
-                             vec_add, vec_sub)
+                             linear_combination, vec_add, vec_sub)
 from tests.conftest import random_matrix
 
 rng = random.Random(1005)
@@ -209,8 +209,9 @@ def test_derived_self_bracket_value_matches_displayed_formula(a2, m_a2):
         for i, j in itertools.product(range(2), repeat=2):
             tu, tv = op.col(i), op.col(j)
             val = vec_sub(a2.multiply(tu, tv),
-                          vec_add(op.apply(m_a2.left_of(tu).col(j)),
-                                  op.apply(m_a2.right_of(tv).col(i))))
+                          op.apply(vec_add(
+                              linear_combination(tu, m_a2.left).col(j),
+                              linear_combination(tv, m_a2.right).col(i))))
             assert tt.value((i, j)) == tuple(2 * x for x in val)
 
 

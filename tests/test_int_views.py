@@ -4,11 +4,11 @@ the dense routes they replaced.
 `induced_bimodule_on_base`, `operators._star_product` and
 `induced_pre_anti_flexible` contract the integer views of the bimodule and
 of the operator.  The references below are the earlier routes
-(`alg.multiply`, `op.apply` and `left_of`/`right_of` on basis vectors),
-kept as oracles: every output must agree entry by entry, down to the type
-of each entry, and every error must carry the same text.  A view filled in
-by a construction must stand for exactly the entries of the object, and no
-view may be built twice.
+(`alg.multiply`, `op.apply` and `linear_combination` of the action matrices
+on basis vectors), kept as oracles: every output must agree entry by entry,
+down to the type of each entry, and every error must carry the same text.
+A view filled in by a construction must stand for exactly the entries of
+the object, and no view may be built twice.
 """
 
 import random
@@ -21,7 +21,8 @@ from antiflex import linalg
 from antiflex.algebra import Algebra
 from antiflex.bimodule import Bimodule, induced_bimodule_on_base, zero_bimodule
 from antiflex.cohomology import ComplexError, RBComplex
-from antiflex.linalg import Matrix, MultiMap, basis_vector, vec_add, vec_sub
+from antiflex.linalg import (Matrix, MultiMap, basis_vector,
+                             linear_combination, vec_add, vec_sub)
 from antiflex.operators import (PreAntiFlexible, _star_product,
                                 induced_pre_anti_flexible, star_algebra)
 from antiflex.search import search_operators
@@ -38,8 +39,8 @@ def ref_star_product(mod, op):
 
     def fn(idx):
         i, j = idx
-        return vec_add(mod.right_of(op.col(j)).col(i),
-                       mod.left_of(op.col(i)).col(j))
+        return vec_add(linear_combination(op.col(j), mod.right).col(i),
+                       linear_combination(op.col(i), mod.left).col(j))
 
     labels = tuple(f"m{i + 1}" for i in range(md))
     return Algebra(MultiMap.from_function(2, md, fn), labels)
@@ -77,11 +78,11 @@ def ref_induced_pre_anti_flexible(alg, mod, op):
 
     def succ_fn(idx):
         i, j = idx
-        return mod.left_of(op.col(i)).col(j)
+        return linear_combination(op.col(i), mod.left).col(j)
 
     def prec_fn(idx):
         i, j = idx
-        return mod.right_of(op.col(j)).col(i)
+        return linear_combination(op.col(j), mod.right).col(i)
 
     return PreAntiFlexible(MultiMap.from_function(2, md, prec_fn),
                            MultiMap.from_function(2, md, succ_fn))
@@ -268,8 +269,10 @@ def transport(alg, mod, op, p, q, lam=1, mu=1):
         for j in range(d):
             constants.extend(pinv.apply(alg.multiply(p.col(i), p.col(j))))
     moved = Algebra(MultiMap(2, d, constants).scale(lam))
-    left = [(qinv @ mod.left_of(p.col(i)) @ q).scale(lam) for i in range(d)]
-    right = [(qinv @ mod.right_of(p.col(i)) @ q).scale(lam) for i in range(d)]
+    left = [(qinv @ linear_combination(p.col(i), mod.left) @ q).scale(lam)
+            for i in range(d)]
+    right = [(qinv @ linear_combination(p.col(i), mod.right) @ q).scale(lam)
+             for i in range(d)]
     return (moved, Bimodule(moved, left, right, check=False),
             (pinv @ op @ q).scale(mu))
 

@@ -189,6 +189,50 @@ def test_morphism_scaling_pair_verdicts(a2, m_a2, t_inv, t_nil):
                     a2, m_a2, op, a2, m_a2, target, phi, phi)
 
 
+def test_rb_morphism_reads_each_action_on_its_side(noncommutative_rb):
+    """l != r on the noncommutative fixture: the identity pair is a morphism
+    only when l(phi(a)) and r(phi(a)) are each matched with their own side,
+    and random pairs agree with the graph route."""
+    alg, mod, op = noncommutative_rb
+    ident = Matrix.identity(alg.dim)
+    assert mod.left != mod.right
+    assert is_rb_morphism(alg, mod, op, alg, mod, op, ident, ident).ok
+    for _ in range(20):
+        phi = random_matrix(rng, alg.dim, alg.dim, -1, 1)
+        psi = random_matrix(rng, mod.mdim, mod.mdim, -1, 1)
+        assert is_rb_morphism(alg, mod, op, alg, mod, op, phi, psi).ok \
+            == rb_morphism_graph_check(alg, mod, op, alg, mod, op, phi, psi)
+
+
+def _lie_rb_by_basis_sums(lie, rep, op):
+    """[Tm, Tn] = T(rho(Tm)n - rho(Tn)m) with rho(x)y summed entry by entry
+    over the basis, not formed as a matrix."""
+    n = rep.mdim
+    for i in range(n):
+        for j in range(n):
+            tm, tn = op.col(i), op.col(j)
+            inner = [sum(tm[k] * rep.rho[k][r, j] - tn[k] * rep.rho[k][r, i]
+                         for k in range(lie.dim)) for r in range(n)]
+            if lie.bracket.evaluate(tm, tn) != op.apply(inner):
+                return False
+    return True
+
+
+def test_lie_rota_baxter_equals_basis_sums(noncommutative_rb):
+    """Every endomorphism over {-1, 0, 1} of the noncommutative fixture's
+    commutator algebra, on rho = l - r; both verdicts occur."""
+    from antiflex.algebra import commutator_lie
+    from antiflex.search import search_operators
+    alg, mod, _ = noncommutative_rb
+    lie, rep = commutator_lie(alg), lie_representation(alg, mod)
+    seen = set()
+    for op in search_operators(alg, None, (-1, 0, 1), (), shape="algebra-endo"):
+        got = is_lie_rota_baxter(lie, rep, op).ok
+        assert got == _lie_rb_by_basis_sums(lie, rep, op)
+        seen.add(got)
+    assert seen == {True, False}
+
+
 def test_is_lie_rota_baxter_trivial(a2, m_a2):
     from antiflex.algebra import commutator_lie
     lie = commutator_lie(a2)

@@ -65,7 +65,8 @@ def ref_anti_flexible_report(alg):
 def ref_is_rota_baxter(alg, mod, op):
     def residual(i, j):
         tm, tn = op.col(i), op.col(j)
-        inner = vec_add(mod.left_of(tm).col(j), mod.right_of(tn).col(i))
+        inner = vec_add(linear_combination(tm, mod.left).col(j),
+                        linear_combination(tn, mod.right).col(i))
         return vec_sub(alg.multiply(tm, tn), op.apply(inner))
 
     return CheckReport("rota_baxter").sweep(

@@ -1,27 +1,37 @@
 """The direct routes of `MultiMap.evaluate`, `rb_morphism_graph_check`, the
-S^2-variant note, the Nijenhuis-structure powers and the trivial-deformation
+Nijenhuis-structure report with its S^2-variant notes, the twists phi/psi
+and l~/r~, the Nijenhuis-structure powers and the trivial-deformation
 ledger against their slow forms in `tests/slow_routes.py`, on the fixture
-corpus and on seeded random inputs; each verdict and note takes both values
-somewhere."""
+corpus, on ON-structures and on seeded random inputs; each verdict and note
+takes both values somewhere."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from antiflex.algebra import _semidirect_product
-from antiflex.bimodule import _twisted_actions, regular_bimodule
+import antiflex
+from antiflex.algebra import _semidirect_product, deformed_product
+from antiflex.bimodule import (_image_actions, _tilde_bimodule,
+                               _twisted_actions, regular_bimodule,
+                               tilde_bimodule)
 from antiflex.deformation import (InfinitesimalDeformation,
                                   _structure_power, _trivial_deformation,
                                   _variant_s_squared, is_nijenhuis_structure,
                                   trivial_deformation_ledger)
 from antiflex.glie import Cochain
 from antiflex.linalg import LinAlgError, Matrix, MultiMap
-from antiflex.operators import rb_morphism_graph_check
+from antiflex.onstruct import (deformed_rb_suite, is_on_structure,
+                               lemma_tilde_star_check, on_from_compatible)
+from antiflex.operators import (_star_product, is_rota_baxter,
+                                rb_morphism_graph_check)
 from antiflex.search import search_algebras, search_operators
 from tests.conftest import random_matrix
 from tests.slow_routes import (evaluate_all_tuples, graph_check_direct_sum,
-                               ledger_rederived, structure_power_oracle,
+                               ledger_rederived, nijenhuis_structure_each,
+                               structure_power_oracle, tilde_bimodule_each,
+                               twisted_actions_each,
                                variant_s_squared_displayed)
 
 VALUES = (-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 4))
@@ -70,6 +80,33 @@ def pair_sample(rb_pairs, swept_structures):
                  random_matrix(rng, mod.mdim, mod.mdim, -1, 1))
                 for _ in range(6)]
     return out + swept_structures
+
+
+@pytest.fixture(scope="module")
+def on_corpus(a2, m_a2, swept_structures):
+    """(alg, mod, T, N, S) ON-structures: (T2, T1 T2^-1, T2^-1 T1) from each
+    compatible pair of Rota-Baxter operators on A2 over {-1, 0, 1, 2} with
+    T2 invertible, and (0, N, S) for each Nijenhuis structure (N, S) of the
+    swept sample (with T = 0 every other condition holds)."""
+    out = []
+    rbs = search_operators(a2, m_a2, [-1, 0, 1, 2], ["rota-baxter"])
+    for t1, t2 in itertools.product(rbs, rbs):
+        if (t1 != t2 and t2.inverse() is not None
+                and is_rota_baxter(a2, m_a2, t1 + t2)):
+            out.append((a2, m_a2, *on_from_compatible(a2, m_a2, t1, t2)))
+    for alg, mod, n, s in swept_structures:
+        if is_nijenhuis_structure(alg, mod, n, s):
+            out.append((alg, mod, Matrix.zeros(alg.dim, mod.mdim), n, s))
+    assert all(is_on_structure(*entry) for entry in out)
+    return out
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 @pytest.mark.parametrize("arity", [0, 1, 2, 3])
@@ -149,12 +186,13 @@ def test_graph_route_equals_the_direct_sum_route(cohomology_corpus,
 def test_s_squared_note_equals_the_displayed_form(pair_sample):
     seen = {True: set(), False: set()}
     for alg, mod, n, s in pair_sample:
-        phi, psi = _twisted_actions(mod, n, s, 1)
+        acted = _image_actions(mod, n)
+        twists = _twisted_actions(mod, acted, s, 1)
         report = is_nijenhuis_structure(alg, mod, n, s)
-        for side, twist, use_left in (("left", phi, True),
-                                      ("right", psi, False)):
+        for k, (side, use_left) in enumerate((("left", True),
+                                              ("right", False))):
             want = variant_s_squared_displayed(mod, n, s, use_left)
-            assert _variant_s_squared(mod, n, s, twist, use_left) is want
+            assert _variant_s_squared(acted[k], s, twists[k]) is want
             assert report.notes[f"variant_s_squared_{side}"] is want
             seen[want].add((side, report.ok))
     # both values on both sides, on structures and on other pairs
@@ -206,3 +244,95 @@ def test_ledger_equals_the_rederived_ledger(pair_sample):
                 seen.setdefault(name, set()).add(value)
     assert len(seen) == 6
     assert all(values == {True, False} for values in seen.values()), seen
+
+
+def test_nijenhuis_structure_report_equals_the_each_form(pair_sample,
+                                                        on_corpus):
+    """Verdict, violations (law, basis tuple and witness matrix) and notes,
+    in order, as when each check formed the actions of the N(e_i) itself."""
+    pairs = pair_sample + [(alg, mod, n, s) for alg, mod, _, n, s in on_corpus]
+    seen = set()
+    for alg, mod, n, s in pairs:
+        got = is_nijenhuis_structure(alg, mod, n, s)
+        want = nijenhuis_structure_each(alg, mod, n, s)
+        assert got == want
+        assert list(got.notes.items()) == list(want.notes.items())
+        assert [repr(v.residual) for v in got.violations] \
+            == [repr(v.residual) for v in want.violations]
+        seen.add(got.ok)
+        seen.update(("witness", v.residual is not None)
+                    for v in got.violations)
+        seen.add(("s2 split", got.notes["variant_s_squared_left"]
+                  != got.notes["variant_s_squared_right"]))
+    assert seen == {True, False, ("witness", True), ("s2 split", True),
+                    ("s2 split", False)}
+
+
+def test_twists_equal_the_each_form(pair_sample, on_corpus):
+    """phi/psi of the trivial deformation, and l~/r~ over A_N (or the
+    refusal that they are no bimodule there), on every pair."""
+    pairs = pair_sample + [(alg, mod, n, s) for alg, mod, _, n, s in on_corpus]
+    seen = set()
+    for alg, mod, n, s in pairs:
+        defo = _trivial_deformation(alg, mod, n, s)
+        assert (defo.phi, defo.psi) == twisted_actions_each(mod, n, s, 1)
+        assert defo.omega == deformed_product(alg, n).mul
+        got = _outcome(_tilde_bimodule, mod, n, s)
+        want = _outcome(tilde_bimodule_each, mod, n, s)
+        assert got == want
+        if not isinstance(got, str):
+            assert (got.base, got.left, got.right) \
+                == (want.base, want.left, want.right)
+            assert got.mdim == mod.mdim
+        structure = bool(is_nijenhuis_structure(alg, mod, n, s))
+        if structure:
+            assert _outcome(tilde_bimodule, mod, n, s) == got
+        seen.add((structure, isinstance(got, str)))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
+def test_on_twisted_checks_equal_the_each_form(on_corpus):
+    """`lemma_tilde_star_check` and `deformed_rb_suite` against the same
+    identities on the twist of `tilde_bimodule_each`."""
+    seen = set()
+    for alg, mod, op, n, s in on_corpus:
+        tilde = _outcome(tilde_bimodule_each, mod, n, s)
+        if isinstance(tilde, str):
+            want_lemma = want_suite = tilde
+        else:
+            star_tilde = _star_product(tilde, op).mul
+            star_s = deformed_product(_star_product(mod, op), s).mul
+            star_nt = _star_product(mod, n @ op).mul
+            want_lemma = (star_tilde == star_s,
+                          star_tilde + star_s == star_nt.scale(2))
+            want_suite = {
+                "deformed_rb": bool(is_rota_baxter(tilde.base, tilde, op)),
+                "composed_rb": bool(is_rota_baxter(alg, mod, n @ op)),
+                "compatible": bool(is_rota_baxter(alg, mod, op + n @ op))}
+        assert _outcome(lemma_tilde_star_check, alg, mod, op, n, s) \
+            == want_lemma
+        assert _outcome(deformed_rb_suite, alg, mod, op, n, s) == want_suite
+        seen.add(isinstance(tilde, str))
+    assert seen == {True, False}
+
+
+def test_nijenhuis_structure_forms_each_action_once(pair_sample,
+                                                    monkeypatch):
+    """One `linear_combination` per basis element and side in each
+    `is_nijenhuis_structure` call, wherever the package reads it from."""
+    real = antiflex.linalg.linear_combination
+    calls = []
+
+    def counting(coeffs, terms):
+        calls.append(len(terms))
+        return real(coeffs, terms)
+
+    for name in dir(antiflex):
+        module = getattr(antiflex, name)
+        if getattr(module, "linear_combination", None) is real:
+            monkeypatch.setattr(module, "linear_combination", counting)
+    for alg, mod, n, s in pair_sample:
+        calls.clear()
+        is_nijenhuis_structure(alg, mod, n, s)
+        assert calls == [alg.dim] * (2 * alg.dim)
