@@ -187,16 +187,15 @@ def dual_bimodule_candidate(alg: Algebra, mod: Bimodule):
 
 
 class LieRepresentation:
-    """A representation rho of a Lie algebra on an mdim space."""
+    """A representation rho of a Lie algebra; mdim as `Bimodule` reads it."""
 
     __slots__ = ("lie", "mdim", "rho")
 
-    def __init__(self, lie: LieAlgebra, rho: Sequence[Matrix]):
-        if len(rho) != lie.dim:
-            raise LinAlgError("need one matrix per Lie algebra basis element")
+    def __init__(self, lie: LieAlgebra, rho: Sequence[Matrix],
+                 mdim: Optional[int] = None):
+        self.mdim = _action_dim(lie.dim, rho, rho, mdim)
         self.lie = lie
         self.rho = tuple(rho)
-        self.mdim = rho[0].rows if rho else 0
         self.validate().require("not a representation")
 
     def validate(self) -> CheckReport:
@@ -214,7 +213,7 @@ def lie_representation(alg: Algebra, mod: Bimodule) -> LieRepresentation:
     """rho = l - r on the commutator Lie algebra of the base."""
     lie = commutator_lie(alg)
     rho = [mod.left[i] - mod.right[i] for i in range(alg.dim)]
-    return LieRepresentation(lie, rho)
+    return LieRepresentation(lie, rho, mod.mdim)
 
 
 def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodule:

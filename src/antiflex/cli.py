@@ -18,9 +18,9 @@ from typing import Optional
 
 from .algebra import classify
 from .cohomology import ComplexError, RBComplex
-from .deformation import (_check_power, _structure_power, _trivial_deformation,
-                          is_closed_2cochain, is_nijenhuis_structure,
-                          is_valid_deformation, trivial_deformation_ledger)
+from .deformation import (_check_power, _closed_and_valid, _ledger,
+                          _nijenhuis_structure, _structure_power, _trivial_deformation,
+                          is_nijenhuis_structure, is_valid_deformation)
 from .document import (WorkspaceDocument, _document_object, _render_matrix,
                        _render_sparse_bilinear, load_document)
 from .glie import ClosureError, CochainSpace, DegreeCapError, derived_bracket
@@ -252,13 +252,12 @@ def _cohomology(report: Report, args, doc: WorkspaceDocument) -> None:
 def _deform_generate(report: Report, args, doc: WorkspaceDocument) -> None:
     alg, mod = doc.algebra, _bimodule_object(doc)
     alg_op, mod_op = _ops(report, args, doc, 2)
-    check = is_nijenhuis_structure(alg, mod, alg_op, mod_op)
+    check, acted, twists = _nijenhuis_structure(alg, mod, alg_op, mod_op)
     report.from_check("nijenhuis_structure", check)
     if not check.ok:
         return
-    defo = _trivial_deformation(alg, mod, alg_op, mod_op)  # checked above
-    for name, ok in trivial_deformation_ledger(alg, mod, alg_op, mod_op,
-                                               defo).items():
+    defo = _trivial_deformation(alg, mod, alg_op, twists)  # checked above
+    for name, ok in _ledger(alg, alg_op, mod_op, acted, defo, defo).items():
         report.verdict(name, ok)
     report.verdict("valid_deformation", is_valid_deformation(alg, mod, defo))
     report.payload["document"] = _document_object(
@@ -270,9 +269,9 @@ def _deform_verify(report: Report, args, doc: WorkspaceDocument) -> None:
     defo = doc.deformation
     if defo is None:
         raise CommandError("document has no deformation section")
-    report.verdict("closed", is_closed_2cochain(alg, mod, defo),
-                   asserted=False)
-    report.verdict("valid", is_valid_deformation(alg, mod, defo))
+    closed, valid = _closed_and_valid(alg, mod, defo)
+    report.verdict("closed", closed, asserted=False)
+    report.verdict("valid", valid)
 
 
 def _glie_bracket(report: Report, args, doc: WorkspaceDocument) -> None:

@@ -3,12 +3,12 @@ validity and closedness of generators, equivalence and triviality,
 Nijenhuis structures (a compatible operator pair on algebra and module),
 and their powers.
 
-A deformation generator is a triple (omega, phi, psi): a bilinear map on A
-together with two action perturbations, packaged as the degree-1 element
-delta = omega + phi + psi on A + M.  The generator is valid when
-(pi + t delta) squares to zero under the bracket composition identically
-in t, which splits into the coefficient conditions [pi, delta] = 0 and
-delta ob delta = 0.
+A deformation generator (omega, phi, psi) is action data (phi, psi) of the
+algebra (A, omega), held as one unchecked `Bimodule`; the degree-1 element
+delta = omega + phi + psi on A + M is read from its integer view, built once
+per generator.  The generator is valid when (pi + t delta) squares to zero
+under the bracket composition identically in t, which splits into the
+coefficient conditions [pi, delta] = 0 and delta ob delta = 0.
 
 A Nijenhuis-structure check forms l(N(e_i)) and r(N(e_i)) once; the twists
 phi and psi, the (4.7) compatibilities and the S^2 notes all read them.
@@ -17,14 +17,12 @@ phi and psi, the (4.7) compatibilities and the S^2 notes all read them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .algebra import Algebra, _semidirect_product, deformed_product
-from .bimodule import (Bimodule, _action_dim, _image_actions, _rebased,
-                       _twisted_actions)
+from .bimodule import Bimodule, _image_actions, _rebased, _twisted_actions
 from .glie import (HARD_ARITY_CAP, SparseMap, _insertion_sum,
-                   _structure_element, compose_bar, graded_bracket,
-                   structure_element)
+                   _structure_element, compose_bar, graded_bracket)
 from .linalg import LinAlgError, Matrix, MultiMap, int_cols_rank
 from .operators import _is_algebra_morphism, is_nijenhuis
 from .reports import CheckReport
@@ -45,57 +43,54 @@ __all__ = [
 
 
 class InfinitesimalDeformation:
-    """Generator data (omega, phi, psi) for a t-linear deformation."""
+    """Generator data (omega, phi, psi) for a t-linear deformation, held as
+    the unchecked `Bimodule` (phi, psi) over (A, omega), which reads mdim."""
 
-    __slots__ = ("omega", "phi", "psi", "adim", "mdim")
+    __slots__ = ("action",)
 
-    def __init__(self, omega: MultiMap, phi: Sequence[Matrix], psi: Sequence[Matrix]):
-        if omega.arity != 2:
-            raise LinAlgError("omega must be an arity-2 tensor on the algebra")
-        self.mdim = _action_dim(omega.dim, phi, psi)
-        self.omega = omega
-        self.phi = tuple(phi)
-        self.psi = tuple(psi)
-        self.adim = omega.dim
+    def __init__(self, omega: MultiMap, phi: Sequence[Matrix], psi: Sequence[Matrix],
+                 mdim: Optional[int] = None):
+        self.action = Bimodule(Algebra(omega), phi, psi, check=False, mdim=mdim)
+
+    omega = property(lambda self: self.action.base.mul)
+    phi = property(lambda self: self.action.left)
+    psi = property(lambda self: self.action.right)
+    adim = property(lambda self: self.action.base.dim)
+    mdim = property(lambda self: self.action.mdim)
 
     @staticmethod
     def zero(adim: int, mdim: int) -> "InfinitesimalDeformation":
         z = Matrix.zeros(mdim, mdim)
         return InfinitesimalDeformation(MultiMap.zero(2, adim),
-                                        [z] * adim, [z] * adim)
+                                        [z] * adim, [z] * adim, mdim)
 
     @staticmethod
     def of_structure(alg: Algebra, mod: Bimodule) -> "InfinitesimalDeformation":
         """The generator equal to the ambient structure itself."""
-        return InfinitesimalDeformation(alg.mul, mod.left, mod.right)
-
-    def _same_shape(self, other: "InfinitesimalDeformation"):
-        if self.adim != other.adim or self.mdim != other.mdim:
-            raise LinAlgError("deformation shape mismatch")
-
-    def __sub__(self, other: "InfinitesimalDeformation") -> "InfinitesimalDeformation":
-        self._same_shape(other)
-        return InfinitesimalDeformation(
-            self.omega - other.omega,
-            [a - b for a, b in zip(self.phi, other.phi)],
-            [a - b for a, b in zip(self.psi, other.psi)])
+        return InfinitesimalDeformation(alg.mul, mod.left, mod.right, mod.mdim)
 
     def __eq__(self, other):
-        return (isinstance(other, InfinitesimalDeformation)
-                and self.omega == other.omega and self.phi == other.phi
-                and self.psi == other.psi)
+        return isinstance(other, InfinitesimalDeformation) \
+            and self.action == other.action
 
     def __repr__(self):
         return f"InfinitesimalDeformation(adim={self.adim}, mdim={self.mdim})"
 
 
-def _context(alg: Algebra, mod: Bimodule, defo: InfinitesimalDeformation):
-    """(pi, delta = omega + phi + psi) on A + M; over a zero-dimensional
-    algebra defo has no matrix to read its mdim from, and acts on mod's."""
-    if defo.adim != alg.dim or (alg.dim and defo.mdim != mod.mdim):
+def _context(alg: Algebra, mod: Bimodule, *defos: InfinitesimalDeformation):
+    """pi on A + M, then delta of each generator, from their integer views."""
+    if any((d.adim, d.mdim) != (alg.dim, mod.mdim) for d in defos):
         raise LinAlgError("deformation does not match the ambient pair")
-    return (_structure_element(_rebased(alg, mod)),
-            structure_element(defo.omega, defo.phi, defo.psi, mod.mdim))
+    return [_structure_element(m) for m in (_rebased(alg, mod),
+                                            *(d.action for d in defos))]
+
+
+def _closed_and_valid(alg: Algebra, mod: Bimodule,
+                      defo: InfinitesimalDeformation) -> tuple:
+    """(closed, valid) from one [pi, delta]."""
+    pi, delta = _context(alg, mod, defo)
+    closed = graded_bracket(pi, delta, HARD_ARITY_CAP).is_zero()
+    return closed, closed and compose_bar(delta, delta, HARD_ARITY_CAP).is_zero()
 
 
 def is_valid_deformation(alg: Algebra, mod: Bimodule,
@@ -105,10 +100,7 @@ def is_valid_deformation(alg: Algebra, mod: Bimodule,
     The t^1 coefficient is [pi, delta] and the t^2 coefficient is
     delta ob delta; the t^0 one holds by ambient validity.
     """
-    pi, delta = _context(alg, mod, defo)
-    if not graded_bracket(pi, delta, HARD_ARITY_CAP).is_zero():
-        return False
-    return compose_bar(delta, delta, HARD_ARITY_CAP).is_zero()
+    return _closed_and_valid(alg, mod, defo)[1]
 
 
 def is_closed_2cochain(alg: Algebra, mod: Bimodule,
@@ -139,8 +131,7 @@ def are_equivalent_deformations(alg: Algebra, mod: Bimodule,
       (iii) (N+S) delta(x,y) = delta'(x, (N+S)y) + delta'((N+S)x, y)
                                + pi((N+S)x, (N+S)y)
     """
-    pi, delta = _context(alg, mod, defo)
-    _, delta2 = _context(alg, mod, other)
+    pi, delta, delta2 = _context(alg, mod, defo, other)
     lam = SparseMap.from_matrix(block_operator(alg_op, mod_op))
 
     def on_both(f):  # f(lam x, lam y): lam grafted into each slot in turn
@@ -188,22 +179,28 @@ def is_nijenhuis_structure(alg: Algebra, mod: Bimodule,
     recorded in the report notes, along with the outcome of the alternative
     S^2-variant condition, which is observational only.
     """
+    return _nijenhuis_structure(alg, mod, alg_op, mod_op)[0]
+
+
+def _nijenhuis_structure(alg: Algebra, mod: Bimodule, alg_op: Matrix,
+                         mod_op: Matrix) -> tuple:
+    """`is_nijenhuis_structure` with the actions and +1 twists it formed."""
     if alg_op.rows != alg.dim or mod_op.rows != mod.mdim:
         raise LinAlgError("operator shapes do not match the pair")
     primary = is_nijenhuis(_semidirect_product(alg, mod),
                            block_operator(alg_op, mod_op))
     acted = _image_actions(mod, alg_op)  # read by phi/psi, (4.7) and S^2
-    sides = list(zip(acted, _twisted_actions(mod, acted, mod_op, 1)))
+    twists = _twisted_actions(mod, acted, mod_op, 1)
 
     report = CheckReport("nijenhuis_structure")
     report.merge(primary)
     report.notes["primary_semidirect"] = primary.ok
     report.notes["secondary_componentwise"] = (
         is_nijenhuis(alg, alg_op).ok
-        and all(_eq_4_7(a, mod_op, t) for a, t in sides))
-    for side, (a, t) in zip(("left", "right"), sides):
+        and all(_eq_4_7(a, mod_op, t) for a, t in zip(acted, twists)))
+    for side, a, t in zip(("left", "right"), acted, twists):
         report.notes[f"variant_s_squared_{side}"] = _variant_s_squared(a, mod_op, t)
-    return report
+    return report, acted, twists
 
 
 def trivial_deformation_from(alg: Algebra, mod: Bimodule, alg_op: Matrix,
@@ -214,16 +211,16 @@ def trivial_deformation_from(alg: Algebra, mod: Bimodule, alg_op: Matrix,
         phi(a) = l(N(a)) + l(a) S - S l(a)
         psi(a) = r(N(a)) + r(a) S - S r(a)
     """
-    is_nijenhuis_structure(alg, mod, alg_op, mod_op).require("not a Nijenhuis structure")
-    return _trivial_deformation(alg, mod, alg_op, mod_op)
+    report, _, twists = _nijenhuis_structure(alg, mod, alg_op, mod_op)
+    report.require("not a Nijenhuis structure")
+    return _trivial_deformation(alg, mod, alg_op, twists)
 
 
 def _trivial_deformation(alg: Algebra, mod: Bimodule, alg_op: Matrix,
-                         mod_op: Matrix) -> InfinitesimalDeformation:
-    """`trivial_deformation_from` on a pair already checked."""
-    return InfinitesimalDeformation(
-        deformed_product(alg, alg_op).mul,
-        *_twisted_actions(mod, _image_actions(mod, alg_op), mod_op, 1))
+                         twists: tuple) -> InfinitesimalDeformation:
+    """`trivial_deformation_from` on the twists (phi, psi) of a checked pair."""
+    return InfinitesimalDeformation(deformed_product(alg, alg_op).mul, *twists,
+                                    mod.mdim)
 
 
 def trivial_deformation_ledger(alg: Algebra, mod: Bimodule, alg_op: Matrix,
@@ -233,16 +230,21 @@ def trivial_deformation_ledger(alg: Algebra, mod: Bimodule, alg_op: Matrix,
     omega, phi and psi against their formulas in `trivial_deformation_from`,
     (4.7) by `_eq_4_7`."""
     acted = _image_actions(mod, alg_op)
-    phi, psi = _twisted_actions(mod, acted, mod_op, 1)
-    out = {}
-    out["omega_formula"] = defo.omega == deformed_product(alg, alg_op).mul
-    out["omega_nijenhuis_compat"] = _is_algebra_morphism(
-        Algebra(defo.omega), alg, alg_op)
-    out["phi_formula"] = defo.phi == phi
-    out["phi_s_compat"] = _eq_4_7(acted[0], mod_op, defo.phi)
-    out["psi_formula"] = defo.psi == psi
-    out["psi_s_compat"] = _eq_4_7(acted[1], mod_op, defo.psi)
-    return out
+    return _ledger(alg, alg_op, mod_op, acted, _trivial_deformation(
+        alg, mod, alg_op, _twisted_actions(mod, acted, mod_op, 1)), defo)
+
+
+def _ledger(alg: Algebra, alg_op: Matrix, mod_op: Matrix, acted: tuple,
+            trivial: InfinitesimalDeformation, defo: InfinitesimalDeformation) -> dict:
+    """`trivial_deformation_ledger` on formed actions and trivial generator."""
+    return {
+        "omega_formula": defo.omega == trivial.omega,
+        "omega_nijenhuis_compat": _is_algebra_morphism(defo.action.base, alg, alg_op),
+        "phi_formula": defo.phi == trivial.phi,
+        "phi_s_compat": _eq_4_7(acted[0], mod_op, defo.phi),
+        "psi_formula": defo.psi == trivial.psi,
+        "psi_s_compat": _eq_4_7(acted[1], mod_op, defo.psi),
+    }
 
 
 def nijenhuis_structure_powers(alg: Algebra, mod: Bimodule, alg_op: Matrix,
@@ -277,8 +279,7 @@ def deformation_difference_is_exact(alg: Algebra, mod: Bimodule,
     units, and delta - delta' lies in it exactly when adding it as one more
     column leaves the rank unchanged (each column may carry its own scale,
     which changes no rank)."""
-    pi, delta = _context(alg, mod, defo)
-    _, delta2 = _context(alg, mod, other)
+    pi, delta, delta2 = _context(alg, mod, defo, other)
     total = alg.dim + mod.mdim
     image = [graded_bracket(pi, SparseMap(1, total, {(q, p): 1}),
                             HARD_ARITY_CAP).flat()

@@ -190,7 +190,7 @@ def _parse_deformation(obj, path: str, mod: Bimodule) -> InfinitesimalDeformatio
     omega = _parse_sparse_bilinear(obj["omega"], f"{path}.omega", mod.base.labels)
     phi, psi = _parse_square_lists(obj, path, ("phi", "psi"), mod.base.dim,
                                    mod.mdim, "")
-    return InfinitesimalDeformation(omega, phi, psi)
+    return InfinitesimalDeformation(omega, phi, psi, mod.mdim)
 
 
 def parse_document(text: str) -> WorkspaceDocument:

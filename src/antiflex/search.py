@@ -8,6 +8,7 @@ here re-passes its filters on re-ingestion, which the tests assert.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from typing import Callable, Optional, Sequence
@@ -34,48 +35,47 @@ class SearchSpaceError(ValueError):
     """The requested sweep exceeds the candidate ceiling."""
 
 
-ALGEBRA_PREDICATES = ("anti-flexible", "flexible", "associative", "commutative")
-OPERATOR_PREDICATES = ("rota-baxter", "nijenhuis", "nonzero", "scalar", "invertible")
+def _rota_baxter(alg: Algebra, mod: Optional[Bimodule], op: Matrix) -> bool:
+    if mod is None:
+        raise ValueError("rota-baxter predicate needs a bimodule")
+    return bool(is_rota_baxter(alg, mod, op))
+
+
+# name -> test, resolved (with a "not-" prefix) once per predicate built; an
+# operator test also takes the algebra and bimodule the search runs over.
+_ALGEBRA_TESTS = {
+    "anti-flexible": lambda alg: classify(alg).anti_flexible,
+    "flexible": lambda alg: classify(alg).flexible,
+    "associative": lambda alg: classify(alg).associative,
+    "commutative": Algebra.is_commutative,
+}
+_OPERATOR_TESTS = {
+    "rota-baxter": _rota_baxter,
+    "nijenhuis": lambda alg, mod, op: bool(is_nijenhuis(alg, op)),
+    "nonzero": lambda alg, mod, op: not op.is_zero(),
+    "scalar": lambda alg, mod, op: op.is_square() and op == Matrix.identity(
+        op.rows).scale(op[0, 0] if op.rows else 1),
+    "invertible": lambda alg, mod, op: op.is_square() and op.inverse() is not None,
+}
+ALGEBRA_PREDICATES = tuple(_ALGEBRA_TESTS)
+OPERATOR_PREDICATES = tuple(_OPERATOR_TESTS)
 
 
 def algebra_predicate(name: str) -> Callable[[Algebra], bool]:
-    base = name[4:] if name.startswith("not-") else name
-    if base not in ALGEBRA_PREDICATES:
+    test = _ALGEBRA_TESTS.get(name.removeprefix("not-"))
+    if test is None:
         raise ValueError(f"unknown algebra predicate {name!r}")
-
-    def check(alg: Algebra) -> bool:
-        if base == "commutative":
-            value = alg.is_commutative()
-        else:
-            value = getattr(classify(alg), base.replace("-", "_"))
-        return not value if name.startswith("not-") else value
-
-    return check
+    return (lambda alg: not test(alg)) if name.startswith("not-") else test
 
 
 def operator_predicate(name: str, alg: Algebra,
                        mod: Optional[Bimodule]) -> Callable[[Matrix], bool]:
-    base = name[4:] if name.startswith("not-") else name
-    if base not in OPERATOR_PREDICATES:
+    test = _OPERATOR_TESTS.get(name.removeprefix("not-"))
+    if test is None:
         raise ValueError(f"unknown operator predicate {name!r}")
-
-    def check(op: Matrix) -> bool:
-        if base == "rota-baxter":
-            if mod is None:
-                raise ValueError("rota-baxter predicate needs a bimodule")
-            value = bool(is_rota_baxter(alg, mod, op))
-        elif base == "nijenhuis":
-            value = bool(is_nijenhuis(alg, op))
-        elif base == "nonzero":
-            value = not op.is_zero()
-        elif base == "scalar":
-            value = (op.is_square()
-                     and op == Matrix.identity(op.rows).scale(op[0, 0] if op.rows else 1))
-        else:
-            value = op.is_square() and op.inverse() is not None
-        return not value if name.startswith("not-") else value
-
-    return check
+    if name.startswith("not-"):
+        return lambda op: not test(alg, mod, op)
+    return functools.partial(test, alg, mod)
 
 
 def _grid(coeffs: Sequence, cells: int, progress: bool):

@@ -23,24 +23,40 @@ Each function here is the form the package used before the direct one:
 - `structure_power_oracle`: the verdict of the whole dual-route report on
   (N^p, S^p);
 - `ledger_rederived`: `deformation.trivial_deformation_ledger` with omega,
-  phi and psi derived again from their formulas.
+  phi and psi derived again from their formulas;
+- `structure_elements_rebuilt`: pi and delta = omega + phi + psi on A + M
+  as `deformation._context` formed them from a bare (omega, phi, psi),
+  rebuilding delta's bimodule and integer view through the public
+  `glie.structure_element` on each call, with the module size of a
+  generator over a 0-dimensional algebra taken from the ambient bimodule;
+- `verify_rebuilt`: (closed, valid) of `deform verify`, each verdict
+  forming pi, delta and [pi, delta] on its own;
+- `deform_generate_each`: `deform generate` as three formations: the
+  structure report, then the generator, then the ledger, each forming the
+  actions, the twists and A_N anew;
+- `algebra_predicate_dispatched`, `operator_predicate_dispatched`: the
+  search predicates that read their name on every application.
 
 None of them calls the package's twist, (4.7) or S^2 helpers: the actions
 of elements are `linear_combination` of the action matrices, and products
-are `Matrix @`.
+are `Matrix @`.  None imports `antiflex.deformation` beyond
+`block_operator`, or `antiflex.search`.
 """
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 
-from antiflex.algebra import (Algebra, _semidirect_product, deformed_product,
-                              direct_sum)
-from antiflex.bimodule import Bimodule
+from antiflex.algebra import (Algebra, _semidirect_product, classify,
+                              deformed_product, direct_sum)
+from antiflex.bimodule import Bimodule, _rebased
 from antiflex.deformation import block_operator
-from antiflex.linalg import (LinAlgError, basis_vector, linear_combination,
-                             vec_is_zero, vec_sub)
+from antiflex.glie import (HARD_ARITY_CAP, _structure_element, compose_bar,
+                           graded_bracket, structure_element)
+from antiflex.linalg import (LinAlgError, Matrix, basis_vector,
+                             linear_combination, vec_is_zero, vec_sub)
 from antiflex.operators import (_check_operator_shape, _is_algebra_morphism,
-                                is_nijenhuis)
+                                is_nijenhuis, is_rota_baxter)
 from antiflex.reports import CheckReport
 
 
@@ -169,3 +185,76 @@ def ledger_rederived(alg, mod, alg_op, mod_op, defo):
     out["psi_formula"] = all(defo.psi[i] == psi[i] for i in range(alg.dim))
     out["psi_s_compat"] = eq_4_7_each(mod, alg_op, mod_op, defo.psi, False)
     return out
+
+
+Generator = namedtuple("Generator", "omega phi psi")
+
+
+def structure_elements_rebuilt(alg, mod, defo):
+    mdim = defo.phi[0].rows if defo.phi else 0
+    if defo.omega.dim != alg.dim or (alg.dim and mdim != mod.mdim):
+        raise LinAlgError("deformation does not match the ambient pair")
+    return (_structure_element(_rebased(alg, mod)),
+            structure_element(defo.omega, defo.phi, defo.psi, mod.mdim))
+
+
+def verify_rebuilt(alg, mod, defo):
+    pi, delta = structure_elements_rebuilt(alg, mod, defo)
+    closed = graded_bracket(pi, delta, HARD_ARITY_CAP).is_zero()
+    pi, delta = structure_elements_rebuilt(alg, mod, defo)
+    valid = (graded_bracket(pi, delta, HARD_ARITY_CAP).is_zero()
+             and compose_bar(delta, delta, HARD_ARITY_CAP).is_zero())
+    return closed, valid
+
+
+def deform_generate_each(alg, mod, alg_op, mod_op):
+    """(report, generator, ledger, valid); the last three are None when
+    (N, S) is no Nijenhuis structure."""
+    report = nijenhuis_structure_each(alg, mod, alg_op, mod_op)
+    if not report.ok:
+        return report, None, None, None
+    defo = Generator(deformed_product(alg, alg_op).mul,
+                     *twisted_actions_each(mod, alg_op, mod_op, 1))
+    return (report, defo, ledger_rederived(alg, mod, alg_op, mod_op, defo),
+            verify_rebuilt(alg, mod, defo)[1])
+
+
+def algebra_predicate_dispatched(name):
+    base = name[4:] if name.startswith("not-") else name
+    if base not in ("anti-flexible", "flexible", "associative",
+                    "commutative"):
+        raise ValueError(f"unknown algebra predicate {name!r}")
+
+    def check(alg):
+        if base == "commutative":
+            value = alg.is_commutative()
+        else:
+            value = getattr(classify(alg), base.replace("-", "_"))
+        return not value if name.startswith("not-") else value
+
+    return check
+
+
+def operator_predicate_dispatched(name, alg, mod):
+    base = name[4:] if name.startswith("not-") else name
+    if base not in ("rota-baxter", "nijenhuis", "nonzero", "scalar",
+                    "invertible"):
+        raise ValueError(f"unknown operator predicate {name!r}")
+
+    def check(op):
+        if base == "rota-baxter":
+            if mod is None:
+                raise ValueError("rota-baxter predicate needs a bimodule")
+            value = bool(is_rota_baxter(alg, mod, op))
+        elif base == "nijenhuis":
+            value = bool(is_nijenhuis(alg, op))
+        elif base == "nonzero":
+            value = not op.is_zero()
+        elif base == "scalar":
+            value = (op.is_square() and op == Matrix.identity(op.rows).scale(
+                op[0, 0] if op.rows else 1))
+        else:
+            value = op.is_square() and op.inverse() is not None
+        return not value if name.startswith("not-") else value
+
+    return check

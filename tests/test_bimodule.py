@@ -139,6 +139,22 @@ def test_module_dimension_is_kept_over_a_zero_dimensional_algebra(a2):
         Bimodule(empty, [], [], mdim=-1)
 
 
+def test_lie_representation_keeps_its_module_dimension(a2, m_a2):
+    """rho = l - r carries the bimodule's mdim, also when the algebra has no
+    basis element and rho no matrix; a given mdim must match the matrices."""
+    from antiflex.algebra import commutator_lie
+    from antiflex.bimodule import LieRepresentation
+    empty = Algebra.zero(0)
+    for mdim in (0, 3):
+        assert lie_representation(empty, zero_bimodule(empty, mdim)).mdim == mdim
+    assert lie_representation(a2, m_a2).mdim == 2
+    assert LieRepresentation(commutator_lie(empty), []).mdim == 0
+    rho = [m_a2.left[i] - m_a2.right[i] for i in range(2)]
+    with pytest.raises(LinAlgError, match="^action matrices are 2x2, "
+                                          "module dimension is 3$"):
+        LieRepresentation(commutator_lie(a2), rho, 3)
+
+
 # -- the twisted bimodule lives over A_N ---------------------------------------
 
 def _nijenhuis_probe_slice(seed, count):

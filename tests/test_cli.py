@@ -138,21 +138,93 @@ def test_over_bound_dim_is_exit_2_at_once(tmp_path, capsys):
 def test_deform_generate_checks_the_structure_once(a2_fixture, capsys,
                                                    monkeypatch):
     """The report's check of (N, S) is the only one; the generator is
-    built unchecked after it passes."""
+    built unchecked after it passes.  `is_nijenhuis_structure` is the
+    report of `_nijenhuis_structure`, which forms every check of a pair."""
     import antiflex.cli as cli
     import antiflex.deformation as deformation
-    original = deformation.is_nijenhuis_structure
+    original = deformation._nijenhuis_structure
     calls = []
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(cli, "is_nijenhuis_structure", counted)
-    monkeypatch.setattr(deformation, "is_nijenhuis_structure", counted)
+    monkeypatch.setattr(cli, "_nijenhuis_structure", counted)
+    monkeypatch.setattr(deformation, "_nijenhuis_structure", counted)
     assert main(["--fixture", a2_fixture, "deform", "generate",
                  "--ops", "N,S"]) == 0
     assert len(calls) == 1
+
+
+def _count_calls(monkeypatch, name, modules, keep=lambda *args: True):
+    """Wrap `name` in each module that binds it; the list of the argument
+    tuples of the calls that `keep` accepts."""
+    import importlib
+    calls = []
+    original = getattr(importlib.import_module(modules[0]), name)
+
+    def counted(*args, **kwargs):
+        if keep(*args):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        module = importlib.import_module(module)
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+PACKAGE = [f"antiflex.{name}" for name in (
+    "algebra", "bimodule", "cli", "cohomology", "deformation", "document",
+    "glie", "onstruct", "operators", "search")]
+
+
+def test_deform_verify_brackets_pi_and_delta_once(
+        deformed_fixture, closed_fixture, unclosed_fixture, empty_fixture,
+        capsys, monkeypatch):
+    """One [pi, delta] serves both verdicts, and pi and delta are each
+    formed once: one structure element of the document's bimodule and one
+    of the generator's."""
+    from antiflex.glie import _structure_element
+    brackets = _count_calls(monkeypatch, "graded_bracket",
+                            ["antiflex.glie", *PACKAGE])
+    elements = _count_calls(monkeypatch, "_structure_element",
+                            ["antiflex.glie", *PACKAGE])
+    for path, status in ((deformed_fixture, 0), (closed_fixture, 1),
+                         (unclosed_fixture, 1), (empty_fixture, 0)):
+        brackets.clear()
+        elements.clear()
+        assert main(["--fixture", path, "deform", "verify"]) == status
+        assert len(brackets) == 1
+        (mod,), (action,) = elements
+        assert type(mod).__name__ == type(action).__name__ == "Bimodule"
+        assert mod is not action
+        assert brackets[0][:2] == (_structure_element(mod),
+                                   _structure_element(action))
+
+
+def test_deform_generate_forms_each_piece_once(a2_fixture, s2_fixture,
+                                               s2_split_fixture, capsys,
+                                               monkeypatch):
+    """A successful `deform generate` forms l(N e_i)/r(N e_i), the sign +1
+    twists and A_N once; the structure check, the generator and the ledger
+    all read them."""
+    acted = _count_calls(monkeypatch, "_image_actions",
+                         ["antiflex.bimodule", *PACKAGE])
+    twists = _count_calls(monkeypatch, "_twisted_actions",
+                          ["antiflex.bimodule", *PACKAGE])
+    deformed = _count_calls(monkeypatch, "deformed_product",
+                            ["antiflex.algebra", *PACKAGE],
+                            keep=lambda alg, op: op.rows == alg.dim)
+    for path in (a2_fixture, s2_fixture, s2_split_fixture):
+        for calls in (acted, twists, deformed):
+            calls.clear()
+        assert main(["--fixture", path, "deform", "generate",
+                     "--ops", "N,S"]) == 0
+        assert (len(acted), len(twists), len(deformed)) == (1, 1, 1)
+        assert twists[0][0] is acted[0][0] and twists[0][3] == 1
+        assert deformed[0][1] is acted[0][1]
 
 
 def test_missing_fixture_is_exit_2(capsys):
@@ -514,22 +586,69 @@ def deformed_fixture(tmp_path, a2, m_a2, e21):
     return str(path)
 
 
+def _generator_fixture(path, alg, mod, omega, phi, psi):
+    from antiflex.deformation import InfinitesimalDeformation
+    doc = WorkspaceDocument(alg, None, mod, None, {},
+                            InfinitesimalDeformation(omega, phi, psi))
+    path.write_text(render_document(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def closed_fixture(tmp_path, a2, m_a2):
+    """The A2 document carrying [pi, N + S] for N = S = e12, which is no
+    Nijenhuis structure: a closed generator that is not valid."""
+    from antiflex.algebra import Algebra
+    omega = Algebra.from_products(2, {(0, 0): {0: -1}, (0, 1): {1: 1},
+                                      (1, 0): {1: 1}}).mul
+    acts = (Matrix.from_rows([[-1, 0], [0, 1]]),
+            Matrix.from_rows([[0, 0], [1, 0]]))
+    return _generator_fixture(tmp_path / "closed.json", a2, m_a2, omega,
+                              acts, acts)
+
+
+@pytest.fixture()
+def unclosed_fixture(tmp_path, a2, m_a2):
+    """The A2 document carrying omega(e1, e1) = e1 with zero actions,
+    which is not closed."""
+    from antiflex.linalg import MultiMap
+    zeros = (Matrix.zeros(2, 2),) * 2
+    return _generator_fixture(tmp_path / "unclosed.json", a2, m_a2,
+                              MultiMap(2, 2, [1] + [0] * 7), zeros, zeros)
+
+
+@pytest.fixture()
+def empty_fixture(tmp_path):
+    """A 0-dimensional algebra with a 3-dimensional zero bimodule and the
+    zero generator, which has no matrix to read the module size from."""
+    from antiflex.algebra import Algebra
+    from antiflex.bimodule import zero_bimodule
+    empty = Algebra.zero(0)
+    return _generator_fixture(tmp_path / "empty.json", empty,
+                              zero_bimodule(empty, 3), empty.mul, (), ())
+
+
 def test_cli_output_matches_the_golden_record(a2_fixture, pair_fixture,
                                               deformed_fixture, s2_fixture,
-                                              s2_split_fixture, capsys,
-                                              monkeypatch):
+                                              s2_split_fixture,
+                                              closed_fixture,
+                                              unclosed_fixture, empty_fixture,
+                                              capsys, monkeypatch):
     """Every command and target on the A2, morphism-pair and deformed
     documents, `check nij-structure` and `deform generate` on the two S^2
-    documents, in text and JSON, and the argument errors of this module,
-    print and exit byte for byte as recorded in data/cli_golden.json; each
-    entry of the command table passes or fails there at least once."""
+    documents, `deform verify` on a closed invalid, an unclosed and a
+    0-dimensional generator (and `mc-check` on the last), in text and JSON,
+    and the argument errors of this module, print and exit byte for byte as
+    recorded in data/cli_golden.json; each entry of the command table passes
+    or fails there at least once."""
     import antiflex.cli as cli
     with open(GOLDEN, encoding="utf-8") as handle:
         golden = json.load(handle)
     argvs = [entry["argv"] for entry in golden]
     paths = {"a2": a2_fixture, "pair": pair_fixture,
              "deformed": deformed_fixture, "s2": s2_fixture,
-             "s2split": s2_split_fixture}
+             "s2split": s2_split_fixture, "closed": closed_fixture,
+             "unclosed": unclosed_fixture, "empty": empty_fixture}
     got = cli_outcomes(argvs, paths, capsys, monkeypatch)
     ran = set()
     for entry in golden:

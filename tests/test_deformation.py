@@ -44,6 +44,36 @@ def test_pair_over_a_zero_dimensional_algebra_keeps_its_module():
     assert is_trivial_deformation(empty, mod, zero, n, s)
 
 
+def test_generator_keeps_its_module_dimension():
+    """A generator over a 0-dimensional algebra has no matrix either: it
+    keeps the mdim it is given, equality reads it, the document parser
+    passes the bimodule's, and a generator on another module is refused."""
+    from antiflex.algebra import Algebra
+    from antiflex.bimodule import zero_bimodule
+    from antiflex.document import parse_document
+    from antiflex.linalg import LinAlgError
+    empty = Algebra.zero(0)
+    assert InfinitesimalDeformation.zero(0, 3).mdim == 3
+    assert InfinitesimalDeformation.zero(0, 2) != InfinitesimalDeformation.zero(0, 3)
+    assert InfinitesimalDeformation.zero(0, 3) \
+        == InfinitesimalDeformation(empty.mul, [], [], 3)
+    assert InfinitesimalDeformation(empty.mul, [], []).mdim == 0
+    doc = parse_document(
+        '{"field": "Q", "algebra": {"dim": 0, "basis": [], "products": {}},'
+        ' "bimodule": {"mdim": 3, "l": [], "r": []},'
+        ' "deformation": {"omega": {}, "phi": [], "psi": []}}')
+    assert doc.deformation == InfinitesimalDeformation.zero(0, 3)
+    assert InfinitesimalDeformation.of_structure(empty, doc.bimodule) \
+        == doc.deformation
+    with pytest.raises(LinAlgError, match="^deformation does not match"):
+        is_valid_deformation(empty, zero_bimodule(empty, 3),
+                             InfinitesimalDeformation.zero(0, 2))
+    z = Matrix.zeros(2, 2)
+    with pytest.raises(LinAlgError, match="^action matrices are 2x2, "
+                                          "module dimension is 3$"):
+        InfinitesimalDeformation(MultiMap.zero(2, 2), [z, z], [z, z], 3)
+
+
 def test_redeforming_by_the_structure_itself(a2, m_a2):
     defo = InfinitesimalDeformation.of_structure(a2, m_a2)
     assert is_valid_deformation(a2, m_a2, defo)

@@ -1,10 +1,13 @@
 """The direct routes of `MultiMap.evaluate`, `rb_morphism_graph_check`, the
 Nijenhuis-structure report with its S^2-variant notes, the twists phi/psi
-and l~/r~, the Nijenhuis-structure powers and the trivial-deformation
-ledger against their slow forms in `tests/slow_routes.py`, on the fixture
-corpus, on ON-structures and on seeded random inputs; each verdict and note
-takes both values somewhere."""
+and l~/r~, the Nijenhuis-structure powers, the trivial-deformation ledger,
+`deform verify`, `deform generate` and the search predicates against their
+slow forms in `tests/slow_routes.py`, on the fixture corpus, on
+ON-structures and on seeded random inputs; each verdict and note takes both
+values somewhere."""
 
+import argparse
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -12,27 +15,35 @@ from fractions import Fraction
 import pytest
 
 import antiflex
-from antiflex.algebra import _semidirect_product, deformed_product
+from antiflex.algebra import Algebra, _semidirect_product, deformed_product
 from antiflex.bimodule import (_image_actions, _tilde_bimodule,
                                _twisted_actions, regular_bimodule,
-                               tilde_bimodule)
+                               tilde_bimodule, zero_bimodule)
+from antiflex.cli import Report, _deform_generate
 from antiflex.deformation import (InfinitesimalDeformation,
+                                  _closed_and_valid, _nijenhuis_structure,
                                   _structure_power, _trivial_deformation,
-                                  _variant_s_squared, is_nijenhuis_structure,
+                                  _variant_s_squared, is_closed_2cochain,
+                                  is_nijenhuis_structure, is_valid_deformation,
                                   trivial_deformation_ledger)
+from antiflex.document import WorkspaceDocument, _document_object
 from antiflex.glie import Cochain
 from antiflex.linalg import LinAlgError, Matrix, MultiMap
 from antiflex.onstruct import (deformed_rb_suite, is_on_structure,
                                lemma_tilde_star_check, on_from_compatible)
 from antiflex.operators import (_star_product, is_rota_baxter,
                                 rb_morphism_graph_check)
-from antiflex.search import search_algebras, search_operators
+from antiflex.search import (algebra_predicate, operator_predicate,
+                             search_algebras, search_operators)
 from tests.conftest import random_matrix
-from tests.slow_routes import (evaluate_all_tuples, graph_check_direct_sum,
-                               ledger_rederived, nijenhuis_structure_each,
+from tests.slow_routes import (algebra_predicate_dispatched,
+                               deform_generate_each, evaluate_all_tuples,
+                               graph_check_direct_sum, ledger_rederived,
+                               nijenhuis_structure_each,
+                               operator_predicate_dispatched,
                                structure_power_oracle, tilde_bimodule_each,
                                twisted_actions_each,
-                               variant_s_squared_displayed)
+                               variant_s_squared_displayed, verify_rebuilt)
 
 VALUES = (-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 4))
 
@@ -99,6 +110,13 @@ def on_corpus(a2, m_a2, swept_structures):
             out.append((alg, mod, Matrix.zeros(alg.dim, mod.mdim), n, s))
     assert all(is_on_structure(*entry) for entry in out)
     return out
+
+
+def _trivial(alg, mod, n, s):
+    """The trivial generator of (n, s) from the twists its structure check
+    formed, whether or not (n, s) is a Nijenhuis structure."""
+    return _trivial_deformation(alg, mod, n,
+                                _nijenhuis_structure(alg, mod, n, s)[2])
 
 
 def _outcome(fn, *args):
@@ -218,7 +236,7 @@ def test_ledger_equals_the_rederived_ledger(pair_sample):
                   if is_nijenhuis_structure(alg, mod, n, s)]
     assert len(structures) >= 40
     for alg, mod, n, s in structures:
-        trivial = _trivial_deformation(alg, mod, n, s)
+        trivial = _trivial(alg, mod, n, s)
         d, md = alg.dim, mod.mdim
         bump = Matrix(md, md, [1] + [0] * (md * md - 1))
         defos = [
@@ -274,7 +292,7 @@ def test_twists_equal_the_each_form(pair_sample, on_corpus):
     pairs = pair_sample + [(alg, mod, n, s) for alg, mod, _, n, s in on_corpus]
     seen = set()
     for alg, mod, n, s in pairs:
-        defo = _trivial_deformation(alg, mod, n, s)
+        defo = _trivial(alg, mod, n, s)
         assert (defo.phi, defo.psi) == twisted_actions_each(mod, n, s, 1)
         assert defo.omega == deformed_product(alg, n).mul
         got = _outcome(_tilde_bimodule, mod, n, s)
@@ -336,3 +354,111 @@ def test_nijenhuis_structure_forms_each_action_once(pair_sample,
         calls.clear()
         is_nijenhuis_structure(alg, mod, n, s)
         assert calls == [alg.dim] * (2 * alg.dim)
+
+
+def test_deform_verify_equals_the_rebuilt_route(pair_sample, on_corpus):
+    """(closed, valid) from one [pi, delta], and each public verdict, as
+    when each verdict rebuilt pi, delta and its bracket; on the trivial
+    generator of every pair (closed; valid or not), with omega bumped, and
+    on the zero generator over a 0-dimensional algebra."""
+    pairs = pair_sample + [(alg, mod, n, s) for alg, mod, _, n, s in on_corpus]
+    cases = []
+    for alg, mod, n, s in pairs:
+        trivial = _trivial(alg, mod, n, s)
+        bump = MultiMap(2, alg.dim, [1] + [0] * (alg.dim ** 3 - 1))
+        cases += [(alg, mod, trivial),
+                  (alg, mod, InfinitesimalDeformation(
+                      trivial.omega + bump, trivial.phi, trivial.psi))]
+    empty = Algebra.zero(0)
+    cases.append((empty, zero_bimodule(empty, 3),
+                  InfinitesimalDeformation.zero(0, 3)))
+    seen = set()
+    for alg, mod, defo in cases:
+        want = verify_rebuilt(alg, mod, defo)
+        assert _closed_and_valid(alg, mod, defo) == want
+        assert (is_closed_2cochain(alg, mod, defo),
+                is_valid_deformation(alg, mod, defo)) == want
+        seen.add(want)
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_deform_generate_equals_the_three_formation_path(pair_sample,
+                                                         on_corpus):
+    """Verdicts, witnesses, notes, ledger items and the emitted generator of
+    `deform generate`, as when the structure check, the generator and the
+    ledger each formed the actions, the twists and A_N."""
+    pairs = pair_sample + [(alg, mod, n, s) for alg, mod, _, n, s in on_corpus]
+    seen = set()
+    for alg, mod, n, s in pairs:
+        doc = WorkspaceDocument(alg, None, mod, None, {"N": n, "S": s}, None)
+        got = Report("deform generate")
+        _deform_generate(got, argparse.Namespace(ops="N,S"), doc)
+        report, defo, ledger, valid = deform_generate_each(alg, mod, n, s)
+        want = Report("deform generate")
+        want.from_check("nijenhuis_structure", report)
+        if defo is not None:
+            for name, ok in ledger.items():
+                want.verdict(name, ok)
+            want.verdict("valid_deformation", valid)
+            want.payload["document"] = _document_object(dataclasses.replace(
+                doc, deformation=InfinitesimalDeformation(*defo)))
+        assert (got.verdicts, got.witnesses, got.payload) \
+            == (want.verdicts, want.witnesses, want.payload)
+        assert list(got.verdicts) == list(want.verdicts)
+        seen.add((report.ok, valid))
+    assert seen == {(False, None), (True, True)}
+
+
+PREDICATE_GRID = [-1, 0, 2]
+
+
+def test_search_predicates_equal_the_dispatched_forms(a2, m_a2,
+                                                      noncommutative_rb):
+    """Every predicate name and its "not-" form, built once, against the
+    form that reads its name on each application: the same values on
+    every candidate of small grids, the same refusals, and the same hits,
+    in order, from the searches."""
+    algebras = [Algebra(MultiMap(2, 2, entries)) for entries in
+                itertools.islice(itertools.product(PREDICATE_GRID, repeat=8),
+                                 0, None, 37)]
+    for name in ("anti-flexible", "flexible", "associative", "commutative"):
+        for full in (name, "not-" + name):
+            got, want = algebra_predicate(full), algebra_predicate_dispatched(full)
+            values = [got(alg) for alg in algebras]
+            assert values == [want(alg) for alg in algebras]
+            assert set(values) == {True, False}
+    alg, mod, _ = noncommutative_rb
+    for pair in ((a2, m_a2), (alg, mod)):
+        for shape, rows, cols in (("module-to-algebra", 2, 2),
+                                  ("algebra-endo", 2, 2)):
+            ops = [Matrix(rows, cols, e) for e in
+                   itertools.product(PREDICATE_GRID, repeat=rows * cols)]
+            for name in ("rota-baxter", "nijenhuis", "nonzero", "scalar",
+                         "invertible"):
+                for full in (name, "not-" + name):
+                    got = operator_predicate(full, *pair)
+                    want = operator_predicate_dispatched(full, *pair)
+                    values = [got(op) for op in ops]
+                    assert values == [want(op) for op in ops], full
+                    assert set(values) == {True, False}, full
+            assert search_operators(*pair, PREDICATE_GRID,
+                                    ["not-nijenhuis", "invertible"],
+                                    shape=shape) \
+                == [op for op in ops
+                    if not operator_predicate_dispatched("nijenhuis", *pair)(op)
+                    and operator_predicate_dispatched("invertible", *pair)(op)]
+    for name in ("rota-baxter", "not-rota-baxter"):
+        assert _outcome(operator_predicate(name, a2, None), Matrix.zeros(2, 2)) \
+            == _outcome(operator_predicate_dispatched(name, a2, None),
+                        Matrix.zeros(2, 2))
+    for name in ("bogus", "not-", "not-not-nonzero"):
+        assert _outcome(algebra_predicate, name) \
+            == _outcome(algebra_predicate_dispatched, name)
+        assert _outcome(operator_predicate, name, a2, m_a2) \
+            == _outcome(operator_predicate_dispatched, name, a2, m_a2)
+    assert search_algebras(2, PREDICATE_GRID, ["anti-flexible",
+                                               "not-commutative"], limit=40) \
+        == [alg for alg in (Algebra(MultiMap(2, 2, e)) for e in
+                            itertools.product(PREDICATE_GRID, repeat=8))
+            if algebra_predicate_dispatched("anti-flexible")(alg)
+            and algebra_predicate_dispatched("not-commutative")(alg)][:40]
