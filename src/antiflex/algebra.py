@@ -17,6 +17,7 @@ C, at the same first triple, and the witness is Fraction(int_residual, D**2).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -208,11 +209,13 @@ class ClassifyFlags:
 def classify(alg: Algebra) -> ClassifyFlags:
     """Check the associative, flexible and anti-flexible laws on all basis triples.
 
-    Shares one sweep of the integer-scaled associators; associativity forces
-    the other two flags, which holds automatically since a zero associator
-    satisfies both laws.  The sweep stops once the flexible and anti-flexible
-    flags are false: a failed flexible law has already met a nonzero
-    associator, so associativity is false too.
+    Shares one sweep of the integer-scaled associators.  Anti-flexible is
+    (a,b,c) = (c,b,a), and the flexible law (x,y,x) = 0, polarized, is
+    (a,b,c) + (c,b,a) = 0.  Where either fails, one of the two associators
+    is nonzero, so both are checked at the nonzero associators alone, which
+    have already made the associative flag false: a nonzero one equal to
+    its mirror fails the flexible law, and one that is not fails the
+    anti-flexible law.  The sweep stops once both of those flags are false.
     """
     d = alg.dim
     anti_flexible = True
@@ -222,11 +225,14 @@ def classify(alg: Algebra) -> ClassifyFlags:
     for (i, j, k), t in zip(itertools.product(range(d), repeat=3), assoc):
         if any(t):
             associative = False
-            flexible = flexible and i != k
-        if anti_flexible and t != assoc[(k * d + j) * d + i]:
-            anti_flexible = False
-        if not (anti_flexible or flexible):
-            break
+            mirror = assoc[(k * d + j) * d + i]
+            if t == mirror:  # then the sum 2t is nonzero
+                flexible = False
+            else:
+                anti_flexible = False
+                flexible = flexible and not any(map(operator.add, t, mirror))
+            if not (anti_flexible or flexible):
+                break
     return ClassifyFlags(anti_flexible=anti_flexible, flexible=flexible,
                          associative=associative)
 

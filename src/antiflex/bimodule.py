@@ -269,17 +269,19 @@ def tilde_bimodule(mod: Bimodule, alg_op: Matrix, mod_op: Matrix) -> Bimodule:
     (N, S^T) is a Nijenhuis structure on that dual; a Nijenhuis structure
     (N, S) alone does not make it one.
     """
-    from .deformation import is_nijenhuis_structure
+    from .deformation import _nijenhuis_structure
 
-    is_nijenhuis_structure(mod.base, mod, alg_op, mod_op).require("not a Nijenhuis structure")
-    return _tilde_bimodule(mod, alg_op, mod_op)
+    report, acted, _ = _nijenhuis_structure(mod.base, mod, alg_op, mod_op)
+    report.require("not a Nijenhuis structure")
+    return _tilde_bimodule(mod, alg_op, mod_op, acted)
 
 
-def _tilde_bimodule(mod: Bimodule, alg_op: Matrix, mod_op: Matrix) -> Bimodule:
-    """`tilde_bimodule` for a caller that has checked (N, S)."""
+def _tilde_bimodule(mod: Bimodule, alg_op: Matrix, mod_op: Matrix,
+                    acted: tuple) -> Bimodule:
+    """`tilde_bimodule` for a caller that has checked (N, S) and formed
+    acted = `_image_actions(mod, N)`."""
     return Bimodule(deformed_product(mod.base, alg_op),
-                    *_twisted_actions(mod, _image_actions(mod, alg_op),
-                                      mod_op, -1), mdim=mod.mdim)
+                    *_twisted_actions(mod, acted, mod_op, -1), mdim=mod.mdim)
 
 
 def _image_actions(mod: Bimodule, alg_op: Matrix) -> tuple:

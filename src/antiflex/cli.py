@@ -23,13 +23,13 @@ from .deformation import (_check_power, _closed_and_valid, _ledger,
                           is_nijenhuis_structure, is_valid_deformation)
 from .document import (WorkspaceDocument, _document_object, _render_matrix,
                        _render_sparse_bilinear, load_document)
-from .glie import ClosureError, CochainSpace, DegreeCapError, derived_bracket
+from .glie import (ClosureError, CochainSpace, DegreeCapError,
+                   _is_maurer_cartan, derived_bracket)
 from .linalg import Matrix, render_rational
 from .onstruct import _check_sweep_bound, _power_sweep, is_on_structure
 from .operators import (is_nijenhuis, is_rb_morphism, is_rota_baxter,
                         rb_graph_is_subalgebra, rb_morphism_graph_check)
 from .search import SearchSpaceError, search_algebras, search_operators
-from .glie import mc_check_algebra_bimodule
 
 __all__ = ["main", "run_command"]
 
@@ -225,7 +225,7 @@ def _check_morphism(report: Report, args, doc: WorkspaceDocument) -> None:
 def _mc_check(report: Report, args, doc: WorkspaceDocument) -> None:
     alg = doc.algebra
     mod = _need_bimodule(doc)
-    mc = mc_check_algebra_bimodule(alg, mod.left, mod.right)
+    mc = _is_maurer_cartan(mod)
     axioms = classify(alg).anti_flexible and bool(mod.validate())
     report.verdict("maurer_cartan", mc)
     report.verdict("axioms", axioms, asserted=False)
@@ -392,7 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
     glie.add_argument("--op")
     glie.add_argument("--ops")
 
-    search = sub.add_parser("search", help="brute-force enumeration oracle")
+    search = sub.add_parser("search", help="enumerate grid candidates that "
+                                           "pass every predicate")
     search.add_argument("--kind", choices=["algebra", "operator"],
                         required=True)
     search.add_argument("--dim", type=int)

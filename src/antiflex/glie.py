@@ -340,7 +340,12 @@ def mc_check_algebra_bimodule(alg: Algebra, left: Sequence[Matrix],
     Agrees with (anti-flexible AND bimodule axioms); both directions are
     exercised by the test suite.
     """
-    mod = Bimodule(alg, left, right, check=False)
+    return _is_maurer_cartan(Bimodule(alg, left, right, check=False))
+
+
+def _is_maurer_cartan(mod: Bimodule) -> bool:
+    """`mc_check_algebra_bimodule` on the actions of mod over its base,
+    with pi formed from mod's own integer view and module dimension."""
     pi = _structure_element(mod)
     return compose_bar(pi, pi, cap=HARD_ARITY_CAP).is_zero()
 

@@ -14,7 +14,7 @@ from typing import Tuple
 
 from .algebra import Algebra, deformed_product
 from .bimodule import Bimodule, _tilde_bimodule
-from .deformation import is_nijenhuis_structure
+from .deformation import _nijenhuis_structure
 from .linalg import LinAlgError, Matrix
 from .operators import _star_product, is_nijenhuis, is_rota_baxter, star_algebra
 from .reports import CheckReport
@@ -45,9 +45,16 @@ def is_on_structure(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
     """All four defining conditions, itemized in the report notes:
     T Rota-Baxter; (N, S) a Nijenhuis structure; N T = T S; and
     star_{N T} = star^S_T as tensors on M."""
+    return _on_structure(alg, mod, op, alg_op, mod_op)[0]
+
+
+def _on_structure(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
+                  mod_op: Matrix) -> tuple:
+    """`is_on_structure` with the actions l(N(e_i)) and r(N(e_i)) that its
+    Nijenhuis-structure check formed."""
     report = CheckReport("on_structure")
     rb = is_rota_baxter(alg, mod, op)
-    ns = is_nijenhuis_structure(alg, mod, alg_op, mod_op)
+    ns, acted, _ = _nijenhuis_structure(alg, mod, alg_op, mod_op)
     compose_res = alg_op @ op - op @ mod_op
     star_nt = _star_product(mod, alg_op @ op)
     star_s = deformed_product(_star_product(mod, op), mod_op)
@@ -65,7 +72,7 @@ def is_on_structure(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
         report.fail("N T = T S", (), compose_res)
     if not tensors_equal:
         report.fail("star_{N T} = star^S_T", (), star_nt.mul - star_s.mul)
-    return report
+    return report, acted
 
 
 def lemma_tilde_star_check(alg: Algebra, mod: Bimodule, op: Matrix,
@@ -76,8 +83,10 @@ def lemma_tilde_star_check(alg: Algebra, mod: Bimodule, op: Matrix,
     Both identities hold for every ON-structure; the averaging identity holds
     whenever the twisted bimodule exists.
     """
-    is_on_structure(alg, mod, op, alg_op, mod_op).require("not an ON-structure")
-    star_tilde = _star_product(_tilde_bimodule(mod, alg_op, mod_op), op).mul
+    report, acted = _on_structure(alg, mod, op, alg_op, mod_op)
+    report.require("not an ON-structure")
+    star_tilde = _star_product(_tilde_bimodule(mod, alg_op, mod_op, acted),
+                               op).mul
     star_s = deformed_product(_star_product(mod, op), mod_op).mul
     star_nt = _star_product(mod, alg_op @ op).mul
     return star_tilde == star_s, star_tilde + star_s == star_nt.scale(2)
@@ -114,8 +123,9 @@ def deformed_rb_suite(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
       composed_rb    N T is Rota-Baxter on the original pair
       compatible     T and N T are compatible
     """
-    is_on_structure(alg, mod, op, alg_op, mod_op).require("not an ON-structure")
-    twisted = _tilde_bimodule(mod, alg_op, mod_op)
+    report, acted = _on_structure(alg, mod, op, alg_op, mod_op)
+    report.require("not an ON-structure")
+    twisted = _tilde_bimodule(mod, alg_op, mod_op, acted)
     out = {}
     out["deformed_rb"] = bool(is_rota_baxter(twisted.base, twisted, op))
     composed = alg_op @ op

@@ -10,8 +10,11 @@ bimodule (constants and actions over one scale D1) or algebra, and of the
 operator (scale D2); each object builds its view once.  Both residuals are
 linear in the constants and quadratic in the operator, so on the views they
 are exactly D1*D2**2 times the true ones: the same basis pairs fail, and the
-witness is rebuilt as Fraction(int_residual, D1*D2**2).  The induced
-products star, > and < are linear in both, so ints over D1*D2.
+witness is rebuilt as Fraction(int_residual, D1*D2**2).  Each residual is
+written once (`_rota_baxter_law`, `_nijenhuis_law`) as a function of the
+operator's sparse int columns, which `search` also evaluates to read off
+the law as a quadratic form in the entries.  The induced products star, >
+and < are linear in both, so ints over D1*D2.
 """
 
 from __future__ import annotations
@@ -48,19 +51,43 @@ __all__ = [
 
 
 def _check_operator_shape(op: Matrix, src_dim: int, dst_dim: int, what: str):
-    if op.rows != dst_dim or op.cols != src_dim:
-        raise LinAlgError(
-            f"{what} must be {dst_dim}x{src_dim}, got {op.rows}x{op.cols}")
+    _check_shape(op.rows, op.cols, src_dim, dst_dim, what)
+
+
+def _check_shape(rows: int, cols: int, src_dim: int, dst_dim: int, what: str):
+    if rows != dst_dim or cols != src_dim:
+        raise LinAlgError(f"{what} must be {dst_dim}x{src_dim}, got {rows}x{cols}")
+
+
+def _law_report(name: str, law: str, op: Matrix, residual, n: int,
+                den1: int) -> CheckReport:
+    """The sweep of an operator law over the basis pairs of range(n), from
+    its int residual on the view of op; the law is quadratic in op, so the
+    witness is the residual over den1 * den2**2."""
+    cols, den2 = op.int_view()
+    return CheckReport(name).sweep(
+        law, itertools.product(range(n), repeat=2),
+        lambda i, j: residual(cols, i, j),
+        witness=lambda res: tuple(Fraction(x, den1 * den2 * den2) for x in res))
 
 
 def is_rota_baxter(alg: Algebra, mod: Bimodule, op: Matrix) -> CheckReport:
     """T(m).T(n) = T(l(T(m))n + r(T(n))m) on all basis pairs of the module."""
-    _check_operator_shape(op, mod.mdim, alg.dim, "Rota-Baxter candidate")
+    return _law_report("rota_baxter", "T(m).T(n) = T(l(Tm)n + r(Tn)m)", op,
+                       *_rota_baxter_law(alg, mod, op.rows, op.cols))
+
+
+def _rota_baxter_law(alg: Algebra, mod: Bimodule, rows: int, cols: int) -> tuple:
+    """(residual, n, den1) of the Rota-Baxter identity for a rows x cols
+    candidate, after its shape check: residual(tcols, i, j) is the int
+    residual at the module basis pair (i, j), i, j < n, of the operator
+    with sparse int columns tcols on the view of (alg, mod), scale den1.
+    It is a homogeneous quadratic in the entries of tcols."""
+    _check_shape(rows, cols, mod.mdim, alg.dim, "Rota-Baxter candidate")
     d, md = alg.dim, mod.mdim
     prod, left, right, den1 = _rebased(alg, mod).int_view()
-    tcols, den2 = op.int_view()
 
-    def residual(i, j):
+    def residual(tcols, i, j):
         out = _multiply(prod, d, tcols[i], tcols[j], [0] * d)
         # l(T e_i) e_j + r(T e_j) e_i
         inner = [0] * md
@@ -72,10 +99,7 @@ def is_rota_baxter(alg: Algebra, mod: Bimodule, op: Matrix) -> CheckReport:
                 inner[p] += x * y
         return tuple(_subtract_image(tcols, enumerate(inner), out))
 
-    return CheckReport("rota_baxter").sweep(
-        "T(m).T(n) = T(l(Tm)n + r(Tn)m)",
-        itertools.product(range(md), repeat=2), residual,
-        witness=lambda res: tuple(Fraction(x, den1 * den2 * den2) for x in res))
+    return residual, md, den1
 
 
 def rb_graph_is_subalgebra(alg: Algebra, mod: Bimodule, op: Matrix) -> bool:
@@ -101,21 +125,26 @@ def rb_graph_is_subalgebra(alg: Algebra, mod: Bimodule, op: Matrix) -> bool:
 
 def is_nijenhuis(alg: Algebra, op: Matrix) -> CheckReport:
     """Vanishing Nijenhuis torsion: N(a).N(b) = N(Na.b + a.Nb - N(a.b))."""
-    if not op.is_square() or op.rows != alg.dim:
+    return _law_report("nijenhuis", "N(a)N(b) = N(Na.b + a.Nb - N(ab))", op,
+                       *_nijenhuis_law(alg, op.rows, op.cols))
+
+
+def _nijenhuis_law(alg: Algebra, rows: int, cols: int) -> tuple:
+    """(residual, n, den1) of the Nijenhuis torsion for a rows x cols
+    candidate, after its shape check, as `_rota_baxter_law` gives them for
+    the Rota-Baxter identity: residual(ncols, i, j) at the algebra basis
+    pair (i, j) on the view of alg."""
+    if rows != cols or rows != alg.dim:
         raise LinAlgError("Nijenhuis candidate must be square of the algebra dimension")
     d = alg.dim
     prod, den1 = alg.int_view()
-    ncols, den2 = op.int_view()
 
-    def residual(i, j):
+    def residual(ncols, i, j):
         out = _multiply(prod, d, ncols[i], ncols[j], [0] * d)
         inner = _deformed(prod, ncols, d, i, j, [0] * d)
         return tuple(_subtract_image(ncols, enumerate(inner), out))
 
-    return CheckReport("nijenhuis").sweep(
-        "N(a)N(b) = N(Na.b + a.Nb - N(ab))",
-        itertools.product(range(d), repeat=2), residual,
-        witness=lambda res: tuple(Fraction(x, den1 * den2 * den2) for x in res))
+    return residual, d, den1
 
 
 def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int) -> dict:

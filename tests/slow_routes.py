@@ -35,15 +35,21 @@ Each function here is the form the package used before the direct one:
   structure report, then the generator, then the ledger, each forming the
   actions, the twists and A_N anew;
 - `algebra_predicate_dispatched`, `operator_predicate_dispatched`: the
-  search predicates that read their name on every application.
+  search predicates that read their name on every application;
+- `search_operators_each`: `search.search_operators` building every
+  candidate of the grid as a Matrix and applying the dispatched predicates
+  to it, in sweep order.
 
 None of them calls the package's twist, (4.7) or S^2 helpers: the actions
 of elements are `linear_combination` of the action matrices, and products
 are `Matrix @`.  None imports `antiflex.deformation` beyond
-`block_operator`, or `antiflex.search`.
+`block_operator`; from `antiflex.search`, `search_operators_each` reads
+only the ceiling, the progress interval and the refusal type, at call
+time.
 """
 
 import itertools
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -258,3 +264,42 @@ def operator_predicate_dispatched(name, alg, mod):
         return not value if name.startswith("not-") else value
 
     return check
+
+
+def _grid_each(coeffs, cells, progress):
+    from antiflex import search
+    values = sorted(set(Fraction(c) for c in coeffs))
+    total = len(values) ** cells
+    if total > search.CANDIDATE_CEILING:
+        raise search.SearchSpaceError(
+            f"{len(values)}^{cells} = {total} candidates exceed the "
+            f"ceiling {search.CANDIDATE_CEILING}")
+    count = 0
+    for entries in itertools.product(values, repeat=cells):
+        count += 1
+        if progress and count % search.PROGRESS_EVERY == 0:
+            print(f"search: {count}/{total} candidates scanned",
+                  file=sys.stderr)
+        yield entries
+
+
+def search_operators_each(alg, mod, coeffs, predicates,
+                          shape="module-to-algebra", limit=None,
+                          progress=False):
+    if shape not in ("module-to-algebra", "algebra-endo", "module-endo"):
+        raise ValueError(f"unknown operator search shape {shape!r}")
+    if shape != "algebra-endo" and mod is None:
+        raise ValueError(f"{shape} search needs a bimodule")
+    rows = mod.mdim if shape == "module-endo" else alg.dim
+    cols = alg.dim if shape == "algebra-endo" else mod.mdim
+    if limit is not None and limit < 0:
+        raise ValueError(f"search limit must be nonnegative, got {limit}")
+    checks = [operator_predicate_dispatched(p, alg, mod) for p in predicates]
+    hits = []
+    for entries in _grid_each(coeffs, rows * cols, progress):
+        if len(hits) == limit:
+            break
+        op = Matrix(rows, cols, entries)
+        if all(check(op) for check in checks):
+            hits.append(op)
+    return hits

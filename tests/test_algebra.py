@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from antiflex.algebra import (Algebra, classify, commutator_lie,
-                              deformed_product, direct_sum, semidirect_product,
-                              tensor_with_associative)
+from antiflex.algebra import (Algebra, ClassifyFlags, classify,
+                              commutator_lie, deformed_product, direct_sum,
+                              semidirect_product, tensor_with_associative)
 from antiflex.bimodule import zero_bimodule
 from antiflex.linalg import Matrix, MultiMap, basis_vector, vec_is_zero
 from antiflex.operators import is_nijenhuis
+from antiflex.search import search_algebras
 
 rng = random.Random(1002)
 
@@ -35,6 +36,23 @@ def test_classify_examples(a2, na2, af_nonassoc):
     assert not flags.anti_flexible
     flags = classify(af_nonassoc)
     assert flags.anti_flexible and not flags.associative
+
+
+def test_flexible_needs_the_polarized_law():
+    """e1e1 = -e1, e1e2 = -e2, e2e1 = e2: every (e_i, e_j, e_i) vanishes,
+    yet (x, e1, x) = 2 e2 for x = e1 + e2, so the algebra is not flexible;
+    on the dim-2 grid over {-1, 0, 1}, 753 algebras are flexible, not the
+    785 on which the basis instances (e_i, e_j, e_i) alone vanish."""
+    alg = Algebra.from_products(2, {(0, 0): {0: -1}, (0, 1): {1: -1},
+                                    (1, 0): {1: 1}})
+    e1, e2 = basis_vector(0, 2), basis_vector(1, 2)
+    for x, y in itertools.product((e1, e2), repeat=2):
+        assert vec_is_zero(alg.associator(x, y, x))
+    x = (Fraction(1), Fraction(1))
+    assert alg.associator(x, e1, x) == (0, 2)
+    assert classify(alg) == ClassifyFlags(anti_flexible=False, flexible=False,
+                                          associative=False)
+    assert len(search_algebras(2, (-1, 0, 1), ("flexible",))) == 753
 
 
 def test_associative_implies_anti_flexible_on_random_tensors():

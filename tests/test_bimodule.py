@@ -249,3 +249,27 @@ def test_tilde_bimodule_exists_over_a_n_when_the_dual_carries_the_structure():
         if not is_bimodule(alg, tilde.left, tilde.right).ok:
             seen["not_over_a"] += 1
     assert all(seen.values()), seen
+
+
+def test_tilde_bimodule_forms_the_image_actions_once(a2, m_a2, e21,
+                                                     monkeypatch):
+    """One `_image_actions` per `tilde_bimodule` call: the Nijenhuis-
+    structure check forms l(N(e_i)) and r(N(e_i)) and the twist reads
+    them."""
+    import antiflex.bimodule
+    import antiflex.deformation
+    from antiflex.bimodule import tilde_bimodule
+
+    acted = []
+    real = antiflex.bimodule._image_actions
+
+    def counting(mod, alg_op):
+        acted.append(alg_op)
+        return real(mod, alg_op)
+
+    for module in (antiflex.bimodule, antiflex.deformation):
+        monkeypatch.setattr(module, "_image_actions", counting)
+    n = Matrix.from_rows([[0, 0], ["1/2", 0]])
+    tilde = tilde_bimodule(m_a2, n, e21)
+    assert acted == [n]
+    assert tilde.mdim == m_a2.mdim

@@ -204,6 +204,28 @@ def test_deform_verify_brackets_pi_and_delta_once(
                                    _structure_element(action))
 
 
+def test_mc_check_forms_pi_from_the_documents_bimodule(a2, m_a2,
+                                                       monkeypatch):
+    """`mc-check` forms pi once, from the document's own bimodule: its
+    integer view, and its module dimension over a 0-dimensional algebra."""
+    import argparse
+
+    from antiflex.algebra import Algebra
+    from antiflex.bimodule import zero_bimodule
+    from antiflex.cli import Report, _mc_check
+    elements = _count_calls(monkeypatch, "_structure_element",
+                            ["antiflex.glie", *PACKAGE])
+    empty = Algebra.zero(0)
+    for alg, mod in ((a2, m_a2), (empty, zero_bimodule(empty, 3))):
+        elements.clear()
+        report = Report("mc-check")
+        _mc_check(report, argparse.Namespace(),
+                  WorkspaceDocument(alg, None, mod, None, {}, None))
+        assert report.verdicts["maurer_cartan"]["ok"]
+        assert len(elements) == 1 and elements[0][0] is mod
+        assert elements[0][0].mdim == mod.mdim
+
+
 def test_deform_generate_forms_each_piece_once(a2_fixture, s2_fixture,
                                                s2_split_fixture, capsys,
                                                monkeypatch):
@@ -637,8 +659,10 @@ def test_cli_output_matches_the_golden_record(a2_fixture, pair_fixture,
     """Every command and target on the A2, morphism-pair and deformed
     documents, `check nij-structure` and `deform generate` on the two S^2
     documents, `deform verify` on a closed invalid, an unclosed and a
-    0-dimensional generator (and `mc-check` on the last), in text and JSON,
-    and the argument errors of this module, print and exit byte for byte as
+    0-dimensional generator (and `mc-check` on the last), operator searches
+    over each predicate kind and shape with their refusals, in text and
+    JSON, and the argument errors of this module, print and exit byte for
+    byte as
     recorded in data/cli_golden.json; each entry of the command table passes
     or fails there at least once."""
     import antiflex.cli as cli

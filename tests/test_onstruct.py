@@ -189,22 +189,34 @@ def test_pairwise_power_sweep_checks_each_operator_once(a2, m_a2, on_triple,
 @pytest.mark.parametrize("check", [lemma_tilde_star_check, deformed_rb_suite])
 def test_twisted_checks_verify_the_nijenhuis_structure_once(a2, m_a2, on_triple,
                                                             check, monkeypatch):
+    """One Nijenhuis-structure check, inside the ON-structure check, and
+    one formation of l(N(e_i)) and r(N(e_i)), which the twisted actions
+    read."""
+    import antiflex.bimodule
     import antiflex.deformation
     import antiflex.onstruct
 
-    checked = []
-    real = antiflex.deformation.is_nijenhuis_structure
+    checked, acted = [], []
+    real_check = antiflex.deformation._nijenhuis_structure
+    real_acted = antiflex.bimodule._image_actions
 
-    def counting(alg, mod, alg_op, mod_op):
+    def counting_check(alg, mod, alg_op, mod_op):
         checked.append((alg_op, mod_op))
-        return real(alg, mod, alg_op, mod_op)
+        return real_check(alg, mod, alg_op, mod_op)
 
-    monkeypatch.setattr(antiflex.deformation, "is_nijenhuis_structure", counting)
-    monkeypatch.setattr(antiflex.onstruct, "is_nijenhuis_structure", counting)
+    def counting_acted(mod, alg_op):
+        acted.append(alg_op)
+        return real_acted(mod, alg_op)
+
+    for module in (antiflex.deformation, antiflex.onstruct):
+        monkeypatch.setattr(module, "_nijenhuis_structure", counting_check)
+    for module in (antiflex.bimodule, antiflex.deformation):
+        monkeypatch.setattr(module, "_image_actions", counting_acted)
     base, alg_op, mod_op = on_triple
     check(a2, m_a2, base, alg_op, mod_op)
     # once, inside is_on_structure; the twisted actions are built unchecked
     assert checked == [(alg_op, mod_op)]
+    assert acted == [alg_op]
 
 
 def test_twisted_checks_return_where_the_twist_fails_over_a():

@@ -39,8 +39,11 @@ def ref_basis_associator(alg, i, j, k):
 
 
 def ref_classify(alg):
+    """The flexible flag is (x, y, x) = 0 by the dense `Algebra.associator`
+    on x in {e_i, e_i + e_k} and y a basis vector: (x, y, x) is quadratic
+    in x, so these x decide it."""
     d = alg.dim
-    anti_flexible = flexible = associative = True
+    anti_flexible = associative = True
     assoc = {t: ref_basis_associator(alg, *t)
              for t in itertools.product(range(d), repeat=3)}
     for i, j, k in itertools.product(range(d), repeat=3):
@@ -49,8 +52,11 @@ def ref_classify(alg):
             associative = False
         if anti_flexible and not vec_is_zero(vec_sub(t, assoc[(k, j, i)])):
             anti_flexible = False
-        if flexible and i == k and not vec_is_zero(t):
-            flexible = False
+    xs = [vec_add(basis_vector(i, d), basis_vector(k, d)) if k > i
+          else basis_vector(i, d)
+          for i in range(d) for k in range(i, d)]
+    flexible = all(vec_is_zero(alg.associator(x, basis_vector(j, d), x))
+                   for x in xs for j in range(d))
     return ClassifyFlags(anti_flexible=anti_flexible, flexible=flexible,
                          associative=associative)
 

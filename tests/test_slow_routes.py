@@ -295,7 +295,7 @@ def test_twists_equal_the_each_form(pair_sample, on_corpus):
         defo = _trivial(alg, mod, n, s)
         assert (defo.phi, defo.psi) == twisted_actions_each(mod, n, s, 1)
         assert defo.omega == deformed_product(alg, n).mul
-        got = _outcome(_tilde_bimodule, mod, n, s)
+        got = _outcome(_tilde_bimodule, mod, n, s, _image_actions(mod, n))
         want = _outcome(tilde_bimodule_each, mod, n, s)
         assert got == want
         if not isinstance(got, str):
