@@ -1,13 +1,13 @@
 """Finite-dimensional algebras given by structure constants.
 
 An algebra is a dim-d space with a bilinear product stored as an arity-2
-coefficient tensor (e_i . e_j = sum_k c_{ij}^k e_k).  All identity checks
-run over basis tuples only; every law in scope is multilinear, so basis
-verification is complete.
+`MultiMap` (e_i . e_j = sum_k c_{ij}^k e_k), that is, as its nonzero
+structure constants.  All identity checks run over basis tuples only;
+every law in scope is multilinear, so basis verification is complete.
 
-An algebra keeps one integer view (`Algebra.int_view`), built on first use
-or by the construction that made it from ints: its nonzero products as ints
-C over a common denominator D, c = C / D.  Associators, deformed products
+An algebra keeps one integer view (`Algebra.int_view`), read on first use
+off the entries of its product map: its nonzero products as ints C over
+their common denominator D, c = C / D.  Associators, deformed products
 and the law checks contract it: (e_i e_j) e_k - e_i (e_j e_k) is sum_s
 c_ij^s c_sk^t - c_jk^s c_is^t, homogeneous of degree 2 in c, so exactly
 D**-2 times the int associator.  A law holds on c exactly when it holds on
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import (LinAlgError, Matrix, MultiMap, Vector, _fractions,
-                     basis_vector, integer_scaled, vec_add, vec_sub,
-                     zero_vector)
+from .linalg import (LinAlgError, Matrix, MultiMap, Vector, basis_vector,
+                     vec_add, vec_sub, zero_vector)
 from .reports import CheckReport
 
 __all__ = [
@@ -63,10 +62,14 @@ class Algebra:
 
     def int_view(self) -> tuple:
         """(prod, den): at pair index i*d + j, e_i.e_j's nonzero entries as
-        (k, int) pairs over the common denominator den."""
+        (k, int) pairs in increasing k over the common denominator den, read
+        off the entries and the denominator of the product map."""
         if self._view is None:
-            (c,), den = integer_scaled(self.mul.data)
-            self._view = (_nonzero_products(c, self.dim), den)
+            d = self.dim
+            prod = [[] for _ in range(d * d)]
+            for (i, j, k), x in sorted(self.mul.entries.items()):
+                prod[i * d + j].append((k, x))
+            self._view = ([tuple(p) for p in prod], self.mul.den)
         return self._view
 
     @staticmethod
@@ -76,11 +79,9 @@ class Algebra:
     @staticmethod
     def from_products(dim: int, products: dict, labels: Optional[Sequence[str]] = None) -> "Algebra":
         """Build from a sparse {(i, j): {k: coeff}} table, absent entries zero."""
-        flat = [0] * dim ** 3
-        for (i, j), img in products.items():
-            for k, c in img.items():
-                flat[(i * dim + j) * dim + k] = c
-        return Algebra(MultiMap(2, dim, flat), labels)
+        return Algebra(MultiMap._of_values(
+            2, dim, dim, (((i, j, k), c) for (i, j), img in products.items()
+                          for k, c in img.items())), labels)
 
     def multiply(self, x: Vector, y: Vector) -> Vector:
         return self.mul.evaluate(x, y)
@@ -111,8 +112,9 @@ class Algebra:
                                 rows=self.dim)
 
     def is_commutative(self) -> bool:
-        return all(self.basis_product(i, j) == self.basis_product(j, i)
-                   for i in range(self.dim) for j in range(self.dim))
+        entries = self.mul.entries
+        return all(entries.get((j, i, k)) == x
+                   for (i, j, k), x in entries.items())
 
     def __eq__(self, other):
         return isinstance(other, Algebra) and self.mul == other.mul
@@ -130,19 +132,11 @@ class Algebra:
 # Sparse vectors are lists of (index, coefficient) with nonzero coefficients.
 # Each helper adds its term into the dense int list `acc` and returns it.
 
-def _nonzero_products(c: Sequence, d: int) -> list:
-    """For each pair index i*d + j, the sparse product e_i.e_j, from the
-    flat row-major structure constants c of a dim-d algebra."""
-    return [tuple((k, x) for k, x in enumerate(c[p * d:(p + 1) * d]) if x)
-            for p in range(d * d)]
-
-
-def _algebra_of_ints(c: list, den: int, labels: Sequence[str]) -> "Algebra":
-    """The algebra of flat constants c / den, with its view made from c."""
+def _algebra_of_ints(entries: dict, den: int,
+                     labels: Sequence[str]) -> "Algebra":
+    """The algebra with structure constants entries[(i, j, k)] / den."""
     d = len(labels)
-    alg = Algebra(MultiMap(2, d, _fractions(c, den)), labels)
-    alg._view = (_nonzero_products(c, d), den)
-    return alg
+    return Algebra(MultiMap._of_ints(2, d, d, entries, den), labels)
 
 
 def _associator(prod: list, d: int, i: int, j: int, k: int, acc: list) -> list:
@@ -304,11 +298,7 @@ def _semidirect_product(alg: Algebra, mod) -> Algebra:
 
     labels = (tuple(f"a.{x}" for x in alg.labels)
               + tuple(f"m{i + 1}" for i in range(mod.mdim)))
-    pi = _structure_element(mod)
-    c = [0] * pi.dim ** 3
-    for off, x in pi.flat():
-        c[off] = x
-    return _algebra_of_ints(c, pi.den, labels)
+    return Algebra(_structure_element(mod), labels)
 
 
 def deformed_product(alg: Algebra, op: Matrix) -> Algebra:
@@ -322,11 +312,12 @@ def deformed_product(alg: Algebra, op: Matrix) -> Algebra:
     d = alg.dim
     prod, den1 = alg.int_view()
     ncols, den2 = op.int_view()
-    data = []
+    entries = {}
     for i, j in itertools.product(range(d), repeat=2):
-        data.extend(_deformed(prod, ncols, d, i, j, [0] * d))
+        for k, x in enumerate(_deformed(prod, ncols, d, i, j, [0] * d)):
+            entries[(i, j, k)] = x
     # linear in the constants and in N, so over den1 * den2
-    return _algebra_of_ints(data, den1 * den2, alg.labels)
+    return _algebra_of_ints(entries, den1 * den2, alg.labels)
 
 
 class LieAlgebra:
@@ -368,9 +359,8 @@ def commutator_lie(alg: Algebra) -> LieAlgebra:
     """The commutator bracket [a,b] = a.b - b.a of an anti-flexible algebra."""
     if not classify(alg).anti_flexible:
         raise ValueError("commutator bracket requires an anti-flexible algebra")
-
-    def fn(idx):
-        i, j = idx
-        return vec_sub(alg.basis_product(i, j), alg.basis_product(j, i))
-
-    return LieAlgebra(MultiMap.from_function(2, alg.dim, fn))
+    mul = alg.mul
+    entries = dict(mul.entries)
+    for (i, j, k), x in mul.entries.items():
+        entries[(j, i, k)] = entries.get((j, i, k), 0) - x
+    return LieAlgebra(mul._like(entries, mul.den))

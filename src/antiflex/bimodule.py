@@ -72,8 +72,7 @@ class Bimodule:
             # the part 1/base_den makes den a multiple of base_den
             (_, *acts), den = integer_scaled(
                 [Fraction(1, base_den)], *(m.data for m in self.left + self.right))
-            if den != base_den:
-                prod = [tuple((k, x * (den // base_den)) for k, x in p) for p in prod]
+            prod = _rescaled(prod, base_den, den)
             cols = [_nonzero_cols(a, md, md) for a in acts]
             self._view = (prod, cols[:d], cols[d:], den)
         return self._view
@@ -141,6 +140,13 @@ def _rebased(alg: Algebra, mod: Bimodule) -> Bimodule:
     """mod, or its actions over alg when its base is another algebra."""
     same = mod.base is alg or mod.base == alg
     return mod if same else Bimodule(alg, mod.left, mod.right, check=False)
+
+
+def _rescaled(prod: list, den: int, scale: int) -> list:
+    """Sparse products over den written over scale, a multiple of den."""
+    if scale == den:
+        return prod
+    return [tuple((k, x * (scale // den)) for k, x in p) for p in prod]
 
 
 def _combination(md: int, terms: list) -> tuple:
@@ -249,7 +255,8 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
     out = Bimodule(star, [Matrix._from_int_cols(d, c, scale) for c in lcols],
                    [Matrix._from_int_cols(d, c, scale) for c in rcols],
                    check=False, mdim=d)
-    out._view = (star.int_view()[0], lcols, rcols, scale)
+    # star's constants are ints over scale, in lowest terms over a divisor
+    out._view = (_rescaled(*star.int_view(), scale), lcols, rcols, scale)
     # a bimodule when the base is anti-flexible (the paper); else validate
     if not classify(alg).anti_flexible:
         out.validate().require("not a bimodule")

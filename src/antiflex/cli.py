@@ -25,7 +25,8 @@ from .document import (WorkspaceDocument, _document_object, _render_matrix,
                        _render_sparse_bilinear, load_document)
 from .glie import (ClosureError, CochainSpace, DegreeCapError,
                    _is_maurer_cartan, derived_bracket)
-from .linalg import Matrix, render_rational
+from .linalg import (LinAlgError, Matrix, MultiMap, parse_rational,
+                     render_rational)
 from .onstruct import _check_sweep_bound, _power_sweep, is_on_structure
 from .operators import (is_nijenhuis, is_rb_morphism, is_rota_baxter,
                         rb_graph_is_subalgebra, rb_morphism_graph_check)
@@ -83,9 +84,9 @@ def _render_residual(residual) -> object:
         return _render_matrix(residual)
     if isinstance(residual, tuple):
         return [render_rational(x) for x in residual]
-    if hasattr(residual, "data") and hasattr(residual, "arity"):
+    if isinstance(residual, MultiMap):
         return {"arity": residual.arity, "dim": residual.dim,
-                "nonzeros": sum(1 for x in residual.data if x != 0)}
+                "nonzeros": len(residual.entries)}
     return str(residual)
 
 
@@ -301,8 +302,8 @@ def _glie_bracket(report: Report, args, doc: WorkspaceDocument) -> None:
 def _search(report: Report, args, doc: Optional[WorkspaceDocument]) -> None:
     coeffs = [c.strip() for c in (args.coeffs or "-1,0,1").split(",")]
     try:
-        coeffs = [int(c) for c in coeffs]
-    except ValueError:
+        coeffs = [parse_rational(c) for c in coeffs]
+    except LinAlgError:
         raise CommandError(f"bad coefficient grid {args.coeffs!r}") from None
     predicates = ([p.strip() for p in args.predicates.split(",")]
                   if args.predicates else [])

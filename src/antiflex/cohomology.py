@@ -34,26 +34,31 @@ scale changes no rank.  `differential_matrix` is their dense `Matrix`
 view; `dims` never builds it, and the tests keep it, with its dense
 elimination, as the oracle of both the columns and the ranks.
 
-The differential squares to zero exactly at degree 1 for every Rota-Baxter
-operator; away from degree 1 that property can fail on noncommutative
-anti-flexible data, so dimension reports verify the complex property
-explicitly (and refuse to report sham quotients).
+Whether d squares to zero depends on the data.  `tests/test_cohomology.py`
+pins a census: every anti-flexible dim-2 algebra over {-1, 0, 1} with its
+regular bimodule and every nonzero Rota-Baxter operator over {-1, 0, 1},
+616 pairs.  On the 360 commutative pairs d_n o d_{n-1} = 0 for n = 1..5.
+On the 256 noncommutative ones d_2 o d_1 = 0, but d_3 o d_2, d_4 o d_3 and
+d_5 o d_4 never vanish, on the 128 associative pairs too, and d_1 o d_0
+fails on 96.  So dimension reports verify the complex property explicitly
+(and refuse to report sham quotients).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from .algebra import Algebra
 from .bimodule import Bimodule, induced_bimodule_on_base, lie_representation
-from .glie import (Cochain, CochainSpace, DegreeCapError, SparseMap,
-                   _structure_element, derived_bracket, embed_blocks,
-                   graded_bracket, restrict_blocks, HARD_ARITY_CAP)
-from .linalg import (LinAlgError, Matrix, basis_vector, flat_offset,
+from .glie import (Cochain, CochainSpace, DegreeCapError, _structure_element,
+                   derived_bracket, embed_blocks, graded_bracket,
+                   restrict_blocks, HARD_ARITY_CAP)
+from .linalg import (LinAlgError, Matrix, MultiMap, basis_vector, flat_offset,
                      int_cols_rank, linear_combination, vec_add, vec_is_zero,
                      vec_sub)
 # not called here (RBComplex gets the check through induced_bimodule_on_base),
@@ -105,7 +110,7 @@ class RBComplex:
         return CochainSpace(self.alg, self.mod)
 
     @functools.cached_property
-    def pi_swapped(self) -> SparseMap:
+    def pi_swapped(self) -> MultiMap:
         """star + l_T + r_T as the degree-1 structure element on M + A
         (module block first), read from the induced bimodule's view."""
         return _structure_element(self.induced)
@@ -225,7 +230,7 @@ def _check_degree(degree: int) -> None:
             f" {HARD_ARITY_CAP}")
 
 
-def _bracket_on_blocks(pi: SparseMap, f: Cochain) -> Cochain:
+def _bracket_on_blocks(pi: MultiMap, f: Cochain) -> Cochain:
     """[pi, f] with f embedded from the first block of pi's two-block sum
     space into the second; ComplexError if the bracket leaves that block."""
     k = f.mdim
@@ -350,9 +355,9 @@ def skew_symmetrize(f: Cochain) -> Cochain:
 
     Input and output are cochains with algebra-indexed inputs (here the
     mdim field is the input dimension)."""
-    perms = list(itertools.permutations(range(f.degree)))
-    return linear_combination([_perm_sign(p) for p in perms],
-                              [f.permute_inputs(p) for p in perms])
+    return functools.reduce(operator.add, (
+        f.permute_inputs(p).scale(_perm_sign(p))
+        for p in itertools.permutations(range(f.degree))))
 
 
 def _perm_sign(perm) -> int:

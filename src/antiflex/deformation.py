@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, _semidirect_product, deformed_product
 from .bimodule import Bimodule, _image_actions, _rebased, _twisted_actions
-from .glie import (HARD_ARITY_CAP, SparseMap, _insertion_sum,
-                   _structure_element, compose_bar, graded_bracket)
+from .glie import (HARD_ARITY_CAP, _insertion_sum, _structure_element,
+                   compose_bar, graded_bracket)
 from .linalg import LinAlgError, Matrix, MultiMap, int_cols_rank
 from .operators import _is_algebra_morphism, is_nijenhuis
 from .reports import CheckReport
@@ -132,7 +132,7 @@ def are_equivalent_deformations(alg: Algebra, mod: Bimodule,
                                + pi((N+S)x, (N+S)y)
     """
     pi, delta, delta2 = _context(alg, mod, defo, other)
-    lam = SparseMap.from_matrix(block_operator(alg_op, mod_op))
+    lam = MultiMap.from_matrix(block_operator(alg_op, mod_op))
 
     def on_both(f):  # f(lam x, lam y): lam grafted into each slot in turn
         return _insertion_sum(_insertion_sum(f, lam, (1, 0)), lam, (0, 1))
@@ -281,8 +281,8 @@ def deformation_difference_is_exact(alg: Algebra, mod: Bimodule,
     which changes no rank)."""
     pi, delta, delta2 = _context(alg, mod, defo, other)
     total = alg.dim + mod.mdim
-    image = [graded_bracket(pi, SparseMap(1, total, {(q, p): 1}),
-                            HARD_ARITY_CAP).flat()
+    image = [graded_bracket(pi, MultiMap._of_ints(1, total, total, {(q, p): 1}),
+                            HARD_ARITY_CAP).entries.items()
              for q in range(total) for p in range(total)]
-    return int_cols_rank(image + [(delta - delta2).flat()]) \
+    return int_cols_rank(image + [(delta - delta2).entries.items()]) \
         == int_cols_rank(image)

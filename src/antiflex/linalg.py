@@ -1,14 +1,22 @@
-"""Exact rational linear algebra: matrices, multilinear coefficient tensors,
-rank / kernel / solve over Fraction entries.
+"""Exact rational linear algebra: matrices, multilinear maps, and rank /
+kernel / solve over Fraction entries.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.  No floats anywhere: ranks and kernels are
 exact, which the cohomology dimensions downstream depend on.
 
+A `MultiMap` (and its subclass, the non-square `glie.Cochain`) is the one
+form of a multilinear map in the package: its nonzero entries as ints over
+one denominator, in lowest terms, so its cost follows its nonzeros and not
+its dim^(arity+1) slots.  Its constructor still takes dense data, and its
+`data` still gives them back, for callers outside the package.  A `Matrix`
+is dense Fractions, row-major.
+
 `integer_scaled` writes a group of exact values over one common denominator,
 so that a homogeneous law can be checked in int arithmetic (see its
 docstring).  `Matrix`, `Algebra` and `Bimodule` each keep one such view of
-their entries, built on first use (`Matrix.int_view`).
+their entries, built on first use (`Matrix.int_view`); an algebra reads its
+view off the entries of its product map.
 
 Rank is scale-invariant, so `int_cols_rank` ranks such a view directly, by
 fraction-free elimination on its sparse integer columns; `Matrix.rank` is
@@ -115,70 +123,8 @@ def vec_is_zero(u: Vector) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the linear structure shared by matrices and multilinear maps
+# flat layouts, integer views and the sparse integer rank
 # ---------------------------------------------------------------------------
-
-class _Dense:
-    """A shape plus a flat tuple of Fractions in `data`.  Subclasses say
-    what the shape is and how to build a value of it; the linear structure
-    acts entrywise on `data` and lives here once."""
-
-    __slots__ = ()
-
-    def _shape(self) -> tuple:
-        raise NotImplementedError
-
-    def _like(self, data: Sequence[Scalar]) -> "_Dense":
-        """A value of the same class and shape holding `data`."""
-        raise NotImplementedError
-
-    def _same_shape(self, other: "_Dense"):
-        if self._shape() != other._shape():
-            raise LinAlgError(f"{type(self).__name__} shape mismatch: "
-                              f"{self._shape()} vs {other._shape()}")
-
-    def __add__(self, other):
-        self._same_shape(other)
-        return self._like([a + b for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return self._like([a - b for a, b in zip(self.data, other.data)])
-
-    def __neg__(self):
-        return self._like([-a for a in self.data])
-
-    def scale(self, c: Scalar):
-        c = Fraction(c)
-        return self._like([c * a for a in self.data])
-
-    def __eq__(self, other) -> bool:
-        # a foreign type (such as glie.SparseMap) decides equality itself
-        if not isinstance(other, _Dense):
-            return NotImplemented
-        return self._shape() == other._shape() and self.data == other.data
-
-    def __hash__(self):
-        return hash((self._shape(), self.data))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.data)
-
-
-def linear_combination(coeffs: Sequence[Scalar], terms: Sequence[_Dense]):
-    """sum_i coeffs[i] * terms[i] over values of one shape, with no
-    intermediate values built; with one action matrix per basis element,
-    this is the action of the element whose coefficient vector is coeffs."""
-    if not terms or len(coeffs) != len(terms):
-        raise LinAlgError(f"{len(coeffs)} coefficients for {len(terms)} terms")
-    first = terms[0]
-    acc = [Fraction(0)] * len(first.data)
-    for c, term in zip(coeffs, terms):
-        if c:
-            first._same_shape(term)
-            acc = [a + c * x for a, x in zip(acc, term.data)]
-    return first._like(acc)
-
 
 def flat_offset(idx: Sequence[int], in_dim: int, out_dim: int) -> int:
     """Start of the image of the basis tuple idx in the row-major data of a
@@ -262,16 +208,11 @@ def _nonzero_cols(data: Sequence, rows: int, cols: int) -> list:
             for j in range(cols)]
 
 
-def _fractions(ints: Sequence[int], den: int) -> list:
-    """The Fractions ints[i] / den, every zero the one shared _ZERO."""
-    return [Fraction(x, den) if x else _ZERO for x in ints]
-
-
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
 
-class Matrix(_Dense):
+class Matrix:
     """Dense rows x cols matrix of Fractions, row-major, immutable."""
 
     __slots__ = ("rows", "cols", "data", "_view")
@@ -299,11 +240,11 @@ class Matrix(_Dense):
     @staticmethod
     def _from_int_cols(rows: int, cols: list, den: int) -> "Matrix":
         """The matrix of sparse int columns over den, which are its view."""
-        data = [0] * (rows * len(cols))
+        data = [_ZERO] * (rows * len(cols))
         for j, col in enumerate(cols):
             for i, x in col:
-                data[i * len(cols) + j] = x
-        out = Matrix(rows, len(cols), _fractions(data, den))
+                data[i * len(cols) + j] = Fraction(x, den)
+        out = Matrix(rows, len(cols), data)
         out._view = (cols, den)
         return out
 
@@ -353,13 +294,43 @@ class Matrix(_Dense):
     def col(self, j: int) -> Vector:
         return tuple(self.data[i * self.cols + j] for i in range(self.rows))
 
+    # -- linear structure ------------------------------------------------------
+
+    def _same_shape(self, other: "Matrix"):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise LinAlgError(f"Matrix shape mismatch: {(self.rows, self.cols)}"
+                              f" vs {(other.rows, other.cols)}")
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        self._same_shape(other)
+        return Matrix(self.rows, self.cols,
+                      [a + b for a, b in zip(self.data, other.data)])
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        self._same_shape(other)
+        return Matrix(self.rows, self.cols,
+                      [a - b for a, b in zip(self.data, other.data)])
+
+    def __neg__(self) -> "Matrix":
+        return Matrix(self.rows, self.cols, [-a for a in self.data])
+
+    def scale(self, c: Scalar) -> "Matrix":
+        c = Fraction(c)
+        return Matrix(self.rows, self.cols, [c * a for a in self.data])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.data) == (other.rows, other.cols,
+                                                      other.data)
+
+    def __hash__(self):
+        return hash(((self.rows, self.cols), self.data))
+
+    def is_zero(self) -> bool:
+        return all(a == 0 for a in self.data)
+
     # -- algebra ----------------------------------------------------------------
-
-    def _shape(self) -> tuple:
-        return (self.rows, self.cols)
-
-    def _like(self, data: Sequence[Scalar]) -> "Matrix":
-        return Matrix(self.rows, self.cols, data)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -494,51 +465,111 @@ class Matrix(_Dense):
         return f"Matrix({self.rows}x{self.cols}: {rows})"
 
 
+def linear_combination(coeffs: Sequence[Scalar],
+                       terms: Sequence[Matrix]) -> Matrix:
+    """sum_i coeffs[i] * terms[i] over matrices of one shape, with no
+    intermediate matrices built; with one action matrix per basis element,
+    this is the action of the element whose coefficient vector is coeffs."""
+    if not terms or len(coeffs) != len(terms):
+        raise LinAlgError(f"{len(coeffs)} coefficients for {len(terms)} terms")
+    first = terms[0]
+    acc = [_ZERO] * len(first.data)
+    for c, term in zip(coeffs, terms):
+        if c:
+            first._same_shape(term)
+            acc = [a + c * x for a, x in zip(acc, term.data)]
+    return Matrix(first.rows, first.cols, acc)
+
+
 # ---------------------------------------------------------------------------
-# dense coefficient tensors of multilinear maps V_in^(x)n -> V_out
+# multilinear maps V_in^(x)n -> V_out, kept as their nonzero entries
 # ---------------------------------------------------------------------------
 
-class MultiMap(_Dense):
-    """Multilinear map V_in^(x)arity -> V_out, stored densely.
+def _scaled_entries(items: Iterable[tuple]) -> tuple:
+    """(entries, den): the nonzero values of the (key, value) items as ints
+    over their least common denominator den, as `integer_scaled` writes
+    them; no factor is common to den and every int, so the pair is in
+    lowest terms."""
+    exact = [(key, x if type(x) is int or type(x) is Fraction else Fraction(x))
+             for key, x in items]
+    nonzero = [(key, x) for key, x in exact if x]
+    den = math.lcm(*(x.denominator for _, x in nonzero))
+    return {key: x.numerator * (den // x.denominator)
+            for key, x in nonzero}, den
 
-    Entries are indexed by (i_1, ..., i_arity, k): the e_k-coefficient of the
-    image of the basis tuple (e_{i_1}, ..., e_{i_arity}), with i over the
-    in_dim input basis and k over the out_dim output basis.  Arity 0 is
-    allowed and is just a vector (a constant).  The constructor builds
-    square maps (in_dim = out_dim = dim); a non-square map is a cochain
-    (glie.Cochain), a subclass that shares everything below.
+
+class MultiMap:
+    """Multilinear map V_in^(x)arity -> V_out, kept as its nonzero entries.
+
+    `entries` maps (i_1, ..., i_arity, k) to a nonzero int, with i over the
+    in_dim input basis and k over the out_dim output basis: the
+    e_k-coefficient of the image of the basis tuple (e_{i_1}, ...,
+    e_{i_arity}) is entries[(i_1, ..., i_arity, k)] / den.  The pair is in
+    lowest terms (den > 0, no factor common to den and every entry; den 1
+    for the zero map), so equal maps have equal entries and den.  Every
+    operation costs in the nonzeros, not in the in_dim^arity * out_dim
+    slots.  Arity 0 is allowed and is just a vector (a constant).
+
+    The constructor takes the dense row-major data of a square map (in_dim
+    = out_dim = dim), and `data` gives it back; the package itself builds
+    maps from ints (`_of_ints`) and never reads `data`.  A non-square map
+    is a cochain (glie.Cochain), a subclass that shares everything below.
     """
 
-    __slots__ = ("arity", "in_dim", "out_dim", "data")
+    __slots__ = ("arity", "in_dim", "out_dim", "entries", "den")
 
     def __init__(self, arity: int, dim: int, data: Sequence[Scalar]):
         self._setup(arity, dim, dim, data)
 
     def _setup(self, arity: int, in_dim: int, out_dim: int,
                data: Sequence[Scalar]):
-        """Validate and fill the slots.  Subclass constructors call this,
-        not MultiMap.__init__, so a construction runs exactly one class's
-        __init__ (perfbench/spans.py counts constructions there)."""
+        """Validate dense row-major data and fill the slots from it.
+        Subclass constructors call this, not MultiMap.__init__, so a
+        construction runs exactly one class's __init__
+        (perfbench/spans.py counts constructions there)."""
         if arity < 0 or in_dim < 0 or out_dim < 0:
             raise LinAlgError("negative arity or dimension")
-        data = tuple(x if type(x) is Fraction else Fraction(x) for x in data)
+        data = tuple(data)
         if len(data) != in_dim ** arity * out_dim:
             raise LinAlgError(
                 f"tensor data length {len(data)} != {in_dim}^{arity} * {out_dim}")
+        keys = itertools.product(*[range(in_dim)] * arity, range(out_dim))
+        self._fill(arity, in_dim, out_dim, *_scaled_entries(zip(keys, data)))
+
+    def _fill(self, arity: int, in_dim: int, out_dim: int, entries: dict,
+              den: int):
         self.arity = arity
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.data = data
+        self.entries = entries
+        self.den = den
 
     @classmethod
-    def _make(cls, arity: int, in_dim: int, out_dim: int,
-              data: Sequence[Scalar]) -> "MultiMap":
-        """A value of this class with the given shape; a subclass whose
-        constructor takes other arguments overrides this one hook."""
-        if in_dim != out_dim:
-            raise LinAlgError(
-                f"a {cls.__name__} is square, not {in_dim} -> {out_dim}")
-        return cls(arity, in_dim, data)
+    def _of_ints(cls, arity: int, in_dim: int, out_dim: int, entries: dict,
+                 den: int = 1) -> "MultiMap":
+        """The map of this class whose entries are the ints `entries` over
+        den > 0, with zeros dropped and the pair put in lowest terms; no
+        constructor runs."""
+        entries = {key: x for key, x in entries.items() if x}
+        g = math.gcd(den, *entries.values())
+        if g > 1:
+            entries = {key: x // g for key, x in entries.items()}
+            den //= g
+        out = cls.__new__(cls)
+        out._fill(arity, in_dim, out_dim, entries, den)
+        return out
+
+    @classmethod
+    def _of_values(cls, arity: int, in_dim: int, out_dim: int,
+                   items: Iterable[tuple]) -> "MultiMap":
+        """The map whose entries are the exact values of the (key, value)
+        items, every other entry zero."""
+        return cls._of_ints(arity, in_dim, out_dim, *_scaled_entries(items))
+
+    def _like(self, entries: dict, den: int) -> "MultiMap":
+        """A map of the same class and shape with these int entries."""
+        return self._of_ints(self.arity, self.in_dim, self.out_dim, entries,
+                             den)
 
     @property
     def dim(self) -> int:
@@ -548,32 +579,46 @@ class MultiMap(_Dense):
                 f"map {self.in_dim} -> {self.out_dim} is not square")
         return self.in_dim
 
+    @property
+    def data(self) -> tuple:
+        """All in_dim^arity * out_dim entries as Fractions, in the row-major
+        layout the constructor takes, built anew on each read."""
+        out = [_ZERO] * (self.in_dim ** self.arity * self.out_dim)
+        for key, x in self.entries.items():
+            out[flat_offset(key[:-1], self.in_dim, self.out_dim)
+                + key[-1]] = Fraction(x, self.den)
+        return tuple(out)
+
     def _shape(self) -> tuple:
         return (self.arity, self.in_dim, self.out_dim)
 
-    def _like(self, data: Sequence[Scalar]) -> "MultiMap":
-        return self._make(self.arity, self.in_dim, self.out_dim, data)
-
     @staticmethod
     def zero(arity: int, dim: int) -> "MultiMap":
-        return MultiMap(arity, dim, [0] * dim ** (arity + 1))
+        return MultiMap._of_ints(arity, dim, dim, {})
 
     @staticmethod
     def from_function(arity: int, dim: int, fn) -> "MultiMap":
         """Build from fn(basis index tuple) -> image vector of length dim."""
-        data = []
-        for idx in itertools.product(range(dim), repeat=arity):
-            img = fn(idx)
-            if len(img) != dim:
-                raise LinAlgError("image vector has wrong length")
-            data.extend(img)
-        return MultiMap(arity, dim, data)
+        def items():
+            for idx in itertools.product(range(dim), repeat=arity):
+                img = fn(idx)
+                if len(img) != dim:
+                    raise LinAlgError("image vector has wrong length")
+                for k, x in enumerate(img):
+                    yield idx + (k,), x
+
+        return MultiMap._of_values(arity, dim, dim, items())
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "MultiMap":
-        """The arity-1 map acting as the rows x cols matrix m."""
-        return cls._make(1, m.cols, m.rows,
-                         [x for j in range(m.cols) for x in m.col(j)])
+        """The arity-1 map acting as the rows x cols matrix m (square for a
+        plain MultiMap), read from the matrix's integer view."""
+        if cls is MultiMap and not m.is_square():
+            raise LinAlgError(
+                f"a MultiMap is square, not {m.cols} -> {m.rows}")
+        cols, den = m.int_view()
+        return cls._of_ints(1, m.cols, m.rows, {
+            (j, i): x for j, col in enumerate(cols) for i, x in col}, den)
 
     @staticmethod
     def constant(v: Vector) -> "MultiMap":
@@ -583,36 +628,39 @@ class MultiMap(_Dense):
         """Image of a basis tuple, as a coefficient vector."""
         if len(idx) != self.arity:
             raise LinAlgError(f"expected {self.arity} indices, got {len(idx)}")
-        off = flat_offset(idx, self.in_dim, self.out_dim)
-        return self.data[off:off + self.out_dim]
+        if not all(0 <= i < self.in_dim for i in idx):
+            raise IndexError(idx)
+        get, key, den = self.entries.get, tuple(idx), self.den
+        ints = [get(key + (k,), 0) for k in range(self.out_dim)]
+        return tuple(Fraction(x, den) if x else _ZERO for x in ints)
 
     def evaluate(self, *args: Vector) -> Vector:
         """Multilinear extension to arbitrary coefficient vectors: the sum
-        over the basis tuples in the product of the arguments' supports
-        (their nonzero entries), so zero coefficients cost nothing."""
+        over the nonzero entries whose input indices all meet nonzero
+        coefficients of the arguments."""
         if len(args) != self.arity:
             raise LinAlgError(f"expected {self.arity} arguments, got {len(args)}")
         for a in args:
             if len(a) != self.in_dim:
                 raise LinAlgError("argument has wrong dimension")
-        out_dim = self.out_dim
-        out = [Fraction(0)] * out_dim
-        supports = [[i for i, x in enumerate(a) if x] for a in args]
-        for idx in itertools.product(*supports):
-            c = Fraction(1)
-            for a, i in zip(args, idx):
-                c *= a[i]
-            val = self.value(idx)
-            for k in range(out_dim):
-                if val[k]:
-                    out[k] += c * val[k]
-        return tuple(out)
+        out = [_ZERO] * self.out_dim
+        for key, x in self.entries.items():
+            for a, i in zip(args, key):
+                if not a[i]:
+                    break
+                x *= a[i]
+            else:
+                out[key[-1]] += x
+        den = self.den
+        return tuple(out) if den == 1 else tuple(v / den for v in out)
 
     def as_matrix(self) -> Matrix:
         if self.arity != 1:
             raise LinAlgError("only arity-1 maps convert to matrices")
-        return Matrix.from_cols([self.value((j,)) for j in range(self.in_dim)],
-                                rows=self.out_dim)
+        cols = [[] for _ in range(self.in_dim)]
+        for (j, i), x in sorted(self.entries.items()):
+            cols[j].append((i, x))
+        return Matrix._from_int_cols(self.out_dim, cols, self.den)
 
     def permute_inputs(self, perm: Sequence[int]) -> "MultiMap":
         """Pull back along a permutation: result(x_1..x_n) = self(x_{perm[0]+1}, ...).
@@ -622,12 +670,56 @@ class MultiMap(_Dense):
         """
         if sorted(perm) != list(range(self.arity)):
             raise LinAlgError(f"not a permutation of {self.arity} inputs: {perm}")
-        data = []
-        for idx in itertools.product(range(self.in_dim), repeat=self.arity):
-            data.extend(self.value(tuple(idx[p] for p in perm)))
-        return self._like(data)
+        entries = {}
+        for key, x in self.entries.items():
+            idx = list(key)
+            for slot, p in enumerate(perm):
+                idx[p] = key[slot]
+            entries[tuple(idx)] = x
+        return self._like(entries, self.den)
+
+    # -- linear structure on the entries -------------------------------------
+
+    def _combine(self, other: "MultiMap", sign: int) -> "MultiMap":
+        if self._shape() != other._shape():
+            raise LinAlgError(f"{type(self).__name__} shape mismatch: "
+                              f"{self._shape()} vs {other._shape()}")
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        acc = {key: a * x for key, x in self.entries.items()}
+        for key, y in other.entries.items():
+            acc[key] = acc.get(key, 0) + b * y
+        return self._like(acc, den)
+
+    def __add__(self, other: "MultiMap") -> "MultiMap":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "MultiMap") -> "MultiMap":
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "MultiMap":
+        return self._like({key: -x for key, x in self.entries.items()},
+                          self.den)
+
+    def scale(self, c: Scalar) -> "MultiMap":
+        c = Fraction(c)
+        return self._like({key: c.numerator * x
+                           for key, x in self.entries.items()},
+                          self.den * c.denominator)
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiMap):
+            return NotImplemented
+        return (self._shape() == other._shape() and self.den == other.den
+                and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self._shape(), self.den, frozenset(self.entries.items())))
 
     def __repr__(self):
-        nz = sum(1 for a in self.data if a != 0)
         return (f"{type(self).__name__}(arity={self.arity}, "
-                f"in_dim={self.in_dim}, out_dim={self.out_dim}, nonzeros={nz})")
+                f"in_dim={self.in_dim}, out_dim={self.out_dim}, "
+                f"nonzeros={len(self.entries)})")

@@ -28,10 +28,9 @@ from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _deformed,
                       _multiply, _semidirect_product, _subtract_image,
                       classify, deformed_product)
 from .bimodule import Bimodule, LieRepresentation, _rebased
-from .glie import _product_map, compose_bar
-from .linalg import (LinAlgError, Matrix, MultiMap, Vector, _fractions,
-                     basis_vector, linear_combination, vec_is_zero, vec_sub,
-                     zero_vector)
+from .glie import compose_bar
+from .linalg import (LinAlgError, Matrix, MultiMap, Vector, basis_vector,
+                     linear_combination, vec_is_zero, vec_sub, zero_vector)
 from .reports import CheckReport
 
 __all__ = [
@@ -175,7 +174,7 @@ def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int) -> dict:
 
     # the anti-flexible defect of a product p is compose_bar(p, p), so the
     # defect of a p_k + b p_l has these three coefficients in (a, b)
-    pk, pl = _product_map(alg_k), _product_map(alg_l)
+    pk, pl = alg_k.mul, alg_l.mul
     coeff_sq_k = compose_bar(pk, pk)
     coeff_sq_l = compose_bar(pl, pl)
     coeff_mixed = compose_bar(pk, pl) + compose_bar(pl, pk)
@@ -250,9 +249,10 @@ def induced_pre_anti_flexible(alg: Algebra, mod: Bimodule, op: Matrix) -> PreAnt
     """The splitting on M induced by a Rota-Baxter operator:
     m > n = l(T(m))n and m < n = r(T(n))m."""
     is_rota_baxter(alg, mod, op).require("operator is not Rota-Baxter")
+    md = mod.mdim
     prec, succ, den = _splitting(mod, op)
-    return PreAntiFlexible(MultiMap(2, mod.mdim, _fractions(prec, den)),
-                           MultiMap(2, mod.mdim, _fractions(succ, den)))
+    return PreAntiFlexible(MultiMap._of_ints(2, md, md, prec, den),
+                           MultiMap._of_ints(2, md, md, succ, den))
 
 
 def star_algebra(alg: Algebra, mod: Bimodule, op: Matrix) -> Algebra:
@@ -265,24 +265,25 @@ def _star_product(mod: Bimodule, op: Matrix) -> Algebra:
     """`star_algebra` without the Rota-Baxter check, for callers that have
     checked the operator already or form the product of any operator."""
     prec, succ, den = _splitting(mod, op)
-    return _algebra_of_ints([p + s for p, s in zip(prec, succ)], den,
+    for key, x in succ.items():
+        prec[key] = prec.get(key, 0) + x
+    return _algebra_of_ints(prec, den,
                             tuple(f"m{i + 1}" for i in range(mod.mdim)))
 
 
 def _splitting(mod: Bimodule, op: Matrix) -> tuple:
     """(prec, succ, den): m < n = r(T(n))m and m > n = l(T(m))n on basis
-    pairs, as flat row-major int lists over den."""
+    pairs, as dicts (i, j, k) -> int of their structure constants over
+    den, in which a sum may have cancelled to 0."""
     _, left, right, den1 = mod.int_view()
     tcols, den2 = op.int_view()
     md = mod.mdim
-    prec, succ = [], []
+    prec, succ = {}, {}
     for i, j in itertools.product(range(md), repeat=2):
         for out, t, acts, col in ((prec, j, right, i), (succ, i, left, j)):
-            acc = [0] * md
             for a, x in tcols[t]:
                 for p, y in acts[a][col]:
-                    acc[p] += x * y
-            out.extend(acc)
+                    out[(i, j, p)] = out.get((i, j, p), 0) + x * y
     return prec, succ, den1 * den2
 
 

@@ -197,14 +197,6 @@ def _scanner(total: int, progress: bool) -> Callable[[int], int]:
     return scan
 
 
-def _grid(coeffs: Sequence, cells: int, progress: bool):
-    values, total = _grid_values(coeffs, cells)
-    scan = _scanner(total, progress)
-    for entries in itertools.product(values, repeat=cells):
-        scan(1)
-        yield entries
-
-
 def _check_limit(limit: Optional[int]) -> None:
     if limit is not None and limit < 0:
         raise ValueError(f"search limit must be nonnegative, got {limit}")
@@ -219,11 +211,18 @@ def search_algebras(dim: int, coeffs: Sequence, predicates: Sequence[str],
         raise ValueError(f"search dimension must be nonnegative, got {dim}")
     _check_limit(limit)
     checks = [algebra_predicate(p) for p in predicates]
+    values, total = _grid_values(coeffs, dim ** 3)
+    scan = _scanner(total, progress)
+    # each candidate's constants are its cells over the grid's denominator
+    (ints,), den = integer_scaled(values)
+    keys = list(itertools.product(range(dim), repeat=3))
     hits = []
-    for entries in _grid(coeffs, dim ** 3, progress):
+    for cells in itertools.product(ints, repeat=dim ** 3):
+        scan(1)
         if len(hits) == limit:
             break
-        alg = Algebra(MultiMap(2, dim, entries))
+        alg = Algebra(MultiMap._of_ints(2, dim, dim, dict(zip(keys, cells)),
+                                        den))
         if all(check(alg) for check in checks):
             hits.append(alg)
     return hits

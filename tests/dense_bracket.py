@@ -1,11 +1,12 @@
 """The dense bracket route, kept as the oracle of the sparse one in
 `antiflex.glie`.
 
-Every map here is a dense `MultiMap` over all (dim)^(arity+1) slots, built
-by `MultiMap.from_function` one basis tuple at a time, as the package did
-before its brackets moved to `glie.SparseMap`.  The conventions are the
-ones stated in the `glie` module docstring; nothing here reads a
-`SparseMap`, so the two routes share only `linalg` and the inputs.
+Every map built here is a `dense_multimap.DenseMap` over all
+(dim)^(arity+1) slots, built by `DenseMap.from_function` one basis tuple at
+a time, as the package did before its brackets moved to the nonzero
+entries of `linalg.MultiMap`.  The conventions are the ones stated in the
+`glie` module docstring; nothing here reads the entries of a map, so the
+two routes share only the inputs and the reading of their slots.
 """
 
 import itertools
@@ -13,9 +14,10 @@ from fractions import Fraction
 
 from antiflex.deformation import block_operator
 from antiflex.glie import ClosureError, Cochain, HARD_ARITY_CAP, _check_cap
-from antiflex.linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
+from antiflex.linalg import (LinAlgError, Matrix, basis_vector,
                              vec_add, vec_is_zero, vec_sub)
 from antiflex.reports import CheckReport
+from tests.dense_multimap import DenseMap
 
 
 def _insertion_sum(f, g, signs):
@@ -42,7 +44,7 @@ def _insertion_sum(f, g, signs):
                         acc[k] += c * fval[k]
         return acc
 
-    return MultiMap.from_function(fa + ga - 1, d, fn)
+    return DenseMap.from_function(fa + ga - 1, d, fn)
 
 
 def reversal(f):
@@ -62,7 +64,7 @@ def compose_bar(f, g, cap=None):
         raise LinAlgError("cannot compose two constants")
     _check_cap(max(out_arity, f.arity, g.arity), cap)
     if f.arity == 0:
-        return MultiMap.zero(out_arity, f.dim)
+        return DenseMap.zero(out_arity, f.dim)
     if g.arity == 0:
         return _insertion_sum(f, g, lambda slot: -1 if slot % 2 == 0 else 1)
     n = g.arity - 1
@@ -96,7 +98,7 @@ def structure_element(product, left, right, mdim):
             out[d:] = right[j].col(i - d)
         return out
 
-    return MultiMap.from_function(2, total, fn)
+    return DenseMap.from_function(2, total, fn)
 
 
 def embed_blocks(c, in_offset, out_offset, total):
@@ -110,7 +112,7 @@ def embed_blocks(c, in_offset, out_offset, total):
         out[out_offset:out_offset + c.adim] = val
         return out
 
-    return MultiMap.from_function(c.degree, total, fn)
+    return DenseMap.from_function(c.degree, total, fn)
 
 
 def restrict_blocks(mm, in_offset, in_dim, out_offset, out_dim):
@@ -182,7 +184,7 @@ def are_equivalent_deformations(alg, mod, defo, other, alg_op, mod_op):
     pi, delta = _context(alg, mod, defo)
     _, delta2 = _context(alg, mod, other)
     lam = block_operator(alg_op, mod_op)
-    lam_map = MultiMap.from_matrix(lam)
+    lam_map = DenseMap.from_matrix(lam)
     total = alg.dim + mod.mdim
     if delta - delta2 != graded_bracket(pi, lam_map, HARD_ARITY_CAP):
         return False
@@ -209,7 +211,7 @@ def deformation_difference_is_exact(alg, mod, defo, other):
             unit = Matrix.from_cols(
                 [basis_vector(p, total) if j == q else (Fraction(0),) * total
                  for j in range(total)], rows=total)
-            cols.append(graded_bracket(pi, MultiMap.from_matrix(unit),
+            cols.append(graded_bracket(pi, DenseMap.from_matrix(unit),
                                        HARD_ARITY_CAP).data)
     dmat = Matrix.from_cols(cols, rows=total ** 3)
     return dmat.solve(tuple((delta - delta2).data)) is not None
@@ -222,7 +224,7 @@ def equivalence_conditions(alg, mod, defo, other, alg_op, mod_op):
     _, delta2 = _context(alg, mod, other)
     lam = block_operator(alg_op, mod_op)
     total = alg.dim + mod.mdim
-    first = delta - delta2 == graded_bracket(pi, MultiMap.from_matrix(lam),
+    first = delta - delta2 == graded_bracket(pi, DenseMap.from_matrix(lam),
                                              HARD_ARITY_CAP)
     second = third = True
     for i, j in itertools.product(range(total), repeat=2):

@@ -1,12 +1,14 @@
 """The Rota-Baxter cochain complex: differentials, dimensions, the degree-0
 kernel description, and the skew-symmetrization comparison."""
 
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
-from antiflex.bimodule import lie_representation
+from antiflex.algebra import classify
+from antiflex.bimodule import lie_representation, regular_bimodule
 from antiflex.cohomology import (ComplexError, RBComplex, ce_differential,
                                  check_sign_relation, h0_description_check,
                                  hochschild_module_differential,
@@ -17,6 +19,7 @@ from antiflex.glie import (HARD_ARITY_CAP, Cochain, DegreeCapError,
                           embed_blocks, graded_bracket, restrict_blocks)
 from antiflex.linalg import (Matrix, basis_vector, int_cols_rank,
                              linear_combination)
+from antiflex.search import search_algebras, search_operators
 from tests.test_int_views import transport
 
 rng = random.Random(1006)
@@ -245,6 +248,41 @@ def test_dims_rank_nullity_consistency(cohomology_corpus):
             assert c == mod.mdim ** n * alg.dim
             assert 0 <= b <= z <= c
             assert h == z - b
+
+
+def _composition_vanishes(prev_cols, cols):
+    """Whether d_n o d_{n-1} = 0, given the sparse int columns of both."""
+    for img in prev_cols:
+        acc = collections.Counter()
+        for i, x in img:
+            for r, y in cols[i]:
+                acc[r] += x * y
+        if any(acc.values()):
+            return False
+    return True
+
+
+def test_complex_property_census_on_the_dim2_grid():
+    """Which d_n o d_{n-1}, n = 1..5, vanish on every anti-flexible dim-2
+    algebra over {-1, 0, 1} with its regular bimodule and every nonzero
+    Rota-Baxter operator over {-1, 0, 1}: 616 pairs, counted by
+    (commutative, associative, vanishing pattern).  The module docstring
+    of `antiflex.cohomology` and the README cite these counts."""
+    census = collections.Counter()
+    for alg in search_algebras(2, (-1, 0, 1), ["anti-flexible"]):
+        mod = regular_bimodule(alg)
+        flags = (alg.is_commutative(), classify(alg).associative)
+        for op in search_operators(alg, mod, (-1, 0, 1),
+                                   ["rota-baxter", "nonzero"]):
+            cols = [RBComplex(alg, mod, op)._int_columns(n) for n in range(6)]
+            census[flags + (tuple(_composition_vanishes(cols[n - 1], cols[n])
+                                  for n in range(1, 6)),)] += 1
+    assert census == {
+        (True, True, (True,) * 5): 360,
+        (False, True, (True, True, False, False, False)): 128,
+        (False, False, (True, True, False, False, False)): 32,
+        (False, False, (False, True, False, False, False)): 96,
+    }
 
 
 def test_dims_refuses_non_complex(defect_rb):

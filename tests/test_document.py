@@ -1,6 +1,7 @@
 """Workspace document parsing, strictness, and canonical rendering."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -259,9 +260,28 @@ def test_algebra_at_the_dim_bound_parses():
     assert doc.algebra.dim == MAX_DIM
 
 
+def test_empty_products_at_the_dim_bound_allocate_no_product_table():
+    """An algebra stores only its nonzero products: a dim-64 document with
+    none and a one-dimensional zero bimodule parses with a peak allocation
+    under 1 MiB.  A dense table of all 64^3 product slots took 16 MiB."""
+    zeros = [[[0]]] * MAX_DIM
+    text = json.dumps({"field": "Q", "algebra": _algebra(MAX_DIM),
+                       "bimodule": {"mdim": 1, "l": zeros, "r": zeros}})
+    tracemalloc.start()
+    try:
+        doc = parse_document(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc.algebra.dim == MAX_DIM and doc.bimodule.mdim == 1
+    assert doc.algebra.mul.is_zero()
+    assert peak < 2 ** 20, peak
+
+
 @pytest.mark.parametrize("section", ["algebra", "algebra2"])
 def test_algebra_over_the_dim_bound_is_refused(section):
-    """The dim ** 3 product slots are refused before they are allocated."""
+    """A dim whose dim ** 3 basis triples the checks would sweep is refused
+    before any product is read."""
     dim = MAX_DIM + 1
     raw = {"field": "Q", "algebra": _algebra(1), "algebra2": _algebra(1)}
     raw[section] = _algebra(dim)

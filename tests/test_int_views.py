@@ -346,11 +346,13 @@ def test_a_sweep_scales_the_algebra_and_bimodule_once(a2, m_a2, monkeypatch):
     calls = _record_scalings(monkeypatch)
     hits = search_operators(alg, mod, (-1, 0, 1), ("rota-baxter",))
     assert hits
-    with_constants = [parts for parts in calls if parts[0] == alg.mul.data]
-    assert len(with_constants) == 1
-    # the actions once and the grid values once; no candidate of the 3^4
-    # grid is scaled
-    assert len(calls) == 2 + 1
+    # the algebra's view is read off the ints of its product map, with no
+    # scaling; the bimodule's actions are scaled once, over a multiple of
+    # the algebra's denominator, and the grid values once; no candidate of
+    # the 3^4 grid is scaled
+    assert len(calls) == 2
+    assert calls[0] == [(Fraction(1, alg.mul.den),)] + [
+        m.data for m in mod.left + mod.right]
     assert calls[-1] == [(-1, 0, 1)]
 
 
@@ -360,10 +362,11 @@ def test_a_complex_builds_each_view_once(a2_plus_a1, m_a2_plus_a1,
     op = Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 0]])
     calls = _record_scalings(monkeypatch)
     RBComplex(alg, mod, op).dims(3)
-    # one view each for the algebra (classify), the bimodule and the
-    # operator (is_rota_baxter); the induced structures and every d_n get
-    # theirs from the contraction that built them
-    assert sorted(len(parts) for parts in calls) == [1, 1, 1 + 2 * alg.dim]
+    # one scaling each for the bimodule and the operator (is_rota_baxter);
+    # the algebra's view is read off its product map's ints, and the
+    # induced structures and every d_n get theirs from the contraction that
+    # built them
+    assert sorted(len(parts) for parts in calls) == [1, 1 + 2 * alg.dim]
     calls.clear()
     RBComplex(alg, mod, op).dims(3)
     assert calls == []

@@ -110,6 +110,12 @@ def test_sparse_rank_equals_dense_pivot_count_on_random_sparse_ints():
     assert int_cols_rank([]) == int_cols_rank([[], []]) == 0
 
 
+def test_property_multimaps_equal_the_dense_map():
+    """The `hypothesis` property of `multimap_property.py`, run in a child
+    interpreter (see `test_scaled_laws.run_in_child`)."""
+    run_in_child("multimap_property.py")
+
+
 def test_property_sparse_rank_equals_dense_rank():
     """The `hypothesis` property of `sparse_rank_property.py`, run in a
     child interpreter (see `test_scaled_laws.run_in_child`)."""

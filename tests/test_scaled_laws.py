@@ -4,8 +4,9 @@ routes they replaced.
 `classify`, `anti_flexible_report`, `is_rota_baxter`, `is_nijenhuis` and
 `is_bimodule` contract integer-scaled data; `Algebra.basis_associator` and
 `deformed_product` contract the Fraction constants.  The references below
-are the earlier dense routes (`MultiMap.evaluate`, `linear_combination` and
-`Matrix @` on basis vectors), kept here as oracles.  Every report must agree
+are the earlier routes (`MultiMap.evaluate`, which `multimap_property.py`
+checks against the dense map, `linear_combination` and `Matrix @` on basis
+vectors), kept here as oracles.  Every report must agree
 in full: name, verdict, law, basis tuple and the exact residual, down to its
 type and repr.
 """

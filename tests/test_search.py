@@ -103,7 +103,8 @@ def test_negative_limit_is_rejected(a2, m_a2):
 def test_negative_dimension_is_refused_up_front(monkeypatch):
     import antiflex.search as search
     scanned = []
-    monkeypatch.setattr(search, "_grid", lambda *args: scanned.append(args))
+    monkeypatch.setattr(search, "_grid_values",
+                        lambda *args: scanned.append(args))
     with pytest.raises(ValueError, match="dimension must be nonnegative, "
                                          "got -1"):
         search_algebras(-1, (0, 1), ("anti-flexible",))

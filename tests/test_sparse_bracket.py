@@ -1,13 +1,13 @@
 """The sparse bracket of `glie` against the dense route it replaced.
 
 `tests/dense_bracket.py` keeps the dense `_insertion_sum` /
-`MultiMap.from_function` bracket as the oracle.  The two must agree on the
+`DenseMap.from_function` bracket as the oracle.  The two must agree on the
 whole fixture corpus (structure elements, self-brackets, derived brackets,
 the differential on the swapped blocks, the deformation verdicts), on
 seeded random maps of arity 0-4 with fractional entries, and, in a child
 interpreter, on a `hypothesis` property (`sparse_bracket_property.py`).
-Equality between a sparse and a dense map is tested in both orders, since
-the deformation checks compare the two kinds.
+Equality between a `MultiMap` and a dense map is tested in both orders,
+since the tests compare the results of the two routes either way round.
 """
 
 import importlib.util
@@ -29,20 +29,25 @@ from antiflex.deformation import (InfinitesimalDeformation,
                                   is_nijenhuis_structure,
                                   is_trivial_deformation,
                                   trivial_deformation_from)
-from antiflex.glie import (HARD_ARITY_CAP, Cochain, CochainSpace, SparseMap,
-                           compose_bar, derived_bracket, embed_blocks,
+from antiflex.glie import (HARD_ARITY_CAP, Cochain, CochainSpace, compose_bar, derived_bracket, embed_blocks,
                            graded_bracket, mc_check_algebra_bimodule,
                            restrict_blocks, reversal)
 from antiflex.linalg import LinAlgError, Matrix, MultiMap
 from antiflex.operators import nijenhuis_power_suite
 from antiflex.search import search_operators
 from tests import dense_bracket as dense
+from tests.dense_multimap import DenseMap
 from tests.test_scaled_laws import VALUES, run_in_child
 
 
-def random_dense(rng, arity, dim, values=VALUES):
+def random_map(rng, arity, dim, values=VALUES):
     return MultiMap(arity, dim, [rng.choice(values)
                                  for _ in range(dim ** (arity + 1))])
+
+
+def dense_of(m):
+    """The dense oracle's copy of a map, from its slots."""
+    return DenseMap(m.arity, m.in_dim, m.out_dim, m.data)
 
 
 def random_cochain(rng, degree, mdim, adim):
@@ -64,37 +69,42 @@ def _corpus(cohomology_corpus, noncommutative_rb, defect_rb):
 
 def test_sparse_and_dense_maps_compare_in_both_orders():
     rng = random.Random(1101)
-    d = random_dense(rng, 2, 2)
-    s = SparseMap.of(d)
-    other = d + MultiMap(2, 2, [Fraction(1, 3)] + [0] * 7)
-    assert s == d and d == s
-    assert not s != d and not d != s
-    assert s != other and other != s
-    assert not s == other and not other == s
+    s = random_map(rng, 2, 2)
+    d = dense_of(s)
+    other = s + MultiMap(2, 2, [Fraction(1, 3)] + [0] * 7)
+    for a, b in ((s, d), (d, s)):
+        assert a == b and not a != b
+    for a, b in ((s, other), (other, s), (d, other), (other, d)):
+        assert a != b and not a == b
     # a square cochain with the same entries is the same map
-    assert Cochain(2, 2, 2, d.data) == s and s == Cochain(2, 2, 2, d.data)
+    c = Cochain(2, 2, 2, s.data)
+    assert c == s and s == c and c == d and hash(c) == hash(s)
     # other shapes and other types are different
-    for foreign in (Cochain(1, 2, 4, d.data), Matrix(2, 4, d.data),
-                    MultiMap(1, 2, d.data[:4]), d.data, None, 0):
-        assert s != foreign and foreign != s
-        assert not s == foreign and not foreign == s
-    assert SparseMap(2, 2, {}) == MultiMap.zero(2, 2)
-    assert MultiMap.zero(2, 2) == SparseMap(2, 2, {})
-    assert s.dense() == d and SparseMap.of(s.dense()) == s
-    with pytest.raises(TypeError):
-        hash(s)
+    for foreign in (Cochain(1, 2, 4, s.data), Matrix(2, 4, s.data),
+                    MultiMap(1, 2, s.data[:4]), s.data, None, 0):
+        for m in (s, d):
+            assert m != foreign and foreign != m
+            assert not m == foreign and not foreign == m
+    assert MultiMap._of_ints(2, 2, 2, {}) == MultiMap.zero(2, 2)
+    assert MultiMap.zero(2, 2) == DenseMap.zero(2, 2)
+    assert DenseMap.zero(2, 2) == MultiMap.zero(2, 2)
 
 
 def test_sparse_maps_are_kept_in_lowest_terms():
-    m = SparseMap(1, 2, {(0, 0): 4, (1, 0): -6, (1, 1): 0}, 8)
-    assert (m.data, m.den) == ({(0, 0): 2, (1, 0): -3}, 4)
+    m = MultiMap._of_ints(1, 2, 2, {(0, 0): 4, (1, 0): -6, (1, 1): 0}, 8)
+    assert (m.entries, m.den) == ({(0, 0): 2, (1, 0): -3}, 4)
+    # the dense constructor writes its slots over their least common
+    # denominator, which is in lowest terms with them
+    assert m == MultiMap(1, 2, [Fraction(1, 2), 0, Fraction(-3, 4), 0])
     assert m.value((1,)) == (Fraction(-3, 4), Fraction(0))
-    assert (m - m).data == {} and (m - m).den == 1
-    assert m.scale(Fraction(2, 3)) == SparseMap(1, 2, {(0, 0): 2, (1, 0): -3}, 6)
+    assert (m - m).entries == {} and (m - m).den == 1
+    assert m.scale(Fraction(2, 3)) == MultiMap._of_ints(
+        1, 2, 2, {(0, 0): 2, (1, 0): -3}, 6)
+    assert m.scale(0) == MultiMap.zero(1, 2) and m.scale(0).den == 1
     assert -m == m.scale(-1) and (m + m) == m.scale(2)
     assert m != m.scale(2) and m.scale(2) != m
     with pytest.raises(LinAlgError):
-        m + SparseMap(2, 2, {})
+        m + MultiMap.zero(2, 2)
     with pytest.raises(IndexError):
         m.value((2,))
     assert m.as_matrix() == Matrix.from_rows([[Fraction(1, 2), Fraction(-3, 4)],
@@ -111,20 +121,20 @@ def test_random_maps_equal_the_dense_oracle():
     for fa, ga in itertools.product(range(5), repeat=2):
         if fa + ga == 0:
             with pytest.raises(LinAlgError):
-                compose_bar(random_dense(rng, 0, 2), random_dense(rng, 0, 2))
+                compose_bar(random_map(rng, 0, 2), random_map(rng, 0, 2))
             continue
         out = fa + ga - 1
         for dim in (1, 2, 3) if max(out, fa, ga) <= 3 else (1, 2):
-            f, g = random_dense(rng, fa, dim), random_dense(rng, ga, dim)
+            f, g = random_map(rng, fa, dim), random_map(rng, ga, dim)
             for sparse_fn, dense_fn in ((compose_bar, dense.compose_bar),
                                         (graded_bracket, dense.graded_bracket)):
                 got = sparse_fn(f, g, HARD_ARITY_CAP)
-                want = dense_fn(f, g, HARD_ARITY_CAP)
-                assert isinstance(got, SparseMap)
-                assert got.dense().data == want.data, (fa, ga, dim)
-                assert len(got.data) == nonzeros(want)
+                want = dense_fn(dense_of(f), dense_of(g), HARD_ARITY_CAP)
+                assert type(got) is MultiMap
+                assert got.data == want.data, (fa, ga, dim)
+                assert len(got.entries) == nonzeros(want)
                 both_zero += want.is_zero()
-            assert reversal(f).dense().data == dense.reversal(f).data
+            assert reversal(f).data == dense.reversal(dense_of(f)).data
             cases += 1
     assert cases == 60 and 0 < both_zero < 2 * cases
 
@@ -144,11 +154,11 @@ def test_random_embeddings_and_restrictions_equal_the_dense_oracle():
             assert emb == dense.embed_blocks(c, in_offset, out_offset, total)
             back, report = restrict_blocks(emb, in_offset, mdim, out_offset, adim)
             assert report.ok and back == c and type(back) is Cochain
-            stray = random_dense(rng, degree, total,
+            stray = random_map(rng, degree, total,
                                  values=(0,) * 6 + VALUES)
-            want = dense.restrict_blocks(stray, in_offset, mdim, out_offset, adim)
-            got = restrict_blocks(SparseMap.of(stray), in_offset, mdim,
-                                  out_offset, adim)
+            want = dense.restrict_blocks(dense_of(stray), in_offset, mdim,
+                                         out_offset, adim)
+            got = restrict_blocks(stray, in_offset, mdim, out_offset, adim)
             assert got[0] == want[0]
             assert got[1] == want[1]
             assert repr(got[1].violations) == repr(want[1].violations)
@@ -164,8 +174,8 @@ def test_corpus_brackets_equal_the_dense_oracle(cohomology_corpus,
                                       defect_rb):
         space = CochainSpace(alg, mod)
         pi = dense.space_pi(alg, mod)
-        assert space.pi == pi and len(space.pi.data) == nonzeros(pi), name
-        assert compose_bar(space.pi, space.pi, HARD_ARITY_CAP).dense().data \
+        assert space.pi == pi and len(space.pi.entries) == nonzeros(pi), name
+        assert compose_bar(space.pi, space.pi, HARD_ARITY_CAP).data \
             == dense.compose_bar(pi, pi, HARD_ARITY_CAP).data, name
         assert mc_check_algebra_bimodule(alg, mod.left, mod.right) \
             == dense.mc_check(alg, mod.left, mod.right) is True, name
@@ -205,17 +215,17 @@ def test_blocks_left_raise_the_dense_oracles_complex_error(noncommutative_rb):
     # bilinear map leaks through outputs outside it
     for pi in [MultiMap(2, total, [int(i == total ** 3 - 1)
                                    for i in range(total ** 3)])] \
-            + [random_dense(rng, 2, total) for _ in range(4)]:
+            + [random_map(rng, 2, total) for _ in range(4)]:
         for degree in (0, 1, 2):
             f = Cochain(degree, k, cx.adim, [rng.choice(VALUES[3:])
                                              for _ in range(cx.dim_cochains(degree))])
-            col, report = dense.bracket_on_blocks(pi, f)
+            col, report = dense.bracket_on_blocks(dense_of(pi), f)
             if report.ok:  # a constant cancels against (A, A) -> A
-                assert _bracket_on_blocks(SparseMap.of(pi), f) == col
+                assert _bracket_on_blocks(pi, f) == col
                 continue
             seen.add(report.first().law)
             with pytest.raises(ComplexError) as exc:
-                _bracket_on_blocks(SparseMap.of(pi), f)
+                _bracket_on_blocks(pi, f)
             assert str(exc.value) == ("differential left the cochain space: "
                                       + report.describe())
     assert len(seen) == 2
@@ -307,7 +317,7 @@ def test_equivalence_reads_conditions_ii_and_iii_apart(a2, m_a2):
         (Matrix.from_rows([[1, 1], [0, 2]]), Matrix.from_rows([[0, 1], [1, 0]]),
          InfinitesimalDeformation.zero(2, 2), (True, True, False))]
     for n, s, other, conditions in cases:
-        lam = MultiMap.from_matrix(block_operator(n, s))
+        lam = DenseMap.from_matrix(block_operator(n, s))
         defo = _deformation_of(
             dense.structure_element(other.omega, other.phi, other.psi, 2)
             + dense.graded_bracket(pi, lam, HARD_ARITY_CAP), 2, 2)
@@ -356,8 +366,9 @@ def _perfbench_spans():
 
 def test_bracket_counters_follow_the_tracer_contract(na2, a2, m_a2, e21):
     """perfbench's tracer counts one bracket per top-level `compose_bar` or
-    `graded_bracket` call and adds `len(result.data)` of each: now the
-    number of nonzero entries, which the dense oracle counts here."""
+    `graded_bracket` call and adds `len(result.data)` of each: the number
+    of slots of the map's dense layout, which `MultiMap.data` spells out,
+    counted here on the dense oracle."""
     spans = _perfbench_spans()
     rng = random.Random(1108)
     left = [na2.left_matrix(i) for i in range(na2.dim)]
@@ -385,7 +396,7 @@ def test_bracket_counters_follow_the_tracer_contract(na2, a2, m_a2, e21):
     metrics = spans.layer_metrics(recorder.spans, recorder.inner,
                                   recorder.counters, 1.0, 1.0, set())
     assert metrics["glie.bracket_calls"] == len(expected) > 0
-    assert metrics["glie.entries_out"] == sum(nonzeros(m) for m in expected) > 0
+    assert metrics["glie.entries_out"] == sum(len(m.data) for m in expected) > 0
 
 
 # -- no dense tensor on the sum space --------------------------------------------
