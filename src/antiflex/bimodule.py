@@ -25,13 +25,12 @@ over D * D_T, which become the view of the induced bimodule.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 from typing import Optional, Sequence
 
 from .algebra import (Algebra, LieAlgebra, _subtract_image, classify,
                       commutator_lie, deformed_product)
-from .linalg import (LinAlgError, Matrix, _nonzero_cols,
-                     integer_scaled, linear_combination)
+from .linalg import LinAlgError, Matrix, _nonzero_cols, linear_combination
 from .reports import CheckReport
 
 __all__ = [
@@ -69,11 +68,11 @@ class Bimodule:
         if self._view is None:
             d, md = self.base.dim, self.mdim
             prod, base_den = self.base.int_view()
-            # the part 1/base_den makes den a multiple of base_den
-            (_, *acts), den = integer_scaled(
-                [Fraction(1, base_den)], *(m.data for m in self.left + self.right))
+            acts = self.left + self.right
+            den = math.lcm(base_den, *(m.den for m in acts))
             prod = _rescaled(prod, base_den, den)
-            cols = [_nonzero_cols(a, md, md) for a in acts]
+            cols = [_nonzero_cols([x * (den // m.den) for x in m.ints], md, md)
+                    for m in acts]
             self._view = (prod, cols[:d], cols[d:], den)
         return self._view
 
@@ -95,7 +94,7 @@ class Bimodule:
                                      (-1, left[j], right[i]), (1, right[i], left[j])])
 
         def witness(res):
-            return Matrix(md, md, [Fraction(x, den * den) for x in res])
+            return Matrix._of_ints(md, md, res, den * den)
 
         return (CheckReport("bimodule")
                 .sweep("l(ab)-l(a)l(b) = r(a)r(b)-r(ba)",

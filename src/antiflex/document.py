@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 from .algebra import Algebra
 from .bimodule import Bimodule
 from .deformation import InfinitesimalDeformation
-from .linalg import (LinAlgError, Matrix, MultiMap, parse_rational,
-                     render_rational)
+from .linalg import (LinAlgError, Matrix, MultiMap, integer_scaled,
+                     parse_rational, render_rational)
 
 __all__ = [
     "MAX_DIM",
@@ -64,6 +64,10 @@ def _require_keys(obj: dict, path: str, required: Sequence[str],
 
 
 def _parse_rat(value, path: str):
+    """A JSON int as it is; anything else (a "p/q" string, or a refusal
+    worded by `parse_rational`) through `parse_rational`."""
+    if type(value) is int:
+        return value
     try:
         return parse_rational(value)
     except LinAlgError as exc:
@@ -73,18 +77,24 @@ def _parse_rat(value, path: str):
 def _parse_matrix(value, path: str, rows: Optional[int] = None,
                   cols: Optional[int] = None) -> Matrix:
     if value == [] and rows == 0:  # a 0 x cols matrix renders as []
-        return Matrix(0, cols, [])
+        return Matrix._of_ints(0, cols, ())
     if not isinstance(value, list) or not value or not all(
             isinstance(r, list) for r in value):
         raise DocumentError(path, "expected a non-empty list of rows")
     ncols = len(value[0])
-    data = []
+    ints, rational = [], False
     for i, row in enumerate(value):
         if len(row) != ncols:
             raise DocumentError(f"{path}[{i}]", "ragged row")
         for j, entry in enumerate(row):
-            data.append(_parse_rat(entry, f"{path}[{i}][{j}]"))
-    m = Matrix(len(value), ncols, data)
+            if type(entry) is not int:
+                entry = _parse_rat(entry, f"{path}[{i}][{j}]")
+                rational = True
+            ints.append(entry)
+    den = 1
+    if rational:
+        (ints,), den = integer_scaled(ints)
+    m = Matrix._of_ints(len(value), ncols, ints, den)
     if rows is not None and m.rows != rows:
         raise DocumentError(path, f"expected {rows} rows, got {m.rows}")
     if cols is not None and m.cols != cols:

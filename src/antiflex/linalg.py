@@ -1,5 +1,5 @@
 """Exact rational linear algebra: matrices, multilinear maps, and rank /
-kernel / solve over Fraction entries.
+kernel / solve over the rationals.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.  No floats anywhere: ranks and kernels are
@@ -8,15 +8,15 @@ exact, which the cohomology dimensions downstream depend on.
 A `MultiMap` (and its subclass, the non-square `glie.Cochain`) is the one
 form of a multilinear map in the package: its nonzero entries as ints over
 one denominator, in lowest terms, so its cost follows its nonzeros and not
-its dim^(arity+1) slots.  Its constructor still takes dense data, and its
-`data` still gives them back, for callers outside the package.  A `Matrix`
-is dense Fractions, row-major.
+its dim^(arity+1) slots.  A `Matrix` keeps its row-major entries as ints
+over one denominator, in lowest terms, and multiplies, adds and takes
+powers on them.  Both constructors still take exact values and both `data`
+still give Fractions back, for callers outside the package.
 
 `integer_scaled` writes a group of exact values over one common denominator,
 so that a homogeneous law can be checked in int arithmetic (see its
 docstring).  `Matrix`, `Algebra` and `Bimodule` each keep one such view of
-their entries, built on first use (`Matrix.int_view`); an algebra reads its
-view off the entries of its product map.
+their entries, read off their ints on first use (`Matrix.int_view`).
 
 Rank is scale-invariant, so `int_cols_rank` ranks such a view directly, by
 fraction-free elimination on its sparse integer columns; `Matrix.rank` is
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -212,39 +213,83 @@ def _nonzero_cols(data: Sequence, rows: int, cols: int) -> list:
 # matrices
 # ---------------------------------------------------------------------------
 
-class Matrix:
-    """Dense rows x cols matrix of Fractions, row-major, immutable."""
+def _exact(c: Scalar):
+    """c as an int or a Fraction: those two as they are, anything else
+    Fraction takes (a "p/q" string, a float) converted."""
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
 
-    __slots__ = ("rows", "cols", "data", "_view")
+
+class Matrix:
+    """rows x cols matrix over Q, immutable, kept as ints over one
+    denominator.
+
+    Entry k of the row-major layout is ints[k] / den.  The pair is in
+    lowest terms (den > 0, no factor common to den and every int; den 1
+    for a zero matrix), so equal matrices have equal ints and den.
+    Products, sums, scalings, powers, transposes and combinations run on
+    the ints and form no Fraction.
+
+    The constructor takes the entries as exact values (ints, Fractions or
+    anything Fraction takes), and `data`, `row`, `col` and m[i, j] give
+    them back as Fractions, built anew on each read.  Parsed documents,
+    bimodule views and search hits are built from ints (`_of_ints`);
+    Fractions are read to render entries, for witnesses, on the vector
+    routes and in the Gauss-Jordan `_echelon`.
+    """
+
+    __slots__ = ("rows", "cols", "ints", "den", "_view")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Scalar]):
         if rows < 0 or cols < 0:
             raise LinAlgError("negative matrix dimension")
-        data = tuple(x if type(x) is Fraction else Fraction(x) for x in data)
+        data = [_exact(x) for x in data]
         if len(data) != rows * cols:
             raise LinAlgError(
                 f"matrix data length {len(data)} != {rows}x{cols}")
+        # over the lcm of their own denominators, the values are in lowest
+        # terms (see `_scaled_entries`)
+        (ints,), den = integer_scaled(data)
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.ints = tuple(ints)
+        self.den = den
         self._view = None
+
+    @staticmethod
+    def _of_ints(rows: int, cols: int, ints: Sequence[int],
+                 den: int = 1) -> "Matrix":
+        """The rows x cols matrix whose row-major entries are the ints over
+        den > 0, with the pair put in lowest terms; no constructor runs."""
+        if den != 1:
+            g = math.gcd(den, *ints)
+            if g > 1:
+                ints = [x // g for x in ints]
+                den //= g
+        out = Matrix.__new__(Matrix)
+        out.rows = rows
+        out.cols = cols
+        out.ints = tuple(ints)
+        out.den = den
+        out._view = None
+        return out
 
     def int_view(self) -> tuple:
         """(cols, den): each column's nonzero entries as (row, int) pairs
         over the common denominator den, built once, on first use."""
         if self._view is None:
-            (ints,), den = integer_scaled(self.data)
-            self._view = (_nonzero_cols(ints, self.rows, self.cols), den)
+            self._view = (_nonzero_cols(self.ints, self.rows, self.cols),
+                          self.den)
         return self._view
 
     @staticmethod
     def _from_int_cols(rows: int, cols: list, den: int) -> "Matrix":
         """The matrix of sparse int columns over den, which are its view."""
-        data = [_ZERO] * (rows * len(cols))
+        n = len(cols)
+        ints = [0] * (rows * n)
         for j, col in enumerate(cols):
             for i, x in col:
-                data[i * len(cols) + j] = Fraction(x, den)
-        out = Matrix(rows, len(cols), data)
+                ints[i * n + j] = x
+        out = Matrix._of_ints(rows, n, ints, den)
         out._view = (cols, den)
         return out
 
@@ -280,19 +325,29 @@ class Matrix:
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, [0] * (rows * cols))
 
-    # -- access ----------------------------------------------------------------
+    # -- access: Fractions, built on each read ---------------------------------
+
+    @property
+    def data(self) -> tuple:
+        """All rows * cols entries as Fractions, row-major."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.ints)
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(ij)
-        return self.data[i * self.cols + j]
+        return Fraction(self.ints[i * self.cols + j], self.den)
 
     def row(self, i: int) -> Vector:
-        return self.data[i * self.cols:(i + 1) * self.cols]
+        den = self.den
+        return tuple(Fraction(x, den)
+                     for x in self.ints[i * self.cols:(i + 1) * self.cols])
 
     def col(self, j: int) -> Vector:
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
+        ints, cols, den = self.ints, self.cols, self.den
+        return tuple(Fraction(ints[i * cols + j], den)
+                     for i in range(self.rows))
 
     # -- linear structure ------------------------------------------------------
 
@@ -301,34 +356,41 @@ class Matrix:
             raise LinAlgError(f"Matrix shape mismatch: {(self.rows, self.cols)}"
                               f" vs {(other.rows, other.cols)}")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.data, other.data)])
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return Matrix._of_ints(self.rows, self.cols,
+                               [a * x + b * y
+                                for x, y in zip(self.ints, other.ints)], den)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.data, other.data)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self.data])
+        return Matrix._of_ints(self.rows, self.cols, [-x for x in self.ints],
+                               self.den)
 
     def scale(self, c: Scalar) -> "Matrix":
-        c = Fraction(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.data])
+        c = _exact(c)
+        return Matrix._of_ints(self.rows, self.cols,
+                               [c.numerator * x for x in self.ints],
+                               self.den * c.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self.data) == (other.rows, other.cols,
-                                                      other.data)
+        return (self.rows, self.cols, self.den, self.ints) == (
+            other.rows, other.cols, other.den, other.ints)
 
     def __hash__(self):
-        return hash(((self.rows, self.cols), self.data))
+        return hash((self.rows, self.cols, self.den, self.ints))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.data)
+        return not any(self.ints)
 
     # -- algebra ----------------------------------------------------------------
 
@@ -336,24 +398,27 @@ class Matrix:
         if self.cols != other.rows:
             raise LinAlgError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.data[k * other.cols + j]
-                                for k in range(self.cols)), Fraction(0)))
-        return Matrix(self.rows, other.cols, out)
+        a, n, b, c = self.ints, self.cols, other.ints, other.cols
+        bcols = [b[j::c] for j in range(c)]
+        return Matrix._of_ints(self.rows, c,
+                               [sum(map(operator.mul, a[i * n:i * n + n], bj))
+                                for i in range(self.rows) for bj in bcols],
+                               self.den * other.den)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise LinAlgError(f"matrix {self.rows}x{self.cols} applied to length-{len(v)} vector")
-        return tuple(sum((a * b for a, b in zip(self.row(i), v)), Fraction(0))
+        (w,), vden = integer_scaled(v)
+        a, n, den = self.ints, self.cols, self.den * vden
+        return tuple(Fraction(sum(map(operator.mul, a[i * n:i * n + n], w)),
+                              den)
                      for i in range(self.rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [self.data[i * self.cols + j]
-                       for j in range(self.cols) for i in range(self.rows)])
+        a, rows, cols = self.ints, self.rows, self.cols
+        return Matrix._of_ints(cols, rows, [a[i * cols + j]
+                                            for j in range(cols)
+                                            for i in range(rows)], self.den)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -363,7 +428,9 @@ class Matrix:
             raise LinAlgError("power of non-square matrix")
         if k < 0:
             raise LinAlgError("negative matrix power")
-        acc = Matrix.identity(self.rows)
+        n = self.rows
+        acc = Matrix._of_ints(n, n, [int(i == j) for i in range(n)
+                                     for j in range(n)])
         for _ in range(k):
             acc = acc @ self
         return acc
@@ -469,16 +536,22 @@ def linear_combination(coeffs: Sequence[Scalar],
                        terms: Sequence[Matrix]) -> Matrix:
     """sum_i coeffs[i] * terms[i] over matrices of one shape, with no
     intermediate matrices built; with one action matrix per basis element,
-    this is the action of the element whose coefficient vector is coeffs."""
+    this is the action of the element whose coefficient vector is coeffs.
+    The sum runs on the ints of the terms and of the coefficients, over the
+    product of their two common denominators."""
     if not terms or len(coeffs) != len(terms):
         raise LinAlgError(f"{len(coeffs)} coefficients for {len(terms)} terms")
+    (cints,), cden = integer_scaled(coeffs)
     first = terms[0]
-    acc = [_ZERO] * len(first.data)
-    for c, term in zip(coeffs, terms):
-        if c:
-            first._same_shape(term)
-            acc = [a + c * x for a, x in zip(acc, term.data)]
-    return Matrix(first.rows, first.cols, acc)
+    used = [(c, term) for c, term in zip(cints, terms) if c]
+    for _, term in used:
+        first._same_shape(term)
+    den = math.lcm(*(term.den for _, term in used))
+    acc = [0] * len(first.ints)
+    for c, term in used:
+        f = c * (den // term.den)
+        acc = [a + f * x for a, x in zip(acc, term.ints)]
+    return Matrix._of_ints(first.rows, first.cols, acc, den * cden)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +563,7 @@ def _scaled_entries(items: Iterable[tuple]) -> tuple:
     over their least common denominator den, as `integer_scaled` writes
     them; no factor is common to den and every int, so the pair is in
     lowest terms."""
-    exact = [(key, x if type(x) is int or type(x) is Fraction else Fraction(x))
-             for key, x in items]
+    exact = [(key, _exact(x)) for key, x in items]
     nonzero = [(key, x) for key, x in exact if x]
     den = math.lcm(*(x.denominator for _, x in nonzero))
     return {key: x.numerator * (den // x.denominator)

@@ -136,7 +136,7 @@ _OPERATOR_TESTS = {
     "nonzero": (lambda alg, mod, op: not op.is_zero(),
                 lambda alg, mod, rows, cols: any),
     "scalar": (lambda alg, mod, op: _holds(_scalar_law(op.rows, op.cols),
-                                           op.data),
+                                           op.ints),
                lambda alg, mod, rows, cols: _scalar_law(rows, cols)),
     "invertible": (lambda alg, mod, op: op.is_square() and op.rank() == op.rows,
                    lambda alg, mod, rows, cols: functools.partial(
@@ -275,12 +275,11 @@ def search_operators(alg: Algebra, mod: Optional[Bimodule], coeffs: Sequence,
             for component in law:
                 checks[max((c for _, m in component for c in m),
                            default=-1)].append(component)
-    (ints,), _ = integer_scaled(values)
+    (ints,), den = integer_scaled(values)
     hits = _backtrack(ints, checks, tests, limit, scan)
     if len(hits) == limit and scan(0) < total:
         scan(1)  # the sweep reads the candidate after the last hit
-    entry = dict(zip(ints, values))
-    return [Matrix(rows, cols, [entry[x] for x in cells]) for cells in hits]
+    return [Matrix._of_ints(rows, cols, cells, den) for cells in hits]
 
 
 def _refusal(exc: ValueError) -> Callable:

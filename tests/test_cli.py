@@ -2,6 +2,7 @@
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +38,34 @@ def pair_fixture(tmp_path, a2, m_a2, t_inv):
         {"T": t_inv, "phi": Matrix.identity(2), "psi": Matrix.identity(2)},
         None)
     path = tmp_path / "pair.json"
+    path.write_text(render_document(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def frac_fixture(tmp_path, a2, m_a2, t_inv, e21):
+    """The A2 triple of `a2_fixture` in the basis given by the columns of
+    p, and again, as the second algebra, in that of q, with the products
+    and actions scaled by 1/2, T and T2 by -1/3, and N and S by 1/2: every
+    map of the document has entries over mixed denominators (2, 3, 4, 5,
+    10, 15 and 20).  phi = psi = q^-1 p carries the first copy onto the
+    second."""
+    from antiflex.algebra import Algebra
+    from tests.test_int_views import transport
+    p = Matrix.from_rows([[2, 1], [1, 3]])
+    q = Matrix.from_rows([[1, 1], [0, 2]])
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    alg, mod, t = transport(a2, m_a2, t_inv, p, p, half, third)
+    n = transport(a2, m_a2, Matrix.from_rows([[0, 0], ["1/2", 0]]), p, p,
+                  half, half)[2]
+    s = transport(a2, m_a2, e21, p, p, half, half)[2]
+    alg2, mod2, t2 = transport(a2, m_a2, t_inv, q, q, half, third)
+    alg2 = Algebra(alg2.mul, ("f1", "f2"))
+    phi = q.inverse() @ p
+    doc = WorkspaceDocument(
+        alg, alg2, mod, Bimodule(alg2, mod2.left, mod2.right, check=False),
+        {"T": t, "T2": t2, "N": n, "S": s, "phi": phi, "psi": phi}, None)
+    path = tmp_path / "frac.json"
     path.write_text(render_document(doc), encoding="utf-8")
     return str(path)
 
@@ -375,6 +404,29 @@ def test_deform_verify_rejects_invalid_generator(tmp_path, a2, m_a2):
     assert main(["--fixture", str(path), "deform", "verify"]) == 1
 
 
+def test_a_structure_check_forms_few_fractions(frac_fixture, capsys,
+                                               monkeypatch):
+    """Matrices are ints over one denominator, so a check forms Fractions
+    only where it reads or writes them.  `check nij-structure --power-cap
+    3` on the document over mixed denominators constructed 965 Fractions
+    when matrices stored Fractions, and 115 once they stored ints; the
+    bound is half the first count."""
+    original = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    status = main(["--fixture", frac_fixture, "check", "nij-structure",
+                   "--ops", "N,S", "--power-cap", "3"])
+    monkeypatch.undo()
+    assert status == 0
+    assert "powers_3             pass" in capsys.readouterr().out
+    assert 0 < len(built) <= 965 // 2
+
+
 def test_check_morphism_command(pair_fixture):
     assert main(["--fixture", pair_fixture, "check", "morphism",
                  "--ops", "phi,psi,T,T"]) == 0
@@ -655,11 +707,14 @@ def test_cli_output_matches_the_golden_record(a2_fixture, pair_fixture,
                                               s2_split_fixture,
                                               closed_fixture,
                                               unclosed_fixture, empty_fixture,
-                                              capsys, monkeypatch):
+                                              frac_fixture, capsys,
+                                              monkeypatch):
     """Every command and target on the A2, morphism-pair and deformed
     documents, `check nij-structure` and `deform generate` on the two S^2
     documents, `deform verify` on a closed invalid, an unclosed and a
-    0-dimensional generator (and `mc-check` on the last), operator searches
+    0-dimensional generator (and `mc-check` on the last), `check morphism`,
+    `check nij-structure`, `check on` and `deform generate` on a document
+    over mixed denominators, operator searches
     over each predicate kind and shape with their refusals, in text and
     JSON, and the argument errors of this module, print and exit byte for
     byte as
@@ -672,7 +727,8 @@ def test_cli_output_matches_the_golden_record(a2_fixture, pair_fixture,
     paths = {"a2": a2_fixture, "pair": pair_fixture,
              "deformed": deformed_fixture, "s2": s2_fixture,
              "s2split": s2_split_fixture, "closed": closed_fixture,
-             "unclosed": unclosed_fixture, "empty": empty_fixture}
+             "unclosed": unclosed_fixture, "empty": empty_fixture,
+             "frac": frac_fixture}
     got = cli_outcomes(argvs, paths, capsys, monkeypatch)
     ran = set()
     for entry in golden:

@@ -55,6 +55,32 @@ def test_division_by_zero_names_the_path():
     assert "$.algebra.products.e,e.e" in str(err.value)
 
 
+@pytest.mark.parametrize("value, reason", [
+    (True, "not a rational: True"),
+    (1.5, "not a rational: 1.5"),
+    ("1_000", "unparseable rational '1_000': "
+              "Invalid literal for Fraction: '1_000'"),
+    ("1/0", "unparseable rational '1/0': Fraction(1, 0)"),
+])
+def test_a_refused_coefficient_keeps_its_wording(value, reason):
+    """JSON ints are read as ints; every other coefficient goes through
+    `parse_rational`, whose refusal is the message, at the entry's path, in
+    a product, an operator and an action alike."""
+    for where, path in (("products", "$.algebra.products.e,e.e"),
+                        ("operator", "$.operators.T[0][0]"),
+                        ("action", "$.bimodule.l[0][0][0]")):
+        doc = {"field": "Q",
+               "algebra": {"dim": 1, "basis": ["e"], "products": {
+                   "e,e": {"e": value if where == "products" else 2}}},
+               "bimodule": {"mdim": 1,
+                            "l": [[[value if where == "action" else 0]]],
+                            "r": [[[0]]]},
+               "operators": {"T": [[value if where == "operator" else 1]]}}
+        with pytest.raises(DocumentError) as err:
+            parse_document(json.dumps(doc))
+        assert str(err.value) == f"{path}: {reason}"
+
+
 def test_unknown_keys_rejected():
     text = json.dumps({
         "field": "Q",

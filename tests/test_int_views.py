@@ -318,21 +318,34 @@ def test_random_rb_triples_equal_the_dense_routes(cohomology_corpus,
 # ---------------------------------------------------------------------------
 
 
-def _record_scalings(monkeypatch):
-    """The parts of every `integer_scaled` call any package module makes."""
-    original = linalg.integer_scaled
+def _record_calls(monkeypatch, name):
+    """The arguments of every call any package module makes to the linalg
+    helper `name`, each sequence argument as a tuple."""
+    original = getattr(linalg, name)
     calls = []
 
-    def recording(*parts):
-        parts = [tuple(p) for p in parts]
-        calls.append(parts)
-        return original(*parts)
+    def recording(*args):
+        args = [tuple(a) if isinstance(a, (list, tuple)) else a for a in args]
+        calls.append(args)
+        return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("antiflex")
-                and getattr(module, "integer_scaled", None) is original):
-            monkeypatch.setattr(module, "integer_scaled", recording)
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.startswith("antiflex")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, recording)
     return calls
+
+
+def _record_scalings(monkeypatch):
+    """The parts of every `integer_scaled` call any package module makes."""
+    return _record_calls(monkeypatch, "integer_scaled")
+
+
+def _record_views(monkeypatch):
+    """The (data, rows, cols) of every sparse column view a package module
+    builds with `_nonzero_cols`: one per Matrix view, one per action of a
+    bimodule view, and one per full-rank test of a search."""
+    return _record_calls(monkeypatch, "_nonzero_cols")
 
 
 def _fresh(alg, mod):
@@ -344,16 +357,16 @@ def _fresh(alg, mod):
 def test_a_sweep_scales_the_algebra_and_bimodule_once(a2, m_a2, monkeypatch):
     alg, mod = _fresh(a2, m_a2)
     calls = _record_scalings(monkeypatch)
+    views = _record_views(monkeypatch)
     hits = search_operators(alg, mod, (-1, 0, 1), ("rota-baxter",))
     assert hits
-    # the algebra's view is read off the ints of its product map, with no
-    # scaling; the bimodule's actions are scaled once, over a multiple of
-    # the algebra's denominator, and the grid values once; no candidate of
-    # the 3^4 grid is scaled
-    assert len(calls) == 2
-    assert calls[0] == [(Fraction(1, alg.mul.den),)] + [
-        m.data for m in mod.left + mod.right]
-    assert calls[-1] == [(-1, 0, 1)]
+    # the algebra's view is read off the ints of its product map and the
+    # bimodule's off the ints of its actions, with no scaling; the grid
+    # values are scaled once, and no candidate of the 3^4 grid is scaled
+    assert calls == [[(-1, 0, 1)]]
+    # the bimodule's view is built once: one sparse view per action
+    md = mod.mdim
+    assert views == [[m.ints, md, md] for m in mod.left + mod.right]
 
 
 def test_a_complex_builds_each_view_once(a2_plus_a1, m_a2_plus_a1,
@@ -361,12 +374,15 @@ def test_a_complex_builds_each_view_once(a2_plus_a1, m_a2_plus_a1,
     alg, mod = _fresh(a2_plus_a1, m_a2_plus_a1)
     op = Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 0]])
     calls = _record_scalings(monkeypatch)
+    views = _record_views(monkeypatch)
     RBComplex(alg, mod, op).dims(3)
-    # one scaling each for the bimodule and the operator (is_rota_baxter);
-    # the algebra's view is read off its product map's ints, and the
-    # induced structures and every d_n get theirs from the contraction that
-    # built them
-    assert sorted(len(parts) for parts in calls) == [1, 1 + 2 * alg.dim]
-    calls.clear()
-    RBComplex(alg, mod, op).dims(3)
+    # nothing is scaled: the algebra's, the bimodule's and the operator's
+    # views are read off their ints, and the induced structures and every
+    # d_n get theirs from the contraction that built them
     assert calls == []
+    # one sparse view for the operator (is_rota_baxter) and one per action
+    # of the bimodule
+    assert len(views) == 1 + 2 * alg.dim
+    views.clear()
+    RBComplex(alg, mod, op).dims(3)
+    assert calls == views == []

@@ -116,6 +116,12 @@ def test_property_multimaps_equal_the_dense_map():
     run_in_child("multimap_property.py")
 
 
+def test_property_matrices_equal_the_dense_matrix():
+    """The `hypothesis` property of `matrix_property.py`, run in a child
+    interpreter (see `test_scaled_laws.run_in_child`)."""
+    run_in_child("matrix_property.py")
+
+
 def test_property_sparse_rank_equals_dense_rank():
     """The `hypothesis` property of `sparse_rank_property.py`, run in a
     child interpreter (see `test_scaled_laws.run_in_child`)."""
