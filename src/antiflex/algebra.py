@@ -65,11 +65,8 @@ class Algebra:
         (k, int) pairs in increasing k over the common denominator den, read
         off the entries and the denominator of the product map."""
         if self._view is None:
-            d = self.dim
-            prod = [[] for _ in range(d * d)]
-            for (i, j, k), x in sorted(self.mul.entries.items()):
-                prod[i * d + j].append((k, x))
-            self._view = ([tuple(p) for p in prod], self.mul.den)
+            self._view = (_sparse_products(self.mul.entries, self.dim),
+                          self.mul.den)
         return self._view
 
     @staticmethod
@@ -131,6 +128,22 @@ class Algebra:
 # ---------------------------------------------------------------------------
 # Sparse vectors are lists of (index, coefficient) with nonzero coefficients.
 # Each helper adds its term into the dense int list `acc` and returns it.
+
+def _sparse_products(entries: dict, d: int) -> list:
+    """At pair index i*d + j, the nonzero entries[(i, j, k)] of a product
+    on range(d) as (k, x) pairs in increasing k."""
+    prod = [[] for _ in range(d * d)]
+    for (i, j, k), x in sorted(entries.items()):
+        if x:
+            prod[i * d + j].append((k, x))
+    return [tuple(p) for p in prod]
+
+
+def _product_entries(prod: list, d: int) -> dict:
+    """{(i, j, k): x} from sparse products, e_i.e_j at pair index i*d + j;
+    the inverse of `_sparse_products`."""
+    return {(p // d, p % d, k): x for p, img in enumerate(prod) for k, x in img}
+
 
 def _algebra_of_ints(entries: dict, den: int,
                      labels: Sequence[str]) -> "Algebra":

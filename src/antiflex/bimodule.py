@@ -17,9 +17,11 @@ the base constants and both action families as sparse ints over one common
 denominator D.  Each term of both laws is quadratic in that data, so every
 int residual is exactly D**2 times the true one: the same pairs fail, and
 the witness is Fraction(entry, D**2).
-`induced_bimodule_on_base` contracts the views of the bimodule and of T
-(scale D_T): star, l_T and r_T are linear in each, so all three are ints
-over D * D_T, which become the view of the induced bimodule.
+`_induced_view` contracts the views of the bimodule and of T (scale D_T):
+star, l_T and r_T are linear in each, so all three are ints over D * D_T.
+It forms that view alone, for `cohomology.RBComplex`, which reads nothing
+else; `induced_bimodule_on_base` returns the objects of the view, which
+keep it as their own.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-from .algebra import (Algebra, LieAlgebra, _subtract_image, classify,
+from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _product_entries,
+                      _sparse_products, _subtract_image, classify,
                       commutator_lie, deformed_product)
 from .linalg import LinAlgError, Matrix, _nonzero_cols, linear_combination
 from .reports import CheckReport
@@ -71,37 +74,15 @@ class Bimodule:
             acts = self.left + self.right
             den = math.lcm(base_den, *(m.den for m in acts))
             prod = _rescaled(prod, base_den, den)
-            cols = [_nonzero_cols([x * (den // m.den) for x in m.ints], md, md)
+            cols = [_nonzero_cols(m.ints if m.den == den else
+                                  [x * (den // m.den) for x in m.ints], md, md)
                     for m in acts]
             self._view = (prod, cols[:d], cols[d:], den)
         return self._view
 
     def validate(self) -> CheckReport:
         """Both bimodule equations on all basis pairs, with residual witnesses."""
-        prod, left, right, den = self.int_view()
-        d, md = self.base.dim, self.mdim
-        eye = [[(j, 1)] for j in range(md)]
-
-        def product_law(i, j):
-            # l(ab) - l(a)l(b) - r(a)r(b) + r(ba)
-            return _combination(md, [(x, left[k], eye) for k, x in prod[i * d + j]]
-                                + [(x, right[k], eye) for k, x in prod[j * d + i]]
-                                + [(-1, left[i], left[j]), (-1, right[i], right[j])])
-
-        def commutation_law(i, j):
-            # l(a)r(b) - r(b)l(a) - l(b)r(a) + r(a)l(b)
-            return _combination(md, [(1, left[i], right[j]), (-1, right[j], left[i]),
-                                     (-1, left[j], right[i]), (1, right[i], left[j])])
-
-        def witness(res):
-            return Matrix._of_ints(md, md, res, den * den)
-
-        return (CheckReport("bimodule")
-                .sweep("l(ab)-l(a)l(b) = r(a)r(b)-r(ba)",
-                       itertools.product(range(d), repeat=2), product_law, witness)
-                .sweep("l(a)r(b)-r(b)l(a) = l(b)r(a)-r(a)l(b)",
-                       itertools.product(range(d), repeat=2), commutation_law,
-                       witness))
+        return _view_report(self.base.dim, self.mdim, self.int_view())
 
     def __eq__(self, other):
         return (isinstance(other, Bimodule) and self.base == other.base
@@ -128,6 +109,35 @@ def _action_dim(d: int, left: Sequence[Matrix], right: Sequence[Matrix],
         if m.rows != size or m.cols != size:
             raise LinAlgError("action matrices must be square of equal size")
     return size
+
+
+def _view_report(d: int, md: int, view: tuple) -> CheckReport:
+    """Both bimodule equations on all basis pairs of a base of dimension d
+    acting on an md-dimensional space, from the integer view (prod, left,
+    right, den) of the pair."""
+    prod, left, right, den = view
+    eye = [[(j, 1)] for j in range(md)]
+
+    def product_law(i, j):
+        # l(ab) - l(a)l(b) - r(a)r(b) + r(ba)
+        return _combination(md, [(x, left[k], eye) for k, x in prod[i * d + j]]
+                            + [(x, right[k], eye) for k, x in prod[j * d + i]]
+                            + [(-1, left[i], left[j]), (-1, right[i], right[j])])
+
+    def commutation_law(i, j):
+        # l(a)r(b) - r(b)l(a) - l(b)r(a) + r(a)l(b)
+        return _combination(md, [(1, left[i], right[j]), (-1, right[j], left[i]),
+                                 (-1, left[j], right[i]), (1, right[i], left[j])])
+
+    def witness(res):
+        return Matrix._of_ints(md, md, res, den * den)
+
+    return (CheckReport("bimodule")
+            .sweep("l(ab)-l(a)l(b) = r(a)r(b)-r(ba)",
+                   itertools.product(range(d), repeat=2), product_law, witness)
+            .sweep("l(a)r(b)-r(b)l(a) = l(b)r(a)-r(a)l(b)",
+                   itertools.product(range(d), repeat=2), commutation_law,
+                   witness))
 
 
 def is_bimodule(alg: Algebra, left: Sequence[Matrix], right: Sequence[Matrix]) -> CheckReport:
@@ -228,14 +238,25 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
         l(m)(a) = op(m).a - op(r(a)m),   r(m)(a) = a.op(m) - op(l(a)m),
     and the base algebra of the result is the star-product algebra on M.
     `mod` is trusted: its constructor validates it unless told not to.
+    The objects of `_induced_view`, which is their integer view.
     """
-    from .operators import _star_product, is_rota_baxter
+    return _induced_objects(_induced_view(alg, mod, op), alg.dim)
+
+
+def _induced_view(alg: Algebra, mod: Bimodule, op: Matrix) -> tuple:
+    """(prod, left, right, scale): the integer view of the bimodule that
+    `induced_bimodule_on_base` returns, formed without building it, with
+    its checks in its order: ValueError unless op is Rota-Baxter, and,
+    when the base is not anti-flexible, unless the actions form a
+    bimodule.  star (from `operators._star_entries`), l_T and r_T are
+    ints over scale = D * D_T."""
+    from .operators import _star_entries, is_rota_baxter
 
     is_rota_baxter(alg, mod, op).require("operator is not Rota-Baxter")
     mod = _rebased(alg, mod)
-    star = _star_product(mod, op)
-    (prod, left, right, den), (tcols, tden) = mod.int_view(), op.int_view()
-    d, scale = alg.dim, den * tden
+    star, scale = _star_entries(mod, op)
+    (prod, left, right, _), (tcols, _) = mod.int_view(), op.int_view()
+    d, md = alg.dim, mod.mdim
 
     def action(i, on_left, acts):
         # column j: T(m_i).e_j - T(r(e_j)m_i), or e_j.T(m_i) - T(l(e_j)m_i)
@@ -249,16 +270,28 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
             cols.append(tuple((k, x) for k, x in enumerate(acc) if x))
         return cols
 
-    lcols = [action(i, True, right) for i in range(mod.mdim)]
-    rcols = [action(i, False, left) for i in range(mod.mdim)]
-    out = Bimodule(star, [Matrix._from_int_cols(d, c, scale) for c in lcols],
-                   [Matrix._from_int_cols(d, c, scale) for c in rcols],
-                   check=False, mdim=d)
-    # star's constants are ints over scale, in lowest terms over a divisor
-    out._view = (_rescaled(*star.int_view(), scale), lcols, rcols, scale)
+    view = (_sparse_products(star, md),
+            [action(i, True, right) for i in range(md)],
+            [action(i, False, left) for i in range(md)], scale)
     # a bimodule when the base is anti-flexible (the paper); else validate
     if not classify(alg).anti_flexible:
-        out.validate().require("not a bimodule")
+        _view_report(md, d, view).require("not a bimodule")
+    return view
+
+
+def _induced_objects(view: tuple, adim: int) -> Bimodule:
+    """The bimodule over (M, star) on A, dim A = adim, whose integer view
+    is `view` (from `_induced_view`)."""
+    from .operators import _star_labels
+
+    prod, left, right, scale = view
+    md = len(left)
+    star = _algebra_of_ints(_product_entries(prod, md), scale,
+                            _star_labels(md))
+    out = Bimodule(star, [Matrix._from_int_cols(adim, c, scale) for c in left],
+                   [Matrix._from_int_cols(adim, c, scale) for c in right],
+                   check=False, mdim=adim)
+    out._view = view
     return out
 
 

@@ -26,13 +26,19 @@ differs from (-1)^(n+1) at n = 4), and the bracket route still checks
 that nothing leaves the cochain block (pi(A, A) = 0 and f vanishes off
 M^n, so the pointwise route has no such components to check).
 
-The pointwise route builds each d_n once as sparse int columns, over the
-one scale of the induced structure's integer view.  `RBComplex.dims`
-works on those columns alone: the complex check multiplies them sparsely
-and each rank is `linalg.int_cols_rank` of them, exact because a common
-scale changes no rank.  `differential_matrix` is their dense `Matrix`
-view; `dims` never builds it, and the tests keep it, with its dense
-elimination, as the oracle of both the columns and the ranks.
+`RBComplex` forms only the integer view of the induced structure: star,
+l_T and r_T as sparse ints over one scale (`bimodule._induced_view`).  Its
+`induced` bimodule and `star` algebra are built from that view on first
+read, as `induced_bimodule_on_base` builds them.  The pointwise route
+builds each d_n once from the view as sparse int columns, reading a basis
+tuple of M^(n+1) as its base-mdim number.  `RBComplex.dims` works on those
+columns alone.  It first checks d_n o d_{n-1} = 0 for n = 1..k in order,
+multiplying the columns sparsely, and only then ranks each d_n with
+`linalg.int_cols_rank`, exact because a common scale changes no rank; a
+triple that fails the check costs no rank.  `differential_matrix` is the
+dense `Matrix` view of the columns; `dims` never builds it, and the tests
+keep it, with its dense elimination, as the oracle of both the columns
+and the ranks.
 
 Whether d squares to zero depends on the data.  `tests/test_cohomology.py`
 pins a census: every anti-flexible dim-2 algebra over {-1, 0, 1} with its
@@ -54,14 +60,15 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .algebra import Algebra
-from .bimodule import Bimodule, induced_bimodule_on_base, lie_representation
+from .bimodule import (Bimodule, _induced_objects, _induced_view,
+                       lie_representation)
 from .glie import (Cochain, CochainSpace, DegreeCapError, _structure_element,
                    derived_bracket, embed_blocks, graded_bracket,
                    restrict_blocks, HARD_ARITY_CAP)
-from .linalg import (LinAlgError, Matrix, MultiMap, basis_vector, flat_offset,
+from .linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
                      int_cols_rank, linear_combination, vec_add, vec_is_zero,
                      vec_sub)
-# not called here (RBComplex gets the check through induced_bimodule_on_base),
+# not called here (RBComplex gets the check through bimodule._induced_view),
 # but perfbench/test_perfbench.py reads the name from this module
 from .operators import is_rota_baxter  # noqa: F401
 from .reports import CheckReport
@@ -97,13 +104,21 @@ class RBComplex:
         self.op = op
         self.adim = alg.dim
         self.mdim = mod.mdim
-        # induced algebra on M and its actions l_T, r_T on A; raises
+        # the integer view (star, l_T, r_T) of the induced structure; raises
         # ValueError unless op is Rota-Baxter
-        induced = induced_bimodule_on_base(alg, mod, op)
-        self.induced = induced
-        self.star = induced.base
+        self._view = _induced_view(alg, mod, op)
         # degree -> the sparse int columns of d_degree (`_int_columns`)
         self._matrices = {}
+
+    @functools.cached_property
+    def induced(self) -> Bimodule:
+        """The induced algebra (M, star) acting on A through l_T and r_T,
+        as `induced_bimodule_on_base` builds it, from the view."""
+        return _induced_objects(self._view, self.adim)
+
+    @functools.cached_property
+    def star(self) -> Algebra:
+        return self.induced.base
 
     @functools.cached_property
     def space(self) -> CochainSpace:
@@ -140,7 +155,7 @@ class RBComplex:
         built anew on each call."""
         cols = self._int_columns(degree)
         return Matrix._from_int_cols(self.dim_cochains(degree + 1), cols,
-                                     self.induced.int_view()[3])
+                                     self._view[3])
 
     def _int_columns(self, degree: int) -> list:
         """The columns of d_degree as sorted (row, int) pairs: the matrix
@@ -152,33 +167,41 @@ class RBComplex:
         m, a, n = self.mdim, self.adim, degree
         # star, l_T and r_T as ints over one scale, in which d_n is linear;
         # action[k] lists (kk, w), w != 0 the e_kk-coefficient of action(e_k)
-        prod, left, right, _ = self.induced.int_view()
+        prod, left, right, _ = self._view
         identity = [[(k, 1)] for k in range(a)]
-        # the star products by output coordinate: u star v = sum_t c e_t
+        # the star products by output coordinate: u star v = sum_t c e_t,
+        # kept as (u * m + v, c)
         products = [[] for _ in range(m)]
-        for u, v in itertools.product(range(m), repeat=2):
-            for t, c in prod[u * m + v]:
-                products[t].append((u, v, c))
+        for uv, img in enumerate(prod):
+            for t, c in img:
+                products[t].append((uv, c))
         sign = -1 if n % 2 else 1
         outer = sign if n else -1
         rev = (-1 if (n * (n + 1) // 2) % 2 else 1) if n >= 2 else 0
+        # a tuple of basis indices is its base-m number: ys has y < m**n,
+        # and ys[s] is the digit of weight m**(n - 1 - s)
+        size = m ** n
+        weights = [m ** (n - 1 - s) for s in range(n)]
+        flip = _digit_reversal(m, n + 1) if rev else None
         cols = []
-        for ys in itertools.product(range(m), repeat=n):
+        for y in range(size):
             # outer * Q(x) for f = e_k at ys, as terms (x, action, c): the
-            # e_k-column of c * action lands at x
+            # e_k-column of c * action lands at the tuple x
             terms = []
             for z in range(m):
-                terms.append((ys + (z,), right[z], outer))
-                terms.append(((z,) + ys, left[z], -sign * outer))
-            for s in range(n):
+                terms.append((y * m + z, right[z], outer))
+                terms.append((z * size + y, left[z], -sign * outer))
+            for s, w in enumerate(weights):
                 coeff = outer * sign * (-1 if s % 2 else 1)
-                for u, v, c in products[ys[s]]:
-                    terms.append((ys[:s] + (u, v) + ys[s + 1:], identity,
+                # ys[s] replaced by (u, v): head, ys[s] and tail of y
+                head, rest = divmod(y, w * m)
+                digit, tail = divmod(rest, w)
+                for uv, c in products[digit]:
+                    terms.append((head * m * m * w + uv * w + tail, identity,
                                   coeff * c))
             if rev:
-                terms += [(xs[::-1], action, rev * c) for xs, action, c in terms]
-            terms = [(flat_offset(xs, m, a), action, c)
-                     for xs, action, c in terms]
+                terms += [(flip[x], action, rev * c) for x, action, c in terms]
+            terms = [(x * a, action, c) for x, action, c in terms]
             for k in range(a):
                 column = {}
                 for row, action, c in terms:
@@ -193,30 +216,50 @@ class RBComplex:
 
         Asserts the complex property: each differential must send every
         column of the previous one to zero; a violation raises ComplexError
-        rather than reporting bogus quotient dimensions.  Both the check and
-        the ranks work on the sparse int columns of each d_n (ranks do not
+        rather than reporting bogus quotient dimensions.  Every d_n o
+        d_{n-1} is checked, n = 1..max_degree in order, before any rank is
+        taken, so a failing triple costs no rank.  Both the check and the
+        ranks work on the sparse int columns of each d_n (ranks do not
         change under the common scale), so no dense d_n is built.
         """
         _check_degree(max_degree)
+        cols = []
+        for n in range(max_degree + 1):
+            cols.append(self._int_columns(n))
+            if n:
+                _check_composition(cols[n - 1], cols[n], n)
         rows = []
         prev_rank = 0
-        prev_cols = []
-        for n in range(max_degree + 1):
-            cols = self._int_columns(n)
-            for j, img in enumerate(prev_cols):
-                acc = {}
-                for i, x in img:
-                    for r, y in cols[i]:
-                        acc[r] = acc.get(r, 0) + x * y
-                if any(acc.values()):
-                    raise ComplexError(
-                        f"image of d_{n - 1} not contained in kernel of d_{n}"
-                        f" (generator {j})")
+        for n, d_n in enumerate(cols):
             c = self.dim_cochains(n)
-            rank = int_cols_rank(cols)
+            rank = int_cols_rank(d_n)
             rows.append((n, c, c - rank, prev_rank, c - rank - prev_rank))
-            prev_rank, prev_cols = rank, cols
+            prev_rank = rank
         return ComplexReport(rows)
+
+
+def _check_composition(prev_cols: list, cols: list, n: int) -> None:
+    """ComplexError unless d_n (sparse int columns cols) sends every column
+    of d_{n-1} (prev_cols) to zero."""
+    for j, img in enumerate(prev_cols):
+        acc = {}
+        for i, x in img:
+            for r, y in cols[i]:
+                acc[r] = acc.get(r, 0) + x * y
+        if any(acc.values()):
+            raise ComplexError(
+                f"image of d_{n - 1} not contained in kernel of d_{n}"
+                f" (generator {j})")
+
+
+def _digit_reversal(m: int, length: int) -> list:
+    """flip[x] for x < m**length: the number of the tuple of x's base-m
+    digits (length of them) in reverse order."""
+    flip = [0]
+    for k in range(length):
+        step = m ** k
+        flip = [f + digit * step for f in flip for digit in range(m)]
+    return flip
 
 
 def _check_degree(degree: int) -> None:

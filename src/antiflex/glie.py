@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .algebra import Algebra
+from .algebra import Algebra, _product_entries
 from .bimodule import Bimodule
 from .linalg import LinAlgError, Matrix, MultiMap, Vector
 from .reports import CheckReport
@@ -155,12 +155,6 @@ def graded_bracket(f: MultiMap, g: MultiMap,
 # ---------------------------------------------------------------------------
 # two-block spaces and the degree-1 structure element
 # ---------------------------------------------------------------------------
-
-def _product_entries(prod: list, d: int) -> dict:
-    """{(i, j, k): x} from the sparse products of an integer view, e_i.e_j
-    at pair index i*d + j."""
-    return {(p // d, p % d, k): x for p, img in enumerate(prod) for k, x in img}
-
 
 def _structure_element(mod: Bimodule) -> MultiMap:
     """mu + l + r on A + M (algebra block first), read from the integer

@@ -205,7 +205,7 @@ def int_cols_rank(cols: Iterable[Sequence[tuple]]) -> int:
 
 def _nonzero_cols(data: Sequence, rows: int, cols: int) -> list:
     """The columns of a row-major rows x cols matrix, as sparse vectors."""
-    return [tuple((i, data[i * cols + j]) for i in range(rows) if data[i * cols + j])
+    return [tuple([(i, x) for i, x in enumerate(data[j::cols]) if x])
             for j in range(cols)]
 
 

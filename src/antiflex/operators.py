@@ -20,15 +20,17 @@ and < are linear in both, so ints over D1*D2.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Tuple
 
 from fractions import Fraction
 
-from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _deformed,
-                      _multiply, _semidirect_product, _subtract_image,
-                      classify, deformed_product)
+from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _check_base,
+                      _deformed, _multiply, _semidirect_product,
+                      _sparse_products, _subtract_image, classify,
+                      deformed_product)
 from .bimodule import Bimodule, LieRepresentation, _rebased
-from .glie import compose_bar
+from .glie import _structure_element, compose_bar
 from .linalg import (LinAlgError, Matrix, MultiMap, Vector, basis_vector,
                      linear_combination, vec_is_zero, vec_sub, zero_vector)
 from .reports import CheckReport
@@ -264,11 +266,21 @@ def star_algebra(alg: Algebra, mod: Bimodule, op: Matrix) -> Algebra:
 def _star_product(mod: Bimodule, op: Matrix) -> Algebra:
     """`star_algebra` without the Rota-Baxter check, for callers that have
     checked the operator already or form the product of any operator."""
+    return _algebra_of_ints(*_star_entries(mod, op), _star_labels(mod.mdim))
+
+
+def _star_labels(mdim: int) -> tuple:
+    return tuple(f"m{i + 1}" for i in range(mdim))
+
+
+def _star_entries(mod: Bimodule, op: Matrix) -> tuple:
+    """(entries, den): m star n = m < n + m > n on basis pairs as a dict
+    (i, j, k) -> int of its structure constants over den, in which a sum
+    may have cancelled to 0."""
     prec, succ, den = _splitting(mod, op)
     for key, x in succ.items():
         prec[key] = prec.get(key, 0) + x
-    return _algebra_of_ints(prec, den,
-                            tuple(f"m{i + 1}" for i in range(mod.mdim)))
+    return prec, den
 
 
 def _splitting(mod: Bimodule, op: Matrix) -> tuple:
@@ -342,27 +354,44 @@ def rb_morphism_graph_check(alg: Algebra, mod: Bimodule, op: Matrix,
     graph of the source operator into the graph of the target one.  The
     product (x, Fx)(y, Fy) = (xy, Fx Fy) of two graph vectors is formed one
     component in each semidirect algebra.
+
+    Runs on ints: each semidirect product is the int structure constants
+    of `glie._structure_element` over its denominator, F = phi + psi acts
+    through its int columns over one denominator, and each comparison is
+    cross-multiplied by the denominators of the other side.
     """
     _check_operator_shape(phi, alg.dim, alg2.dim, "algebra map")
     _check_operator_shape(psi, mod.mdim, mod2.mdim, "module map")
-    semi1 = _semidirect_product(alg, mod)
-    semi2 = _semidirect_product(alg2, mod2)
-    d1, n1 = alg.dim, alg.dim + mod.mdim
-
-    def pair_map(x: Vector) -> Vector:
-        a, m = x[:d1], x[d1:]
-        return tuple(phi.apply(a)) + tuple(psi.apply(m))
-
-    images = [pair_map(basis_vector(i, n1)) for i in range(n1)]
+    _check_operator_shape(op, mod.mdim, alg.dim, "source operator")
+    _check_operator_shape(op2, mod2.mdim, alg2.dim, "target operator")
+    _check_base(alg, mod)
+    _check_base(alg2, mod2)
+    semi1, semi2 = _structure_element(mod), _structure_element(mod2)
+    n1, n2, d1, d2 = semi1.dim, semi2.dim, alg.dim, alg2.dim
+    prod1 = _sparse_products(semi1.entries, n1)
+    prod2 = _sparse_products(semi2.entries, n2)
+    (pcols, pden), (scols, sden) = phi.int_view(), psi.int_view()
+    den = math.lcm(pden, sden)
+    # the columns of F on A + M, over den
+    fcols = ([tuple((k, x * (den // pden)) for k, x in col) for col in pcols]
+             + [tuple((d2 + k, x * (den // sden)) for k, x in col)
+                for col in scols])
+    s1, s2 = semi1.den, semi2.den
     for i, j in itertools.product(range(n1), repeat=2):
-        first = semi1.basis_product(i, j)
-        second = semi2.multiply(images[i], images[j])
-        if not vec_is_zero(vec_sub(second, pair_map(first))):
+        # F(e_i) F(e_j) over den**2 * s2 against F(e_i e_j) over den * s1
+        lhs = _multiply(prod2, n2, fcols[i], fcols[j], [0] * n2)
+        first = [(k, x * den * s2) for k, x in prod1[i * n1 + j]]
+        if any(_subtract_image(fcols, first, [x * s1 for x in lhs])):
             return False
+    (tcols, tden), (t2cols, t2den) = op.int_view(), op2.int_view()
     for i in range(mod.mdim):
-        graph_image = tuple(phi.apply(op.col(i))) + tuple(psi.col(i))
-        expected = tuple(op2.apply(psi.col(i))) + tuple(psi.col(i))
-        if not vec_is_zero(vec_sub(graph_image, expected)):
+        # F(T e_i, e_i) = (a, m) over den * tden lies on the graph of T'
+        # (over t2den) when a * t2den = T'(m); image is -(a, m), on which
+        # the linear condition reads the same
+        image = _subtract_image(fcols, tcols[i] + ((d1 + i, tden),),
+                                [0] * n2)
+        acc = [x * t2den for x in image[:d2]]
+        if any(_subtract_image(t2cols, enumerate(image[d2:]), acc)):
             return False
     return True
 

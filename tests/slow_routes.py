@@ -8,6 +8,11 @@ Each function here is the form the package used before the direct one:
 - `graph_check_direct_sum`: `operators.rb_morphism_graph_check` multiplying
   graph vectors in the direct sum of the two semidirect products (through
   `evaluate_all_tuples`);
+- `graph_check_fractions`: `operators.rb_morphism_graph_check` on Fraction
+  vectors, one component in each semidirect algebra (`Algebra.multiply`,
+  `Matrix.apply`);
+- `dims_rank_each_degree`: `cohomology.RBComplex.dims` ranking each d_n
+  before it checks d_{n+1} o d_n;
 - `variant_s_squared_displayed`: the S^2-variant note of
   `deformation.is_nijenhuis_structure` in its displayed form, with S^2,
   l(a)S^2 and S l(a) S built from scratch;
@@ -56,11 +61,13 @@ from fractions import Fraction
 from antiflex.algebra import (Algebra, _semidirect_product, classify,
                               deformed_product, direct_sum)
 from antiflex.bimodule import Bimodule, _rebased
+from antiflex.cohomology import ComplexError, ComplexReport, _check_degree
 from antiflex.deformation import block_operator
 from antiflex.glie import (HARD_ARITY_CAP, _structure_element, compose_bar,
                            graded_bracket, structure_element)
 from antiflex.linalg import (LinAlgError, Matrix, basis_vector,
-                             linear_combination, vec_is_zero, vec_sub)
+                             int_cols_rank, linear_combination, vec_is_zero,
+                             vec_sub)
 from antiflex.operators import (_check_operator_shape, _is_algebra_morphism,
                                 is_nijenhuis, is_rota_baxter)
 from antiflex.reports import CheckReport
@@ -117,6 +124,54 @@ def graph_check_direct_sum(alg, mod, op, alg2, mod2, op2, phi, psi):
         if not vec_is_zero(vec_sub(graph_image, expected)):
             return False
     return True
+
+
+def graph_check_fractions(alg, mod, op, alg2, mod2, op2, phi, psi):
+    _check_operator_shape(phi, alg.dim, alg2.dim, "algebra map")
+    _check_operator_shape(psi, mod.mdim, mod2.mdim, "module map")
+    semi1 = _semidirect_product(alg, mod)
+    semi2 = _semidirect_product(alg2, mod2)
+    d1, n1 = alg.dim, alg.dim + mod.mdim
+
+    def pair_map(x):
+        a, m = x[:d1], x[d1:]
+        return tuple(phi.apply(a)) + tuple(psi.apply(m))
+
+    images = [pair_map(basis_vector(i, n1)) for i in range(n1)]
+    for i, j in itertools.product(range(n1), repeat=2):
+        first = semi1.basis_product(i, j)
+        second = semi2.multiply(images[i], images[j])
+        if not vec_is_zero(vec_sub(second, pair_map(first))):
+            return False
+    for i in range(mod.mdim):
+        graph_image = tuple(phi.apply(op.col(i))) + tuple(psi.col(i))
+        expected = tuple(op2.apply(psi.col(i))) + tuple(psi.col(i))
+        if not vec_is_zero(vec_sub(graph_image, expected)):
+            return False
+    return True
+
+
+def dims_rank_each_degree(cx, max_degree):
+    _check_degree(max_degree)
+    rows = []
+    prev_rank = 0
+    prev_cols = []
+    for n in range(max_degree + 1):
+        cols = cx._int_columns(n)
+        for j, img in enumerate(prev_cols):
+            acc = {}
+            for i, x in img:
+                for r, y in cols[i]:
+                    acc[r] = acc.get(r, 0) + x * y
+            if any(acc.values()):
+                raise ComplexError(
+                    f"image of d_{n - 1} not contained in kernel of d_{n}"
+                    f" (generator {j})")
+        c = cx.dim_cochains(n)
+        rank = int_cols_rank(cols)
+        rows.append((n, c, c - rank, prev_rank, c - rank - prev_rank))
+        prev_rank, prev_cols = rank, cols
+    return ComplexReport(rows)
 
 
 def variant_s_squared_displayed(mod, alg_op, mod_op, use_left):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from antiflex.algebra import classify
+from antiflex.algebra import Algebra, classify
 from antiflex.bimodule import lie_representation, regular_bimodule
 from antiflex.cohomology import (ComplexError, RBComplex, ce_differential,
                                  check_sign_relation, h0_description_check,
@@ -19,8 +19,10 @@ from antiflex.glie import (HARD_ARITY_CAP, Cochain, DegreeCapError,
                           embed_blocks, graded_bracket, restrict_blocks)
 from antiflex.linalg import (Matrix, basis_vector, int_cols_rank,
                              linear_combination)
-from antiflex.search import search_algebras, search_operators
-from tests.test_int_views import transport
+from tests.slow_routes import dims_rank_each_degree
+from tests.test_int_views import (_algebra_key, _bimodule_key, _record_calls,
+                                   census_triples,
+                                   ref_induced_bimodule_on_base, transport)
 
 rng = random.Random(1006)
 
@@ -269,20 +271,74 @@ def test_complex_property_census_on_the_dim2_grid():
     (commutative, associative, vanishing pattern).  The module docstring
     of `antiflex.cohomology` and the README cite these counts."""
     census = collections.Counter()
-    for alg in search_algebras(2, (-1, 0, 1), ["anti-flexible"]):
-        mod = regular_bimodule(alg)
+    for alg, mod, op in census_triples():
         flags = (alg.is_commutative(), classify(alg).associative)
-        for op in search_operators(alg, mod, (-1, 0, 1),
-                                   ["rota-baxter", "nonzero"]):
-            cols = [RBComplex(alg, mod, op)._int_columns(n) for n in range(6)]
-            census[flags + (tuple(_composition_vanishes(cols[n - 1], cols[n])
-                                  for n in range(1, 6)),)] += 1
+        cols = [RBComplex(alg, mod, op)._int_columns(n) for n in range(6)]
+        census[flags + (tuple(_composition_vanishes(cols[n - 1], cols[n])
+                              for n in range(1, 6)),)] += 1
     assert census == {
         (True, True, (True,) * 5): 360,
         (False, True, (True, True, False, False, False)): 128,
         (False, False, (True, True, False, False, False)): 32,
         (False, False, (False, True, False, False, False)): 96,
     }
+
+
+def _dims_outcome(dims, cx, max_degree):
+    try:
+        return dims(cx, max_degree).degrees
+    except ComplexError as exc:
+        return str(exc)
+
+
+def test_checking_every_degree_first_equals_ranking_each_degree(
+        cohomology_corpus, noncommutative_rb, defect_rb):
+    """`dims` checks every d_n o d_{n-1} before it takes any rank; its rows
+    and its ComplexError text equal those of the loop that ranks each d_n
+    before the next check, on the census grid at dims(5) and on the
+    fixture corpus."""
+    cases = [(entry[1:4], entry[4][-1][0]) for entry in cohomology_corpus]
+    cases += [(noncommutative_rb, 5), (defect_rb, 5)]
+    cases += [(triple, 5) for triple in census_triples()]
+    outcomes = collections.Counter()
+    for triple, max_degree in cases:
+        cx = RBComplex(*triple)
+        got = _dims_outcome(RBComplex.dims, cx, max_degree)
+        assert got == _dims_outcome(dims_rank_each_degree, cx, max_degree)
+        outcomes[got if isinstance(got, str) else "rows"] += 1
+    assert outcomes == {
+        "rows": 366,
+        "image of d_0 not contained in kernel of d_1 (generator 0)": 65,
+        "image of d_0 not contained in kernel of d_1 (generator 1)": 32,
+        "image of d_2 not contained in kernel of d_3 (generator 0)": 112,
+        "image of d_2 not contained in kernel of d_3 (generator 1)": 24,
+        "image of d_2 not contained in kernel of d_3 (generator 6)": 25,
+    }
+
+
+def test_a_failing_triple_builds_no_objects_and_takes_no_rank(defect_rb,
+                                                              monkeypatch):
+    """On a triple with d_1 o d_0 != 0, constructing the complex and
+    `dims(3)` build no induced algebra, no matrix from columns and take no
+    rank; the induced objects, read later, equal the reference route's."""
+    alg, mod, op = defect_rb
+    calls = []
+    from_int_cols, init = Matrix._from_int_cols, Algebra.__init__
+    monkeypatch.setattr(Matrix, "_from_int_cols", staticmethod(
+        lambda *args: calls.append("_from_int_cols") or from_int_cols(*args)))
+    monkeypatch.setattr(Algebra, "__init__", lambda self, *args: (
+        calls.append("Algebra.__init__") or init(self, *args)))
+    ranks = _record_calls(monkeypatch, "int_cols_rank")
+    cx = RBComplex(alg, mod, op)
+    with pytest.raises(ComplexError, match="^image of d_0 not contained in"
+                                           " kernel of d_1 "):
+        cx.dims(3)
+    assert calls == [] and ranks == []
+    monkeypatch.undo()
+    ref = ref_induced_bimodule_on_base(alg, mod, op)
+    assert _bimodule_key(cx.induced) == _bimodule_key(ref)
+    assert _algebra_key(cx.star) == _algebra_key(ref.base)
+    assert cx.star is cx.induced.base
 
 
 def test_dims_refuses_non_complex(defect_rb):

@@ -11,6 +11,8 @@ A view filled in by a construction must stand for exactly the entries of
 the object, and no view may be built twice.
 """
 
+import collections
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -19,13 +21,15 @@ import pytest
 
 from antiflex import linalg
 from antiflex.algebra import Algebra
-from antiflex.bimodule import Bimodule, induced_bimodule_on_base, zero_bimodule
+from antiflex.bimodule import (Bimodule, _induced_view,
+                               induced_bimodule_on_base, regular_bimodule,
+                               zero_bimodule)
 from antiflex.cohomology import ComplexError, RBComplex
 from antiflex.linalg import (Matrix, MultiMap, basis_vector,
                              linear_combination, vec_add, vec_sub)
 from antiflex.operators import (PreAntiFlexible, _star_product,
                                 induced_pre_anti_flexible, star_algebra)
-from antiflex.search import search_operators
+from antiflex.search import search_algebras, search_operators
 from tests.test_scaled_laws import (VALUES, _exact, ref_classify,
                                     ref_is_bimodule, ref_is_rota_baxter)
 
@@ -220,6 +224,83 @@ def test_complex_matrices_carry_matching_views(cohomology_corpus,
             assert_views_match(cx.differential_matrix(n))
     with pytest.raises(ComplexError):
         RBComplex(*defect_rb).dims(2)
+
+
+@functools.lru_cache(maxsize=None)
+def census_triples():
+    """Every anti-flexible dim-2 algebra over {-1, 0, 1} with its regular
+    bimodule and every nonzero Rota-Baxter operator over {-1, 0, 1}: the
+    616 triples of the complex-property census in test_cohomology."""
+    triples = []
+    for alg in search_algebras(2, (-1, 0, 1), ["anti-flexible"]):
+        mod = regular_bimodule(alg)
+        triples += [(alg, mod, op) for op in search_operators(
+            alg, mod, (-1, 0, 1), ["rota-baxter", "nonzero"])]
+    return tuple(triples)
+
+
+def _view_values(view, adim):
+    """An induced view (prod, left, right, scale) as exact values: the
+    star constants in the order of `MultiMap.data` and each action in that
+    of `Matrix.data`."""
+    prod, left, right, scale = view
+    md = len(left)
+    star = [Fraction(0)] * md ** 3
+    for p, img in enumerate(prod):
+        for k, x in img:
+            assert type(x) is int and x != 0
+            star[p * md + k] = Fraction(x, scale)
+    return (tuple(star), [_dense((cols, scale), adim) for cols in left],
+            [_dense((cols, scale), adim) for cols in right])
+
+
+def test_the_induced_view_equals_the_objects_and_the_reference(
+        cohomology_corpus, noncommutative_rb, defect_rb):
+    """The view `RBComplex` reads, formed without the induced objects, is
+    the view of `induced_bimodule_on_base` and stands for the entries of
+    the reference route's star product and actions, entry by entry."""
+    triples = (_corpus_triples(cohomology_corpus, noncommutative_rb,
+                               defect_rb) + list(census_triples()))
+    assert len(triples) == 8 + 616
+    for alg, mod, op in triples:
+        view = _induced_view(alg, mod, op)
+        assert view == induced_bimodule_on_base(alg, mod, op).int_view()
+        assert view == RBComplex(alg, mod, op)._view
+        ref = ref_induced_bimodule_on_base(alg, mod, op)
+        assert _view_values(view, alg.dim) == (
+            ref.base.mul.data, [m.data for m in ref.left],
+            [m.data for m in ref.right])
+
+
+def _refusal(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_the_induced_view_keeps_the_refusals(cohomology_corpus,
+                                             noncommutative_rb, defect_rb):
+    """A non-Rota-Baxter operator, and a non-anti-flexible base whose
+    induced actions fail the bimodule laws, are refused by the view, the
+    induced objects and the complex with the reference route's text."""
+    rng = random.Random(6103)
+    cases = []
+    for alg, mod, op in _corpus_triples(cohomology_corpus, noncommutative_rb,
+                                        defect_rb):
+        cases += [(alg, mod, op + _random_matrix(rng, op.rows, op.cols))
+                  for _ in range(3)]
+    alg = Algebra.from_products(2, {(0, 1): {1: 1}})
+    cases.append((alg, zero_bimodule(alg, 1), Matrix.from_rows([[1], [0]])))
+    texts = collections.Counter()
+    for case in cases:
+        want = _refusal(ref_induced_bimodule_on_base, *case)
+        for fn in (_induced_view, induced_bimodule_on_base, RBComplex):
+            assert _refusal(fn, *case) == want
+        texts[want and want[1].split(":")[0]] += 1
+    assert texts["operator is not Rota-Baxter"] >= 12
+    assert texts["not a bimodule"] == 1
 
 
 def test_non_anti_flexible_base_is_still_validated():

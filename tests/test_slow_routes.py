@@ -7,6 +7,7 @@ ON-structures and on seeded random inputs; each verdict and note takes both
 values somewhere."""
 
 import argparse
+import collections
 import dataclasses
 import itertools
 import random
@@ -26,7 +27,8 @@ from antiflex.deformation import (InfinitesimalDeformation,
                                   _variant_s_squared, is_closed_2cochain,
                                   is_nijenhuis_structure, is_valid_deformation,
                                   trivial_deformation_ledger)
-from antiflex.document import WorkspaceDocument, _document_object
+from antiflex.document import (WorkspaceDocument, _document_object,
+                               load_document)
 from antiflex.glie import Cochain
 from antiflex.linalg import LinAlgError, Matrix, MultiMap
 from antiflex.onstruct import (deformed_rb_suite, is_on_structure,
@@ -36,9 +38,12 @@ from antiflex.operators import (_star_product, is_rota_baxter,
 from antiflex.search import (algebra_predicate, operator_predicate,
                              search_algebras, search_operators)
 from tests.conftest import random_matrix
+from tests.test_cli import frac_fixture  # noqa: F401  (a fixture)
+from tests.test_int_views import transport
 from tests.slow_routes import (algebra_predicate_dispatched,
                                deform_generate_each, evaluate_all_tuples,
-                               graph_check_direct_sum, ledger_rederived,
+                               graph_check_direct_sum, graph_check_fractions,
+                               ledger_rederived,
                                nijenhuis_structure_each,
                                operator_predicate_dispatched,
                                structure_power_oracle, tilde_bimodule_each,
@@ -164,11 +169,11 @@ def test_evaluate_equals_all_tuples_on_the_corpus(rb_pairs, cohomology_corpus):
             _same(alg.multiply(x, y), evaluate_all_tuples(alg.mul, x, y))
 
 
-def test_graph_route_equals_the_direct_sum_route(cohomology_corpus,
-                                                 noncommutative_rb, a2,
-                                                 m_a2, a2_plus_a1,
-                                                 m_a2_plus_a1):
-    rng = random.Random(1211)
+def _morphism_cases(rng, cohomology_corpus, noncommutative_rb, a2, m_a2,
+                    a2_plus_a1, m_a2_plus_a1):
+    """Morphism checks on the fixture corpus: the identity pair of each
+    triple, a pair with a closed graph but T' psi != phi T, the zero pair
+    and seeded random pairs, then the inclusion of A2 into A2 + A1."""
     cases = []
     triples = [entry[1:4] for entry in cohomology_corpus]
     for alg, mod, op in [noncommutative_rb] + triples:
@@ -192,6 +197,16 @@ def test_graph_route_equals_the_direct_sum_route(cohomology_corpus,
     cases += [(a2, m_a2, t_inv, a2_plus_a1, m_a2_plus_a1, t_blk, incl, incl),
               (a2, m_a2, t_inv, a2_plus_a1, m_a2_plus_a1, t_blk,
                random_matrix(rng, 3, 2, -1, 1), incl)]
+    return cases
+
+
+def test_graph_route_equals_the_direct_sum_route(cohomology_corpus,
+                                                 noncommutative_rb, a2,
+                                                 m_a2, a2_plus_a1,
+                                                 m_a2_plus_a1):
+    cases = _morphism_cases(random.Random(1211), cohomology_corpus,
+                            noncommutative_rb, a2, m_a2, a2_plus_a1,
+                            m_a2_plus_a1)
     seen = []
     for case in cases:
         got = rb_morphism_graph_check(*case)
@@ -199,6 +214,74 @@ def test_graph_route_equals_the_direct_sum_route(cohomology_corpus,
         seen.append(got)
     assert seen[1] is False and seen[0] is True
     assert True in seen[3:] and False in seen[3:]
+
+
+def _seeded_pairs(rng, alg, mod, op, alg2, mod2, op2):
+    """(phi, psi) pairs with entries over {-1, 0, 1, 1/2, -2/3}, and the
+    pairs (lam id, lam id) into lam T for seeded lam, a morphism exactly
+    when lam is 0 or 1 (source and target equal)."""
+    values = (-1, 0, 1, Fraction(1, 2), Fraction(-2, 3))
+    d, d2, md, md2 = alg.dim, alg2.dim, mod.mdim, mod2.mdim
+    cases = [(alg, mod, op, alg2, mod2, op2,
+              Matrix(d2, d, [rng.choice(values) for _ in range(d * d2)]),
+              Matrix(md2, md, [rng.choice(values) for _ in range(md * md2)]))
+             for _ in range(6)]
+    if (alg, mod, op) == (alg2, mod2, op2):
+        for lam in (0, 1) + tuple(rng.sample(values, 2)):
+            cases.append((alg, mod, op, alg, mod, op.scale(lam),
+                          Matrix.identity(d).scale(lam),
+                          Matrix.identity(md).scale(lam)))
+    return cases
+
+
+def test_int_graph_route_equals_the_fraction_route(
+        cohomology_corpus, noncommutative_rb, defect_rb, a2, m_a2, t_inv,
+        t_nil, a0_2, m_a0_2, a2_plus_a1, m_a2_plus_a1, frac_fixture):
+    """The graph route on ints against its Fraction form: on the fixture
+    morphisms, on the morphism of the fractional CLI document and pairs
+    near it, and on seeded pairs; each verdict is taken both ways."""
+    rng = random.Random(1212)
+    cases = _morphism_cases(rng, cohomology_corpus, noncommutative_rb, a2,
+                            m_a2, a2_plus_a1, m_a2_plus_a1)
+    doc = load_document(frac_fixture)
+    ops = doc.operators
+    frac = (doc.algebra, doc.bimodule, ops["T"], doc.algebra2, doc.bimodule2,
+            ops["T2"])
+    phi, psi = ops["phi"], ops["psi"]
+    cases += [frac + (phi, psi), frac + (phi.scale(Fraction(1, 2)), psi),
+              frac + (phi, psi + Matrix.identity(2).scale(Fraction(1, 3)))]
+    # isomorphisms onto copies in other bases of A and of M, with
+    # denominators 5 (phi) and 2 (psi)
+    p, q = Matrix.from_rows([[2, 1], [1, 3]]), Matrix.from_rows([[1, 1],
+                                                                 [0, 2]])
+    isos = [(alg, mod, op) + transport(alg, mod, op, p, q)
+            + (p.inverse(), q.inverse())
+            for alg, mod, op in ((a2, m_a2, t_inv), noncommutative_rb)]
+    # on the zero algebra any (phi, psi) passes the action conditions, so
+    # it is a morphism exactly when T' psi = phi T
+    t = random_matrix(rng, 2, 2)
+    psi0 = Matrix.from_rows([[1, 2], [0, Fraction(-1, 3)]])
+    phi0 = random_matrix(rng, 2, 2).scale(Fraction(1, 2))
+    zero_pair = (a0_2, m_a0_2, t, a0_2, m_a0_2, phi0 @ t @ psi0.inverse())
+    cases += isos + [zero_pair + (phi0, psi0),
+                     zero_pair + (phi0.scale(2), psi0)]
+    seeded = []
+    for triples in ((a2, m_a2, t_inv, a2, m_a2, t_nil),
+                    (a2, m_a2, t_inv) * 2, noncommutative_rb * 2,
+                    defect_rb * 2, zero_pair[:3] * 2,
+                    (a2, m_a2, t_inv, a2_plus_a1, m_a2_plus_a1,
+                     cohomology_corpus[-1][3])):
+        seeded += _seeded_pairs(rng, *triples)
+    verdicts = collections.Counter()
+    for k, case in enumerate(cases + seeded):
+        got = rb_morphism_graph_check(*case)
+        assert got is graph_check_fractions(*case), k
+        verdicts[(k >= len(cases), got)] += 1
+    assert set(verdicts) == {(False, True), (False, False), (True, True),
+                             (True, False)}
+    assert rb_morphism_graph_check(*frac, phi, psi)
+    assert all(rb_morphism_graph_check(*case)
+               for case in isos + [zero_pair + (phi0, psi0)])
 
 
 def test_s_squared_note_equals_the_displayed_form(pair_sample):
