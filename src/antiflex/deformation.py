@@ -23,7 +23,7 @@ from .algebra import Algebra, _semidirect_product, deformed_product
 from .bimodule import Bimodule, _image_actions, _rebased, _twisted_actions
 from .glie import (HARD_ARITY_CAP, _insertion_sum, _structure_element,
                    compose_bar, graded_bracket)
-from .linalg import LinAlgError, Matrix, MultiMap, int_cols_rank
+from .linalg import LinAlgError, Matrix, MultiMap, _relations
 from .operators import _is_algebra_morphism, is_nijenhuis
 from .reports import CheckReport
 
@@ -276,13 +276,13 @@ def deformation_difference_is_exact(alg: Algebra, mod: Bimodule,
                                     other: InfinitesimalDeformation) -> bool:
     """Whether delta - delta' lies in the image of d = [pi, .] on degree-0
     maps of the sum space: the image of d is spanned by d of the matrix
-    units, and delta - delta' lies in it exactly when adding it as one more
-    column leaves the rank unchanged (each column may carry its own scale,
-    which changes no rank)."""
+    units, and delta - delta' lies in it exactly when, taken as one more
+    column after them, it depends on them (`linalg._relations`); each
+    column may carry its own scale, which changes no dependence."""
     pi, delta, delta2 = _context(alg, mod, defo, other)
     total = alg.dim + mod.mdim
     image = [graded_bracket(pi, MultiMap._of_ints(1, total, total, {(q, p): 1}),
                             HARD_ARITY_CAP).entries.items()
              for q in range(total) for p in range(total)]
-    return int_cols_rank(image + [(delta - delta2).entries.items()]) \
-        == int_cols_rank(image)
+    return _relations(image + [(delta - delta2).entries.items()])[-1] \
+        is not None

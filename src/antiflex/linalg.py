@@ -18,10 +18,11 @@ so that a homogeneous law can be checked in int arithmetic (see its
 docstring).  `Matrix`, `Algebra` and `Bimodule` each keep one such view of
 their entries, read off their ints on first use (`Matrix.int_view`).
 
-Rank is scale-invariant, so `int_cols_rank` ranks such a view directly, by
-fraction-free elimination on its sparse integer columns; `Matrix.rank` is
-that rank of the matrix's own view.  Kernels, solutions and inverses come
-from the dense Gauss-Jordan `Matrix._echelon`.
+One exact elimination, `_eliminate`, runs fraction-free on sparse integer
+columns.  Rank is scale-invariant, so `int_cols_rank` ranks such a view
+directly; `Matrix.rank` is that rank of the matrix's own view.  Kernels,
+solutions and inverses are the relations `_relations` reads off the same
+elimination in natural column order, rescaled by the denominators.
 """
 
 from __future__ import annotations
@@ -158,30 +159,30 @@ def integer_scaled(*parts: Iterable[Scalar]) -> tuple:
             for p in parts], den
 
 
-def int_cols_rank(cols: Iterable[Sequence[tuple]]) -> int:
-    """Rank of the matrix whose columns are sparse int vectors, each a
-    sequence of (row, x) pairs with x != 0 and distinct rows.
-
-    Fraction-free column elimination under a static Markowitz-style order:
-    rows are ranked by how many columns they meet (fewest first, ties by
-    row), and columns are taken shortest first.  Each column is reduced
-    against the pivot columns kept so far, each keyed by its lowest-ranked
-    row, by v <- a v - b p with a/b the ratio of the two entries at that
-    row in lowest terms, and is then divided by the gcd of its entries; a
-    column left nonzero becomes a pivot at its lowest-ranked row.  The
-    order depends only on the input, so the run is deterministic, and
-    every intermediate value is an int.  No column is modified.
-    """
-    cols = list(cols)
+def _row_labels(cols: Sequence[Sequence[tuple]]) -> dict:
+    """Each row the columns meet -> its label in a static Markowitz-style
+    order: by how many columns it meets, fewest first, ties by row."""
     count = {}
     for col in cols:
         for i, _ in col:
             count[i] = count.get(i, 0) + 1
-    label = {i: k for k, i in enumerate(sorted(count,
+    return {i: k for k, i in enumerate(sorted(count,
                                               key=lambda i: (count[i], i)))}
+
+
+def _eliminate(cols: Iterable[dict]) -> dict:
+    """Fraction-free elimination of sparse int columns, each a dict from a
+    row label (lowest taken first) to a nonzero int, in the given order;
+    returns the pivot columns, each keyed by its lowest label.
+
+    Each column is reduced against the pivot columns kept so far by
+    v <- a v - b p, with a/b the ratio of the two entries at v's lowest
+    label in lowest terms, and is then divided by the gcd of its entries;
+    a column left nonzero becomes a pivot at its lowest label.  Every value
+    is an int.  The column dicts are the loop's own.
+    """
     pivots = {}
-    for col in sorted(cols, key=len):
-        v = {label[i]: x for i, x in col}
+    for v in cols:
         while v:
             r = min(v)
             p = pivots.get(r)
@@ -200,7 +201,39 @@ def int_cols_rank(cols: Iterable[Sequence[tuple]]) -> int:
                     del w[i]
             g = math.gcd(*w.values())
             v = {i: x // g for i, x in w.items()} if g > 1 else w
-    return len(pivots)
+    return pivots
+
+
+def int_cols_rank(cols: Iterable[Sequence[tuple]]) -> int:
+    """Rank of the matrix whose columns are sparse int vectors, each a
+    sequence of (row, x) pairs with x != 0 and distinct rows: the pivot
+    count of `_eliminate` with the rows labelled by `_row_labels` and the
+    columns taken shortest first.  The order depends only on the input, so
+    the run is deterministic.  No column is modified."""
+    cols = list(cols)
+    label = _row_labels(cols)
+    return len(_eliminate([{label[i]: x for i, x in col}
+                           for col in sorted(cols, key=len)]))
+
+
+def _relations(cols: Sequence[Sequence[tuple]]) -> list:
+    """For each of the sparse int columns, whose rows may be any sortable
+    keys, in order: None when it is independent of the columns before it,
+    else its one relation over the earlier independent columns, as
+    {column: c} with sum c * column = 0.
+
+    `_eliminate` in the given column order, each column carrying 1 at a tag
+    row of its own, the tags labelled after every row and in reverse column
+    order: a column cancelled by earlier ones is kept at its own tag, and
+    its tags hold the relation, the reduced-echelon kernel vector or
+    solution up to scale.
+    """
+    label = _row_labels(cols)
+    last = len(label) + len(cols) - 1  # the tag of column j is last - j
+    pivots = _eliminate([{**{label[i]: x for i, x in col}, last - j: 1}
+                         for j, col in enumerate(cols)])
+    return [{last - t: c for t, c in pivots[last - j].items()}
+            if last - j in pivots else None for j in range(len(cols))]
 
 
 def _nonzero_cols(data: Sequence, rows: int, cols: int) -> list:
@@ -233,8 +266,8 @@ class Matrix:
     anything Fraction takes), and `data`, `row`, `col` and m[i, j] give
     them back as Fractions, built anew on each read.  Parsed documents,
     bimodule views and search hits are built from ints (`_of_ints`);
-    Fractions are read to render entries, for witnesses, on the vector
-    routes and in the Gauss-Jordan `_echelon`.
+    Fractions are read to render entries, for witnesses and on the vector
+    routes.  Rank, kernel, solve and inverse run on the integer view.
     """
 
     __slots__ = ("rows", "cols", "ints", "den", "_view")
@@ -435,95 +468,56 @@ class Matrix:
             acc = acc @ self
         return acc
 
-    # -- elimination -------------------------------------------------------------
-
-    def _echelon(self):
-        """Row echelon form by exact Gaussian elimination.
-
-        Returns (rows, pivot_cols) where rows is a list of reduced row lists.
-        """
-        m = [list(self.row(i)) for i in range(self.rows)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = None
-            for i in range(r, self.rows):
-                if m[i][c] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            pr = m[r]
-            inv = 1 / pr[c]
-            for j in range(c, self.cols):
-                pr[j] *= inv
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    row_i = m[i]
-                    for j in range(c, self.cols):
-                        row_i[j] -= f * pr[j]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+    # -- elimination: `int_cols_rank` and `_relations` on the int view --------
 
     def rank(self) -> int:
         """The rank, by `int_cols_rank` on this matrix's integer view (a
-        common denominator does not change the rank); the pivot count of
-        `_echelon` is the same number, and the tests keep it as the
-        oracle."""
+        common denominator does not change the rank)."""
         return int_cols_rank(self.int_view()[0])
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel {v : self @ v = 0}, as a list of vectors.
 
         Size is always cols - rank; each vector satisfies M v = 0 exactly.
+        It is the reduced-echelon basis: one vector per column dependent on
+        the columns before it, 1 there and 0 at every other such column.
         """
-        m, pivots = self._echelon()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            # pivot rows are normalized to 1 and pivot columns are cleared,
-            # so each pivot variable reads off directly
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
-            basis.append(tuple(v))
-        return basis
+        return [tuple(Fraction(rel.get(i, 0), rel[j])
+                      for i in range(self.cols))
+                for j, rel in enumerate(_relations(self.int_view()[0])) if rel]
 
     def solve(self, b: Vector) -> Optional[Vector]:
-        """Some exact solution x of self @ x = b, or None if inconsistent."""
+        """The reduced-echelon solution x of self @ x = b (0 at every column
+        dependent on the columns before it), or None if inconsistent."""
         if len(b) != self.rows:
             raise LinAlgError(f"rhs length {len(b)} != rows {self.rows}")
-        aug = Matrix(self.rows, self.cols + 1,
-                     [x for i in range(self.rows)
-                      for x in (*self.row(i), b[i])])
-        m, pivots = aug._echelon()
-        if self.cols in pivots:
+        cols, den = self.int_view()
+        (bints,), bden = integer_scaled(b)
+        b_col = [(i, x) for i, x in enumerate(bints) if x]
+        rel = _relations([*cols, b_col])[-1]
+        if rel is None:
             return None
-        x = [Fraction(0)] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = m[r][self.cols]
-        return tuple(x)
+        # ints @ y = bints for y_i = -c_i / c_b, and x = y * den / bden
+        c = rel[self.cols] * bden
+        return tuple(Fraction(-den * rel.get(i, 0), c)
+                     for i in range(self.cols))
 
     def inverse(self) -> Optional["Matrix"]:
-        """Exact inverse, or None when the matrix is singular or non-square."""
+        """Exact inverse, or None when the matrix is singular or non-square:
+        column k is den * y for ints @ y = e_k, read off the relation of the
+        unit column k appended after the matrix's own columns."""
         if not self.is_square():
             return None
         n = self.rows
-        aug = Matrix(n, 2 * n,
-                     [x for i in range(n)
-                      for x in (*self.row(i),
-                                *(Fraction(1 if i == j else 0) for j in range(n)))])
-        m, pivots = aug._echelon()
-        if pivots != list(range(n)):
+        cols, den = self.int_view()
+        rels = _relations([*cols, *([(k, 1)] for k in range(n))])
+        if any(rels[:n]):
             return None
-        return Matrix(n, n, [m[i][n + j] for i in range(n) for j in range(n)])
+        units = [rel[n + k] for k, rel in enumerate(rels[n:])]
+        out = math.lcm(*units)
+        return Matrix._of_ints(n, n, [-den * (out // c) * rel.get(i, 0)
+                                      for i in range(n)
+                                      for c, rel in zip(units, rels[n:])], out)
 
     def __repr__(self):
         rows = "; ".join(

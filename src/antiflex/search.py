@@ -138,7 +138,7 @@ _OPERATOR_TESTS = {
     "scalar": (lambda alg, mod, op: _holds(_scalar_law(op.rows, op.cols),
                                            op.ints),
                lambda alg, mod, rows, cols: _scalar_law(rows, cols)),
-    "invertible": (lambda alg, mod, op: op.is_square() and op.rank() == op.rows,
+    "invertible": (lambda alg, mod, op: _full_rank(op.rows, op.cols, op.ints),
                    lambda alg, mod, rows, cols: functools.partial(
                        _full_rank, rows, cols)),
 }

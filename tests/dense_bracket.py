@@ -17,6 +17,7 @@ from antiflex.glie import ClosureError, Cochain, HARD_ARITY_CAP, _check_cap
 from antiflex.linalg import (LinAlgError, Matrix, basis_vector,
                              vec_add, vec_is_zero, vec_sub)
 from antiflex.reports import CheckReport
+from tests.dense_matrix import DenseMatrix
 from tests.dense_multimap import DenseMap
 
 
@@ -213,7 +214,7 @@ def deformation_difference_is_exact(alg, mod, defo, other):
                  for j in range(total)], rows=total)
             cols.append(graded_bracket(pi, DenseMap.from_matrix(unit),
                                        HARD_ARITY_CAP).data)
-    dmat = Matrix.from_cols(cols, rows=total ** 3)
+    dmat = DenseMatrix.from_cols(cols, rows=total ** 3)
     return dmat.solve(tuple((delta - delta2).data)) is not None
 
 

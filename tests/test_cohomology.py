@@ -19,6 +19,7 @@ from antiflex.glie import (HARD_ARITY_CAP, Cochain, DegreeCapError,
                           embed_blocks, graded_bracket, restrict_blocks)
 from antiflex.linalg import (Matrix, basis_vector, int_cols_rank,
                              linear_combination)
+from tests.dense_matrix import DenseMatrix
 from tests.slow_routes import dims_rank_each_degree
 from tests.test_int_views import (_algebra_key, _bimodule_key, _record_calls,
                                    census_triples,
@@ -205,7 +206,33 @@ def test_sparse_ranks_equal_dense_ranks(cohomology_corpus, noncommutative_rb):
             for n in range(5):
                 dmat = cx.differential_matrix(n)
                 assert int_cols_rank(cx._int_columns(n)) \
-                    == len(dmat._echelon()[1]), (name, basis, n)
+                    == DenseMatrix(dmat.rows, dmat.cols, dmat.data).rank(), \
+                    (name, basis, n)
+
+
+def test_sparse_kernels_equal_dense_kernels(cohomology_corpus,
+                                            noncommutative_rb):
+    """`kernel_basis` of every d_n up to degree 3, in the given bases and in
+    seeded dense unimodular bases, is the reduced-echelon basis of dense
+    Gauss-Jordan elimination on `differential_matrix`, vector for vector."""
+    rng = random.Random(8006)
+    triples = [(name, alg, mod, op)
+               for name, alg, mod, op, _ in cohomology_corpus]
+    triples.append(("noncommutative_rb", *noncommutative_rb))
+    proper = set()
+    for name, alg, mod, op in triples:
+        for basis, triple in (("given", (alg, mod, op)),
+                              ("dense", _dense_basis_copy(rng, alg, mod, op))):
+            cx = RBComplex(*triple)
+            for n in range(4):
+                dmat = cx.differential_matrix(n)
+                kernel = dmat.kernel_basis()
+                assert kernel == DenseMatrix(
+                    dmat.rows, dmat.cols, dmat.data).kernel_basis(), \
+                    (name, basis, n)
+                assert all(type(x) is Fraction for v in kernel for x in v)
+                proper.add(len(kernel) < dmat.cols)
+    assert proper == {True, False}
 
 
 def test_dims_builds_no_dense_differential(cohomology_corpus, defect_rb,

@@ -100,3 +100,52 @@ def test_unused_imports_are_found():
         "def f(x: 'Optional[int]') -> int:\n"
         "    return sys.maxsize\n")
     assert unused_imports(source) == [(2, "os"), (3, "List"), (5, "dropped")]
+
+
+def unreferenced_private(sources):
+    """(file name, line, name) of each private (`_name`, not dunder)
+    function, method or class defined in the sources and never referenced
+    outside its own body: not as a name, an attribute or an imported name,
+    in any of the sources."""
+    defined, refs = [], []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.endswith("__")):
+                defined.append((name, node))
+            ref = (node.id if isinstance(node, ast.Name)
+                   else node.attr if isinstance(node, ast.Attribute)
+                   else node.name if isinstance(node, ast.alias) else None)
+            if ref is not None:
+                refs.append((name, node.lineno, ref))
+    return [(name, node.lineno, node.name) for name, node in defined
+            if not any(ref == node.name and not (
+                           where == name
+                           and node.lineno <= line <= node.end_lineno)
+                       for where, line, ref in refs)]
+
+
+def test_every_private_definition_is_used_in_the_package():
+    """A private helper kept only for the tests belongs in the tests."""
+    assert unreferenced_private({p.name: p.read_text(encoding="utf-8")
+                                 for p in SOURCES}) == []
+
+
+def test_unreferenced_private_definitions_are_found():
+    sources = {
+        "a.py": ("def _used():\n"
+                 "    return _used()\n"
+                 "def _recursive():\n"
+                 "    return _recursive()\n"
+                 "class _Kept:\n"
+                 "    def _method(self):\n"
+                 "        return 0\n"
+                 "    def _called(self):\n"
+                 "        return self._method()\n"
+                 "    def __init__(self):\n"
+                 "        pass\n"),
+        "b.py": "from a import _used, _Kept\n_Kept()._called()\n",
+    }
+    assert unreferenced_private(sources) == [("a.py", 3, "_recursive")]

@@ -9,6 +9,8 @@ import pytest
 from antiflex.linalg import (LinAlgError, Matrix, MultiMap, int_cols_rank,
                              integer_scaled, linear_combination,
                              parse_rational, render_rational, vec_is_zero)
+from tests.dense_matrix import DenseMatrix
+from tests.test_cohomology import _unimodular
 from tests.test_scaled_laws import run_in_child
 
 rng = random.Random(1001)
@@ -90,7 +92,7 @@ def _random_sparse_int_columns(rng, rows, cols):
 
 
 def test_sparse_rank_equals_dense_pivot_count_on_random_sparse_ints():
-    """`int_cols_rank` against the pivot count of dense `_echelon` on
+    """`int_cols_rank` against the pivot count of `DenseMatrix` on
     seeded sparse int matrices, their transposes and fractional scalings,
     and on every empty shape; its input is left as it was."""
     shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (1, 6), (6, 1)]
@@ -100,7 +102,7 @@ def test_sparse_rank_equals_dense_pivot_count_on_random_sparse_ints():
         columns = _random_sparse_int_columns(rng, rows, cols)
         before = [list(col) for col in columns]
         m = Matrix._from_int_cols(rows, columns, 1)
-        dense = len(m._echelon()[1])
+        dense = DenseMatrix(m.rows, m.cols, m.data).rank()
         assert int_cols_rank(columns) == dense, (rows, cols)
         assert columns == before
         assert m.rank() == m.transpose().rank() == dense
@@ -108,6 +110,57 @@ def test_sparse_rank_equals_dense_pivot_count_on_random_sparse_ints():
         seen.add((dense == min(rows, cols), dense == 0))
     assert seen >= {(True, True), (True, False), (False, False)}
     assert int_cols_rank([]) == int_cols_rank([[], []]) == 0
+
+
+def test_solve_equals_the_dense_solution_on_random_sparse_ints():
+    """`solve` against `DenseMatrix.solve` on seeded sparse shapes up to
+    30 x 30 over denominators 1 and 6: b = A x0 (consistent), the same b
+    over another denominator, and a seeded b (inconsistent wherever A's
+    columns miss it)."""
+    rng = random.Random(1013)
+    seen = set()
+    for _ in range(40):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+        m = Matrix._from_int_cols(
+            rows, _random_sparse_int_columns(rng, rows, cols),
+            rng.choice((1, 6)))
+        ref = DenseMatrix(rows, cols, m.data)
+        b = m.apply([Fraction(rng.randint(-3, 3), rng.choice((1, 5)))
+                     for _ in range(cols)])
+        for rhs in (b, tuple(x * Fraction(5, 7) for x in b),
+                    tuple(Fraction(rng.randint(-9, 9), 7)
+                          for _ in range(rows))):
+            x = m.solve(rhs)
+            assert x == ref.solve(rhs), (rows, cols)
+            if x is not None:
+                assert m.apply(x) == rhs
+            seen.add(x is None)
+    assert seen == {True, False}
+
+
+def test_inverse_equals_the_dense_inverse_on_unimodular_and_singular_squares():
+    """`inverse` against `DenseMatrix.inverse` on seeded unimodular squares
+    up to 8 x 8, scaled over denominators, and on singular squares made
+    from them by replacing one column with a combination of the others."""
+    rng = random.Random(1014)
+    seen = set()
+    for n in range(1, 9):
+        for _ in range(3):
+            u = _unimodular(rng, n).scale(rng.choice((1, -1, Fraction(2, 3))))
+            cols = [u.col(j) for j in range(n)]
+            picks = rng.sample(range(n), min(n, 2))
+            cols[picks[0]] = tuple(sum((rng.randint(-2, 2) * cols[k][i]
+                                        for k in picks[1:]), Fraction(0))
+                                   for i in range(n))
+            for m in (u, Matrix.from_cols(cols, rows=n)):
+                inv, ref = m.inverse(), DenseMatrix(n, n, m.data).inverse()
+                assert (inv is None) == (ref is None), n
+                if inv is not None:
+                    assert inv == Matrix(n, n, ref.data)
+                    assert m @ inv == inv @ m == Matrix.identity(n)
+                seen.add(inv is None)
+    assert seen == {True, False}
+    assert Matrix(0, 0, ()).inverse() == Matrix(0, 0, ())
 
 
 def test_property_multimaps_equal_the_dense_map():
