@@ -99,14 +99,20 @@ class Algebra:
                      for x in _associator(prod, d, i, j, k, [0] * d))
 
     def left_matrix(self, i: int) -> Matrix:
-        """Matrix of x -> e_i . x."""
-        return Matrix.from_cols([self.basis_product(i, j) for j in range(self.dim)],
-                                rows=self.dim)
+        """Matrix of x -> e_i . x, read off the product's entries."""
+        return self._action_matrix(i, 0)
 
     def right_matrix(self, i: int) -> Matrix:
-        """Matrix of x -> x . e_i."""
-        return Matrix.from_cols([self.basis_product(j, i) for j in range(self.dim)],
-                                rows=self.dim)
+        """Matrix of x -> x . e_i, read off the product's entries."""
+        return self._action_matrix(i, 1)
+
+    def _action_matrix(self, i: int, slot: int) -> Matrix:
+        """Column j is the product with e_i in `slot` and e_j in the other."""
+        if not 0 <= i < self.dim:
+            raise IndexError(i)
+        return Matrix._of_ints(1, self.dim, self.dim, {
+            (key[1 - slot], key[2]): x for key, x in self.mul.entries.items()
+            if key[slot] == i}, self.mul.den)
 
     def is_commutative(self) -> bool:
         entries = self.mul.entries

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _product_entries,
                       _sparse_products, _subtract_image, classify,
                       commutator_lie, deformed_product)
-from .linalg import LinAlgError, Matrix, _nonzero_cols, linear_combination
+from .linalg import LinAlgError, Matrix, linear_combination
 from .reports import CheckReport
 
 __all__ = [
@@ -74,9 +74,7 @@ class Bimodule:
             acts = self.left + self.right
             den = math.lcm(base_den, *(m.den for m in acts))
             prod = _rescaled(prod, base_den, den)
-            cols = [_nonzero_cols(m.ints if m.den == den else
-                                  [x * (den // m.den) for x in m.ints], md, md)
-                    for m in acts]
+            cols = [m._int_cols(den // m.den) for m in acts]
             self._view = (prod, cols[:d], cols[d:], den)
         return self._view
 
@@ -130,7 +128,9 @@ def _view_report(d: int, md: int, view: tuple) -> CheckReport:
                                  (-1, left[j], right[i]), (1, right[i], left[j])])
 
     def witness(res):
-        return Matrix._of_ints(md, md, res, den * den)
+        return Matrix._of_ints(1, md, md, {(k % md, k // md): x
+                                           for k, x in enumerate(res)},
+                               den * den)
 
     return (CheckReport("bimodule")
             .sweep("l(ab)-l(a)l(b) = r(a)r(b)-r(ba)",

@@ -236,12 +236,18 @@ def _mc_check(report: Report, args, doc: WorkspaceDocument) -> None:
 def _cohomology(report: Report, args, doc: WorkspaceDocument) -> None:
     alg, mod = doc.algebra, _bimodule_object(doc)
     op = _op(report, args, doc)
-    check = is_rota_baxter(alg, mod, op)
-    report.from_check("rota_baxter", check)
-    if not check.ok:
-        return
     try:
-        dims = RBComplex(alg, mod, op).dims(args.max_degree)
+        # the complex checks the Rota-Baxter identity itself
+        cx = RBComplex(alg, mod, op)
+    except ValueError:
+        check = is_rota_baxter(alg, mod, op)
+        if check.ok:
+            raise
+        report.from_check("rota_baxter", check)
+        return
+    report.verdict("rota_baxter", True)
+    try:
+        dims = cx.dims(args.max_degree)
     except ComplexError as exc:
         report.verdict("complex_property", False)
         report.payload["complex_error"] = str(exc)

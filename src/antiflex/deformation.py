@@ -16,14 +16,13 @@ phi and psi, the (4.7) compatibilities and the S^2 notes all read them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Algebra, _semidirect_product, deformed_product
 from .bimodule import Bimodule, _image_actions, _rebased, _twisted_actions
-from .glie import (HARD_ARITY_CAP, _insertion_sum, _structure_element,
-                   compose_bar, graded_bracket)
-from .linalg import LinAlgError, Matrix, MultiMap, _relations
+from .glie import (HARD_ARITY_CAP, _structure_element, compose_bar,
+                   embed_blocks, graded_bracket)
+from .linalg import LinAlgError, Matrix, MultiMap, _insertion_sum, _relations
 from .operators import _is_algebra_morphism, is_nijenhuis
 from .reports import CheckReport
 
@@ -114,10 +113,9 @@ def block_operator(alg_op: Matrix, mod_op: Matrix) -> Matrix:
     """Block-diagonal operator on A + M from operators on the two factors."""
     if not alg_op.is_square() or not mod_op.is_square():
         raise LinAlgError("block factors must be square")
-    d, md = alg_op.rows, mod_op.rows
-    cols = ([alg_op.col(j) + (Fraction(0),) * md for j in range(d)]
-            + [(Fraction(0),) * d + mod_op.col(j) for j in range(md)])
-    return Matrix.from_cols(cols, rows=d + md)
+    d, total = alg_op.rows, alg_op.rows + mod_op.rows
+    return (embed_blocks(alg_op, 0, 0, total)
+            + embed_blocks(mod_op, d, d, total)).as_matrix()
 
 
 def are_equivalent_deformations(alg: Algebra, mod: Bimodule,
@@ -132,7 +130,7 @@ def are_equivalent_deformations(alg: Algebra, mod: Bimodule,
                                + pi((N+S)x, (N+S)y)
     """
     pi, delta, delta2 = _context(alg, mod, defo, other)
-    lam = MultiMap.from_matrix(block_operator(alg_op, mod_op))
+    lam = block_operator(alg_op, mod_op)
 
     def on_both(f):  # f(lam x, lam y): lam grafted into each slot in turn
         return _insertion_sum(_insertion_sum(f, lam, (1, 0)), lam, (0, 1))

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 from .algebra import Algebra
 from .bimodule import Bimodule
 from .deformation import InfinitesimalDeformation
-from .linalg import (LinAlgError, Matrix, MultiMap, integer_scaled,
-                     parse_rational, render_rational)
+from .linalg import (LinAlgError, Matrix, MultiMap, parse_rational,
+                     render_rational)
 
 __all__ = [
     "MAX_DIM",
@@ -77,12 +77,12 @@ def _parse_rat(value, path: str):
 def _parse_matrix(value, path: str, rows: Optional[int] = None,
                   cols: Optional[int] = None) -> Matrix:
     if value == [] and rows == 0:  # a 0 x cols matrix renders as []
-        return Matrix._of_ints(0, cols, ())
+        return Matrix._of_ints(1, cols, 0, {})
     if not isinstance(value, list) or not value or not all(
             isinstance(r, list) for r in value):
         raise DocumentError(path, "expected a non-empty list of rows")
     ncols = len(value[0])
-    ints, rational = [], False
+    entries, rational = {}, False
     for i, row in enumerate(value):
         if len(row) != ncols:
             raise DocumentError(f"{path}[{i}]", "ragged row")
@@ -90,11 +90,12 @@ def _parse_matrix(value, path: str, rows: Optional[int] = None,
             if type(entry) is not int:
                 entry = _parse_rat(entry, f"{path}[{i}][{j}]")
                 rational = True
-            ints.append(entry)
-    den = 1
+            if entry:
+                entries[(j, i)] = entry
     if rational:
-        (ints,), den = integer_scaled(ints)
-    m = Matrix._of_ints(len(value), ncols, ints, den)
+        m = Matrix._of_values(1, ncols, len(value), entries.items())
+    else:
+        m = Matrix._of_ints(1, ncols, len(value), entries)
     if rows is not None and m.rows != rows:
         raise DocumentError(path, f"expected {rows} rows, got {m.rows}")
     if cols is not None and m.cols != cols:

@@ -24,15 +24,17 @@ which is what the derived-bracket computations downstream rely on.
 
 Representation.  Every bracket works on the entries of `linalg.MultiMap`s,
 the one form of a multilinear map: the nonzero (i_1, ..., i_p, k) -> int
-over one denominator, in lowest terms.  The insertion sum loops over the
-nonzeros of f and, for each slot, over the entries of g whose output index
-is that slot's input, so a composition costs O(nnz(f) nnz(g) arity) int
-products whatever the dimension of the space; reversal, sums, `scale` and
+over one denominator, in lowest terms.  The insertion sum is
+`linalg._insertion_sum`, the one composition of the package, which also
+multiplies matrices (the arity-1 maps).  It loops over the nonzeros of f
+and, for each slot, over the entries of g whose output index is that
+slot's input, so a composition costs O(nnz(f) nnz(g) arity) int products
+whatever the dimension of the space; reversal, sums, `scale` and
 `is_zero` act on the entries.  Structure elements are read from the
-integer views of `Algebra` and `Bimodule`, and cochains are embedded into
-and restricted from the sum space by moving their entries.  A dim-64
-algebra with zero product and a one-dimensional module is checked without
-touching its 65^4 slots.
+integer views of `Algebra` and `Bimodule`, and cochains (and block
+operators) are embedded into and restricted from the sum space by moving
+their entries.  A dim-64 algebra with zero product and a one-dimensional
+module is checked without touching its 65^4 slots.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Optional, Sequence, Tuple
 
 from .algebra import Algebra, _product_entries
 from .bimodule import Bimodule
-from .linalg import LinAlgError, Matrix, MultiMap, Vector
+from .linalg import LinAlgError, Matrix, MultiMap, Vector, _insertion_sum
 from .reports import CheckReport
 
 __all__ = [
@@ -83,30 +85,6 @@ def _check_cap(arity: int, cap: Optional[int]) -> None:
         raise DegreeCapError(f"cap {cap} exceeds hard ceiling {HARD_ARITY_CAP}")
     if arity > cap:
         raise DegreeCapError(f"result arity {arity} exceeds cap {cap}")
-
-
-def _insertion_sum(f: MultiMap, g: MultiMap, signs: Sequence[int]) -> MultiMap:
-    """The sum over the (0-based) slots of f of signs[slot] (+1, -1, or 0
-    to skip the slot) times g grafted into that slot; arity
-    f.arity + g.arity - 1.  An entry f[pre, t, post, k] meets every entry
-    g[idx, t] whose output is t and adds their product at (pre, idx, post,
-    k), so the cost is O(nnz(f) nnz(g) arity)."""
-    by_out = {}
-    for key, y in g.entries.items():
-        by_out.setdefault(key[-1], []).append((key[:-1], y))
-    acc = {}
-    get = acc.get
-    for key, x in f.entries.items():
-        for slot, sign in enumerate(signs):
-            hits = by_out.get(key[slot]) if sign else None
-            if hits is None:
-                continue
-            pre, post, c = key[:slot], key[slot + 1:], sign * x
-            for idx, y in hits:
-                out = pre + idx + post
-                acc[out] = get(out, 0) + c * y
-    d = f.dim
-    return MultiMap._of_ints(f.arity + g.arity - 1, d, d, acc, f.den * g.den)
 
 
 def reversal(f: MultiMap) -> MultiMap:
@@ -231,14 +209,15 @@ class Cochain(MultiMap):
         return Cochain(0, mdim, len(v), v)
 
 
-def embed_blocks(c: Cochain, in_offset: int, out_offset: int,
+def embed_blocks(c: MultiMap, in_offset: int, out_offset: int,
                  total: int) -> MultiMap:
-    """Embed a cochain into multilinear maps on a two-block sum space:
-    nonzero only when every input index lies in the input block (at
-    in_offset, width c.mdim), with values placed in the output block."""
-    if in_offset + c.mdim > total or out_offset + c.adim > total:
+    """Embed a map (a cochain, or a matrix) into multilinear maps on a
+    two-block sum space of dimension total: nonzero only when every input
+    index lies in the input block (at in_offset, width c.in_dim), with
+    values placed in the output block (at out_offset, width c.out_dim)."""
+    if in_offset + c.in_dim > total or out_offset + c.out_dim > total:
         raise LinAlgError("blocks do not fit in the sum space")
-    n = c.degree
+    n = c.arity
     return MultiMap._of_ints(n, total, total, {
         tuple(i + in_offset for i in key[:n]) + (key[n] + out_offset,): x
         for key, x in c.entries.items()}, c.den)

@@ -1,17 +1,20 @@
-"""Exact rational linear algebra: matrices, multilinear maps, and rank /
+"""Exact rational linear algebra: multilinear maps, matrices, and rank /
 kernel / solve over the rationals.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.  No floats anywhere: ranks and kernels are
 exact, which the cohomology dimensions downstream depend on.
 
-A `MultiMap` (and its subclass, the non-square `glie.Cochain`) is the one
-form of a multilinear map in the package: its nonzero entries as ints over
-one denominator, in lowest terms, so its cost follows its nonzeros and not
-its dim^(arity+1) slots.  A `Matrix` keeps its row-major entries as ints
-over one denominator, in lowest terms, and multiplies, adds and takes
-powers on them.  Both constructors still take exact values and both `data`
-still give Fractions back, for callers outside the package.
+A `MultiMap` is the one form of a linear or multilinear map in the package:
+its nonzero entries as ints over one denominator, in lowest terms, so its
+cost follows its nonzeros and not its dim^(arity+1) slots.  Its two
+subclasses add only names and reads: the non-square `glie.Cochain`, and
+`Matrix`, the arity-1 map whose rows x cols layout is read row-major.  One
+normalisation, one sum, difference, negation and scale, and one
+composition, `_insertion_sum`, serve all three: the graded bracket of
+`glie` grafts with it, and `Matrix @` is its arity-1 case.  The
+constructors still take exact values and `data` still gives Fractions
+back, for callers outside the package.
 
 `integer_scaled` writes a group of exact values over one common denominator,
 so that a homogeneous law can be checked in int arithmetic (see its
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -243,7 +245,7 @@ def _nonzero_cols(data: Sequence, rows: int, cols: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# multilinear maps V_in^(x)n -> V_out, kept as their nonzero entries
 # ---------------------------------------------------------------------------
 
 def _exact(c: Scalar):
@@ -252,77 +254,346 @@ def _exact(c: Scalar):
     return c if type(c) is int or type(c) is Fraction else Fraction(c)
 
 
-class Matrix:
-    """rows x cols matrix over Q, immutable, kept as ints over one
-    denominator.
+def _scaled_entries(items: Iterable[tuple]) -> tuple:
+    """(entries, den): the nonzero values of the (key, value) items as ints
+    over their least common denominator den, as `integer_scaled` writes
+    them; no factor is common to den and every int, so the pair is in
+    lowest terms."""
+    exact = [(key, _exact(x)) for key, x in items]
+    nonzero = [(key, x) for key, x in exact if x]
+    den = math.lcm(*(x.denominator for _, x in nonzero))
+    return {key: x.numerator * (den // x.denominator)
+            for key, x in nonzero}, den
 
-    Entry k of the row-major layout is ints[k] / den.  The pair is in
-    lowest terms (den > 0, no factor common to den and every int; den 1
-    for a zero matrix), so equal matrices have equal ints and den.
-    Products, sums, scalings, powers, transposes and combinations run on
-    the ints and form no Fraction.
 
-    The constructor takes the entries as exact values (ints, Fractions or
-    anything Fraction takes), and `data`, `row`, `col` and m[i, j] give
-    them back as Fractions, built anew on each read.  Parsed documents,
-    bimodule views and search hits are built from ints (`_of_ints`);
-    Fractions are read to render entries, for witnesses and on the vector
-    routes.  Rank, kernel, solve and inverse run on the integer view.
+class MultiMap:
+    """Multilinear map V_in^(x)arity -> V_out, kept as its nonzero entries.
+
+    `entries` maps (i_1, ..., i_arity, k) to a nonzero int, with i over the
+    in_dim input basis and k over the out_dim output basis: the
+    e_k-coefficient of the image of the basis tuple (e_{i_1}, ...,
+    e_{i_arity}) is entries[(i_1, ..., i_arity, k)] / den.  The pair is in
+    lowest terms (den > 0, no factor common to den and every entry; den 1
+    for the zero map), so equal maps have equal entries and den.  Every
+    operation costs in the nonzeros, not in the in_dim^arity * out_dim
+    slots.  Arity 0 is allowed and is just a vector (a constant).
+
+    The constructor takes the dense row-major data of a square map (in_dim
+    = out_dim = dim), and `data` gives it back; the package itself builds
+    maps from ints (`_of_ints`) and never reads `data`.  Two subclasses
+    share everything below: a non-square map is a cochain (glie.Cochain),
+    and an arity-1 map is a `Matrix`.
     """
 
-    __slots__ = ("rows", "cols", "ints", "den", "_view")
+    __slots__ = ("arity", "in_dim", "out_dim", "entries", "den")
+
+    def __init__(self, arity: int, dim: int, data: Sequence[Scalar]):
+        self._setup(arity, dim, dim, data)
+
+    def _setup(self, arity: int, in_dim: int, out_dim: int,
+               data: Sequence[Scalar]):
+        """Validate dense row-major data and fill the slots from it.
+        Subclass constructors call this or `_fill`, not MultiMap.__init__,
+        so a construction runs exactly one class's __init__
+        (perfbench/spans.py counts constructions there)."""
+        if arity < 0 or in_dim < 0 or out_dim < 0:
+            raise LinAlgError("negative arity or dimension")
+        data = tuple(data)
+        if len(data) != in_dim ** arity * out_dim:
+            raise LinAlgError(
+                f"tensor data length {len(data)} != {in_dim}^{arity} * {out_dim}")
+        keys = itertools.product(*[range(in_dim)] * arity, range(out_dim))
+        self._fill(arity, in_dim, out_dim, *_scaled_entries(zip(keys, data)))
+
+    def _fill(self, arity: int, in_dim: int, out_dim: int, entries: dict,
+              den: int):
+        self.arity = arity
+        self.in_dim = in_dim
+        self.out_dim = out_dim
+        self.entries = entries
+        self.den = den
+
+    @classmethod
+    def _of_ints(cls, arity: int, in_dim: int, out_dim: int, entries: dict,
+                 den: int = 1) -> "MultiMap":
+        """The map of this class whose entries are the ints `entries` over
+        den > 0, with zeros dropped and the pair put in lowest terms; no
+        constructor runs.  The map may keep the dict itself, so the caller
+        hands it over."""
+        if not all(entries.values()):
+            entries = {key: x for key, x in entries.items() if x}
+        if den != 1:
+            g = math.gcd(den, *entries.values())
+            if g > 1:
+                entries = {key: x // g for key, x in entries.items()}
+                den //= g
+        out = cls.__new__(cls)
+        out._fill(arity, in_dim, out_dim, entries, den)
+        return out
+
+    @classmethod
+    def _of_values(cls, arity: int, in_dim: int, out_dim: int,
+                   items: Iterable[tuple]) -> "MultiMap":
+        """The map whose entries are the exact values of the (key, value)
+        items, every other entry zero."""
+        out = cls.__new__(cls)
+        out._fill(arity, in_dim, out_dim, *_scaled_entries(items))
+        return out
+
+    def _like(self, entries: dict, den: int) -> "MultiMap":
+        """A map of the same class and shape with these int entries."""
+        return self._of_ints(self.arity, self.in_dim, self.out_dim, entries,
+                             den)
+
+    def _recast(self, cls) -> "MultiMap":
+        """This map as one of class cls, sharing its entries (no map
+        mutates them); no constructor runs."""
+        out = cls.__new__(cls)
+        out._fill(self.arity, self.in_dim, self.out_dim, self.entries,
+                  self.den)
+        return out
+
+    @property
+    def dim(self) -> int:
+        """The one dimension of a square map."""
+        if self.in_dim != self.out_dim:
+            raise LinAlgError(
+                f"map {self.in_dim} -> {self.out_dim} is not square")
+        return self.in_dim
+
+    @property
+    def data(self) -> tuple:
+        """All in_dim^arity * out_dim entries as Fractions, in the row-major
+        layout the constructor takes, built anew on each read."""
+        out = [_ZERO] * (self.in_dim ** self.arity * self.out_dim)
+        for key, x in self.entries.items():
+            out[flat_offset(key[:-1], self.in_dim, self.out_dim)
+                + key[-1]] = Fraction(x, self.den)
+        return tuple(out)
+
+    def _shape(self) -> tuple:
+        return (self.arity, self.in_dim, self.out_dim)
+
+    @staticmethod
+    def zero(arity: int, dim: int) -> "MultiMap":
+        return MultiMap._of_ints(arity, dim, dim, {})
+
+    @staticmethod
+    def from_function(arity: int, dim: int, fn) -> "MultiMap":
+        """Build from fn(basis index tuple) -> image vector of length dim."""
+        def items():
+            for idx in itertools.product(range(dim), repeat=arity):
+                img = fn(idx)
+                if len(img) != dim:
+                    raise LinAlgError("image vector has wrong length")
+                for k, x in enumerate(img):
+                    yield idx + (k,), x
+
+        return MultiMap._of_values(arity, dim, dim, items())
+
+    @classmethod
+    def from_matrix(cls, m: "Matrix") -> "MultiMap":
+        """The arity-1 map acting as the rows x cols matrix m (square for a
+        plain MultiMap): m itself, as a map of this class."""
+        if cls is MultiMap and not m.is_square():
+            raise LinAlgError(
+                f"a MultiMap is square, not {m.cols} -> {m.rows}")
+        return m._recast(cls)
+
+    @staticmethod
+    def constant(v: Vector) -> "MultiMap":
+        return MultiMap(0, len(v), v)
+
+    def value(self, idx: Sequence[int]) -> Vector:
+        """Image of a basis tuple, as a coefficient vector."""
+        if len(idx) != self.arity:
+            raise LinAlgError(f"expected {self.arity} indices, got {len(idx)}")
+        if not all(0 <= i < self.in_dim for i in idx):
+            raise IndexError(idx)
+        get, key, den = self.entries.get, tuple(idx), self.den
+        ints = [get(key + (k,), 0) for k in range(self.out_dim)]
+        return tuple(Fraction(x, den) if x else _ZERO for x in ints)
+
+    def evaluate(self, *args: Vector) -> Vector:
+        """Multilinear extension to arbitrary coefficient vectors: the sum
+        over the nonzero entries whose input indices all meet nonzero
+        coefficients of the arguments."""
+        if len(args) != self.arity:
+            raise LinAlgError(f"expected {self.arity} arguments, got {len(args)}")
+        for a in args:
+            if len(a) != self.in_dim:
+                raise LinAlgError("argument has wrong dimension")
+        out = [_ZERO] * self.out_dim
+        for key, x in self.entries.items():
+            for a, i in zip(args, key):
+                if not a[i]:
+                    break
+                x *= a[i]
+            else:
+                out[key[-1]] += x
+        den = self.den
+        return tuple(out) if den == 1 else tuple(v / den for v in out)
+
+    def as_matrix(self) -> "Matrix":
+        """This arity-1 map as a Matrix (out_dim x in_dim)."""
+        if self.arity != 1:
+            raise LinAlgError("only arity-1 maps convert to matrices")
+        return self._recast(Matrix)
+
+    def permute_inputs(self, perm: Sequence[int]) -> "MultiMap":
+        """Pull back along a permutation: result(x_1..x_n) = self(x_{perm[0]+1}, ...).
+
+        perm is 0-based: perm[slot] tells which input of the result feeds
+        that slot of self.
+        """
+        if sorted(perm) != list(range(self.arity)):
+            raise LinAlgError(f"not a permutation of {self.arity} inputs: {perm}")
+        entries = {}
+        for key, x in self.entries.items():
+            idx = list(key)
+            for slot, p in enumerate(perm):
+                idx[p] = key[slot]
+            entries[tuple(idx)] = x
+        return self._like(entries, self.den)
+
+    # -- linear structure on the entries -------------------------------------
+
+    def _same_shape(self, other: "MultiMap"):
+        if (self.arity != other.arity or self.in_dim != other.in_dim
+                or self.out_dim != other.out_dim):
+            raise LinAlgError(f"{type(self).__name__} shape mismatch: "
+                              f"{self._shape()} vs {other._shape()}")
+
+    def _combine(self, other: "MultiMap", sign: int) -> "MultiMap":
+        self._same_shape(other)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        acc = {key: a * x for key, x in self.entries.items()}
+        for key, y in other.entries.items():
+            acc[key] = acc.get(key, 0) + b * y
+        return self._like(acc, den)
+
+    def __add__(self, other: "MultiMap") -> "MultiMap":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "MultiMap") -> "MultiMap":
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "MultiMap":
+        return self._like({key: -x for key, x in self.entries.items()},
+                          self.den)
+
+    def scale(self, c: Scalar) -> "MultiMap":
+        c = _exact(c)
+        return self._like({key: c.numerator * x
+                           for key, x in self.entries.items()},
+                          self.den * c.denominator)
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiMap):
+            return NotImplemented
+        return (self._shape() == other._shape() and self.den == other.den
+                and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self._shape(), self.den, frozenset(self.entries.items())))
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(arity={self.arity}, "
+                f"in_dim={self.in_dim}, out_dim={self.out_dim}, "
+                f"nonzeros={len(self.entries)})")
+
+
+def _insertion_sum(f: MultiMap, g: MultiMap, signs: Sequence[int]) -> MultiMap:
+    """The one composition of multilinear maps: the sum over the (0-based)
+    slots of f of signs[slot] (+1, -1, or 0 to skip the slot) times g
+    grafted into that slot; arity f.arity + g.arity - 1, in_dim g's and
+    out_dim f's.  An entry f[pre, t, post, k] meets every entry g[idx, t]
+    whose output is t and adds their product at (pre, idx, post, k), so
+    the cost is O(nnz(f) nnz(g) arity).  The result has the class of f
+    and g when they share one, else it is a MultiMap: on two matrices with
+    signs (1,) it is their product (`Matrix.__matmul__`)."""
+    by_out = {}
+    for key, y in g.entries.items():
+        by_out.setdefault(key[-1], []).append((key[:-1], y))
+    acc = {}
+    get = acc.get
+    for key, x in f.entries.items():
+        for slot, sign in enumerate(signs):
+            hits = by_out.get(key[slot]) if sign else None
+            if hits is None:
+                continue
+            pre, post, c = key[:slot], key[slot + 1:], sign * x
+            for idx, y in hits:
+                out = pre + idx + post
+                acc[out] = get(out, 0) + c * y
+    cls = type(f) if type(f) is type(g) else MultiMap
+    return cls._of_ints(f.arity + g.arity - 1, g.in_dim, f.out_dim, acc,
+                        f.den * g.den)
+
+
+# ---------------------------------------------------------------------------
+# matrices: the arity-1 maps
+# ---------------------------------------------------------------------------
+
+class Matrix(MultiMap):
+    """rows x cols matrix over Q, immutable: the arity-1 MultiMap from a
+    cols-dimensional space to a rows-dimensional one, with entry (i, j) at
+    key (j, i).
+
+    Lowest terms, sums, differences, negation, `scale` and `is_zero` are
+    MultiMap's, and the product is the composition `_insertion_sum` that
+    the bracket runs on, so none of them reads a dense layout.  Its own
+    are the constructor, the names rows and cols, the row-major reads, the
+    cached integer view with the eliminations on it, and an equality that
+    never holds with a plain MultiMap of the same entries.
+
+    The constructor takes the row-major entries as exact values (ints,
+    Fractions or anything Fraction takes), and `data`, `row`, `col` and
+    m[i, j] give them back as Fractions, built anew on each read; `ints`
+    gives them as ints over den.  Parsed documents, bimodule views and
+    search hits are built from their nonzero ints (`_of_ints`).
+    """
+
+    __slots__ = ("_view",)
 
     def __init__(self, rows: int, cols: int, data: Sequence[Scalar]):
         if rows < 0 or cols < 0:
             raise LinAlgError("negative matrix dimension")
-        data = [_exact(x) for x in data]
+        data = tuple(data)
         if len(data) != rows * cols:
             raise LinAlgError(
                 f"matrix data length {len(data)} != {rows}x{cols}")
-        # over the lcm of their own denominators, the values are in lowest
-        # terms (see `_scaled_entries`)
-        (ints,), den = integer_scaled(data)
-        self.rows = rows
-        self.cols = cols
-        self.ints = tuple(ints)
-        self.den = den
-        self._view = None
+        self._fill(1, cols, rows, *_scaled_entries(
+            ((k % cols, k // cols), x) for k, x in enumerate(data)))
 
-    @staticmethod
-    def _of_ints(rows: int, cols: int, ints: Sequence[int],
-                 den: int = 1) -> "Matrix":
-        """The rows x cols matrix whose row-major entries are the ints over
-        den > 0, with the pair put in lowest terms; no constructor runs."""
-        if den != 1:
-            g = math.gcd(den, *ints)
-            if g > 1:
-                ints = [x // g for x in ints]
-                den //= g
-        out = Matrix.__new__(Matrix)
-        out.rows = rows
-        out.cols = cols
-        out.ints = tuple(ints)
-        out.den = den
-        out._view = None
-        return out
+    rows = property(lambda self: self.out_dim)
+    cols = property(lambda self: self.in_dim)
+
+    def _int_cols(self, factor: int = 1) -> list:
+        """Each column's nonzero entries as (row, factor * int) pairs."""
+        cols = [[] for _ in range(self.in_dim)]
+        for (j, i), x in self.entries.items():
+            cols[j].append((i, factor * x))
+        return [tuple(sorted(col)) for col in cols]
 
     def int_view(self) -> tuple:
         """(cols, den): each column's nonzero entries as (row, int) pairs
         over the common denominator den, built once, on first use."""
-        if self._view is None:
-            self._view = (_nonzero_cols(self.ints, self.rows, self.cols),
-                          self.den)
-        return self._view
+        try:
+            return self._view
+        except AttributeError:  # the slot is filled on first use
+            self._view = (self._int_cols(), self.den)
+            return self._view
 
     @staticmethod
     def _from_int_cols(rows: int, cols: list, den: int) -> "Matrix":
         """The matrix of sparse int columns over den, which are its view."""
-        n = len(cols)
-        ints = [0] * (rows * n)
-        for j, col in enumerate(cols):
-            for i, x in col:
-                ints[i * n + j] = x
-        out = Matrix._of_ints(rows, n, ints, den)
+        out = Matrix._of_ints(1, len(cols), rows, {
+            (j, i): x for j, col in enumerate(cols) for i, x in col}, den)
         out._view = (cols, den)
         return out
 
@@ -358,7 +629,16 @@ class Matrix:
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, [0] * (rows * cols))
 
-    # -- access: Fractions, built on each read ---------------------------------
+    # -- access: row-major, Fractions built on each read ----------------------
+
+    @property
+    def ints(self) -> tuple:
+        """All rows * cols entries as ints over den, row-major."""
+        out = [0] * (self.out_dim * self.in_dim)
+        n = self.in_dim
+        for (j, i), x in self.entries.items():
+            out[i * n + j] = x
+        return tuple(out)
 
     @property
     def data(self) -> tuple:
@@ -370,88 +650,39 @@ class Matrix:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(ij)
-        return Fraction(self.ints[i * self.cols + j], self.den)
+        return Fraction(self.entries.get((j, i), 0), self.den)
 
     def row(self, i: int) -> Vector:
-        den = self.den
-        return tuple(Fraction(x, den)
-                     for x in self.ints[i * self.cols:(i + 1) * self.cols])
+        get, den = self.entries.get, self.den
+        return tuple(Fraction(get((j, i), 0), den) for j in range(self.cols))
 
     def col(self, j: int) -> Vector:
-        ints, cols, den = self.ints, self.cols, self.den
-        return tuple(Fraction(ints[i * cols + j], den)
-                     for i in range(self.rows))
-
-    # -- linear structure ------------------------------------------------------
-
-    def _same_shape(self, other: "Matrix"):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise LinAlgError(f"Matrix shape mismatch: {(self.rows, self.cols)}"
-                              f" vs {(other.rows, other.cols)}")
-
-    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
-        self._same_shape(other)
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
-        return Matrix._of_ints(self.rows, self.cols,
-                               [a * x + b * y
-                                for x, y in zip(self.ints, other.ints)], den)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._of_ints(self.rows, self.cols, [-x for x in self.ints],
-                               self.den)
-
-    def scale(self, c: Scalar) -> "Matrix":
-        c = _exact(c)
-        return Matrix._of_ints(self.rows, self.cols,
-                               [c.numerator * x for x in self.ints],
-                               self.den * c.denominator)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.den, self.ints) == (
-            other.rows, other.cols, other.den, other.ints)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.den, self.ints))
-
-    def is_zero(self) -> bool:
-        return not any(self.ints)
+        return self.value((j,))
 
     # -- algebra ----------------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiMap):
+            return NotImplemented
+        # a Matrix's __eq__ runs first on either side of a plain MultiMap
+        return isinstance(other, Matrix) and MultiMap.__eq__(self, other)
+
+    __hash__ = MultiMap.__hash__
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise LinAlgError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        a, n, b, c = self.ints, self.cols, other.ints, other.cols
-        bcols = [b[j::c] for j in range(c)]
-        return Matrix._of_ints(self.rows, c,
-                               [sum(map(operator.mul, a[i * n:i * n + n], bj))
-                                for i in range(self.rows) for bj in bcols],
-                               self.den * other.den)
+        return _insertion_sum(self, other, (1,))
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise LinAlgError(f"matrix {self.rows}x{self.cols} applied to length-{len(v)} vector")
-        (w,), vden = integer_scaled(v)
-        a, n, den = self.ints, self.cols, self.den * vden
-        return tuple(Fraction(sum(map(operator.mul, a[i * n:i * n + n], w)),
-                              den)
-                     for i in range(self.rows))
+        return self.evaluate(v)
 
     def transpose(self) -> "Matrix":
-        a, rows, cols = self.ints, self.rows, self.cols
-        return Matrix._of_ints(cols, rows, [a[i * cols + j]
-                                            for j in range(cols)
-                                            for i in range(rows)], self.den)
+        return Matrix._of_ints(1, self.rows, self.cols, {
+            (i, j): x for (j, i), x in self.entries.items()}, self.den)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -462,8 +693,7 @@ class Matrix:
         if k < 0:
             raise LinAlgError("negative matrix power")
         n = self.rows
-        acc = Matrix._of_ints(n, n, [int(i == j) for i in range(n)
-                                     for j in range(n)])
+        acc = Matrix._of_ints(1, n, n, {(i, i): 1 for i in range(n)})
         for _ in range(k):
             acc = acc @ self
         return acc
@@ -515,9 +745,10 @@ class Matrix:
             return None
         units = [rel[n + k] for k, rel in enumerate(rels[n:])]
         out = math.lcm(*units)
-        return Matrix._of_ints(n, n, [-den * (out // c) * rel.get(i, 0)
-                                      for i in range(n)
-                                      for c, rel in zip(units, rels[n:])], out)
+        return Matrix._of_ints(1, n, n, {
+            (k, i): -den * (out // c) * x
+            for k, (c, rel) in enumerate(zip(units, rels[n:]))
+            for i, x in rel.items() if i < n}, out)
 
     def __repr__(self):
         rows = "; ".join(
@@ -527,12 +758,12 @@ class Matrix:
 
 
 def linear_combination(coeffs: Sequence[Scalar],
-                       terms: Sequence[Matrix]) -> Matrix:
-    """sum_i coeffs[i] * terms[i] over matrices of one shape, with no
-    intermediate matrices built; with one action matrix per basis element,
+                       terms: Sequence[MultiMap]) -> MultiMap:
+    """sum_i coeffs[i] * terms[i] over maps of one shape and class, with no
+    intermediate maps built; with one action matrix per basis element,
     this is the action of the element whose coefficient vector is coeffs.
-    The sum runs on the ints of the terms and of the coefficients, over the
-    product of their two common denominators."""
+    The sum runs on the entries of the terms and the ints of the
+    coefficients, over the product of their two common denominators."""
     if not terms or len(coeffs) != len(terms):
         raise LinAlgError(f"{len(coeffs)} coefficients for {len(terms)} terms")
     (cints,), cden = integer_scaled(coeffs)
@@ -541,251 +772,10 @@ def linear_combination(coeffs: Sequence[Scalar],
     for _, term in used:
         first._same_shape(term)
     den = math.lcm(*(term.den for _, term in used))
-    acc = [0] * len(first.ints)
+    acc = {}
+    get = acc.get
     for c, term in used:
         f = c * (den // term.den)
-        acc = [a + f * x for a, x in zip(acc, term.ints)]
-    return Matrix._of_ints(first.rows, first.cols, acc, den * cden)
-
-
-# ---------------------------------------------------------------------------
-# multilinear maps V_in^(x)n -> V_out, kept as their nonzero entries
-# ---------------------------------------------------------------------------
-
-def _scaled_entries(items: Iterable[tuple]) -> tuple:
-    """(entries, den): the nonzero values of the (key, value) items as ints
-    over their least common denominator den, as `integer_scaled` writes
-    them; no factor is common to den and every int, so the pair is in
-    lowest terms."""
-    exact = [(key, _exact(x)) for key, x in items]
-    nonzero = [(key, x) for key, x in exact if x]
-    den = math.lcm(*(x.denominator for _, x in nonzero))
-    return {key: x.numerator * (den // x.denominator)
-            for key, x in nonzero}, den
-
-
-class MultiMap:
-    """Multilinear map V_in^(x)arity -> V_out, kept as its nonzero entries.
-
-    `entries` maps (i_1, ..., i_arity, k) to a nonzero int, with i over the
-    in_dim input basis and k over the out_dim output basis: the
-    e_k-coefficient of the image of the basis tuple (e_{i_1}, ...,
-    e_{i_arity}) is entries[(i_1, ..., i_arity, k)] / den.  The pair is in
-    lowest terms (den > 0, no factor common to den and every entry; den 1
-    for the zero map), so equal maps have equal entries and den.  Every
-    operation costs in the nonzeros, not in the in_dim^arity * out_dim
-    slots.  Arity 0 is allowed and is just a vector (a constant).
-
-    The constructor takes the dense row-major data of a square map (in_dim
-    = out_dim = dim), and `data` gives it back; the package itself builds
-    maps from ints (`_of_ints`) and never reads `data`.  A non-square map
-    is a cochain (glie.Cochain), a subclass that shares everything below.
-    """
-
-    __slots__ = ("arity", "in_dim", "out_dim", "entries", "den")
-
-    def __init__(self, arity: int, dim: int, data: Sequence[Scalar]):
-        self._setup(arity, dim, dim, data)
-
-    def _setup(self, arity: int, in_dim: int, out_dim: int,
-               data: Sequence[Scalar]):
-        """Validate dense row-major data and fill the slots from it.
-        Subclass constructors call this, not MultiMap.__init__, so a
-        construction runs exactly one class's __init__
-        (perfbench/spans.py counts constructions there)."""
-        if arity < 0 or in_dim < 0 or out_dim < 0:
-            raise LinAlgError("negative arity or dimension")
-        data = tuple(data)
-        if len(data) != in_dim ** arity * out_dim:
-            raise LinAlgError(
-                f"tensor data length {len(data)} != {in_dim}^{arity} * {out_dim}")
-        keys = itertools.product(*[range(in_dim)] * arity, range(out_dim))
-        self._fill(arity, in_dim, out_dim, *_scaled_entries(zip(keys, data)))
-
-    def _fill(self, arity: int, in_dim: int, out_dim: int, entries: dict,
-              den: int):
-        self.arity = arity
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.entries = entries
-        self.den = den
-
-    @classmethod
-    def _of_ints(cls, arity: int, in_dim: int, out_dim: int, entries: dict,
-                 den: int = 1) -> "MultiMap":
-        """The map of this class whose entries are the ints `entries` over
-        den > 0, with zeros dropped and the pair put in lowest terms; no
-        constructor runs."""
-        entries = {key: x for key, x in entries.items() if x}
-        g = math.gcd(den, *entries.values())
-        if g > 1:
-            entries = {key: x // g for key, x in entries.items()}
-            den //= g
-        out = cls.__new__(cls)
-        out._fill(arity, in_dim, out_dim, entries, den)
-        return out
-
-    @classmethod
-    def _of_values(cls, arity: int, in_dim: int, out_dim: int,
-                   items: Iterable[tuple]) -> "MultiMap":
-        """The map whose entries are the exact values of the (key, value)
-        items, every other entry zero."""
-        return cls._of_ints(arity, in_dim, out_dim, *_scaled_entries(items))
-
-    def _like(self, entries: dict, den: int) -> "MultiMap":
-        """A map of the same class and shape with these int entries."""
-        return self._of_ints(self.arity, self.in_dim, self.out_dim, entries,
-                             den)
-
-    @property
-    def dim(self) -> int:
-        """The one dimension of a square map."""
-        if self.in_dim != self.out_dim:
-            raise LinAlgError(
-                f"map {self.in_dim} -> {self.out_dim} is not square")
-        return self.in_dim
-
-    @property
-    def data(self) -> tuple:
-        """All in_dim^arity * out_dim entries as Fractions, in the row-major
-        layout the constructor takes, built anew on each read."""
-        out = [_ZERO] * (self.in_dim ** self.arity * self.out_dim)
-        for key, x in self.entries.items():
-            out[flat_offset(key[:-1], self.in_dim, self.out_dim)
-                + key[-1]] = Fraction(x, self.den)
-        return tuple(out)
-
-    def _shape(self) -> tuple:
-        return (self.arity, self.in_dim, self.out_dim)
-
-    @staticmethod
-    def zero(arity: int, dim: int) -> "MultiMap":
-        return MultiMap._of_ints(arity, dim, dim, {})
-
-    @staticmethod
-    def from_function(arity: int, dim: int, fn) -> "MultiMap":
-        """Build from fn(basis index tuple) -> image vector of length dim."""
-        def items():
-            for idx in itertools.product(range(dim), repeat=arity):
-                img = fn(idx)
-                if len(img) != dim:
-                    raise LinAlgError("image vector has wrong length")
-                for k, x in enumerate(img):
-                    yield idx + (k,), x
-
-        return MultiMap._of_values(arity, dim, dim, items())
-
-    @classmethod
-    def from_matrix(cls, m: Matrix) -> "MultiMap":
-        """The arity-1 map acting as the rows x cols matrix m (square for a
-        plain MultiMap), read from the matrix's integer view."""
-        if cls is MultiMap and not m.is_square():
-            raise LinAlgError(
-                f"a MultiMap is square, not {m.cols} -> {m.rows}")
-        cols, den = m.int_view()
-        return cls._of_ints(1, m.cols, m.rows, {
-            (j, i): x for j, col in enumerate(cols) for i, x in col}, den)
-
-    @staticmethod
-    def constant(v: Vector) -> "MultiMap":
-        return MultiMap(0, len(v), v)
-
-    def value(self, idx: Sequence[int]) -> Vector:
-        """Image of a basis tuple, as a coefficient vector."""
-        if len(idx) != self.arity:
-            raise LinAlgError(f"expected {self.arity} indices, got {len(idx)}")
-        if not all(0 <= i < self.in_dim for i in idx):
-            raise IndexError(idx)
-        get, key, den = self.entries.get, tuple(idx), self.den
-        ints = [get(key + (k,), 0) for k in range(self.out_dim)]
-        return tuple(Fraction(x, den) if x else _ZERO for x in ints)
-
-    def evaluate(self, *args: Vector) -> Vector:
-        """Multilinear extension to arbitrary coefficient vectors: the sum
-        over the nonzero entries whose input indices all meet nonzero
-        coefficients of the arguments."""
-        if len(args) != self.arity:
-            raise LinAlgError(f"expected {self.arity} arguments, got {len(args)}")
-        for a in args:
-            if len(a) != self.in_dim:
-                raise LinAlgError("argument has wrong dimension")
-        out = [_ZERO] * self.out_dim
-        for key, x in self.entries.items():
-            for a, i in zip(args, key):
-                if not a[i]:
-                    break
-                x *= a[i]
-            else:
-                out[key[-1]] += x
-        den = self.den
-        return tuple(out) if den == 1 else tuple(v / den for v in out)
-
-    def as_matrix(self) -> Matrix:
-        if self.arity != 1:
-            raise LinAlgError("only arity-1 maps convert to matrices")
-        cols = [[] for _ in range(self.in_dim)]
-        for (j, i), x in sorted(self.entries.items()):
-            cols[j].append((i, x))
-        return Matrix._from_int_cols(self.out_dim, cols, self.den)
-
-    def permute_inputs(self, perm: Sequence[int]) -> "MultiMap":
-        """Pull back along a permutation: result(x_1..x_n) = self(x_{perm[0]+1}, ...).
-
-        perm is 0-based: perm[slot] tells which input of the result feeds
-        that slot of self.
-        """
-        if sorted(perm) != list(range(self.arity)):
-            raise LinAlgError(f"not a permutation of {self.arity} inputs: {perm}")
-        entries = {}
-        for key, x in self.entries.items():
-            idx = list(key)
-            for slot, p in enumerate(perm):
-                idx[p] = key[slot]
-            entries[tuple(idx)] = x
-        return self._like(entries, self.den)
-
-    # -- linear structure on the entries -------------------------------------
-
-    def _combine(self, other: "MultiMap", sign: int) -> "MultiMap":
-        if self._shape() != other._shape():
-            raise LinAlgError(f"{type(self).__name__} shape mismatch: "
-                              f"{self._shape()} vs {other._shape()}")
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
-        acc = {key: a * x for key, x in self.entries.items()}
-        for key, y in other.entries.items():
-            acc[key] = acc.get(key, 0) + b * y
-        return self._like(acc, den)
-
-    def __add__(self, other: "MultiMap") -> "MultiMap":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "MultiMap") -> "MultiMap":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "MultiMap":
-        return self._like({key: -x for key, x in self.entries.items()},
-                          self.den)
-
-    def scale(self, c: Scalar) -> "MultiMap":
-        c = Fraction(c)
-        return self._like({key: c.numerator * x
-                           for key, x in self.entries.items()},
-                          self.den * c.denominator)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiMap):
-            return NotImplemented
-        return (self._shape() == other._shape() and self.den == other.den
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self._shape(), self.den, frozenset(self.entries.items())))
-
-    def __repr__(self):
-        return (f"{type(self).__name__}(arity={self.arity}, "
-                f"in_dim={self.in_dim}, out_dim={self.out_dim}, "
-                f"nonzeros={len(self.entries)})")
+        for key, x in term.entries.items():
+            acc[key] = get(key, 0) + f * x
+    return first._like(acc, den * cden)

@@ -30,9 +30,9 @@ from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _check_base,
                       _sparse_products, _subtract_image, classify,
                       deformed_product)
 from .bimodule import Bimodule, LieRepresentation, _rebased
-from .glie import _structure_element, compose_bar
+from .glie import _structure_element, compose_bar, embed_blocks
 from .linalg import (LinAlgError, Matrix, MultiMap, Vector, basis_vector,
-                     linear_combination, vec_is_zero, vec_sub, zero_vector)
+                     linear_combination, vec_is_zero, vec_sub)
 from .reports import CheckReport
 
 __all__ = [
@@ -188,10 +188,9 @@ def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int) -> dict:
 
 def nt_operator(alg: Algebra, mod: Bimodule, op: Matrix) -> Matrix:
     """The block operator [[0, T], [0, 0]] on A + M (A indices first)."""
-    d, md = alg.dim, mod.mdim
-    cols = ([zero_vector(d + md)] * d
-            + [tuple(op.col(j)) + zero_vector(md) for j in range(md)])
-    return Matrix.from_cols(cols, rows=d + md)
+    _check_operator_shape(op, mod.mdim, alg.dim, "block entry T")
+    d = alg.dim
+    return embed_blocks(op, d, 0, d + mod.mdim).as_matrix()
 
 
 def nt_nijenhuis_equivalence(alg: Algebra, mod: Bimodule, op: Matrix) -> Tuple[bool, bool]:

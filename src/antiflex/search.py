@@ -279,7 +279,9 @@ def search_operators(alg: Algebra, mod: Optional[Bimodule], coeffs: Sequence,
     hits = _backtrack(ints, checks, tests, limit, scan)
     if len(hits) == limit and scan(0) < total:
         scan(1)  # the sweep reads the candidate after the last hit
-    return [Matrix._of_ints(rows, cols, cells, den) for cells in hits]
+    return [Matrix._of_ints(1, cols, rows, {(k % cols, k // cols): x
+                                            for k, x in enumerate(cells) if x},
+                            den) for cells in hits]
 
 
 def _refusal(exc: ValueError) -> Callable:

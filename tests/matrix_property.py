@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antiflex.linalg import LinAlgError, Matrix, linear_combination
+from antiflex.linalg import LinAlgError, Matrix, MultiMap, linear_combination
 from tests.dense_matrix import DenseMatrix, dense_linear_combination
 from tests.test_scaled_laws import VALUES
 
@@ -36,8 +36,10 @@ def _pair(draw, rows, cols):
 
 
 def _same(m, ref):
-    """m is a Matrix in lowest terms with the shape and entries of ref."""
-    assert type(m) is Matrix and (m.rows, m.cols) == (ref.rows, ref.cols)
+    """m is a Matrix, the arity-1 MultiMap, in lowest terms with the shape
+    and entries of ref."""
+    assert isinstance(m, MultiMap) and type(m) is Matrix and m.arity == 1
+    assert (m.rows, m.cols) == (ref.rows, ref.cols)
     assert m.den > 0 and all(type(x) is int for x in m.ints)
     assert math.gcd(m.den, *m.ints) == 1
     assert m.data == ref.data and all(type(x) is Fraction for x in m.data)
@@ -87,7 +89,9 @@ def test_matrices_equal_the_dense_matrix(rows, cols, inner, data):
     factor = draw(st.integers(1, 6))
     for same in (Matrix.from_rows([ref.row(i) for i in range(rows)], cols),
                  Matrix.from_cols([ref.col(j) for j in range(cols)], rows),
-                 Matrix._of_ints(rows, cols, [factor * x for x in m.ints],
+                 Matrix._of_ints(1, cols, rows,
+                                 {key: factor * x
+                                  for key, x in m.entries.items()},
                                  factor * m.den)):
         assert same == m and hash(same) == hash(m)
         _same(same, ref)

@@ -106,6 +106,40 @@ def s2_split_fixture(tmp_path):
 
 
 @pytest.fixture()
+def nc_fixture(tmp_path):
+    """A noncommutative anti-flexible algebra with its regular bimodule:
+    T is Rota-Baxter but its complex does not square to zero below
+    degree 3, Bad is no Rota-Baxter operator, and Wide has the wrong
+    shape."""
+    from antiflex.algebra import Algebra
+    from antiflex.bimodule import regular_bimodule
+    alg = Algebra.from_products(2, {(0, 0): {0: -1, 1: -1}, (0, 1): {1: -1}})
+    doc = WorkspaceDocument(alg, None, regular_bimodule(alg), None,
+                            {"T": Matrix.from_rows([[0, 0], [-1, 0]]),
+                             "Bad": Matrix.from_rows([[0, 1], [0, 0]]),
+                             "Wide": Matrix.from_rows([[1, 0, 0], [0, 1, 0]])},
+                            None)
+    path = tmp_path / "nc.json"
+    path.write_text(render_document(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def naf_fixture(tmp_path):
+    """A non-anti-flexible algebra with a zero bimodule and a Rota-Baxter
+    operator T whose induced actions on the algebra are no bimodule."""
+    from antiflex.algebra import Algebra
+    from antiflex.bimodule import zero_bimodule
+    img = {0: -1, 1: -1}
+    alg = Algebra.from_products(2, {(0, 0): img, (0, 1): img, (1, 0): img})
+    doc = WorkspaceDocument(alg, None, zero_bimodule(alg, 1), None,
+                            {"T": Matrix.from_rows([[0], [-1]])}, None)
+    path = tmp_path / "naf.json"
+    path.write_text(render_document(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
 def na2_fixture(tmp_path, na2):
     doc = WorkspaceDocument(na2, None, None, None, {}, None)
     path = tmp_path / "na2.json"
@@ -231,6 +265,21 @@ def test_deform_verify_brackets_pi_and_delta_once(
         assert mod is not action
         assert brackets[0][:2] == (_structure_element(mod),
                                    _structure_element(action))
+
+
+def test_cohomology_sweeps_the_rota_baxter_identity_once(
+        a2_fixture, nc_fixture, capsys, monkeypatch):
+    """`cohomology` sweeps the Rota-Baxter identity once, in the complex
+    it builds, whether the complex then passes or fails its check; only an
+    operator that fails the identity is swept again, for its witness."""
+    calls = _count_calls(monkeypatch, "is_rota_baxter",
+                         ["antiflex.operators", *PACKAGE])
+    for path, op, status, sweeps in ((a2_fixture, "T", 0, 1),
+                                     (nc_fixture, "T", 1, 1),
+                                     (nc_fixture, "Bad", 1, 2)):
+        calls.clear()
+        assert main(["--fixture", path, "cohomology", "--op", op]) == status
+        assert len(calls) == sweeps
 
 
 def test_mc_check_forms_pi_from_the_documents_bimodule(a2, m_a2,
@@ -707,14 +756,17 @@ def test_cli_output_matches_the_golden_record(a2_fixture, pair_fixture,
                                               s2_split_fixture,
                                               closed_fixture,
                                               unclosed_fixture, empty_fixture,
-                                              frac_fixture, capsys,
+                                              frac_fixture, nc_fixture,
+                                              naf_fixture, capsys,
                                               monkeypatch):
     """Every command and target on the A2, morphism-pair and deformed
     documents, `check nij-structure` and `deform generate` on the two S^2
     documents, `deform verify` on a closed invalid, an unclosed and a
     0-dimensional generator (and `mc-check` on the last), `check morphism`,
     `check nij-structure`, `check on` and `deform generate` on a document
-    over mixed denominators, operator searches
+    over mixed denominators, `cohomology` on a complex that fails, on a
+    non-Rota-Baxter and a wrong-shape operator and on induced actions that
+    are no bimodule, operator searches
     over each predicate kind and shape with their refusals, in text and
     JSON, and the argument errors of this module, print and exit byte for
     byte as
@@ -728,7 +780,7 @@ def test_cli_output_matches_the_golden_record(a2_fixture, pair_fixture,
              "deformed": deformed_fixture, "s2": s2_fixture,
              "s2split": s2_split_fixture, "closed": closed_fixture,
              "unclosed": unclosed_fixture, "empty": empty_fixture,
-             "frac": frac_fixture}
+             "frac": frac_fixture, "nc": nc_fixture, "naf": naf_fixture}
     got = cli_outcomes(argvs, paths, capsys, monkeypatch)
     ran = set()
     for entry in golden:

@@ -346,13 +346,14 @@ def test_checking_every_degree_first_equals_ranking_each_degree(
 def test_a_failing_triple_builds_no_objects_and_takes_no_rank(defect_rb,
                                                               monkeypatch):
     """On a triple with d_1 o d_0 != 0, constructing the complex and
-    `dims(3)` build no induced algebra, no matrix from columns and take no
-    rank; the induced objects, read later, equal the reference route's."""
+    `dims(3)` build no induced algebra, no Matrix (every construction fills
+    its slots with `Matrix._fill`) and take no rank; the induced objects,
+    read later, equal the reference route's."""
     alg, mod, op = defect_rb
     calls = []
-    from_int_cols, init = Matrix._from_int_cols, Algebra.__init__
-    monkeypatch.setattr(Matrix, "_from_int_cols", staticmethod(
-        lambda *args: calls.append("_from_int_cols") or from_int_cols(*args)))
+    fill, init = Matrix._fill, Algebra.__init__
+    monkeypatch.setattr(Matrix, "_fill", lambda self, *args: (
+        calls.append("Matrix._fill") or fill(self, *args)))
     monkeypatch.setattr(Algebra, "__init__", lambda self, *args: (
         calls.append("Algebra.__init__") or init(self, *args)))
     ranks = _record_calls(monkeypatch, "int_cols_rank")

@@ -424,9 +424,19 @@ def _record_scalings(monkeypatch):
 
 def _record_views(monkeypatch):
     """The (data, rows, cols) of every sparse column view a package module
-    builds with `_nonzero_cols`: one per Matrix view, one per action of a
-    bimodule view, and one per full-rank test of a search."""
-    return _record_calls(monkeypatch, "_nonzero_cols")
+    builds: one per Matrix view and one per action of a bimodule view, each
+    read off the matrix's entries by `Matrix._int_cols` (data is the
+    matrix's row-major ints), and one per full-rank test of a search, with
+    `_nonzero_cols`."""
+    views = _record_calls(monkeypatch, "_nonzero_cols")
+    int_cols = Matrix._int_cols
+
+    def recording(m, *args):
+        views.append([m.ints, m.rows, m.cols])
+        return int_cols(m, *args)
+
+    monkeypatch.setattr(Matrix, "_int_cols", recording)
+    return views
 
 
 def _fresh(alg, mod):

@@ -13,8 +13,6 @@ from tests.dense_matrix import DenseMatrix
 from tests.test_cohomology import _unimodular
 from tests.test_scaled_laws import run_in_child
 
-rng = random.Random(1001)
-
 
 def test_parse_render_roundtrip_canonical():
     for value in [0, 5, -3, "1/2", "-3/2", "7/3", "10/4"]:
@@ -57,6 +55,7 @@ def test_solve_examples():
 
 
 def test_rank_nullity_and_exact_kernel_on_randoms():
+    rng = random.Random(1001)
     for _ in range(60):
         rows = rng.randint(0, 4)
         cols = rng.randint(0, 4)
@@ -95,6 +94,7 @@ def test_sparse_rank_equals_dense_pivot_count_on_random_sparse_ints():
     """`int_cols_rank` against the pivot count of `DenseMatrix` on
     seeded sparse int matrices, their transposes and fractional scalings,
     and on every empty shape; its input is left as it was."""
+    rng = random.Random(1002)
     shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (1, 6), (6, 1)]
     shapes += [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(60)]
     seen = set()
@@ -182,6 +182,7 @@ def test_property_sparse_rank_equals_dense_rank():
 
 
 def test_solve_consistency_on_randoms():
+    rng = random.Random(1003)
     for _ in range(40):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = Matrix(rows, cols, [Fraction(rng.randint(-2, 2))
@@ -212,6 +213,7 @@ def test_matrix_shape_errors():
 
 
 def test_multimap_value_evaluate_agree():
+    rng = random.Random(1004)
     mm = MultiMap(2, 2, [Fraction(rng.randint(-2, 2)) for _ in range(8)])
     from antiflex.linalg import basis_vector
     for i in range(2):
@@ -221,6 +223,7 @@ def test_multimap_value_evaluate_agree():
 
 
 def test_multimap_permute_inputs_reversal():
+    rng = random.Random(1005)
     mm = MultiMap(3, 2, [Fraction(rng.randint(-2, 2)) for _ in range(16)])
     rev = mm.permute_inputs((2, 1, 0))
     for idx in [(0, 0, 1), (1, 0, 1), (0, 1, 1)]:
@@ -265,6 +268,7 @@ def test_square_from_matrix_as_matrix_roundtrip():
 
 def test_linear_combination_matches_repeated_scale_and_add(
         m_a1, m_a2, m_a0_2, m_a2_plus_a1, m_zero_on_a2):
+    rng = random.Random(1006)
     for mod in (m_a1, m_a2, m_a0_2, m_a2_plus_a1, m_zero_on_a2):
         d = mod.base.dim
         for _ in range(10):

@@ -7,10 +7,11 @@ import pytest
 
 from antiflex.algebra import classify
 from antiflex.bimodule import lie_representation
-from antiflex.linalg import Matrix
+from antiflex.linalg import LinAlgError, Matrix
 from antiflex.operators import (induced_pre_anti_flexible, is_lie_rota_baxter,
                                 is_nijenhuis, is_rb_morphism, is_rota_baxter,
                                 nijenhuis_power_suite, nt_nijenhuis_equivalence,
+                                nt_operator,
                                 rb_graph_is_subalgebra,
                                 rb_morphism_graph_check,
                                 rb_morphism_preserves_pre_structure,
@@ -250,3 +251,19 @@ def test_anti_flexible_rb_passes_lie_rb(a2, m_a2, t_inv, t_nil,
         lie = commutator_lie(alg)
         rep = lie_representation(alg, mod)
         assert is_lie_rota_baxter(lie, rep, op).ok
+
+
+def test_nt_operator_is_t_in_the_upper_right_block(rb_pairs):
+    """nt_operator is [[0, T], [0, 0]] on A + M, column by column, and a T
+    of another shape than dim A x mdim is refused."""
+    for alg, mod in rb_pairs:
+        d, md = alg.dim, mod.mdim
+        op = Matrix(d, md, [Fraction(k + 1, 2) for k in range(d * md)])
+        zero = (Fraction(0),) * md
+        cols = ([(Fraction(0),) * (d + md)] * d
+                + [op.col(j) + zero for j in range(md)])
+        assert nt_operator(alg, mod, op) == Matrix.from_cols(cols, rows=d + md)
+        for r, c in ((d, md - 1), (d - 1, md), (d + 1, md)):
+            if r >= 0 and c >= 0:
+                with pytest.raises(LinAlgError):
+                    nt_operator(alg, mod, Matrix.zeros(r, c))

@@ -199,23 +199,17 @@ def test_non_square_frames_equal_the_sweep(a1, a2):
 
 def test_a_matrix_is_built_only_for_each_hit(a2, m_a2, a2_plus_a1,
                                              m_a2_plus_a1, monkeypatch):
-    """No Matrix per candidate, and none to compile the laws: one per hit,
-    whether built by the constructor or from ints by `Matrix._of_ints`."""
+    """No Matrix per candidate, and none to compile the laws: one per hit.
+    Every construction of a Matrix, by the constructor or from its entries,
+    fills its slots with `Matrix._fill`."""
     built = []
-    real = antiflex.linalg.Matrix.__init__
-    real_of_ints = antiflex.linalg.Matrix._of_ints
+    real = antiflex.linalg.Matrix._fill
 
-    def counting(self, rows, cols, data):
-        built.append((rows, cols))
-        real(self, rows, cols, data)
+    def counting(self, arity, in_dim, out_dim, entries, den):
+        built.append((out_dim, in_dim))
+        real(self, arity, in_dim, out_dim, entries, den)
 
-    def counting_of_ints(rows, cols, ints, den=1):
-        built.append((rows, cols))
-        return real_of_ints(rows, cols, ints, den)
-
-    monkeypatch.setattr(antiflex.linalg.Matrix, "__init__", counting)
-    monkeypatch.setattr(antiflex.linalg.Matrix, "_of_ints",
-                        staticmethod(counting_of_ints))
+    monkeypatch.setattr(antiflex.linalg.Matrix, "_fill", counting)
     for args, kwargs in (
             ((a2_plus_a1, m_a2_plus_a1, (-1, 0, 1), ("rota-baxter",)), {}),
             ((a2, m_a2, (-1, 0, 1), ("rota-baxter", "nonzero")),
