@@ -19,9 +19,12 @@ int residual is exactly D**2 times the true one: the same pairs fail, and
 the witness is Fraction(entry, D**2).
 `_induced_view` contracts the views of the bimodule and of T (scale D_T):
 star, l_T and r_T are linear in each, so all three are ints over D * D_T.
-It forms that view alone, for `cohomology.RBComplex`, which reads nothing
-else; `induced_bimodule_on_base` returns the objects of the view, which
-keep it as their own.
+Its star products are the star vectors that its Rota-Baxter sweep forms,
+so each basis pair is contracted once, and it reads whether the base is
+anti-flexible from `anti_flexible_report`, which sweeps the triples with
+i < k only.  It forms that view alone, for `cohomology.RBComplex`, which
+reads nothing else; `induced_bimodule_on_base` returns the objects of the
+view, which keep it as their own.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import math
 from typing import Optional, Sequence
 
 from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _product_entries,
-                      _sparse_products, _subtract_image, classify,
-                      commutator_lie, deformed_product)
+                      _subtract_image, anti_flexible_report, commutator_lie,
+                      deformed_product)
 from .linalg import LinAlgError, Matrix, linear_combination
 from .reports import CheckReport
 
@@ -172,7 +175,7 @@ def _combination(md: int, terms: list) -> tuple:
 
 def regular_bimodule(alg: Algebra) -> Bimodule:
     """Left/right multiplication actions of an anti-flexible algebra on itself."""
-    if not classify(alg).anti_flexible:
+    if not anti_flexible_report(alg).ok:
         raise ValueError("regular bimodule requires an anti-flexible algebra")
     left = [alg.left_matrix(i) for i in range(alg.dim)]
     right = [alg.right_matrix(i) for i in range(alg.dim)]
@@ -246,16 +249,19 @@ def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodul
 def _induced_view(alg: Algebra, mod: Bimodule, op: Matrix) -> tuple:
     """(prod, left, right, scale): the integer view of the bimodule that
     `induced_bimodule_on_base` returns, formed without building it, with
-    its checks in its order: ValueError unless op is Rota-Baxter, and,
-    when the base is not anti-flexible, unless the actions form a
-    bimodule.  star (from `operators._star_entries`), l_T and r_T are
+    its checks in its order: LinAlgError unless op has the shape of a map
+    M -> A, ValueError unless op is Rota-Baxter, and, when the base is not
+    anti-flexible, unless the actions form a bimodule.  The Rota-Baxter
+    sweep forms each star vector e_i star e_j once (`operators._star`), and
+    the view's star products are those vectors.  star, l_T and r_T are
     ints over scale = D * D_T."""
-    from .operators import _star_entries, is_rota_baxter
+    from .operators import _rota_baxter_sweep
 
-    is_rota_baxter(alg, mod, op).require("operator is not Rota-Baxter")
+    stars = []
+    _rota_baxter_sweep(alg, mod, op, stars).require(
+        "operator is not Rota-Baxter")
     mod = _rebased(alg, mod)
-    star, scale = _star_entries(mod, op)
-    (prod, left, right, _), (tcols, _) = mod.int_view(), op.int_view()
+    (prod, left, right, den), (tcols, den_t) = mod.int_view(), op.int_view()
     d, md = alg.dim, mod.mdim
 
     def action(i, on_left, acts):
@@ -270,11 +276,11 @@ def _induced_view(alg: Algebra, mod: Bimodule, op: Matrix) -> tuple:
             cols.append(tuple((k, x) for k, x in enumerate(acc) if x))
         return cols
 
-    view = (_sparse_products(star, md),
+    view = ([tuple((k, x) for k, x in enumerate(star) if x) for star in stars],
             [action(i, True, right) for i in range(md)],
-            [action(i, False, left) for i in range(md)], scale)
+            [action(i, False, left) for i in range(md)], den * den_t)
     # a bimodule when the base is anti-flexible (the paper); else validate
-    if not classify(alg).anti_flexible:
+    if not anti_flexible_report(alg).ok:
         _view_report(md, d, view).require("not a bimodule")
     return view
 

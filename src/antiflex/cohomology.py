@@ -68,8 +68,9 @@ from .glie import (Cochain, CochainSpace, DegreeCapError, _structure_element,
 from .linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
                      int_cols_rank, linear_combination, vec_add, vec_is_zero,
                      vec_sub)
-# not called here (RBComplex gets the check through bimodule._induced_view),
-# but perfbench/test_perfbench.py reads the name from this module
+# not called here: RBComplex gets the Rota-Baxter sweep through
+# bimodule._induced_view, which keeps the star vectors the sweep forms and
+# calls no is_rota_baxter; perfbench/test_perfbench.py reads the name here
 from .operators import is_rota_baxter  # noqa: F401
 from .reports import CheckReport
 

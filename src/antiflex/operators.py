@@ -15,13 +15,19 @@ written once (`_rota_baxter_law`, `_nijenhuis_law`) as a function of the
 operator's sparse int columns, which `search` also evaluates to read off
 the law as a quadratic form in the entries.  The induced products star, >
 and < are linear in both, so ints over D1*D2.
+
+The star contraction m_i star m_j = l(T m_i) m_j + r(T m_j) m_i is written
+once (`_star`).  The Rota-Baxter residual reads it, and a sweep that is
+handed a list keeps each star vector it forms (`_rota_baxter_sweep`), so
+`star_algebra` and `bimodule._induced_view` contract each basis pair once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 from fractions import Fraction
 
@@ -74,8 +80,17 @@ def _law_report(name: str, law: str, op: Matrix, residual, n: int,
 
 def is_rota_baxter(alg: Algebra, mod: Bimodule, op: Matrix) -> CheckReport:
     """T(m).T(n) = T(l(T(m))n + r(T(n))m) on all basis pairs of the module."""
+    return _rota_baxter_sweep(alg, mod, op)
+
+
+def _rota_baxter_sweep(alg: Algebra, mod: Bimodule, op: Matrix,
+                       stars: Optional[list] = None) -> CheckReport:
+    """`is_rota_baxter`, appending to stars, when given, each e_i star e_j
+    that the sweep forms, in product order: after a passing sweep,
+    stars[i * mdim + j] is e_i star e_j as ints over den1 * den2."""
+    residual, n, den1 = _rota_baxter_law(alg, mod, op.rows, op.cols)
     return _law_report("rota_baxter", "T(m).T(n) = T(l(Tm)n + r(Tn)m)", op,
-                       *_rota_baxter_law(alg, mod, op.rows, op.cols))
+                       functools.partial(residual, stars=stars), n, den1)
 
 
 def _rota_baxter_law(alg: Algebra, mod: Bimodule, rows: int, cols: int) -> tuple:
@@ -83,24 +98,36 @@ def _rota_baxter_law(alg: Algebra, mod: Bimodule, rows: int, cols: int) -> tuple
     candidate, after its shape check: residual(tcols, i, j) is the int
     residual at the module basis pair (i, j), i, j < n, of the operator
     with sparse int columns tcols on the view of (alg, mod), scale den1.
-    It is a homogeneous quadratic in the entries of tcols."""
+    It is a homogeneous quadratic in the entries of tcols.  The star
+    product inside it is `_star`'s; residual appends it to its list
+    argument stars, when given."""
     _check_shape(rows, cols, mod.mdim, alg.dim, "Rota-Baxter candidate")
     d, md = alg.dim, mod.mdim
     prod, left, right, den1 = _rebased(alg, mod).int_view()
 
-    def residual(tcols, i, j):
+    def residual(tcols, i, j, stars=None):
+        star = [0] * md
+        _star(left, right, tcols, i, j, star, star)
+        if stars is not None:
+            stars.append(star)
         out = _multiply(prod, d, tcols[i], tcols[j], [0] * d)
-        # l(T e_i) e_j + r(T e_j) e_i
-        inner = [0] * md
-        for a, x in tcols[i]:
-            for p, y in left[a][j]:
-                inner[p] += x * y
-        for a, x in tcols[j]:
-            for p, y in right[a][i]:
-                inner[p] += x * y
-        return tuple(_subtract_image(tcols, enumerate(inner), out))
+        return tuple(_subtract_image(tcols, enumerate(star), out))
 
     return residual, md, den1
+
+
+def _star(left: list, right: list, tcols: list, i: int, j: int,
+          succ: list, prec: list) -> None:
+    """Add m_i > m_j = l(T m_i) m_j into succ and m_i < m_j = r(T m_j) m_i
+    into prec, dense int lists, from the sparse int action columns of a
+    bimodule view over D and the int columns tcols of T over D_T, so over
+    D * D_T.  With succ and prec one list, it gains m_i star m_j."""
+    for a, x in tcols[i]:
+        for p, y in left[a][j]:
+            succ[p] += x * y
+    for a, x in tcols[j]:
+        for p, y in right[a][i]:
+            prec[p] += x * y
 
 
 def rb_graph_is_subalgebra(alg: Algebra, mod: Bimodule, op: Matrix) -> bool:
@@ -251,51 +278,50 @@ def induced_pre_anti_flexible(alg: Algebra, mod: Bimodule, op: Matrix) -> PreAnt
     m > n = l(T(m))n and m < n = r(T(n))m."""
     is_rota_baxter(alg, mod, op).require("operator is not Rota-Baxter")
     md = mod.mdim
-    prec, succ, den = _splitting(mod, op)
-    return PreAntiFlexible(MultiMap._of_ints(2, md, md, prec, den),
-                           MultiMap._of_ints(2, md, md, succ, den))
+    _, left, right, den1 = mod.int_view()
+    tcols, den2 = op.int_view()
+    prec, succ = {}, {}
+    for i, j in itertools.product(range(md), repeat=2):
+        succ_ij, prec_ij = [0] * md, [0] * md
+        _star(left, right, tcols, i, j, succ_ij, prec_ij)
+        for p in range(md):
+            prec[(i, j, p)], succ[(i, j, p)] = prec_ij[p], succ_ij[p]
+    return PreAntiFlexible(MultiMap._of_ints(2, md, md, prec, den1 * den2),
+                           MultiMap._of_ints(2, md, md, succ, den1 * den2))
 
 
 def star_algebra(alg: Algebra, mod: Bimodule, op: Matrix) -> Algebra:
-    """The induced algebra on M: m star n = r(T(n))m + l(T(m))n."""
-    is_rota_baxter(alg, mod, op).require("operator is not Rota-Baxter")
-    return _star_product(mod, op)
+    """The induced algebra on M: m star n = r(T(n))m + l(T(m))n, from the
+    star vectors that the Rota-Baxter sweep forms."""
+    stars = []
+    _rota_baxter_sweep(alg, mod, op, stars).require(
+        "operator is not Rota-Baxter")
+    den1 = _rebased(alg, mod).int_view()[3]
+    return _star_algebra_of(stars, mod.mdim, den1 * op.int_view()[1])
 
 
 def _star_product(mod: Bimodule, op: Matrix) -> Algebra:
     """`star_algebra` without the Rota-Baxter check, for callers that have
     checked the operator already or form the product of any operator."""
-    return _algebra_of_ints(*_star_entries(mod, op), _star_labels(mod.mdim))
+    _, left, right, den1 = mod.int_view()
+    tcols, den2 = op.int_view()
+    md = mod.mdim
+    stars = [[0] * md for _ in range(md * md)]
+    for i, j in itertools.product(range(md), repeat=2):
+        _star(left, right, tcols, i, j, stars[i * md + j], stars[i * md + j])
+    return _star_algebra_of(stars, md, den1 * den2)
+
+
+def _star_algebra_of(stars: list, md: int, den: int) -> Algebra:
+    """The algebra on M, dim M = md, with e_i star e_j = stars[i * md + j]
+    / den."""
+    return _algebra_of_ints(
+        {(p // md, p % md, k): x for p, star in enumerate(stars)
+         for k, x in enumerate(star)}, den, _star_labels(md))
 
 
 def _star_labels(mdim: int) -> tuple:
     return tuple(f"m{i + 1}" for i in range(mdim))
-
-
-def _star_entries(mod: Bimodule, op: Matrix) -> tuple:
-    """(entries, den): m star n = m < n + m > n on basis pairs as a dict
-    (i, j, k) -> int of its structure constants over den, in which a sum
-    may have cancelled to 0."""
-    prec, succ, den = _splitting(mod, op)
-    for key, x in succ.items():
-        prec[key] = prec.get(key, 0) + x
-    return prec, den
-
-
-def _splitting(mod: Bimodule, op: Matrix) -> tuple:
-    """(prec, succ, den): m < n = r(T(n))m and m > n = l(T(m))n on basis
-    pairs, as dicts (i, j, k) -> int of their structure constants over
-    den, in which a sum may have cancelled to 0."""
-    _, left, right, den1 = mod.int_view()
-    tcols, den2 = op.int_view()
-    md = mod.mdim
-    prec, succ = {}, {}
-    for i, j in itertools.product(range(md), repeat=2):
-        for out, t, acts, col in ((prec, j, right, i), (succ, i, left, j)):
-            for a, x in tcols[t]:
-                for p, y in acts[a][col]:
-                    out[(i, j, p)] = out.get((i, j, p), 0) + x * y
-    return prec, succ, den1 * den2
 
 
 def _is_algebra_morphism(src: Algebra, dst: Algebra, phi: Matrix) -> bool:

@@ -13,8 +13,6 @@ from antiflex.bimodule import (Bimodule, dual_bimodule_candidate,
 from antiflex.linalg import LinAlgError, Matrix
 from antiflex.operators import is_rota_baxter
 
-rng = random.Random(1003)
-
 
 def test_zero_actions_always_pass(a2, na2):
     z = Matrix.zeros(2, 2)

@@ -271,8 +271,10 @@ def test_cohomology_sweeps_the_rota_baxter_identity_once(
         a2_fixture, nc_fixture, capsys, monkeypatch):
     """`cohomology` sweeps the Rota-Baxter identity once, in the complex
     it builds, whether the complex then passes or fails its check; only an
-    operator that fails the identity is swept again, for its witness."""
-    calls = _count_calls(monkeypatch, "is_rota_baxter",
+    operator that fails the identity is swept again, for its witness.
+    Every sweep, `is_rota_baxter`'s and the induced view's, is one
+    `_rota_baxter_sweep`."""
+    calls = _count_calls(monkeypatch, "_rota_baxter_sweep",
                          ["antiflex.operators", *PACKAGE])
     for path, op, status, sweeps in ((a2_fixture, "T", 0, 1),
                                      (nc_fixture, "T", 1, 1),

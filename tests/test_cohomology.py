@@ -2,6 +2,7 @@
 kernel description, and the skew-symmetrization comparison."""
 
 import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,16 +22,15 @@ from antiflex.linalg import (Matrix, basis_vector, int_cols_rank,
                              linear_combination)
 from tests.dense_matrix import DenseMatrix
 from tests.slow_routes import dims_rank_each_degree
+from tests.test_cli import PACKAGE, _count_calls
 from tests.test_int_views import (_algebra_key, _bimodule_key, _record_calls,
                                    census_triples,
                                    ref_induced_bimodule_on_base, transport)
 
-rng = random.Random(1006)
-
 T_BLK = Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 0]])
 
 
-def random_cochain(cx, degree, lo=-3, hi=3):
+def random_cochain(rng, cx, degree, lo=-3, hi=3):
     size = cx.dim_cochains(degree)
     return cx.cochain(degree, [Fraction(rng.randint(lo, hi))
                                for _ in range(size)])
@@ -74,22 +74,24 @@ def test_complex_on_a_zero_dimensional_module(a2):
 
 
 def test_sign_relation_across_degrees(cohomology_corpus):
+    rng = random.Random(100601)
     for name, alg, mod, op, _ in cohomology_corpus:
         cx = RBComplex(alg, mod, op)
         degrees = (0, 1) if alg.dim + mod.mdim > 4 else (0, 1, 2)
         for degree in degrees:
             for _ in range(3):
-                f = random_cochain(cx, degree)
+                f = random_cochain(rng, cx, degree)
                 assert check_sign_relation(alg, mod, op, f, cx), (name, degree)
 
 
 def test_sign_relation_on_noncommutative_fixture(noncommutative_rb):
+    rng = random.Random(100602)
     alg, mod, op = noncommutative_rb
     cx = RBComplex(alg, mod, op)
     for degree in (0, 1, 2):
         for _ in range(3):
             assert check_sign_relation(alg, mod, op,
-                                       random_cochain(cx, degree), cx)
+                                       random_cochain(rng, cx, degree), cx)
 
 
 def test_dims_regression_anchors(cohomology_corpus):
@@ -369,6 +371,24 @@ def test_a_failing_triple_builds_no_objects_and_takes_no_rank(defect_rb,
     assert cx.star is cx.induced.base
 
 
+def test_the_complex_classifies_nothing_and_contracts_each_star_pair_once(
+        cohomology_corpus, noncommutative_rb, defect_rb, monkeypatch):
+    """Constructing `RBComplex` makes no `classify` call, and its one
+    Rota-Baxter sweep contracts each pair (i, j) of module basis vectors
+    into e_i star e_j once, in product order, whose vectors the view
+    keeps."""
+    classified = _count_calls(monkeypatch, "classify",
+                              ["antiflex.algebra", *PACKAGE])
+    stars = _count_calls(monkeypatch, "_star", ["antiflex.operators"])
+    triples = [(alg, mod, op) for _, alg, mod, op, _ in cohomology_corpus]
+    for alg, mod, op in triples + [noncommutative_rb, defect_rb]:
+        stars.clear()
+        RBComplex(alg, mod, op)
+        assert [args[3:5] for args in stars] == list(
+            itertools.product(range(mod.mdim), repeat=2))
+    assert classified == []
+
+
 def test_dims_refuses_non_complex(defect_rb):
     alg, mod, op = defect_rb
     cx = RBComplex(alg, mod, op)
@@ -400,6 +420,7 @@ def test_h0_on_noncommutative_fixture(noncommutative_rb):
 
 def test_one_cocycle_agrees_with_differential(a2, m_a2, t_inv, t_nil,
                                               noncommutative_rb):
+    rng = random.Random(100603)
     cases = [(a2, m_a2, t_inv), (a2, m_a2, t_nil), noncommutative_rb]
     for alg, mod, op in cases:
         cx = RBComplex(alg, mod, op)
@@ -409,7 +430,7 @@ def test_one_cocycle_agrees_with_differential(a2, m_a2, t_inv, t_nil,
         direct, vanish = one_cocycle_check(alg, mod, op, t_as_cochain, cx)
         assert direct == vanish
         for _ in range(6):
-            f = random_cochain(cx, 1)
+            f = random_cochain(rng, cx, 1)
             direct, vanish = one_cocycle_check(alg, mod, op, f, cx)
             assert direct == vanish
 
@@ -435,12 +456,14 @@ def test_one_cocycle_check_on_coboundaries(a2, m_a2, t_inv, noncommutative_rb):
 
 
 def test_skew_symmetrize_degree_one_is_identity():
+    rng = random.Random(100604)
     f = Cochain(1, 2, 3, [Fraction(rng.randint(-3, 3)) for _ in range(6)])
     assert skew_symmetrize(f) == f
 
 
 def test_skew_symmetrize_kills_symmetric_maps():
     # symmetric bilinear map: f(ei, ej) = f(ej, ei)
+    rng = random.Random(100605)
     data = [0] * 12
     sym = Cochain(2, 2, 3, data)
     values = {}
@@ -469,6 +492,7 @@ def test_skew_symmetrize_two_term_example():
 
 
 def test_skew_symmetrize_output_always_alternating():
+    rng = random.Random(100606)
     for _ in range(4):
         f = Cochain(2, 3, 2, [Fraction(rng.randint(-2, 2)) for _ in range(18)])
         assert is_alternating(skew_symmetrize(f))
@@ -486,6 +510,7 @@ def test_module_hochschild_degree_zero_gives_action_difference(a2, m_a2):
 
 
 def test_ce_square_commutes(a2, m_a2, noncommutative_rb):
+    rng = random.Random(100607)
     alg_nc, mod_nc, _ = noncommutative_rb
     for alg, mod in [(a2, m_a2), (alg_nc, mod_nc)]:
         for degree in (0, 1, 2):
@@ -497,6 +522,7 @@ def test_ce_square_commutes(a2, m_a2, noncommutative_rb):
 
 
 def test_ce_differential_squares_to_zero_on_alternating(noncommutative_rb):
+    rng = random.Random(100608)
     alg, mod, _ = noncommutative_rb
     rep = lie_representation(alg, mod)
     for _ in range(4):

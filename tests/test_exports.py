@@ -149,3 +149,58 @@ def test_unreferenced_private_definitions_are_found():
         "b.py": "from a import _used, _Kept\n_Kept()._called()\n",
     }
     assert unreferenced_private(sources) == [("a.py", 3, "_recursive")]
+
+
+def import_time_randoms(source):
+    """Lines of the `random.Random(...)` (or bare `Random(...)`) calls that
+    run when the module is imported: outside every function and lambda
+    body, where a default or a decorator still runs at import.  One such
+    generator is shared by the tests that draw from it, so each test's
+    data would depend on which tests drew before it."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            for child in (node.args, *getattr(node, "decorator_list", ())):
+                visit(child)
+            return
+        if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "Random"
+                 and isinstance(node.func.value, ast.Name)
+                 and node.func.value.id == "random")
+                or (isinstance(node.func, ast.Name)
+                    and node.func.id == "Random")):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(__file__).parent
+                                        .rglob("*.py")),
+                         ids=lambda p: f"tests/{p.name}")
+def test_no_random_generator_at_import_time(path):
+    """Each test seeds its own `random.Random`; none is built at import."""
+    assert import_time_randoms(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_time_randoms_are_found():
+    source = (
+        "import random\n"
+        "from random import Random\n"
+        "rng = random.Random(1)\n"
+        "def test_a(rng=Random(2)):\n"
+        "    return random.Random(3)\n"
+        "@pytest.mark.parametrize('r', [random.Random(4)])\n"
+        "def test_b(r):\n"
+        "    f = lambda: random.Random(5)\n"
+        "class Case:\n"
+        "    shared = random.Random(6)\n"
+        "    def method(self):\n"
+        "        return random.Random(7)\n"
+        "rngs = [random.Random(s) for s in (8, 9)]\n")
+    assert import_time_randoms(source) == [3, 4, 6, 10, 13]

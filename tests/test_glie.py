@@ -23,15 +23,13 @@ from antiflex.linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
                              linear_combination, vec_add, vec_sub)
 from tests.conftest import random_matrix
 
-rng = random.Random(1005)
 
-
-def random_multimap(arity, dim, lo=-2, hi=2):
+def random_multimap(rng, arity, dim, lo=-2, hi=2):
     return MultiMap(arity, dim, [Fraction(rng.randint(lo, hi))
                                  for _ in range(dim ** (arity + 1))])
 
 
-def random_cochain(space, degree, lo=-2, hi=2):
+def random_cochain(rng, space, degree, lo=-2, hi=2):
     size = space.mdim ** degree * space.adim
     return Cochain(degree, space.mdim, space.adim,
                    [Fraction(rng.randint(lo, hi)) for _ in range(size)])
@@ -44,15 +42,17 @@ def sgn(e):
 # -- composition conventions -------------------------------------------------
 
 def test_degree_zero_composition_is_plain():
-    f = random_multimap(1, 3)
-    g = random_multimap(1, 3)
+    rng = random.Random(100501)
+    f = random_multimap(rng, 1, 3)
+    g = random_multimap(rng, 1, 3)
     fg = compose_bar(f, g)
     assert fg.as_matrix() == f.as_matrix() @ g.as_matrix()
 
 
 def test_four_term_pattern_at_degree_one():
-    f = random_multimap(2, 2)
-    g = random_multimap(2, 2)
+    rng = random.Random(100502)
+    f = random_multimap(rng, 2, 2)
+    g = random_multimap(rng, 2, 2)
     fg = compose_bar(f, g)
     for idx in itertools.product(range(2), repeat=3):
         x1, x2, x3 = (basis_vector(i, 2) for i in idx)
@@ -77,22 +77,25 @@ def test_bracket_vanishes_iff_anti_flexible(a1, a2, na2, a0_2, af_nonassoc):
 
 
 def test_bracket_of_even_degree_with_itself_vanishes():
-    f = random_multimap(1, 2)
+    rng = random.Random(100503)
+    f = random_multimap(rng, 1, 2)
     assert graded_bracket(f, f).is_zero()
 
 
 def test_graded_antisymmetry_identically():
+    rng = random.Random(100504)
     for m, n in [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]:
-        f = random_multimap(m + 1, 2)
-        g = random_multimap(n + 1, 2)
+        f = random_multimap(rng, m + 1, 2)
+        g = random_multimap(rng, n + 1, 2)
         lhs = graded_bracket(f, g, HARD_ARITY_CAP)
         rhs = graded_bracket(g, f, HARD_ARITY_CAP).scale(-sgn(m * n))
         assert lhs == rhs
 
 
 def test_reversal_is_an_involutive_automorphism():
-    f = random_multimap(2, 2)
-    g = random_multimap(3, 2)
+    rng = random.Random(100505)
+    f = random_multimap(rng, 2, 2)
+    g = random_multimap(rng, 3, 2)
     assert reversal(reversal(f)) == f
     plain_fg = compose_bar(f, g, HARD_ARITY_CAP)
     # R(f o g) = R(f) o R(g) holds for the plain insertion sum; here we check
@@ -112,20 +115,22 @@ def jacobi_sum(f, g, h):
 
 
 def test_jacobi_with_a_degree_zero_factor():
+    rng = random.Random(100506)
     for degs in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2), (0, 2, 2)]:
         for _ in range(4):
-            maps = [random_multimap(d + 1, 2) for d in degs]
+            maps = [random_multimap(rng, d + 1, 2) for d in degs]
             assert jacobi_sum(*maps).is_zero(), degs
 
 
 def test_jacobi_on_structure_element_instances(a2, m_a2, noncommutative_rb):
+    rng = random.Random(100507)
     alg_nc, mod_nc, _ = noncommutative_rb
     for alg, mod in [(a2, m_a2), (alg_nc, mod_nc)]:
         space = CochainSpace(alg, mod)
         for degs in [(1, 1), (1, 2), (2, 1)]:
             for _ in range(3):
-                p = space.embed(random_cochain(space, degs[0]))
-                q = space.embed(random_cochain(space, degs[1]))
+                p = space.embed(random_cochain(rng, space, degs[0]))
+                q = space.embed(random_cochain(rng, space, degs[1]))
                 assert jacobi_sum(space.pi, p, q).is_zero(), degs
 
 
@@ -146,17 +151,19 @@ def test_jacobi_fails_on_generic_degree_one_triples():
     """The four-term composition forced at bidegree (1,1) admits no graded
     Lie extension to all multilinear maps; this pins the reconstruction
     boundary by exhibiting the obstruction."""
+    rng = random.Random(100508)
     failures = 0
     for _ in range(8):
-        f, g, h = (random_multimap(2, 2) for _ in range(3))
+        f, g, h = (random_multimap(rng, 2, 2) for _ in range(3))
         if not jacobi_sum(f, g, h).is_zero():
             failures += 1
     assert failures > 0
 
 
 def test_degree_cap_enforced():
-    f = random_multimap(3, 2)
-    g = random_multimap(4, 2)
+    rng = random.Random(100509)
+    f = random_multimap(rng, 3, 2)
+    g = random_multimap(rng, 4, 2)
     with pytest.raises(DegreeCapError):
         compose_bar(f, g)  # result arity 6 exceeds the default cap 5
     with pytest.raises(DegreeCapError):
@@ -201,6 +208,7 @@ def test_derived_bracket_zero_and_self(a2, m_a2, t_inv, t_nil):
 
 def test_derived_self_bracket_value_matches_displayed_formula(a2, m_a2):
     """[[T,T]](u,v) = 2(Tu.Tv - T(l(Tu)v) - T(r(Tv)u)) for arbitrary T."""
+    rng = random.Random(100510)
     space = CochainSpace(a2, m_a2)
     for _ in range(10):
         op = random_matrix(rng, 2, 2)
@@ -216,6 +224,7 @@ def test_derived_self_bracket_value_matches_displayed_formula(a2, m_a2):
 
 
 def test_rb_mc_equivalence_randomized(rb_pairs):
+    rng = random.Random(100511)
     for alg, mod in rb_pairs:
         for _ in range(10):
             op = random_matrix(rng, alg.dim, mod.mdim)
@@ -224,23 +233,25 @@ def test_rb_mc_equivalence_randomized(rb_pairs):
 
 
 def test_derived_bracket_closure_on_randoms(a2, m_a2, noncommutative_rb):
+    rng = random.Random(100512)
     alg_nc, mod_nc, _ = noncommutative_rb
     for alg, mod in [(a2, m_a2), (alg_nc, mod_nc)]:
         space = CochainSpace(alg, mod)
         for degs in [(1, 1), (1, 2), (2, 1), (2, 2), (0, 1), (1, 0)]:
-            p = random_cochain(space, degs[0])
-            q = random_cochain(space, degs[1])
+            p = random_cochain(rng, space, degs[0])
+            q = random_cochain(rng, space, degs[1])
             out = derived_bracket(space, p, q, HARD_ARITY_CAP)
             assert out.degree == degs[0] + degs[1]
 
 
 def test_derived_bracket_jacobi_and_antisymmetry_low_degree(a2, m_a2,
                                                             noncommutative_rb):
+    rng = random.Random(100513)
     alg_nc, mod_nc, _ = noncommutative_rb
     for alg, mod in [(a2, m_a2), (alg_nc, mod_nc)]:
         space = CochainSpace(alg, mod)
         for _ in range(4):
-            p, q, r = (random_cochain(space, 1) for _ in range(3))
+            p, q, r = (random_cochain(rng, space, 1) for _ in range(3))
             s1 = derived_bracket(space, derived_bracket(space, p, q), r,
                                  HARD_ARITY_CAP)
             s2 = derived_bracket(space, derived_bracket(space, q, r), p,
@@ -249,14 +260,15 @@ def test_derived_bracket_jacobi_and_antisymmetry_low_degree(a2, m_a2,
                                  HARD_ARITY_CAP)
             assert (s1 + s2 + s3).is_zero()
         for degs in [(1, 1), (1, 2)]:
-            p = random_cochain(space, degs[0])
-            q = random_cochain(space, degs[1])
+            p = random_cochain(rng, space, degs[0])
+            q = random_cochain(rng, space, degs[1])
             pq = derived_bracket(space, p, q, HARD_ARITY_CAP)
             qp = derived_bracket(space, q, p, HARD_ARITY_CAP)
             assert pq == qp.scale(-sgn(degs[0] * degs[1]))
 
 
 def test_rb_differential_squares_to_zero_on_corpus(cohomology_corpus):
+    rng = random.Random(100514)
     for name, alg, mod, op, _ in cohomology_corpus:
         space = CochainSpace(alg, mod)
         if alg.dim + mod.mdim > 4:
@@ -265,7 +277,7 @@ def test_rb_differential_squares_to_zero_on_corpus(cohomology_corpus):
             degrees = (0, 1, 2)
         for degree in degrees:
             for _ in range(3):
-                p = random_cochain(space, degree)
+                p = random_cochain(rng, space, degree)
                 once = rb_differential(space, op, p, HARD_ARITY_CAP)
                 twice = rb_differential(space, op, once, HARD_ARITY_CAP)
                 assert twice.is_zero(), (name, degree)
@@ -274,10 +286,11 @@ def test_rb_differential_squares_to_zero_on_corpus(cohomology_corpus):
 def test_rb_differential_degree_one_is_always_a_differential(noncommutative_rb):
     """d_T d_T = 0 on degree-1 cochains holds for every Rota-Baxter operator,
     including noncommutative fixtures (reversal-cancellation argument)."""
+    rng = random.Random(100515)
     alg, mod, op = noncommutative_rb
     space = CochainSpace(alg, mod)
     for _ in range(6):
-        p = random_cochain(space, 1)
+        p = random_cochain(rng, space, 1)
         once = rb_differential(space, op, p, HARD_ARITY_CAP)
         assert rb_differential(space, op, once, HARD_ARITY_CAP).is_zero()
 
@@ -286,6 +299,7 @@ def test_rb_differential_not_square_zero_beyond_degree_one(defect_rb):
     """On noncommutative anti-flexible data the differential can fail to
     square to zero away from degree 1; this records that boundary rather
     than asserting the unprovable."""
+    rng = random.Random(100516)
     alg, mod, op = defect_rb
     space = CochainSpace(alg, mod)
     failed = False
@@ -299,12 +313,13 @@ def test_rb_differential_not_square_zero_beyond_degree_one(defect_rb):
     assert failed
     # degree 1 still is a differential even here
     for _ in range(4):
-        p = random_cochain(space, 1)
+        p = random_cochain(rng, space, 1)
         once = rb_differential(space, op, p, HARD_ARITY_CAP)
         assert rb_differential(space, op, once, HARD_ARITY_CAP).is_zero()
 
 
 def test_twisted_mc_equivalence(a2, m_a2, t_inv, t_nil, rb_pairs):
+    rng = random.Random(100517)
     space = CochainSpace(a2, m_a2)
     # T' = 0 and T' = T are the anchored cases
     assert twisted_mc_check(space, t_inv, Matrix.zeros(2, 2)) == (True, True)
@@ -346,6 +361,7 @@ def test_cochain_shape_mismatch_raises():
 
 
 def test_cochain_hash_and_equality_follow_data_and_shape():
+    rng = random.Random(100518)
     data = [Fraction(rng.randint(-2, 2)) for _ in range(6)]
     a = Cochain(1, 2, 3, data)
     b = Cochain(1, 2, 3, list(data))
@@ -358,6 +374,7 @@ def test_cochain_hash_and_equality_follow_data_and_shape():
 
 
 def test_cochain_evaluate_is_the_weighted_sum_of_values():
+    rng = random.Random(100519)
     for degree, mdim, adim in ((1, 3, 2), (2, 2, 3), (2, 3, 1), (0, 2, 2)):
         f = Cochain(degree, mdim, adim, [Fraction(rng.randint(-2, 2))
                                          for _ in range(mdim ** degree * adim)])
@@ -373,6 +390,7 @@ def test_cochain_evaluate_is_the_weighted_sum_of_values():
 
 
 def test_non_square_operator_matrix_roundtrip(a2, m_a2):
+    rng = random.Random(100520)
     for rows, cols in ((2, 3), (3, 2), (1, 2)):
         op = random_matrix(rng, rows, cols)
         c = Cochain.from_matrix(op)

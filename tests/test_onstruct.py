@@ -14,8 +14,6 @@ from antiflex.onstruct import (are_compatible_rb, deformed_rb_suite,
 from antiflex.operators import star_algebra
 from tests.conftest import random_matrix
 
-rng = random.Random(1008)
-
 
 @pytest.fixture(scope="module")
 def on_triple(a2, m_a2, t_inv, t_nil):
@@ -77,6 +75,7 @@ def test_on_from_compatible_scalar_family(a2, m_a2, t_inv):
 
 
 def test_on_from_compatible_on_zero_base(a0_2, m_a0_2):
+    rng = random.Random(100801)
     t2 = Matrix.from_rows([[1, 1], [0, 1]])
     t1 = random_matrix(rng, 2, 2)
     base, alg_op, mod_op = on_from_compatible(a0_2, m_a0_2, t1, t2)
@@ -98,6 +97,7 @@ def test_compatibility_precondition(a1, m_a1):
 
 def test_nijenhuis_from_compatible_directions(a2, m_a2, t_inv, t_nil, a0_2,
                                               m_a0_2):
+    rng = random.Random(100802)
     op, report = nijenhuis_from_compatible(a2, m_a2, t_inv, t_inv)
     assert op == Matrix.identity(2) and report.ok
     op, report = nijenhuis_from_compatible(a2, m_a2, Matrix.zeros(2, 2), t_inv)

@@ -18,10 +18,9 @@ from antiflex.operators import (induced_pre_anti_flexible, is_lie_rota_baxter,
                                 star_algebra)
 from tests.conftest import random_matrix
 
-rng = random.Random(1004)
-
 
 def test_rota_baxter_examples(a1, m_a1, a0_2, m_a0_2, a2, m_a2, t_inv, t_nil):
+    rng = random.Random(100401)
     assert is_rota_baxter(a1, m_a1, Matrix.zeros(1, 1)).ok
     # on a zero-multiplication base every operator is Rota-Baxter
     assert is_rota_baxter(a0_2, m_a0_2, random_matrix(rng, 2, 2)).ok
@@ -34,6 +33,7 @@ def test_rota_baxter_examples(a1, m_a1, a0_2, m_a0_2, a2, m_a2, t_inv, t_nil):
 
 
 def test_graph_route_agrees_everywhere(rb_pairs):
+    rng = random.Random(100402)
     for alg, mod in rb_pairs:
         for _ in range(12):
             op = random_matrix(rng, alg.dim, mod.mdim)
@@ -88,6 +88,7 @@ def test_power_suite_preconditions(a2):
 
 
 def test_nt_equivalence(rb_pairs):
+    rng = random.Random(100403)
     for alg, mod in rb_pairs:
         for _ in range(10):
             op = random_matrix(rng, alg.dim, mod.mdim)
@@ -96,6 +97,7 @@ def test_nt_equivalence(rb_pairs):
 
 
 def test_induced_pre_anti_flexible(a2, m_a2, t_inv, t_nil, a0_2, m_a0_2):
+    rng = random.Random(100404)
     for op in (t_inv, t_nil):
         pre = induced_pre_anti_flexible(a2, m_a2, op)
         assert pre.validate().ok
@@ -132,6 +134,7 @@ def test_rb_morphism_identity_and_scaling(a2, m_a2, t_inv):
 
 
 def test_rb_morphism_zero_pair(a0_2, m_a0_2):
+    rng = random.Random(100405)
     t1 = random_matrix(rng, 2, 2)
     t2 = random_matrix(rng, 2, 2)
     zero = Matrix.zeros(2, 2)
@@ -140,6 +143,7 @@ def test_rb_morphism_zero_pair(a0_2, m_a0_2):
 
 def test_rb_morphism_graph_agreement_randomized(a2, m_a2, t_inv, t_nil,
                                                 a0_2, m_a0_2):
+    rng = random.Random(100406)
     cases = [(a2, m_a2, t_inv, a2, m_a2, t_nil),
              (a2, m_a2, t_inv, a2, m_a2, t_inv),
              (a0_2, m_a0_2, random_matrix(rng, 2, 2), a0_2, m_a0_2,
@@ -194,6 +198,7 @@ def test_rb_morphism_reads_each_action_on_its_side(noncommutative_rb):
     """l != r on the noncommutative fixture: the identity pair is a morphism
     only when l(phi(a)) and r(phi(a)) are each matched with their own side,
     and random pairs agree with the graph route."""
+    rng = random.Random(100407)
     alg, mod, op = noncommutative_rb
     ident = Matrix.identity(alg.dim)
     assert mod.left != mod.right

@@ -343,6 +343,33 @@ def test_random_reports_equal_the_dense_routes():
                           "nijenhuis"}
 
 
+def test_half_sweep_anti_flexible_report_equals_the_full_sweep():
+    """`anti_flexible_report` visits only the triples with i < k.  On
+    seeded dim-4 algebras, most of them not anti-flexible, its first
+    failure, witness and text equal the full dense sweep's.  The first
+    `dead` basis vectors multiply to zero, so every triple that holds one
+    passes and the first failure moves to j > 0."""
+    rng = random.Random(5105)
+    failed_at = []
+    for trial in range(60):
+        dead = trial % 3
+        density = (0.2, 0.45, 0.8)[trial // 3 % 3]
+        alg = Algebra(MultiMap(2, 4, [
+            rng.choice(VALUES[3:]) if rng.random() < density else 0
+            for _ in range(64)]))
+        alg = Algebra.from_products(4, {
+            (i, j): dict(enumerate(alg.basis_product(i, j)))
+            for i, j in itertools.product(range(dead, 4), repeat=2)})
+        got, want = anti_flexible_report(alg), ref_anti_flexible_report(alg)
+        assert _key(got) == _key(want)
+        assert got.describe() == want.describe()
+        if not got.ok:
+            failed_at.append(got.first().where)
+    assert len(failed_at) >= 40
+    assert any(j > 0 for _, j, _ in failed_at)
+    assert any(j == 0 for _, j, _ in failed_at)
+
+
 def run_in_child(filename: str) -> None:
     """Run the one-test file `filename` of this directory in a child
     interpreter and require that its test passed.  The `hypothesis`
