@@ -5,13 +5,14 @@ An algebra is a dim-d space with a bilinear product stored as an arity-2
 structure constants.  All identity checks run over basis tuples only;
 every law in scope is multilinear, so basis verification is complete.
 
-An algebra keeps one integer view (`Algebra.int_view`), read on first use
-off the entries of its product map: its nonzero products as ints C over
-their common denominator D, c = C / D.  Associators, deformed products
-and the law checks contract it: (e_i e_j) e_k - e_i (e_j e_k) is sum_s
-c_ij^s c_sk^t - c_jk^s c_is^t, homogeneous of degree 2 in c, so exactly
-D**-2 times the int associator.  A law holds on c exactly when it holds on
-C, at the same first triple, and the witness is Fraction(int_residual, D**2).
+An algebra's integer view (`Algebra.int_view`) is the one its product map
+keeps (`MultiMap.int_view`): its nonzero products, e_i.e_j at pair index
+i*d + j, as ints C over a common denominator D, c = C / D.  Associators,
+deformed products and the law checks contract it: (e_i e_j) e_k -
+e_i (e_j e_k) is sum_s c_ij^s c_sk^t - c_jk^s c_is^t, homogeneous of
+degree 2 in c, so exactly D**-2 times the int associator.  A law holds on
+c exactly when it holds on C, at the same first triple, and the witness is
+Fraction(int_residual, D**2).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _default_labels(dim: int) -> tuple:
 class Algebra:
     """A based algebra (A, .) with product given by structure constants."""
 
-    __slots__ = ("dim", "labels", "mul", "_view")
+    __slots__ = ("dim", "labels", "mul")
 
     def __init__(self, mul: MultiMap, labels: Optional[Sequence[str]] = None):
         if mul.arity != 2:
@@ -58,16 +59,12 @@ class Algebra:
             raise LinAlgError("label count != dimension")
         if len(set(self.labels)) != self.dim:
             raise LinAlgError("duplicate basis labels")
-        self._view = None
 
     def int_view(self) -> tuple:
         """(prod, den): at pair index i*d + j, e_i.e_j's nonzero entries as
-        (k, int) pairs in increasing k over the common denominator den, read
-        off the entries and the denominator of the product map."""
-        if self._view is None:
-            self._view = (_sparse_products(self.mul.entries, self.dim),
-                          self.mul.den)
-        return self._view
+        (k, int) pairs in increasing k over den, the view of the product
+        map."""
+        return self.mul.int_view()
 
     @staticmethod
     def zero(dim: int, labels: Optional[Sequence[str]] = None) -> "Algebra":
@@ -134,22 +131,6 @@ class Algebra:
 # ---------------------------------------------------------------------------
 # Sparse vectors are lists of (index, coefficient) with nonzero coefficients.
 # Each helper adds its term into the dense int list `acc` and returns it.
-
-def _sparse_products(entries: dict, d: int) -> list:
-    """At pair index i*d + j, the nonzero entries[(i, j, k)] of a product
-    on range(d) as (k, x) pairs in increasing k."""
-    prod = [[] for _ in range(d * d)]
-    for (i, j, k), x in sorted(entries.items()):
-        if x:
-            prod[i * d + j].append((k, x))
-    return [tuple(p) for p in prod]
-
-
-def _product_entries(prod: list, d: int) -> dict:
-    """{(i, j, k): x} from sparse products, e_i.e_j at pair index i*d + j;
-    the inverse of `_sparse_products`."""
-    return {(p // d, p % d, k): x for p, img in enumerate(prod) for k, x in img}
-
 
 def _algebra_of_ints(entries: dict, den: int,
                      labels: Sequence[str]) -> "Algebra":
@@ -383,7 +364,7 @@ class LieAlgebra:
 
 def commutator_lie(alg: Algebra) -> LieAlgebra:
     """The commutator bracket [a,b] = a.b - b.a of an anti-flexible algebra."""
-    if not classify(alg).anti_flexible:
+    if not anti_flexible_report(alg).ok:
         raise ValueError("commutator bracket requires an anti-flexible algebra")
     mul = alg.mul
     entries = dict(mul.entries)

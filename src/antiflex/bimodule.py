@@ -13,10 +13,11 @@ structure (N, S) read the actions of the N(e_i), each formed once by
 `_image_actions`.
 
 A bimodule keeps one integer view, built on first use (`Bimodule.int_view`):
-the base constants and both action families as sparse ints over one common
-denominator D.  Each term of both laws is quadratic in that data, so every
-int residual is exactly D**2 times the true one: the same pairs fail, and
-the witness is Fraction(entry, D**2).
+the views that its base and each action keep (`MultiMap.int_view`),
+written over one common denominator D by `linalg._rescaled`.  Each term of
+both laws is quadratic in that data, so every int residual is exactly D**2
+times the true one: the same pairs fail, and the witness is
+Fraction(entry, D**2).
 `_induced_view` contracts the views of the bimodule and of T (scale D_T):
 star, l_T and r_T are linear in each, so all three are ints over D * D_T.
 Its star products are the star vectors that its Rota-Baxter sweep forms,
@@ -24,7 +25,8 @@ so each basis pair is contracted once, and it reads whether the base is
 anti-flexible from `anti_flexible_report`, which sweeps the triples with
 i < k only.  It forms that view alone, for `cohomology.RBComplex`, which
 reads nothing else; `induced_bimodule_on_base` returns the objects of the
-view, which keep it as their own.
+view, built from its parts by `MultiMap._of_view`, which keep it as their
+own.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _product_entries,
-                      _subtract_image, anti_flexible_report, commutator_lie,
-                      deformed_product)
-from .linalg import LinAlgError, Matrix, linear_combination
+from .algebra import (Algebra, LieAlgebra, _subtract_image,
+                      anti_flexible_report, commutator_lie, deformed_product)
+from .linalg import (LinAlgError, Matrix, MultiMap, _rescaled,
+                     linear_combination)
 from .reports import CheckReport
 
 __all__ = [
@@ -69,15 +71,16 @@ class Bimodule:
             self.validate().require("not a bimodule")
 
     def int_view(self) -> tuple:
-        """(prod, left, right, den): the base's products (shared with its
-        view) and each action's columns, over one common denominator."""
+        """(prod, left, right, den): the views of the base's products and of
+        each action's columns, each rescaled from its own denominator to
+        their common one."""
         if self._view is None:
-            d, md = self.base.dim, self.mdim
-            prod, base_den = self.base.int_view()
-            acts = self.left + self.right
-            den = math.lcm(base_den, *(m.den for m in acts))
-            prod = _rescaled(prod, base_den, den)
-            cols = [m._int_cols(den // m.den) for m in acts]
+            views = [self.base.int_view()] + [
+                m.int_view() for m in self.left + self.right]
+            den = math.lcm(*(v_den for _, v_den in views))
+            prod, *cols = [_rescaled(groups, v_den, den)
+                           for groups, v_den in views]
+            d = self.base.dim
             self._view = (prod, cols[:d], cols[d:], den)
         return self._view
 
@@ -152,13 +155,6 @@ def _rebased(alg: Algebra, mod: Bimodule) -> Bimodule:
     """mod, or its actions over alg when its base is another algebra."""
     same = mod.base is alg or mod.base == alg
     return mod if same else Bimodule(alg, mod.left, mod.right, check=False)
-
-
-def _rescaled(prod: list, den: int, scale: int) -> list:
-    """Sparse products over den written over scale, a multiple of den."""
-    if scale == den:
-        return prod
-    return [tuple((k, x * (scale // den)) for k, x in p) for p in prod]
 
 
 def _combination(md: int, terms: list) -> tuple:
@@ -292,10 +288,10 @@ def _induced_objects(view: tuple, adim: int) -> Bimodule:
 
     prod, left, right, scale = view
     md = len(left)
-    star = _algebra_of_ints(_product_entries(prod, md), scale,
-                            _star_labels(md))
-    out = Bimodule(star, [Matrix._from_int_cols(adim, c, scale) for c in left],
-                   [Matrix._from_int_cols(adim, c, scale) for c in right],
+    star = Algebra(MultiMap._of_view(2, md, md, prod, scale), _star_labels(md))
+    out = Bimodule(star, [Matrix._of_view(1, adim, adim, c, scale)
+                          for c in left],
+                   [Matrix._of_view(1, adim, adim, c, scale) for c in right],
                    check=False, mdim=adim)
     out._view = view
     return out

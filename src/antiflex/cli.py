@@ -16,7 +16,7 @@ import sys
 import time
 from typing import Optional
 
-from .algebra import classify
+from .algebra import anti_flexible_report, classify
 from .cohomology import ComplexError, RBComplex
 from .deformation import (_check_power, _closed_and_valid, _ledger,
                           _nijenhuis_structure, _structure_power, _trivial_deformation,
@@ -227,7 +227,7 @@ def _mc_check(report: Report, args, doc: WorkspaceDocument) -> None:
     alg = doc.algebra
     mod = _need_bimodule(doc)
     mc = _is_maurer_cartan(mod)
-    axioms = classify(alg).anti_flexible and bool(mod.validate())
+    axioms = anti_flexible_report(alg).ok and bool(mod.validate())
     report.verdict("maurer_cartan", mc)
     report.verdict("axioms", axioms, asserted=False)
     report.verdict("agreement", mc == axioms)

@@ -154,9 +154,9 @@ class RBComplex:
         constants (see the module docstring); equal to `differential` on
         every basis cochain.  The dense view of the columns `dims` ranks,
         built anew on each call."""
-        cols = self._int_columns(degree)
-        return Matrix._from_int_cols(self.dim_cochains(degree + 1), cols,
-                                     self._view[3])
+        return Matrix._of_view(1, self.dim_cochains(degree),
+                               self.dim_cochains(degree + 1),
+                               self._int_columns(degree), self._view[3])
 
     def _int_columns(self, degree: int) -> list:
         """The columns of d_degree as sorted (row, int) pairs: the matrix

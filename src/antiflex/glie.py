@@ -30,8 +30,8 @@ multiplies matrices (the arity-1 maps).  It loops over the nonzeros of f
 and, for each slot, over the entries of g whose output index is that
 slot's input, so a composition costs O(nnz(f) nnz(g) arity) int products
 whatever the dimension of the space; reversal, sums, `scale` and
-`is_zero` act on the entries.  Structure elements are read from the
-integer views of `Algebra` and `Bimodule`, and cochains (and block
+`is_zero` act on the entries.  Structure elements are built from the
+integer view of a `Bimodule`, and cochains (and block
 operators) are embedded into and restricted from the sum space by moving
 their entries.  A dim-64 algebra with zero product and a one-dimensional
 module is checked without touching its 65^4 slots.
@@ -42,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .algebra import Algebra, _product_entries
+from .algebra import Algebra
 from .bimodule import Bimodule
 from .linalg import LinAlgError, Matrix, MultiMap, Vector, _insertion_sum
 from .reports import CheckReport
@@ -135,21 +135,23 @@ def graded_bracket(f: MultiMap, g: MultiMap,
 # ---------------------------------------------------------------------------
 
 def _structure_element(mod: Bimodule) -> MultiMap:
-    """mu + l + r on A + M (algebra block first), read from the integer
-    view of mod."""
+    """mu + l + r on A + M (algebra block first), whose integer view is
+    laid out from that of mod."""
     prod, left, right, den = mod.int_view()
-    d = mod.base.dim
-    entries = _product_entries(prod, d)
+    d, md = mod.base.dim, mod.mdim
+    groups = []
     for i in range(d):
-        # (e_i, m_j) -> l(e_i) m_j and (m_j, e_i) -> r(e_i) m_j
-        for j, col in enumerate(left[i]):
-            for k, x in col:
-                entries[(i, d + j, d + k)] = x
-        for j, col in enumerate(right[i]):
-            for k, x in col:
-                entries[(d + j, i, d + k)] = x
-    total = d + mod.mdim
-    return MultiMap._of_ints(2, total, total, entries, den)
+        # (e_i, e_j) -> e_i.e_j and (e_i, m_j) -> l(e_i) m_j
+        groups += prod[i * d:(i + 1) * d] + _shifted(left[i], d)
+    for j in range(md):
+        # (m_j, e_i) -> r(e_i) m_j and (m_j, m_k) -> 0
+        groups += _shifted([right[i][j] for i in range(d)], d) + [()] * md
+    return MultiMap._of_view(2, d + md, d + md, groups, den)
+
+
+def _shifted(cols: list, d: int) -> list:
+    """Sparse int columns with every output index moved up by d."""
+    return [tuple((d + k, x) for k, x in col) for col in cols]
 
 
 def structure_element(product: MultiMap, left: Sequence[Matrix],

@@ -18,8 +18,9 @@ back, for callers outside the package.
 
 `integer_scaled` writes a group of exact values over one common denominator,
 so that a homogeneous law can be checked in int arithmetic (see its
-docstring).  `Matrix`, `Algebra` and `Bimodule` each keep one such view of
-their entries, read off their ints on first use (`Matrix.int_view`).
+docstring).  Each `MultiMap` keeps one integer view of its entries
+(`int_view`), which is also the view of a `Matrix`, of an `Algebra`'s
+product and, rescaled to one denominator (`_rescaled`), of a `Bimodule`.
 
 One exact elimination, `_eliminate`, runs fraction-free on sparse integer
 columns.  Rank is scale-invariant, so `int_cols_rank` ranks such a view
@@ -123,7 +124,7 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
 
 
 def vec_is_zero(u: Vector) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +245,14 @@ def _nonzero_cols(data: Sequence, rows: int, cols: int) -> list:
             for j in range(cols)]
 
 
+def _rescaled(groups: list, den: int, scale: int) -> list:
+    """The sparse int groups of a view over den, written over scale, a
+    multiple of den; the groups themselves when scale is den."""
+    if scale == den:
+        return groups
+    return [tuple((k, x * (scale // den)) for k, x in img) for img in groups]
+
+
 # ---------------------------------------------------------------------------
 # multilinear maps V_in^(x)n -> V_out, kept as their nonzero entries
 # ---------------------------------------------------------------------------
@@ -285,7 +294,7 @@ class MultiMap:
     and an arity-1 map is a `Matrix`.
     """
 
-    __slots__ = ("arity", "in_dim", "out_dim", "entries", "den")
+    __slots__ = ("arity", "in_dim", "out_dim", "entries", "den", "_view")
 
     def __init__(self, arity: int, dim: int, data: Sequence[Scalar]):
         self._setup(arity, dim, dim, data)
@@ -312,6 +321,7 @@ class MultiMap:
         self.out_dim = out_dim
         self.entries = entries
         self.den = den
+        self._view = None
 
     @classmethod
     def _of_ints(cls, arity: int, in_dim: int, out_dim: int, entries: dict,
@@ -339,6 +349,41 @@ class MultiMap:
         out = cls.__new__(cls)
         out._fill(arity, in_dim, out_dim, *_scaled_entries(items))
         return out
+
+    @classmethod
+    def _of_view(cls, arity: int, in_dim: int, out_dim: int, groups: list,
+                 den: int) -> "MultiMap":
+        """The map of this class with the integer view (groups, den), laid
+        out as `int_view` gives it, which it keeps: the map is put in
+        lowest terms and the view is not, so its den may be a multiple of
+        the map's."""
+        if arity == 1:
+            entries = {(j, k): x for j, img in enumerate(groups)
+                       for k, x in img}
+        else:
+            entries = {(p // in_dim, p % in_dim, k): x
+                       for p, img in enumerate(groups) for k, x in img}
+        out = cls._of_ints(arity, in_dim, out_dim, entries, den)
+        out._view = (groups, den)
+        return out
+
+    def int_view(self) -> tuple:
+        """(groups, den) of a map of arity 1 or 2: at input index i, or i *
+        in_dim + j, the nonzero entries of the image as (k, int) pairs in
+        increasing k, over den.  Read off the entries on first use unless
+        `_of_view` filled it; a filled den need not be the map's, so a
+        reader takes the view's."""
+        if self._view is None:
+            groups = [[] for _ in range(self.in_dim ** self.arity)]
+            if self.arity == 1:
+                for (j, k), x in sorted(self.entries.items()):
+                    groups[j].append((k, x))
+            else:
+                n = self.in_dim
+                for (i, j, k), x in sorted(self.entries.items()):
+                    groups[i * n + j].append((k, x))
+            self._view = ([tuple(img) for img in groups], self.den)
+        return self._view
 
     def _like(self, entries: dict, den: int) -> "MultiMap":
         """A map of the same class and shape with these int entries."""
@@ -548,8 +593,9 @@ class Matrix(MultiMap):
     MultiMap's, and the product is the composition `_insertion_sum` that
     the bracket runs on, so none of them reads a dense layout.  Its own
     are the constructor, the names rows and cols, the row-major reads, the
-    cached integer view with the eliminations on it, and an equality that
-    never holds with a plain MultiMap of the same entries.
+    eliminations on the integer view (`int_view`, whose groups are the
+    sparse columns), and an equality that never holds with a plain
+    MultiMap of the same entries.
 
     The constructor takes the row-major entries as exact values (ints,
     Fractions or anything Fraction takes), and `data`, `row`, `col` and
@@ -558,7 +604,7 @@ class Matrix(MultiMap):
     search hits are built from their nonzero ints (`_of_ints`).
     """
 
-    __slots__ = ("_view",)
+    __slots__ = ()
 
     def __init__(self, rows: int, cols: int, data: Sequence[Scalar]):
         if rows < 0 or cols < 0:
@@ -572,30 +618,6 @@ class Matrix(MultiMap):
 
     rows = property(lambda self: self.out_dim)
     cols = property(lambda self: self.in_dim)
-
-    def _int_cols(self, factor: int = 1) -> list:
-        """Each column's nonzero entries as (row, factor * int) pairs."""
-        cols = [[] for _ in range(self.in_dim)]
-        for (j, i), x in self.entries.items():
-            cols[j].append((i, factor * x))
-        return [tuple(sorted(col)) for col in cols]
-
-    def int_view(self) -> tuple:
-        """(cols, den): each column's nonzero entries as (row, int) pairs
-        over the common denominator den, built once, on first use."""
-        try:
-            return self._view
-        except AttributeError:  # the slot is filled on first use
-            self._view = (self._int_cols(), self.den)
-            return self._view
-
-    @staticmethod
-    def _from_int_cols(rows: int, cols: list, den: int) -> "Matrix":
-        """The matrix of sparse int columns over den, which are its view."""
-        out = Matrix._of_ints(1, len(cols), rows, {
-            (j, i): x for j, col in enumerate(cols) for i, x in col}, den)
-        out._view = (cols, den)
-        return out
 
     # -- construction helpers ------------------------------------------------
 

@@ -33,12 +33,11 @@ from fractions import Fraction
 
 from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _check_base,
                       _deformed, _multiply, _semidirect_product,
-                      _sparse_products, _subtract_image, classify,
-                      deformed_product)
+                      _subtract_image, anti_flexible_report, deformed_product)
 from .bimodule import Bimodule, LieRepresentation, _rebased
-from .glie import _structure_element, compose_bar, embed_blocks
-from .linalg import (LinAlgError, Matrix, MultiMap, Vector, basis_vector,
-                     linear_combination, vec_is_zero, vec_sub)
+from .glie import _shifted, _structure_element, compose_bar, embed_blocks
+from .linalg import (LinAlgError, Matrix, MultiMap, Vector, _rescaled,
+                     basis_vector, linear_combination, vec_is_zero, vec_sub)
 from .reports import CheckReport
 
 __all__ = [
@@ -197,7 +196,7 @@ def nijenhuis_power_suite(alg: Algebra, op: Matrix, k: int, l: int) -> dict:
     alg_kl = deformed_product(alg, op.power(k + l))
 
     out = {}
-    out["deformed_anti_flexible"] = classify(alg_k).anti_flexible
+    out["deformed_anti_flexible"] = anti_flexible_report(alg_k).ok
     out["power_nijenhuis"] = bool(is_nijenhuis(alg_k, nl))
     out["tower_composition"] = deformed_product(alg_k, nl).mul == alg_kl.mul
 
@@ -380,10 +379,11 @@ def rb_morphism_graph_check(alg: Algebra, mod: Bimodule, op: Matrix,
     product (x, Fx)(y, Fy) = (xy, Fx Fy) of two graph vectors is formed one
     component in each semidirect algebra.
 
-    Runs on ints: each semidirect product is the int structure constants
-    of `glie._structure_element` over its denominator, F = phi + psi acts
-    through its int columns over one denominator, and each comparison is
-    cross-multiplied by the denominators of the other side.
+    Runs on ints: each semidirect product is the integer view of
+    `glie._structure_element` (over the view's own denominator, which need
+    not be the map's), F = phi + psi acts through the views of phi and psi
+    rescaled to one denominator, and each comparison is cross-multiplied by
+    the denominators of the other side.
     """
     _check_operator_shape(phi, alg.dim, alg2.dim, "algebra map")
     _check_operator_shape(psi, mod.mdim, mod2.mdim, "module map")
@@ -393,15 +393,12 @@ def rb_morphism_graph_check(alg: Algebra, mod: Bimodule, op: Matrix,
     _check_base(alg2, mod2)
     semi1, semi2 = _structure_element(mod), _structure_element(mod2)
     n1, n2, d1, d2 = semi1.dim, semi2.dim, alg.dim, alg2.dim
-    prod1 = _sparse_products(semi1.entries, n1)
-    prod2 = _sparse_products(semi2.entries, n2)
+    (prod1, s1), (prod2, s2) = semi1.int_view(), semi2.int_view()
     (pcols, pden), (scols, sden) = phi.int_view(), psi.int_view()
     den = math.lcm(pden, sden)
     # the columns of F on A + M, over den
-    fcols = ([tuple((k, x * (den // pden)) for k, x in col) for col in pcols]
-             + [tuple((d2 + k, x * (den // sden)) for k, x in col)
-                for col in scols])
-    s1, s2 = semi1.den, semi2.den
+    fcols = (_rescaled(pcols, pden, den)
+             + _shifted(_rescaled(scols, sden, den), d2))
     for i, j in itertools.product(range(n1), repeat=2):
         # F(e_i) F(e_j) over den**2 * s2 against F(e_i e_j) over den * s1
         lhs = _multiply(prod2, n2, fcols[i], fcols[j], [0] * n2)

@@ -243,6 +243,26 @@ PACKAGE = [f"antiflex.{name}" for name in (
     "glie", "onstruct", "operators", "search")]
 
 
+def test_anti_flexibility_alone_is_read_from_the_half_sweep(
+        a2_fixture, a2, na2, e21, capsys, monkeypatch):
+    """`mc-check`, `commutator_lie` and `nijenhuis_power_suite` read only
+    whether an algebra is anti-flexible, from `anti_flexible_report`, and
+    make no full `classify` sweep; `check algebra`, which reports every
+    flag, still makes one."""
+    from antiflex.algebra import commutator_lie
+    from antiflex.operators import nijenhuis_power_suite
+    calls = _count_calls(monkeypatch, "classify",
+                         ["antiflex.algebra", *PACKAGE])
+    assert main(["--fixture", a2_fixture, "mc-check"]) == 0
+    assert commutator_lie(a2).dim == 2
+    with pytest.raises(ValueError, match="requires an anti-flexible"):
+        commutator_lie(na2)
+    assert nijenhuis_power_suite(a2, e21, 1, 2)["deformed_anti_flexible"]
+    assert calls == []
+    assert main(["--fixture", a2_fixture, "check", "algebra"]) == 0
+    assert len(calls) == 1
+
+
 def test_deform_verify_brackets_pi_and_delta_once(
         deformed_fixture, closed_fixture, unclosed_fixture, empty_fixture,
         capsys, monkeypatch):

@@ -242,13 +242,13 @@ def test_dims_builds_no_dense_differential(cohomology_corpus, defect_rb,
     """`dims` ranks and checks the sparse columns: no dense d_n is built,
     on a complex or on one that fails the complex check."""
     calls = []
-    from_int_cols = Matrix._from_int_cols
+    of_view = Matrix._of_view
     differential_matrix = RBComplex.differential_matrix
     complexes = [(RBComplex(alg, mod, op), anchors)
                  for _, alg, mod, op, anchors in cohomology_corpus]
     defect = RBComplex(*defect_rb)
-    monkeypatch.setattr(Matrix, "_from_int_cols", staticmethod(
-        lambda *args: calls.append("_from_int_cols") or from_int_cols(*args)))
+    monkeypatch.setattr(Matrix, "_of_view", staticmethod(
+        lambda *args: calls.append("_of_view") or of_view(*args)))
     monkeypatch.setattr(RBComplex, "differential_matrix", lambda self, n: (
         calls.append("differential_matrix") or differential_matrix(self, n)))
     for cx, anchors in complexes:
@@ -258,7 +258,7 @@ def test_dims_builds_no_dense_differential(cohomology_corpus, defect_rb,
     assert calls == []
     # the dense view of cached columns still goes through both
     complexes[0][0].differential_matrix(3)
-    assert calls == ["differential_matrix", "_from_int_cols"]
+    assert calls == ["differential_matrix", "_of_view"]
 
 
 def test_degree_bounds_refused_before_assembly(a1, m_a1):

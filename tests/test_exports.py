@@ -151,6 +151,52 @@ def test_unreferenced_private_definitions_are_found():
     assert unreferenced_private(sources) == [("a.py", 3, "_recursive")]
 
 
+def unread_slots(sources):
+    """(file name, class, name) of each `__slots__` name of a class defined
+    in the sources that no source reads as an attribute (an `x.name` load):
+    a slot that is only ever stored holds nothing anyone uses."""
+    slots, reads = [], set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.Assign)
+                            and any(isinstance(t, ast.Name)
+                                    and t.id == "__slots__"
+                                    for t in stmt.targets)):
+                        names = ast.literal_eval(stmt.value)
+                        if isinstance(names, str):
+                            names = (names,)
+                        slots += [(name, node.name, s) for s in names]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                reads.add(node.attr)
+    return [slot for slot in slots if slot[2] not in reads]
+
+
+def test_every_slot_is_read_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert "__slots__" in sources["linalg.py"]
+    assert unread_slots(sources) == []
+
+
+def test_unread_slots_are_found():
+    sources = {
+        "a.py": ("class A:\n"
+                 "    __slots__ = ('read', 'stored', 'elsewhere')\n"
+                 "    def __init__(self):\n"
+                 "        self.read = self.stored = self.elsewhere = 0\n"
+                 "        print(self.read)\n"
+                 "class B:\n"
+                 "    __slots__ = 'alone'\n"
+                 "class C:\n"
+                 "    __slots__ = ()\n"),
+        "b.py": "def f(a):\n    return a.elsewhere\n",
+    }
+    assert unread_slots(sources) == [("a.py", "A", "stored"),
+                                     ("a.py", "B", "alone")]
+
+
 def import_time_randoms(source):
     """Lines of the `random.Random(...)` (or bare `Random(...)`) calls that
     run when the module is imported: outside every function and lambda

@@ -28,7 +28,8 @@ from antiflex.cohomology import ComplexError, RBComplex
 from antiflex.linalg import (Matrix, MultiMap, basis_vector,
                              linear_combination, vec_add, vec_sub)
 from antiflex.operators import (PreAntiFlexible, _star_product,
-                                induced_pre_anti_flexible, star_algebra)
+                                induced_pre_anti_flexible,
+                                rb_morphism_graph_check, star_algebra)
 from antiflex.search import search_algebras, search_operators
 from tests.test_scaled_laws import (VALUES, _exact, ref_classify,
                                     ref_is_bimodule, ref_is_rota_baxter)
@@ -134,17 +135,22 @@ def _dense(cols, rows):
 
 
 def assert_views_match(obj):
-    """The view of an Algebra, Bimodule or Matrix stands for exactly its
-    entries, whether built from them or filled in by a construction."""
+    """The view of an Algebra, Bimodule, Matrix or arity-2 MultiMap stands
+    for exactly its entries, whether built from them or filled in by a
+    construction."""
     if isinstance(obj, Matrix):
         assert _dense(obj.int_view(), obj.rows) == obj.data
+    elif isinstance(obj, MultiMap):
+        groups, den = obj.int_view()
+        n, out = obj.in_dim, obj.out_dim
+        assert obj.arity == 2 and len(groups) == n * n
+        # the images as the columns of an out x n^2 matrix, (i, j) at i*n + j
+        cols = _dense((groups, den), out)
+        assert tuple(cols[k * n * n + p] for p in range(n * n)
+                     for k in range(out)) == obj.data
     elif isinstance(obj, Algebra):
-        prod, den = obj.int_view()
-        d = obj.dim
-        # the products as the columns of a d x d^2 matrix, e_i.e_j at i*d + j
-        cols = _dense((prod, den), d)
-        assert tuple(cols[k * d * d + p] for p in range(d * d)
-                     for k in range(d)) == obj.mul.data
+        assert obj.int_view() is obj.mul.int_view()
+        assert_views_match(obj.mul)
     else:
         prod, left, right, den = obj.int_view()
         assert_views_match(obj.base)
@@ -220,10 +226,41 @@ def test_complex_matrices_carry_matching_views(cohomology_corpus,
                                         defect_rb):
         cx = RBComplex(alg, mod, op)
         assert_views_match(cx.induced)
+        assert_views_match(cx.pi_swapped)
         for n in range(3 if alg.dim < 3 else 2):
             assert_views_match(cx.differential_matrix(n))
     with pytest.raises(ComplexError):
         RBComplex(*defect_rb).dims(2)
+
+
+def test_a_bimodule_rescales_each_view_by_its_own_denominator(
+        a2_plus_a1, m_a2_plus_a1):
+    """A view filled in by `_of_view` need not be in lowest terms.  On
+    A2+A1 with its regular bimodule, most nonzero Rota-Baxter operators
+    over {-1/2, 0, 1/2, 1} induce actions whose views are over 2 while
+    their entries are over 1.  A bimodule built anew over those actions
+    rescales each view from the view's own denominator, so its view stands
+    for its entries, and the graph route to the morphism property compares
+    the induced bimodule with a copy whose views are read off its entries
+    over the denominators of the two views."""
+    grid = (Fraction(-1, 2), 0, Fraction(1, 2), 1)
+    ops = search_operators(a2_plus_a1, m_a2_plus_a1, grid,
+                           ("rota-baxter", "nonzero"))
+    assert len(ops) == 79
+    d, md = a2_plus_a1.dim, m_a2_plus_a1.mdim
+    zero, phi, psi = (Matrix.zeros(md, d), Matrix.identity(md),
+                      Matrix.identity(d))
+    unreduced = 0
+    for op in ops:
+        induced = RBComplex(a2_plus_a1, m_a2_plus_a1, op).induced
+        acts = induced.left + induced.right
+        unreduced += any(m.int_view()[1] != m.den for m in acts)
+        assert_views_match(Bimodule(induced.base, induced.left,
+                                    induced.right, check=False))
+        star, copy = _fresh(induced.base, induced)
+        assert rb_morphism_graph_check(induced.base, induced, zero,
+                                       star, copy, zero, phi, psi)
+    assert unreduced == 72
 
 
 @functools.lru_cache(maxsize=None)
@@ -422,27 +459,35 @@ def _record_scalings(monkeypatch):
     return _record_calls(monkeypatch, "integer_scaled")
 
 
+def _map_key(m):
+    """A map as the view records of `_record_views` name it."""
+    return [type(m).__name__, m.arity, m.in_dim, m.out_dim, m.data]
+
+
 def _record_views(monkeypatch):
-    """The (data, rows, cols) of every sparse column view a package module
-    builds: one per Matrix view and one per action of a bimodule view, each
-    read off the matrix's entries by `Matrix._int_cols` (data is the
-    matrix's row-major ints), and one per full-rank test of a search, with
+    """Every integer view a package module builds: the `_map_key` of each
+    map whose `MultiMap.int_view` reads its view off its entries (the one
+    path that builds a view; a construction that fills one builds none),
+    and the (cells, rows, cols) of each full-rank test of a search, with
     `_nonzero_cols`."""
     views = _record_calls(monkeypatch, "_nonzero_cols")
-    int_cols = Matrix._int_cols
+    int_view = MultiMap.int_view
 
-    def recording(m, *args):
-        views.append([m.ints, m.rows, m.cols])
-        return int_cols(m, *args)
+    def recording(m):
+        if m._view is None:
+            views.append(_map_key(m))
+        return int_view(m)
 
-    monkeypatch.setattr(Matrix, "_int_cols", recording)
+    monkeypatch.setattr(MultiMap, "int_view", recording)
     return views
 
 
 def _fresh(alg, mod):
-    """Copies of an algebra and bimodule with no views built yet."""
-    base = Algebra(alg.mul, alg.labels)
-    return base, Bimodule(base, mod.left, mod.right, check=False)
+    """Copies of an algebra and bimodule, down to the product map and the
+    action matrices, with no views built yet."""
+    base = Algebra(alg.mul._recast(MultiMap), alg.labels)
+    return base, Bimodule(base, [m._recast(Matrix) for m in mod.left],
+                          [m._recast(Matrix) for m in mod.right], check=False)
 
 
 def test_a_sweep_scales_the_algebra_and_bimodule_once(a2, m_a2, monkeypatch):
@@ -455,9 +500,9 @@ def test_a_sweep_scales_the_algebra_and_bimodule_once(a2, m_a2, monkeypatch):
     # bimodule's off the ints of its actions, with no scaling; the grid
     # values are scaled once, and no candidate of the 3^4 grid is scaled
     assert calls == [[(-1, 0, 1)]]
-    # the bimodule's view is built once: one sparse view per action
-    md = mod.mdim
-    assert views == [[m.ints, md, md] for m in mod.left + mod.right]
+    # the bimodule's view is built once, from one view of the product map
+    # and one per action
+    assert views == [_map_key(m) for m in (alg.mul,) + mod.left + mod.right]
 
 
 def test_a_complex_builds_each_view_once(a2_plus_a1, m_a2_plus_a1,
@@ -471,9 +516,10 @@ def test_a_complex_builds_each_view_once(a2_plus_a1, m_a2_plus_a1,
     # views are read off their ints, and the induced structures and every
     # d_n get theirs from the contraction that built them
     assert calls == []
-    # one sparse view for the operator (is_rota_baxter) and one per action
-    # of the bimodule
-    assert len(views) == 1 + 2 * alg.dim
+    # one view for the product map and one per action (the bimodule's
+    # view), then one for the operator (the Rota-Baxter sweep)
+    assert views == [_map_key(m) for m in
+                     (alg.mul, *mod.left, *mod.right, op)]
     views.clear()
     RBComplex(alg, mod, op).dims(3)
     assert calls == views == []

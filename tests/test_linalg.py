@@ -30,6 +30,14 @@ def test_parse_rational_rejects_garbage():
             parse_rational(bad)
 
 
+def test_vec_is_zero_on_ints_fractions_and_the_empty_tuple():
+    assert vec_is_zero(())
+    assert vec_is_zero((0, 0, 0))
+    assert not vec_is_zero((0, 0, -3))
+    assert vec_is_zero((Fraction(0), Fraction(0, 7)))
+    assert not vec_is_zero((Fraction(0), Fraction(1, 10 ** 9)))
+
+
 def test_rank_examples():
     assert Matrix.identity(3).rank() == 3
     assert Matrix.zeros(2, 2).rank() == 0
@@ -101,7 +109,7 @@ def test_sparse_rank_equals_dense_pivot_count_on_random_sparse_ints():
     for rows, cols in shapes:
         columns = _random_sparse_int_columns(rng, rows, cols)
         before = [list(col) for col in columns]
-        m = Matrix._from_int_cols(rows, columns, 1)
+        m = Matrix._of_view(1, cols, rows, columns, 1)
         dense = DenseMatrix(m.rows, m.cols, m.data).rank()
         assert int_cols_rank(columns) == dense, (rows, cols)
         assert columns == before
@@ -121,8 +129,8 @@ def test_solve_equals_the_dense_solution_on_random_sparse_ints():
     seen = set()
     for _ in range(40):
         rows, cols = rng.randint(1, 30), rng.randint(1, 30)
-        m = Matrix._from_int_cols(
-            rows, _random_sparse_int_columns(rng, rows, cols),
+        m = Matrix._of_view(
+            1, cols, rows, _random_sparse_int_columns(rng, rows, cols),
             rng.choice((1, 6)))
         ref = DenseMatrix(rows, cols, m.data)
         b = m.apply([Fraction(rng.randint(-3, 3), rng.choice((1, 5)))
