@@ -132,13 +132,6 @@ class Algebra:
 # Sparse vectors are lists of (index, coefficient) with nonzero coefficients.
 # Each helper adds its term into the dense int list `acc` and returns it.
 
-def _algebra_of_ints(entries: dict, den: int,
-                     labels: Sequence[str]) -> "Algebra":
-    """The algebra with structure constants entries[(i, j, k)] / den."""
-    d = len(labels)
-    return Algebra(MultiMap._of_ints(2, d, d, entries, den), labels)
-
-
 def _associator(prod: list, d: int, i: int, j: int, k: int, acc: list) -> list:
     """acc + (e_i e_j) e_k - e_i (e_j e_k), from the sparse products prod."""
     for s, a in prod[i * d + j]:
@@ -324,7 +317,8 @@ def deformed_product(alg: Algebra, op: Matrix) -> Algebra:
         for k, x in enumerate(_deformed(prod, ncols, d, i, j, [0] * d)):
             entries[(i, j, k)] = x
     # linear in the constants and in N, so over den1 * den2
-    return _algebra_of_ints(entries, den1 * den2, alg.labels)
+    return Algebra(MultiMap._of_ints(2, d, d, entries, den1 * den2),
+                   alg.labels)
 
 
 class LieAlgebra:

@@ -37,8 +37,7 @@ from typing import Optional, Sequence
 
 from .algebra import (Algebra, LieAlgebra, _subtract_image,
                       anti_flexible_report, commutator_lie, deformed_product)
-from .linalg import (LinAlgError, Matrix, MultiMap, _rescaled,
-                     linear_combination)
+from .linalg import LinAlgError, Matrix, _rescaled, linear_combination
 from .reports import CheckReport
 
 __all__ = [
@@ -249,9 +248,10 @@ def _induced_view(alg: Algebra, mod: Bimodule, op: Matrix) -> tuple:
     M -> A, ValueError unless op is Rota-Baxter, and, when the base is not
     anti-flexible, unless the actions form a bimodule.  The Rota-Baxter
     sweep forms each star vector e_i star e_j once (`operators._star`), and
-    the view's star products are those vectors.  star, l_T and r_T are
+    the view's star products are those vectors, laid out by
+    `operators._star_groups`.  star, l_T and r_T are
     ints over scale = D * D_T."""
-    from .operators import _rota_baxter_sweep
+    from .operators import _rota_baxter_sweep, _star_groups
 
     stars = []
     _rota_baxter_sweep(alg, mod, op, stars).require(
@@ -272,7 +272,7 @@ def _induced_view(alg: Algebra, mod: Bimodule, op: Matrix) -> tuple:
             cols.append(tuple((k, x) for k, x in enumerate(acc) if x))
         return cols
 
-    view = ([tuple((k, x) for k, x in enumerate(star) if x) for star in stars],
+    view = (_star_groups(stars),
             [action(i, True, right) for i in range(md)],
             [action(i, False, left) for i in range(md)], den * den_t)
     # a bimodule when the base is anti-flexible (the paper); else validate
@@ -284,13 +284,11 @@ def _induced_view(alg: Algebra, mod: Bimodule, op: Matrix) -> tuple:
 def _induced_objects(view: tuple, adim: int) -> Bimodule:
     """The bimodule over (M, star) on A, dim A = adim, whose integer view
     is `view` (from `_induced_view`)."""
-    from .operators import _star_labels
+    from .operators import _star_algebra_of
 
     prod, left, right, scale = view
-    md = len(left)
-    star = Algebra(MultiMap._of_view(2, md, md, prod, scale), _star_labels(md))
-    out = Bimodule(star, [Matrix._of_view(1, adim, adim, c, scale)
-                          for c in left],
+    out = Bimodule(_star_algebra_of(prod, len(left), scale),
+                   [Matrix._of_view(1, adim, adim, c, scale) for c in left],
                    [Matrix._of_view(1, adim, adim, c, scale) for c in right],
                    check=False, mdim=adim)
     out._view = view

@@ -12,14 +12,17 @@ linear in the constants and quadratic in the operator, so on the views they
 are exactly D1*D2**2 times the true ones: the same basis pairs fail, and the
 witness is rebuilt as Fraction(int_residual, D1*D2**2).  Each residual is
 written once (`_rota_baxter_law`, `_nijenhuis_law`) as a function of the
-operator's sparse int columns, which `search` also evaluates to read off
-the law as a quadratic form in the entries.  The induced products star, >
-and < are linear in both, so ints over D1*D2.
+operator's sparse int columns; `search` calls them for their shape
+refusals and reads each law as a quadratic form in the entries off the
+same views.  The induced products star, > and < are linear in both, so
+ints over D1*D2.
 
 The star contraction m_i star m_j = l(T m_i) m_j + r(T m_j) m_i is written
 once (`_star`).  The Rota-Baxter residual reads it, and a sweep that is
 handed a list keeps each star vector it forms (`_rota_baxter_sweep`), so
-`star_algebra` and `bimodule._induced_view` contract each basis pair once.
+`star_algebra` and `bimodule._induced_view` contract each basis pair once;
+both lay the vectors out as the sparse groups of the star algebra's integer
+view (`_star_groups`), and `_star_algebra_of` builds the algebra from them.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from typing import Optional, Tuple
 
 from fractions import Fraction
 
-from .algebra import (Algebra, LieAlgebra, _algebra_of_ints, _check_base,
-                      _deformed, _multiply, _semidirect_product,
-                      _subtract_image, anti_flexible_report, deformed_product)
+from .algebra import (Algebra, LieAlgebra, _check_base, _deformed,
+                      _multiply, _semidirect_product, _subtract_image,
+                      anti_flexible_report, deformed_product)
 from .bimodule import Bimodule, LieRepresentation, _rebased
 from .glie import _shifted, _structure_element, compose_bar, embed_blocks
 from .linalg import (LinAlgError, Matrix, MultiMap, Vector, _rescaled,
@@ -296,7 +299,8 @@ def star_algebra(alg: Algebra, mod: Bimodule, op: Matrix) -> Algebra:
     _rota_baxter_sweep(alg, mod, op, stars).require(
         "operator is not Rota-Baxter")
     den1 = _rebased(alg, mod).int_view()[3]
-    return _star_algebra_of(stars, mod.mdim, den1 * op.int_view()[1])
+    return _star_algebra_of(_star_groups(stars), mod.mdim,
+                            den1 * op.int_view()[1])
 
 
 def _star_product(mod: Bimodule, op: Matrix) -> Algebra:
@@ -308,19 +312,20 @@ def _star_product(mod: Bimodule, op: Matrix) -> Algebra:
     stars = [[0] * md for _ in range(md * md)]
     for i, j in itertools.product(range(md), repeat=2):
         _star(left, right, tcols, i, j, stars[i * md + j], stars[i * md + j])
-    return _star_algebra_of(stars, md, den1 * den2)
+    return _star_algebra_of(_star_groups(stars), md, den1 * den2)
 
 
-def _star_algebra_of(stars: list, md: int, den: int) -> Algebra:
-    """The algebra on M, dim M = md, with e_i star e_j = stars[i * md + j]
-    / den."""
-    return _algebra_of_ints(
-        {(p // md, p % md, k): x for p, star in enumerate(stars)
-         for k, x in enumerate(star)}, den, _star_labels(md))
+def _star_groups(stars: list) -> list:
+    """The dense int star vectors as the sparse groups of an integer view:
+    at pair index i * md + j, the nonzero entries of e_i star e_j."""
+    return [tuple((k, x) for k, x in enumerate(star) if x) for star in stars]
 
 
-def _star_labels(mdim: int) -> tuple:
-    return tuple(f"m{i + 1}" for i in range(mdim))
+def _star_algebra_of(groups: list, md: int, den: int) -> Algebra:
+    """The algebra on M, dim M = md, whose integer view is (groups, den),
+    laid out as `_star_groups` gives it."""
+    return Algebra(MultiMap._of_view(2, md, md, groups, den),
+                   tuple(f"m{i + 1}" for i in range(md)))
 
 
 def _is_algebra_morphism(src: Algebra, dst: Algebra, phi: Matrix) -> bool:

@@ -5,18 +5,28 @@ order, keep the candidates passing every named predicate, and return up to
 a requested number of hits.  Everything found here re-passes its filters on
 re-ingestion, which the tests assert.
 
-`search_algebras` builds and tests every candidate.  `search_operators`
-backtracks over the cells of the candidate matrix (its row-major entries)
-in the same order, on the grid values written as ints over their common
-denominator.  The Rota-Baxter and Nijenhuis laws are homogeneous quadratics
-in the cells and the scalar law is linear, so each is a list of int
-polynomial components, all of which vanish exactly when the law holds.  A
-component is checked as soon as its last cell has a value, and a nonzero
-value cuts the subtree; `nonzero`, `invertible` and every `not-` form are
-tested at the leaves, and only a hit is built as a Matrix.  The hits, their
-order, the limit, the refusals and the progress lines (a cut subtree counts
-as scanned) are those of building and testing every candidate, which the
-tests keep as the oracle.
+`search_algebras` builds and tests every candidate; its anti-flexible
+predicate reads `anti_flexible_report`, which sweeps half the triples, and
+`classify` serves only the flexible and associative ones.
+`search_operators` backtracks over the cells of the candidate matrix (its
+row-major entries) in the same order, on the grid values written as ints
+over their common denominator.  The Rota-Baxter and Nijenhuis laws are
+homogeneous quadratics in the cells and the scalar law is linear, so each
+is a list of int polynomial components, all of which vanish exactly when
+the law holds.  The two quadratic laws are read straight off the integer
+views that `is_rota_baxter` and `is_nijenhuis` contract (`_quadratic_law`),
+over the same scale, after the shape refusals of `operators._rota_baxter_law`
+and `_nijenhuis_law`; their residuals are never evaluated here.  Every
+component is a flat list of (q, a, b) terms, q * cell a * cell b, where
+cell n (one past the last) is the constant 1, so that linear and constant
+monomials are terms too.  A component is checked as soon as its last cell
+has a value, and a nonzero value cuts the subtree; `nonzero`, `invertible`
+and every `not-` form are tested at the leaves on the cells without the
+constant one, and only a hit is built as a Matrix.  The hits, their order,
+the limit, the refusals and the progress lines (a cut subtree counts as
+scanned) are those of building and testing every candidate, which the
+tests keep as the oracle, with the law found by probing the residual
+(`tests/slow_routes.py`).
 """
 
 from __future__ import annotations
@@ -26,8 +36,8 @@ import itertools
 import sys
 from typing import Callable, Optional, Sequence
 
-from .algebra import Algebra, classify
-from .bimodule import Bimodule
+from .algebra import Algebra, anti_flexible_report, classify
+from .bimodule import Bimodule, _rebased
 from .linalg import (Matrix, MultiMap, Rat, _nonzero_cols, int_cols_rank,
                      integer_scaled)
 from .operators import (_nijenhuis_law, _rota_baxter_law, is_nijenhuis,
@@ -57,54 +67,104 @@ def _bimodule(mod: Optional[Bimodule]) -> Bimodule:
 
 
 def _value(component: list, cells: Sequence) -> int:
-    """A polynomial component, a list of (coefficient, cell indices)
-    monomials, at the cell values."""
+    """A law component, a list of (q, a, b) terms, at the cell values; the
+    last cell is the constant cell, 1."""
     total = 0
-    for coeff, monomial in component:
-        for c in monomial:
-            coeff *= cells[c]
-        total += coeff
+    for q, a, b in component:
+        total += q * cells[a] * cells[b]
     return total
 
 
 def _holds(law: list, cells: Sequence) -> bool:
+    """Whether every component of a law vanishes at the cell values of an
+    operator, which do not include the constant cell."""
+    cells = (*cells, 1)
     return not any(_value(component, cells) for component in law)
 
 
-def _quadratic_law(law: tuple, rows: int, cols: int) -> list:
-    """The components of a law whose int residual is a homogeneous
-    quadratic in the cells of a rows x cols operator, from the
-    (residual, n, den) of `operators._rota_baxter_law` or `_nijenhuis_law`.
-    A homogeneous quadratic Q is fixed by its values Q(E_a) = q_aa on the
-    unit cells and Q(E_a + E_b) = q_aa + q_bb + q_ab on their pairs."""
-    residual, n, _ = law
-    pairs = list(itertools.product(range(n), repeat=2))
+def _quadratic_law(prod: list, rows: int, cols: int, linear) -> list:
+    """The components of an operator law on the cells of a rows x cols
+    operator T (cell a * cols + i holds T[a][i]), with prod the int
+    products of an algebra of dimension rows, e_a e_b at a * rows + b.  At
+    the basis pair (i, j) of range(cols) and at k, the law's int residual
+    is
 
-    def at(units):
-        tcols = [[] for _ in range(cols)]
-        for c in units:
-            tcols[c % cols].append((c // cols, 1))
-        return [x for i, j in pairs for x in residual(tcols, i, j)]
+        sum_ab T[a][i] T[b][j] prod[a * rows + b]_k - sum_p T[k][p] v_p,
 
-    terms = {}
-    diag = [at((a,)) for a in range(rows * cols)]
-    for a, values in enumerate(diag):
-        for t, q in enumerate(values):
-            if q:
-                terms.setdefault(t, []).append((q, (a, a)))
-    for a, b in itertools.combinations(range(rows * cols), 2):
-        for t, (q, qa, qb) in enumerate(zip(at((a, b)), diag[a], diag[b])):
-            if q != qa + qb:
-                terms.setdefault(t, []).append((q - qa - qb, (a, b)))
-    return list(terms.values())
+    with v = linear(i, j) linear in T: at each p < cols, the (cell, q)
+    pairs of v_p = sum q * cell.  Each component is a list of its nonzero
+    (q, a, b) terms, q * cell a * cell b with a <= b; a zero component is
+    left out."""
+    law = []
+    for i, j in itertools.product(range(cols), repeat=2):
+        comps = [{} for _ in range(rows)]
+        for ab, products in enumerate(prod):
+            ca, cb = ab // rows * cols + i, ab % rows * cols + j
+            key = (ca, cb) if ca <= cb else (cb, ca)
+            for k, z in products:
+                comps[k][key] = comps[k].get(key, 0) + z
+        v = linear(i, j)
+        for k, comp in enumerate(comps):
+            for p, terms in enumerate(v):
+                kp = k * cols + p
+                for c, q in terms:
+                    key = (kp, c) if kp <= c else (c, kp)
+                    comp[key] = comp.get(key, 0) - q
+            component = [(q, a, b) for (a, b), q in comp.items() if q]
+            if component:
+                law.append(component)
+    return law
+
+
+def _rota_baxter_terms(alg: Algebra, mod: Optional[Bimodule], rows: int,
+                       cols: int) -> list:
+    """The Rota-Baxter law, with v = l(T m_i)m_j + r(T m_j)m_i read off the
+    view of `_rota_baxter_law`, after its refusals."""
+    mod = _bimodule(mod)
+    _rota_baxter_law(alg, mod, rows, cols)
+    prod, left, right, _ = _rebased(alg, mod).int_view()
+
+    def linear(i, j):
+        v = [[] for _ in range(cols)]
+        for a in range(rows):
+            for p, y in left[a][j]:
+                v[p].append((a * cols + i, y))
+            for p, y in right[a][i]:
+                v[p].append((a * cols + j, y))
+        return v
+
+    return _quadratic_law(prod, rows, cols, linear)
+
+
+def _nijenhuis_terms(alg: Algebra, rows: int, cols: int) -> list:
+    """The Nijenhuis law, with v = N(e_i)e_j + e_i N(e_j) - N(e_i e_j) read
+    off the view of `_nijenhuis_law`, after its refusal."""
+    _nijenhuis_law(alg, rows, cols)
+    prod, _ = alg.int_view()
+
+    def linear(i, j):
+        v = [[] for _ in range(cols)]
+        for a in range(rows):
+            for p, z in prod[a * rows + j]:
+                v[p].append((a * cols + i, z))
+            for p, z in prod[i * rows + a]:
+                v[p].append((a * cols + j, z))
+        for s, z in prod[i * rows + j]:
+            for p in range(cols):
+                v[p].append((p * cols + s, -z))
+        return v
+
+    return _quadratic_law(prod, rows, cols, linear)
 
 
 def _scalar_law(rows: int, cols: int) -> list:
-    """x_ij = [i == j] x_00 as linear components in the cells; a non-square
-    operator fails the constant component 1."""
+    """x_ij = [i == j] x_00 as linear components in the cells, with the
+    constant cell n = rows * cols; a non-square operator fails the
+    constant component 1."""
+    n = rows * cols
     if rows != cols:
-        return [[(1, ())]]
-    return [[(1, (i * cols + j,))] + ([(-1, (0,))] if i == j else [])
+        return [[(1, n, n)]]
+    return [[(1, i * cols + j, n)] + ([(-1, 0, n)] if i == j else [])
             for i in range(rows) for j in range(cols) if i or j]
 
 
@@ -116,7 +176,7 @@ def _full_rank(rows: int, cols: int, cells: Sequence[int]) -> bool:
 # name -> test, resolved (with a "not-" prefix) once per predicate built; an
 # operator test also takes the algebra and bimodule the search runs over.
 _ALGEBRA_TESTS = {
-    "anti-flexible": lambda alg: classify(alg).anti_flexible,
+    "anti-flexible": lambda alg: anti_flexible_report(alg).ok,
     "flexible": lambda alg: classify(alg).flexible,
     "associative": lambda alg: classify(alg).associative,
     "commutative": Algebra.is_commutative,
@@ -127,12 +187,10 @@ _ALGEBRA_TESTS = {
 _OPERATOR_TESTS = {
     "rota-baxter": (
         lambda alg, mod, op: bool(is_rota_baxter(alg, _bimodule(mod), op)),
-        lambda alg, mod, rows, cols: _quadratic_law(
-            _rota_baxter_law(alg, _bimodule(mod), rows, cols), rows, cols)),
+        _rota_baxter_terms),
     "nijenhuis": (
         lambda alg, mod, op: bool(is_nijenhuis(alg, op)),
-        lambda alg, mod, rows, cols: _quadratic_law(
-            _nijenhuis_law(alg, rows, cols), rows, cols)),
+        lambda alg, mod, rows, cols: _nijenhuis_terms(alg, rows, cols)),
     "nonzero": (lambda alg, mod, op: not op.is_zero(),
                 lambda alg, mod, rows, cols: any),
     "scalar": (lambda alg, mod, op: _holds(_scalar_law(op.rows, op.cols),
@@ -258,7 +316,8 @@ def search_operators(alg: Algebra, mod: Optional[Bimodule], coeffs: Sequence,
     if limit == 0:
         scan(min(total, 1))  # the sweep reads one candidate before it stops
         return []
-    checks = [[] for _ in range(rows * cols + 1)]  # by last cell, then constants
+    n = rows * cols
+    checks = [[] for _ in range(n + 1)]  # by last cell, then constants
     tests = []
     for negated, form in forms:
         try:
@@ -273,8 +332,9 @@ def search_operators(alg: Algebra, mod: Optional[Bimodule], coeffs: Sequence,
             tests.append(lambda cells, law=law: not _holds(law, cells))
         else:
             for component in law:
-                checks[max((c for _, m in component for c in m),
-                           default=-1)].append(component)
+                # at its last cell: b, or a where b is the constant cell n
+                checks[max(b if b < n else a
+                           for _, a, b in component)].append(component)
     (ints,), den = integer_scaled(values)
     hits = _backtrack(ints, checks, tests, limit, scan)
     if len(hits) == limit and scan(0) < total:
@@ -294,35 +354,45 @@ def _backtrack(ints: list, checks: list, tests: list, limit: Optional[int],
                scan: Callable[[int], int]) -> list:
     """The cell tuples over the values ints, in lexicographic order, on
     which every component of checks[c] vanishes for each cell c (checked
-    once cells 0..c have values; checks[-1] holds the constants) and every
-    leaf test passes, up to limit of them; scan counts the candidates
-    covered, a cut subtree at once."""
+    once cells 0..c have values; checks[-1] holds the constants, whose
+    terms read only the constant cell) and every leaf test passes, up to
+    limit of them; scan counts the candidates covered, a cut subtree at
+    once.  The cells are followed by the constant cell, 1, which the leaf
+    tests and the hits do not see."""
     n = len(checks) - 1
     below = [len(ints) ** (n - 1 - c) for c in range(n)]
-    cells = [0] * n
+    cells = [0] * n + [1]
     hits = []
 
     def leaf():
         """Whether the search stops after the candidate cells."""
         scan(1)
-        if all(test(cells) for test in tests):
-            hits.append(tuple(cells))
-            return len(hits) == limit
-        return False
+        candidate = tuple(cells[:n])
+        for test in tests:
+            if not test(candidate):
+                return False
+        hits.append(candidate)
+        return len(hits) == limit
 
     def visit(c):
         """Whether the search stops within the subtree of cells[:c]."""
         last = c == n - 1
+        components = checks[c]
         for x in ints:
             cells[c] = x
-            if checks[c] and any(_value(component, cells)
-                                 for component in checks[c]):
-                scan(below[c])
-            elif leaf() if last else visit(c + 1):
-                return True
+            for component in components:
+                total = 0
+                for q, a, b in component:
+                    total += q * cells[a] * cells[b]
+                if total:
+                    scan(below[c])
+                    break
+            else:
+                if leaf() if last else visit(c + 1):
+                    return True
         return False
 
-    if any(_value(component, cells) for component in checks[-1]):
+    if any(_value(component, cells) for component in checks[n]):
         scan(len(ints) ** n)
     elif n:
         visit(0)

@@ -43,7 +43,11 @@ Each function here is the form the package used before the direct one:
   search predicates that read their name on every application;
 - `search_operators_each`: `search.search_operators` building every
   candidate of the grid as a Matrix and applying the dispatched predicates
-  to it, in sweep order.
+  to it, in sweep order;
+- `quadratic_law_probed`: the rota-baxter or nijenhuis law of the operator
+  search, found by probing the int residual of `operators._rota_baxter_law`
+  or `_nijenhuis_law` on unit cells and pairs of cells, where the search
+  now reads its terms off the integer views.
 
 None of them calls the package's twist, (4.7) or S^2 helpers: the actions
 of elements are `linear_combination` of the action matrices, and products
@@ -69,6 +73,7 @@ from antiflex.linalg import (LinAlgError, Matrix, basis_vector,
                              int_cols_rank, linear_combination, vec_is_zero,
                              vec_sub)
 from antiflex.operators import (_check_operator_shape, _is_algebra_morphism,
+                                _nijenhuis_law, _rota_baxter_law,
                                 is_nijenhuis, is_rota_baxter)
 from antiflex.reports import CheckReport
 
@@ -358,3 +363,37 @@ def search_operators_each(alg, mod, coeffs, predicates,
         if all(check(op) for check in checks):
             hits.append(op)
     return hits
+
+
+def quadratic_law_probed(name, alg, mod, rows, cols):
+    """The components of the "rota-baxter" or "nijenhuis" law of a rows x
+    cols operator, each a dict {monomial: nonzero int coefficient} with a
+    monomial (a, b), a <= b, standing for cell a * cell b (cell r * cols + c
+    is the entry (r, c)); refused as the law refuses the frame.  A
+    homogeneous quadratic Q is fixed by its values Q(E_a) = q_aa on the
+    unit cells and Q(E_a + E_b) = q_aa + q_bb + q_ab on their pairs."""
+    if name == "rota-baxter":
+        if mod is None:
+            raise ValueError("rota-baxter predicate needs a bimodule")
+        residual, n, _ = _rota_baxter_law(alg, mod, rows, cols)
+    else:
+        residual, n, _ = _nijenhuis_law(alg, rows, cols)
+    pairs = list(itertools.product(range(n), repeat=2))
+
+    def at(units):
+        tcols = [[] for _ in range(cols)]
+        for c in units:
+            tcols[c % cols].append((c // cols, 1))
+        return [x for i, j in pairs for x in residual(tcols, i, j)]
+
+    terms = {}
+    diag = [at((a,)) for a in range(rows * cols)]
+    for a, values in enumerate(diag):
+        for t, q in enumerate(values):
+            if q:
+                terms.setdefault(t, {})[(a, a)] = q
+    for a, b in itertools.combinations(range(rows * cols), 2):
+        for t, (q, qa, qb) in enumerate(zip(at((a, b)), diag[a], diag[b])):
+            if q != qa + qb:
+                terms.setdefault(t, {})[(a, b)] = q - qa - qb
+    return list(terms.values())

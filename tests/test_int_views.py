@@ -233,6 +233,22 @@ def test_complex_matrices_carry_matching_views(cohomology_corpus,
         RBComplex(*defect_rb).dims(2)
 
 
+def test_star_algebra_equals_the_complex_star(cohomology_corpus,
+                                              noncommutative_rb, defect_rb):
+    """`star_algebra` and `RBComplex.star` lay out (M, star) from the same
+    sparse groups: the same algebra, labels and integer view, which stands
+    for its entries, also for the operator scaled by 1/2 and 3 (the law is
+    homogeneous)."""
+    for alg, mod, op in _corpus_triples(cohomology_corpus, noncommutative_rb,
+                                        defect_rb):
+        for scaled in (op, op.scale(Fraction(1, 2)), op.scale(3)):
+            star = star_algebra(alg, mod, scaled)
+            want = RBComplex(alg, mod, scaled).star
+            assert star == want and star.labels == want.labels
+            assert star.int_view() == want.int_view()
+            assert_views_match(star)
+
+
 def test_a_bimodule_rescales_each_view_by_its_own_denominator(
         a2_plus_a1, m_a2_plus_a1):
     """A view filled in by `_of_view` need not be in lowest terms.  On

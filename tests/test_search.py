@@ -1,17 +1,27 @@
-"""The searches: determinism, self-consistency, known counts, and the
+"""The searches: determinism, self-consistency, known counts, the
 backtracking operator search against the brute-force sweep of
-`tests/slow_routes.py`."""
+`tests/slow_routes.py`, and its laws, read off the integer views, against
+the quadratic forms found there by probing the residuals."""
+
+import collections
+import importlib
+import pkgutil
+import random
+from fractions import Fraction
 
 import pytest
 
+import antiflex
+import antiflex.algebra
 import antiflex.linalg
 import antiflex.search
-from antiflex.algebra import classify
-from antiflex.linalg import Matrix
+from antiflex.algebra import Algebra, classify
+from antiflex.bimodule import Bimodule, zero_bimodule
+from antiflex.linalg import Matrix, MultiMap
 from antiflex.operators import is_nijenhuis, is_rota_baxter
 from antiflex.search import (CANDIDATE_CEILING, SearchSpaceError,
                              search_algebras, search_operators)
-from tests.slow_routes import search_operators_each
+from tests.slow_routes import quadratic_law_probed, search_operators_each
 from tests.test_scaled_laws import run_in_child
 
 
@@ -149,19 +159,26 @@ def test_dim3_operator_grid_keeps_the_brute_force_hits(a2_plus_a1,
 
 
 def test_the_search_cuts_subtrees(a2_plus_a1, m_a2_plus_a1, monkeypatch):
-    """The 19,683 candidates of the dim-3 grid take fewer than 2,000 law
-    evaluations: a vanishing check cuts its subtree before the leaves."""
-    evaluated = []
-    real = antiflex.search._value
+    """The 19,683 candidates of the dim-3 grid are counted in fewer than
+    2,000 steps of the scan, one per leaf or cut subtree: a nonzero check
+    cuts its subtree before the leaves."""
+    steps = []
+    real = antiflex.search._scanner
 
-    def counting(component, cells):
-        evaluated.append(None)
-        return real(component, cells)
+    def counting(total, progress):
+        scan = real(total, progress)
 
-    monkeypatch.setattr(antiflex.search, "_value", counting)
+        def counted(k):
+            steps.append(k)
+            return scan(k)
+
+        return counted
+
+    monkeypatch.setattr(antiflex.search, "_scanner", counting)
     assert len(search_operators(a2_plus_a1, m_a2_plus_a1, (-1, 0, 1),
                                 ("rota-baxter",))) == 27
-    assert len(evaluated) < 2000
+    assert sum(steps) == 3 ** 9
+    assert len(steps) < 2000
 
 
 def test_non_square_frames_equal_the_sweep(a1, a2):
@@ -275,3 +292,160 @@ def test_property_pruned_search_equals_the_brute_force_sweep():
     """The `hypothesis` property of `search_property.py`, run in a child
     interpreter (see `test_scaled_laws.run_in_child`)."""
     run_in_child("search_property.py")
+
+
+# ---------------------------------------------------------------------------
+# the laws read off the integer views against the probed quadratic forms
+# ---------------------------------------------------------------------------
+
+LAWS = ("rota-baxter", "nijenhuis")
+CONSTANTS = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4))
+
+
+def _direct_law(name, alg, mod, rows, cols):
+    """The law the search builds, as `quadratic_law_probed` gives it: one
+    dict {(a, b): q} per component, each term reading two operator cells."""
+    law = antiflex.search._OPERATOR_TESTS[name][1](alg, mod, rows, cols)
+    polys = []
+    for component in law:
+        poly = {}
+        for q, a, b in component:
+            assert a <= b < rows * cols and (a, b) not in poly
+            poly[(a, b)] = q
+        polys.append(poly)
+    return polys
+
+
+def _law_outcome(route, *args):
+    """A law as a multiset of polynomials, or its refusal."""
+    try:
+        law = route(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    assert all(poly and all(poly.values()) for poly in law)
+    return collections.Counter(tuple(sorted(poly.items())) for poly in law)
+
+
+def _regular_actions(alg):
+    """The actions of alg on itself, unchecked."""
+    return Bimodule(alg, [alg.left_matrix(i) for i in range(alg.dim)],
+                    [alg.right_matrix(i) for i in range(alg.dim)],
+                    check=False, mdim=alg.dim)
+
+
+def _law_cases(alg, mods):
+    """Every law on alg over each bimodule (or None), which the law rebases
+    on alg when it is over another algebra, in the three search frames and
+    the transposed module-to-algebra frame."""
+    for mod in mods:
+        mdim = alg.dim if mod is None else mod.mdim
+        for rows, cols in {(alg.dim, mdim), (alg.dim, alg.dim),
+                           (mdim, mdim), (mdim, alg.dim)}:
+            for name in LAWS:
+                yield name, alg, mod, rows, cols
+
+
+def _seeded_algebra(rng, dim):
+    return Algebra(MultiMap(2, dim, [rng.choice(CONSTANTS)
+                                     for _ in range(dim ** 3)]))
+
+
+def _seeded_actions(rng, alg, mdim):
+    def actions():
+        return [Matrix(mdim, mdim, [rng.choice(CONSTANTS)
+                                    for _ in range(mdim * mdim)])
+                for _ in range(alg.dim)]
+
+    return Bimodule(alg, actions(), actions(), check=False, mdim=mdim)
+
+
+def test_direct_laws_equal_the_probed_quadratic_forms(
+        a0_1, a0_2, a1, a2, na2, a2_plus_a1, af_nonassoc, noncommutative_rb):
+    """Each law the search reads off the integer views equals the law found
+    by probing its residual, as a multiset of polynomials, on every fixture
+    algebra with regular, zero, rebased and no bimodules, and on seeded dim
+    0-3 algebras with fractional constants and actions; a frame the law
+    refuses is refused with the same type and text."""
+    fixtures = [a0_1, a0_2, a1, a2, na2, a2_plus_a1, af_nonassoc,
+                noncommutative_rb[0]]
+    cases = []
+    for alg in fixtures:
+        same_dim = [b for b in fixtures if b.dim == alg.dim and b != alg]
+        mods = ([_regular_actions(alg), None]
+                + [zero_bimodule(alg, m) for m in (0, 1, 2)]
+                + [_regular_actions(b) for b in same_dim[:2]]
+                + [_regular_actions(fixtures[(fixtures.index(alg) + 3)
+                                             % len(fixtures)])])
+        cases.extend(_law_cases(alg, mods))
+    rng = random.Random(2323)
+    for dim in (0, 1, 2, 3) * 6:
+        alg = _seeded_algebra(rng, dim)
+        other = _seeded_algebra(rng, dim)
+        mods = [_regular_actions(alg), _regular_actions(other),
+                _seeded_actions(rng, alg, rng.randint(0, 2)),
+                _seeded_actions(rng, other, rng.randint(0, 2))]
+        cases.extend(_law_cases(alg, mods))
+    seen = collections.Counter()
+    for case in cases:
+        want = _law_outcome(quadratic_law_probed, *case)
+        assert _law_outcome(_direct_law, *case) == want, case
+        seen[case[0], "refused" if isinstance(want, tuple)
+             else "empty" if not want else "law"] += 1
+    assert set(seen) == {(name, kind) for name in LAWS
+                         for kind in ("refused", "empty", "law")}
+    assert seen["rota-baxter", "law"] >= 50
+    assert seen["nijenhuis", "law"] >= 50
+
+
+def test_operator_searches_never_evaluate_the_law_residual(a2, m_a2,
+                                                          monkeypatch):
+    """The search reads each law off the integer views: it calls
+    `_rota_baxter_law` or `_nijenhuis_law` once, for its refusals, and
+    never the residual it returns.  The hits are the brute-force ones."""
+    calls = collections.Counter()
+    for name in ("_rota_baxter_law", "_nijenhuis_law"):
+        real = getattr(antiflex.search, name)
+
+        def law(*args, real=real, name=name):
+            calls[name] += 1
+            residual, n, den = real(*args)
+
+            def counted(*r_args, **kwargs):
+                calls["residual"] += 1
+                return residual(*r_args, **kwargs)
+
+            return counted, n, den
+
+        monkeypatch.setattr(antiflex.search, name, law)
+    for args, shape in (((a2, m_a2, (-1, 0, 1), ("rota-baxter",)),
+                         "module-to-algebra"),
+                        ((a2, None, (-1, 0, "1/2"), ("nijenhuis",)),
+                         "algebra-endo")):
+        hits = search_operators(*args, shape=shape)
+        assert hits and hits == search_operators_each(*args, shape=shape)
+    assert calls == {"_rota_baxter_law": 1, "_nijenhuis_law": 1}
+
+
+def test_the_anti_flexible_sweep_never_classifies(monkeypatch):
+    """The anti-flexible predicate reads `anti_flexible_report`, not
+    `classify`, wherever a module of the package refers to it; the hits
+    are those that `classify` keeps."""
+    calls = []
+    real = antiflex.algebra.classify
+
+    def counting(alg):
+        calls.append(alg)
+        return real(alg)
+
+    modules = [antiflex] + [
+        importlib.import_module(f"antiflex.{info.name}")
+        for info in pkgutil.iter_modules(antiflex.__path__)
+        if not info.name.startswith("__")]
+    for module in modules:
+        if getattr(module, "classify", None) is real:
+            monkeypatch.setattr(module, "classify", counting)
+    hits = search_algebras(2, (-1, 0, 1), ("anti-flexible",))
+    assert calls == []
+    monkeypatch.undo()
+    assert hits == [alg for alg in search_algebras(2, (-1, 0, 1), ())
+                    if classify(alg).anti_flexible]
