@@ -12,7 +12,10 @@ deformed products and the law checks contract it: (e_i e_j) e_k -
 e_i (e_j e_k) is sum_s c_ij^s c_sk^t - c_jk^s c_is^t, homogeneous of
 degree 2 in c, so exactly D**-2 times the int associator.  A law holds on
 c exactly when it holds on C, at the same first triple, and the witness is
-Fraction(int_residual, D**2).
+Fraction(int_residual, D**2).  `anti_flexible_report`, which searches and
+`bimodule._induced_view` read for every candidate, adds its four
+contractions per triple in one plain loop and builds a witness only at the
+first failure.
 """
 
 from __future__ import annotations
@@ -228,21 +231,37 @@ def anti_flexible_report(alg: Algebra) -> CheckReport:
     """Anti-flexible law with a witness: (a,b,c) - (c,b,a) on basis triples.
 
     The residual at (k, j, i) is minus the one at (i, j, k), and it is zero
-    at i = k, so the sweep visits only the triples with i < k, in product
-    order, and forms their two associators as it reaches them: the mirror
-    of a failing triple with i > k comes earlier and fails too, so the first
-    failure, its witness and its text are those of the full sweep."""
+    at i = k, so the loop visits only the triples with i < k, in product
+    order (i, then j, then k), and adds the four contractions of
+    (e_i e_j)e_k - e_i(e_j e_k) - (e_k e_j)e_i + e_k(e_j e_i) into one int
+    list: the mirror of a failing triple with i > k comes earlier and fails
+    too, so the first failure, its witness and its text are those of the
+    full sweep.  A passing algebra builds no report beyond its name."""
     d = alg.dim
     prod, den = alg.int_view()
-
-    def residual(i, j, k):
-        mirror = _associator(prod, d, k, j, i, [0] * d)
-        return tuple(_associator(prod, d, i, j, k, [-x for x in mirror]))
-
-    return CheckReport("anti_flexible").sweep(
-        "(a,b,c) = (c,b,a)",
-        (t for t in itertools.product(range(d), repeat=3) if t[0] < t[2]),
-        residual, witness=lambda res: tuple(Fraction(x, den * den) for x in res))
+    report = CheckReport("anti_flexible")
+    for i in range(d - 1):
+        for j in range(d):
+            ij, ji = prod[i * d + j], prod[j * d + i]
+            for k in range(i + 1, d):
+                acc = [0] * d
+                for s, a in ij:
+                    for t, b in prod[s * d + k]:
+                        acc[t] += a * b
+                for s, a in prod[j * d + k]:
+                    for t, b in prod[i * d + s]:
+                        acc[t] -= a * b
+                for s, a in prod[k * d + j]:
+                    for t, b in prod[s * d + i]:
+                        acc[t] -= a * b
+                for s, a in ji:
+                    for t, b in prod[k * d + s]:
+                        acc[t] += a * b
+                if any(acc):
+                    report.fail("(a,b,c) = (c,b,a)", (i, j, k),
+                                tuple(Fraction(x, den * den) for x in acc))
+                    return report
+    return report
 
 
 def tensor_with_associative(alg: Algebra, other: Algebra) -> Algebra:

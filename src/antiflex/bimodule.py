@@ -21,9 +21,11 @@ Fraction(entry, D**2).
 `_induced_view` contracts the views of the bimodule and of T (scale D_T):
 star, l_T and r_T are linear in each, so all three are ints over D * D_T.
 Its star products are the star vectors that its Rota-Baxter sweep forms,
-so each basis pair is contracted once, and it reads whether the base is
-anti-flexible from `anti_flexible_report`, which sweeps the triples with
-i < k only.  It forms that view alone, for `cohomology.RBComplex`, which
+so each basis pair is contracted once; it forms l_T and r_T together, one
+pass per pair (m_i, e_j), from the view of the bimodule that sweep read
+(rebased onto the algebra passed in, built once), and it reads whether the
+base is anti-flexible from `anti_flexible_report`, which loops over the
+triples with i < k only.  It forms that view alone, for `cohomology.RBComplex`, which
 reads nothing else; `induced_bimodule_on_base` returns the objects of the
 view, built from its parts by `MultiMap._of_view`, which keep it as their
 own.
@@ -251,30 +253,35 @@ def _induced_view(alg: Algebra, mod: Bimodule, op: Matrix) -> tuple:
     the view's star products are those vectors, laid out by
     `operators._star_groups`.  star, l_T and r_T are
     ints over scale = D * D_T."""
-    from .operators import _rota_baxter_sweep, _star_groups
+    from .operators import (_rota_baxter_module, _rota_baxter_sweep,
+                            _star_groups)
 
+    mod = _rota_baxter_module(alg, mod, op.rows, op.cols)
     stars = []
     _rota_baxter_sweep(alg, mod, op, stars).require(
         "operator is not Rota-Baxter")
-    mod = _rebased(alg, mod)
     (prod, left, right, den), (tcols, den_t) = mod.int_view(), op.int_view()
     d, md = alg.dim, mod.mdim
-
-    def action(i, on_left, acts):
-        # column j: T(m_i).e_j - T(r(e_j)m_i), or e_j.T(m_i) - T(l(e_j)m_i)
-        cols = []
+    # column j of l_T(m_i) is T(m_i).e_j - T(r(e_j)m_i), and of r_T(m_i)
+    # e_j.T(m_i) - T(l(e_j)m_i)
+    lt, rt = [], []
+    for i in range(md):
+        tcol = tcols[i]
+        lcols, rcols = [], []
         for j in range(d):
-            acc = [0] * d
-            for a, x in tcols[i]:
-                for k, z in prod[a * d + j if on_left else j * d + a]:
-                    acc[k] += x * z
-            acc = _subtract_image(tcols, acts[j][i], acc)
-            cols.append(tuple((k, x) for k, x in enumerate(acc) if x))
-        return cols
-
-    view = (_star_groups(stars),
-            [action(i, True, right) for i in range(md)],
-            [action(i, False, left) for i in range(md)], den * den_t)
+            lacc, racc = [0] * d, [0] * d
+            for a, x in tcol:
+                for k, z in prod[a * d + j]:
+                    lacc[k] += x * z
+                for k, z in prod[j * d + a]:
+                    racc[k] += x * z
+            _subtract_image(tcols, right[j][i], lacc)
+            _subtract_image(tcols, left[j][i], racc)
+            lcols.append(tuple((k, x) for k, x in enumerate(lacc) if x))
+            rcols.append(tuple((k, x) for k, x in enumerate(racc) if x))
+        lt.append(lcols)
+        rt.append(rcols)
+    view = (_star_groups(stars), lt, rt, den * den_t)
     # a bimodule when the base is anti-flexible (the paper); else validate
     if not anti_flexible_report(alg).ok:
         _view_report(md, d, view).require("not a bimodule")

@@ -12,10 +12,15 @@ linear in the constants and quadratic in the operator, so on the views they
 are exactly D1*D2**2 times the true ones: the same basis pairs fail, and the
 witness is rebuilt as Fraction(int_residual, D1*D2**2).  Each residual is
 written once (`_rota_baxter_law`, `_nijenhuis_law`) as a function of the
-operator's sparse int columns; `search` calls them for their shape
-refusals and reads each law as a quadratic form in the entries off the
-same views.  The induced products star, > and < are linear in both, so
-ints over D1*D2.
+operator's sparse int columns, and `_law_report` runs either over the
+basis pairs in a plain double loop that builds a witness only at the first
+failure.  Over an algebra that is not the bimodule's base, the Rota-Baxter
+law reads the view of the actions rebased onto it (`_rota_baxter_module`);
+a caller that reads that view too hands the law the rebased bimodule, so
+the view is built once.  `search` calls `_rota_baxter_module` and
+`_nijenhuis_law` for their shape refusals and reads each law as a
+quadratic form in the entries off the same views.  The induced products
+star, > and < are linear in both, so ints over D1*D2.
 
 The star contraction m_i star m_j = l(T m_i) m_j + r(T m_j) m_i is written
 once (`_star`).  The Rota-Baxter residual reads it, and a sweep that is
@@ -27,7 +32,6 @@ view (`_star_groups`), and `_star_algebra_of` builds the algebra from them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Optional, Tuple
@@ -70,14 +74,20 @@ def _check_shape(rows: int, cols: int, src_dim: int, dst_dim: int, what: str):
 
 def _law_report(name: str, law: str, op: Matrix, residual, n: int,
                 den1: int) -> CheckReport:
-    """The sweep of an operator law over the basis pairs of range(n), from
-    its int residual on the view of op; the law is quadratic in op, so the
-    witness is the residual over den1 * den2**2."""
+    """An operator law over the basis pairs of range(n), in product order,
+    from its int residual on the view of op: the first nonzero residual
+    fails the report, and, as the law is quadratic in op, its witness is
+    the residual over den1 * den2**2."""
     cols, den2 = op.int_view()
-    return CheckReport(name).sweep(
-        law, itertools.product(range(n), repeat=2),
-        lambda i, j: residual(cols, i, j),
-        witness=lambda res: tuple(Fraction(x, den1 * den2 * den2) for x in res))
+    report = CheckReport(name)
+    for i in range(n):
+        for j in range(n):
+            res = residual(cols, i, j)
+            if any(res):
+                scale = den1 * den2 * den2
+                report.fail(law, (i, j), tuple(Fraction(x, scale) for x in res))
+                return report
+    return report
 
 
 def is_rota_baxter(alg: Algebra, mod: Bimodule, op: Matrix) -> CheckReport:
@@ -90,30 +100,41 @@ def _rota_baxter_sweep(alg: Algebra, mod: Bimodule, op: Matrix,
     """`is_rota_baxter`, appending to stars, when given, each e_i star e_j
     that the sweep forms, in product order: after a passing sweep,
     stars[i * mdim + j] is e_i star e_j as ints over den1 * den2."""
-    residual, n, den1 = _rota_baxter_law(alg, mod, op.rows, op.cols)
+    residual, n, den1 = _rota_baxter_law(alg, mod, op.rows, op.cols, stars)
     return _law_report("rota_baxter", "T(m).T(n) = T(l(Tm)n + r(Tn)m)", op,
-                       functools.partial(residual, stars=stars), n, den1)
+                       residual, n, den1)
 
 
-def _rota_baxter_law(alg: Algebra, mod: Bimodule, rows: int, cols: int) -> tuple:
+def _rota_baxter_module(alg: Algebra, mod: Bimodule, rows: int,
+                        cols: int) -> Bimodule:
+    """The bimodule whose integer view the Rota-Baxter law of a rows x cols
+    candidate contracts, after the law's shape check: mod, or its actions
+    over alg (`bimodule._rebased`).  A caller that reads that view as well
+    passes the law this bimodule, so that the view is built once."""
+    _check_shape(rows, cols, mod.mdim, alg.dim, "Rota-Baxter candidate")
+    return _rebased(alg, mod)
+
+
+def _rota_baxter_law(alg: Algebra, mod: Bimodule, rows: int, cols: int,
+                     stars: Optional[list] = None) -> tuple:
     """(residual, n, den1) of the Rota-Baxter identity for a rows x cols
     candidate, after its shape check: residual(tcols, i, j) is the int
-    residual at the module basis pair (i, j), i, j < n, of the operator
-    with sparse int columns tcols on the view of (alg, mod), scale den1.
-    It is a homogeneous quadratic in the entries of tcols.  The star
-    product inside it is `_star`'s; residual appends it to its list
-    argument stars, when given."""
-    _check_shape(rows, cols, mod.mdim, alg.dim, "Rota-Baxter candidate")
+    residual, a list, at the module basis pair (i, j), i, j < n, of the
+    operator with sparse int columns tcols on the view of
+    `_rota_baxter_module(alg, mod, rows, cols)`, scale den1.  It is a
+    homogeneous quadratic in the entries of tcols.  The star product inside
+    it is `_star`'s; residual appends it to stars, when given."""
     d, md = alg.dim, mod.mdim
-    prod, left, right, den1 = _rebased(alg, mod).int_view()
+    prod, left, right, den1 = _rota_baxter_module(alg, mod, rows,
+                                                  cols).int_view()
 
-    def residual(tcols, i, j, stars=None):
+    def residual(tcols, i, j):
         star = [0] * md
         _star(left, right, tcols, i, j, star, star)
         if stars is not None:
             stars.append(star)
         out = _multiply(prod, d, tcols[i], tcols[j], [0] * d)
-        return tuple(_subtract_image(tcols, enumerate(star), out))
+        return _subtract_image(tcols, enumerate(star), out)
 
     return residual, md, den1
 
@@ -172,7 +193,7 @@ def _nijenhuis_law(alg: Algebra, rows: int, cols: int) -> tuple:
     def residual(ncols, i, j):
         out = _multiply(prod, d, ncols[i], ncols[j], [0] * d)
         inner = _deformed(prod, ncols, d, i, j, [0] * d)
-        return tuple(_subtract_image(ncols, enumerate(inner), out))
+        return _subtract_image(ncols, enumerate(inner), out)
 
     return residual, d, den1
 
@@ -295,12 +316,12 @@ def induced_pre_anti_flexible(alg: Algebra, mod: Bimodule, op: Matrix) -> PreAnt
 def star_algebra(alg: Algebra, mod: Bimodule, op: Matrix) -> Algebra:
     """The induced algebra on M: m star n = r(T(n))m + l(T(m))n, from the
     star vectors that the Rota-Baxter sweep forms."""
+    mod = _rota_baxter_module(alg, mod, op.rows, op.cols)
     stars = []
     _rota_baxter_sweep(alg, mod, op, stars).require(
         "operator is not Rota-Baxter")
-    den1 = _rebased(alg, mod).int_view()[3]
     return _star_algebra_of(_star_groups(stars), mod.mdim,
-                            den1 * op.int_view()[1])
+                            mod.int_view()[3] * op.int_view()[1])
 
 
 def _star_product(mod: Bimodule, op: Matrix) -> Algebra:

@@ -2,13 +2,19 @@
 
 Predicates in this package return a CheckReport rather than a bare bool so
 that callers (and the CLI) can see the first violating basis tuple and the
-residual witnessing the failure.  `CheckReport.sweep` walks a law's basis
-tuples in lexicographic order, so "first violation" is deterministic.
+residual witnessing the failure.  Every law is checked over its basis
+tuples in lexicographic (product) order, so "first violation" is
+deterministic.
 
 Policy: predicates return reports; public constructions `require` their
 preconditions once (ValueError "<what>: <describe()>"); internal callers
 never re-check, and build from input already checked or proved valid with
-an unchecked builder such as `operators._star_product`.
+an unchecked builder such as `operators._star_product`.  The hot laws,
+which searches and complexes check on every candidate, scan their tuples
+in their own loops and record the first failure with `fail`, so a passing
+check builds nothing but its report (`algebra.anti_flexible_report`, and
+`operators._law_report` for the Rota-Baxter and Nijenhuis laws);
+`CheckReport.sweep` serves every other law.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ homogeneous quadratics in the cells and the scalar law is linear, so each
 is a list of int polynomial components, all of which vanish exactly when
 the law holds.  The two quadratic laws are read straight off the integer
 views that `is_rota_baxter` and `is_nijenhuis` contract (`_quadratic_law`),
-over the same scale, after the shape refusals of `operators._rota_baxter_law`
-and `_nijenhuis_law`; their residuals are never evaluated here.  Every
+over the same scale, after the shape refusals of
+`operators._rota_baxter_module` and `_nijenhuis_law`; their residuals are
+never evaluated here.  Every
 component is a flat list of (q, a, b) terms, q * cell a * cell b, where
 cell n (one past the last) is the constant 1, so that linear and constant
 monomials are terms too.  A component is checked as soon as its last cell
@@ -37,10 +38,10 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from .algebra import Algebra, anti_flexible_report, classify
-from .bimodule import Bimodule, _rebased
+from .bimodule import Bimodule
 from .linalg import (Matrix, MultiMap, Rat, _nonzero_cols, int_cols_rank,
                      integer_scaled)
-from .operators import (_nijenhuis_law, _rota_baxter_law, is_nijenhuis,
+from .operators import (_nijenhuis_law, _rota_baxter_module, is_nijenhuis,
                         is_rota_baxter)
 
 __all__ = [
@@ -119,10 +120,10 @@ def _quadratic_law(prod: list, rows: int, cols: int, linear) -> list:
 def _rota_baxter_terms(alg: Algebra, mod: Optional[Bimodule], rows: int,
                        cols: int) -> list:
     """The Rota-Baxter law, with v = l(T m_i)m_j + r(T m_j)m_i read off the
-    view of `_rota_baxter_law`, after its refusals."""
-    mod = _bimodule(mod)
-    _rota_baxter_law(alg, mod, rows, cols)
-    prod, left, right, _ = _rebased(alg, mod).int_view()
+    view that `_rota_baxter_law` contracts, after its refusals
+    (`_rota_baxter_module`)."""
+    prod, left, right, _ = _rota_baxter_module(alg, _bimodule(mod), rows,
+                                               cols).int_view()
 
     def linear(i, j):
         v = [[] for _ in range(cols)]

@@ -788,7 +788,8 @@ def test_cli_output_matches_the_golden_record(a2_fixture, pair_fixture,
     `check nij-structure`, `check on` and `deform generate` on a document
     over mixed denominators, `cohomology` on a complex that fails, on a
     non-Rota-Baxter and a wrong-shape operator and on induced actions that
-    are no bimodule, operator searches
+    are no bimodule, `check rb` on operators that fail the law with an
+    integer and a fractional witness, operator searches
     over each predicate kind and shape with their refusals, in text and
     JSON, and the argument errors of this module, print and exit byte for
     byte as

@@ -74,7 +74,7 @@ def ref_induced_bimodule_on_base(alg, mod, op):
         right.append(Matrix.from_cols(rcols, rows=d))
     if not ref_classify(alg).anti_flexible:
         ref_is_bimodule(star, left, right).require("not a bimodule")
-    return Bimodule(star, left, right, check=False)
+    return Bimodule(star, left, right, check=False, mdim=d)
 
 
 def ref_induced_pre_anti_flexible(alg, mod, op):
@@ -539,3 +539,38 @@ def test_a_complex_builds_each_view_once(a2_plus_a1, m_a2_plus_a1,
     views.clear()
     RBComplex(alg, mod, op).dims(3)
     assert calls == views == []
+
+
+def test_a_rebased_bimodule_builds_its_view_once(a2, m_a2, monkeypatch):
+    """Over an algebra that is not the bimodule's base, the Rota-Baxter law
+    reads the view of the actions rebased onto that algebra.  A
+    `rota-baxter` search, `star_algebra` and `RBComplex` each build that
+    view once, and their results are those over the rebased bimodule
+    itself."""
+    other = Algebra(a2.mul.scale(2), a2.labels)
+    rebased = Bimodule(other, m_a2.left, m_a2.right, check=False)
+    want = search_operators(other, rebased, (-1, 0, 1),
+                            ("rota-baxter", "nonzero"))
+    op = want[0]
+    want_star = _algebra_key(star_algebra(other, rebased, op))
+    want_view = RBComplex(other, rebased, op)._view
+    built = []
+    int_view = Bimodule.int_view
+
+    def recording(mod):
+        if mod._view is None:
+            built.append(mod)
+        return int_view(mod)
+
+    monkeypatch.setattr(Bimodule, "int_view", recording)
+    counts = []
+    for run in (lambda: search_operators(other, m_a2, (-1, 0, 1),
+                                         ("rota-baxter", "nonzero")) == want,
+                lambda: _algebra_key(star_algebra(other, m_a2, op))
+                == want_star,
+                lambda: RBComplex(other, m_a2, op)._view == want_view):
+        built.clear()
+        assert run()
+        counts.append(len(built))
+        assert all(mod.base is other for mod in built)
+    assert counts == [1, 1, 1]

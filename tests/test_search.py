@@ -14,6 +14,7 @@ import pytest
 import antiflex
 import antiflex.algebra
 import antiflex.linalg
+import antiflex.operators
 import antiflex.search
 from antiflex.algebra import Algebra, classify
 from antiflex.bimodule import Bimodule, zero_bimodule
@@ -400,11 +401,16 @@ def test_direct_laws_equal_the_probed_quadratic_forms(
 def test_operator_searches_never_evaluate_the_law_residual(a2, m_a2,
                                                           monkeypatch):
     """The search reads each law off the integer views: it calls
-    `_rota_baxter_law` or `_nijenhuis_law` once, for its refusals, and
-    never the residual it returns.  The hits are the brute-force ones."""
+    `_rota_baxter_module` or `_nijenhuis_law` once, for the law's refusals,
+    and never a law residual, the Rota-Baxter one included.  The hits are
+    the brute-force ones."""
+    cases = (((a2, m_a2, (-1, 0, 1), ("rota-baxter",)), "module-to-algebra"),
+             ((a2, None, (-1, 0, "1/2"), ("nijenhuis",)), "algebra-endo"))
+    want = [search_operators_each(*args, shape=shape) for args, shape in cases]
     calls = collections.Counter()
-    for name in ("_rota_baxter_law", "_nijenhuis_law"):
-        real = getattr(antiflex.search, name)
+    for module, name in ((antiflex.operators, "_rota_baxter_law"),
+                         (antiflex.search, "_nijenhuis_law")):
+        real = getattr(module, name)
 
         def law(*args, real=real, name=name):
             calls[name] += 1
@@ -416,14 +422,18 @@ def test_operator_searches_never_evaluate_the_law_residual(a2, m_a2,
 
             return counted, n, den
 
-        monkeypatch.setattr(antiflex.search, name, law)
-    for args, shape in (((a2, m_a2, (-1, 0, 1), ("rota-baxter",)),
-                         "module-to-algebra"),
-                        ((a2, None, (-1, 0, "1/2"), ("nijenhuis",)),
-                         "algebra-endo")):
-        hits = search_operators(*args, shape=shape)
-        assert hits and hits == search_operators_each(*args, shape=shape)
-    assert calls == {"_rota_baxter_law": 1, "_nijenhuis_law": 1}
+        monkeypatch.setattr(module, name, law)
+    real_module = antiflex.search._rota_baxter_module
+
+    def rota_baxter_module(*args):
+        calls["_rota_baxter_module"] += 1
+        return real_module(*args)
+
+    monkeypatch.setattr(antiflex.search, "_rota_baxter_module",
+                        rota_baxter_module)
+    got = [search_operators(*args, shape=shape) for args, shape in cases]
+    assert calls == {"_rota_baxter_module": 1, "_nijenhuis_law": 1}
+    assert all(got) and got == want
 
 
 def test_the_anti_flexible_sweep_never_classifies(monkeypatch):
