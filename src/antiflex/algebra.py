@@ -14,12 +14,15 @@ degree 2 in c, so exactly D**-2 times the int associator.  A law holds on
 c exactly when it holds on C, at the same first triple, and the witness is
 Fraction(int_residual, D**2).  `anti_flexible_report`, which searches and
 `bimodule._induced_view` read for every candidate, adds its four
-contractions per triple in one plain loop and builds a witness only at the
-first failure.
+contractions per triple in one plain loop and hands the first failure's
+int residual and D**2 to the report, which forms the witness when it is
+read.  An algebra built without labels shares the default labels of its
+dimension, built once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -43,7 +46,10 @@ __all__ = [
 ]
 
 
+@functools.cache
 def _default_labels(dim: int) -> tuple:
+    """e1, ..., e_dim, built once per dimension and shared by every algebra
+    of that dimension built without labels."""
     return tuple(f"e{i + 1}" for i in range(dim))
 
 
@@ -57,11 +63,14 @@ class Algebra:
             raise LinAlgError("algebra product must be an arity-2 tensor")
         self.mul = mul
         self.dim = mul.dim
-        self.labels = tuple(labels) if labels is not None else _default_labels(mul.dim)
-        if len(self.labels) != self.dim:
-            raise LinAlgError("label count != dimension")
-        if len(set(self.labels)) != self.dim:
-            raise LinAlgError("duplicate basis labels")
+        if labels is None:
+            self.labels = _default_labels(self.dim)
+        else:
+            self.labels = tuple(labels)
+            if len(self.labels) != self.dim:
+                raise LinAlgError("label count != dimension")
+            if len(set(self.labels)) != self.dim:
+                raise LinAlgError("duplicate basis labels")
 
     def int_view(self) -> tuple:
         """(prod, den): at pair index i*d + j, e_i.e_j's nonzero entries as
@@ -236,7 +245,9 @@ def anti_flexible_report(alg: Algebra) -> CheckReport:
     (e_i e_j)e_k - e_i(e_j e_k) - (e_k e_j)e_i + e_k(e_j e_i) into one int
     list: the mirror of a failing triple with i > k comes earlier and fails
     too, so the first failure, its witness and its text are those of the
-    full sweep.  A passing algebra builds no report beyond its name."""
+    full sweep.  A passing algebra builds no report beyond its name, and a
+    failing one keeps its int residual over D**2 until the witness is
+    read."""
     d = alg.dim
     prod, den = alg.int_view()
     report = CheckReport("anti_flexible")
@@ -258,8 +269,8 @@ def anti_flexible_report(alg: Algebra) -> CheckReport:
                     for t, b in prod[k * d + s]:
                         acc[t] += a * b
                 if any(acc):
-                    report.fail("(a,b,c) = (c,b,a)", (i, j, k),
-                                tuple(Fraction(x, den * den) for x in acc))
+                    report.fail("(a,b,c) = (c,b,a)", (i, j, k), acc,
+                                den * den)
                     return report
     return report
 

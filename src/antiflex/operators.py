@@ -13,14 +13,14 @@ are exactly D1*D2**2 times the true ones: the same basis pairs fail, and the
 witness is rebuilt as Fraction(int_residual, D1*D2**2).  Each residual is
 written once (`_rota_baxter_law`, `_nijenhuis_law`) as a function of the
 operator's sparse int columns, and `_law_report` runs either over the
-basis pairs in a plain double loop that builds a witness only at the first
-failure.  Over an algebra that is not the bimodule's base, the Rota-Baxter
-law reads the view of the actions rebased onto it (`_rota_baxter_module`);
-a caller that reads that view too hands the law the rebased bimodule, so
-the view is built once.  `search` calls `_rota_baxter_module` and
-`_nijenhuis_law` for their shape refusals and reads each law as a
-quadratic form in the entries off the same views.  The induced products
-star, > and < are linear in both, so ints over D1*D2.
+basis pairs in a plain double loop that records only the first failure,
+whose witness the report forms when it is read.  Over an algebra that is
+not the bimodule's base, the Rota-Baxter law reads the view of the actions
+rebased onto it (`_rota_baxter_module`); a caller that reads that view too
+hands the law the rebased bimodule, so the view is built once.  `search`
+calls `_rota_baxter_module` and `_nijenhuis_law` for their shape refusals
+and reads each law as a quadratic form in the entries off the same views.
+The induced products star, > and < are linear in both, so ints over D1*D2.
 
 The star contraction m_i star m_j = l(T m_i) m_j + r(T m_j) m_i is written
 once (`_star`).  The Rota-Baxter residual reads it, and a sweep that is
@@ -35,8 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Optional, Tuple
-
-from fractions import Fraction
 
 from .algebra import (Algebra, LieAlgebra, _check_base, _deformed,
                       _multiply, _semidirect_product, _subtract_image,
@@ -77,15 +75,14 @@ def _law_report(name: str, law: str, op: Matrix, residual, n: int,
     """An operator law over the basis pairs of range(n), in product order,
     from its int residual on the view of op: the first nonzero residual
     fails the report, and, as the law is quadratic in op, its witness is
-    the residual over den1 * den2**2."""
+    the residual over den1 * den2**2, formed when read."""
     cols, den2 = op.int_view()
     report = CheckReport(name)
     for i in range(n):
         for j in range(n):
             res = residual(cols, i, j)
             if any(res):
-                scale = den1 * den2 * den2
-                report.fail(law, (i, j), tuple(Fraction(x, scale) for x in res))
+                report.fail(law, (i, j), res, den1 * den2 * den2)
                 return report
     return report
 

@@ -14,28 +14,78 @@ which searches and complexes check on every candidate, scan their tuples
 in their own loops and record the first failure with `fail`, so a passing
 check builds nothing but its report (`algebra.anti_flexible_report`, and
 `operators._law_report` for the Rota-Baxter and Nijenhuis laws);
-`CheckReport.sweep` serves every other law.
+`CheckReport.sweep` serves every other law.  A hot law's failure keeps its
+int residual and the scale it is over, and its witness, the Fractions
+residual / scale, is formed on the first read of `Violation.residual`: a
+caller that reads only `ok`, such as a search predicate rejecting a
+candidate, forms none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional
 
 from .linalg import vec_is_zero
 
 
-@dataclass(frozen=True)
+def _witness(ints, scale: int) -> tuple:
+    """The exact residual of an int residual over scale."""
+    return tuple(Fraction(x, scale) for x in ints)
+
+
 class Violation:
-    law: str
-    where: tuple
-    residual: Any
+    """The first failure of a law: the basis tuple `where` and the residual
+    there.  Given a scale, `residual` is handed over as the int residual
+    over that scale, and the witness is formed on its first read.  Equality,
+    hashing and repr are those of a frozen dataclass of (law, where,
+    residual), and the three fields are read-only."""
+
+    __slots__ = ("_law", "_where", "_residual", "_scale")
+
+    def __init__(self, law: str, where: tuple, residual: Any,
+                 scale: Optional[int] = None):
+        self._law = law
+        self._where = where
+        self._residual = residual
+        self._scale = scale
+
+    @property
+    def law(self) -> str:
+        return self._law
+
+    @property
+    def where(self) -> tuple:
+        return self._where
+
+    @property
+    def residual(self) -> Any:
+        if self._scale is not None:
+            self._residual = _witness(self._residual, self._scale)
+            self._scale = None
+        return self._residual
+
+    def _fields(self) -> tuple:
+        return (self._law, self._where, self.residual)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"Violation(law={self._law!r}, where={self._where!r}, "
+                f"residual={self.residual!r})")
 
     def describe(self) -> str:
         return f"{self.law} fails at basis tuple {self.where}: residual {self.residual}"
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckReport:
     name: str
     ok: bool = True
@@ -45,9 +95,12 @@ class CheckReport:
     def __bool__(self) -> bool:
         return self.ok
 
-    def fail(self, law: str, where: tuple, residual) -> None:
+    def fail(self, law: str, where: tuple, residual,
+             scale: Optional[int] = None) -> None:
+        """Record a failure; with a scale, residual is the int residual
+        over it, and the witness is formed when read."""
         self.ok = False
-        self.violations.append(Violation(law, where, residual))
+        self.violations.append(Violation(law, where, residual, scale))
 
     def sweep(self, law: str, tuples: Iterable[tuple],
               residual: Callable[..., Any],

@@ -5,8 +5,12 @@ order, keep the candidates passing every named predicate, and return up to
 a requested number of hits.  Everything found here re-passes its filters on
 re-ingestion, which the tests assert.
 
-`search_algebras` builds and tests every candidate; its anti-flexible
-predicate reads `anti_flexible_report`, which sweeps half the triples, and
+`search_algebras` builds and tests every candidate.  A candidate's cells,
+the grid values as ints over their common denominator, come in key order,
+so each is built with its integer view (`MultiMap._of_view`), one sparse
+group per product e_i e_j, and no check sorts its entries.  Its
+anti-flexible predicate reads `anti_flexible_report(alg).ok`, which sweeps
+half the triples and forms no witness for a rejected candidate, and
 `classify` serves only the flexible and associative ones.
 `search_operators` backtracks over the cells of the candidate matrix (its
 row-major entries) in the same order, on the grid values written as ints
@@ -227,8 +231,13 @@ def operator_predicate(name: str, alg: Algebra,
 
 def _grid_values(coeffs: Sequence, cells: int) -> tuple:
     """(values, total): the distinct grid values, sorted, and the number of
-    candidates, refused over the ceiling."""
-    values = sorted(set(Rat(c) for c in coeffs))
+    candidates, refused over the ceiling.  A grid of ints is sorted as it
+    is; any other is read as Fractions."""
+    coeffs = tuple(coeffs)
+    if all(type(c) is int for c in coeffs):
+        values = sorted(set(coeffs))
+    else:
+        values = sorted(set(Rat(c) for c in coeffs))
     total = len(values) ** cells
     if total > CANDIDATE_CEILING:
         raise SearchSpaceError(
@@ -272,16 +281,19 @@ def search_algebras(dim: int, coeffs: Sequence, predicates: Sequence[str],
     checks = [algebra_predicate(p) for p in predicates]
     values, total = _grid_values(coeffs, dim ** 3)
     scan = _scanner(total, progress)
-    # each candidate's constants are its cells over the grid's denominator
+    # each candidate's constants are its cells over the grid's denominator,
+    # in key order: the dim cells of e_i e_j form the sparse group at i *
+    # dim + j of its integer view, and the sweep over the cells is the sweep
+    # over the groups of each product in turn
     (ints,), den = integer_scaled(values)
-    keys = list(itertools.product(range(dim), repeat=3))
+    groups = [tuple((k, x) for k, x in enumerate(cells) if x)
+              for cells in itertools.product(ints, repeat=dim)]
     hits = []
-    for cells in itertools.product(ints, repeat=dim ** 3):
+    for view in itertools.product(groups, repeat=dim * dim):
         scan(1)
         if len(hits) == limit:
             break
-        alg = Algebra(MultiMap._of_ints(2, dim, dim, dict(zip(keys, cells)),
-                                        den))
+        alg = Algebra(MultiMap._of_view(2, dim, dim, list(view), den))
         if all(check(alg) for check in checks):
             hits.append(alg)
     return hits

@@ -41,6 +41,10 @@ Each function here is the form the package used before the direct one:
   actions, the twists and A_N anew;
 - `algebra_predicate_dispatched`, `operator_predicate_dispatched`: the
   search predicates that read their name on every application;
+- `search_algebras_each`: `search.search_algebras` building every
+  candidate of the grid from its Fraction constants with the public
+  constructors and applying the dispatched predicates to it, in sweep
+  order;
 - `search_operators_each`: `search.search_operators` building every
   candidate of the grid as a Matrix and applying the dispatched predicates
   to it, in sweep order;
@@ -48,6 +52,9 @@ Each function here is the form the package used before the direct one:
   search, found by probing the int residual of `operators._rota_baxter_law`
   or `_nijenhuis_law` on unit cells and pairs of cells, where the search
   now reads its terms off the integer views.
+- `Violation`: the frozen dataclass that `reports.Violation` was, which
+  holds its witness from the start, where the package's forms a hot law's
+  witness on its first read.
 
 None of them calls the package's twist, (4.7) or S^2 helpers: the actions
 of elements are `linear_combination` of the action matrices, and products
@@ -60,7 +67,9 @@ time.
 import itertools
 import sys
 from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any
 
 from antiflex.algebra import (Algebra, _semidirect_product, classify,
                               deformed_product, direct_sum)
@@ -69,13 +78,23 @@ from antiflex.cohomology import ComplexError, ComplexReport, _check_degree
 from antiflex.deformation import block_operator
 from antiflex.glie import (HARD_ARITY_CAP, _structure_element, compose_bar,
                            graded_bracket, structure_element)
-from antiflex.linalg import (LinAlgError, Matrix, basis_vector,
+from antiflex.linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
                              int_cols_rank, linear_combination, vec_is_zero,
                              vec_sub)
 from antiflex.operators import (_check_operator_shape, _is_algebra_morphism,
                                 _nijenhuis_law, _rota_baxter_law,
                                 is_nijenhuis, is_rota_baxter)
 from antiflex.reports import CheckReport
+
+
+@dataclass(frozen=True)
+class Violation:
+    law: str
+    where: tuple
+    residual: Any
+
+    def describe(self) -> str:
+        return f"{self.law} fails at basis tuple {self.where}: residual {self.residual}"
 
 
 def evaluate_all_tuples(mm, *args):
@@ -341,6 +360,22 @@ def _grid_each(coeffs, cells, progress):
             print(f"search: {count}/{total} candidates scanned",
                   file=sys.stderr)
         yield entries
+
+
+def search_algebras_each(dim, coeffs, predicates, limit=None):
+    if dim < 0:
+        raise ValueError(f"search dimension must be nonnegative, got {dim}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"search limit must be nonnegative, got {limit}")
+    checks = [algebra_predicate_dispatched(p) for p in predicates]
+    hits = []
+    for entries in _grid_each(coeffs, dim ** 3, False):
+        if len(hits) == limit:
+            break
+        alg = Algebra(MultiMap(2, dim, entries))
+        if all(check(alg) for check in checks):
+            hits.append(alg)
+    return hits
 
 
 def search_operators_each(alg, mod, coeffs, predicates,

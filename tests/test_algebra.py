@@ -10,7 +10,8 @@ from antiflex.algebra import (Algebra, ClassifyFlags, classify,
                               commutator_lie, deformed_product, direct_sum,
                               semidirect_product, tensor_with_associative)
 from antiflex.bimodule import zero_bimodule
-from antiflex.linalg import Matrix, MultiMap, basis_vector, vec_is_zero
+from antiflex.linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
+                             vec_is_zero)
 from antiflex.operators import is_nijenhuis
 from antiflex.search import search_algebras
 
@@ -156,3 +157,39 @@ def test_zero_dimensional_algebra_is_vacuously_fine():
     empty = Algebra.zero(0)
     flags = classify(empty)
     assert flags.anti_flexible and flags.flexible and flags.associative
+
+
+def test_default_labels_are_one_shared_tuple_per_dimension(a2, na2):
+    """Every algebra built without labels, by any route, shares the one
+    tuple e1, ..., e_dim of its dimension."""
+    shared = Algebra.zero(2).labels
+    assert shared == ("e1", "e2")
+    built = [a2, na2, Algebra(MultiMap(2, 2, [1] * 8)),
+             Algebra.from_products(2, {(0, 1): {0: Fraction(1, 2)}}),
+             deformed_product(a2, Matrix.identity(2)),
+             *search_algebras(2, (0, 1), ("anti-flexible",), limit=3)]
+    assert all(alg.labels is shared for alg in built)
+    assert Algebra.zero(3).labels == ("e1", "e2", "e3")
+    assert Algebra.zero(3).labels is Algebra(MultiMap.zero(2, 3)).labels
+    assert Algebra.zero(0).labels == ()
+
+
+def test_explicit_labels_are_still_checked():
+    """Given labels are copied into a tuple and refused, with the same
+    messages, for a wrong count or a repeat."""
+    names = ["x", "y"]
+    alg = Algebra.zero(2, names)
+    names.append("z")
+    assert alg.labels == ("x", "y")
+    assert Algebra.zero(2, iter("ab")).labels == ("a", "b")
+    assert Algebra.zero(2, ("e1", "e2")).labels == Algebra.zero(2).labels
+    for labels, message in ((["x"], "label count != dimension"),
+                            (["x", "y", "z"], "label count != dimension"),
+                            ((), "label count != dimension"),
+                            (["x", "x"], "duplicate basis labels")):
+        with pytest.raises(LinAlgError) as info:
+            Algebra.zero(2, labels)
+        assert str(info.value) == message
+    with pytest.raises(LinAlgError) as info:
+        Algebra.zero(0, ["x"])
+    assert str(info.value) == "label count != dimension"

@@ -25,7 +25,7 @@ from antiflex.bimodule import (Bimodule, _induced_view,
                                induced_bimodule_on_base, regular_bimodule,
                                zero_bimodule)
 from antiflex.cohomology import ComplexError, RBComplex
-from antiflex.linalg import (Matrix, MultiMap, basis_vector,
+from antiflex.linalg import (Matrix, MultiMap, _rescaled, basis_vector,
                              linear_combination, vec_add, vec_sub)
 from antiflex.operators import (PreAntiFlexible, _star_product,
                                 induced_pre_anti_flexible,
@@ -277,6 +277,31 @@ def test_a_bimodule_rescales_each_view_by_its_own_denominator(
         assert rb_morphism_graph_check(induced.base, induced, zero,
                                        star, copy, zero, phi, psi)
     assert unreduced == 72
+
+
+def test_search_hits_carry_the_views_of_their_entries():
+    """A searched algebra is built with its integer view.  On every hit that
+    view stands for its entries, and it equals the view `int_view` reads off
+    the entries of a copy, written over the grid's denominator.  On the grid
+    {-1, 1/2, 2} a hit whose constants are all integers has its entries put
+    over 1, while its view keeps the grid's 2."""
+    reduced = 0
+    half = Fraction(1, 2)
+    for dim, coeffs, den in ((1, (-1, 0, 1), 1), (2, (-1, 0, 1), 1),
+                             (2, (-7, 0, 7), 1), (1, (-1, half, 2, 0), 2),
+                             (2, (-1, half, 2), 2)):
+        hits = search_algebras(dim, coeffs, ["anti-flexible"])
+        assert hits
+        for alg in hits:
+            groups, view_den = alg.int_view()
+            copy = MultiMap._of_ints(2, dim, dim, dict(alg.mul.entries),
+                                     alg.mul.den)
+            fresh, fresh_den = copy.int_view()
+            assert view_den == den and den % fresh_den == 0
+            assert groups == _rescaled(fresh, fresh_den, den)
+            assert_views_match(alg)
+            reduced += fresh_den < den
+    assert reduced > 0
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,16 +7,19 @@ repr included) and `describe()`, on seeded data where another loop order
 would fail first elsewhere, and they check that none of the hot paths
 reaches the generic `CheckReport.sweep`."""
 
+import functools
 import random
 from fractions import Fraction
 
+from antiflex import reports
 from antiflex.algebra import Algebra, anti_flexible_report, classify
 from antiflex.bimodule import regular_bimodule
 from antiflex.cohomology import RBComplex
 from antiflex.linalg import Matrix, MultiMap, vec_is_zero, vec_sub
 from antiflex.operators import is_nijenhuis, is_rota_baxter
-from antiflex.reports import CheckReport
+from antiflex.reports import CheckReport, Violation
 from antiflex.search import search_algebras
+from tests import slow_routes
 from tests.test_int_views import assert_contractions_agree
 from tests.test_scaled_laws import (VALUES, _corpus_triples, _key,
                                     _random_case, ref_anti_flexible_report,
@@ -48,23 +51,28 @@ def _sparse_algebra(rng, dim, density):
         for _ in range(dim ** 3)]))
 
 
+def _anti_flexible_trials():
+    """240 seeded sparse algebras of dims 0-4 with fractional constants."""
+    rng = random.Random(2424)
+    for trial in range(240):
+        dim = (0, 1, 2, 3, 3, 4)[trial % 6]
+        density = (0.08, 0.15, 0.3)[trial // 6 % 3]
+        yield _sparse_algebra(rng, dim, density)
+
+
 def test_anti_flexible_first_failure_equals_the_full_sweep():
     """Seeded sparse algebras of dims 0-4 with fractional constants.  On
     many of the failing ones the first failure in product order (i, then j,
     then k) is not the first in i, k, j order, such as (0, 0, 2) before
     (0, 1, 1); the loop must report the product-order one."""
-    rng = random.Random(2424)
     failed = disagree = 0
     patterns = set()
-    for trial in range(240):
-        dim = (0, 1, 2, 3, 3, 4)[trial % 6]
-        density = (0.08, 0.15, 0.3)[trial // 6 % 3]
-        alg = _sparse_algebra(rng, dim, density)
+    for alg in _anti_flexible_trials():
         got = anti_flexible_report(alg)
         _assert_same_report(got, ref_anti_flexible_report(alg))
         assert got.ok == classify(alg).anti_flexible
         if got.ok:
-            assert dim < 2 or _ikj_first(alg) is None
+            assert alg.dim < 2 or _ikj_first(alg) is None
             continue
         failed += 1
         other = _ikj_first(alg)
@@ -81,6 +89,21 @@ def _with_zero_column(op, col):
                                      for k, x in enumerate(op.data)])
 
 
+def _operator_trials(rng):
+    """160 seeded (alg, mod, op, endo) of dims 0-3 and module dims 0-3,
+    drawn from rng, with fractional entries and, in two trials of three,
+    T(m_0) = 0 and N(e_0) = 0."""
+    for trial in range(160):
+        dim = trial % 4
+        mdim = (trial // 4) % 4
+        alg, mod, op, endo = _random_case(rng, dim, mdim, (0.3, 0.6)[trial % 2])
+        if trial % 3 and op.cols:
+            op = _with_zero_column(op, 0)
+        if trial % 3 and endo.cols:
+            endo = _with_zero_column(endo, 0)
+        yield alg, mod, op, endo
+
+
 def test_operator_first_failures_equal_the_full_sweep(cohomology_corpus,
                                                       noncommutative_rb,
                                                       defect_rb):
@@ -94,14 +117,7 @@ def test_operator_first_failures_equal_the_full_sweep(cohomology_corpus,
     seen = {"rb": set(), "nijenhuis": set()}
     late = {"rb": 0, "nijenhuis": 0}
     fractional = set()
-    for trial in range(160):
-        dim = trial % 4
-        mdim = (trial // 4) % 4
-        alg, mod, op, endo = _random_case(rng, dim, mdim, (0.3, 0.6)[trial % 2])
-        if trial % 3 and op.cols:
-            op = _with_zero_column(op, 0)
-        if trial % 3 and endo.cols:
-            endo = _with_zero_column(endo, 0)
+    for alg, mod, op, endo in _operator_trials(rng):
         for name, got, want, scale in (
                 ("rb", is_rota_baxter(alg, mod, op),
                  ref_is_rota_baxter(alg, mod, op), op.int_view()[1]),
@@ -181,3 +197,79 @@ def test_the_hot_laws_never_sweep(cohomology_corpus, noncommutative_rb,
     # the generic sweep still serves the cold laws
     regular_bimodule(a2)
     assert calls == ["bimodule", "bimodule"]
+
+
+def _eager(report, cls):
+    """The report with each violation rebuilt as cls(law, where, residual),
+    its witness given at once."""
+    return CheckReport(report.name, report.ok,
+                       [cls(v.law, v.where, v.residual)
+                        for v in report.violations], dict(report.notes))
+
+
+def test_a_witness_formed_on_read_reads_as_the_eager_form():
+    """Every failing report of the seeded sets above, built afresh for each
+    read so that the read forms its witness, prints, compares, hashes and
+    describes as the same report holding the frozen-dataclass violations of
+    `tests/slow_routes.py`, whose witness is formed at once: equal to
+    itself and to its eager form, and unequal to the next report wherever
+    the eager forms are."""
+    rng = random.Random(2425)
+    makers = [functools.partial(anti_flexible_report, alg)
+              for alg in _anti_flexible_trials()]
+    for alg, mod, op, endo in _operator_trials(rng):
+        makers += [functools.partial(is_rota_baxter, alg, mod, op),
+                   functools.partial(is_nijenhuis, alg, endo)]
+    failing = [make for make in makers if not make().ok]
+    assert len(failing) >= 200
+    assert {make().name for make in failing} == {
+        "anti_flexible", "rota_baxter", "nijenhuis"}
+    unequal = 0
+    for make, after in zip(failing, failing[1:] + failing[:1]):
+        oracle = _eager(make(), slow_routes.Violation)
+        assert repr(make()) == repr(oracle)
+        assert repr(make().first()) == repr(oracle.first())
+        assert hash(make().first()) == hash(oracle.first())
+        assert make().describe() == oracle.describe()
+        assert make().first().describe() == oracle.first().describe()
+        assert make() == make() and make().first() == make().first()
+        assert make() == _eager(make(), Violation)
+        same = (oracle == _eager(after(), slow_routes.Violation))
+        assert (make() == after()) == same
+        assert (make().first() == after().first()) == same
+        unequal += not same
+    assert unequal >= len(failing) - 2
+
+
+def test_a_rejected_candidate_forms_no_witness(monkeypatch):
+    """The dim-2 anti-flexible, not-associative sweep fails 6,360
+    anti-flexible reports and forms none of their witnesses, with the 96
+    hits that `classify` keeps; a read of a failing report's residual forms
+    its witness once."""
+    candidates = search_algebras(2, (-1, 0, 1), ())
+    want_hits = [alg for alg in candidates if classify(alg).anti_flexible
+                 and not classify(alg).associative]
+    rejected = next(alg for alg in candidates
+                    if not classify(alg).anti_flexible)
+    want = ref_anti_flexible_report(rejected).first().residual
+    formed, failed = [], []
+    witness, fail = reports._witness, CheckReport.fail
+
+    def forming(ints, scale):
+        formed.append(scale)
+        return witness(ints, scale)
+
+    def failing(self, *args):
+        failed.append(self.name)
+        return fail(self, *args)
+
+    monkeypatch.setattr(reports, "_witness", forming)
+    monkeypatch.setattr(CheckReport, "fail", failing)
+    hits = search_algebras(2, (-1, 0, 1), ("anti-flexible", "not-associative"))
+    assert failed == ["anti_flexible"] * 6360
+    assert formed == []
+    assert hits == want_hits and len(hits) == 96
+    report = anti_flexible_report(rejected)
+    assert formed == []
+    assert report.first().residual == report.first().residual == want
+    assert formed == [1]

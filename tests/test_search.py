@@ -21,8 +21,9 @@ from antiflex.bimodule import Bimodule, zero_bimodule
 from antiflex.linalg import Matrix, MultiMap
 from antiflex.operators import is_nijenhuis, is_rota_baxter
 from antiflex.search import (CANDIDATE_CEILING, SearchSpaceError,
-                             search_algebras, search_operators)
-from tests.slow_routes import quadratic_law_probed, search_operators_each
+                             _grid_values, search_algebras, search_operators)
+from tests.slow_routes import (_grid_each, quadratic_law_probed,
+                               search_algebras_each, search_operators_each)
 from tests.test_scaled_laws import run_in_child
 
 
@@ -120,6 +121,66 @@ def test_negative_dimension_is_refused_up_front(monkeypatch):
                                          "got -1"):
         search_algebras(-1, (0, 1), ("anti-flexible",))
     assert scanned == []
+
+
+def test_algebra_hits_equal_the_brute_force_sweep():
+    """`search_algebras` builds each candidate with its view from int cells;
+    its hits are those of building every candidate from its Fraction
+    constants with the public constructors (`tests/slow_routes.py`), in
+    order, on every grid the tests use: dims 0-2, empty, repeated, scaled,
+    fractional and non-int values, every predicate with and without `not-`,
+    and limits."""
+    cases = [
+        (0, (-1, 0, 1), (), (None, 0, 1)), (0, (), (), (None,)),
+        (1, (), ("anti-flexible",), (None,)), (1, (0, 0), (), (None,)),
+        (1, (0, 1), ("anti-flexible",), (None,)),
+        (1, ("1/2", 0.25, True, -3), ("not-commutative",), (None,)),
+        (2, (-1, 0, 1), ("anti-flexible", "not-associative"), (None, 0, 5)),
+        (2, (-7, 0, 7), ("anti-flexible", "not-associative"), (None,)),
+        (2, (-1, 0, 1), ("flexible",), (None,)),
+        (2, (-1, 0, 1), ("not-anti-flexible", "not-flexible"), (None,)),
+        (2, (0, 1), ("anti-flexible", "commutative"), (None,)),
+        (2, (0, 1) * 30, ("anti-flexible",), (None, 3)),
+        (2, (-1, Fraction(1, 2), 2), ("anti-flexible", "associative"),
+         (None,)),
+    ]
+    for dim, coeffs, predicates, limits in cases:
+        for limit in limits:
+            got = search_algebras(dim, coeffs, predicates, limit)
+            want = search_algebras_each(dim, coeffs, predicates, limit)
+            assert got == want
+            assert [alg.labels for alg in got] == [alg.labels for alg in want]
+
+
+def test_an_int_grid_keeps_its_values_total_and_refusals():
+    """`_grid_values` sorts a grid of ints as ints; its values, as numbers,
+    its total and its ceiling refusal are those of reading every grid as
+    Fractions (`tests/slow_routes.py`)."""
+    def outcome(fn):
+        try:
+            return fn()
+        except (SearchSpaceError, ValueError, TypeError) as exc:
+            return (type(exc), str(exc))
+
+    def oracle(coeffs, cells):
+        next(_grid_each(coeffs, cells, False), None)
+        values = sorted(set(Fraction(c) for c in coeffs))
+        return values, len(values) ** cells
+
+    grids = [(), (0,), (3, -1, 3, 0), (-7, 0, 7), tuple(range(-20, 21)),
+             (True, 0, 2), (1, Fraction(1, 2)), ("1/2", 2), (1, None)]
+    for coeffs in grids:
+        for cells in (0, 1, 4, 8):
+            got = outcome(lambda: _grid_values(coeffs, cells))
+            assert got == outcome(lambda: oracle(coeffs, cells))
+            if all(type(c) is int for c in coeffs) and type(got[0]) is list:
+                assert all(type(v) is int for v in got[0])
+    # the coefficients are read once, so an iterator gives the same grid
+    for coeffs in ((3, -1, 3, 0), (1, Fraction(1, 2))):
+        assert (_grid_values(iter(coeffs), 2) == _grid_values(coeffs, 2)
+                == oracle(coeffs, 2))
+    assert (outcome(lambda: _grid_values(5, 2))
+            == outcome(lambda: oracle(5, 2)))
 
 
 def test_repeated_coefficients_are_enumerated_once(a2, m_a2):
