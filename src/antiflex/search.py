@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence
 
 from .algebra import Algebra, anti_flexible_report, classify
 from .bimodule import Bimodule
-from .linalg import (Matrix, MultiMap, Rat, _nonzero_cols, int_cols_rank,
+from .linalg import (Matrix, MultiMap, _exact, _nonzero_cols, int_cols_rank,
                      integer_scaled)
 from .operators import (_nijenhuis_law, _rota_baxter_module, is_nijenhuis,
                         is_rota_baxter)
@@ -231,13 +231,10 @@ def operator_predicate(name: str, alg: Algebra,
 
 def _grid_values(coeffs: Sequence, cells: int) -> tuple:
     """(values, total): the distinct grid values, sorted, and the number of
-    candidates, refused over the ceiling.  A grid of ints is sorted as it
-    is; any other is read as Fractions."""
-    coeffs = tuple(coeffs)
-    if all(type(c) is int for c in coeffs):
-        values = sorted(set(coeffs))
-    else:
-        values = sorted(set(Rat(c) for c in coeffs))
+    candidates, refused over the ceiling.  Ints and Fractions are kept as
+    they are and any other value is read as a Fraction, so a grid of ints
+    forms no Fraction."""
+    values = sorted(set(map(_exact, coeffs)))
     total = len(values) ** cells
     if total > CANDIDATE_CEILING:
         raise SearchSpaceError(
