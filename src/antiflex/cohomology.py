@@ -29,16 +29,35 @@ M^n, so the pointwise route has no such components to check).
 `RBComplex` forms only the integer view of the induced structure: star,
 l_T and r_T as sparse ints over one scale (`bimodule._induced_view`).  Its
 `induced` bimodule and `star` algebra are built from that view on first
-read, as `induced_bimodule_on_base` builds them.  The pointwise route
-builds each d_n once from the view as sparse int columns, reading a basis
-tuple of M^(n+1) as its base-mdim number.  `RBComplex.dims` works on those
-columns alone.  It first checks d_n o d_{n-1} = 0 for n = 1..k in order,
-multiplying the columns sparsely, and only then ranks each d_n with
-`linalg.int_cols_rank`, exact because a common scale changes no rank; a
-triple that fails the check costs no rank.  `differential_matrix` is the
-dense `Matrix` view of the columns; `dims` never builds it, and the tests
-keep it, with its dense elimination, as the oracle of both the columns
-and the ranks.
+read, as `induced_bimodule_on_base` builds them.
+
+The pointwise route stores each d_n once from the view as sparse int
+columns, reading a basis tuple of M^(n+1) as its base-mdim number, on the
+rows d_n can differ on.  For n >= 2 the reversal term swaps Q(x) and
+Q(rev x), rev reversing the tuple, so d f(rev x) = s_n d f(x) for every f,
+with s_n = (-1)^{n(n+1)/2}: every image of d_n has this symmetry, row
+(rev x, k) of d_n is s_n times row (x, k), and a palindromic row is zero
+when s_n = -1.  The store keeps the rows with x <= rev x.  Each Q-term
+lands on the kept row of its tuple, times s_n when that row is the
+reversed one and times 1 + s_n at a palindrome.  d_0 is its two-term
+formula and d_1 has no reversal term; both keep every row.
+
+`RBComplex.dims` reads the store alone.  It first checks d_n o d_{n-1} = 0
+for n = 1..k in order, multiplying the columns sparsely, and only then
+ranks each d_n with `linalg.int_cols_rank`; a triple that fails the check
+costs no rank.  Both are exact on the store.  The ranks are, because a
+dropped row is a signed copy of a kept one or zero, and a common scale
+changes no rank.  The check is, because an entry x at row i of a stored
+column of d_{n-1}, n - 1 >= 2, stands for s_{n-1} x at its twin row (rev,
+k) as well, so the image is x d_n[:, i] + s_{n-1} x d_n[:, twin(i)] (one
+term at a palindrome), and because the images of d_n have the reversal
+symmetry, so they vanish when they vanish on the kept rows.  The first
+failing column of d_{n-1}, and with it the ComplexError text, is the same
+as on the full columns.  `_int_columns` is the signed expansion of the
+store to every row; `differential_matrix`, its dense view, and the tests
+read it, and `dims` expands nothing and builds no dense d_n.  The tests
+keep the every-row assembly (`tests/slow_routes.py`) as the oracle of the
+store, and the dense elimination as the oracle of the ranks.
 
 Whether d squares to zero depends on the data.  `tests/test_cohomology.py`
 pins a census: every anti-flexible dim-2 algebra over {-1, 0, 1} with its
@@ -46,8 +65,11 @@ regular bimodule and every nonzero Rota-Baxter operator over {-1, 0, 1},
 616 pairs.  On the 360 commutative pairs d_n o d_{n-1} = 0 for n = 1..5.
 On the 256 noncommutative ones d_2 o d_1 = 0, but d_3 o d_2, d_4 o d_3 and
 d_5 o d_4 never vanish, on the 128 associative pairs too, and d_1 o d_0
-fails on 96.  So dimension reports verify the complex property explicitly
-(and refuse to report sham quotients).
+fails on 96.  By the reversal class of pi_T = star + l_T + r_T
+(`glie.reversal`), the 360 are exactly the pairs with pi_T in one
+eigenspace (144 in V+, 216 in V-), and the 256 have it in neither.  So
+dimension reports verify the complex property explicitly (and refuse to
+report sham quotients).
 """
 
 from __future__ import annotations
@@ -108,8 +130,13 @@ class RBComplex:
         # the integer view (star, l_T, r_T) of the induced structure; raises
         # ValueError unless op is Rota-Baxter
         self._view = _induced_view(alg, mod, op)
-        # degree -> the sparse int columns of d_degree (`_int_columns`)
+        # degree -> the stored sparse int columns of d_degree (`_columns`)
         self._matrices = {}
+        # the per-complex tables of the assembly: the star products by output
+        # coordinate (`_star_by_output`) and, by length, the twin
+        # coordinates of C^length (`_twins`)
+        self._products = None
+        self._twin_tables = {}
 
     @functools.cached_property
     def induced(self) -> Bimodule:
@@ -152,65 +179,144 @@ class RBComplex:
         """Flattened d_H: C^degree -> C^{degree+1} in the cochain coordinate
         order (j_1, ..., j_n, k), written pointwise from the structure
         constants (see the module docstring); equal to `differential` on
-        every basis cochain.  The dense view of the columns `dims` ranks,
-        built anew on each call."""
+        every basis cochain.  The dense view of the expanded columns
+        (`_int_columns`), built anew on each call."""
         return Matrix._of_view(1, self.dim_cochains(degree),
                                self.dim_cochains(degree + 1),
                                self._int_columns(degree), self._view[3])
 
     def _int_columns(self, degree: int) -> list:
-        """The columns of d_degree as sorted (row, int) pairs: the matrix
+        """The columns of d_degree with every row, as sorted (row, int)
+        pairs: the matrix times the scale of the induced view.  The signed
+        expansion of the store (`_columns`): row (rev(x), k) holds s_n times
+        row (x, k).  Built anew on each call; `dims` never reads it."""
+        cols = self._columns(degree)
+        fold = self._fold(degree)
+        if fold is None:
+            return cols
+        twin, sign = fold
+        return [sorted(col + [(twin[r], sign * x) for r, x in col
+                              if twin[r] != r]) for col in cols]
+
+    def _columns(self, degree: int) -> list:
+        """The columns of d_degree as sorted (row, int) pairs on the rows it
+        can differ on: every row for degrees 0 and 1, and for n >= 2 the
+        rows (x, k) with x <= rev(x) (see the module docstring); the matrix
         times the scale of the induced view.  Built once per degree and
         kept in `_matrices`."""
         _check_degree(degree)
-        if degree in self._matrices:
-            return self._matrices[degree]
-        m, a, n = self.mdim, self.adim, degree
-        # star, l_T and r_T as ints over one scale, in which d_n is linear;
+        cols = self._matrices.get(degree)
+        if cols is None:
+            cols = self._d0() if degree == 0 else self._assemble(degree)
+            self._matrices[degree] = cols
+        return cols
+
+    def _d0(self) -> list:
+        """d c(x) = l_T(x)c - r_T(x)c: column k holds l_T(e_z)e_k -
+        r_T(e_z)e_k at the rows z * adim + kk."""
+        a = self.adim
+        _, left, right, _ = self._view
+        cols = []
+        for k in range(a):
+            column = {}
+            for z, (lz, rz) in enumerate(zip(left, right)):
+                row = z * a
+                for kk, w in lz[k]:
+                    column[row + kk] = w
+                for kk, w in rz[k]:
+                    column[row + kk] = column.get(row + kk, 0) - w
+            cols.append(sorted([(r, x) for r, x in column.items() if x]))
+        return cols
+
+    def _assemble(self, n: int) -> list:
+        """The store of d_n, n >= 1 (`_columns`)."""
+        m, a = self.mdim, self.adim
+        # l_T and r_T as ints over the view's scale, in which d_n is linear;
         # action[k] lists (kk, w), w != 0 the e_kk-coefficient of action(e_k)
-        prod, left, right, _ = self._view
+        _, left, right, _ = self._view
+        products = self._star_by_output()
         identity = [[(k, 1)] for k in range(a)]
-        # the star products by output coordinate: u star v = sum_t c e_t,
-        # kept as (u * m + v, c)
-        products = [[] for _ in range(m)]
-        for uv, img in enumerate(prod):
-            for t, c in img:
-                products[t].append((uv, c))
         sign = -1 if n % 2 else 1
-        outer = sign if n else -1
-        rev = (-1 if (n * (n + 1) // 2) % 2 else 1) if n >= 2 else 0
         # a tuple of basis indices is its base-m number: ys has y < m**n,
         # and ys[s] is the digit of weight m**(n - 1 - s)
         size = m ** n
         weights = [m ** (n - 1 - s) for s in range(n)]
-        flip = _digit_reversal(m, n + 1) if rev else None
+        # with a reversal term (n >= 2), a term of Q at the (n+1)-tuple x
+        # lands on row at[x] + k of the store times mult[x]: on x times
+        # 1 + s_n at a palindrome, else on the lesser of x and rev(x), times
+        # s_n when that is rev(x); with none (n = 1), on row x * a + k
+        rev = _reversal_sign(n)
+        at, mult = range(0, m * size * a, a), None
+        if rev:
+            twin = self._twins(n + 1)
+            if twin is None:
+                mult = [1 + rev] * (m * size)
+            else:
+                mult = [1 if r < twin[r] else rev if r > twin[r] else 1 + rev
+                        for r in at]
+                at = [min(r, twin[r]) for r in at]
         cols = []
         for y in range(size):
-            # outer * Q(x) for f = e_k at ys, as terms (x, action, c): the
+            # (-1)^n Q(x) for f = e_k at ys, as terms (x, action, c): the
             # e_k-column of c * action lands at the tuple x
             terms = []
             for z in range(m):
-                terms.append((y * m + z, right[z], outer))
-                terms.append((z * size + y, left[z], -sign * outer))
+                terms.append((y * m + z, right[z], sign))
+                terms.append((z * size + y, left[z], -1))
             for s, w in enumerate(weights):
-                coeff = outer * sign * (-1 if s % 2 else 1)
+                coeff = -1 if s % 2 else 1
                 # ys[s] replaced by (u, v): head, ys[s] and tail of y
                 head, rest = divmod(y, w * m)
                 digit, tail = divmod(rest, w)
                 for uv, c in products[digit]:
                     terms.append((head * m * m * w + uv * w + tail, identity,
                                   coeff * c))
-            if rev:
-                terms += [(flip[x], action, rev * c) for x, action, c in terms]
-            terms = [(x * a, action, c) for x, action, c in terms]
+            if mult is None:
+                terms = [(x * a, action, c) for x, action, c in terms]
+            else:
+                terms = [(at[x], action, c * mult[x])
+                         for x, action, c in terms if mult[x]]
             for k in range(a):
                 column = {}
                 for row, action, c in terms:
                     for kk, w in action[k]:
                         column[row + kk] = column.get(row + kk, 0) + c * w
-                cols.append(sorted((r, x) for r, x in column.items() if x))
-        self._matrices[n] = cols
+                cols.append(sorted([(r, x) for r, x in column.items()
+                                    if x]))
         return cols
+
+    def _star_by_output(self) -> list:
+        """The star products by output coordinate: u star v = sum_t c e_t
+        puts (u * mdim + v, c) in products[t].  Built once and kept in
+        `_products`."""
+        if self._products is None:
+            self._products = [[] for _ in range(self.mdim)]
+            for uv, img in enumerate(self._view[0]):
+                for t, c in img:
+                    self._products[t].append((uv, c))
+        return self._products
+
+    def _twins(self, length: int) -> Optional[list]:
+        """twin[i] for the coordinates i = x * adim + k of C^length: the
+        coordinate of (rev(x), k), rev reversing the length base-mdim
+        digits of x; None when mdim <= 1, where every tuple is a
+        palindrome.  Built once per length and kept in `_twin_tables`."""
+        if self.mdim <= 1:
+            return None
+        twin = self._twin_tables.get(length)
+        if twin is None:
+            a = self.adim
+            twin = [f * a + k for f in _digit_reversal(self.mdim, length)
+                    for k in range(a)]
+            self._twin_tables[length] = twin
+        return twin
+
+    def _fold(self, degree: int) -> Optional[tuple]:
+        """(twin, s_degree) when the store of d_degree keeps only the
+        canonical rows of pairs (degree >= 2, mdim >= 2), else None."""
+        rev = _reversal_sign(degree)
+        twin = self._twins(degree + 1) if rev else None
+        return None if twin is None else (twin, rev)
 
     def dims(self, max_degree: int = DEFAULT_MAX_DEGREE) -> "ComplexReport":
         """Exact cocycle/coboundary/cohomology dimensions up to max_degree.
@@ -220,15 +326,18 @@ class RBComplex:
         rather than reporting bogus quotient dimensions.  Every d_n o
         d_{n-1} is checked, n = 1..max_degree in order, before any rank is
         taken, so a failing triple costs no rank.  Both the check and the
-        ranks work on the sparse int columns of each d_n (ranks do not
-        change under the common scale), so no dense d_n is built.
+        ranks work on the stored sparse int columns of each d_n, on the
+        rows it can differ on (ranks change neither under the common scale
+        nor when signed copies of rows are dropped), so no column is
+        expanded and no dense d_n is built.
         """
         _check_degree(max_degree)
         cols = []
         for n in range(max_degree + 1):
-            cols.append(self._int_columns(n))
+            cols.append(self._columns(n))
             if n:
-                _check_composition(cols[n - 1], cols[n], n)
+                _check_composition(cols[n - 1], cols[n], n,
+                                   self._fold(n - 1))
         rows = []
         prev_rank = 0
         for n, d_n in enumerate(cols):
@@ -239,18 +348,36 @@ class RBComplex:
         return ComplexReport(rows)
 
 
-def _check_composition(prev_cols: list, cols: list, n: int) -> None:
-    """ComplexError unless d_n (sparse int columns cols) sends every column
-    of d_{n-1} (prev_cols) to zero."""
+def _check_composition(prev_cols: list, cols: list, n: int,
+                       fold: Optional[tuple] = None) -> None:
+    """ComplexError unless d_n (stored sparse int columns cols) sends every
+    column of d_{n-1} (prev_cols) to zero.  With fold = (twin, s), the
+    columns of d_{n-1} keep only canonical rows: an entry x at row i then
+    stands for s x at row twin[i] too, unless i is a palindrome.  The
+    images are compared on the rows cols keeps, which is exact since every
+    image of d_n has the same reversal symmetry."""
+    twin, sign = fold or (None, 0)
     for j, img in enumerate(prev_cols):
         acc = {}
         for i, x in img:
             for r, y in cols[i]:
                 acc[r] = acc.get(r, 0) + x * y
+            if twin is not None and twin[i] != i:
+                x *= sign
+                for r, y in cols[twin[i]]:
+                    acc[r] = acc.get(r, 0) + x * y
         if any(acc.values()):
             raise ComplexError(
                 f"image of d_{n - 1} not contained in kernel of d_{n}"
                 f" (generator {j})")
+
+
+def _reversal_sign(n: int) -> int:
+    """s_n = (-1)^{n(n+1)/2}, the sign of the reversal term of d_n, for n
+    >= 2; 0 below, where d_n has none."""
+    if n < 2:
+        return 0
+    return -1 if (n * (n + 1) // 2) % 2 else 1
 
 
 def _digit_reversal(m: int, length: int) -> list:

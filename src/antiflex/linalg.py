@@ -561,20 +561,31 @@ def _insertion_sum(f: MultiMap, g: MultiMap, signs: Sequence[int]) -> MultiMap:
     the cost is O(nnz(f) nnz(g) arity).  The result has the class of f
     and g when they share one, else it is a MultiMap: on two matrices with
     signs (1,) it is their product (`Matrix.__matmul__`)."""
-    by_out = {}
-    for key, y in g.entries.items():
-        by_out.setdefault(key[-1], []).append((key[:-1], y))
     acc = {}
     get = acc.get
-    for key, x in f.entries.items():
-        for slot, sign in enumerate(signs):
-            hits = by_out.get(key[slot]) if sign else None
-            if hits is None:
-                continue
-            pre, post, c = key[:slot], key[slot + 1:], sign * x
-            for idx, y in hits:
-                out = pre + idx + post
-                acc[out] = get(out, 0) + c * y
+    by_out = {}
+    if f.arity == 1 and g.arity == 1:
+        # the arity-1 graft splices no tuples: g[j, t] meets f[t, k] at
+        # (j, k)
+        for (j, t), y in g.entries.items():
+            by_out.setdefault(t, []).append((j, y))
+        sign = signs[0]
+        for (t, k), x in f.entries.items() if sign else ():
+            c = sign * x
+            for j, y in by_out.get(t, ()):
+                acc[j, k] = get((j, k), 0) + c * y
+    else:
+        for key, y in g.entries.items():
+            by_out.setdefault(key[-1], []).append((key[:-1], y))
+        for key, x in f.entries.items():
+            for slot, sign in enumerate(signs):
+                hits = by_out.get(key[slot]) if sign else None
+                if hits is None:
+                    continue
+                pre, post, c = key[:slot], key[slot + 1:], sign * x
+                for idx, y in hits:
+                    out = pre + idx + post
+                    acc[out] = get(out, 0) + c * y
     cls = type(f) if type(f) is type(g) else MultiMap
     return cls._of_ints(f.arity + g.arity - 1, g.in_dim, f.out_dim, acc,
                         f.den * g.den)

@@ -11,8 +11,13 @@ Each function here is the form the package used before the direct one:
 - `graph_check_fractions`: `operators.rb_morphism_graph_check` on Fraction
   vectors, one component in each semidirect algebra (`Algebra.multiply`,
   `Matrix.apply`);
+- `int_columns_every_row`: the sparse int columns of d_n on every row of
+  C^{n+1}, each Q-term placed at its tuple and again, times the reversal
+  sign, at the reversed tuple, where `cohomology.RBComplex` stores d_n on
+  the rows it can differ on and builds d_0 from its two-term formula;
 - `dims_rank_each_degree`: `cohomology.RBComplex.dims` ranking each d_n
-  before it checks d_{n+1} o d_n;
+  before it checks d_{n+1} o d_n, on the columns of
+  `int_columns_every_row`, with the unfolded check;
 - `variant_s_squared_displayed`: the S^2-variant note of
   `deformation.is_nijenhuis_structure` in its displayed form, with S^2,
   l(a)S^2 and S l(a) S built from scratch;
@@ -175,13 +180,61 @@ def graph_check_fractions(alg, mod, op, alg2, mod2, op2, phi, psi):
     return True
 
 
+def int_columns_every_row(cx, degree):
+    _check_degree(degree)
+    m, a, n = cx.mdim, cx.adim, degree
+    prod, left, right, _ = cx._view
+    identity = [[(k, 1)] for k in range(a)]
+    products = [[] for _ in range(m)]
+    for uv, img in enumerate(prod):
+        for t, c in img:
+            products[t].append((uv, c))
+    sign = -1 if n % 2 else 1
+    outer = sign if n else -1
+    rev = (-1 if (n * (n + 1) // 2) % 2 else 1) if n >= 2 else 0
+    size = m ** n
+    weights = [m ** (n - 1 - s) for s in range(n)]
+    flip = [_reversed_digits(x, m, n + 1) for x in range(m * size)]
+    cols = []
+    for y in range(size):
+        terms = []
+        for z in range(m):
+            terms.append((y * m + z, right[z], outer))
+            terms.append((z * size + y, left[z], -sign * outer))
+        for s, w in enumerate(weights):
+            coeff = outer * sign * (-1 if s % 2 else 1)
+            head, rest = divmod(y, w * m)
+            digit, tail = divmod(rest, w)
+            for uv, c in products[digit]:
+                terms.append((head * m * m * w + uv * w + tail, identity,
+                              coeff * c))
+        if rev:
+            terms += [(flip[x], action, rev * c) for x, action, c in terms]
+        terms = [(x * a, action, c) for x, action, c in terms]
+        for k in range(a):
+            column = {}
+            for row, action, c in terms:
+                for kk, w in action[k]:
+                    column[row + kk] = column.get(row + kk, 0) + c * w
+            cols.append(sorted((r, x) for r, x in column.items() if x))
+    return cols
+
+
+def _reversed_digits(x, m, length):
+    out = 0
+    for _ in range(length):
+        x, digit = divmod(x, m)
+        out = out * m + digit
+    return out
+
+
 def dims_rank_each_degree(cx, max_degree):
     _check_degree(max_degree)
     rows = []
     prev_rank = 0
     prev_cols = []
     for n in range(max_degree + 1):
-        cols = cx._int_columns(n)
+        cols = int_columns_every_row(cx, n)
         for j, img in enumerate(prev_cols):
             acc = {}
             for i, x in img:

@@ -17,11 +17,13 @@ from antiflex.cohomology import (ComplexError, RBComplex, ce_differential,
                                  is_alternating, one_cocycle_check,
                                  skew_symmetrize)
 from antiflex.glie import (HARD_ARITY_CAP, Cochain, DegreeCapError,
-                          embed_blocks, graded_bracket, restrict_blocks)
+                          embed_blocks, graded_bracket, restrict_blocks,
+                          reversal)
 from antiflex.linalg import (Matrix, basis_vector, int_cols_rank,
                              linear_combination)
 from tests.dense_matrix import DenseMatrix
-from tests.slow_routes import dims_rank_each_degree
+from tests.slow_routes import (_reversed_digits, dims_rank_each_degree,
+                               int_columns_every_row)
 from tests.test_cli import PACKAGE, _count_calls
 from tests.test_int_views import (_algebra_key, _bimodule_key, _record_calls,
                                    census_triples,
@@ -182,8 +184,9 @@ def test_dims_a2a1_degree_six_is_basis_invariant(a2_plus_a1, m_a2_plus_a1):
     """Degree 6 is not pinned (no bracket comparison backs it), but its
     rows must not depend on the basis."""
     # the copies of seeds 8000-8011 give d_6 with 11,018 to 148,092
-    # nonzeros (the given basis: 11,018) and rank it in 0.06 to 19 s; this
-    # one has three times the given nonzeros and takes about 0.2 s
+    # nonzeros (the given basis: 11,018), and their dims(6) takes 0.02 to
+    # 8.0 s on a 2-core x86 host (`tests/dims6_seeds.py`); this one has
+    # three times the given nonzeros and takes about 0.1 s
     given = RBComplex(a2_plus_a1, m_a2_plus_a1, T_BLK)
     moved = RBComplex(*_dense_basis_copy(random.Random(8001), a2_plus_a1,
                                          m_a2_plus_a1, T_BLK))
@@ -195,8 +198,10 @@ def test_dims_a2a1_degree_six_is_basis_invariant(a2_plus_a1, m_a2_plus_a1):
 
 def test_sparse_ranks_equal_dense_ranks(cohomology_corpus, noncommutative_rb):
     """Every d_n up to degree 4, in the given bases and in seeded dense
-    unimodular bases: the rank `dims` takes from the sparse int columns is
-    the pivot count of dense elimination on `differential_matrix`."""
+    unimodular bases: the rank `dims` takes from the stored sparse int
+    columns, on the rows d_n can differ on, is the pivot count of dense
+    elimination on `differential_matrix`, and so is the rank of the
+    expanded columns."""
     rng = random.Random(8004)
     triples = [(name, alg, mod, op)
                for name, alg, mod, op, _ in cohomology_corpus]
@@ -207,8 +212,9 @@ def test_sparse_ranks_equal_dense_ranks(cohomology_corpus, noncommutative_rb):
             cx = RBComplex(*triple)
             for n in range(5):
                 dmat = cx.differential_matrix(n)
-                assert int_cols_rank(cx._int_columns(n)) \
-                    == DenseMatrix(dmat.rows, dmat.cols, dmat.data).rank(), \
+                rank = DenseMatrix(dmat.rows, dmat.cols, dmat.data).rank()
+                assert int_cols_rank(cx._columns(n)) == rank, (name, basis, n)
+                assert int_cols_rank(cx._int_columns(n)) == rank, \
                     (name, basis, n)
 
 
@@ -239,11 +245,13 @@ def test_sparse_kernels_equal_dense_kernels(cohomology_corpus,
 
 def test_dims_builds_no_dense_differential(cohomology_corpus, defect_rb,
                                            monkeypatch):
-    """`dims` ranks and checks the sparse columns: no dense d_n is built,
-    on a complex or on one that fails the complex check."""
+    """`dims` ranks and checks the stored sparse columns: no column is
+    expanded to every row and no dense d_n is built, on a complex or on
+    one that fails the complex check."""
     calls = []
     of_view = Matrix._of_view
     differential_matrix = RBComplex.differential_matrix
+    int_columns = RBComplex._int_columns
     complexes = [(RBComplex(alg, mod, op), anchors)
                  for _, alg, mod, op, anchors in cohomology_corpus]
     defect = RBComplex(*defect_rb)
@@ -251,14 +259,16 @@ def test_dims_builds_no_dense_differential(cohomology_corpus, defect_rb,
         lambda *args: calls.append("_of_view") or of_view(*args)))
     monkeypatch.setattr(RBComplex, "differential_matrix", lambda self, n: (
         calls.append("differential_matrix") or differential_matrix(self, n)))
+    monkeypatch.setattr(RBComplex, "_int_columns", lambda self, n: (
+        calls.append("_int_columns") or int_columns(self, n)))
     for cx, anchors in complexes:
         assert cx.dims(3).degrees[:len(anchors)] == anchors
     with pytest.raises(ComplexError):
         defect.dims(2)
     assert calls == []
-    # the dense view of cached columns still goes through both
+    # the dense view of stored columns goes through all three
     complexes[0][0].differential_matrix(3)
-    assert calls == ["differential_matrix", "_of_view"]
+    assert calls == ["differential_matrix", "_int_columns", "_of_view"]
 
 
 def test_degree_bounds_refused_before_assembly(a1, m_a1):
@@ -342,6 +352,88 @@ def test_checking_every_degree_first_equals_ranking_each_degree(
         "image of d_2 not contained in kernel of d_3 (generator 0)": 112,
         "image of d_2 not contained in kernel of d_3 (generator 1)": 24,
         "image of d_2 not contained in kernel of d_3 (generator 6)": 25,
+    }
+
+
+def test_dims_equals_ranking_each_degree_in_dense_bases(
+        cohomology_corpus, noncommutative_rb, defect_rb):
+    """`dims` on seeded dense unimodular copies of the fixture corpus and
+    of both noncommutative fixtures equals the every-row route of
+    `tests/slow_routes.py`, its ComplexError text included; the corpus
+    keeps its anchors."""
+    rng = random.Random(8009)
+    cases = [(_dense_basis_copy(rng, *entry[1:4]), entry[4][-1][0])
+             for entry in cohomology_corpus]
+    cases += [(_dense_basis_copy(rng, *noncommutative_rb), 5),
+              (_dense_basis_copy(rng, *defect_rb), 5)]
+    outcomes = []
+    for triple, max_degree in cases:
+        cx = RBComplex(*triple)
+        got = _dims_outcome(RBComplex.dims, cx, max_degree)
+        assert got == _dims_outcome(dims_rank_each_degree, cx, max_degree)
+        outcomes.append(got)
+    assert outcomes[:-2] == [entry[4] for entry in cohomology_corpus]
+    assert outcomes[-1].startswith(
+        "image of d_0 not contained in kernel of d_1 ")
+
+
+def _canonical(cx, n, row):
+    """Whether row (x, k) of d_n has x <= rev(x), rev reversing the n + 1
+    base-mdim digits of x."""
+    x = row // cx.adim
+    return x <= _reversed_digits(x, cx.mdim, n + 1)
+
+
+def test_the_store_is_the_every_row_assembly_on_its_canonical_rows(
+        cohomology_corpus, noncommutative_rb, defect_rb):
+    """For n <= 5, the stored columns of d_n are those of the every-row
+    assembly of `tests/slow_routes.py`: all of each column for n <= 1, and
+    for n >= 2 its entries at the rows (x, k) with x <= rev(x), the rows
+    it can differ on.  Their signed expansion `_int_columns` is the
+    every-row assembly, column by column.  On the fixture corpus in the
+    given and in seeded dense bases, on both noncommutative fixtures and
+    on the census grid."""
+    rng = random.Random(8008)
+    triples = [entry[1:4] for entry in cohomology_corpus]
+    triples += [_dense_basis_copy(rng, *triple) for triple in triples]
+    triples += [noncommutative_rb, defect_rb, *census_triples()]
+    folded = 0
+    for triple in triples:
+        cx = RBComplex(*triple)
+        for n in range(6):
+            full = int_columns_every_row(cx, n)
+            assert cx._int_columns(n) == full
+            assert cx._columns(n) == [
+                [(r, x) for r, x in col if n < 2 or _canonical(cx, n, r)]
+                for col in full]
+            folded += cx._columns(n) != full
+    # the d_n with a nonzero row that the store leaves out
+    assert folded == 1912
+
+
+def _reversal_class(pi):
+    """V+ or V- when reversal(pi) is pi or -pi, else mixed."""
+    flipped = reversal(pi)
+    return "V+" if flipped == pi else "V-" if flipped == -pi else "mixed"
+
+
+def test_the_complex_property_follows_the_reversal_class_on_the_census():
+    """The census pairs by the reversal class of pi_T = star + l_T + r_T
+    (`glie.reversal`) and by which d_n o d_{n-1}, n = 1..5, vanish: pi_T
+    in one eigenspace gives a complex through degree 5 on every pair, and
+    every mixed pair fails, at d_1 o d_0 or first at d_3 o d_2."""
+    census = collections.Counter()
+    for alg, mod, op in census_triples():
+        cx = RBComplex(alg, mod, op)
+        cols = [cx._int_columns(n) for n in range(6)]
+        census[_reversal_class(cx.pi_swapped), tuple(
+            _composition_vanishes(cols[n - 1], cols[n])
+            for n in range(1, 6))] += 1
+    assert census == {
+        ("V+", (True,) * 5): 144,
+        ("V-", (True,) * 5): 216,
+        ("mixed", (False, True, False, False, False)): 96,
+        ("mixed", (True, True, False, False, False)): 160,
     }
 
 
