@@ -39,8 +39,22 @@ with s_n = (-1)^{n(n+1)/2}: every image of d_n has this symmetry, row
 (rev x, k) of d_n is s_n times row (x, k), and a palindromic row is zero
 when s_n = -1.  The store keeps the rows with x <= rev x.  Each Q-term
 lands on the kept row of its tuple, times s_n when that row is the
-reversed one and times 1 + s_n at a palindrome.  d_0 is its two-term
-formula and d_1 has no reversal term; both keep every row.
+reversed one and times 1 + s_n at a palindrome.  d_0 and d_1 have no
+reversal term and keep every row.
+
+Each d_n is assembled in two parts, the same for every degree; d_0 =
+l_T(x)c - r_T(x)c is degree 0, whose Q has only its two action terms.
+The layout (`_Layout`) says where each term of d_n lands: the kept row
+and the fold multiplicity of each (n+1)-tuple, the rows of the action
+terms of each column y, and the base of each star term of (y, s), to
+which each star product adds its pair.  It depends on (mdim, adim, n)
+alone, never on star, l_T or r_T, so one layout serves every complex of
+its shape: `_layout` builds it on first use and keeps the 64 shapes read
+last for the process.  It holds n mdim^n star bases and O(mdim^(n+1)
+adim) rows and twins, the size of the twin table of d_n's rows.  The
+numeric pass (`RBComplex._assemble`) is the only part that reads the
+data: it walks the nonzero entries of the complex's star, l_T and r_T
+through the layout.
 
 `RBComplex.dims` reads the store alone.  It first checks d_n o d_{n-1} = 0
 for n = 1..k in order, multiplying the columns sparsely, and only then
@@ -132,11 +146,9 @@ class RBComplex:
         self._view = _induced_view(alg, mod, op)
         # degree -> the stored sparse int columns of d_degree (`_columns`)
         self._matrices = {}
-        # the per-complex tables of the assembly: the star products by output
-        # coordinate (`_star_by_output`) and, by length, the twin
-        # coordinates of C^length (`_twins`)
+        # the star products by output coordinate (`_star_by_output`), the one
+        # table of the assembly that depends on the data
         self._products = None
-        self._twin_tables = {}
 
     @functools.cached_property
     def induced(self) -> Bimodule:
@@ -207,79 +219,37 @@ class RBComplex:
         _check_degree(degree)
         cols = self._matrices.get(degree)
         if cols is None:
-            cols = self._d0() if degree == 0 else self._assemble(degree)
-            self._matrices[degree] = cols
-        return cols
-
-    def _d0(self) -> list:
-        """d c(x) = l_T(x)c - r_T(x)c: column k holds l_T(e_z)e_k -
-        r_T(e_z)e_k at the rows z * adim + kk."""
-        a = self.adim
-        _, left, right, _ = self._view
-        cols = []
-        for k in range(a):
-            column = {}
-            for z, (lz, rz) in enumerate(zip(left, right)):
-                row = z * a
-                for kk, w in lz[k]:
-                    column[row + kk] = w
-                for kk, w in rz[k]:
-                    column[row + kk] = column.get(row + kk, 0) - w
-            cols.append(sorted([(r, x) for r, x in column.items() if x]))
+            cols = self._matrices[degree] = self._assemble(degree)
         return cols
 
     def _assemble(self, n: int) -> list:
-        """The store of d_n, n >= 1 (`_columns`)."""
-        m, a = self.mdim, self.adim
+        """The store of d_n (`_columns`): the numeric pass over the layout
+        of its shape (`_layout`), which walks only the sparse entries of
+        star, l_T and r_T."""
+        layout = _layout(self.mdim, self.adim, n)
+        at, mult = layout.at, layout.mult
         # l_T and r_T as ints over the view's scale, in which d_n is linear;
-        # action[k] lists (kk, w), w != 0 the e_kk-coefficient of action(e_k)
+        # actions[j][k] lists (kk, w), w != 0 the e_kk-coefficient of r_T
+        # (j < mdim) or l_T (j - mdim) of that basis element on e_k
         _, left, right, _ = self._view
+        actions = [*right, *left]
         products = self._star_by_output()
-        identity = [[(k, 1)] for k in range(a)]
-        sign = -1 if n % 2 else 1
-        # a tuple of basis indices is its base-m number: ys has y < m**n,
-        # and ys[s] is the digit of weight m**(n - 1 - s)
-        size = m ** n
-        weights = [m ** (n - 1 - s) for s in range(n)]
-        # with a reversal term (n >= 2), a term of Q at the (n+1)-tuple x
-        # lands on row at[x] + k of the store times mult[x]: on x times
-        # 1 + s_n at a palindrome, else on the lesser of x and rev(x), times
-        # s_n when that is rev(x); with none (n = 1), on row x * a + k
-        rev = _reversal_sign(n)
-        at, mult = range(0, m * size * a, a), None
-        if rev:
-            twin = self._twins(n + 1)
-            if twin is None:
-                mult = [1 + rev] * (m * size)
-            else:
-                mult = [1 if r < twin[r] else rev if r > twin[r] else 1 + rev
-                        for r in at]
-                at = [min(r, twin[r]) for r in at]
         cols = []
-        for y in range(size):
-            # (-1)^n Q(x) for f = e_k at ys, as terms (x, action, c): the
-            # e_k-column of c * action lands at the tuple x
-            terms = []
-            for z in range(m):
-                terms.append((y * m + z, right[z], sign))
-                terms.append((z * size + y, left[z], -1))
-            for s, w in enumerate(weights):
-                coeff = -1 if s % 2 else 1
-                # ys[s] replaced by (u, v): head, ys[s] and tail of y
-                head, rest = divmod(y, w * m)
-                digit, tail = divmod(rest, w)
+        for terms, stars in zip(layout.actions, layout.stars):
+            # the star terms of (-1)^n Q at ys land on row r + k of the
+            # column of e_k, for every k: summed once, at k = 0
+            star = {}
+            for base, w, digit, coeff in stars:
                 for uv, c in products[digit]:
-                    terms.append((head * m * m * w + uv * w + tail, identity,
-                                  coeff * c))
-            if mult is None:
-                terms = [(x * a, action, c) for x, action, c in terms]
-            else:
-                terms = [(at[x], action, c * mult[x])
-                         for x, action, c in terms if mult[x]]
-            for k in range(a):
-                column = {}
-                for row, action, c in terms:
-                    for kk, w in action[k]:
+                    x = base + uv * w
+                    mu = mult[x]
+                    if mu:
+                        r = at[x]
+                        star[r] = star.get(r, 0) + coeff * mu * c
+            for k in range(self.adim):
+                column = {r + k: c for r, c in star.items()} if star else {}
+                for j, row, c in terms:
+                    for kk, w in actions[j][k]:
                         column[row + kk] = column.get(row + kk, 0) + c * w
                 cols.append(sorted([(r, x) for r, x in column.items()
                                     if x]))
@@ -296,27 +266,12 @@ class RBComplex:
                     self._products[t].append((uv, c))
         return self._products
 
-    def _twins(self, length: int) -> Optional[list]:
-        """twin[i] for the coordinates i = x * adim + k of C^length: the
-        coordinate of (rev(x), k), rev reversing the length base-mdim
-        digits of x; None when mdim <= 1, where every tuple is a
-        palindrome.  Built once per length and kept in `_twin_tables`."""
-        if self.mdim <= 1:
-            return None
-        twin = self._twin_tables.get(length)
-        if twin is None:
-            a = self.adim
-            twin = [f * a + k for f in _digit_reversal(self.mdim, length)
-                    for k in range(a)]
-            self._twin_tables[length] = twin
-        return twin
-
     def _fold(self, degree: int) -> Optional[tuple]:
         """(twin, s_degree) when the store of d_degree keeps only the
-        canonical rows of pairs (degree >= 2, mdim >= 2), else None."""
-        rev = _reversal_sign(degree)
-        twin = self._twins(degree + 1) if rev else None
-        return None if twin is None else (twin, rev)
+        canonical rows of pairs (degree >= 2, mdim >= 2), else None: twin
+        is the layout's table (`_Layout.twin`)."""
+        twin = _layout(self.mdim, self.adim, degree).twin
+        return None if twin is None else (twin, _reversal_sign(degree))
 
     def dims(self, max_degree: int = DEFAULT_MAX_DEGREE) -> "ComplexReport":
         """Exact cocycle/coboundary/cohomology dimensions up to max_degree.
@@ -388,6 +343,78 @@ def _digit_reversal(m: int, length: int) -> list:
         step = m ** k
         flip = [f + digit * step for f in flip for digit in range(m)]
     return flip
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(m: int, a: int, n: int) -> "_Layout":
+    """The layout of d_n for mdim m and adim a, built on first use; the 64
+    shapes read last stay cached for the process."""
+    return _Layout(m, a, n)
+
+
+class _Layout:
+    """Where each term of d_n: C^n -> C^(n+1) lands in its store, for mdim
+    m and adim a, whatever the data (see the module docstring).  A tuple
+    of basis indices is its base-m number; y < m**n numbers the columns
+    (y, k), k < a, and ys[s] is the digit of y of weight m**(n - 1 - s).
+
+    - at[x], mult[x] for each (n+1)-tuple x: a term of Q at x lands on row
+      at[x] + kk of the store times mult[x].  With a reversal term (n >= 2)
+      that is the lesser of x and rev(x), times s_n when it is rev(x) and
+      times 1 + s_n at a palindrome; with none, row x * a + kk times 1.
+    - actions[y]: (j, row, c) for the action terms of the columns y with
+      mult != 0: r_T(x_{n+1}) at x = y * m + z (j = z) and l_T(x_1) at
+      x = z * m**n + y (j = m + z), c their sign times mult[x].  These are
+      the only terms of d_0, d c(x) = l_T(x)c - r_T(x)c.
+    - stars[y]: (base, w, digit, coeff) for each s < n, ys[s] = digit of
+      weight w replaced by a pair uv: that star term lands at x = base +
+      uv * w with the sign coeff = (-1)^s, times mult[x].
+    - twin: the coordinate of (rev(x), k) for each coordinate x * a + k of
+      C^(n+1) when the store keeps only canonical rows (n >= 2, m >= 2),
+      else None.
+
+    Nothing in it depends on the data, so one layout serves every complex
+    of its shape; it is read, never written."""
+
+    __slots__ = ("at", "mult", "actions", "stars", "twin")
+
+    def __init__(self, m: int, a: int, n: int):
+        size = m ** n
+        rev = _reversal_sign(n)
+        flip = _digit_reversal(m, n + 1) if rev and m > 1 else None
+        if flip is None:
+            at = [x * a for x in range(m * size)]
+            mult = [1 + rev] * (m * size)
+            self.twin = None
+        else:
+            at = [(x if x < f else f) * a for x, f in enumerate(flip)]
+            mult = [1 if x < f else rev if x > f else 1 + rev
+                    for x, f in enumerate(flip)]
+            self.twin = tuple([f * a + k for f in flip for k in range(a)])
+        self.at, self.mult = tuple(at), tuple(mult)
+        # (-1)^n r_T(x_{n+1}) and (-1)^n (-1)^(n-1) l_T(x_1); d_0 = l_T - r_T
+        right_sign, left_sign = (-1 if n % 2 else 1, -1) if n else (-1, 1)
+        # by z, the action terms of every y, zipped into one tuple per y
+        # (zip() yields nothing: with m = 0, d_0's one y has no terms)
+        terms = [[(z, at[x], right_sign * mult[x])
+                  for x in range(z, m * size, m)] for z in range(m)]
+        terms += [[(m + z, at[x], left_sign * mult[x])
+                   for x in range(z * size, (z + 1) * size)]
+                  for z in range(m)]
+        actions = zip(*terms) if m else [()] * size
+        if rev < 0:  # mult is 0 at a palindrome: drop its terms
+            actions = [tuple([t for t in ts if t[2]]) for ts in actions]
+        self.actions = tuple(actions)
+        # by s, the star bases of every y = (head, digit, tail), digit of
+        # weight w, zipped likewise (d_0 has none)
+        bases = []
+        for s in range(n):
+            w = m ** (n - 1 - s)
+            step, coeff = m * m * w, -1 if s % 2 else 1
+            bases.append([(head * step + tail, w, digit, coeff)
+                          for head in range(m ** s) for digit in range(m)
+                          for tail in range(w)])
+        self.stars = tuple(zip(*bases) if n else [()] * size)
 
 
 def _check_degree(degree: int) -> None:

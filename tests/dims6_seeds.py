@@ -6,15 +6,19 @@ Run from the root of a checkout:
     python3 tests/dims6_seeds.py             # seeds 8000-8011
     python3 tests/dims6_seeds.py 8005 8007   # chosen seeds
 
-For each seed it prints the seconds `dims(6)` takes on a fresh complex, the
-nonzeros of d_6 with every row (`_int_columns(6)`, counted after the timed
-call), and whether every row of the report equals the given basis's.  It
-exits 1 when a row differs.  Its name does not start with `test_`, so
-pytest does not collect it: the heavy seeds take seconds each.
+It first prints the seconds of the given basis's `dims(6)`, the first one
+in the process, so the one-time build of the assembly layouts is in it.
+For each seed it then prints the seconds `dims(6)` takes on a fresh
+complex, the nonzeros of d_6 with every row (`_int_columns(6)`, counted
+after the timed call), and whether every row of the report equals the
+given basis's.  Last comes the peak RSS of the process.  It exits 1 when a
+row differs.  Its name does not start with `test_`, so pytest does not
+collect it: the heavy seeds take seconds each.
 """
 
 import os
 import random
+import resource
 import sys
 import time
 
@@ -34,7 +38,9 @@ def main(argv):
     alg = direct_sum(Algebra.from_products(2, {(0, 0): {1: 1}}),
                      Algebra.from_products(1, {(0, 0): {0: 1}}))
     mod = regular_bimodule(alg)
+    start = time.perf_counter()
     given = RBComplex(alg, mod, T_BLK).dims(6).degrees
+    print(f"given basis, first dims(6): {time.perf_counter() - start:.3f} s")
     print("seed  seconds  d_6 nonzeros  rows")
     same = True
     for seed in seeds:
@@ -47,6 +53,8 @@ def main(argv):
         same &= rows == given
         print(f"{seed}  {seconds:7.2f}  {nonzeros:12,}  "
               f"{'equal' if rows == given else 'DIFFER'}", flush=True)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS: {peak:.1f} MiB")
     return 0 if same else 1
 
 

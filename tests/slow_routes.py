@@ -14,7 +14,8 @@ Each function here is the form the package used before the direct one:
 - `int_columns_every_row`: the sparse int columns of d_n on every row of
   C^{n+1}, each Q-term placed at its tuple and again, times the reversal
   sign, at the reversed tuple, where `cohomology.RBComplex` stores d_n on
-  the rows it can differ on and builds d_0 from its two-term formula;
+  the rows it can differ on, placing each term through the layout of its
+  shape;
 - `dims_rank_each_degree`: `cohomology.RBComplex.dims` ranking each d_n
   before it checks d_{n+1} o d_n, on the columns of
   `int_columns_every_row`, with the unfolded check;

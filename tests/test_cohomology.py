@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from antiflex import cohomology
 from antiflex.algebra import Algebra, classify
-from antiflex.bimodule import lie_representation, regular_bimodule
+from antiflex.bimodule import (lie_representation, regular_bimodule,
+                               zero_bimodule)
 from antiflex.cohomology import (ComplexError, RBComplex, ce_differential,
                                  check_sign_relation, h0_description_check,
                                  hochschild_module_differential,
@@ -73,6 +75,20 @@ def test_complex_on_a_zero_dimensional_module(a2):
     assert cx.pi_swapped.dim == 2
     assert cx.dims(3).degrees == [(0, 2, 2, 0, 2), (1, 0, 0, 0, 0),
                                   (2, 0, 0, 0, 0), (3, 0, 0, 0, 0)]
+
+
+def test_complex_on_a_zero_dimensional_algebra():
+    """A = 0: every C^n = Hom(M^n, 0) is 0, for M of any dimension, so
+    each dims row is (n, 0, 0, 0, 0) and each d_k is the empty map."""
+    alg = Algebra.zero(0)
+    for mdim in range(3):
+        mod = zero_bimodule(alg, mdim)
+        for k in range(4):
+            cx = RBComplex(alg, mod, Matrix.zeros(0, mdim))
+            assert cx.dims(k).degrees == [(n, 0, 0, 0, 0)
+                                          for n in range(k + 1)]
+            d_k = cx.differential_matrix(k)
+            assert (d_k.rows, d_k.cols) == (0, 0)
 
 
 def test_sign_relation_across_degrees(cohomology_corpus):
@@ -409,6 +425,64 @@ def test_the_store_is_the_every_row_assembly_on_its_canonical_rows(
             folded += cx._columns(n) != full
     # the d_n with a nonzero row that the store leaves out
     assert folded == 1912
+
+
+def _random_view(rng, mdim, adim):
+    """A random integer view (star, l_T, r_T, scale) of the given shape,
+    about half of its entries zero; no law need hold, since the assembly
+    is linear in each entry."""
+    def entries(size):
+        return tuple((i, x) for i in range(size)
+                     for x in [rng.choice((0, 0, 0, -2, -1, 1, 3))] if x)
+    prod = [entries(mdim) for _ in range(mdim * mdim)]
+    left, right = ([[entries(adim) for _ in range(adim)]
+                    for _ in range(mdim)] for _ in range(2))
+    return prod, left, right, 1
+
+
+def test_the_layout_places_random_views_of_every_shape():
+    """On random views of every shape mdim 0-3, adim 0-3 (mdim 1, where
+    every tuple is a palindrome, and the empty spaces included), the store
+    of d_n, n <= 4, is the every-row assembly of `tests/slow_routes.py` on
+    its kept rows, and `_int_columns` is the every-row assembly.  The view
+    is set directly: the assembly reads only mdim, adim and `_view`."""
+    rng = random.Random(2701)
+    for mdim, adim in itertools.product(range(4), repeat=2):
+        alg = Algebra.zero(adim)
+        for _ in range(2):
+            cx = RBComplex(alg, zero_bimodule(alg, mdim),
+                           Matrix.zeros(adim, mdim))
+            cx._view = _random_view(rng, mdim, adim)
+            for n in range(5):
+                full = int_columns_every_row(cx, n)
+                assert cx._columns(n) == [
+                    [(r, x) for r, x in col if n < 2 or _canonical(cx, n, r)]
+                    for col in full], (mdim, adim, n)
+                assert cx._int_columns(n) == full, (mdim, adim, n)
+
+
+def test_each_layout_is_built_once_and_read_by_every_complex_of_its_shape(
+        monkeypatch):
+    """20 complexes of shape (mdim, adim) = (2, 2), with different data,
+    through `dims(3)`: each layout of d_0..d_3 is built once, and every
+    complex reads the same layout object, so no layout holds data."""
+    triples = [t for t in census_triples() if t[0].is_commutative()][:20]
+    layout, build = cohomology._layout, cohomology._Layout
+    layout.cache_clear()
+    built, read = [], collections.defaultdict(set)
+    monkeypatch.setattr(cohomology, "_Layout", lambda *shape: (
+        built.append(shape) or build(*shape)))
+    monkeypatch.setattr(cohomology, "_layout", lambda *shape: (
+        read[shape].add(id(layout(*shape))) or layout(*shape)))
+    views = []
+    for triple in triples:
+        cx = RBComplex(*triple)
+        cx.dims(3)
+        views.append(cx._view)
+    assert len(triples) == 20 and views[0] != views[1]
+    assert built == [(2, 2, n) for n in range(4)]
+    assert {shape: len(ids) for shape, ids in read.items()} == {
+        (2, 2, n): 1 for n in range(4)}
 
 
 def _reversal_class(pi):
