@@ -8,14 +8,28 @@ strings.  Parsing is strict: unknown keys, inconsistent dimensions, duplicate
 or comma-bearing labels and malformed rationals are all errors naming the
 offending path.  Rendering is canonical, so documents written by render
 round-trip byte-identically.
+
+`load_document` reads the file on every call but parses its text only when
+the text differs from that of the previous load: the parsed document of the
+last text read is kept (one `functools.lru_cache` entry keyed by the whole
+text, so an edited file is parsed again).  A refused text raises
+`DocumentError` on every read, since the cache keeps no exception.  One
+entry suffices for the traffic it serves, several commands in a row on one
+document, and keeps at most one parsed document alive.  Sharing is safe
+because a `WorkspaceDocument` is frozen, its `operators` is a read-only
+mapping, and every value it holds is immutable (see `linalg`).
+`parse_document` stays the uncached strict parser and returns a new
+document on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .algebra import Algebra
 from .bimodule import Bimodule
@@ -103,16 +117,22 @@ def _parse_matrix(value, path: str, rows: Optional[int] = None,
     return m
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkspaceDocument:
-    """A parsed document.  The field is always Q, so it is not stored."""
+    """A parsed document.  The field is always Q, so it is not stored.
+    Frozen, with `operators` a read-only copy of the mapping given, so
+    that `load_document` can hand the same document to every caller."""
 
     algebra: Algebra
     algebra2: Optional[Algebra]
     bimodule: Optional[Bimodule]  # actions unchecked, as written
     bimodule2: Optional[Bimodule]
-    operators: dict
+    operators: Mapping[str, Matrix]
     deformation: Optional[InfinitesimalDeformation]
+
+    def __post_init__(self):
+        object.__setattr__(self, "operators",
+                           MappingProxyType(dict(self.operators)))
 
 
 def _parse_sparse_bilinear(obj, path: str, basis: Sequence[str]) -> MultiMap:
@@ -281,6 +301,15 @@ def render_document(doc: WorkspaceDocument) -> str:
     return json.dumps(_document_object(doc), indent=2, sort_keys=False) + "\n"
 
 
+@functools.lru_cache(maxsize=1)
+def _parsed(text: str) -> WorkspaceDocument:
+    # `parse_document` is looked up at call time, so a wrapper put on the
+    # module's name sees every parse
+    return parse_document(text)
+
+
 def load_document(path: str) -> WorkspaceDocument:
+    """The document in the file at `path`, parsed once per distinct text
+    read in a row (see the module docstring)."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_document(handle.read())
+        return _parsed(handle.read())

@@ -22,6 +22,12 @@ so [mu, mu] = 0 says exactly that the associator of mu is symmetric in its
 outer arguments.  Reversal acts by an automorphism of the insertion algebra,
 which is what the derived-bracket computations downstream rely on.
 
+Graded Jacobi does not hold for all triples of maps of degree >= 1.
+Reversal splits the maps into eigenspaces, V+ (reversal(f) = f) and V-
+(reversal(f) = -f); on seeded maps of arity 1 to 3 Jacobi holds whenever
+zero, one or three factors lie in V-, and fails on some triples with exactly
+two (pinned in the tests, not proved).
+
 Representation.  Every bracket works on the entries of `linalg.MultiMap`s,
 the one form of a multilinear map: the nonzero (i_1, ..., i_p, k) -> int
 over one denominator, in lowest terms.  The insertion sum is

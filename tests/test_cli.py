@@ -1,5 +1,7 @@
 """CLI contract: commands, exit statuses, machine/human parity."""
 
+import dataclasses
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -689,6 +691,91 @@ def test_one_parser_serves_every_call(a2_fixture, tmp_path, capsys,
     assert outcomes() == shared
     assert [code for code, _, _ in shared] == [
         0, 0, 1, 0, ("exit", 2), 0, 0, 0, 2, ("exit", 2), 0]
+
+
+def test_consecutive_loads_of_one_document_parse_it_once(
+        a2_fixture, pair_fixture, deformed_fixture, s2_fixture,
+        s2_split_fixture, closed_fixture, unclosed_fixture, empty_fixture,
+        frac_fixture, nc_fixture, naf_fixture, capsys, monkeypatch):
+    """The golden calls print and exit exactly as they do with a fresh
+    parse per load, and parse each run of loads of one text once."""
+    import antiflex.document as document
+    with open(GOLDEN, encoding="utf-8") as handle:
+        argvs = [entry["argv"] for entry in json.load(handle)]
+    paths = {"a2": a2_fixture, "pair": pair_fixture,
+             "deformed": deformed_fixture, "s2": s2_fixture,
+             "s2split": s2_split_fixture, "closed": closed_fixture,
+             "unclosed": unclosed_fixture, "empty": empty_fixture,
+             "frac": frac_fixture, "nc": nc_fixture, "naf": naf_fixture}
+    parsed = []
+
+    def counting(text, parse=document.parse_document):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(document, "parse_document", counting)
+    document._parsed.cache_clear()
+    shared = cli_outcomes(argvs, paths, capsys, monkeypatch)
+    once, parsed[:] = parsed[:], []
+    monkeypatch.setattr(document, "_parsed", document._parsed.__wrapped__)
+    assert cli_outcomes(argvs, paths, capsys, monkeypatch) == shared
+    assert once == [text for text, _ in itertools.groupby(parsed)]
+    assert len(once) < len(parsed)
+
+
+def test_an_edited_document_is_read_again(a2_fixture):
+    """Rewriting the file between two calls gives the new verdict: T made
+    the identity, which fails the Rota-Baxter law on A2."""
+    argv = ["--fixture", a2_fixture, "check", "rb", "--op", "T"]
+    assert main(argv) == 0
+    with open(a2_fixture, encoding="utf-8") as handle:
+        raw = json.load(handle)
+    raw["operators"]["T"] = [[1, 0], [0, 1]]
+    with open(a2_fixture, "w", encoding="utf-8") as handle:
+        json.dump(raw, handle)
+    assert main(argv) == 1
+
+
+def test_a_malformed_document_is_refused_on_every_read(a2_fixture, tmp_path,
+                                                       capsys):
+    path = tmp_path / "doc.json"
+    path.write_text('{"field": "Q"', encoding="utf-8")
+    argv = ["--fixture", str(path), "check", "algebra"]
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].startswith("error: $: ")
+    with open(a2_fixture, encoding="utf-8") as handle:
+        path.write_text(handle.read(), encoding="utf-8")
+    assert main(argv) == 0
+
+
+def test_loads_of_an_unchanged_file_share_one_document(a2_fixture,
+                                                       pair_fixture):
+    """`load_document` keeps the last text's document, and only that one;
+    `parse_document` builds a new document on every call."""
+    from antiflex.document import load_document
+    first = load_document(a2_fixture)
+    assert load_document(a2_fixture) is first
+    assert load_document(pair_fixture) is not first
+    assert load_document(a2_fixture) is not first
+    with open(a2_fixture, encoding="utf-8") as handle:
+        text = handle.read()
+    assert parse_document(text) is not parse_document(text)
+    assert render_document(parse_document(text)) == render_document(first)
+
+
+def test_a_loaded_document_cannot_be_changed(a2_fixture, t_inv):
+    from antiflex.document import load_document
+    doc = load_document(a2_fixture)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.bimodule = None
+    with pytest.raises(TypeError):
+        doc.operators["T"] = t_inv
+    with pytest.raises(TypeError):
+        del doc.operators["T"]
+    assert sorted(doc.operators) == ["BadN", "N", "S", "T", "T1"]
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")

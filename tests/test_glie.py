@@ -6,6 +6,7 @@ properties rather than transcription; the tests below mark out exactly where
 the graded Lie identities hold (and record the one place they provably
 cannot: triples of degree >= 1 maps with no structure element involved)."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -158,6 +159,34 @@ def test_jacobi_fails_on_generic_degree_one_triples():
         if not jacobi_sum(f, g, h).is_zero():
             failures += 1
     assert failures > 0
+
+
+def test_jacobi_follows_the_reversal_eigenspaces_of_its_factors():
+    """Split seeded maps into V+ (reversal(f) = f) and V- (reversal(f) =
+    -f), as f + reversal(f) and f - reversal(f): graded Jacobi holds on
+    every triple with zero, one or three nonzero factors in V-, and fails
+    on some triple with exactly two.  Maps of arity 1 to 3 at dim 2, and
+    at dim 3 with total arity at most 5; arity-1 maps lie in V+."""
+    rng = random.Random(2801)
+    held, failed = collections.Counter(), collections.Counter()
+    for dim, top in ((2, 9), (3, 5)):
+        for arities in itertools.combinations_with_replacement((1, 2, 3), 3):
+            if sum(arities) > top:
+                continue
+            for _ in range(8):
+                parts = [(f + reversal(f), f - reversal(f))
+                         for f in (random_multimap(rng, a, dim)
+                                   for a in arities)]
+                for pattern in itertools.product((0, 1), repeat=3):
+                    factors = [p[s] for p, s in zip(parts, pattern)]
+                    if any(f.is_zero() for f in factors):
+                        continue
+                    if jacobi_sum(*factors).is_zero():
+                        held[sum(pattern)] += 1
+                    else:
+                        failed[sum(pattern)] += 1
+    assert set(failed) == {2}
+    assert min(held[0], held[1], held[3]) > 0
 
 
 def test_degree_cap_enforced():
