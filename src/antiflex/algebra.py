@@ -16,14 +16,19 @@ Fraction(int_residual, D**2).  `anti_flexible_report`, which searches and
 `bimodule._induced_view` read for every candidate, adds its four
 contractions per triple in one plain loop and hands the first failure's
 int residual and D**2 to the report, which forms the witness when it is
-read.  An algebra built without labels shares the default labels of its
-dimension, built once.
+read.  `classify` forms the associators of each mirror pair of triples
+as it visits the pair and keeps none of them, so its memory does not grow
+with dim**3.  `direct_sum` and `tensor_with_associative` build their
+products from the nonzero entries of the two factors alone.  An algebra
+built without labels shares the default labels of its dimension, built
+once.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,16 +193,6 @@ def _deformed(prod: list, ncols: list, d: int, i: int, j: int,
     return _subtract_image(ncols, prod[i * d + j], acc)
 
 
-def _scaled_associators(alg: "Algebra") -> tuple:
-    """(assoc, scale): every basis associator of the integer-scaled
-    constants as an int list, at flat index (i*d + j)*d + k; each is scale
-    times the exact one."""
-    d = alg.dim
-    prod, den = alg.int_view()
-    return ([_associator(prod, d, i, j, k, [0] * d)
-             for i, j, k in itertools.product(range(d), repeat=3)], den * den)
-
-
 @dataclass(frozen=True)
 class ClassifyFlags:
     anti_flexible: bool
@@ -208,30 +203,34 @@ class ClassifyFlags:
 def classify(alg: Algebra) -> ClassifyFlags:
     """Check the associative, flexible and anti-flexible laws on all basis triples.
 
-    Shares one sweep of the integer-scaled associators.  Anti-flexible is
-    (a,b,c) = (c,b,a), and the flexible law (x,y,x) = 0, polarized, is
-    (a,b,c) + (c,b,a) = 0.  Where either fails, one of the two associators
-    is nonzero, so both are checked at the nonzero associators alone, which
-    have already made the associative flag false: a nonzero one equal to
-    its mirror fails the flexible law, and one that is not fails the
-    anti-flexible law.  The sweep stops once both of those flags are false.
+    One pass over the mirror pairs of basis triples, (i, j, k) with i <= k,
+    forms each triple's int associator t and its mirror's m, (k, j, i), from
+    the integer view (m is t when i = k) and keeps no table of them.
+    Anti-flexible is (a,b,c) = (c,b,a), and the flexible law (x,y,x) = 0,
+    polarized, is (a,b,c) + (c,b,a) = 0.  A nonzero t equal to m fails the
+    associative and flexible laws (the sum 2t is nonzero); t unequal to m
+    fails the associative and anti-flexible laws, and the flexible one too
+    when t + m is nonzero.  The pass returns once the flexible and
+    anti-flexible flags are both false, and then every flag is.
     """
     d = alg.dim
-    anti_flexible = True
-    flexible = True
-    associative = True
-    assoc, _ = _scaled_associators(alg)
-    for (i, j, k), t in zip(itertools.product(range(d), repeat=3), assoc):
-        if any(t):
-            associative = False
-            mirror = assoc[(k * d + j) * d + i]
-            if t == mirror:  # then the sum 2t is nonzero
-                flexible = False
-            else:
-                anti_flexible = False
-                flexible = flexible and not any(map(operator.add, t, mirror))
-            if not (anti_flexible or flexible):
-                break
+    prod, _ = alg.int_view()
+    anti_flexible = flexible = associative = True
+    for i in range(d):
+        for j in range(d):
+            for k in range(i, d):
+                t = _associator(prod, d, i, j, k, [0] * d)
+                m = t if k == i else _associator(prod, d, k, j, i, [0] * d)
+                if t != m:
+                    associative = anti_flexible = False
+                    if flexible and any(map(operator.add, t, m)):
+                        flexible = False
+                elif any(t):
+                    associative = flexible = False
+                else:
+                    continue
+                if not (anti_flexible or flexible):
+                    return ClassifyFlags(False, False, False)
     return ClassifyFlags(anti_flexible=anti_flexible, flexible=flexible,
                          associative=associative)
 
@@ -279,30 +278,33 @@ def tensor_with_associative(alg: Algebra, other: Algebra) -> Algebra:
     """Tensor product algebra A (x) B for associative B.
 
     Product is (a1 (x) b1)(a2 (x) b2) = a1 a2 (x) b1 b2 on the flattened
-    index (i, p) -> i * other.dim + p.
+    index (i, p) -> i * other.dim + p: each pair of nonzero entries
+    multiplies into one, over the product of the two denominators.
     """
     if not classify(other).associative:
         raise ValueError("tensor factor must be associative")
-    d1, d2 = alg.dim, other.dim
-    products = {}
-    for i, j, p, q in itertools.product(range(d1), range(d1), range(d2), range(d2)):
-        va, vb = alg.basis_product(i, j), other.basis_product(p, q)
-        products[(i * d2 + p, j * d2 + q)] = {
-            k * d2 + r: a * b for k, a in enumerate(va) for r, b in enumerate(vb)}
+    d2, n = other.dim, alg.dim * other.dim
+    entries = {(i * d2 + p, j * d2 + q, k * d2 + r): a * b
+               for (i, j, k), a in alg.mul.entries.items()
+               for (p, q, r), b in other.mul.entries.items()}
     labels = tuple(f"{la}*{lb}" for la in alg.labels for lb in other.labels)
-    return Algebra.from_products(d1 * d2, products, labels)
+    return Algebra(MultiMap._of_ints(2, n, n, entries,
+                                     alg.mul.den * other.mul.den), labels)
 
 
 def direct_sum(alg: Algebra, other: Algebra) -> Algebra:
-    """Componentwise product on A + B (block-diagonal structure constants)."""
-    products = {}
-    for off, part in ((0, alg), (alg.dim, other)):
-        for i, j in itertools.product(range(part.dim), repeat=2):
-            products[(off + i, off + j)] = {
-                off + k: x for k, x in enumerate(part.basis_product(i, j))}
+    """Componentwise product on A + B (block-diagonal structure constants):
+    the nonzero entries of both, B's shifted past A's basis, over the lcm
+    of the two denominators."""
+    d1, n = alg.dim, alg.dim + other.dim
+    den = math.lcm(alg.mul.den, other.mul.den)
+    entries = {key: x * (den // alg.mul.den)
+               for key, x in alg.mul.entries.items()}
+    entries.update(((i + d1, j + d1, k + d1), x * (den // other.mul.den))
+                   for (i, j, k), x in other.mul.entries.items())
     labels = (tuple(f"a.{x}" for x in alg.labels)
               + tuple(f"b.{x}" for x in other.labels))
-    return Algebra.from_products(alg.dim + other.dim, products, labels)
+    return Algebra(MultiMap._of_ints(2, n, n, entries, den), labels)
 
 
 def semidirect_product(alg: Algebra, mod) -> Algebra:

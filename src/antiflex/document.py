@@ -48,11 +48,13 @@ __all__ = [
 
 
 # A document stores only the nonzero products of an algebra, but checks
-# such as `classify` still sweep all dim ** 3 basis triples, so a short
+# such as `classify` still visit all dim ** 3 basis triples, so a short
 # document could ask for a huge sweep.  At the bound an empty-products
-# document with a one-dimensional zero bimodule parses in about 1 ms and
-# `classify` takes 0.8 s on a 2-core x86 with Python 3.11.7; the sweep grows
-# as dim ** 3.
+# document with a one-dimensional zero bimodule parses in about 1 ms, and
+# `classify` takes 0.14 s on the zero algebra and 0.24 s on a direct sum
+# of 32 dim-2 anti-flexible algebras, with a traced peak of about 2 KiB
+# (`tests/classify_dims.py`, 2-core x86, Python 3.11.7): its time grows as
+# dim ** 3 and its memory does not.
 MAX_DIM = 64
 
 

@@ -58,6 +58,10 @@ Each function here is the form the package used before the direct one:
   search, found by probing the int residual of `operators._rota_baxter_law`
   or `_nijenhuis_law` on unit cells and pairs of cells, where the search
   now reads its terms off the integer views.
+- `direct_sum_from_products`, `tensor_from_products`: `direct_sum` and
+  `tensor_with_associative` built from the dense Fraction product of
+  every basis pair through `Algebra.from_products`, where the package
+  builds them from the nonzero entries of the two factors;
 - `Violation`: the frozen dataclass that `reports.Violation` was, which
   holds its witness from the start, where the package's forms a hot law's
   witness on its first read.
@@ -486,3 +490,33 @@ def quadratic_law_probed(name, alg, mod, rows, cols):
             if q != qa + qb:
                 terms.setdefault(t, {})[(a, b)] = q - qa - qb
     return list(terms.values())
+
+
+def direct_sum_from_products(alg, other):
+    """`algebra.direct_sum` from the dense Fraction product of every basis
+    pair of each summand, fed through `Algebra.from_products`."""
+    products = {}
+    for off, part in ((0, alg), (alg.dim, other)):
+        for i, j in itertools.product(range(part.dim), repeat=2):
+            products[(off + i, off + j)] = {
+                off + k: x for k, x in enumerate(part.basis_product(i, j))}
+    labels = (tuple(f"a.{x}" for x in alg.labels)
+              + tuple(f"b.{x}" for x in other.labels))
+    return Algebra.from_products(alg.dim + other.dim, products, labels)
+
+
+def tensor_from_products(alg, other):
+    """`algebra.tensor_with_associative` from the dense Fraction products
+    of every pair of basis pairs, fed through `Algebra.from_products`."""
+    if not classify(other).associative:
+        raise ValueError("tensor factor must be associative")
+    d1, d2 = alg.dim, other.dim
+    products = {}
+    for i, j, p, q in itertools.product(range(d1), range(d1), range(d2),
+                                        range(d2)):
+        va, vb = alg.basis_product(i, j), other.basis_product(p, q)
+        products[(i * d2 + p, j * d2 + q)] = {
+            k * d2 + r: a * b for k, a in enumerate(va)
+            for r, b in enumerate(vb)}
+    labels = tuple(f"{la}*{lb}" for la in alg.labels for lb in other.labels)
+    return Algebra.from_products(d1 * d2, products, labels)

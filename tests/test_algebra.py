@@ -1,7 +1,9 @@
 """Algebra constructions and identity classification."""
 
+import collections
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ from antiflex.linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
                              vec_is_zero)
 from antiflex.operators import is_nijenhuis
 from antiflex.search import search_algebras
+from tests.slow_routes import direct_sum_from_products, tensor_from_products
+from tests.test_scaled_laws import ref_classify
 
 
 def test_multiply_and_associator_examples(a1, a0_2, a2, na2):
@@ -193,3 +197,169 @@ def test_explicit_labels_are_still_checked():
     with pytest.raises(LinAlgError) as info:
         Algebra.zero(0, ["x"])
     assert str(info.value) == "label count != dimension"
+
+
+# ---------------------------------------------------------------------------
+# the one-pass `classify` and the entry-built sums against their old routes
+# ---------------------------------------------------------------------------
+
+VALUES = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3),
+          Fraction(-5, 6), Fraction(1, 4))
+
+
+def _grid():
+    """The 6,561 dim-2 algebras over {-1, 0, 1}, in sweep order; built
+    anew for each test, so that the session keeps none of them alive."""
+    return [Algebra(MultiMap(2, 2, c))
+            for c in itertools.product((-1, 0, 1), repeat=8)]
+
+
+def _random_algebra(rng, dim, density):
+    """Each structure constant drawn from VALUES with probability density,
+    zero otherwise."""
+    return Algebra(MultiMap(2, dim, [
+        rng.choice(VALUES) if rng.random() < density else 0
+        for _ in range(dim ** 3)]))
+
+
+def _fixture_algebras(a0_1, a0_2, a1, a2, na2, a2_plus_a1, af_nonassoc,
+                      noncommutative_rb, defect_rb):
+    return [a0_1, a0_2, a1, a2, na2, a2_plus_a1, af_nonassoc,
+            noncommutative_rb[0], defect_rb[0], Algebra.zero(0)]
+
+
+def _assert_same_algebra(got, want):
+    assert got.mul._shape() == want.mul._shape()
+    assert got.mul.entries == want.mul.entries
+    assert got.mul.den == want.mul.den
+    assert got.labels == want.labels
+
+
+def _assert_sums_agree(alg, other):
+    """direct_sum and tensor_with_associative equal their from_products
+    routes; returns whether the tensor was formed."""
+    _assert_same_algebra(direct_sum(alg, other),
+                         direct_sum_from_products(alg, other))
+    try:
+        want = tensor_from_products(alg, other)
+    except ValueError as refusal:
+        with pytest.raises(ValueError) as info:
+            tensor_with_associative(alg, other)
+        assert str(info.value) == str(refusal)
+        return False
+    _assert_same_algebra(tensor_with_associative(alg, other), want)
+    return True
+
+
+def test_sums_equal_the_from_products_routes_on_the_fixtures(
+        a0_1, a0_2, a1, a2, na2, a2_plus_a1, af_nonassoc, noncommutative_rb,
+        defect_rb):
+    algebras = _fixture_algebras(a0_1, a0_2, a1, a2, na2, a2_plus_a1,
+                                 af_nonassoc, noncommutative_rb, defect_rb)
+    formed = [_assert_sums_agree(alg, other)
+              for alg in algebras for other in algebras]
+    assert True in formed and False in formed
+
+
+def test_sums_equal_the_from_products_routes_on_seeded_draws():
+    """Pairs of dims 0-3 with mixed denominators.  Half of the second
+    factors are associative (zero algebras, and associative grid algebras
+    and A1 scaled by a fraction, alone or summed), so that tensors are
+    formed; the rest are drawn at random and mostly refused."""
+    rng = random.Random(2901)
+    associative = [alg for alg in _grid() if classify(alg).associative]
+    a1 = Algebra.from_products(1, {(0, 0): {0: 1}})
+    dens, formed = set(), []
+    for trial in range(240):
+        alg = _random_algebra(rng, rng.randint(0, 3),
+                              (0.2, 0.5, 0.9)[trial % 3])
+        if trial % 2:
+            other = _random_algebra(rng, rng.randint(0, 3), 0.3)
+        else:
+            pick = rng.choice((Algebra.zero(rng.randint(0, 3)),
+                               Algebra(rng.choice(associative).mul.scale(
+                                   rng.choice(VALUES))),
+                               Algebra(a1.mul.scale(rng.choice(VALUES)))))
+            other = direct_sum(pick, Algebra.zero(1)) if trial % 4 else pick
+        formed.append(_assert_sums_agree(alg, other))
+        dens.add((alg.mul.den, other.mul.den))
+    assert formed.count(True) >= 100 and False in formed
+    assert any(d1 > 1 and d2 > 1 and d1 != d2 for d1, d2 in dens)
+
+
+def test_classify_equals_the_reference_on_the_dim2_grid():
+    """All 6,561 dim-2 algebras over {-1, 0, 1}, against the dense triple
+    sweep of `tests/test_scaled_laws.py`."""
+    flags = collections.Counter()
+    for alg in _grid():
+        got = classify(alg)
+        assert got == ref_classify(alg)
+        flags[got] += 1
+    assert flags == {
+        ClassifyFlags(anti_flexible=False, flexible=False,
+                      associative=False): 5712,
+        ClassifyFlags(anti_flexible=False, flexible=True,
+                      associative=False): 648,
+        ClassifyFlags(anti_flexible=True, flexible=False,
+                      associative=False): 96,
+        ClassifyFlags(anti_flexible=True, flexible=True,
+                      associative=True): 105}
+
+
+def test_classify_equals_the_reference_on_the_corpus_and_seeded_draws(
+        a0_1, a0_2, a1, a2, na2, a2_plus_a1, af_nonassoc, noncommutative_rb,
+        defect_rb):
+    """The fixture algebras with their sums and tensors up to dim 4, and
+    seeded dim-3 and dim-4 algebras: random ones with mixed denominators,
+    some with basis vectors that multiply to zero, and sums of grid
+    algebras scaled by fractions, so that every possible flag set
+    occurs."""
+    rng = random.Random(2902)
+    grid = _grid()
+    fixtures = _fixture_algebras(a0_1, a0_2, a1, a2, na2, a2_plus_a1,
+                                 af_nonassoc, noncommutative_rb, defect_rb)
+    algebras = list(fixtures)
+    for alg in fixtures:
+        for other in fixtures:
+            if alg.dim + other.dim <= 4:
+                algebras.append(direct_sum(alg, other))
+            if alg.dim * other.dim <= 4 and classify(other).associative:
+                algebras.append(tensor_with_associative(alg, other))
+    for trial in range(120):
+        dim = 3 + trial % 2
+        if trial % 3 == 0:
+            alg = _random_algebra(rng, dim, (0.2, 0.5, 0.9)[trial // 3 % 3])
+        elif trial % 3 == 1:
+            dead = rng.randint(1, dim - 1)
+            alg = _random_algebra(rng, dim - dead, 0.6)
+            alg = direct_sum(Algebra.zero(dead), alg)
+        else:
+            def part(d):
+                pick = rng.choice(grid) if d == 2 else Algebra(
+                    MultiMap(2, 1, [rng.choice((0, 1))]))
+                return Algebra(pick.mul.scale(rng.choice(VALUES)))
+            alg = direct_sum(part(2), part(dim - 2))
+        algebras.append(alg)
+    seen = set()
+    for alg in algebras:
+        got = classify(alg)
+        assert got == ref_classify(alg)
+        seen.add(got)
+    assert len(seen) == 4
+
+
+def test_classify_keeps_no_table_of_associators():
+    """The pass forms each associator as it goes: on the dim-24 zero
+    algebra its traced peak stays under 64 KiB, where a table of the
+    24**3 associators takes megabytes."""
+    alg = Algebra.zero(24)
+    classify(alg)  # reads the integer view once, outside the trace
+    tracemalloc.start()
+    try:
+        flags = classify(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flags == ClassifyFlags(anti_flexible=True, flexible=True,
+                                  associative=True)
+    assert peak < 64 * 1024

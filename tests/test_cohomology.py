@@ -120,6 +120,17 @@ def test_dims_regression_anchors(cohomology_corpus):
         assert report.degrees == anchors, name
 
 
+def test_report_reads_h_by_degree(a2, m_a2):
+    """`ComplexReport.h(n)` is the last entry of the row of degree n, on the
+    frozen A2/reg/T_inv anchor; a degree the report lacks is a KeyError."""
+    report = RBComplex(a2, m_a2, Matrix.from_rows([[2, 0], [0, 1]])).dims(3)
+    assert [report.h(n) for n in range(4)] == [2, 2, 4, 6]
+    for missing in (4, -1):
+        with pytest.raises(KeyError) as info:
+            report.h(missing)
+        assert info.value.args == (missing,)
+
+
 def _bracket_route_columns(cx, degree, positions=None):
     """Columns of d_degree by the defining route: [star + l_T + r_T, f] on
     the swapped sum space for each basis cochain f (all of them, or those

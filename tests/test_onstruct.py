@@ -11,7 +11,7 @@ from antiflex.onstruct import (are_compatible_rb, deformed_rb_suite,
                                is_on_structure, lemma_tilde_star_check,
                                nijenhuis_from_compatible, on_from_compatible,
                                pairwise_power_compatibility, star_deformed)
-from antiflex.operators import star_algebra
+from antiflex.operators import is_rota_baxter, star_algebra
 from tests.conftest import random_matrix
 
 
@@ -52,6 +52,31 @@ def test_on_structure_report_itemizes(a2, m_a2, t_inv):
     assert not report.ok
     assert report.notes["rota_baxter"] is True
     assert report.notes["nijenhuis_structure"] is False
+
+
+def test_on_structure_reports_a_non_rota_baxter_operator_first(a2, m_a2):
+    """T = id is not Rota-Baxter on A2 (T(e1)T(e1) = e2, while the right
+    side is 2 e2).  With (N, S) = (id, id) it is the only failure; with a
+    pair that is no Nijenhuis structure, the Rota-Baxter violation still
+    comes first."""
+    ident = Matrix.identity(2)
+    rb = is_rota_baxter(a2, m_a2, ident)
+    assert not rb.ok
+    report = is_on_structure(a2, m_a2, ident, ident, ident)
+    assert not report.ok
+    assert report.notes == {"rota_baxter": False,
+                            "nijenhuis_structure": True,
+                            "compose_commutes": True,
+                            "deformed_star_agrees": True}
+    assert report.violations == rb.violations
+    bad = Matrix.from_rows([[0, 1], [0, 0]])
+    report = is_on_structure(a2, m_a2, ident, bad, bad)
+    assert report.notes["rota_baxter"] is False
+    assert report.notes["nijenhuis_structure"] is False
+    assert len(report.violations) > len(rb.violations)
+    assert report.violations[:len(rb.violations)] == rb.violations
+    assert report.describe().startswith(
+        "on_structure: FAIL - " + rb.first().describe())
 
 
 def test_on_from_compatible_roundtrip(a2, m_a2, t_inv, t_nil, on_triple):

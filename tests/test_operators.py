@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from antiflex.algebra import classify
-from antiflex.bimodule import lie_representation
+from antiflex.bimodule import Bimodule, lie_representation
 from antiflex.linalg import LinAlgError, Matrix
 from antiflex.operators import (induced_pre_anti_flexible, is_lie_rota_baxter,
                                 is_nijenhuis, is_rb_morphism, is_rota_baxter,
@@ -208,6 +208,32 @@ def test_rb_morphism_reads_each_action_on_its_side(noncommutative_rb):
         psi = random_matrix(rng, mod.mdim, mod.mdim, -1, 1)
         assert is_rb_morphism(alg, mod, op, alg, mod, op, phi, psi).ok \
             == rb_morphism_graph_check(alg, mod, op, alg, mod, op, phi, psi)
+
+
+def test_rb_morphism_reports_each_failing_action(a2, m_a2, a0_2):
+    """T = T' = 0 and phi = id satisfy every condition but the actions.
+    On A2 with its regular bimodule, psi = diag(1, 2) does not commute with
+    l(e1) = E21, so the left law fails first, at (0,).  On the zero algebra
+    with l = 0 and r(e1) = E21, r(e2) = 0 (a bimodule, since r(e1)^2 = 0),
+    the same psi fails only the right law.  The graph route refuses both."""
+    ident, zero = Matrix.identity(2), Matrix.zeros(2, 2)
+    psi = Matrix.from_rows([[1, 0], [0, 2]])
+    e21 = Matrix.from_rows([[0, 0], [1, 0]])
+    right_only = Bimodule(a0_2, [zero, zero], [e21, zero])
+    assert right_only.left != right_only.right
+    for alg, mod, law in ((a2, m_a2, "l(phi(a)) psi = psi l(a)"),
+                          (a0_2, right_only, "r(phi(a)) psi = psi r(a)")):
+        check = is_rb_morphism(alg, mod, zero, alg, mod, zero, ident, psi)
+        assert not check.ok and len(check.violations) == 1
+        assert check.first().where == (0,)
+        assert check.first().law == law
+        residual = check.first().residual
+        assert type(residual) is Matrix
+        assert residual == Matrix.from_rows([[0, 0], [-1, 0]])
+        assert not rb_morphism_graph_check(alg, mod, zero, alg, mod, zero,
+                                           ident, psi)
+        assert is_rb_morphism(alg, mod, zero, alg, mod, zero, ident,
+                              ident).ok
 
 
 def _lie_rb_by_basis_sums(lie, rep, op):
