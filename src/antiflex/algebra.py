@@ -22,6 +22,11 @@ with dim**3.  `direct_sum` and `tensor_with_associative` build their
 products from the nonzero entries of the two factors alone.  An algebra
 built without labels shares the default labels of its dimension, built
 once.
+
+The structure element mu + l + r of a bimodule on A + M
+(`_structure_element`) is laid out here from the bimodule's integer view,
+the only thing it reads: `semidirect_product` is the algebra of it, `glie`
+brackets it and `operators` contracts it.
 """
 
 from __future__ import annotations
@@ -326,11 +331,29 @@ def _semidirect_product(alg: Algebra, mod) -> Algebra:
     """`semidirect_product` without validating `mod`, for callers whose
     bimodule was validated when it was built."""
     _check_base(alg, mod)
-    from .glie import _structure_element
-
     labels = (tuple(f"a.{x}" for x in alg.labels)
               + tuple(f"m{i + 1}" for i in range(mod.mdim)))
     return Algebra(_structure_element(mod), labels)
+
+
+def _structure_element(mod) -> MultiMap:
+    """mu + l + r on A + M (algebra block first), whose integer view is
+    laid out from that of the bimodule mod."""
+    prod, left, right, den = mod.int_view()
+    d, md = mod.base.dim, mod.mdim
+    groups = []
+    for i in range(d):
+        # (e_i, e_j) -> e_i.e_j and (e_i, m_j) -> l(e_i) m_j
+        groups += prod[i * d:(i + 1) * d] + _shifted(left[i], d)
+    for j in range(md):
+        # (m_j, e_i) -> r(e_i) m_j and (m_j, m_k) -> 0
+        groups += _shifted([right[i][j] for i in range(d)], d) + [()] * md
+    return MultiMap._of_view(2, d + md, d + md, groups, den)
+
+
+def _shifted(cols: list, d: int) -> list:
+    """Sparse int columns with every output index moved up by d."""
+    return [tuple((d + k, x) for k, x in col) for col in cols]
 
 
 def deformed_product(alg: Algebra, op: Matrix) -> Algebra:

@@ -18,6 +18,17 @@ written over one common denominator D by `linalg._rescaled`.  Each term of
 both laws is quadratic in that data, so every int residual is exactly D**2
 times the true one: the same pairs fail, and the witness is
 Fraction(entry, D**2).
+
+The Rota-Baxter identity of an operator T: M -> A, relative to a bimodule,
+is swept here (`_rota_baxter_sweep`), since everything T induces is read
+from that one sweep: the star algebra (M, star), laid out from the star
+vectors `_star` forms (`_star_groups`, `_star_algebra_of`), the splitting
+(>, <) (`operators.induced_pre_anti_flexible`), and the bimodule (l_T, r_T)
+of (M, star) on A.  `operators.is_rota_baxter` returns the sweep's report,
+and the derived-bracket checks of `glie` call the sweep directly.  Over an
+algebra that is not the bimodule's base, the law reads the view of the
+actions rebased onto it (`_rota_baxter_module`); a caller that reads that
+view too hands the law the rebased bimodule, so the view is built once.
 `_induced_view` contracts the views of the bimodule and of T (scale D_T):
 star, l_T and r_T are linear in each, so all three are ints over D * D_T.
 Its star products are the star vectors that its Rota-Baxter sweep forms,
@@ -25,10 +36,15 @@ so each basis pair is contracted once; it forms l_T and r_T together, one
 pass per pair (m_i, e_j), from the view of the bimodule that sweep read
 (rebased onto the algebra passed in, built once), and it reads whether the
 base is anti-flexible from `anti_flexible_report`, which loops over the
-triples with i < k only.  It forms that view alone, for `cohomology.RBComplex`, which
-reads nothing else; `induced_bimodule_on_base` returns the objects of the
-view, built from its parts by `MultiMap._of_view`, which keep it as their
-own.
+triples with i < k only.  It forms that view alone, for
+`cohomology.RBComplex`, which reads nothing else;
+`induced_bimodule_on_base` returns the objects of the view, built from its
+parts by `MultiMap._of_view`, which keep it as their own.
+
+Every package import here sits at module level but one: `tilde_bimodule`
+imports its check, `deformation._nijenhuis_structure`, in its body, since
+that check reads `operators.is_nijenhuis` and `deformation.block_operator`,
+which sit above this module.
 """
 
 from __future__ import annotations
@@ -37,10 +53,11 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-from .algebra import (Algebra, LieAlgebra, _subtract_image,
+from .algebra import (Algebra, LieAlgebra, _multiply, _subtract_image,
                       anti_flexible_report, commutator_lie, deformed_product)
-from .linalg import LinAlgError, Matrix, _rescaled, linear_combination
-from .reports import CheckReport
+from .linalg import (LinAlgError, Matrix, MultiMap, _rescaled,
+                     linear_combination)
+from .reports import CheckReport, _law_report
 
 __all__ = [
     "Bimodule",
@@ -231,6 +248,84 @@ def lie_representation(alg: Algebra, mod: Bimodule) -> LieRepresentation:
     return LieRepresentation(lie, rho, mod.mdim)
 
 
+def _check_shape(rows: int, cols: int, src_dim: int, dst_dim: int, what: str):
+    if rows != dst_dim or cols != src_dim:
+        raise LinAlgError(f"{what} must be {dst_dim}x{src_dim}, got {rows}x{cols}")
+
+
+def _rota_baxter_sweep(alg: Algebra, mod: Bimodule, op: Matrix,
+                       stars: Optional[list] = None) -> CheckReport:
+    """T(m).T(n) = T(l(T(m))n + r(T(n))m) on all basis pairs of the module,
+    the report `operators.is_rota_baxter` returns, appending to stars, when
+    given, each e_i star e_j that the sweep forms, in product order: after
+    a passing sweep, stars[i * mdim + j] is e_i star e_j as ints over
+    den1 * den2."""
+    residual, n, den1 = _rota_baxter_law(alg, mod, op.rows, op.cols, stars)
+    return _law_report("rota_baxter", "T(m).T(n) = T(l(Tm)n + r(Tn)m)", op,
+                       residual, n, den1)
+
+
+def _rota_baxter_module(alg: Algebra, mod: Bimodule, rows: int,
+                        cols: int) -> Bimodule:
+    """The bimodule whose integer view the Rota-Baxter law of a rows x cols
+    candidate contracts, after the law's shape check: mod, or its actions
+    over alg (`_rebased`).  A caller that reads that view as well
+    passes the law this bimodule, so that the view is built once."""
+    _check_shape(rows, cols, mod.mdim, alg.dim, "Rota-Baxter candidate")
+    return _rebased(alg, mod)
+
+
+def _rota_baxter_law(alg: Algebra, mod: Bimodule, rows: int, cols: int,
+                     stars: Optional[list] = None) -> tuple:
+    """(residual, n, den1) of the Rota-Baxter identity for a rows x cols
+    candidate, after its shape check: residual(tcols, i, j) is the int
+    residual, a list, at the module basis pair (i, j), i, j < n, of the
+    operator with sparse int columns tcols on the view of
+    `_rota_baxter_module(alg, mod, rows, cols)`, scale den1.  It is a
+    homogeneous quadratic in the entries of tcols.  The star product inside
+    it is `_star`'s; residual appends it to stars, when given."""
+    d, md = alg.dim, mod.mdim
+    prod, left, right, den1 = _rota_baxter_module(alg, mod, rows,
+                                                  cols).int_view()
+
+    def residual(tcols, i, j):
+        star = [0] * md
+        _star(left, right, tcols, i, j, star, star)
+        if stars is not None:
+            stars.append(star)
+        out = _multiply(prod, d, tcols[i], tcols[j], [0] * d)
+        return _subtract_image(tcols, enumerate(star), out)
+
+    return residual, md, den1
+
+
+def _star(left: list, right: list, tcols: list, i: int, j: int,
+          succ: list, prec: list) -> None:
+    """Add m_i > m_j = l(T m_i) m_j into succ and m_i < m_j = r(T m_j) m_i
+    into prec, dense int lists, from the sparse int action columns of a
+    bimodule view over D and the int columns tcols of T over D_T, so over
+    D * D_T.  With succ and prec one list, it gains m_i star m_j."""
+    for a, x in tcols[i]:
+        for p, y in left[a][j]:
+            succ[p] += x * y
+    for a, x in tcols[j]:
+        for p, y in right[a][i]:
+            prec[p] += x * y
+
+
+def _star_groups(stars: list) -> list:
+    """The dense int star vectors as the sparse groups of an integer view:
+    at pair index i * md + j, the nonzero entries of e_i star e_j."""
+    return [tuple((k, x) for k, x in enumerate(star) if x) for star in stars]
+
+
+def _star_algebra_of(groups: list, md: int, den: int) -> Algebra:
+    """The algebra on M, dim M = md, whose integer view is (groups, den),
+    laid out as `_star_groups` gives it."""
+    return Algebra(MultiMap._of_view(2, md, md, groups, den),
+                   tuple(f"m{i + 1}" for i in range(md)))
+
+
 def induced_bimodule_on_base(alg: Algebra, mod: Bimodule, op: Matrix) -> Bimodule:
     """Bimodule of the induced algebra (M, star) acting back on A.
 
@@ -249,13 +344,9 @@ def _induced_view(alg: Algebra, mod: Bimodule, op: Matrix) -> tuple:
     its checks in its order: LinAlgError unless op has the shape of a map
     M -> A, ValueError unless op is Rota-Baxter, and, when the base is not
     anti-flexible, unless the actions form a bimodule.  The Rota-Baxter
-    sweep forms each star vector e_i star e_j once (`operators._star`), and
-    the view's star products are those vectors, laid out by
-    `operators._star_groups`.  star, l_T and r_T are
-    ints over scale = D * D_T."""
-    from .operators import (_rota_baxter_module, _rota_baxter_sweep,
-                            _star_groups)
-
+    sweep forms each star vector e_i star e_j once (`_star`), and the
+    view's star products are those vectors, laid out by `_star_groups`.
+    star, l_T and r_T are ints over scale = D * D_T."""
     mod = _rota_baxter_module(alg, mod, op.rows, op.cols)
     stars = []
     _rota_baxter_sweep(alg, mod, op, stars).require(
@@ -291,8 +382,6 @@ def _induced_view(alg: Algebra, mod: Bimodule, op: Matrix) -> tuple:
 def _induced_objects(view: tuple, adim: int) -> Bimodule:
     """The bimodule over (M, star) on A, dim A = adim, whose integer view
     is `view` (from `_induced_view`)."""
-    from .operators import _star_algebra_of
-
     prod, left, right, scale = view
     out = Bimodule(_star_algebra_of(prod, len(left), scale),
                    [Matrix._of_view(1, adim, adim, c, scale) for c in left],

@@ -95,12 +95,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .algebra import Algebra
+from .algebra import Algebra, _structure_element
 from .bimodule import (Bimodule, _induced_objects, _induced_view,
                        lie_representation)
-from .glie import (Cochain, CochainSpace, DegreeCapError, _structure_element,
-                   derived_bracket, embed_blocks, graded_bracket,
-                   restrict_blocks, HARD_ARITY_CAP)
+from .glie import (Cochain, CochainSpace, DegreeCapError, derived_bracket,
+                   embed_blocks, graded_bracket, restrict_blocks,
+                   HARD_ARITY_CAP)
 from .linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
                      int_cols_rank, linear_combination, vec_add, vec_is_zero,
                      vec_sub)

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import Algebra, _semidirect_product, deformed_product
+from .algebra import (Algebra, _semidirect_product, _structure_element,
+                      deformed_product)
 from .bimodule import Bimodule, _image_actions, _rebased, _twisted_actions
-from .glie import (HARD_ARITY_CAP, _structure_element, compose_bar,
-                   embed_blocks, graded_bracket)
+from .glie import HARD_ARITY_CAP, compose_bar, embed_blocks, graded_bracket
 from .linalg import LinAlgError, Matrix, MultiMap, _insertion_sum, _relations
 from .operators import _is_algebra_morphism, is_nijenhuis
 from .reports import CheckReport

@@ -36,11 +36,15 @@ multiplies matrices (the arity-1 maps).  It loops over the nonzeros of f
 and, for each slot, over the entries of g whose output index is that
 slot's input, so a composition costs O(nnz(f) nnz(g) arity) int products
 whatever the dimension of the space; reversal, sums, `scale` and
-`is_zero` act on the entries.  Structure elements are built from the
-integer view of a `Bimodule`, and cochains (and block
-operators) are embedded into and restricted from the sum space by moving
-their entries.  A dim-64 algebra with zero product and a one-dimensional
-module is checked without touching its 65^4 slots.
+`is_zero` act on the entries.  The structure element is laid out from
+the integer view of a `Bimodule` by `algebra._structure_element`, which
+`algebra.semidirect_product` shares, and cochains (and block operators)
+are embedded into and restricted from the sum space by moving their
+entries.  A dim-64 algebra with zero product and a one-dimensional module
+is checked without touching its 65^4 slots.  The Rota-Baxter checks of
+`rb_mc_equivalence`, `rb_differential` and `twisted_mc_check` are the
+sweep of `bimodule._rota_baxter_sweep`, which `operators.is_rota_baxter`
+returns.
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .algebra import Algebra
-from .bimodule import Bimodule
+from .algebra import Algebra, _structure_element
+from .bimodule import Bimodule, _rota_baxter_sweep
 from .linalg import LinAlgError, Matrix, MultiMap, Vector, _insertion_sum
 from .reports import CheckReport
 
@@ -139,26 +143,6 @@ def graded_bracket(f: MultiMap, g: MultiMap,
 # ---------------------------------------------------------------------------
 # two-block spaces and the degree-1 structure element
 # ---------------------------------------------------------------------------
-
-def _structure_element(mod: Bimodule) -> MultiMap:
-    """mu + l + r on A + M (algebra block first), whose integer view is
-    laid out from that of mod."""
-    prod, left, right, den = mod.int_view()
-    d, md = mod.base.dim, mod.mdim
-    groups = []
-    for i in range(d):
-        # (e_i, e_j) -> e_i.e_j and (e_i, m_j) -> l(e_i) m_j
-        groups += prod[i * d:(i + 1) * d] + _shifted(left[i], d)
-    for j in range(md):
-        # (m_j, e_i) -> r(e_i) m_j and (m_j, m_k) -> 0
-        groups += _shifted([right[i][j] for i in range(d)], d) + [()] * md
-    return MultiMap._of_view(2, d + md, d + md, groups, den)
-
-
-def _shifted(cols: list, d: int) -> list:
-    """Sparse int columns with every output index moved up by d."""
-    return [tuple((d + k, x) for k, x in col) for col in cols]
-
 
 def structure_element(product: MultiMap, left: Sequence[Matrix],
                       right: Sequence[Matrix], mdim: int) -> MultiMap:
@@ -315,20 +299,17 @@ def derived_bracket(space: CochainSpace, p: Cochain, q: Cochain,
 
 def rb_mc_equivalence(space: CochainSpace, op: Matrix) -> Tuple[bool, bool]:
     """([[T,T]] vanishes, T satisfies the Rota-Baxter identity)."""
-    from .operators import is_rota_baxter
-
     t = space.operator_cochain(op)
     mc_zero = derived_bracket(space, t, t).is_zero()
-    rb = bool(is_rota_baxter(space.alg, space.mod, op))
+    rb = bool(_rota_baxter_sweep(space.alg, space.mod, op))
     return mc_zero, rb
 
 
 def rb_differential(space: CochainSpace, op: Matrix, p: Cochain,
                     cap: Optional[int] = None) -> Cochain:
     """d_T = [[T, .]] for a Rota-Baxter operator T."""
-    from .operators import is_rota_baxter
-
-    is_rota_baxter(space.alg, space.mod, op).require("operator is not Rota-Baxter")
+    _rota_baxter_sweep(space.alg, space.mod, op).require(
+        "operator is not Rota-Baxter")
     return derived_bracket(space, space.operator_cochain(op), p, cap)
 
 
@@ -339,10 +320,9 @@ def twisted_mc_check(space: CochainSpace, op: Matrix,
     The two verdicts coincide; the acceptance suite exercises this equality
     on random perturbations.
     """
-    from .operators import is_rota_baxter
-
-    is_rota_baxter(space.alg, space.mod, op).require("operator is not Rota-Baxter")
-    sum_rb = bool(is_rota_baxter(space.alg, space.mod, op + other))
+    _rota_baxter_sweep(space.alg, space.mod, op).require(
+        "operator is not Rota-Baxter")
+    sum_rb = bool(_rota_baxter_sweep(space.alg, space.mod, op + other))
     tp = space.operator_cochain(other)
     twisted = derived_bracket(space, space.operator_cochain(op), tp) \
         + derived_bracket(space, tp, tp).scale(Fraction(1, 2))

@@ -11,39 +11,43 @@ operator (scale D2); each object builds its view once.  Both residuals are
 linear in the constants and quadratic in the operator, so on the views they
 are exactly D1*D2**2 times the true ones: the same basis pairs fail, and the
 witness is rebuilt as Fraction(int_residual, D1*D2**2).  Each residual is
-written once (`_rota_baxter_law`, `_nijenhuis_law`) as a function of the
-operator's sparse int columns, and `_law_report` runs either over the
+written once as a function of the operator's sparse int columns, the
+Nijenhuis one here (`_nijenhuis_law`) and the Rota-Baxter one in
+`bimodule._rota_baxter_law`, and `reports._law_report` runs either over the
 basis pairs in a plain double loop that records only the first failure,
-whose witness the report forms when it is read.  Over an algebra that is
-not the bimodule's base, the Rota-Baxter law reads the view of the actions
-rebased onto it (`_rota_baxter_module`); a caller that reads that view too
-hands the law the rebased bimodule, so the view is built once.  `search`
-calls `_rota_baxter_module` and `_nijenhuis_law` for their shape refusals
-and reads each law as a quadratic form in the entries off the same views.
-The induced products star, > and < are linear in both, so ints over D1*D2.
+whose witness the report forms when it is read.  `is_rota_baxter` returns
+the report of that sweep (`bimodule._rota_baxter_sweep`).  `search` calls
+`bimodule._rota_baxter_module` and `_nijenhuis_law` for their shape
+refusals and reads each law as a quadratic form in the entries off the
+same views.  The induced products star, > and < are linear in both, so
+ints over D1*D2.
 
 The star contraction m_i star m_j = l(T m_i) m_j + r(T m_j) m_i is written
-once (`_star`).  The Rota-Baxter residual reads it, and a sweep that is
-handed a list keeps each star vector it forms (`_rota_baxter_sweep`), so
-`star_algebra` and `bimodule._induced_view` contract each basis pair once;
-both lay the vectors out as the sparse groups of the star algebra's integer
-view (`_star_groups`), and `_star_algebra_of` builds the algebra from them.
+once (`bimodule._star`), and the splitting > and < here reads it too.
+`star_algebra` hands the Rota-Baxter sweep a list, which keeps each star
+vector the sweep forms, so it contracts each basis pair once, as
+`bimodule._induced_view` does; both lay the vectors out as the sparse
+groups of the star algebra's integer view (`bimodule._star_groups`), and
+`bimodule._star_algebra_of` builds the algebra from them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .algebra import (Algebra, LieAlgebra, _check_base, _deformed,
-                      _multiply, _semidirect_product, _subtract_image,
+                      _multiply, _semidirect_product, _shifted,
+                      _structure_element, _subtract_image,
                       anti_flexible_report, deformed_product)
-from .bimodule import Bimodule, LieRepresentation, _rebased
-from .glie import _shifted, _structure_element, compose_bar, embed_blocks
+from .bimodule import (Bimodule, LieRepresentation, _check_shape,
+                       _rota_baxter_module, _rota_baxter_sweep, _star,
+                       _star_algebra_of, _star_groups)
+from .glie import compose_bar, embed_blocks
 from .linalg import (LinAlgError, Matrix, MultiMap, Vector, _rescaled,
                      basis_vector, linear_combination, vec_is_zero, vec_sub)
-from .reports import CheckReport
+from .reports import CheckReport, _law_report
 
 __all__ = [
     "is_rota_baxter",
@@ -65,89 +69,9 @@ def _check_operator_shape(op: Matrix, src_dim: int, dst_dim: int, what: str):
     _check_shape(op.rows, op.cols, src_dim, dst_dim, what)
 
 
-def _check_shape(rows: int, cols: int, src_dim: int, dst_dim: int, what: str):
-    if rows != dst_dim or cols != src_dim:
-        raise LinAlgError(f"{what} must be {dst_dim}x{src_dim}, got {rows}x{cols}")
-
-
-def _law_report(name: str, law: str, op: Matrix, residual, n: int,
-                den1: int) -> CheckReport:
-    """An operator law over the basis pairs of range(n), in product order,
-    from its int residual on the view of op: the first nonzero residual
-    fails the report, and, as the law is quadratic in op, its witness is
-    the residual over den1 * den2**2, formed when read."""
-    cols, den2 = op.int_view()
-    report = CheckReport(name)
-    for i in range(n):
-        for j in range(n):
-            res = residual(cols, i, j)
-            if any(res):
-                report.fail(law, (i, j), res, den1 * den2 * den2)
-                return report
-    return report
-
-
 def is_rota_baxter(alg: Algebra, mod: Bimodule, op: Matrix) -> CheckReport:
     """T(m).T(n) = T(l(T(m))n + r(T(n))m) on all basis pairs of the module."""
     return _rota_baxter_sweep(alg, mod, op)
-
-
-def _rota_baxter_sweep(alg: Algebra, mod: Bimodule, op: Matrix,
-                       stars: Optional[list] = None) -> CheckReport:
-    """`is_rota_baxter`, appending to stars, when given, each e_i star e_j
-    that the sweep forms, in product order: after a passing sweep,
-    stars[i * mdim + j] is e_i star e_j as ints over den1 * den2."""
-    residual, n, den1 = _rota_baxter_law(alg, mod, op.rows, op.cols, stars)
-    return _law_report("rota_baxter", "T(m).T(n) = T(l(Tm)n + r(Tn)m)", op,
-                       residual, n, den1)
-
-
-def _rota_baxter_module(alg: Algebra, mod: Bimodule, rows: int,
-                        cols: int) -> Bimodule:
-    """The bimodule whose integer view the Rota-Baxter law of a rows x cols
-    candidate contracts, after the law's shape check: mod, or its actions
-    over alg (`bimodule._rebased`).  A caller that reads that view as well
-    passes the law this bimodule, so that the view is built once."""
-    _check_shape(rows, cols, mod.mdim, alg.dim, "Rota-Baxter candidate")
-    return _rebased(alg, mod)
-
-
-def _rota_baxter_law(alg: Algebra, mod: Bimodule, rows: int, cols: int,
-                     stars: Optional[list] = None) -> tuple:
-    """(residual, n, den1) of the Rota-Baxter identity for a rows x cols
-    candidate, after its shape check: residual(tcols, i, j) is the int
-    residual, a list, at the module basis pair (i, j), i, j < n, of the
-    operator with sparse int columns tcols on the view of
-    `_rota_baxter_module(alg, mod, rows, cols)`, scale den1.  It is a
-    homogeneous quadratic in the entries of tcols.  The star product inside
-    it is `_star`'s; residual appends it to stars, when given."""
-    d, md = alg.dim, mod.mdim
-    prod, left, right, den1 = _rota_baxter_module(alg, mod, rows,
-                                                  cols).int_view()
-
-    def residual(tcols, i, j):
-        star = [0] * md
-        _star(left, right, tcols, i, j, star, star)
-        if stars is not None:
-            stars.append(star)
-        out = _multiply(prod, d, tcols[i], tcols[j], [0] * d)
-        return _subtract_image(tcols, enumerate(star), out)
-
-    return residual, md, den1
-
-
-def _star(left: list, right: list, tcols: list, i: int, j: int,
-          succ: list, prec: list) -> None:
-    """Add m_i > m_j = l(T m_i) m_j into succ and m_i < m_j = r(T m_j) m_i
-    into prec, dense int lists, from the sparse int action columns of a
-    bimodule view over D and the int columns tcols of T over D_T, so over
-    D * D_T.  With succ and prec one list, it gains m_i star m_j."""
-    for a, x in tcols[i]:
-        for p, y in left[a][j]:
-            succ[p] += x * y
-    for a, x in tcols[j]:
-        for p, y in right[a][i]:
-            prec[p] += x * y
 
 
 def rb_graph_is_subalgebra(alg: Algebra, mod: Bimodule, op: Matrix) -> bool:
@@ -333,19 +257,6 @@ def _star_product(mod: Bimodule, op: Matrix) -> Algebra:
     return _star_algebra_of(_star_groups(stars), md, den1 * den2)
 
 
-def _star_groups(stars: list) -> list:
-    """The dense int star vectors as the sparse groups of an integer view:
-    at pair index i * md + j, the nonzero entries of e_i star e_j."""
-    return [tuple((k, x) for k, x in enumerate(star) if x) for star in stars]
-
-
-def _star_algebra_of(groups: list, md: int, den: int) -> Algebra:
-    """The algebra on M, dim M = md, whose integer view is (groups, den),
-    laid out as `_star_groups` gives it."""
-    return Algebra(MultiMap._of_view(2, md, md, groups, den),
-                   tuple(f"m{i + 1}" for i in range(md)))
-
-
 def _is_algebra_morphism(src: Algebra, dst: Algebra, phi: Matrix) -> bool:
     for i, j in itertools.product(range(src.dim), repeat=2):
         lhs = phi.apply(src.basis_product(i, j))
@@ -403,7 +314,7 @@ def rb_morphism_graph_check(alg: Algebra, mod: Bimodule, op: Matrix,
     component in each semidirect algebra.
 
     Runs on ints: each semidirect product is the integer view of
-    `glie._structure_element` (over the view's own denominator, which need
+    `algebra._structure_element` (over the view's own denominator, which need
     not be the map's), F = phi + psi acts through the views of phi and psi
     rescaled to one denominator, and each comparison is cross-multiplied by
     the denominators of the other side.

@@ -13,7 +13,8 @@ an unchecked builder such as `operators._star_product`.  The hot laws,
 which searches and complexes check on every candidate, scan their tuples
 in their own loops and record the first failure with `fail`, so a passing
 check builds nothing but its report (`algebra.anti_flexible_report`, and
-`operators._law_report` for the Rota-Baxter and Nijenhuis laws);
+`_law_report` here for the Rota-Baxter and Nijenhuis laws, which
+`bimodule` and `operators` share);
 `CheckReport.sweep` serves every other law.  A hot law's failure keeps its
 int residual and the scale it is over, and its witness, the Fractions
 residual / scale, is formed on the first read of `Violation.residual`: a
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional
 
-from .linalg import vec_is_zero
+from .linalg import Matrix, vec_is_zero
 
 
 def _witness(ints, scale: int) -> tuple:
@@ -139,3 +140,20 @@ class CheckReport:
         head = self.violations[0]
         more = f" (+{len(self.violations) - 1} more)" if len(self.violations) > 1 else ""
         return f"{self.name}: FAIL - {head.describe()}{more}"
+
+
+def _law_report(name: str, law: str, op: Matrix, residual, n: int,
+                den1: int) -> CheckReport:
+    """An operator law over the basis pairs of range(n), in product order,
+    from its int residual on the view of op: the first nonzero residual
+    fails the report, and, as the law is quadratic in op, its witness is
+    the residual over den1 * den2**2, formed when read."""
+    cols, den2 = op.int_view()
+    report = CheckReport(name)
+    for i in range(n):
+        for j in range(n):
+            res = residual(cols, i, j)
+            if any(res):
+                report.fail(law, (i, j), res, den1 * den2 * den2)
+                return report
+    return report

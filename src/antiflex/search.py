@@ -20,8 +20,8 @@ is a list of int polynomial components, all of which vanish exactly when
 the law holds.  The two quadratic laws are read straight off the integer
 views that `is_rota_baxter` and `is_nijenhuis` contract (`_quadratic_law`),
 over the same scale, after the shape refusals of
-`operators._rota_baxter_module` and `_nijenhuis_law`; their residuals are
-never evaluated here.  Every
+`bimodule._rota_baxter_module` and `operators._nijenhuis_law`; their
+residuals are never evaluated here.  Every
 component is a flat list of (q, a, b) terms, q * cell a * cell b, where
 cell n (one past the last) is the constant 1, so that linear and constant
 monomials are terms too.  A component is checked as soon as its last cell
@@ -42,11 +42,10 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from .algebra import Algebra, anti_flexible_report, classify
-from .bimodule import Bimodule
+from .bimodule import Bimodule, _rota_baxter_module
 from .linalg import (Matrix, MultiMap, _exact, _nonzero_cols, int_cols_rank,
                      integer_scaled)
-from .operators import (_nijenhuis_law, _rota_baxter_module, is_nijenhuis,
-                        is_rota_baxter)
+from .operators import _nijenhuis_law, is_nijenhuis, is_rota_baxter
 
 __all__ = [
     "SearchSpaceError",
@@ -124,7 +123,7 @@ def _quadratic_law(prod: list, rows: int, cols: int, linear) -> list:
 def _rota_baxter_terms(alg: Algebra, mod: Optional[Bimodule], rows: int,
                        cols: int) -> list:
     """The Rota-Baxter law, with v = l(T m_i)m_j + r(T m_j)m_i read off the
-    view that `_rota_baxter_law` contracts, after its refusals
+    view that `bimodule._rota_baxter_law` contracts, after its refusals
     (`_rota_baxter_module`)."""
     prod, left, right, _ = _rota_baxter_module(alg, _bimodule(mod), rows,
                                                cols).int_view()

@@ -55,9 +55,9 @@ Each function here is the form the package used before the direct one:
   candidate of the grid as a Matrix and applying the dispatched predicates
   to it, in sweep order;
 - `quadratic_law_probed`: the rota-baxter or nijenhuis law of the operator
-  search, found by probing the int residual of `operators._rota_baxter_law`
-  or `_nijenhuis_law` on unit cells and pairs of cells, where the search
-  now reads its terms off the integer views.
+  search, found by probing the int residual of `bimodule._rota_baxter_law`
+  or `operators._nijenhuis_law` on unit cells and pairs of cells, where the
+  search now reads its terms off the integer views.
 - `direct_sum_from_products`, `tensor_from_products`: `direct_sum` and
   `tensor_with_associative` built from the dense Fraction product of
   every basis pair through `Algebra.from_products`, where the package
@@ -83,7 +83,7 @@ from typing import Any
 
 from antiflex.algebra import (Algebra, _semidirect_product, classify,
                               deformed_product, direct_sum)
-from antiflex.bimodule import Bimodule, _rebased
+from antiflex.bimodule import Bimodule, _rebased, _rota_baxter_law
 from antiflex.cohomology import ComplexError, ComplexReport, _check_degree
 from antiflex.deformation import block_operator
 from antiflex.glie import (HARD_ARITY_CAP, _structure_element, compose_bar,
@@ -92,8 +92,7 @@ from antiflex.linalg import (LinAlgError, Matrix, MultiMap, basis_vector,
                              int_cols_rank, linear_combination, vec_is_zero,
                              vec_sub)
 from antiflex.operators import (_check_operator_shape, _is_algebra_morphism,
-                                _nijenhuis_law, _rota_baxter_law,
-                                is_nijenhuis, is_rota_baxter)
+                                _nijenhuis_law, is_nijenhuis, is_rota_baxter)
 from antiflex.reports import CheckReport
 
 

@@ -168,6 +168,74 @@ def test_malformed_fixture_is_exit_2(tmp_path, capsys):
     assert "$.algebra.products" in capsys.readouterr().err
 
 
+A2_RAW = {"dim": 2, "basis": ["e1", "e2"], "products": {"e1,e1": {"e2": 1}}}
+M_A2_RAW = {"mdim": 2, "l": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],
+            "r": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
+
+
+@pytest.mark.parametrize("raw, argv, message", [
+    ({"field": "Q", "algebra": 1}, ["check", "algebra"],
+     "$.algebra: expected an object, got int"),
+    ({"field": "Q"}, ["check", "algebra"],
+     "$: missing required key 'algebra'"),
+    ({"field": "R", "algebra": A2_RAW}, ["check", "algebra"],
+     "$.field: only the rational field 'Q' is supported"),
+    ({"field": "Q", "algebra": A2_RAW, "operators": []}, ["check", "algebra"],
+     "$.operators: expected an object"),
+    ({"field": "Q", "algebra": dict(A2_RAW, products=[])}, ["check", "algebra"],
+     "$.algebra.products: expected an object of sparse products"),
+    ({"field": "Q", "algebra": dict(A2_RAW, products={"e1,e1": 1})},
+     ["check", "algebra"], "$.algebra.products.e1,e1: expected an object"),
+    ({"field": "Q", "algebra": dict(A2_RAW, products={"e1,e1": {"e3": 1}})},
+     ["check", "algebra"], "$.algebra.products.e1,e1.e3: unknown basis label"),
+    ({"field": "Q", "algebra": dict(A2_RAW, basis=["e1"])}, ["check", "algebra"],
+     "$.algebra.basis: expected 2 string labels"),
+    ({"field": "Q", "algebra": A2_RAW,
+      "bimodule": dict(M_A2_RAW, l=[[[0, 0]], [[0, 0], [0, 0]]])},
+     ["check", "algebra"], "$.bimodule.l[0]: expected 2 rows, got 1"),
+    ({"field": "Q", "algebra": A2_RAW}, ["mc-check"],
+     "document has no bimodule section"),
+    ({"field": "Q", "algebra": A2_RAW,
+      "bimodule": dict(M_A2_RAW, l=[[[1, 0], [0, 1]], [[0, 0], [0, 0]]]),
+      "operators": {"T": [[0, 0], [0, 0]]}}, ["check", "rb", "--op", "T"],
+     "bimodule section fails the bimodule axioms: bimodule: FAIL - "
+     "l(ab)-l(a)l(b) = r(a)r(b)-r(ba) fails at basis tuple (0, 0): "
+     "residual Matrix(2x2: -1 0; 0 -1)"),
+])
+def test_a_refused_document_is_exit_2_with_its_message(tmp_path, capsys,
+                                                       raw, argv, message):
+    """Each refusal of a malformed document, or of a section a command
+    needs, exits 2 with its one-line message and no traceback."""
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["--fixture", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_check_morphism_fails_on_a_map_that_is_no_algebra_morphism(
+        tmp_path, capsys):
+    """phi = diag(1, 2) on A2 sends e1.e1 = e2 to 2 e2 but e1 to e1: the
+    morphism check fails first at its algebra law, with no residual, and
+    the graph route agrees."""
+    raw = {"field": "Q", "algebra": A2_RAW, "bimodule": M_A2_RAW,
+           "algebra2": {"dim": 2, "basis": ["f1", "f2"],
+                        "products": {"f1,f1": {"f2": 1}}},
+           "bimodule2": M_A2_RAW,
+           "operators": {"P": [[1, 0], [0, 2]], "I": [[1, 0], [0, 1]],
+                         "Z": [[0, 0], [0, 0]]}}
+    path = tmp_path / "morphism.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["--fixture", str(path), "--json", "check", "morphism",
+                 "--ops", "P,I,Z,Z"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdicts"]["rb_morphism"]["ok"] is False
+    assert data["verdicts"]["graph_route_agrees"]["ok"] is True
+    assert data["witnesses"] == [{"law": "phi(a.b) = phi(a).phi(b)",
+                                  "at": [], "residual": None}]
+
+
 def test_oversized_integer_is_exit_2(tmp_path, capsys):
     """An integer literal past Python's 4,300-digit limit is a document
     error at "$", not an error without a path."""
@@ -297,7 +365,7 @@ def test_cohomology_sweeps_the_rota_baxter_identity_once(
     Every sweep, `is_rota_baxter`'s and the induced view's, is one
     `_rota_baxter_sweep`."""
     calls = _count_calls(monkeypatch, "_rota_baxter_sweep",
-                         ["antiflex.operators", *PACKAGE])
+                         ["antiflex.bimodule", *PACKAGE])
     for path, op, status, sweeps in ((a2_fixture, "T", 0, 1),
                                      (nc_fixture, "T", 1, 1),
                                      (nc_fixture, "Bad", 1, 2)):
@@ -904,3 +972,24 @@ def test_cli_output_matches_the_golden_record(a2_fixture, pair_fixture,
     for entry, (status, out, err) in zip(golden, got):
         assert (status, out, err) == (entry["status"], entry["stdout"],
                                       entry["stderr"]), entry["argv"]
+
+
+def test_the_perfbench_cli_corpus_prints_its_recorded_hash():
+    """`tests/cli_corpus_hash.py` prints the count and SHA-256 of all 1,056
+    outputs of the perfbench `cli` corpus (seed 1, cycles 0-7), so every
+    byte of every command that corpus runs is pinned, and not only those of
+    the golden calls.  It runs in a child interpreter so that this
+    session's heap does not grow by the corpus; perfbench's gc-timing test
+    times whole collections of the session against a fixed budget.  A
+    benchmark change that changes the `cli` inputs re-records the hash, on
+    its parent tree, before any change to the package."""
+    import subprocess
+    import sys
+
+    tests = os.path.dirname(os.path.abspath(__file__))
+    result = subprocess.run(
+        [sys.executable, os.path.join(tests, "cli_corpus_hash.py")],
+        cwd=os.path.dirname(tests), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ("1056 88ac890f7cb49f89f35975b53d548bbcc8b09a2b"
+                             "0c6be82e4bfa826d43755587\n")

@@ -556,7 +556,7 @@ def test_the_complex_classifies_nothing_and_contracts_each_star_pair_once(
     keeps."""
     classified = _count_calls(monkeypatch, "classify",
                               ["antiflex.algebra", *PACKAGE])
-    stars = _count_calls(monkeypatch, "_star", ["antiflex.operators"])
+    stars = _count_calls(monkeypatch, "_star", ["antiflex.bimodule"])
     triples = [(alg, mod, op) for _, alg, mod, op, _ in cohomology_corpus]
     for alg, mod, op in triples + [noncommutative_rb, defect_rb]:
         stars.clear()

@@ -1,10 +1,13 @@
 """Every name a module lists in `__all__` resolves, so `import *` works,
-and every name a package or test module imports is used."""
+every name a package or test module imports is used, the package's
+imports point one way, and every `module.name` its docs cite is there."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -250,3 +253,136 @@ def test_import_time_randoms_are_found():
         "        return random.Random(7)\n"
         "rngs = [random.Random(s) for s in (8, 9)]\n")
     assert import_time_randoms(source) == [3, 4, 6, 10, 13]
+
+
+# Each module imports, at module level, only from the modules before it.
+ORDER = ["linalg", "reports", "algebra", "bimodule", "glie", "operators",
+         "deformation", "onstruct", "cohomology", "search", "document", "cli"]
+
+# The one package import inside a function body, as (module, function,
+# imported module): `tilde_bimodule` belongs to `bimodule`, and its check,
+# `deformation._nijenhuis_structure`, reads `operators.is_nijenhuis` and
+# `deformation.block_operator`, which sit above it.
+LAZY = {("bimodule", "tilde_bimodule", "deformation")}
+
+
+def package_imports(source):
+    """(function, module) of each import from a module of the package
+    (`.module` or `antiflex.module`), in source order: function names the
+    innermost function whose body holds the import, or is None for an
+    import that runs when the module is imported."""
+    found = []
+
+    def modules(node):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            return ([node.module.split(".")[0]] if node.module
+                    else [alias.name for alias in node.names])
+        names = ([node.module] if isinstance(node, ast.ImportFrom)
+                 else [alias.name for alias in node.names])
+        return [name.split(".")[1] for name in names
+                if name.startswith("antiflex.")]
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend((function, module) for module in modules(node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_package_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import antiflex\n"
+        "from .a import x\n"
+        "import antiflex.b\n"
+        "from antiflex.c import y\n"
+        "from . import d\n"
+        "def f():\n"
+        "    from .e import z\n"
+        "    def g():\n"
+        "        import antiflex.f\n"
+        "    return z\n"
+        "class K:\n"
+        "    from .h import v\n"
+        "    def m(self):\n"
+        "        from antiflex.g import w\n")
+    assert package_imports(source) == [
+        (None, "a"), (None, "b"), (None, "c"), (None, "d"), ("f", "e"),
+        ("g", "f"), (None, "h"), ("m", "g")]
+
+
+def test_package_imports_sit_at_module_level():
+    """No function imports from the package but `LAZY`'s one."""
+    found = [(path.stem, function, module) for path in SOURCES
+             for function, module in package_imports(
+                 path.read_text(encoding="utf-8"))
+             if function is not None]
+    assert [where for where in found if where not in LAZY] == []
+
+
+def test_module_level_imports_point_down_the_order():
+    """Each module imports only from the modules before it in `ORDER`, so
+    no two modules import each other; the package's `__init__` and
+    `__main__` import from the modules and stand outside the order."""
+    assert {path.stem for path in SOURCES} == set(ORDER) | {"__init__",
+                                                           "__main__"}
+    upward = [(path.stem, module) for path in SOURCES if path.stem in ORDER
+              for function, module in package_imports(
+                  path.read_text(encoding="utf-8"))
+              if function is None
+              and module not in ORDER[:ORDER.index(path.stem)]]
+    assert upward == []
+
+
+DOC_REFERENCE = re.compile(r"`(?:antiflex\.)?(\w+)\.(\w+)`")
+MODULE_NAMES = {name.split(".")[1] for name in MODULES[1:]}
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def doc_references(text):
+    """(module, name) of each backticked `module.name` or
+    `antiflex.module.name` in text whose module is one of the package's."""
+    return [(module, name) for module, name in DOC_REFERENCE.findall(text)
+            if module in MODULE_NAMES]
+
+
+def docstrings(source):
+    """The docstrings of a module and of its functions and classes."""
+    return [doc for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Module, ast.FunctionDef,
+                                 ast.AsyncFunctionDef, ast.ClassDef))
+            and (doc := ast.get_docstring(node, clean=False))]
+
+
+def test_doc_references_are_found():
+    text = ("`glie.reversal` and `antiflex.cli.main`, not `Bimodule.int_view`,"
+            " `antiflex.glie`, `glie.reversal(f)` or `tests/slow_routes.py`")
+    assert doc_references(text) == [("glie", "reversal"), ("cli", "main")]
+
+
+def test_doc_references_name_a_definition_of_their_module():
+    """A `module.name` in a src docstring or in README.md names a function
+    or class defined in that module, so a definition that moves takes its
+    citations along.  ROADMAP.md is left out: it names metrics, files and
+    functions still to be written."""
+    texts = [(path.name, doc) for path in SOURCES
+             for doc in docstrings(path.read_text(encoding="utf-8"))]
+    texts.append((README.name, README.read_text(encoding="utf-8")))
+    refs = [(where, module, name) for where, text in texts
+            for module, name in doc_references(text)]
+    assert len(refs) >= 20
+
+    def defined(module, name):
+        obj = getattr(importlib.import_module(f"antiflex.{module}"), name,
+                      None)
+        return ((inspect.isfunction(obj) or inspect.isclass(obj))
+                and obj.__module__ == f"antiflex.{module}")
+
+    assert [(where, f"{module}.{name}") for where, module, name in refs
+            if not defined(module, name)] == []

@@ -13,8 +13,8 @@ import pytest
 
 import antiflex
 import antiflex.algebra
+import antiflex.bimodule
 import antiflex.linalg
-import antiflex.operators
 import antiflex.search
 from antiflex.algebra import Algebra, classify
 from antiflex.bimodule import Bimodule, zero_bimodule
@@ -469,7 +469,7 @@ def test_operator_searches_never_evaluate_the_law_residual(a2, m_a2,
              ((a2, None, (-1, 0, "1/2"), ("nijenhuis",)), "algebra-endo"))
     want = [search_operators_each(*args, shape=shape) for args, shape in cases]
     calls = collections.Counter()
-    for module, name in ((antiflex.operators, "_rota_baxter_law"),
+    for module, name in ((antiflex.bimodule, "_rota_baxter_law"),
                          (antiflex.search, "_nijenhuis_law")):
         real = getattr(module, name)
 
