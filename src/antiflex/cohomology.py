@@ -147,7 +147,10 @@ class RBComplex:
         # degree -> the stored sparse int columns of d_degree (`_columns`)
         self._matrices = {}
         # the star products by output coordinate (`_star_by_output`), the one
-        # table of the assembly that depends on the data
+        # table of the assembly that depends on the data; set here, so that
+        # filling it keeps the instance's attribute layout, where a
+        # cached_property would write through __dict__ and slow every later
+        # attribute read of the complex
         self._products = None
 
     @functools.cached_property
@@ -268,10 +271,9 @@ class RBComplex:
 
     def _fold(self, degree: int) -> Optional[tuple]:
         """(twin, s_degree) when the store of d_degree keeps only the
-        canonical rows of pairs (degree >= 2, mdim >= 2), else None: twin
-        is the layout's table (`_Layout.twin`)."""
-        twin = _layout(self.mdim, self.adim, degree).twin
-        return None if twin is None else (twin, _reversal_sign(degree))
+        canonical rows of pairs (degree >= 2, mdim >= 2), else None: the
+        layout's pair (`_Layout.fold`)."""
+        return _layout(self.mdim, self.adim, degree).fold
 
     def dims(self, max_degree: int = DEFAULT_MAX_DEGREE) -> "ComplexReport":
         """Exact cocycle/coboundary/cohomology dimensions up to max_degree.
@@ -369,14 +371,14 @@ class _Layout:
     - stars[y]: (base, w, digit, coeff) for each s < n, ys[s] = digit of
       weight w replaced by a pair uv: that star term lands at x = base +
       uv * w with the sign coeff = (-1)^s, times mult[x].
-    - twin: the coordinate of (rev(x), k) for each coordinate x * a + k of
-      C^(n+1) when the store keeps only canonical rows (n >= 2, m >= 2),
-      else None.
+    - fold: (twin, s_n) when the store keeps only canonical rows (n >= 2,
+      m >= 2), else None, with twin the coordinate of (rev(x), k) for each
+      coordinate x * a + k of C^(n+1).
 
     Nothing in it depends on the data, so one layout serves every complex
     of its shape; it is read, never written."""
 
-    __slots__ = ("at", "mult", "actions", "stars", "twin")
+    __slots__ = ("at", "mult", "actions", "stars", "fold")
 
     def __init__(self, m: int, a: int, n: int):
         size = m ** n
@@ -385,12 +387,13 @@ class _Layout:
         if flip is None:
             at = [x * a for x in range(m * size)]
             mult = [1 + rev] * (m * size)
-            self.twin = None
+            self.fold = None
         else:
             at = [(x if x < f else f) * a for x, f in enumerate(flip)]
             mult = [1 if x < f else rev if x > f else 1 + rev
                     for x, f in enumerate(flip)]
-            self.twin = tuple([f * a + k for f in flip for k in range(a)])
+            self.fold = (tuple([f * a + k for f in flip for k in range(a)]),
+                         rev)
         self.at, self.mult = tuple(at), tuple(mult)
         # (-1)^n r_T(x_{n+1}) and (-1)^n (-1)^(n-1) l_T(x_1); d_0 = l_T - r_T
         right_sign, left_sign = (-1 if n % 2 else 1, -1) if n else (-1, 1)

@@ -7,7 +7,8 @@ and `InfinitesimalDeformation`.  Rationals are bare integers or "p/q"
 strings.  Parsing is strict: unknown keys, inconsistent dimensions, duplicate
 or comma-bearing labels and malformed rationals are all errors naming the
 offending path.  Rendering is canonical, so documents written by render
-round-trip byte-identically.
+round-trip byte-identically; it refuses an operator with no rows, which
+it would write as the [] that parsing refuses.
 
 `load_document` reads the file on every call but parses its text only when
 the text differs from that of the previous load: the parsed document of the
@@ -92,26 +93,22 @@ def _parse_rat(value, path: str):
 
 def _parse_matrix(value, path: str, rows: Optional[int] = None,
                   cols: Optional[int] = None) -> Matrix:
+    """The matrix of a list of rows, each entry read by `_parse_rat` and
+    the whole handed to `Matrix._of_values`; [] is the 0 x cols matrix of
+    a frame that expects no rows."""
     if value == [] and rows == 0:  # a 0 x cols matrix renders as []
-        return Matrix._of_ints(1, cols, 0, {})
+        return Matrix._of_values(1, cols, 0, ())
     if not isinstance(value, list) or not value or not all(
             isinstance(r, list) for r in value):
         raise DocumentError(path, "expected a non-empty list of rows")
     ncols = len(value[0])
-    entries, rational = {}, False
+    items = []
     for i, row in enumerate(value):
         if len(row) != ncols:
             raise DocumentError(f"{path}[{i}]", "ragged row")
-        for j, entry in enumerate(row):
-            if type(entry) is not int:
-                entry = _parse_rat(entry, f"{path}[{i}][{j}]")
-                rational = True
-            if entry:
-                entries[(j, i)] = entry
-    if rational:
-        m = Matrix._of_values(1, ncols, len(value), entries.items())
-    else:
-        m = Matrix._of_ints(1, ncols, len(value), entries)
+        items += [((j, i), _parse_rat(entry, f"{path}[{i}][{j}]"))
+                  for j, entry in enumerate(row)]
+    m = Matrix._of_values(1, ncols, len(value), items)
     if rows is not None and m.rows != rows:
         raise DocumentError(path, f"expected {rows} rows, got {m.rows}")
     if cols is not None and m.cols != cols:
@@ -300,6 +297,13 @@ def _document_object(doc: WorkspaceDocument) -> dict:
 
 
 def render_document(doc: WorkspaceDocument) -> str:
+    """The canonical text of doc, which `parse_document` reads back; an
+    operator with no rows would be written as [], which parsing refuses,
+    so it is refused here."""
+    for name, m in sorted(doc.operators.items()):
+        if not m.rows:
+            raise DocumentError(f"$.operators.{name}",
+                                f"a 0x{m.cols} operator has no rows to write")
     return json.dumps(_document_object(doc), indent=2, sort_keys=False) + "\n"
 
 

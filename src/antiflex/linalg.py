@@ -18,9 +18,11 @@ back, for callers outside the package.
 
 `integer_scaled` writes a group of exact values over one common denominator,
 so that a homogeneous law can be checked in int arithmetic (see its
-docstring).  Each `MultiMap` keeps one integer view of its entries
-(`int_view`), which is also the view of a `Matrix`, of an `Algebra`'s
-product and, rescaled to one denominator (`_rescaled`), of a `Bimodule`.
+docstring); it is the one route from exact values to ints, which the
+constructors (`_scaled_entries`) and the search grids take too.  Each
+`MultiMap` keeps one integer view of its entries (`int_view`), which is
+also the view of a `Matrix`, of an `Algebra`'s product and, rescaled to
+one denominator (`_rescaled`), of a `Bimodule`.
 
 One exact elimination, `_eliminate`, runs fraction-free on sparse integer
 columns.  Rank is scale-invariant, so `int_cols_rank` ranks such a view
@@ -152,12 +154,12 @@ def integer_scaled(*parts: Iterable[Scalar]) -> tuple:
     so it vanishes on the ints exactly when it vanishes on the values, and
     a nonzero integer residual r is recovered exactly as Fraction(r, den**k).
     Int products and sums skip the normalising gcd of every Fraction
-    operation, which is what makes the scaled check fast.
+    operation, which is what makes the scaled check fast.  The values are
+    ints or Fractions, and each is written as numerator * (den //
+    denominator), den 1 included.
     """
     parts = [tuple(p) for p in parts]
     den = math.lcm(*(x.denominator for p in parts for x in p))
-    if den == 1:
-        return [[x.numerator for x in p] for p in parts], den
     return [[x.numerator * (den // x.denominator) for x in p]
             for p in parts], den
 
@@ -264,15 +266,13 @@ def _exact(c: Scalar):
 
 
 def _scaled_entries(items: Iterable[tuple]) -> tuple:
-    """(entries, den): the nonzero values of the (key, value) items as ints
-    over their least common denominator den, as `integer_scaled` writes
-    them; no factor is common to den and every int, so the pair is in
-    lowest terms."""
-    exact = [(key, _exact(x)) for key, x in items]
-    nonzero = [(key, x) for key, x in exact if x]
-    den = math.lcm(*(x.denominator for _, x in nonzero))
-    return {key: x.numerator * (den // x.denominator)
-            for key, x in nonzero}, den
+    """(entries, den): the nonzero values of the (key, value) items, read
+    by `_exact`, as `integer_scaled` writes them.  The zeros are dropped
+    first, since a zero's denominator is 1 and its int is 0; no factor is
+    common to den and every int, so the pair is in lowest terms."""
+    nonzero = {key: v for key, x in items if (v := _exact(x))}
+    (ints,), den = integer_scaled(nonzero.values())
+    return dict(zip(nonzero, ints)), den
 
 
 class MultiMap:
@@ -289,7 +289,8 @@ class MultiMap:
 
     The constructor takes the dense row-major data of a square map (in_dim
     = out_dim = dim), and `data` gives it back; the package itself builds
-    maps from ints (`_of_ints`) and never reads `data`.  Two subclasses
+    maps from ints (`_of_ints`), or from a parsed document's exact values
+    (`_of_values`), and never reads `data`.  Two subclasses
     share everything below: a non-square map is a cochain (glie.Cochain),
     and an arity-1 map is a `Matrix`.
     """
@@ -611,8 +612,9 @@ class Matrix(MultiMap):
     The constructor takes the row-major entries as exact values (ints,
     Fractions or anything Fraction takes), and `data`, `row`, `col` and
     m[i, j] give them back as Fractions, built anew on each read; `ints`
-    gives them as ints over den.  Parsed documents, bimodule views and
-    search hits are built from their nonzero ints (`_of_ints`).
+    gives them as ints over den.  Bimodule views and search hits are built
+    from their nonzero ints (`_of_ints`), and parsed documents from their
+    exact values (`_of_values`).
     """
 
     __slots__ = ()

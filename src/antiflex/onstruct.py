@@ -51,7 +51,8 @@ def is_on_structure(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
 def _on_structure(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
                   mod_op: Matrix) -> tuple:
     """`is_on_structure` with the actions l(N(e_i)) and r(N(e_i)) that its
-    Nijenhuis-structure check formed."""
+    Nijenhuis-structure check formed, and the two star algebras it
+    compared: star_{N T} and star^S_T."""
     report = CheckReport("on_structure")
     rb = is_rota_baxter(alg, mod, op)
     ns, acted, _ = _nijenhuis_structure(alg, mod, alg_op, mod_op)
@@ -72,7 +73,7 @@ def _on_structure(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
         report.fail("N T = T S", (), compose_res)
     if not tensors_equal:
         report.fail("star_{N T} = star^S_T", (), star_nt.mul - star_s.mul)
-    return report, acted
+    return report, acted, star_nt, star_s
 
 
 def lemma_tilde_star_check(alg: Algebra, mod: Bimodule, op: Matrix,
@@ -83,13 +84,13 @@ def lemma_tilde_star_check(alg: Algebra, mod: Bimodule, op: Matrix,
     Both identities hold for every ON-structure; the averaging identity holds
     whenever the twisted bimodule exists.
     """
-    report, acted = _on_structure(alg, mod, op, alg_op, mod_op)
+    report, acted, star_nt, star_s = _on_structure(alg, mod, op, alg_op,
+                                                   mod_op)
     report.require("not an ON-structure")
     star_tilde = _star_product(_tilde_bimodule(mod, alg_op, mod_op, acted),
                                op).mul
-    star_s = deformed_product(_star_product(mod, op), mod_op).mul
-    star_nt = _star_product(mod, alg_op @ op).mul
-    return star_tilde == star_s, star_tilde + star_s == star_nt.scale(2)
+    return (star_tilde == star_s.mul,
+            star_tilde + star_s.mul == star_nt.mul.scale(2))
 
 
 def are_compatible_rb(alg: Algebra, mod: Bimodule, op1: Matrix, op2: Matrix) -> bool:
@@ -123,7 +124,7 @@ def deformed_rb_suite(alg: Algebra, mod: Bimodule, op: Matrix, alg_op: Matrix,
       composed_rb    N T is Rota-Baxter on the original pair
       compatible     T and N T are compatible
     """
-    report, acted = _on_structure(alg, mod, op, alg_op, mod_op)
+    report, acted, *_ = _on_structure(alg, mod, op, alg_op, mod_op)
     report.require("not an ON-structure")
     twisted = _tilde_bimodule(mod, alg_op, mod_op, acted)
     out = {}

@@ -14,7 +14,11 @@ half the triples and forms no witness for a rejected candidate, and
 `classify` serves only the flexible and associative ones.
 `search_operators` backtracks over the cells of the candidate matrix (its
 row-major entries) in the same order, on the grid values written as ints
-over their common denominator.  The Rota-Baxter and Nijenhuis laws are
+over their common denominator.  Each operator predicate is one form on
+those cells (`_OPERATOR_FORMS`), which `operator_predicate` also reads: it
+builds the form of an operator's shape and evaluates it on the operator's
+ints over its den, so a predicate applied to a Matrix and the search that
+prunes on it read the same law.  The Rota-Baxter and Nijenhuis laws are
 homogeneous quadratics in the cells and the scalar law is linear, so each
 is a list of int polynomial components, all of which vanish exactly when
 the law holds.  The two quadratic laws are read straight off the integer
@@ -45,7 +49,10 @@ from .algebra import Algebra, anti_flexible_report, classify
 from .bimodule import Bimodule, _rota_baxter_module
 from .linalg import (Matrix, MultiMap, _exact, _nonzero_cols, int_cols_rank,
                      integer_scaled)
-from .operators import _nijenhuis_law, is_nijenhuis, is_rota_baxter
+from .operators import _nijenhuis_law
+# not called here: the search reads the Rota-Baxter law off the integer
+# views; perfbench/test_perfbench.py reads the name here
+from .operators import is_rota_baxter  # noqa: F401
 
 __all__ = [
     "SearchSpaceError",
@@ -177,35 +184,26 @@ def _full_rank(rows: int, cols: int, cells: Sequence[int]) -> bool:
             and int_cols_rank(_nonzero_cols(cells, rows, cols)) == rows)
 
 
-# name -> test, resolved (with a "not-" prefix) once per predicate built; an
-# operator test also takes the algebra and bimodule the search runs over.
+# name -> test, resolved (with a "not-" prefix) once per predicate built.
 _ALGEBRA_TESTS = {
     "anti-flexible": lambda alg: anti_flexible_report(alg).ok,
     "flexible": lambda alg: classify(alg).flexible,
     "associative": lambda alg: classify(alg).associative,
     "commutative": Algebra.is_commutative,
 }
-# name -> (test of a Matrix, form on the int cells of a rows x cols
-# candidate); a form is a law, a list of components that all vanish exactly
-# when the predicate holds, or else a test of the cells at a leaf.
-_OPERATOR_TESTS = {
-    "rota-baxter": (
-        lambda alg, mod, op: bool(is_rota_baxter(alg, _bimodule(mod), op)),
-        _rota_baxter_terms),
-    "nijenhuis": (
-        lambda alg, mod, op: bool(is_nijenhuis(alg, op)),
-        lambda alg, mod, rows, cols: _nijenhuis_terms(alg, rows, cols)),
-    "nonzero": (lambda alg, mod, op: not op.is_zero(),
-                lambda alg, mod, rows, cols: any),
-    "scalar": (lambda alg, mod, op: _holds(_scalar_law(op.rows, op.cols),
-                                           op.ints),
-               lambda alg, mod, rows, cols: _scalar_law(rows, cols)),
-    "invertible": (lambda alg, mod, op: _full_rank(op.rows, op.cols, op.ints),
-                   lambda alg, mod, rows, cols: functools.partial(
-                       _full_rank, rows, cols)),
+# name -> form on the int cells of a rows x cols operator over the algebra
+# and bimodule the search runs over; a form is a law, a list of components
+# that all vanish exactly when the predicate holds, or else a test of the
+# cells at a leaf.
+_OPERATOR_FORMS = {
+    "rota-baxter": _rota_baxter_terms,
+    "nijenhuis": lambda alg, mod, rows, cols: _nijenhuis_terms(alg, rows,
+                                                               cols),
+    "nonzero": lambda alg, mod, rows, cols: any,
+    "scalar": lambda alg, mod, rows, cols: _scalar_law(rows, cols),
+    "invertible": lambda alg, mod, rows, cols: functools.partial(
+        _full_rank, rows, cols),
 }
-ALGEBRA_PREDICATES = tuple(_ALGEBRA_TESTS)
-OPERATOR_PREDICATES = tuple(_OPERATOR_TESTS)
 
 
 def _lookup(tests: dict, name: str, kind: str):
@@ -222,10 +220,20 @@ def algebra_predicate(name: str) -> Callable[[Algebra], bool]:
 
 def operator_predicate(name: str, alg: Algebra,
                        mod: Optional[Bimodule]) -> Callable[[Matrix], bool]:
-    test = _lookup(_OPERATOR_TESTS, name, "operator")[0]
-    if name.startswith("not-"):
-        return lambda op: not test(alg, mod, op)
-    return functools.partial(test, alg, mod)
+    """The test of an operator that `search_operators` makes: the form of
+    the operator's shape on its cells, `ints` over its den.  Every law is
+    homogeneous in the cells, so it holds on the ints exactly when it
+    holds on the entries.  A form that refuses the shape, or rota-baxter
+    without a bimodule, raises when the test is applied."""
+    form = _lookup(_OPERATOR_FORMS, name, "operator")
+    negated = name.startswith("not-")
+
+    def test(op):
+        law = form(alg, mod, op.rows, op.cols)
+        holds = _holds(law, op.ints) if isinstance(law, list) else law(op.ints)
+        return holds != negated
+
+    return test
 
 
 def _grid_values(coeffs: Sequence, cells: int) -> tuple:
@@ -318,7 +326,7 @@ def search_operators(alg: Algebra, mod: Optional[Bimodule], coeffs: Sequence,
     cols = alg.dim if shape == "algebra-endo" else mod.mdim
     _check_limit(limit)
     forms = [(name.startswith("not-"),
-              _lookup(_OPERATOR_TESTS, name, "operator")[1])
+              _lookup(_OPERATOR_FORMS, name, "operator"))
              for name in predicates]
     values, total = _grid_values(coeffs, rows * cols)
     scan = _scanner(total, progress)

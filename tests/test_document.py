@@ -1,12 +1,16 @@
 """Workspace document parsing, strictness, and canonical rendering."""
 
+import dataclasses
 import json
 import tracemalloc
 
 import pytest
 
+from antiflex.algebra import Algebra
+from antiflex.bimodule import zero_bimodule
 from antiflex.document import (MAX_DIM, DocumentError, parse_document,
                                render_document)
+from antiflex.linalg import Matrix
 from tests.test_scaled_laws import run_in_child
 
 
@@ -235,6 +239,26 @@ def test_empty_operator_still_refused():
     with pytest.raises(DocumentError) as err:
         parse_document(text)
     assert str(err.value) == "$.operators.T: expected a non-empty list of rows"
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 2), (0, 0)])
+def test_an_operator_with_no_rows_is_refused_before_rendering(rows, cols):
+    """An operator with no rows would be written as [], which parsing
+    refuses: a 0x2 operator of a dim-0 algebra with a 2-dimensional zero
+    bimodule, and a 0x0 operator.  Rendering refuses it at its path, and
+    without it the document renders, parses and renders byte for byte."""
+    from antiflex.document import WorkspaceDocument
+    alg = Algebra.zero(0)
+    ops = {"S": Matrix.from_rows([[1, "1/2"]]), "T": Matrix.zeros(rows, cols)}
+    doc = WorkspaceDocument(alg, None, zero_bimodule(alg, cols), None, ops,
+                            None)
+    with pytest.raises(DocumentError) as err:
+        render_document(doc)
+    assert err.value.path == "$.operators.T"
+    assert str(err.value) \
+        == f"$.operators.T: a 0x{cols} operator has no rows to write"
+    text = render_document(dataclasses.replace(doc, operators={"S": ops["S"]}))
+    assert render_document(parse_document(text)) == text
 
 
 @pytest.mark.parametrize("section", ["algebra", "algebra2"])

@@ -1,6 +1,7 @@
 """Every name a module lists in `__all__` resolves, so `import *` works,
 every name a package or test module imports is used, the package's
-imports point one way, and every `module.name` its docs cite is there."""
+imports point one way, and every `module.name` its docs cite is there;
+and `tests/code_lines.py` counts code lines as it says."""
 
 import ast
 import importlib
@@ -12,6 +13,8 @@ import re
 import pytest
 
 import antiflex
+from tests.code_lines import code_lines
+from tests.code_lines import main as code_lines_main
 
 MODULES = ["antiflex"] + [f"antiflex.{info.name}" for info in
                           pkgutil.iter_modules(antiflex.__path__)
@@ -386,3 +389,37 @@ def test_doc_references_name_a_definition_of_their_module():
 
     assert [(where, f"{module}.{name}") for where, module, name in refs
             if not defined(module, name)] == []
+
+
+CODE_SAMPLE = '''"""A module docstring,
+over two lines."""
+
+import os  # a comment
+# a comment line
+
+
+def f(x):
+    """A docstring."""
+    y = (x +
+         1)
+    s = """a string, not a docstring,
+    over two lines"""
+    return y, s, os
+
+
+class C:
+    """A class docstring."""
+    z = 1
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path,
+                                                                 capsys):
+    """`tests/code_lines.py` counts import, def, the two lines of y, the
+    two of s, return, class and z; its table ends with the total."""
+    assert code_lines(CODE_SAMPLE) == 9
+    path = tmp_path / "sample.py"
+    path.write_text(CODE_SAMPLE, encoding="utf-8")
+    assert code_lines_main([str(path), str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() \
+        == ["total", "18", "38"]

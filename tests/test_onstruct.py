@@ -244,6 +244,35 @@ def test_twisted_checks_verify_the_nijenhuis_structure_once(a2, m_a2, on_triple,
     assert acted == [alg_op]
 
 
+def test_lemma_check_forms_each_star_algebra_once(a2, m_a2, on_triple,
+                                                  monkeypatch):
+    """star_{N T} and star^S_T come from the ON-structure check, so the
+    lemma forms only star~_T on top: three star products and one
+    deformation in all."""
+    import antiflex.onstruct
+
+    stars, deformed = [], []
+    real_star = antiflex.onstruct._star_product
+    real_deformed = antiflex.onstruct.deformed_product
+
+    def counting_star(mod, op):
+        stars.append(op)
+        return real_star(mod, op)
+
+    def counting_deformed(alg, op):
+        deformed.append(op)
+        return real_deformed(alg, op)
+
+    monkeypatch.setattr(antiflex.onstruct, "_star_product", counting_star)
+    monkeypatch.setattr(antiflex.onstruct, "deformed_product",
+                        counting_deformed)
+    base, alg_op, mod_op = on_triple
+    assert lemma_tilde_star_check(a2, m_a2, base, alg_op, mod_op) \
+        == (True, True)
+    assert stars == [alg_op @ base, base, base]
+    assert deformed == [mod_op]
+
+
 def test_twisted_checks_return_where_the_twist_fails_over_a():
     """Every structure constant -1 and N = S = -Id with T = 0: the twisted
     pair is a bimodule over A_N but not over A, and both checks return."""

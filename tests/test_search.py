@@ -367,7 +367,7 @@ CONSTANTS = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4))
 def _direct_law(name, alg, mod, rows, cols):
     """The law the search builds, as `quadratic_law_probed` gives it: one
     dict {(a, b): q} per component, each term reading two operator cells."""
-    law = antiflex.search._OPERATOR_TESTS[name][1](alg, mod, rows, cols)
+    law = antiflex.search._OPERATOR_FORMS[name](alg, mod, rows, cols)
     polys = []
     for component in law:
         poly = {}

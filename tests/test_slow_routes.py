@@ -9,6 +9,7 @@ values somewhere."""
 import argparse
 import collections
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -46,6 +47,7 @@ from tests.slow_routes import (algebra_predicate_dispatched,
                                ledger_rederived,
                                nijenhuis_structure_each,
                                operator_predicate_dispatched,
+                               search_operators_each,
                                structure_power_oracle, tilde_bimodule_each,
                                twisted_actions_each,
                                variant_s_squared_displayed, verify_rebuilt)
@@ -493,14 +495,35 @@ def test_deform_generate_equals_the_three_formation_path(pair_sample,
 
 
 PREDICATE_GRID = [-1, 0, 2]
+FRACTION_GRID = [-1, 0, Fraction(1, 2)]
+OPERATOR_NAMES = ("rota-baxter", "nijenhuis", "nonzero", "scalar",
+                  "invertible")
 
 
-def test_search_predicates_equal_the_dispatched_forms(a2, m_a2,
+def _typed_outcome(check, op):
+    """check(op), or the type and text of the ValueError it raises."""
+    try:
+        return check(op)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _predicate_values(name, pair, ops):
+    """The values of `operator_predicate(name, *pair)` on ops, asserted
+    equal to those of its dispatched form, refusals included."""
+    got = [_typed_outcome(operator_predicate(name, *pair), op) for op in ops]
+    assert got == [_typed_outcome(operator_predicate_dispatched(name, *pair),
+                                  op) for op in ops], name
+    return got
+
+
+def test_search_predicates_equal_the_dispatched_forms(a1, a2, m_a2,
                                                       noncommutative_rb):
     """Every predicate name and its "not-" form, built once, against the
     form that reads its name on each application: the same values on
-    every candidate of small grids, the same refusals, and the same hits,
-    in order, from the searches."""
+    every candidate of small grids, int and fractional, on operators of
+    the wrong shape and in the module-endo frame, the same refusals, and
+    the same hits, in order, from the searches."""
     algebras = [Algebra(MultiMap(2, 2, entries)) for entries in
                 itertools.islice(itertools.product(PREDICATE_GRID, repeat=8),
                                  0, None, 37)]
@@ -511,25 +534,66 @@ def test_search_predicates_equal_the_dispatched_forms(a2, m_a2,
             assert values == [want(alg) for alg in algebras]
             assert set(values) == {True, False}
     alg, mod, _ = noncommutative_rb
+    fractional = [Matrix(2, 2, e)
+                  for e in itertools.product(FRACTION_GRID, repeat=4)]
+    rng = random.Random(3101)
+    wrong = [Matrix(rows, cols, [rng.choice(FRACTION_GRID)
+                                 for _ in range(rows * cols)])
+             for rows, cols in ((1, 2), (2, 1), (2, 3), (3, 2), (3, 3))
+             for _ in range(6)] + [Matrix.identity(3).scale(Fraction(1, 2))]
     for pair in ((a2, m_a2), (alg, mod)):
         for shape, rows, cols in (("module-to-algebra", 2, 2),
                                   ("algebra-endo", 2, 2)):
             ops = [Matrix(rows, cols, e) for e in
                    itertools.product(PREDICATE_GRID, repeat=rows * cols)]
-            for name in ("rota-baxter", "nijenhuis", "nonzero", "scalar",
-                         "invertible"):
+            for name in OPERATOR_NAMES:
                 for full in (name, "not-" + name):
-                    got = operator_predicate(full, *pair)
-                    want = operator_predicate_dispatched(full, *pair)
-                    values = [got(op) for op in ops]
-                    assert values == [want(op) for op in ops], full
-                    assert set(values) == {True, False}, full
+                    assert set(_predicate_values(full, pair, ops)) \
+                        == {True, False}, full
             assert search_operators(*pair, PREDICATE_GRID,
                                     ["not-nijenhuis", "invertible"],
                                     shape=shape) \
                 == [op for op in ops
                     if not operator_predicate_dispatched("nijenhuis", *pair)(op)
                     and operator_predicate_dispatched("invertible", *pair)(op)]
+        # fractional entries: each predicate holds on an operator with den > 1
+        for name in OPERATOR_NAMES:
+            assert set(_predicate_values("not-" + name, pair, fractional)) \
+                == {True, False}, name
+            values = _predicate_values(name, pair, fractional)
+            assert set(values) == {True, False}, name
+            assert any(v and op.den > 1 for op, v in zip(fractional, values))
+        # the wrong shape: both laws refuse, and no non-square operator is
+        # a scalar or invertible
+        for name in ("rota-baxter", "nijenhuis"):
+            for full in (name, "not-" + name):
+                assert all(value[0] is LinAlgError for value in
+                           _predicate_values(full, pair, wrong)), full
+        for name in ("nonzero", "scalar", "invertible"):
+            for full in (name, "not-" + name):
+                values = _predicate_values(full, pair, wrong)
+                assert set(values) == {True, False}, full
+                if name != "nonzero":
+                    assert {v for op, v in zip(wrong, values)
+                            if not op.is_square()} \
+                        == {full.startswith("not-")}, full
+    # the module-endo frame over a bimodule of another dimension
+    endo = (a1, zero_bimodule(a1, 2))
+    for name in OPERATOR_NAMES:
+        for full in (name, "not-" + name):
+            values = _predicate_values(full, endo, fractional)
+            if name in ("rota-baxter", "nijenhuis"):
+                assert all(value[0] is LinAlgError for value in values), full
+            else:
+                assert set(values) == {True, False}, full
+    for predicates in (["not-scalar", "invertible"], ["nonzero", "scalar"],
+                       ["nonzero", "rota-baxter"], ["scalar", "nijenhuis"]):
+        assert _outcome(functools.partial(search_operators, *endo,
+                                          shape="module-endo"),
+                        FRACTION_GRID, predicates) \
+            == _outcome(functools.partial(search_operators_each, *endo,
+                                          shape="module-endo"),
+                        FRACTION_GRID, predicates), predicates
     for name in ("rota-baxter", "not-rota-baxter"):
         assert _outcome(operator_predicate(name, a2, None), Matrix.zeros(2, 2)) \
             == _outcome(operator_predicate_dispatched(name, a2, None),
