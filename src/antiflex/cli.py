@@ -4,6 +4,15 @@ emit human or machine reports.
 Exit status contract: 0 when every asserted check passes, 1 when some check
 fails, 2 on input errors (malformed document, unknown command, missing
 operator, bad shapes).
+
+An argv reaches its command by one of two routes, both read off one table
+of options and commands (`_OPTIONS` and `_SUBCOMMANDS`).  `_read_argv`
+reads a well-formed argv directly: whole option strings, each given once,
+plain values (ASCII digits for an int) and one command with its target.
+Every other argv goes to argparse, which owns every refusal, usage line
+and --help, so their bytes are argparse's own.  Both routes give the same
+namespace.  Reports, text payloads included, are written by
+`document.render_json`.
 """
 
 from __future__ import annotations
@@ -11,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 import time
 from typing import Optional
@@ -22,7 +30,7 @@ from .deformation import (_check_power, _closed_and_valid, _ledger,
                           _nijenhuis_structure, _structure_power, _trivial_deformation,
                           is_nijenhuis_structure, is_valid_deformation)
 from .document import (WorkspaceDocument, _document_object, _render_matrix,
-                       _render_sparse_bilinear, load_document)
+                       _render_sparse_bilinear, load_document, render_json)
 from .glie import (ClosureError, CochainSpace, DegreeCapError,
                    _is_maurer_cartan, derived_bracket)
 from .linalg import (LinAlgError, Matrix, MultiMap, parse_rational,
@@ -102,7 +110,7 @@ def _render_report_text(data: dict) -> str:
                      f" residual {witness['residual']}")
     if data["payload"]:
         lines.append("  payload:")
-        for chunk in json.dumps(data["payload"], indent=2).splitlines():
+        for chunk in render_json(data["payload"]).splitlines():
             lines.append(f"    {chunk}")
     lines.append(f"  ok: {data['ok']}   ({data['elapsed_ms']} ms)")
     return "\n".join(lines) + "\n"
@@ -367,50 +375,128 @@ def _targets(command: str) -> list:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+# The argv grammar: the keyword arguments of `add_argument` for each
+# option, first the options before the command and then each command's own,
+# with each command's help.  A command with targets also takes one target
+# (`what`), chosen from its `COMMANDS` entries.  `_build_parser` builds
+# argparse from this table and `_read_argv` reads well-formed argv by it,
+# so it uses only the keywords `_read_argv` reads: help, action
+# ("store_true"), type (int), default, choices and required.
+_OPTIONS = {
+    "--fixture": {"help": "path to a workspace JSON document"},
+    "--json": {"action": "store_true",
+               "help": "emit one machine-readable JSON object"},
+}
+_SUBCOMMANDS = {
+    "check": ("run a named predicate", {
+        "--op": {}, "--ops": {}, "--power-cap": {"type": int, "default": 0}}),
+    "mc-check": ("Maurer-Cartan check of mu + l + r", {}),
+    "cohomology": ("cochain complex dimensions", {
+        "--op": {}, "--max-degree": {"type": int, "default": 3}}),
+    "deform": ("deformation generators", {"--ops": {}}),
+    "glie": ("graded bracket evaluation", {"--op": {}, "--ops": {}}),
+    "search": ("enumerate grid candidates that pass every predicate", {
+        "--kind": {"choices": ["algebra", "operator"], "required": True},
+        "--dim": {"type": int},
+        "--coeffs": {},
+        "--predicates": {},
+        "--limit": {"type": int},
+        "--shape": {"default": "module-to-algebra",
+                    "choices": ["module-to-algebra", "algebra-endo",
+                                "module-endo"]}}),
+}
+
+
 @functools.cache  # once per process: the parser keeps no per-input state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="antiflex",
         description="checks and constructions for anti-flexible algebras, "
                     "Rota-Baxter operators and related structures")
-    parser.add_argument("--fixture", help="path to a workspace JSON document")
-    parser.add_argument("--json", action="store_true",
-                        help="emit one machine-readable JSON object")
+    for flag, spec in _OPTIONS.items():
+        parser.add_argument(flag, **spec)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="run a named predicate")
-    check.add_argument("what", choices=_targets("check"))
-    check.add_argument("--op")
-    check.add_argument("--ops")
-    check.add_argument("--power-cap", type=int, default=0)
-
-    sub.add_parser("mc-check", help="Maurer-Cartan check of mu + l + r")
-
-    coh = sub.add_parser("cohomology", help="cochain complex dimensions")
-    coh.add_argument("--op")
-    coh.add_argument("--max-degree", type=int, default=3)
-
-    deform = sub.add_parser("deform", help="deformation generators")
-    deform.add_argument("what", choices=_targets("deform"))
-    deform.add_argument("--ops")
-
-    glie = sub.add_parser("glie", help="graded bracket evaluation")
-    glie.add_argument("what", choices=_targets("glie"))
-    glie.add_argument("--op")
-    glie.add_argument("--ops")
-
-    search = sub.add_parser("search", help="enumerate grid candidates that "
-                                           "pass every predicate")
-    search.add_argument("--kind", choices=["algebra", "operator"],
-                        required=True)
-    search.add_argument("--dim", type=int)
-    search.add_argument("--coeffs")
-    search.add_argument("--predicates")
-    search.add_argument("--limit", type=int)
-    search.add_argument("--shape", default="module-to-algebra",
-                        choices=["module-to-algebra", "algebra-endo",
-                                 "module-endo"])
+    for command, (text, options) in _SUBCOMMANDS.items():
+        command_parser = sub.add_parser(command, help=text)
+        targets = _targets(command)
+        if targets != [None]:
+            command_parser.add_argument("what", choices=targets)
+        for flag, spec in options.items():
+            command_parser.add_argument(flag, **spec)
     return parser
+
+
+def _read_value(word: str, spec: dict):
+    """The value `parse_args` reads for `word` as an option's argument, or
+    None unless `word` is plain: not empty, not starting with '-', ASCII
+    digits for an int, and one of the choices where there are any."""
+    if not word or word[0] == "-":
+        return None
+    if spec.get("type") is int:
+        if not (word.isascii() and word.isdigit()):
+            return None
+        try:
+            word = int(word)
+        except ValueError:  # over the interpreter's int digit limit
+            return None
+    if "choices" in spec and word not in spec["choices"]:
+        return None
+    return word
+
+
+def _defaults(options: dict) -> dict:
+    """The value argparse gives each option of `options` when it is absent,
+    under the option's dest: --power-cap is power_cap."""
+    return {flag[2:].replace("-", "_"): spec.get(
+                "default", False if spec.get("action") == "store_true" else None)
+            for flag, spec in options.items()}
+
+
+def _read_argv(argv) -> Optional[argparse.Namespace]:
+    """The namespace `_build_parser().parse_args(argv)` returns, read
+    directly from a well-formed argv by the `_OPTIONS` and `_SUBCOMMANDS`
+    table: whole option strings, each given once, with plain values (see
+    `_read_value`); one command, with its target right after it when it
+    takes one; and every required option.  None for any other argv, which
+    argparse then reads, refuses or answers with help."""
+    options = _OPTIONS
+    values = _defaults(options)
+    seen = set()
+    i = 0
+    while i < len(argv):
+        word = argv[i]
+        spec = options.get(word)
+        if spec is None:
+            if "command" in values or word not in _SUBCOMMANDS:
+                return None
+            values["command"] = word
+            options = _SUBCOMMANDS[word][1]
+            values.update(_defaults(options))
+            i += 1
+            targets = _targets(word)
+            if targets != [None]:
+                if i == len(argv) or argv[i] not in targets:
+                    return None
+                values["what"] = argv[i]
+                i += 1
+            continue
+        if word in seen:
+            return None
+        seen.add(word)
+        if spec.get("action") == "store_true":
+            value = True
+            i += 1
+        else:
+            value = _read_value(argv[i + 1], spec) if i + 1 < len(argv) else None
+            if value is None:
+                return None
+            i += 2
+        values[word[2:].replace("-", "_")] = value  # its dest, as in _defaults
+    if "command" not in values or any(
+            spec.get("required") and flag not in seen
+            for flag, spec in options.items()):
+        return None
+    return argparse.Namespace(**values)
 
 
 def run_command(args) -> Report:
@@ -428,8 +514,9 @@ def run_command(args) -> Report:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         report = run_command(args)
     except (CommandError, OSError, ValueError) as exc:
@@ -438,7 +525,7 @@ def main(argv=None) -> int:
         return 2
     data = report.finish()
     if args.json:
-        print(json.dumps(data, indent=2))
+        print(render_json(data))
     else:
         print(_render_report_text(data), end="")
     return 0 if data["ok"] else 1

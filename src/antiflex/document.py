@@ -8,7 +8,9 @@ strings.  Parsing is strict: unknown keys, inconsistent dimensions, duplicate
 or comma-bearing labels and malformed rationals are all errors naming the
 offending path.  Rendering is canonical, so documents written by render
 round-trip byte-identically; it refuses an operator with no rows, which
-it would write as the [] that parsing refuses.
+it would write as the [] that parsing refuses.  The text is that of
+`json.dumps(obj, indent=2)`, written by `render_json`, which the CLI's
+reports use too.
 
 `load_document` reads the file on every call but parses its text only when
 the text differs from that of the previous load: the parsed document of the
@@ -29,6 +31,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -44,6 +47,7 @@ __all__ = [
     "WorkspaceDocument",
     "parse_document",
     "render_document",
+    "render_json",
     "load_document",
 ]
 
@@ -80,15 +84,17 @@ def _require_keys(obj: dict, path: str, required: Sequence[str],
             raise DocumentError(f"{path}.{key}", "unknown key")
 
 
-def _parse_rat(value, path: str):
+def _parse_rat(value, path: str, *index: int):
     """A JSON int as it is; anything else (a "p/q" string, or a refusal
-    worded by `parse_rational`) through `parse_rational`."""
+    worded by `parse_rational`) through `parse_rational`.  A refusal names
+    `path` followed by each index in brackets, formatted only then."""
     if type(value) is int:
         return value
     try:
         return parse_rational(value)
     except LinAlgError as exc:
-        raise DocumentError(path, str(exc)) from None
+        raise DocumentError(path + "".join(f"[{k}]" for k in index),
+                            str(exc)) from None
 
 
 def _parse_matrix(value, path: str, rows: Optional[int] = None,
@@ -106,7 +112,7 @@ def _parse_matrix(value, path: str, rows: Optional[int] = None,
     for i, row in enumerate(value):
         if len(row) != ncols:
             raise DocumentError(f"{path}[{i}]", "ragged row")
-        items += [((j, i), _parse_rat(entry, f"{path}[{i}][{j}]"))
+        items += [((j, i), _parse_rat(entry, path, i, j))
                   for j, entry in enumerate(row)]
     m = Matrix._of_values(1, ncols, len(value), items)
     if rows is not None and m.rows != rows:
@@ -304,7 +310,60 @@ def render_document(doc: WorkspaceDocument) -> str:
         if not m.rows:
             raise DocumentError(f"$.operators.{name}",
                                 f"a 0x{m.cols} operator has no rows to write")
-    return json.dumps(_document_object(doc), indent=2, sort_keys=False) + "\n"
+    return render_json(_document_object(doc)) + "\n"
+
+
+_INF = float("inf")
+
+
+def render_json(value) -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for a tree of JSON
+    values, in one recursive join.  Dicts with str keys and lists or tuples
+    nest; strings are escaped to ASCII by json's own C encoder; ints and
+    floats are spelled as json spells them (a float by `repr`, or NaN,
+    Infinity and -Infinity); True, False and None are true, false and null.
+    Any other value, and any key that is no str, raises TypeError.  The
+    CLI's reports and `render_document` write through it: with an indent,
+    `json.dumps` runs its pure-Python encoder, which is several times slower
+    on the small objects they write."""
+    return _json_text(value, "\n")
+
+
+def _json_text(value, pad: str) -> str:
+    """The text of `value`, each of its lines after the first led by `pad`."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return ("[" + inner + ("," + inner).join(
+            [_json_text(item, inner) for item in value]) + pad + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # the C encoder raises TypeError on a key that is no str
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+             for key, item in value.items()]) + pad + "}")
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
 
 
 @functools.lru_cache(maxsize=1)

@@ -993,3 +993,186 @@ def test_the_perfbench_cli_corpus_prints_its_recorded_hash():
     assert result.returncode == 0, result.stderr
     assert result.stdout == ("1056 88ac890f7cb49f89f35975b53d548bbcc8b09a2b"
                              "0c6be82e4bfa826d43755587\n")
+
+
+# -- the direct argv reader -----------------------------------------------------
+
+def argparse_namespace(argv):
+    """The namespace `parse_args` returns for argv, or None where argparse
+    exits; whatever it prints is dropped."""
+    import contextlib
+    import io
+
+    from antiflex.cli import _build_parser
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def assert_read_as_argparse_reads(argv, want):
+    """`_read_argv(argv)` is None or, value for value and type for type,
+    `want`, the namespace `parse_args` returns; it is None wherever
+    argparse exits (`want` is None).  Returns what the reader read."""
+    from antiflex.cli import _read_argv
+
+    def typed(namespace):
+        return {key: (type(value), value)
+                for key, value in vars(namespace).items()}
+
+    got = _read_argv(argv)
+    assert got is None or (want is not None
+                           and typed(got) == typed(want)), argv
+    return got
+
+
+def test_the_reader_reads_the_golden_and_benchmark_argvs_as_argparse_does():
+    """Every golden argv and every argv of perfbench's `cli` commands, with
+    and without the fixture and --json it runs them with, reads as argparse
+    reads it or is left to argparse; the benchmark's are all read
+    directly, and so are most golden ones, but no argparse refusal."""
+    from tests.test_sparse_bracket import perfbench_module
+    with open(GOLDEN, encoding="utf-8") as handle:
+        golden = [entry["argv"] for entry in json.load(handle)]
+    commands = [argv for _, argv in perfbench_module("inputs").COMMANDS]
+    bench = commands + [["--fixture", "doc.json", "--json", *argv]
+                        for argv in commands]
+    read = {tuple(argv): assert_read_as_argparse_reads(
+                argv, argparse_namespace(argv)) for argv in golden + bench}
+    assert all(read[tuple(argv)] is not None for argv in bench)
+    direct = [argv for argv in golden if read[tuple(argv)] is not None]
+    assert len(direct) > len(golden) / 2
+    # what argparse alone reads: an `=` value, a negative int, a bad choice
+    assert read[("--fixture", "{a2}", "search", "--kind", "operator",
+                 "--coeffs=-1/2,0,1", "--predicates", "rota-baxter")] is None
+    assert read[("--fixture", "{a2}", "check", "on", "--ops", "T,N,S",
+                 "--power-cap", "-2")] is None
+    assert read[("--fixture", "{a2}", "check", "bogus")] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["check", "-h"], ["--fixture", "d", "check", "rb", "--op"],
+    ["--fix", "d", "check", "rb"], ["--fixture=d", "check", "rb"],
+    ["--json", "--json", "check", "rb"], ["check", "rb", "--op", "T",
+                                          "--op", "S"],
+    ["check", "rb", "--op", "-T"], ["check", "rb", "--op", ""],
+    ["check", "rb", "--power-cap", "٣"], ["check", "rb", "--power-cap", "+3"],
+    ["check", "rb", "--power-cap", "9" * 5000], ["check", "--op", "T", "rb"],
+    ["search"], ["search", "--kind", "tensor"], ["check", "rb", "--json"],
+    ["check", "rb", "extra"], ["check"], [], ["--json"],
+])
+def test_the_reader_leaves_every_other_argv_to_argparse(argv):
+    """Help, abbreviations, `=` values, repeated options, values that start
+    with '-' or are empty, non-ASCII or signed digits, an int over the digit
+    limit, a target after an option, a missing required option, a bad
+    choice, an option of the wrong level and a missing command."""
+    from antiflex.cli import _read_argv
+    assert _read_argv(argv) is None
+    assert_read_as_argparse_reads(argv, argparse_namespace(argv))
+
+
+def test_the_argv_table_uses_only_what_the_reader_reads():
+    """`_read_argv` knows the keywords help, action (store_true), type
+    (int), default, choices and required, and nothing else."""
+    from antiflex.cli import _OPTIONS, _SUBCOMMANDS
+    specs = list(_OPTIONS.values()) + [
+        spec for _, options in _SUBCOMMANDS.values()
+        for spec in options.values()]
+    for spec in specs:
+        assert set(spec) <= {"help", "action", "type", "default", "choices",
+                             "required"}, spec
+        assert spec.get("action", "store_true") == "store_true"
+        assert spec.get("type", int) is int
+    flags = list(_OPTIONS) + [flag for _, options in _SUBCOMMANDS.values()
+                              for flag in options]
+    assert all(flag.startswith("--") for flag in flags)
+
+
+def test_no_benchmark_cli_command_reaches_parse_args(tmp_path):
+    """Every op of a perfbench `cli` cycle reads its argv directly; one
+    argparse refusal after them reaches `ArgumentParser.parse_args`, so
+    the count sees it.  The cycle runs in a child interpreter, so that this
+    session's heap does not grow by perfbench's modules."""
+    import subprocess
+    import sys
+
+    import antiflex
+
+    child = (
+        "import argparse, contextlib, io, sys\n"
+        "src, perfbench, workdir = sys.argv[1:]\n"
+        "sys.path[:0] = [perfbench, src]\n"
+        "import workloads\n"
+        "from antiflex.cli import main\n"
+        "calls = []\n"
+        "real = argparse.ArgumentParser.parse_args\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    calls.append(args)\n"
+        "    return real(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.parse_args = counting\n"
+        "ops = workloads.cli(1, 0, workdir)\n"
+        "codes = [op.call()[0] for op in ops]\n"
+        "direct = len(calls)\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        main(['check', 'bogus'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(len(ops), sorted(set(codes)), direct, len(calls))\n")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", child,
+         os.path.dirname(os.path.dirname(antiflex.__file__)),
+         os.path.join(root, "perfbench"), str(tmp_path)],
+        capture_output=True, text=True, timeout=300, cwd=root)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "132 [0, 1, 2] 0 1\n"
+
+
+def test_property_the_reader_returns_none_or_what_argparse_returns():
+    """The `hypothesis` property of `argv_property.py`, run in a child
+    interpreter (see `test_scaled_laws.run_in_child`)."""
+    from tests.test_scaled_laws import run_in_child
+    run_in_child("argv_property.py")
+
+
+# -- the JSON writer ------------------------------------------------------------
+
+def test_render_json_writes_what_indented_json_dumps_writes(
+        a2_fixture, pair_fixture, deformed_fixture, s2_fixture,
+        s2_split_fixture, closed_fixture, unclosed_fixture, empty_fixture,
+        frac_fixture, nc_fixture, naf_fixture, capsys, monkeypatch):
+    """On every object the golden calls write, --json reports and text
+    payloads alike, and on the object `render_document` writes for each
+    fixture document."""
+    import antiflex.cli as cli
+    from antiflex.document import _document_object, render_json
+    with open(GOLDEN, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    paths = {"a2": a2_fixture, "pair": pair_fixture,
+             "deformed": deformed_fixture, "s2": s2_fixture,
+             "s2split": s2_split_fixture, "closed": closed_fixture,
+             "unclosed": unclosed_fixture, "empty": empty_fixture,
+             "frac": frac_fixture, "nc": nc_fixture, "naf": naf_fixture}
+    written = []
+
+    def recording(value):
+        written.append(value)
+        return render_json(value)
+
+    monkeypatch.setattr(cli, "render_json", recording)
+    cli_outcomes([entry["argv"] for entry in golden], paths, capsys,
+                 monkeypatch)
+    # a --json report, or the payload of a text report that has one
+    assert len(written) == sum(
+        entry["status"] in (0, 1) and ("--json" in entry["argv"]
+                                       or "\n  payload:\n" in entry["stdout"])
+        for entry in golden)
+    assert any("document" in value.get("payload", value) for value in written)
+    for path in paths.values():
+        with open(path, encoding="utf-8") as handle:
+            written.append(_document_object(parse_document(handle.read())))
+    for value in written:
+        assert render_json(value) == json.dumps(value, indent=2)

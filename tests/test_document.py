@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from antiflex.algebra import Algebra
 from antiflex.bimodule import zero_bimodule
 from antiflex.document import (MAX_DIM, DocumentError, parse_document,
-                               render_document)
+                               render_document, render_json)
 from antiflex.linalg import Matrix
 from tests.test_scaled_laws import run_in_child
 
@@ -72,14 +73,17 @@ def test_a_refused_coefficient_keeps_its_wording(value, reason):
     a product, an operator and an action alike."""
     for where, path in (("products", "$.algebra.products.e,e.e"),
                         ("operator", "$.operators.T[0][0]"),
-                        ("action", "$.bimodule.l[0][0][0]")):
+                        ("action", "$.bimodule.l[0][0][0]"),
+                        ("row 1", "$.operators.U[1][0]")):
         doc = {"field": "Q",
                "algebra": {"dim": 1, "basis": ["e"], "products": {
                    "e,e": {"e": value if where == "products" else 2}}},
                "bimodule": {"mdim": 1,
                             "l": [[[value if where == "action" else 0]]],
                             "r": [[[0]]]},
-               "operators": {"T": [[value if where == "operator" else 1]]}}
+               "operators": {"T": [[value if where == "operator" else 1]],
+                             "U": [["1/2", 3],
+                                   [value if where == "row 1" else 0, 1]]}}
         with pytest.raises(DocumentError) as err:
             parse_document(json.dumps(doc))
         assert str(err.value) == f"{path}: {reason}"
@@ -340,6 +344,31 @@ def test_algebra_over_the_dim_bound_is_refused(section):
     assert str(err.value) == (
         f"$.{section}.dim: dim {dim} asks for {dim ** 3} product slots; "
         f"the bound is dim <= {MAX_DIM} ({MAX_DIM ** 3} slots)")
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), {1, 2}, b"e", object(), {"a": [1, {"b": Fraction(1)}]},
+    {("a",): 0}])
+def test_render_json_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        render_json(value)
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+
+
+def test_render_json_refuses_a_key_that_is_no_str():
+    """`json.dumps` spells an int, float, bool or None key as a string;
+    every object written here has str keys, and `render_json` refuses the
+    others."""
+    for value in ({1: 2}, {1.5: 0}, {True: 0}, {None: 0}):
+        with pytest.raises(TypeError):
+            render_json(value)
+
+
+def test_property_render_json_equals_indented_json_dumps():
+    """The `hypothesis` property of `json_property.py`, run in a child
+    interpreter (see `test_scaled_laws.run_in_child`)."""
+    run_in_child("json_property.py")
 
 
 def test_property_documents_roundtrip_and_mutants_fail_cleanly():

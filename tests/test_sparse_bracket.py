@@ -354,11 +354,12 @@ def test_property_brackets_equal_the_dense_oracle():
 
 # -- what the benchmark's tracer reads ------------------------------------------
 
-def _perfbench_spans():
-    """perfbench/spans.py, loaded from its file under a name of its own."""
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded from its file under a name of its own."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
-        "perfbench_spans_for_tests", os.path.join(root, "perfbench", "spans.py"))
+        f"perfbench_{name}_for_tests",
+        os.path.join(root, "perfbench", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -369,7 +370,7 @@ def test_bracket_counters_follow_the_tracer_contract(na2, a2, m_a2, e21):
     `graded_bracket` call and adds `len(result.data)` of each: the number
     of slots of the map's dense layout, which `MultiMap.data` spells out,
     counted here on the dense oracle."""
-    spans = _perfbench_spans()
+    spans = perfbench_module("spans")
     rng = random.Random(1108)
     left = [na2.left_matrix(i) for i in range(na2.dim)]
     right = [na2.right_matrix(i) for i in range(na2.dim)]
